@@ -21,7 +21,7 @@ DEFAULTS = {
     "oa_rows": 1 << 20,       # rows of an orthogonal array
     "oa_pairs": 1 << 13,      # rows allowed in pairwise-distance scans
     "matrix_dim": 4096,       # reduced density operator dimension d^k
-    "qecc_ops": 1 << 22,      # error operators enumerated by verify_pure_qecc
+    "qecc_ops": 1 << 22,      # pair reductions computed by verify_pure_qecc
 }
 
 

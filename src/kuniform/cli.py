@@ -139,9 +139,7 @@ def _cmd_construct_oa(args):
 
 def _cmd_verify_state(args):
     state = states.load_state(args.file)
-    report = states.verify_k_uniform(
-        state, args.k, tol=args.tol, threads=args.threads
-    )
+    report = states.verify_k_uniform(state, args.k, tol=args.tol)
     details = {
         "N": state.N,
         "d": state.d,
@@ -237,13 +235,7 @@ def _cmd_mask_build(args):
 
 def _cmd_mask_verify(args):
     masker = masking.load_masker(args.dir)
-    report = masking.verify_masker(
-        masker,
-        args.k,
-        samples=args.samples,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    report = masking.verify_masker(masker, args.k, samples=args.samples, seed=args.seed)
     details = {
         "d": masker.d,
         "N": masker.N,
@@ -262,7 +254,7 @@ def _cmd_mask_verify(args):
 
 def _cmd_qecc_verify(args):
     basis = [states.load_state(path) for path in args.files]
-    report = masking.verify_pure_qecc(basis, args.delta, threads=args.threads)
+    report = masking.verify_pure_qecc(basis, args.delta)
     details = {
         "N": report.N,
         "d": report.d,
@@ -302,32 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="construct and verify k-uniform states, maskers, "
         "and pure quantum codes built from linear codes",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument(
-        "--threads", type=_positive, default=1, help="verification threads"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="build artifacts")
     csub = construct.add_subparsers(dest="what", required=True)
-    c_k = csub.add_parser("kuniform", parents=[common])
+    c_k = csub.add_parser("kuniform")
     c_k.add_argument("--k", type=_positive, required=True)
     c_k.add_argument("--d", type=_positive, required=True)
     c_k.add_argument("--N", type=_positive, required=True)
     c_k.add_argument("-o", "--output")
     c_k.set_defaults(handler=_cmd_construct_kuniform)
-    c_g = csub.add_parser("ghz", parents=[common])
+    c_g = csub.add_parser("ghz")
     c_g.add_argument("--N", type=_positive, required=True)
     c_g.add_argument("--d", type=_positive, required=True)
     c_g.add_argument("-o", "--output")
     c_g.set_defaults(handler=_cmd_construct_ghz)
-    c_m = csub.add_parser("mds", parents=[common])
+    c_m = csub.add_parser("mds")
     c_m.add_argument("--q", type=_positive, required=True)
     c_m.add_argument("--t", type=_positive, required=True)
     c_m.add_argument("-o", "--output")
     c_m.set_defaults(handler=_cmd_construct_mds)
-    c_o = csub.add_parser("oa", parents=[common])
+    c_o = csub.add_parser("oa")
     c_o.add_argument("--code", required=True)
     c_o.add_argument("--trim", type=_positive)
     c_o.add_argument("-o", "--output")
@@ -335,28 +322,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check artifacts")
     vsub = verify.add_subparsers(dest="what", required=True)
-    v_s = vsub.add_parser("state", parents=[common])
+    v_s = vsub.add_parser("state")
     v_s.add_argument("file")
     v_s.add_argument("--k", type=_nonnegative, required=True)
     v_s.add_argument("--tol", type=float, default=1e-10)
     v_s.set_defaults(handler=_cmd_verify_state)
-    v_o = vsub.add_parser("oa", parents=[common])
+    v_o = vsub.add_parser("oa")
     v_o.add_argument("file")
     v_o.add_argument("--k", type=_nonnegative, required=True)
     v_o.add_argument("--irredundant", action="store_true")
     v_o.set_defaults(handler=_cmd_verify_oa)
-    v_c = vsub.add_parser("code", parents=[common])
+    v_c = vsub.add_parser("code")
     v_c.add_argument("file")
     v_c.set_defaults(handler=_cmd_verify_code)
 
     compose = sub.add_parser("compose", help="combine artifacts")
     psub = compose.add_subparsers(dest="what", required=True)
-    p_t = psub.add_parser("tensor", parents=[common])
+    p_t = psub.add_parser("tensor")
     p_t.add_argument("first")
     p_t.add_argument("second")
     p_t.add_argument("-o", "--output")
     p_t.set_defaults(handler=_cmd_compose_tensor)
-    p_d = psub.add_parser("direct-sum", parents=[common])
+    p_d = psub.add_parser("direct-sum")
     p_d.add_argument("first")
     p_d.add_argument("second")
     p_d.add_argument("-o", "--output")
@@ -364,26 +351,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     mask = sub.add_parser("mask", help="build and check maskers")
     msub = mask.add_subparsers(dest="what", required=True)
-    m_b = msub.add_parser("build", parents=[common])
+    m_b = msub.add_parser("build")
     m_b.add_argument("--state", required=True)
     m_b.add_argument("--split", type=_nonnegative, required=True)
     m_b.add_argument("--k", type=_nonnegative, required=True)
     m_b.add_argument("-o", "--output", required=True)
     m_b.set_defaults(handler=_cmd_mask_build)
-    m_v = msub.add_parser("verify", parents=[common])
+    m_v = msub.add_parser("verify")
     m_v.add_argument("dir")
     m_v.add_argument("--k", type=_nonnegative, required=True)
     m_v.add_argument("--samples", type=_nonnegative, default=0)
+    m_v.add_argument("--seed", type=int, default=0, help="RNG seed for --samples")
     m_v.set_defaults(handler=_cmd_mask_verify)
 
     qecc = sub.add_parser("qecc", help="check pure quantum codes")
     qsub = qecc.add_subparsers(dest="what", required=True)
-    q_v = qsub.add_parser("verify", parents=[common])
+    q_v = qsub.add_parser("verify")
     q_v.add_argument("files", nargs="+")
     q_v.add_argument("--delta", type=_positive, required=True)
     q_v.set_defaults(handler=_cmd_qecc_verify)
 
-    table = sub.add_parser("table", parents=[common], help="existence grids")
+    table = sub.add_parser("table", help="existence grids")
     table.add_argument("--k", type=_positive, required=True)
     table.add_argument("--d", type=_int_spec, required=True)
     table.add_argument("--N", type=_int_spec, required=True)

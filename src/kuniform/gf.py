@@ -131,8 +131,8 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 class FiniteField:
     """GF(p^m) with canonical modulus and O(1) mul/inv via log tables.
 
-    Instances are immutable after construction and safe to share between
-    threads.  Use field_new() rather than the constructor: it validates,
+    Instances are immutable after construction, so any number of callers
+    may share one.  Use field_new() rather than the constructor: it validates,
     applies the field_order cap and caches one instance per (p, m).
     """
 

@@ -14,8 +14,10 @@ The same machinery checks pure quantum codes: a ((N, K, delta))_d basis is
 pure when <psi_i| E |psi_j> vanishes for every non-identity tensor product
 E of generalized Paulis with fewer than delta non-identity factors (every
 such E is traceless, so the usual right-hand side delta_ij Tr(E)/d^N is
-zero).  For qubits the matrix elements are Gaussian integers and the check
-is exact; for d > 2 the root-of-unity phases force float arithmetic.
+zero).  The Paulis on a party subset span every operator on it (Scott,
+PRA 69, 052330 (2004)), so the condition is equivalent to every
+(delta - 1)-party reduction of |psi_j><psi_i| being delta_ij I / d^(delta-1),
+which exact states decide in integer arithmetic for every d.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,6 @@ __all__ = [
     "strong_masking_feasible",
     "verify_pure_qecc",
     "singleton_check",
-    "kuniform_subspace_check",
     "save_masker",
     "load_masker",
 ]
@@ -217,7 +217,6 @@ def verify_masker(
     tol: float = FLOAT_TOL,
     samples: int = 0,
     seed: int = 0,
-    threads: int = 1,
     cap: int | None = None,
 ) -> MaskingReport:
     """Run the full masking criterion at k.
@@ -241,16 +240,16 @@ def verify_masker(
         verdict = "pass" if not failures else "fail"
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
 
-    def check(subset):
-        local_failures = []
-        dev = 0.0
+    subsets = list(combinations(range(m.N), k))
+    for subset in subsets:
         rho0 = cross_reduction(m.images[0], m.images[0], subset, cap=cap)
+        common[subset] = rho0
         for s in range(1, m.d):
             rho_s = cross_reduction(m.images[s], m.images[s], subset, cap=cap)
             delta = _operator_deviation(rho_s, rho0)
-            dev = max(dev, delta)
+            max_dev = max(max_dev, delta)
             if not _operators_equal(rho_s, rho0, tol):
-                local_failures.append(
+                failures.append(
                     (subset, s, s, f"reduction differs from image 0 by {delta:.3e}")
                 )
         for s, t in combinations(range(m.d), 2):
@@ -268,24 +267,11 @@ def verify_masker(
                     max((abs(v) for v in cross.entries.values()), default=0.0)
                 )
                 leaked = mag > tol
-            dev = max(dev, mag)
+            max_dev = max(max_dev, mag)
             if leaked:
-                local_failures.append(
+                failures.append(
                     (subset, s, t, f"cross term does not vanish, max entry {mag:.3e}")
                 )
-        return subset, rho0, local_failures, dev
-
-    subsets = list(combinations(range(m.N), k))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, subsets))
-    else:
-        results = [check(s) for s in subsets]
-
-    for subset, rho0, local_failures, dev in results:
-        common[subset] = rho0
-        failures.extend(local_failures)
-        max_dev = max(max_dev, dev)
 
     samples_checked = 0
     if samples > 0 and not failures:
@@ -406,56 +392,43 @@ class ErrorOperator:
         )
 
 
-def _error_operators(N: int, d: int, delta: int, cap: int | None):
-    """All non-identity errors of weight below delta, cap-checked first."""
-    total = sum(math.comb(N, w) * (d * d - 1) ** w for w in range(1, delta))
-    check_cap("qecc_ops", total, cap, what=f"error enumeration below weight {delta}")
-    non_identity = [(a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
-    for w in range(1, delta):
-        for positions in combinations(range(N), w):
-            for locs in product(non_identity, repeat=w):
-                yield ErrorOperator(positions, locs)
+def _pauli_witness(rho: SparseOperator, subset: tuple) -> tuple[ErrorOperator, float]:
+    """The non-identity Pauli E on `subset` with the largest |Tr(E rho)|.
 
-
-def _pauli_element_exact(si: PureState, sj: PureState, op: ErrorOperator):
-    """<si| E |sj> numerator as a Gaussian integer (qubits, exact states)."""
-    re = im = 0
-    for idx, (a2, b2) in sj.amplitudes.items():
-        phase = 0
-        shifted = list(idx)
-        for p, (a, b) in zip(op.positions, op.locals):
-            phase += b * idx[p]
-            shifted[p] = (idx[p] + a) % 2
-        target = si.amplitudes.get(tuple(shifted))
-        if target is None:
-            continue
-        a1, b1 = target
-        sign = 1 if phase % 2 == 0 else -1
-        re += sign * (a1 * a2 + b1 * b2)
-        im += sign * (a1 * b2 - b1 * a2)
-    return re, im
-
-
-def _pauli_element_float(si: PureState, sj: PureState, op: ErrorOperator, d: int) -> complex:
-    amps_i = _norm_amplitudes(si)
-    amps_j = _norm_amplitudes(sj)
-    omega = [cmath.exp(2j * math.pi * t / d) for t in range(d)]
-    total = 0j
-    for idx, v2 in amps_j.items():
-        phase = 0
-        shifted = list(idx)
-        for p, (a, b) in zip(op.positions, op.locals):
-            phase += b * idx[p]
-            shifted[p] = (idx[p] + a) % d
-        v1 = amps_i.get(tuple(shifted))
-        if v1 is None:
-            continue
-        total += v1.conjugate() * omega[phase % d] * v2
-    return total
+    For a shift a, Tr(X^a Z^b rho) = sum over y of omega^(b.y) rho[y, y + a],
+    so one inverse FFT over the k digits of y gives every b at once.
+    """
+    k, d = rho.n_parties, rho.d
+    dim = d**k
+    digits = np.indices((d,) * k).reshape(k, dim)  # digits[:, n] spell index n
+    place = d ** np.arange(k - 1, -1, -1)
+    # shifted[a, y] is the index of y + a, digit by digit mod d
+    shifted = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % d, axes=1)
+    diagonals = rho.to_matrix()[np.arange(dim), shifted]  # [a, y] -> rho[y, y + a]
+    axes = tuple(range(1, k + 1))
+    coeffs = np.fft.ifftn(diagonals.reshape((dim,) + (d,) * k), axes=axes) * dim
+    mags = np.abs(coeffs).reshape(dim, dim)
+    mags[0, 0] = 0.0  # the identity
+    a, b = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    locals_ = [
+        (p, (int(x), int(z)))
+        for p, x, z in zip(subset, digits[:, a], digits[:, b])
+        if (x, z) != (0, 0)
+    ]
+    op = ErrorOperator(tuple(p for p, _ in locals_), tuple(loc for _, loc in locals_))
+    return op, float(mags[a, b])
 
 
 @dataclass
 class QeccReport:
+    """Outcome of verify_pure_qecc.
+
+    ops_checked counts the Pauli errors of weight 1 to delta - 1 that the
+    check covers.  failures holds one (str(E), i, j, |<psi_i|E|psi_j>|)
+    witness per failing (subset, i, j), or ("<i|j>", i, j, |<psi_i|psi_j>|)
+    per non-orthogonal pair; worst is the largest of those magnitudes.
+    """
+
     N: int
     d: int
     K: int
@@ -474,16 +447,25 @@ def verify_pure_qecc(
     basis: list,
     delta: int,
     tol: float = PAULI_TOL,
-    threads: int = 1,
     cap: int | None = None,
 ) -> QeccReport:
     """Check that `basis` spans a pure ((N, K, delta))_d code.
 
-    Every tensor product of generalized Paulis with 1 <= weight < delta is
-    traceless, so the pure-code condition is that all its matrix elements
-    between basis states vanish; orthonormality of the basis covers the
-    identity.  Qubit bases in exact mode are checked with zero tolerance.
-    delta = 1 is vacuous: nothing below weight 1 exists.
+    Every tensor product E of generalized Paulis with 1 <= weight < delta is
+    traceless, so the pure-code condition is that <psi_i| E |psi_j> vanishes
+    for all of them; orthonormality of the basis covers the identity.  The
+    Paulis on a set S of k = min(delta - 1, N) parties span every operator
+    on S, so the check runs on pair reductions: for each k-subset S and each
+    i <= j, Tr over the complement of S of |psi_j><psi_i| must be I / d^k
+    when i == j and zero otherwise.  Exact reductions are decided exactly
+    for every d; a reduction of float states passes when its largest
+    non-identity Pauli coefficient is at most tol.  cap bounds the number
+    of pair reductions (cap name qecc_ops).
+
+    ops_checked counts the errors covered, sum over 1 <= w < delta of
+    C(N, w) (d^2 - 1)^w, not operators iterated.  failures holds one
+    witness per failing (S, i, j): the Pauli on S with the largest
+    coefficient.  delta = 1 is vacuous: nothing below weight 1 exists.
     """
     if not basis:
         raise ValueError("need at least one basis state")
@@ -510,38 +492,28 @@ def verify_pure_qecc(
     if failures:
         return QeccReport(N, d, K, delta, "fail", 0, failures, worst, False)
 
-    exact = d == 2 and all(s.exact for s in basis)
+    ops = sum(math.comb(N, w) * (d * d - 1) ** w for w in range(1, delta))
+    k = min(delta - 1, N)
+    subsets = list(combinations(range(N), k)) if k else []
     pairs = [(i, j) for i in range(K) for j in range(i, K)]
-
-    def check(op: ErrorOperator):
-        local = []
-        local_worst = 0.0
+    check_cap(
+        "qecc_ops",
+        len(subsets) * len(pairs),
+        cap,
+        what=f"{len(subsets)} x {len(pairs)} pair reductions onto {k} parties",
+    )
+    for subset in subsets:
         for i, j in pairs:
-            if exact:
-                re, im = _pauli_element_exact(basis[i], basis[j], op)
-                mag = abs(complex(re, im)) / math.sqrt(basis[i].r * basis[j].r)
-                bad = (re, im) != (0, 0)
-            else:
-                val = _pauli_element_float(basis[i], basis[j], op, d)
-                mag = abs(val)
-                bad = mag > tol
-            local_worst = max(local_worst, mag)
-            if bad:
-                local.append((str(op), i, j, mag))
-        return local, local_worst
-
-    ops = list(_error_operators(N, d, delta, cap))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, ops))
-    else:
-        results = [check(op) for op in ops]
-    for local, local_worst in results:
-        failures.extend(local)
-        worst = max(worst, local_worst)
+            rho = cross_reduction(basis[j], basis[i], subset)
+            if rho.exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
+                continue
+            op, mag = _pauli_witness(rho, subset)
+            if rho.exact or mag > tol:
+                failures.append((str(op), i, j, mag))
+                worst = max(worst, mag)
 
     verdict = "pass" if not failures else "fail"
-    return QeccReport(N, d, K, delta, verdict, len(ops), failures, worst, True)
+    return QeccReport(N, d, K, delta, verdict, ops, failures, worst, True)
 
 
 def singleton_check(N: int, K: int, k: int, d: int) -> bool:
@@ -553,45 +525,6 @@ def singleton_check(N: int, K: int, k: int, d: int) -> bool:
     if exponent < 0:
         return K <= 0  # never; d^negative < 1
     return K <= d**exponent
-
-
-def kuniform_subspace_check(
-    basis: list,
-    k: int,
-    tol: float = FLOAT_TOL,
-    threads: int = 1,
-    cap: int | None = None,
-) -> bool:
-    """True when every unit-norm combination of the (orthonormal) basis is
-    k-uniform: each basis state passes on every k-subset and every cross
-    reduction vanishes.  Agrees with verify_pure_qecc at delta = k + 1."""
-    if not basis:
-        raise ValueError("need at least one basis state")
-    N, d = basis[0].N, basis[0].d
-    if any((s.N, s.d) != (N, d) for s in basis):
-        raise ValueError("basis states live on different systems")
-    if not 0 <= k <= N:
-        raise ValueError(f"k = {k} outside [0, {N}]")
-    for i, j in combinations(range(len(basis)), 2):
-        if not inner_product(basis[i], basis[j]).is_zero(tol=tol):
-            return False
-    if k == 0:
-        return True
-
-    def check(subset):
-        for s in basis:
-            if not reduction(s, subset, cap=cap).is_maximally_mixed(tol=tol):
-                return False
-        for i, j in combinations(range(len(basis)), 2):
-            if not cross_reduction(basis[i], basis[j], subset, cap=cap).is_zero(tol=tol):
-                return False
-        return True
-
-    subsets = list(combinations(range(N), k))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return all(pool.map(check, subsets))
-    return all(check(s) for s in subsets)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ k-uniform: every reduction onto k parties is exactly I / d^k.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
@@ -407,7 +406,6 @@ def verify_k_uniform(
     state: PureState,
     k: int,
     tol: float = 1e-10,
-    threads: int = 1,
     cap: int | None = None,
 ) -> UniformityReport:
     """Check every reduction onto k parties against I / d^k.
@@ -424,24 +422,14 @@ def verify_k_uniform(
         return UniformityReport(state.N, state.d, k, "impossible", 0, [])
     check_cap("matrix_dim", state.d**k, cap, what=f"reductions of dimension {state.d ** k}")
 
-    def check(subset):
-        rho = reduction(state, subset, cap=cap)
-        ok = rho.is_maximally_mixed(tol=tol)
-        dev = rho.maximally_mixed_deviation()
-        return subset, ok, dev
-
     subsets = list(combinations(range(state.N), k))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, subsets))
-    else:
-        results = [check(s) for s in subsets]
-
     failures = []
     max_dev = 0.0
-    for subset, ok, dev in results:
+    for subset in subsets:
+        rho = reduction(state, subset, cap=cap)
+        dev = rho.maximally_mixed_deviation()
         max_dev = max(max_dev, dev)
-        if not ok:
+        if not rho.is_maximally_mixed(tol=tol):
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, len(subsets), failures, max_dev)

@@ -240,13 +240,12 @@ def test_qecc_verify_exit_codes(tmp_path):
     assert report["details"]["failures"]
 
 
-def test_threads_flag_does_not_change_details(tmp_path):
+def test_only_mask_verify_takes_a_seed(tmp_path):
     ame = str(tmp_path / "ame.state")
     save_state(load_bundled_state("ame_6_2"), ame)
-    _, one = run(["verify", "state", "--k", "3", ame])
-    _, two = run(["verify", "state", "--k", "3", ame, "--threads", "3"])
-    assert one["details"] == two["details"]
-    assert one["verdict"] == two["verdict"] == "pass"
+    assert run(["table", "--k", "1", "--d", "2", "--N", "2..3", "--seed", "7"]) == (2, None)
+    assert run(["verify", "state", ame, "--k", "3", "--seed", "7"]) == (2, None)
+    assert run(["verify", "state", ame, "--k", "3", "--threads", "2"]) == (2, None)
 
 
 def test_main_returns_exit_code():

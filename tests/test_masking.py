@@ -7,6 +7,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pauli_oracle import (
+    error_operators,
+    oracle_pure_qecc,
+    pauli_element_exact,
+    pauli_element_float,
+)
 
 from kuniform import field_new
 from kuniform.codes import mds_code
@@ -15,7 +23,6 @@ from kuniform.masking import (
     ErrorOperator,
     Masker,
     build_masker,
-    kuniform_subspace_check,
     load_masker,
     pauli_matrix,
     save_masker,
@@ -24,7 +31,8 @@ from kuniform.masking import (
     verify_masker,
     verify_pure_qecc,
 )
-from kuniform.oa import OrthogonalArray, oa_from_code
+from kuniform.catalog import construct_k_uniform
+from kuniform.oa import OrthogonalArray, oa_from_code, trim_to_iroa
 from kuniform.states import (
     PureState,
     from_vector,
@@ -171,13 +179,6 @@ def test_sampling_mode_agrees():
     assert report.max_deviation <= 1e-10
 
 
-def test_threads_agree():
-    m = qubit_masker()
-    a = verify_masker(m, 2, threads=1)
-    b = verify_masker(m, 2, threads=4)
-    assert (a.verdict, a.subsets_checked, a.failures) == (b.verdict, b.subsets_checked, b.failures)
-
-
 def test_even_party_masker_fails_at_half():
     # 2-uniform state on 5 parties of dimension 4 gives a masker into 4
     # parties; masking half of them (k = 2) must fail
@@ -251,26 +252,22 @@ def test_pauli_matrix_element_against_dense(seed=13):
             dense = E[0]
             for M in E[1:]:
                 dense = np.kron(dense, M)
-            from kuniform.masking import _pauli_element_float
-
             for i in range(2):
                 for j in range(2):
                     want = vecs[i].conj() @ dense @ vecs[j]
-                    got = _pauli_element_float(states[i], states[j], op, d)
+                    got = pauli_element_float(states[i], states[j], op, d)
                     assert abs(got - want) < 1e-12
 
 
 def test_pauli_exact_matches_float():
-    from kuniform.masking import _pauli_element_exact, _pauli_element_float
-
     s = load_bundled_state("ame_6_2")
     for op in [
         ErrorOperator((0,), ((1, 1),)),
         ErrorOperator((2, 4), ((0, 1), (1, 0))),
         ErrorOperator((1, 3, 5), ((1, 1), (1, 0), (0, 1))),
     ]:
-        re, im = _pauli_element_exact(s, s, op)
-        want = _pauli_element_float(s, s, op, 2)
+        re, im = pauli_element_exact(s, s, op)
+        want = pauli_element_float(s, s, op, 2)
         assert abs(complex(re, im) / s.r - want) < 1e-12
 
 
@@ -282,7 +279,7 @@ def test_bundled_state_is_pure_distance_four_code():
     report = verify_pure_qecc([load_bundled_state("ame_6_2")], 4)
     assert report.verdict == "pass"
     assert report.ops_checked == 6 * 3 + 15 * 9 + 20 * 27
-    assert report.worst == 0.0  # exact qubit path
+    assert report.worst == 0.0  # exact path
 
 
 def test_masker_images_are_pure_five_qubit_code():
@@ -319,24 +316,148 @@ def test_delta_one_vacuous():
     assert report.verdict == "pass" and report.ops_checked == 0
 
 
-def test_qecc_qutrit_float_path():
+def test_qecc_qutrit_exact_path():
     m = build_masker(qutrit_state(), split_party=0, k=1)
     report = verify_pure_qecc(m.images, 2)
     assert report.verdict == "pass"
     assert report.ops_checked == 3 * 8
-    assert report.worst <= 1e-9
+    assert report.worst == 0.0
 
 
-def test_qecc_ops_cap():
-    with pytest.raises(CapExceeded):
-        verify_pure_qecc([load_bundled_state("ame_6_2")], 4, cap=100)
+def test_qecc_exact_for_every_d():
+    # the 2-uniform state of 4 qutrits is a ((4, 1, 3))_3 code
+    report = verify_pure_qecc([qutrit_state()], 3)
+    assert report.verdict == "pass" and report.ops_checked == 4 * 8 + 6 * 64
+    assert report.worst == 0.0
+    # masker images of 3-uniform 6-party states are ((5, d, 3))_d codes
+    for d in (4, 5):
+        m = build_masker(construct_k_uniform(3, d, 6), 0, k=2)
+        report = verify_pure_qecc(m.images, 3)
+        assert report.verdict == "pass" and not report.failures
+        assert report.ops_checked == 5 * (d * d - 1) + 10 * (d * d - 1) ** 2
+        assert report.worst == 0.0
 
 
-def test_qecc_threads_agree():
-    s = load_bundled_state("ame_6_2")
-    a = verify_pure_qecc([s], 3, threads=1)
-    b = verify_pure_qecc([s], 3, threads=4)
-    assert (a.verdict, a.ops_checked, a.failures) == (b.verdict, b.ops_checked, b.failures)
+def test_qecc_ops_cap(monkeypatch):
+    # ame_6_2 at delta = 4 needs C(6, 3) = 20 pair reductions
+    ame = load_bundled_state("ame_6_2")
+    with pytest.raises(CapExceeded, match="qecc_ops"):
+        verify_pure_qecc([ame], 4, cap=19)
+    assert verify_pure_qecc([ame], 4, cap=20).verdict == "pass"
+    monkeypatch.setenv("KUF_CAPS", "qecc_ops=100")
+    report = verify_pure_qecc([ame], 4)  # 693 errors covered by 20 reductions
+    assert report.verdict == "pass" and report.ops_checked == 693
+
+
+# ---------------------------------------------------------------------------
+# pair reductions against the Pauli oracle
+
+# Gaussian-integer amplitudes: the four unit phases and two off-axis values
+AMPLITUDES = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, -1))
+
+
+def _uniform_states(d: int) -> list:
+    """At least 1-uniform exact states of local dimension d on 3 to 5 parties."""
+    out = [ghz(N, d) for N in (3, 4, 5)]
+    if d == 3:
+        out.append(qutrit_state())
+    if d == 4:
+        A = oa_from_code(mds_code(field_new(2, 2), 2))
+        out.append(state_from_iroa(trim_to_iroa(A, 2, 4), 2))
+    return out
+
+
+def _local_unitary(state: PureState, perms, phases) -> PureState:
+    """Permute each party's symbols and multiply by i^phases[p][x] per party."""
+    amps = {}
+    for idx, amp in state.amplitudes.items():
+        for p, x in enumerate(idx):
+            for _ in range(phases[p][x]):
+                amp = (-amp[1], amp[0])
+        amps[tuple(perms[p][x] for p, x in enumerate(idx))] = amp
+    return PureState(N=state.N, d=state.d, amplitudes=amps, r=state.r)
+
+
+@st.composite
+def small_bases(draw):
+    """Bases with N <= 4, d in {2, 3, 4} and K <= 2: split uniform states
+    under local unitaries (often codes), or random sparse states, exact
+    with Gaussian-integer phases or float; K = 2 random states are
+    orthogonal through disjoint supports unless drawn to overlap."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    K = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        psi = draw(st.sampled_from(_uniform_states(d)))
+        basis = [psi] if K == 1 and psi.N <= 4 else build_masker(psi, 0, k=0).images[:K]
+        N = basis[0].N
+        perms = [draw(st.permutations(range(d))) for _ in range(N)]
+        phases = [draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)) for _ in range(N)]
+        basis = [_local_unitary(s, perms, phases) for s in basis]
+    else:
+        N = draw(st.integers(1, 4))
+        indices = st.tuples(*[st.integers(0, d - 1)] * N)
+        support = draw(st.lists(indices, min_size=K, max_size=6, unique=True))
+        if K == 1:
+            parts = [support]
+        elif draw(st.booleans()):
+            cut = draw(st.integers(1, len(support) - 1))
+            parts = [support[:cut], support[cut:]]
+        else:
+            parts = [support, draw(st.lists(indices, min_size=1, max_size=6, unique=True))]
+        basis = []
+        for part in parts:
+            amps = {idx: draw(st.sampled_from(AMPLITUDES)) for idx in part}
+            r = sum(a * a + b * b for a, b in amps.values())
+            basis.append(PureState(N=N, d=d, amplitudes=amps, r=r))
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            vectors = []
+            for s in basis:
+                v = np.zeros(d**N, dtype=complex)
+                v[np.flatnonzero(s.to_vector())] = (1, 1j) @ rng.normal(size=(2, s.num_terms))
+                vectors.append(v / np.linalg.norm(v))
+            return [from_vector(v, N, d) for v in vectors]
+    if draw(st.booleans()):
+        basis = [from_vector(s.to_vector(), N, d) for s in basis]
+    return basis
+
+
+def _assert_matches_oracle(basis, delta):
+    report = verify_pure_qecc(basis, delta)
+    verdict, failures, worst = oracle_pure_qecc(basis, delta)
+    assert report.verdict == verdict
+    assert bool(report.failures) == bool(failures)
+    assert report.worst == pytest.approx(worst, abs=1e-12)
+    if report.orthonormal:
+        N, d = basis[0].N, basis[0].d
+        assert report.ops_checked == sum(1 for _ in error_operators(N, d, delta))
+    # each witness is one of the failing errors, with the oracle's magnitude
+    oracle = {(op, i, j): mag for op, i, j, mag in failures}
+    for op, i, j, mag in report.failures:
+        assert oracle[(op, i, j)] == pytest.approx(mag, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(basis=small_bases(), delta=st.integers(1, 3))
+def test_pair_reductions_match_pauli_oracle(basis, delta):
+    _assert_matches_oracle(basis, delta)
+
+
+def test_witness_names_the_failing_pauli():
+    # <0| X^a Z^b |1> is nonzero only for a = 2 on a qutrit; a witness taken
+    # from the adjoint reduction would name a = 1 instead
+    basis = [PureState(N=1, d=3, amplitudes={(x,): (1, 0)}) for x in (0, 1)]
+    _assert_matches_oracle(basis, 2)
+    cross = [f for f in verify_pure_qecc(basis, 2).failures if f[1:3] == (0, 1)]
+    assert [f[0] for f in cross] == ["X2Z0[0]"]
+
+
+def test_pair_reductions_when_delta_exceeds_parties():
+    # delta - 1 >= N: the reduction onto all parties is the pure state itself
+    _assert_matches_oracle([ghz(2, 2)], 4)
+    report = verify_pure_qecc([ghz(2, 2)], 4)
+    assert report.verdict == "fail" and report.ops_checked == 2 * 3 + 9
+    assert report.worst == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +485,24 @@ def test_subspace_check_matches_qecc():
         (product, 1),
         ([qutrit_state()], 2),
     ]
+    # every combination of the basis is k-uniform iff it is a pure code of
+    # distance k + 1; the Pauli enumeration decides the latter directly
     for basis, k in cases:
-        subspace = kuniform_subspace_check(basis, k)
-        qecc = verify_pure_qecc(basis, k + 1).verdict == "pass"
-        assert subspace == qecc
+        report = verify_pure_qecc(basis, k + 1)
+        verdict, failures, worst = oracle_pure_qecc(basis, k + 1)
+        assert report.verdict == verdict
+        assert report.worst == pytest.approx(worst, abs=1e-12)
 
 
 def test_subspace_check_details():
     m = qubit_masker()
-    assert kuniform_subspace_check(m.images, 2)
-    assert not kuniform_subspace_check(m.images, 3)  # would exceed Schmidt bound
-    assert kuniform_subspace_check([qutrit_state()], 2)  # K = 1 case
-    assert kuniform_subspace_check(m.images, 0)  # orthonormality only
+    assert verify_pure_qecc(m.images, 3)
+    assert not verify_pure_qecc(m.images, 4)  # would exceed Schmidt bound
+    assert verify_pure_qecc([qutrit_state()], 3)  # K = 1 case
+    assert verify_pure_qecc(m.images, 1)  # orthonormality only
     nonorth = [ghz(2, 2), ghz(2, 2)]
-    assert not kuniform_subspace_check(nonorth, 1)
+    report = verify_pure_qecc(nonorth, 2)
+    assert not report and not report.orthonormal
 
 
 # ---------------------------------------------------------------------------

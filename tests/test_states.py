@@ -223,13 +223,6 @@ def test_trivial_and_impossible_verdicts():
         verify_k_uniform(s, 5)
 
 
-def test_threads_agree():
-    s = load_bundled_state("ame_6_2")
-    a = verify_k_uniform(s, 3, threads=1)
-    b = verify_k_uniform(s, 3, threads=4)
-    assert (a.verdict, a.subsets_checked, a.failures) == (b.verdict, b.subsets_checked, b.failures)
-
-
 def test_float_state_uniformity():
     vec = np.zeros(4, dtype=complex)
     vec[0] = vec[3] = 1 / math.sqrt(2)
