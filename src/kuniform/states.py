@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,6 +279,172 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
     return parties
 
 
+# ---------------------------------------------------------------------------
+# the reduction kernel: states as arrays, one sort per subset
+#
+# Entry (kept1, kept2) of tr_others |s1><s2| sums amp1 * conj(amp2) over the
+# row pairs of s1 and s2 that agree on the traced-out parties.  Rows are
+# matched through integer keys of their complement columns, and the pair
+# products are summed per (kept1, kept2) key.  Exact states stay in int64
+# only where every product and sum provably fits, and in Python ints
+# otherwise, so no result ever wraps.
+
+_INT64_LIMIT = 1 << 63
+# kept keys stay below this, so a (row, col) key pair fits one int64
+_KEPT_KEY_LIMIT = 1 << 31
+# matched row pairs built at once; larger reductions go in blocks
+_PAIR_BLOCK = 1 << 20
+
+
+class _Encoded(NamedTuple):
+    """A state as arrays, rows in the order of its amplitudes dict."""
+
+    idx: np.ndarray  # (terms, N) int64 indices
+    re: np.ndarray  # numerator parts a, b: int64 or Python ints if exact,
+    im: np.ndarray  # physical float parts otherwise
+    bound: int | None  # largest |a| or |b| of an exact encoding, None for floats
+
+
+class _Reduced(NamedTuple):
+    """Entries of a cross reduction, nonzero ones only when exact.
+
+    Each entry is named by one s1 row and one s2 row whose kept columns are
+    its row and column index.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    diagonal: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+
+def _encode(state: PureState, floats: bool) -> _Encoded:
+    """Index and amplitude arrays; an exact state becomes physical floats
+    when `floats` is set, as it must when paired with a float state."""
+    idx = np.array(list(state.amplitudes), dtype=np.int64).reshape(state.num_terms, state.N)
+    values = list(state.amplitudes.values())
+    if not state.exact:
+        amps = np.array(values, dtype=complex)
+        return _Encoded(idx, amps.real, amps.imag, None)
+    if floats:
+        parts = np.array(values, dtype=float) / math.sqrt(state.r)
+        return _Encoded(idx, parts[:, 0], parts[:, 1], None)
+    bound = max(map(abs, chain.from_iterable(values)))
+    parts = np.array(values, dtype=np.int64 if bound < _INT64_LIMIT else object)
+    return _Encoded(idx, parts[:, 0], parts[:, 1], bound)
+
+
+def _row_keys(a: np.ndarray, b: np.ndarray, d: int, limit: int):
+    """Integer keys of the rows of a and b, equal exactly when the rows are,
+    and a bound above every key: radix keys while d^width <= limit, ids of
+    the distinct rows otherwise."""
+    width = a.shape[1]
+    if d**width <= limit:
+        weights = d ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        ka = a @ weights
+        return ka, ka if b is a else b @ weights, d**width
+    both = a if b is a else np.concatenate([a, b])
+    distinct, ids = np.unique(both, axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    return ids[: len(a)], ids[len(a) :] if b is not a else ids, len(distinct)
+
+
+def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
+    """s1 rows grouped by kept key and cut between groups into blocks of
+    about _PAIR_BLOCK matched pairs.  No entry spans two blocks, and a block
+    exceeds the budget by at most one group, whose pairs number at most the
+    terms of s2."""
+    order = np.argsort(keys, kind="stable")
+    ends = np.append(np.flatnonzero(np.diff(keys[order])) + 1, len(order))
+    cum = np.cumsum(counts[order])
+    cum_at_ends = cum[ends - 1]
+    blocks, start = [], 0
+    while start < len(order):
+        done = cum[start - 1] if start else 0
+        first = np.searchsorted(ends, start, side="right")
+        last = np.searchsorted(cum_at_ends, done + _PAIR_BLOCK, side="right") - 1
+        stop = ends[max(first, last)]
+        blocks.append(order[start:stop])
+        start = stop
+    return blocks
+
+
+def _reduce(e1: _Encoded, e2: _Encoded, parties: tuple, d: int) -> _Reduced:
+    """Trace of |s1><s2| over the complement of `parties`, on arrays."""
+    kept = list(parties)
+    others = [p for p in range(e1.idx.shape[1]) if p not in parties]
+    kept1, comp1 = e1.idx[:, kept], e1.idx[:, others]
+    kept2, comp2 = (kept1, comp1) if e2 is e1 else (e2.idx[:, kept], e2.idx[:, others])
+    k1, k2, n_kept = _row_keys(kept1, kept2, d, _KEPT_KEY_LIMIT)
+    c1, c2, _ = _row_keys(comp1, comp2, d, _INT64_LIMIT)
+
+    # s2 rows sharing the complement of s1 row i: order2[lo[i] : lo[i] + counts[i]];
+    # searching with sorted keys is several times faster than with unsorted ones
+    order2 = np.argsort(c2, kind="stable")
+    order1 = order2 if e2 is e1 else np.argsort(c1, kind="stable")
+    sorted2, sorted1 = c2[order2], c1[order1]
+    lo, counts = np.empty_like(order1), np.empty_like(order1)
+    lo[order1] = np.searchsorted(sorted2, sorted1, side="left")
+    counts[order1] = np.searchsorted(sorted2, sorted1, side="right") - lo[order1]
+
+    a1, b1, a2, b2 = e1.re, e1.im, e2.re, e2.im
+    floats = e1.bound is None
+    # an entry sums at most min(terms) products, each below 2 * bound1 * bound2
+    if not floats and 2 * e1.bound * e2.bound * min(len(c1), len(c2)) >= _INT64_LIMIT:
+        a1, b1, a2, b2 = (x.astype(object) for x in (a1, b1, a2, b2))
+
+    if counts.sum() <= _PAIR_BLOCK:
+        blocks = [np.arange(len(c1))]
+    else:
+        blocks = _blocks(k1, counts)
+    parts = []
+    for rows in blocks:
+        n = counts[rows]
+        i1 = np.repeat(rows, n)
+        i2 = order2[np.repeat(lo[rows] - (np.cumsum(n) - n), n) + np.arange(len(i1))]
+        # (a1 + b1 i)(a2 - b2 i)
+        re = a1[i1] * a2[i2] + b1[i1] * b2[i2]
+        im = b1[i1] * a2[i2] - a1[i1] * b2[i2]
+        keys, first, inv = np.unique(k1[i1] * n_kept + k2[i2], return_index=True, return_inverse=True)
+        if floats:
+            # bincount adds in pair order, as a running sum over s1 would
+            re_sum = np.bincount(inv, re, len(keys))
+            im_sum = np.bincount(inv, im, len(keys))
+        else:
+            re_sum = np.zeros(len(keys), dtype=re.dtype)
+            im_sum = np.zeros(len(keys), dtype=im.dtype)
+            np.add.at(re_sum, inv, re)
+            np.add.at(im_sum, inv, im)
+            nonzero = (re_sum != 0) | (im_sum != 0)
+            first, re_sum, im_sum = first[nonzero], re_sum[nonzero], im_sum[nonzero]
+        rows_out, cols_out = i1[first], i2[first]
+        parts.append(_Reduced(rows_out, cols_out, k1[rows_out] == k2[cols_out], re_sum, im_sum))
+    return _Reduced(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _operator(
+    s1: PureState, s2: PureState, e1: _Encoded, e2: _Encoded, parties: tuple, red: _Reduced
+) -> SparseOperator:
+    """The SparseOperator holding the entries of `red`."""
+    kept = list(parties)
+    rows = map(tuple, e1.idx[red.rows][:, kept].tolist())
+    cols = map(tuple, e2.idx[red.cols][:, kept].tolist())
+    exact = s1.exact and s2.exact
+    if exact:
+        values = zip(red.re.tolist(), red.im.tolist())
+    else:
+        values = map(complex, red.re.tolist(), red.im.tolist())
+    return SparseOperator(
+        n_parties=len(parties),
+        d=s1.d,
+        entries=dict(zip(zip(rows, cols), values)),
+        r_ket=s1.r if exact else 1,
+        r_bra=s2.r if exact else 1,
+        exact=exact,
+    )
+
+
 def cross_reduction(
     s1: PureState, s2: PureState, parties, cap: int | None = None
 ) -> SparseOperator:
@@ -295,46 +462,10 @@ def cross_reduction(
         cap,
         what=f"reduction onto {len(parties)} parties of dimension {s1.d}",
     )
-    others = tuple(p for p in range(s1.N) if p not in parties)
-    exact = s1.exact and s2.exact
-
-    groups: dict = {}
-    for idx, amp in s2.amplitudes.items():
-        comp = tuple(idx[p] for p in others)
-        groups.setdefault(comp, []).append((tuple(idx[p] for p in parties), amp))
-
-    entries: dict = {}
-    for idx, amp in s1.amplitudes.items():
-        comp = tuple(idx[p] for p in others)
-        bucket = groups.get(comp)
-        if not bucket:
-            continue
-        kept = tuple(idx[p] for p in parties)
-        if exact:
-            a1, b1 = amp
-            for kept2, (a2, b2) in bucket:
-                # (a1 + b1 i)(a2 - b2 i)
-                re = a1 * a2 + b1 * b2
-                im = b1 * a2 - a1 * b2
-                key = (kept, kept2)
-                cur = entries.get(key)
-                entries[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-        else:
-            v1 = complex(amp[0], amp[1]) / math.sqrt(s1.r) if s1.exact else amp
-            for kept2, amp2 in bucket:
-                v2 = complex(amp2[0], amp2[1]) / math.sqrt(s2.r) if s2.exact else amp2
-                key = (kept, kept2)
-                entries[key] = entries.get(key, 0j) + v1 * v2.conjugate()
-    if exact:
-        entries = {key: val for key, val in entries.items() if val != (0, 0)}
-    return SparseOperator(
-        n_parties=len(parties),
-        d=s1.d,
-        entries=entries,
-        r_ket=s1.r if exact else 1,
-        r_bra=s2.r if exact else 1,
-        exact=exact,
-    )
+    floats = not (s1.exact and s2.exact)
+    e1 = _encode(s1, floats)
+    e2 = e1 if s2 is s1 else _encode(s2, floats)
+    return _operator(s1, s2, e1, e2, parties, _reduce(e1, e2, parties, s1.d))
 
 
 def reduction(state: PureState, parties, cap: int | None = None) -> SparseOperator:
@@ -420,13 +551,26 @@ def verify_k_uniform(
         return UniformityReport(state.N, state.d, 0, "pass", 0, [])
     if k > state.N // 2:
         return UniformityReport(state.N, state.d, k, "impossible", 0, [])
-    check_cap("matrix_dim", state.d**k, cap, what=f"reductions of dimension {state.d ** k}")
+    dim = state.d**k
+    check_cap("matrix_dim", dim, cap, what=f"reductions of dimension {dim}")
 
+    enc = _encode(state, floats=not state.exact)
+    # an exact reduction is I / d^k iff it holds d^k diagonal entries r / d^k
+    lam = state.r // dim if state.exact and state.r % dim == 0 else None
     subsets = list(combinations(range(state.N), k))
     failures = []
     max_dev = 0.0
     for subset in subsets:
-        rho = reduction(state, subset, cap=cap)
+        red = _reduce(enc, enc, subset, state.d)
+        if (
+            lam is not None
+            and len(red.re) == dim
+            and red.diagonal.all()
+            and (red.re == lam).all()
+            and not red.im.any()
+        ):
+            continue  # deviation exactly 0.0
+        rho = _operator(state, state, enc, enc, subset, red)
         dev = rho.maximally_mixed_deviation()
         max_dev = max(max_dev, dev)
         if not rho.is_maximally_mixed(tol=tol):

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reduction_oracle import oracle_cross_reduction, oracle_verify_k_uniform
 
+from kuniform import states as states_module
+from kuniform.caps import check_cap
+from kuniform.catalog import construct_k_uniform
 from kuniform.errors import CapExceeded, NormError, NotIrredundant, ParseError
 from kuniform.oa import OrthogonalArray
 from kuniform.states import (
@@ -154,6 +161,17 @@ def test_reduction_cap():
         reduction(s, [0, 1], cap=8)
 
 
+def test_uniformity_cap_checked_once_per_call(monkeypatch):
+    with pytest.raises(CapExceeded, match="matrix_dim"):
+        verify_k_uniform(ghz(4, 4), 2, cap=8)
+    calls = []
+    monkeypatch.setattr(
+        states_module, "check_cap", lambda *args, **kw: calls.append(args) or check_cap(*args, **kw)
+    )
+    assert verify_k_uniform(load_bundled_state("ame_6_2"), 3).verdict == "pass"
+    assert [args[:2] for args in calls] == [("matrix_dim", 8)]
+
+
 def test_cross_reduction_orthogonal_product_terms():
     s1 = PureState(N=2, d=2, amplitudes={(0, 0): (1, 0)})
     s2 = PureState(N=2, d=2, amplitudes={(1, 1): (1, 0)})
@@ -179,6 +197,177 @@ def test_cross_reduction_vs_dense(seed=11):
         T2 = v2.reshape((d,) * N)
         want = np.tensordot(T1, T2.conj(), axes=(others, others)).reshape(got.shape)
         assert np.allclose(got, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the dict-loop oracle
+
+
+def assert_same_operator(got, want):
+    assert (got.n_parties, got.d, got.r_ket, got.r_bra, got.exact) == (
+        want.n_parties,
+        want.d,
+        want.r_ket,
+        want.r_bra,
+        want.exact,
+    )
+    if want.exact:
+        assert got.entries == want.entries
+    else:
+        assert got.entries.keys() == want.entries.keys()
+        for key, val in want.entries.items():
+            assert abs(got.entries[key] - val) <= 1e-12
+
+
+@st.composite
+def sparse_exact_states(draw, N, d):
+    """Random Gaussian-integer amplitudes on a random support.  Drawing the
+    indices from two symbols per party makes terms share their complements
+    on most subsets."""
+    top = draw(st.sampled_from((1, d - 1)))
+    indices = st.tuples(*[st.integers(0, top)] * N)
+    support = draw(st.lists(indices, min_size=1, max_size=12, unique=True))
+    part = st.integers(-6, 6)
+    amps = {idx: draw(st.tuples(part, part).filter(any)) for idx in support}
+    r = sum(a * a + b * b for a, b in amps.values())
+    return PureState(N=N, d=d, amplitudes=amps, r=r)
+
+
+@st.composite
+def sparse_float_states(draw, N, d):
+    """from_vector states: random complex amplitudes on an exact state's support."""
+    support = [np.ravel_multi_index(idx, (d,) * N) for idx in draw(sparse_exact_states(N, d)).amplitudes]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.zeros(d**N, dtype=complex)
+    v[support] = (1, 1j) @ rng.normal(size=(2, len(support)))
+    return from_vector(v / np.linalg.norm(v), N, d)
+
+
+@st.composite
+def reduction_cases(draw):
+    """(s1, s2, parties) with N <= 6, d in {2, 3, 4, 5}: one state paired
+    with itself, or two states of either mode, exact ones with different r."""
+    N = draw(st.integers(1, 6))
+    d = draw(st.sampled_from((2, 3, 4, 5)))
+    states = st.one_of(sparse_exact_states(N, d), sparse_float_states(N, d))
+    s1 = draw(states)
+    s2 = s1 if draw(st.booleans()) else draw(states)
+    parties = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
+    return s1, s2, parties
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=reduction_cases(), block=st.sampled_from((1, 5, states_module._PAIR_BLOCK)))
+def test_kernel_matches_dict_oracle(case, block):
+    s1, s2, parties = case
+    with mock.patch.object(states_module, "_PAIR_BLOCK", block):
+        got = cross_reduction(s1, s2, parties, cap=s1.d ** len(parties))
+    assert_same_operator(got, oracle_cross_reduction(s1, s2, parties))
+
+
+def test_kernel_blocks_keep_entries_whole():
+    # onto every party each pair of terms is its own entry; onto party 2 all
+    # nine terms meet in one entry, so no block may split their group
+    s = PureState(
+        N=3,
+        d=3,
+        amplitudes={(x, y, 0): (x + 1, y - 1) for x in range(3) for y in range(3)},
+        r=sum((x + 1) ** 2 + (y - 1) ** 2 for x in range(3) for y in range(3)),
+    )
+    for block in (1, 2, 4, 100):
+        with mock.patch.object(states_module, "_PAIR_BLOCK", block):
+            for parties in [(0,), (1,), (2,), (0, 2), (0, 1, 2)]:
+                assert_same_operator(cross_reduction(s, s, parties), oracle_cross_reduction(s, s, parties))
+
+
+def with_phases(state: PureState, exponents) -> PureState:
+    """state with its terms, in dict order, multiplied by i^m for m in exponents."""
+    amps = {}
+    for (idx, (a, b)), m in zip(state.amplitudes.items(), exponents):
+        for _ in range(m):
+            a, b = -b, a
+        amps[idx] = (a, b)
+    return PureState(N=state.N, d=state.d, amplitudes=amps, r=state.r)
+
+
+@st.composite
+def uniformity_cases(draw):
+    """(state, k): random sparse exact states, which mostly fail, or known
+    k-uniform states with a phase i^m drawn for each term, which pass."""
+    if draw(st.booleans()):
+        N = draw(st.integers(2, 6))
+        state = draw(sparse_exact_states(N, draw(st.sampled_from((2, 3, 4, 5)))))
+    else:
+        base = draw(st.sampled_from((ghz(4, 3), example_state(), load_bundled_state("ame_6_2"))))
+        state = with_phases(base, [draw(st.integers(0, 3)) for _ in range(base.num_terms)])
+    return state, draw(st.integers(1, state.N // 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=uniformity_cases())
+def test_uniformity_reports_match_oracle(case):
+    state, k = case
+    assert verify_k_uniform(state, k) == oracle_verify_k_uniform(state, k)
+
+
+def phased_four_uniform() -> PureState:
+    """The 11-qutrit 4-uniform state with a seeded phase i^m on each term."""
+    s = construct_k_uniform(4, 3, 11, verify=False)
+    return with_phases(s, np.random.default_rng(5).integers(4, size=s.num_terms))
+
+
+def test_reports_match_oracle_bit_for_bit():
+    phased = phased_four_uniform()
+    product = PureState(N=3, d=2, amplitudes={(0, 1, 0): (1, 0)})
+    for state, k, verdict in [(phased, 4, "pass"), (phased, 5, "fail"), (product, 1, "fail")]:
+        report = verify_k_uniform(state, k)
+        assert report.verdict == verdict
+        # dataclass equality: verdict, failures in order with their text,
+        # and max_deviation as the same float
+        assert report == oracle_verify_k_uniform(state, k)
+    assert report.failures and report.max_deviation == 0.5
+
+
+def test_float_report_matches_oracle():
+    rng = np.random.default_rng(17)
+    v = rng.normal(size=3**4) + 1j * rng.normal(size=3**4)
+    s = from_vector(v / np.linalg.norm(v), 4, 3)
+    for k in (1, 2):
+        report, want = verify_k_uniform(s, k), oracle_verify_k_uniform(s, k)
+        assert (report.verdict, [f[0] for f in report.failures]) == ("fail", [f[0] for f in want.failures])
+        assert report.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
+
+
+def test_complement_keys_beyond_int64():
+    # the complement of one party has 2^69 radix keys
+    report = verify_k_uniform(ghz(70, 2), 1)
+    assert report.verdict == "pass" and report.max_deviation == 0.0
+    assert report == oracle_verify_k_uniform(ghz(70, 2), 1)
+    # |+>|+>|0...0>: complements of the last party differ only in the two
+    # parties whose radix weights 2^68 and 2^67 would wrap in int64
+    plus = PureState(N=70, d=2, amplitudes={(a, b) + (0,) * 68: (1, 0) for a in (0, 1) for b in (0, 1)}, r=4)
+    for parties in [(69,), (0,), (1, 69)]:
+        assert_same_operator(cross_reduction(plus, plus, parties), oracle_cross_reduction(plus, plus, parties))
+
+
+def test_kept_keys_beyond_pair_key_range():
+    # 2^34 kept radix keys: row key * 2^34 + col key would wrap in int64 and
+    # merge entries whose row keys differ by 2^30, as these two terms' do
+    s = PureState(N=34, d=2, amplitudes={(0,) * 34: (1, 0), (0, 0, 0, 1) + (0,) * 30: (0, 1)}, r=2)
+    rho = cross_reduction(s, s, range(34), cap=1 << 34)
+    assert_same_operator(rho, oracle_cross_reduction(s, s, range(34)))
+    assert len(rho.entries) == 4  # |s><s| itself
+
+
+@pytest.mark.parametrize("big", [1 << 40, 1 << 70])
+def test_numerators_whose_products_overflow_int64(big):
+    amps = {(0, 0, 0): (big, 3), (1, 1, 0): (5, -big), (0, 1, 1): (big + 1, 7), (1, 0, 1): (-2, big - 1)}
+    s = PureState(N=3, d=2, amplitudes=amps, r=sum(a * a + b * b for a, b in amps.values()))
+    t = PureState(N=3, d=2, amplitudes={(0, 0, 1): (big, 0), (1, 1, 0): (0, big)}, r=2 * big * big)
+    for parties in [(0,), (1,), (0, 1), (1, 2), (0, 1, 2)]:
+        for s1, s2 in [(s, s), (s, t), (t, s)]:
+            assert_same_operator(cross_reduction(s1, s2, parties), oracle_cross_reduction(s1, s2, parties))
+    assert verify_k_uniform(s, 1) == oracle_verify_k_uniform(s, 1)
 
 
 # ---------------------------------------------------------------------------
