@@ -17,7 +17,7 @@ from .errors import CapExceeded, KuniformError
 
 DEFAULTS = {
     "field_order": 1 << 16,   # largest p^m a field may have
-    "codewords": 1 << 24,     # codeword enumeration (min distance, OA rows)
+    "codewords": 1 << 24,     # codewords enumerated for distances: q^min(t, N-t)
     "oa_rows": 1 << 20,       # rows of an orthogonal array
     "oa_pairs": 1 << 13,      # rows allowed in pairwise-distance scans
     "matrix_dim": 4096,       # reduced density operator dimension d^k

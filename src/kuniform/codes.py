@@ -1,9 +1,10 @@
 """Linear [N, t, w]_q codes: construction, duals, exact distances, file I/O.
 
 A LinearCode holds a full-rank generator matrix over a FiniteField.  Minimum
-distance and dual distance are computed exactly (enumeration, or the
-dependent-columns characterization for duals too large to enumerate) and are
-cached write-once: the value is computed locally first and published with a
+distance and dual distance are computed exactly from one pair of weight
+distributions: the side of smaller dimension, C or its dual, is enumerated,
+and the other side follows from the MacWilliams transform.  Both are cached
+write-once: each value is computed locally first and published with a
 single attribute store, so concurrent readers never observe a partial result.
 Distances are never stored in code files.
 """
@@ -13,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .caps import check_cap, get_cap
+from .caps import check_cap
 from .errors import FieldMismatch, KuniformError, ParseError, RankDeficient
 from .gf import FiniteField, field_new
 
@@ -247,74 +247,82 @@ def _chunked_codewords(C: LinearCode, chunk_rows: int = 1 << 16):
         digits[i] += 1
 
 
+def _krawtchouk(j: int, i: int, N: int, q: int) -> int:
+    """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(N-i, j-s)."""
+    return sum(
+        (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(N - i, j - s)
+        for s in range(j + 1)
+    )
+
+
+def _weight_distributions(C: LinearCode, cap: int | None = None) -> tuple[list[int], list[int]]:
+    """Weight distributions (A_0, ..., A_N) of C and of dual(C).
+
+    The side of smaller dimension is enumerated, q^min(t, N-t) codewords;
+    the other side comes from the MacWilliams identity in Python ints,
+    B_j = q^-dim * sum_i A_i K_j(i) (MacWilliams & Sloane, ch. 5).  Counts
+    that do not sum to their code's size, or a transformed count that is
+    negative or not integral, raise KuniformError.
+    """
+    q, t, N = C.q, C.t, C.N
+    side = C if t <= N - t else dual(C)
+    size = q**side.t
+    what = f"weight enumerator of [{N},{t}]_{q}"
+    check_cap("codewords", size, cap, what=what)
+    counts = np.zeros(N + 1, dtype=np.int64)
+    for block in _chunked_codewords(side):
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=N + 1)
+    enumerated = counts.tolist()
+    if sum(enumerated) != size:
+        raise KuniformError(f"{what} counts {sum(enumerated)} codewords, not {size}")
+    transformed = []
+    for j in range(N + 1):
+        total = sum(a * _krawtchouk(j, i, N, q) for i, a in enumerate(enumerated) if a)
+        b, rem = divmod(total, size)
+        if rem or b < 0:
+            raise KuniformError(f"{what}: MacWilliams transform gives a non-count at weight {j}")
+        transformed.append(b)
+    if sum(transformed) != q ** (N - side.t):
+        raise KuniformError(
+            f"{what}: MacWilliams transform sums to {sum(transformed)}, not {q ** (N - side.t)}"
+        )
+    return (enumerated, transformed) if side is C else (transformed, enumerated)
+
+
+def _first_nonzero(counts: list[int]) -> int | float:
+    return next((w for w in range(1, len(counts)) if counts[w]), math.inf)
+
+
+def _distances(C: LinearCode, cap: int | None) -> None:
+    """Compute and cache both distances from one weight enumerator."""
+    if C._w is None or C._w_dual is None:
+        A, B = _weight_distributions(C, cap)
+        C._w_dual = _first_nonzero(B)
+        C._w = _first_nonzero(A)
+
+
 def min_distance(C: LinearCode, cap: int | None = None) -> int | float:
-    """Exact minimum Hamming weight over all q^t - 1 nonzero codewords.
+    """Exact minimum Hamming weight over the nonzero codewords of C.
 
-    The zero code returns the infinity sentinel.  Enumeration beyond the
-    codewords cap is refused, never approximated.  Result is cached.
+    Read off the weight distribution of C, which is enumerated or, when the
+    dual has the smaller dimension, obtained from the dual's by the
+    MacWilliams transform.  The zero code returns the infinity sentinel.
+    The codewords cap bounds the q^min(t, N-t) codewords enumerated; beyond
+    it the computation is refused, never approximated.  Both distances are
+    cached together.
     """
-    if C._w is not None:
-        return C._w
-    if C.t == 0:
-        C._w = math.inf
-        return C._w
-    check_cap("codewords", C.q**C.t, cap, what=f"min_distance of [{C.N},{C.t}]_{C.q}")
-    best = C.N + 1
-    for block in _chunked_codewords(C):
-        weights = np.count_nonzero(block, axis=1)
-        nz = weights[weights > 0]
-        if nz.size:
-            best = min(best, int(nz.min()))
-        if best == 1:
-            break  # cannot go lower
-    C._w = best
-    return best
-
-
-def _min_dependent_columns(F: FiniteField, G: np.ndarray, limit: int | None = None) -> int:
-    """Smallest number of linearly dependent columns of G.
-
-    This equals the minimum distance of the code whose parity-check matrix
-    is G, i.e. the dual distance of the code generated by G.
-    """
-    t, N = G.shape
-    hi = min(t + 1, N)
-    budget = get_cap("codewords") if limit is None else limit
-    spent = 0
-    for s in range(1, hi + 1):
-        for cols in combinations(range(N), s):
-            spent += 1
-            if spent > budget:
-                from .errors import CapExceeded
-
-                raise CapExceeded(
-                    f"column-dependence scan needs more than {budget} subsets"
-                )
-            if _rank(F, G[:, cols]) < s:
-                return s
-    # every subset up to t+1 independent can only happen when N <= t
-    return N + 1
+    _distances(C, cap)
+    return C._w
 
 
 def dual_distance(C: LinearCode, cap: int | None = None) -> int | float:
     """Minimum distance of dual(C); infinity sentinel when the dual is zero.
 
-    Computed by enumerating the dual when that fits the cap, otherwise by the
-    dependent-columns characterization applied to G (both routes are exact
-    and are cross-checked in the test suite).  Result is cached.
+    Read off the same pair of weight distributions as min_distance, so the
+    codewords cap bounds q^min(t, N-t) here too.  Cached with it.
     """
-    if C._w_dual is not None:
-        return C._w_dual
-    dual_dim = C.N - C.t
-    if dual_dim == 0:
-        C._w_dual = math.inf
-        return C._w_dual
-    if C.q**dual_dim <= get_cap("codewords", cap):
-        w = min_distance(dual(C), cap=cap)
-    else:
-        w = _min_dependent_columns(C.field, C.G)
-    C._w_dual = w
-    return w
+    _distances(C, cap)
+    return C._w_dual
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ from .errors import KuniformError, MaskingError, ParseError
 from .states import (
     PureState,
     SparseOperator,
+    _encode,
+    _operator,
+    _reduce,
     cross_reduction,
     inner_product,
     load_state,
@@ -211,6 +214,26 @@ def _operator_deviation(a: SparseOperator, b: SparseOperator) -> float:
     return float(np.max(np.abs(a.to_matrix() - b.to_matrix()), initial=0.0))
 
 
+def _cross_reductions(d: int):
+    """cross_reduction for states already validated and capped: each state
+    is encoded once per arithmetic mode and its arrays are reused for every
+    subset and pair."""
+    encoded: dict = {}
+
+    def encode(state: PureState, floats: bool):
+        key = (id(state), floats)
+        if key not in encoded:
+            encoded[key] = (_encode(state, floats), state)  # keeps the id unique
+        return encoded[key][0]
+
+    def reduce(s1: PureState, s2: PureState, subset: tuple) -> SparseOperator:
+        floats = not (s1.exact and s2.exact)
+        e1, e2 = encode(s1, floats), encode(s2, floats)
+        return _operator(s1, s2, e1, e2, subset, _reduce(e1, e2, subset, d))
+
+    return reduce
+
+
 def verify_masker(
     m: Masker,
     k: int,
@@ -240,12 +263,16 @@ def verify_masker(
         verdict = "pass" if not failures else "fail"
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
 
+    check_cap(
+        "matrix_dim", m.d**k, cap, what=f"reduction onto {k} parties of dimension {m.d}"
+    )
+    reduce_pair = _cross_reductions(m.d)
     subsets = list(combinations(range(m.N), k))
     for subset in subsets:
-        rho0 = cross_reduction(m.images[0], m.images[0], subset, cap=cap)
+        rho0 = reduce_pair(m.images[0], m.images[0], subset)
         common[subset] = rho0
         for s in range(1, m.d):
-            rho_s = cross_reduction(m.images[s], m.images[s], subset, cap=cap)
+            rho_s = reduce_pair(m.images[s], m.images[s], subset)
             delta = _operator_deviation(rho_s, rho0)
             max_dev = max(max_dev, delta)
             if not _operators_equal(rho_s, rho0, tol):
@@ -253,7 +280,7 @@ def verify_masker(
                     (subset, s, s, f"reduction differs from image 0 by {delta:.3e}")
                 )
         for s, t in combinations(range(m.d), 2):
-            cross = cross_reduction(m.images[s], m.images[t], subset, cap=cap)
+            cross = reduce_pair(m.images[s], m.images[t], subset)
             if cross.exact:
                 leaked = not cross.is_zero()
                 mag = float(
@@ -292,7 +319,7 @@ def verify_masker(
                 provenance="sampled superposition",
             )
             for subset in subsets:
-                rho = cross_reduction(masked, masked, subset, cap=cap)
+                rho = reduce_pair(masked, masked, subset)
                 delta = _operator_deviation(rho, common[subset])
                 max_dev = max(max_dev, delta)
                 if delta > tol:

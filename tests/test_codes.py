@@ -1,23 +1,26 @@
 """Linear-code tests: constructions, duals, exact distances, file round-trips.
 
-Distance oracles are independent of min_distance's chunked enumeration:
-pairwise row distances over explicitly materialized codebooks, and the
-dependent-columns characterization for duals.
+Distance oracles are independent of the weight-enumerator path: pairwise
+row distances and weight counts over codebooks materialized by scalar field
+operations, and the closed-form weight distribution of MDS codes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kuniform import CapExceeded, FieldMismatch, ParseError, RankDeficient
+from kuniform import CapExceeded, FieldMismatch, KuniformError, ParseError, RankDeficient, codes
 from kuniform.codes import (
     LinearCode,
-    _min_dependent_columns,
     _rank,
+    _weight_distributions,
     codeword_matrix,
     direct_sum,
     dual,
@@ -94,19 +97,14 @@ def test_mds_gf3_t2_matches_example_rows():
 def test_mds_property_all_t(q):
     """[q+1, t] extended RS has w = q-t+2 and dual distance t+1 for every t.
 
-    For large t the direct enumeration exceeds the cap; there the distance is
-    recovered as the dual distance of the dual code, which goes through the
-    independent dependent-columns route.
+    For t above (q+1)/2 the dual is the smaller side, so the minimum
+    distance comes through the MacWilliams transform of its enumeration.
     """
     F = field_for_order(q)
     for t in range(1, q + 2):
         C = mds_code(F, t)
         assert dual_distance(C) == (t + 1 if t < q + 1 else math.inf)
-        if q**t <= 1 << 18:
-            assert min_distance(C) == q - t + 2
-        else:
-            D = dual(C)
-            assert dual_distance(D) == q - t + 2
+        assert min_distance(C) == q - t + 2
 
 
 def test_parity_check_annihilates():
@@ -172,27 +170,113 @@ def test_min_distance_matches_pairwise_oracle():
 
 
 def test_min_distance_cap_refusal():
-    C = mds_code(field_for_order(9), 9)  # 9^9 codewords
-    with pytest.raises(CapExceeded):
-        min_distance(C)
+    # [17,8]_16: 16^8 codewords and 16^9 dual codewords, both over the cap
+    for distance in (min_distance, dual_distance):
+        with pytest.raises(CapExceeded, match="codewords"):
+            distance(mds_code(field_for_order(16), 8))
     # explicit tiny cap refuses even small codes
     with pytest.raises(CapExceeded):
         min_distance(mds_code(F3, 2), cap=5)
 
 
-def test_dual_distance_column_route_agrees():
-    """Enumeration route vs dependent-columns route on assorted codes."""
-    cases = [
-        mds_code(F3, 2),
-        mds_code(F4, 2),
-        mds_code(F5, 3),
-        load_bundled_code("golay12_3"),
-        LinearCode(F2, np.array([[1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1]])),
-    ]
-    for C in cases:
-        by_enum = min_distance(dual(C))
-        by_cols = _min_dependent_columns(C.field, C.G)
-        assert by_enum == by_cols == dual_distance(C)
+def brute_weights(C: LinearCode) -> list[int]:
+    """Weight distribution (A_0, ..., A_N) of the oracle enumeration."""
+    words = brute_codewords(C)
+    assert len(words) == C.q**C.t
+    counts = Counter(sum(1 for x in w if x) for w in words)
+    return [counts[w] for w in range(C.N + 1)]
+
+
+@st.composite
+def full_rank_codes(draw, q):
+    """[N, t]_q codes with N <= 7, every t from 0 to N, and both sides small
+    enough for the oracle: an identity on t drawn pivot columns, free symbols
+    elsewhere, then row additions that keep the rank."""
+    shapes = [(N, t) for N in range(1, 8) for t in range(N + 1) if q ** max(t, N - t) <= 2401]
+    N, t = draw(st.sampled_from(shapes))
+    F = field_for_order(q)
+    pivots = draw(st.lists(st.integers(0, N - 1), min_size=t, max_size=t, unique=True))
+    symbols = st.integers(0, q - 1)
+    G = np.array([[draw(symbols) for _ in range(N)] for _ in range(t)], dtype=np.int64).reshape(t, N)
+    G[:, pivots] = np.eye(t, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 2 * t))):
+        i, j = draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))
+        c = draw(symbols)
+        if i != j:
+            G[j] = [F.add(int(g), F.mul(c, int(h))) for g, h in zip(G[j], G[i])]
+    return LinearCode(F, G)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weight_distributions_match_enumeration(q, data):
+    """Both distributions, one of them transformed, against brute enumeration
+    of C and of its dual; distances are their first nonzero weights."""
+    C = data.draw(full_rank_codes(q))
+    A, B = _weight_distributions(C)
+    assert A == brute_weights(C)
+    assert B == brute_weights(dual(C))
+    assert min_distance(C) == min((w for w in range(1, C.N + 1) if A[w]), default=math.inf)
+    assert dual_distance(C) == min((w for w in range(1, C.N + 1) if B[w]), default=math.inf)
+
+
+PAIRS_2 = LinearCode(F2, np.array([[1, 1, 0, 0], [0, 0, 1, 1]]))  # [4,2,2]_2
+
+
+def _lighten_one_word(block):
+    """Drop one symbol of one nonzero codeword: no longer a linear code."""
+    block = block.copy()
+    row, col = np.argwhere(block)[0]
+    block[row, col] = 0
+    return block
+
+
+def _all_but_zero_full_weight(block):
+    """Every nonzero word of weight N: for [4,2]_2 the transform is
+    integral but negative at odd weights."""
+    block = block.copy()
+    block[1:] = 1
+    return block
+
+
+@pytest.mark.parametrize(
+    "C, corrupt, message",
+    [
+        (mds_code(F5, 2), lambda b: b[1:], "counts 24 codewords"),
+        (mds_code(F5, 2), lambda b: np.concatenate([b, b[:1]]), "counts 26 codewords"),
+        (mds_code(F5, 2), _lighten_one_word, "non-count at weight"),
+        (PAIRS_2, _all_but_zero_full_weight, "non-count"),
+        # {0, 1100, 0011, 0000} transforms to the counts (1, 2, 2, 2, 1)
+        (PAIRS_2, lambda b: b * (b.sum(1) < 4)[:, None], "sums to 8, not 4"),
+    ],
+)
+def test_transform_rejects_inconsistent_counts(monkeypatch, C, corrupt, message):
+    """A miscounted enumeration cannot pass as a weight distribution."""
+    chunks = codes._chunked_codewords
+    monkeypatch.setattr(codes, "_chunked_codewords", lambda C: (corrupt(b) for b in chunks(C)))
+    with pytest.raises(KuniformError, match=message):
+        _weight_distributions(C)
+
+
+def mds_weights(n: int, t: int, q: int) -> list[int]:
+    """Closed-form weight distribution of an [n, t, n-t+1]_q MDS code."""
+    d = n - t + 1
+    out = [1] + [0] * n
+    for w in range(d, n + 1):
+        out[w] = math.comb(n, w) * sum(
+            (-1) ** j * math.comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1)
+        )
+    return out
+
+
+@pytest.mark.parametrize("q, t_max", [(8, 5), (9, 5), (16, 5), (25, 3)])
+def test_mds_weight_distribution_closed_form(q, t_max):
+    F = field_for_order(q)
+    for t in range(1, t_max + 1):
+        A, B = _weight_distributions(mds_code(F, t))
+        assert A == mds_weights(q + 1, t, q)
+        assert B == mds_weights(q + 1, q + 1 - t, q)
 
 
 def test_direct_sum_example():

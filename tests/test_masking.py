@@ -16,7 +16,7 @@ from pauli_oracle import (
     pauli_element_float,
 )
 
-from kuniform import field_new
+from kuniform import field_new, masking
 from kuniform.codes import mds_code
 from kuniform.errors import CapExceeded, MaskingError, ParseError
 from kuniform.masking import (
@@ -35,6 +35,7 @@ from kuniform.catalog import construct_k_uniform
 from kuniform.oa import OrthogonalArray, oa_from_code, trim_to_iroa
 from kuniform.states import (
     PureState,
+    cross_reduction,
     from_vector,
     ghz,
     load_bundled_state,
@@ -177,6 +178,48 @@ def test_sampling_mode_agrees():
     assert report.verdict == "pass"
     assert report.samples_checked == 32
     assert report.max_deviation <= 1e-10
+
+
+def _float_copy(state: PureState) -> PureState:
+    return from_vector(state.to_vector(), state.N, state.d)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "mixed"])
+@pytest.mark.parametrize("k, samples", [(1, 0), (2, 0), (1, 3)])
+def test_masker_encodes_each_state_once(monkeypatch, mode, k, samples):
+    """Reports equal those built from one cross_reduction call per
+    (subset, pair), and no state is encoded twice in one arithmetic mode."""
+    images = build_masker(qutrit_state(), split_party=0, k=1).images
+    if mode == "float":
+        images = [_float_copy(s) for s in images]
+    elif mode == "mixed":
+        images = [_float_copy(images[0])] + images[1:]
+    m = Masker(d=3, N=images[0].N, images=images)
+
+    encodes = []
+    encode = masking._encode
+    monkeypatch.setattr(
+        masking, "_encode", lambda s, floats: encodes.append((id(s), floats)) or encode(s, floats)
+    )
+    report = verify_masker(m, k, samples=samples, seed=3)
+    assert len(encodes) == len(set(encodes))
+    if mode == "exact":
+        assert len(encodes) == 3 + report.samples_checked
+
+    monkeypatch.setattr(masking, "_cross_reductions", lambda d: cross_reduction)
+    assert verify_masker(m, k, samples=samples, seed=3) == report
+
+
+def test_masker_cap_checked_once(monkeypatch):
+    m = qubit_masker()
+    with pytest.raises(CapExceeded, match="matrix_dim"):
+        verify_masker(m, 2, cap=3)
+    assert verify_masker(m, 2, cap=4).verdict == "pass"
+    calls = []
+    check_cap = masking.check_cap
+    monkeypatch.setattr(masking, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
+    verify_masker(m, 2)
+    assert calls == ["matrix_dim"]
 
 
 def test_even_party_masker_fails_at_half():
