@@ -194,7 +194,7 @@ def _nearest_rule(k: int, d: int, N: int) -> str:
     )
 
 
-def execute_recipe(recipe: dict, cap: dict | None = None) -> PureState:
+def execute_recipe(recipe: dict, cap: int | None = None) -> PureState:
     """Build the state a recipe describes.  Raises on malformed input."""
     rule = recipe.get("rule")
     if rule == "ghz":
@@ -233,7 +233,7 @@ def construct_k_uniform(
     d: int,
     N: int,
     verify: bool = True,
-    cap: dict | None = None,
+    cap: int | None = None,
 ) -> PureState:
     """Build a k-uniform state of N parties with local dimension d.
 

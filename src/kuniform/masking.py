@@ -18,6 +18,10 @@ zero).  The Paulis on a party subset span every operator on it (Scott,
 PRA 69, 052330 (2004)), so the condition is equivalent to every
 (delta - 1)-party reduction of |psi_j><psi_i| being delta_ij I / d^(delta-1),
 which exact states decide in integer arithmetic for every d.
+
+Both checks, like states.verify_k_uniform, run on one loop of pair
+reductions (states._reductions) that encodes each state once; an operator
+is built only for the common reductions, a failure or a float deviation.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ from .errors import KuniformError, MaskingError, ParseError
 from .states import (
     PureState,
     SparseOperator,
-    _encode,
+    _is_maximally_mixed,
     _operator,
-    _reduce,
-    cross_reduction,
+    _reductions,
     inner_product,
     load_state,
     reduction,
@@ -112,12 +115,13 @@ class MaskingFeasibility:
     witness: object = None
 
 
-def _norm_amplitudes(state: PureState) -> dict:
-    """Physical complex amplitudes of a state, whatever its mode."""
-    if state.exact:
-        scale = 1.0 / math.sqrt(state.r)
-        return {idx: complex(a, b) * scale for idx, (a, b) in state.amplitudes.items()}
-    return dict(state.amplitudes)
+def _physical(values: dict, exact: bool, r: int) -> dict:
+    """Physical complex values: exact numerator pairs over sqrt(r), float
+    values as stored."""
+    if not exact:
+        return values
+    scale = 1.0 / math.sqrt(r)
+    return {key: complex(a, b) * scale for key, (a, b) in values.items()}
 
 
 def build_masker(
@@ -200,38 +204,14 @@ def build_masker(
     return m
 
 
-def _operators_equal(a: SparseOperator, b: SparseOperator, tol: float) -> bool:
-    if a.exact and b.exact:
-        return (
-            a.entries == b.entries
-            and (a.r_ket, a.r_bra) == (b.r_ket, b.r_bra)
-            and (a.n_parties, a.d) == (b.n_parties, b.d)
-        )
-    return bool(np.allclose(a.to_matrix(), b.to_matrix(), atol=tol, rtol=0.0))
-
-
 def _operator_deviation(a: SparseOperator, b: SparseOperator) -> float:
-    return float(np.max(np.abs(a.to_matrix() - b.to_matrix()), initial=0.0))
-
-
-def _cross_reductions(d: int):
-    """cross_reduction for states already validated and capped: each state
-    is encoded once per arithmetic mode and its arrays are reused for every
-    subset and pair."""
-    encoded: dict = {}
-
-    def encode(state: PureState, floats: bool):
-        key = (id(state), floats)
-        if key not in encoded:
-            encoded[key] = (_encode(state, floats), state)  # keeps the id unique
-        return encoded[key][0]
-
-    def reduce(s1: PureState, s2: PureState, subset: tuple) -> SparseOperator:
-        floats = not (s1.exact and s2.exact)
-        e1, e2 = encode(s1, floats), encode(s2, floats)
-        return _operator(s1, s2, e1, e2, subset, _reduce(e1, e2, subset, d))
-
-    return reduce
+    """Largest entrywise |a - b| of the physical operators, taken over the
+    entries either one stores; every other entry is 0 in both.  np.abs
+    gives the same bits as on dense matrices, abs() of a complex may not."""
+    va = _physical(a.entries, a.exact, a.r_ket * a.r_bra)
+    vb = _physical(b.entries, b.exact, b.r_ket * b.r_bra)
+    diff = [va.get(key, 0) - vb.get(key, 0) for key in va.keys() | vb.keys()]
+    return float(np.max(np.abs(np.array(diff, dtype=complex)), initial=0.0))
 
 
 def verify_masker(
@@ -266,44 +246,38 @@ def verify_masker(
     check_cap(
         "matrix_dim", m.d**k, cap, what=f"reduction onto {k} parties of dimension {m.d}"
     )
-    reduce_pair = _cross_reductions(m.d)
+    images = m.images
     subsets = list(combinations(range(m.N), k))
-    for subset in subsets:
-        rho0 = reduce_pair(m.images[0], m.images[0], subset)
-        common[subset] = rho0
-        for s in range(1, m.d):
-            rho_s = reduce_pair(m.images[s], m.images[s], subset)
-            delta = _operator_deviation(rho_s, rho0)
+    pairs = [(s, s) for s in range(m.d)] + list(combinations(range(m.d), 2))
+    for subset, (s, t), red in _reductions(images, subsets, pairs):
+        if s == t == 0:
+            red0 = red
+            rho0 = common[subset] = _operator(images[0], images[0], red)
+            continue
+        if s == t:
+            exact = images[s].exact and images[0].exact
+            if exact and images[s].r == images[0].r and all(map(np.array_equal, red, red0)):
+                continue  # the same operator as image 0's
+            delta = _operator_deviation(_operator(images[s], images[s], red), rho0)
             max_dev = max(max_dev, delta)
-            if not _operators_equal(rho_s, rho0, tol):
-                failures.append(
-                    (subset, s, s, f"reduction differs from image 0 by {delta:.3e}")
-                )
-        for s, t in combinations(range(m.d), 2):
-            cross = reduce_pair(m.images[s], m.images[t], subset)
-            if cross.exact:
-                leaked = not cross.is_zero()
-                mag = float(
-                    max(
-                        (abs(complex(a, b)) for a, b in cross.entries.values()),
-                        default=0.0,
-                    )
-                ) / math.sqrt(cross.r_ket * cross.r_bra)
-            else:
-                mag = float(
-                    max((abs(v) for v in cross.entries.values()), default=0.0)
-                )
-                leaked = mag > tol
-            max_dev = max(max_dev, mag)
-            if leaked:
-                failures.append(
-                    (subset, s, t, f"cross term does not vanish, max entry {mag:.3e}")
-                )
+            if exact or delta > tol:
+                failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
+            continue
+        exact = images[s].exact and images[t].exact
+        if exact and not len(red.re):
+            continue  # the cross term vanishes exactly
+        cross = _operator(images[s], images[t], red)
+        mag = max((abs(complex(*v) if exact else v) for v in cross.entries.values()), default=0.0)
+        if exact:
+            mag /= math.sqrt(cross.r_ket * cross.r_bra)
+        max_dev = max(max_dev, mag)
+        if exact or mag > tol:
+            failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
 
     samples_checked = 0
     if samples > 0 and not failures:
         rng = np.random.default_rng(seed)
-        image_amps = [_norm_amplitudes(img) for img in m.images]
+        image_amps = [_physical(img.amplitudes, img.exact, img.r) for img in m.images]
         for _ in range(samples):
             coeffs = rng.normal(size=m.d) + 1j * rng.normal(size=m.d)
             coeffs /= np.linalg.norm(coeffs)
@@ -318,9 +292,8 @@ def verify_masker(
                 exact=False,
                 provenance="sampled superposition",
             )
-            for subset in subsets:
-                rho = reduce_pair(masked, masked, subset)
-                delta = _operator_deviation(rho, common[subset])
+            for subset, _, red in _reductions([masked], subsets, [(0, 0)]):
+                delta = _operator_deviation(_operator(masked, masked, red), common[subset])
                 max_dev = max(max_dev, delta)
                 if delta > tol:
                     failures.append(
@@ -522,22 +495,24 @@ def verify_pure_qecc(
     ops = sum(math.comb(N, w) * (d * d - 1) ** w for w in range(1, delta))
     k = min(delta - 1, N)
     subsets = list(combinations(range(N), k)) if k else []
-    pairs = [(i, j) for i in range(K) for j in range(i, K)]
+    pairs = [(j, i) for i in range(K) for j in range(i, K)]  # |psi_j><psi_i|, i <= j
     check_cap(
         "qecc_ops",
         len(subsets) * len(pairs),
         cap,
         what=f"{len(subsets)} x {len(pairs)} pair reductions onto {k} parties",
     )
-    for subset in subsets:
-        for i, j in pairs:
-            rho = cross_reduction(basis[j], basis[i], subset)
-            if rho.exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
-                continue
-            op, mag = _pauli_witness(rho, subset)
-            if rho.exact or mag > tol:
-                failures.append((str(op), i, j, mag))
-                worst = max(worst, mag)
+    dim = d**k
+    check_cap("matrix_dim", dim, what=f"reduction onto {k} parties of dimension {d}")
+    for subset, (j, i), red in _reductions(basis, subsets, pairs):
+        exact = basis[i].exact and basis[j].exact
+        if exact and (_is_maximally_mixed(red, basis[i].r, dim) if i == j else not len(red.re)):
+            continue
+        rho = _operator(basis[j], basis[i], red)
+        op, mag = _pauli_witness(rho, subset)
+        if exact or mag > tol:
+            failures.append((str(op), i, j, mag))
+            worst = max(worst, mag)
 
     verdict = "pass" if not failures else "fail"
     return QeccReport(N, d, K, delta, verdict, ops, failures, worst, True)

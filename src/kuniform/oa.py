@@ -3,9 +3,10 @@
 An array has strength k when every r x k subarray contains each k-tuple over
 the symbol set exactly r/d^k times, and it is irredundant for k when on top
 of that any two distinct rows differ in more than k positions, so that
-deleting any k columns leaves the remaining rows pairwise distinct.  Arrays
-built from a linear code keep a reference to it so minimum-distance queries
-can reuse the code-level enumeration instead of an all-pairs scan.
+deleting any k columns leaves the remaining rows pairwise distinct.
+is_irredundant decides it through the minimum row distance.  Arrays built
+from a linear code keep a reference to it so minimum-distance queries can
+reuse the code-level enumeration instead of an all-pairs scan.
 """
 
 from __future__ import annotations
@@ -140,24 +141,9 @@ def oa_min_distance(A: OrthogonalArray, cap: int | None = None) -> int | float:
     return best
 
 
-def is_irredundant(A: OrthogonalArray, k: int, method: str = "distance") -> bool:
-    """Strength k and, depending on method, minimum row distance > k
-    ("distance") or distinct residual rows after deleting each k-subset of
-    columns ("residual").  The two are equivalent; both are kept so tests
-    can cross-check them.
-    """
-    if method not in ("distance", "residual"):
-        raise ValueError(f"unknown method {method!r}")
-    if not verify_strength(A, k):
-        return False
-    if method == "distance":
-        return oa_min_distance(A) >= k + 1
-    for cols in combinations(range(A.N), k):
-        keep = [c for c in range(A.N) if c not in cols]
-        residual = A.rows[:, keep]
-        if np.unique(residual, axis=0).shape[0] != A.r:
-            return False
-    return True
+def is_irredundant(A: OrthogonalArray, k: int) -> bool:
+    """Strength k and minimum row distance > k."""
+    return verify_strength(A, k) and oa_min_distance(A) >= k + 1
 
 
 def delete_columns(A: OrthogonalArray, cols) -> OrthogonalArray:

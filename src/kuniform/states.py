@@ -308,12 +308,12 @@ class _Encoded(NamedTuple):
 class _Reduced(NamedTuple):
     """Entries of a cross reduction, nonzero ones only when exact.
 
-    Each entry is named by one s1 row and one s2 row whose kept columns are
-    its row and column index.
+    Entries come in lexicographic (row, column) order, so two exact
+    reductions are the same operator iff their arrays are equal.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
+    rows: np.ndarray  # (entries, kept parties) row indices
+    cols: np.ndarray  # (entries, kept parties) column indices
     diagonal: np.ndarray
     re: np.ndarray
     im: np.ndarray
@@ -419,24 +419,55 @@ def _reduce(e1: _Encoded, e2: _Encoded, parties: tuple, d: int) -> _Reduced:
             nonzero = (re_sum != 0) | (im_sum != 0)
             first, re_sum, im_sum = first[nonzero], re_sum[nonzero], im_sum[nonzero]
         rows_out, cols_out = i1[first], i2[first]
-        parts.append(_Reduced(rows_out, cols_out, k1[rows_out] == k2[cols_out], re_sum, im_sum))
+        diagonal = k1[rows_out] == k2[cols_out]
+        parts.append(_Reduced(kept1[rows_out], kept2[cols_out], diagonal, re_sum, im_sum))
     return _Reduced(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _operator(
-    s1: PureState, s2: PureState, e1: _Encoded, e2: _Encoded, parties: tuple, red: _Reduced
-) -> SparseOperator:
+def _reductions(states: list, subsets, pairs):
+    """(subset, (a, b), reduction) of |states[a]><states[b]| for every
+    subset and, within it, every pair, on states already validated and
+    capped.  Each state is encoded once per arithmetic mode, exact only when
+    both states of a pair are; a pair of one state shares one encoding."""
+    encoded: dict = {}
+
+    def encode(state: PureState, floats: bool) -> _Encoded:
+        key = (id(state), floats)
+        if key not in encoded:
+            encoded[key] = _encode(state, floats)
+        return encoded[key]
+
+    d = states[0].d
+    for subset in subsets:
+        for a, b in pairs:
+            s1, s2 = states[a], states[b]
+            floats = not (s1.exact and s2.exact)
+            yield subset, (a, b), _reduce(encode(s1, floats), encode(s2, floats), subset, d)
+
+
+def _is_maximally_mixed(red: _Reduced, r: int, dim: int) -> bool:
+    """Whether exact entries over the denominator r are exactly I / dim:
+    dim diagonal entries r / dim."""
+    return (
+        r % dim == 0
+        and len(red.re) == dim
+        and red.diagonal.all()
+        and (red.re == r // dim).all()
+        and not red.im.any()
+    )
+
+
+def _operator(s1: PureState, s2: PureState, red: _Reduced) -> SparseOperator:
     """The SparseOperator holding the entries of `red`."""
-    kept = list(parties)
-    rows = map(tuple, e1.idx[red.rows][:, kept].tolist())
-    cols = map(tuple, e2.idx[red.cols][:, kept].tolist())
+    rows = map(tuple, red.rows.tolist())
+    cols = map(tuple, red.cols.tolist())
     exact = s1.exact and s2.exact
     if exact:
         values = zip(red.re.tolist(), red.im.tolist())
     else:
         values = map(complex, red.re.tolist(), red.im.tolist())
     return SparseOperator(
-        n_parties=len(parties),
+        n_parties=red.rows.shape[1],
         d=s1.d,
         entries=dict(zip(zip(rows, cols), values)),
         r_ket=s1.r if exact else 1,
@@ -462,10 +493,8 @@ def cross_reduction(
         cap,
         what=f"reduction onto {len(parties)} parties of dimension {s1.d}",
     )
-    floats = not (s1.exact and s2.exact)
-    e1 = _encode(s1, floats)
-    e2 = e1 if s2 is s1 else _encode(s2, floats)
-    return _operator(s1, s2, e1, e2, parties, _reduce(e1, e2, parties, s1.d))
+    [(_, _, red)] = _reductions([s1, s2], [parties], [(0, 1)])
+    return _operator(s1, s2, red)
 
 
 def reduction(state: PureState, parties, cap: int | None = None) -> SparseOperator:
@@ -554,23 +583,13 @@ def verify_k_uniform(
     dim = state.d**k
     check_cap("matrix_dim", dim, cap, what=f"reductions of dimension {dim}")
 
-    enc = _encode(state, floats=not state.exact)
-    # an exact reduction is I / d^k iff it holds d^k diagonal entries r / d^k
-    lam = state.r // dim if state.exact and state.r % dim == 0 else None
     subsets = list(combinations(range(state.N), k))
     failures = []
     max_dev = 0.0
-    for subset in subsets:
-        red = _reduce(enc, enc, subset, state.d)
-        if (
-            lam is not None
-            and len(red.re) == dim
-            and red.diagonal.all()
-            and (red.re == lam).all()
-            and not red.im.any()
-        ):
+    for subset, _, red in _reductions([state], subsets, [(0, 0)]):
+        if state.exact and _is_maximally_mixed(red, state.r, dim):
             continue  # deviation exactly 0.0
-        rho = _operator(state, state, enc, enc, subset, red)
+        rho = _operator(state, state, red)
         dev = rho.maximally_mixed_deviation()
         max_dev = max(max_dev, dev)
         if not rho.is_maximally_mixed(tol=tol):

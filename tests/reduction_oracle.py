@@ -4,7 +4,9 @@ Groups the terms of s2 by their complement indices in a dict and sums
 amp1 * conj(amp2) term by term: Gaussian integers when both states are
 exact, complex floats otherwise.  The array kernel behind
 states.cross_reduction and states.verify_k_uniform computes the same
-operators; the tests hold it to this oracle.
+operators; the tests hold it to this oracle.  oracle_verify_masker is the
+masking criterion with one cross_reduction call per (subset, pair) and
+deviations read off dense matrices.
 """
 
 from __future__ import annotations
@@ -12,7 +14,16 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from kuniform.states import PureState, SparseOperator, UniformityReport
+import numpy as np
+
+from kuniform.masking import FLOAT_TOL, Masker, MaskingReport
+from kuniform.states import (
+    PureState,
+    SparseOperator,
+    UniformityReport,
+    cross_reduction,
+    inner_product,
+)
 
 
 def oracle_cross_reduction(s1: PureState, s2: PureState, parties) -> SparseOperator:
@@ -79,3 +90,94 @@ def oracle_verify_k_uniform(state: PureState, k: int, tol: float = 1e-10) -> Uni
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, len(subsets), failures, max_dev)
+
+
+def _operators_equal(a: SparseOperator, b: SparseOperator, tol: float) -> bool:
+    if a.exact and b.exact:
+        return (
+            a.entries == b.entries
+            and (a.r_ket, a.r_bra) == (b.r_ket, b.r_bra)
+            and (a.n_parties, a.d) == (b.n_parties, b.d)
+        )
+    return bool(np.allclose(a.to_matrix(), b.to_matrix(), atol=tol, rtol=0.0))
+
+
+def _operator_deviation(a: SparseOperator, b: SparseOperator) -> float:
+    return float(np.max(np.abs(a.to_matrix() - b.to_matrix()), initial=0.0))
+
+
+def oracle_verify_masker(
+    m: Masker, k: int, tol: float = FLOAT_TOL, samples: int = 0, seed: int = 0
+) -> MaskingReport:
+    """The report verify_masker must give."""
+    failures: list = []
+    common: dict = {}
+    max_dev = 0.0
+
+    if k == 0:
+        for s, t in combinations(range(m.d), 2):
+            ip = inner_product(m.images[s], m.images[t])
+            if not ip.is_zero(tol=tol):
+                failures.append(((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}"))
+        verdict = "pass" if not failures else "fail"
+        return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
+
+    subsets = list(combinations(range(m.N), k))
+    for subset in subsets:
+        rho0 = cross_reduction(m.images[0], m.images[0], subset)
+        common[subset] = rho0
+        for s in range(1, m.d):
+            rho_s = cross_reduction(m.images[s], m.images[s], subset)
+            delta = _operator_deviation(rho_s, rho0)
+            max_dev = max(max_dev, delta)
+            if not _operators_equal(rho_s, rho0, tol):
+                failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
+        for s, t in combinations(range(m.d), 2):
+            cross = cross_reduction(m.images[s], m.images[t], subset)
+            if cross.exact:
+                leaked = not cross.is_zero()
+                mag = float(
+                    max((abs(complex(a, b)) for a, b in cross.entries.values()), default=0.0)
+                ) / math.sqrt(cross.r_ket * cross.r_bra)
+            else:
+                mag = float(max((abs(v) for v in cross.entries.values()), default=0.0))
+                leaked = mag > tol
+            max_dev = max(max_dev, mag)
+            if leaked:
+                failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
+
+    samples_checked = 0
+    if samples > 0 and not failures:
+        rng = np.random.default_rng(seed)
+        image_amps = [
+            {idx: complex(*amp) * (1.0 / math.sqrt(img.r)) for idx, amp in img.amplitudes.items()}
+            if img.exact
+            else img.amplitudes
+            for img in m.images
+        ]
+        for _ in range(samples):
+            coeffs = rng.normal(size=m.d) + 1j * rng.normal(size=m.d)
+            coeffs /= np.linalg.norm(coeffs)
+            amps: dict = {}
+            for c, amp_map in zip(coeffs, image_amps):
+                for idx, v in amp_map.items():
+                    amps[idx] = amps.get(idx, 0j) + c * v
+            masked = PureState(
+                N=m.N,
+                d=m.d,
+                amplitudes={i: v for i, v in amps.items() if v != 0},
+                exact=False,
+            )
+            for subset in subsets:
+                delta = _operator_deviation(cross_reduction(masked, masked, subset), common[subset])
+                max_dev = max(max_dev, delta)
+                if delta > tol:
+                    failures.append(
+                        (subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}")
+                    )
+            samples_checked += 1
+
+    verdict = "pass" if not failures else "fail"
+    return MaskingReport(
+        m.N, m.d, k, verdict, len(subsets), failures, common, max_dev, samples_checked
+    )

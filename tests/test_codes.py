@@ -208,7 +208,7 @@ def full_rank_codes(draw, q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_weight_distributions_match_enumeration(q, data):
     """Both distributions, one of them transformed, against brute enumeration

@@ -15,8 +15,10 @@ from pauli_oracle import (
     pauli_element_exact,
     pauli_element_float,
 )
+from reduction_oracle import oracle_verify_masker
 
 from kuniform import field_new, masking
+from kuniform import states as states_module
 from kuniform.codes import mds_code
 from kuniform.errors import CapExceeded, MaskingError, ParseError
 from kuniform.masking import (
@@ -35,7 +37,6 @@ from kuniform.catalog import construct_k_uniform
 from kuniform.oa import OrthogonalArray, oa_from_code, trim_to_iroa
 from kuniform.states import (
     PureState,
-    cross_reduction,
     from_vector,
     ghz,
     load_bundled_state,
@@ -184,11 +185,21 @@ def _float_copy(state: PureState) -> PureState:
     return from_vector(state.to_vector(), state.N, state.d)
 
 
+def _count_encodes(monkeypatch) -> list:
+    """Record (id(state), floats) for every state the reduction kernel encodes."""
+    encodes = []
+    encode = states_module._encode
+    monkeypatch.setattr(
+        states_module, "_encode", lambda s, floats: encodes.append((id(s), floats)) or encode(s, floats)
+    )
+    return encodes
+
+
 @pytest.mark.parametrize("mode", ["exact", "float", "mixed"])
 @pytest.mark.parametrize("k, samples", [(1, 0), (2, 0), (1, 3)])
 def test_masker_encodes_each_state_once(monkeypatch, mode, k, samples):
-    """Reports equal those built from one cross_reduction call per
-    (subset, pair), and no state is encoded twice in one arithmetic mode."""
+    """No state is encoded twice in one arithmetic mode, and the report is
+    the one the per-pair oracle gives."""
     images = build_masker(qutrit_state(), split_party=0, k=1).images
     if mode == "float":
         images = [_float_copy(s) for s in images]
@@ -196,18 +207,12 @@ def test_masker_encodes_each_state_once(monkeypatch, mode, k, samples):
         images = [_float_copy(images[0])] + images[1:]
     m = Masker(d=3, N=images[0].N, images=images)
 
-    encodes = []
-    encode = masking._encode
-    monkeypatch.setattr(
-        masking, "_encode", lambda s, floats: encodes.append((id(s), floats)) or encode(s, floats)
-    )
+    encodes = _count_encodes(monkeypatch)
     report = verify_masker(m, k, samples=samples, seed=3)
     assert len(encodes) == len(set(encodes))
     if mode == "exact":
         assert len(encodes) == 3 + report.samples_checked
-
-    monkeypatch.setattr(masking, "_cross_reductions", lambda d: cross_reduction)
-    assert verify_masker(m, k, samples=samples, seed=3) == report
+    assert report == oracle_verify_masker(m, k, samples=samples, seed=3)
 
 
 def test_masker_cap_checked_once(monkeypatch):
@@ -220,6 +225,72 @@ def test_masker_cap_checked_once(monkeypatch):
     monkeypatch.setattr(masking, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
     verify_masker(m, 2)
     assert calls == ["matrix_dim"]
+
+
+def _scaled(state: PureState) -> PureState:
+    """The same physical state with every numerator doubled."""
+    amps = {idx: (2 * a, 2 * b) for idx, (a, b) in state.amplitudes.items()}
+    return PureState(N=state.N, d=state.d, amplitudes=amps, r=4 * state.r)
+
+
+def _masker_sources() -> list:
+    """States whose split at party 0 masks every k below their uniformity:
+    k = 0 for the ghz state, up to k = 1 or 2 for the others."""
+    F4 = field_new(2, 2)
+    mds4 = state_from_iroa(trim_to_iroa(oa_from_code(mds_code(F4, 2)), 2, 4), 2)
+    return [ghz(4, 3), qutrit_state(), load_bundled_state("ame_6_2"), mds4]
+
+
+@st.composite
+def maskers(draw):
+    """Maskers of d images with N <= 5 and d <= 4: a split uniform state
+    under one local unitary, or d random sparse exact states, which mostly
+    fail.  Each image is then kept exact, copied to floats, or kept exact
+    with doubled numerators, so a masker may mix modes and denominators."""
+    if draw(st.integers(0, 2)):
+        images = build_masker(draw(st.sampled_from(_masker_sources())), 0, k=0).images
+        N, d = images[0].N, images[0].d
+        perms = [draw(st.permutations(range(d))) for _ in range(N)]
+        phases = [draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)) for _ in range(N)]
+        images = [_local_unitary(s, perms, phases) for s in images]
+    else:
+        d, N = draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
+        indices = st.tuples(*[st.integers(0, d - 1)] * N)
+        images = []
+        for _ in range(d):
+            support = draw(st.lists(indices, min_size=1, max_size=5, unique=True))
+            amps = {idx: draw(st.sampled_from(AMPLITUDES)) for idx in support}
+            r = sum(a * a + b * b for a, b in amps.values())
+            images.append(PureState(N=N, d=d, amplitudes=amps, r=r))
+    mode = st.sampled_from((lambda s: s, _float_copy, _scaled))
+    modes = [draw(mode)] * d if draw(st.booleans()) else [draw(mode) for _ in range(d)]
+    return Masker(d=d, N=N, images=[copy(s) for copy, s in zip(modes, images)])
+
+
+@settings(max_examples=80)
+@given(m=maskers(), data=st.data())
+def test_masker_reports_match_oracle(m, data):
+    # most split uniform states pass at k = 1 and only there
+    k = data.draw(st.one_of(st.just(1), st.integers(0, m.N)), label="k")
+    samples = data.draw(st.sampled_from((0, 3)), label="samples")
+    report = verify_masker(m, k, samples=samples, seed=11)
+    want = oracle_verify_masker(m, k, samples=samples, seed=11)
+    assert report == want
+    assert report.max_deviation.hex() == want.max_deviation.hex()
+
+
+def test_masker_deviation_spans_entries_of_either_image():
+    # onto party 0, image 0 reduces to |0><0| and image 1 to diag(0, 1/2, 1/2):
+    # the largest deviation, 1, sits where only image 0 has an entry
+    images = [
+        PureState(N=2, d=3, amplitudes={(0, 0): (1, 0)}),
+        PureState(N=2, d=3, amplitudes={(1, 1): (1, 0), (2, 2): (1, 0)}, r=2),
+        PureState(N=2, d=3, amplitudes={(0, 1): (1, 0)}),
+    ]
+    m = Masker(d=3, N=2, images=images)
+    report = verify_masker(m, 1)
+    assert report == oracle_verify_masker(m, 1)
+    assert report.max_deviation == 1.0
 
 
 def test_even_party_masker_fails_at_half():
@@ -392,6 +463,28 @@ def test_qecc_ops_cap(monkeypatch):
     assert report.verdict == "pass" and report.ops_checked == 693
 
 
+def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
+    images = qubit_masker().images
+    encodes = _count_encodes(monkeypatch)
+    calls = []
+    check_cap = masking.check_cap
+    monkeypatch.setattr(masking, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
+    # image 0 pairs with itself exactly and with the float image 1 in floats
+    for basis, n_encodes in [(images, 2), ([images[0], _float_copy(images[1])], 3)]:
+        encodes.clear()
+        calls.clear()
+        assert verify_pure_qecc(basis, 3).verdict == "pass"
+        assert len(encodes) == len(set(encodes)) == n_encodes
+        assert sorted(calls) == ["matrix_dim", "qecc_ops"]
+    # 2^13 > 4096: one reduction, refused before any state is encoded;
+    # cap= sets only qecc_ops
+    encodes.clear()
+    for cap in (None, 1 << 20):
+        with pytest.raises(CapExceeded, match="matrix_dim"):
+            verify_pure_qecc([ghz(13, 2)], 14, cap=cap)
+    assert not encodes
+
+
 # ---------------------------------------------------------------------------
 # pair reductions against the Pauli oracle
 
@@ -480,7 +573,7 @@ def _assert_matches_oracle(basis, delta):
         assert oracle[(op, i, j)] == pytest.approx(mag, abs=1e-12)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(basis=small_bases(), delta=st.integers(1, 3))
 def test_pair_reductions_match_pauli_oracle(basis, delta):
     _assert_matches_oracle(basis, delta)

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from oa_oracle import oracle_is_irredundant
 
 from kuniform import field_new
 from kuniform.codes import (
@@ -187,7 +188,7 @@ def test_min_distance_pair_cap():
 def test_example_array_is_irredundant():
     A = example_array()
     assert is_irredundant(A, 2)
-    assert is_irredundant(A, 2, method="residual")
+    assert oracle_is_irredundant(A, 2)
 
 
 def test_full_factorial_not_irredundant():
@@ -195,10 +196,10 @@ def test_full_factorial_not_irredundant():
     A = OrthogonalArray(d=2, rows=rows, k=2)
     assert verify_strength(A, 2)
     assert not is_irredundant(A, 2)
-    assert not is_irredundant(A, 2, method="residual")
+    assert not oracle_is_irredundant(A, 2)
 
 
-def test_irredundant_methods_agree():
+def test_irredundant_matches_oracle():
     corpus = [
         example_array(),
         oa_from_code(mds_code(F5, 1)),
@@ -210,12 +211,7 @@ def test_irredundant_methods_agree():
     for A in corpus:
         assert A.r <= 2**12
         for k in range(A.N + 1):
-            assert is_irredundant(A, k) == is_irredundant(A, k, method="residual")
-
-
-def test_irredundant_unknown_method():
-    with pytest.raises(ValueError):
-        is_irredundant(example_array(), 2, method="exhaustive")
+            assert is_irredundant(A, k) == oracle_is_irredundant(A, k)
 
 
 # ---------------------------------------------------------------------------

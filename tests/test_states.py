@@ -256,7 +256,7 @@ def reduction_cases(draw):
     return s1, s2, parties
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(case=reduction_cases(), block=st.sampled_from((1, 5, states_module._PAIR_BLOCK)))
 def test_kernel_matches_dict_oracle(case, block):
     s1, s2, parties = case
@@ -303,7 +303,7 @@ def uniformity_cases(draw):
     return state, draw(st.integers(1, state.N // 2))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(case=uniformity_cases())
 def test_uniformity_reports_match_oracle(case):
     state, k = case
