@@ -199,7 +199,7 @@ def test_full_factorial_not_irredundant():
     assert not oracle_is_irredundant(A, 2)
 
 
-def test_irredundant_matches_oracle():
+def test_irredundant_methods_agree():
     corpus = [
         example_array(),
         oa_from_code(mds_code(F5, 1)),
