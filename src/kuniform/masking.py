@@ -40,6 +40,7 @@ from .errors import KuniformError, MaskingError, ParseError
 from .states import (
     PureState,
     SparseOperator,
+    _Reduced,
     _is_maximally_mixed,
     _operator,
     _reductions,
@@ -392,19 +393,25 @@ class ErrorOperator:
         )
 
 
-def _pauli_witness(rho: SparseOperator, subset: tuple) -> tuple[ErrorOperator, float]:
-    """The non-identity Pauli E on `subset` with the largest |Tr(E rho)|.
+def _pauli_witness(
+    red: _Reduced, scale: float, d: int, subset: tuple
+) -> tuple[ErrorOperator, float]:
+    """The non-identity Pauli E on `subset` with the largest |Tr(E rho)|,
+    rho being the entries of `red` times `scale`.
 
     For a shift a, Tr(X^a Z^b rho) = sum over y of omega^(b.y) rho[y, y + a],
     so one inverse FFT over the k digits of y gives every b at once.
     """
-    k, d = rho.n_parties, rho.d
+    k = len(subset)
     dim = d**k
     digits = np.indices((d,) * k).reshape(k, dim)  # digits[:, n] spell index n
     place = d ** np.arange(k - 1, -1, -1)
+    rho = np.zeros((dim, dim), dtype=complex)
+    values = [complex(a, b) * scale for a, b in zip(red.re.tolist(), red.im.tolist())]
+    rho[red.rows @ place, red.cols @ place] = values
     # shifted[a, y] is the index of y + a, digit by digit mod d
     shifted = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % d, axes=1)
-    diagonals = rho.to_matrix()[np.arange(dim), shifted]  # [a, y] -> rho[y, y + a]
+    diagonals = rho[np.arange(dim), shifted]  # [a, y] -> rho[y, y + a]
     axes = tuple(range(1, k + 1))
     coeffs = np.fft.ifftn(diagonals.reshape((dim,) + (d,) * k), axes=axes) * dim
     mags = np.abs(coeffs).reshape(dim, dim)
@@ -508,8 +515,8 @@ def verify_pure_qecc(
         exact = basis[i].exact and basis[j].exact
         if exact and (_is_maximally_mixed(red, basis[i].r, dim) if i == j else not len(red.re)):
             continue
-        rho = _operator(basis[j], basis[i], red)
-        op, mag = _pauli_witness(rho, subset)
+        scale = 1.0 / math.sqrt(basis[j].r * basis[i].r) if exact else 1.0
+        op, mag = _pauli_witness(red, scale, d, subset)
         if exact or mag > tol:
             failures.append((str(op), i, j, mag))
             worst = max(worst, mag)

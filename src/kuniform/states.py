@@ -424,12 +424,14 @@ def _reduce(e1: _Encoded, e2: _Encoded, parties: tuple, d: int) -> _Reduced:
     return _Reduced(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _reductions(states: list, subsets, pairs):
+def _reductions(states: list, subsets, pairs, encoded: dict | None = None):
     """(subset, (a, b), reduction) of |states[a]><states[b]| for every
     subset and, within it, every pair, on states already validated and
     capped.  Each state is encoded once per arithmetic mode, exact only when
-    both states of a pair are; a pair of one state shares one encoding."""
-    encoded: dict = {}
+    both states of a pair are; a pair of one state shares one encoding.
+    `encoded` holds encodings a caller already made, keyed by
+    (id(state), floats)."""
+    encoded = {} if encoded is None else encoded
 
     def encode(state: PureState, floats: bool) -> _Encoded:
         key = (id(state), floats)
@@ -455,6 +457,39 @@ def _is_maximally_mixed(red: _Reduced, r: int, dim: int) -> bool:
         and (red.re == r // dim).all()
         and not red.im.any()
     )
+
+
+def _counting_check(e: _Encoded, d: int, k: int):
+    """A predicate on k-subsets S that holds only where the reduction onto
+    S is exactly I / d^k, decided by counting rows; None when it can pass
+    nothing.
+
+    It applies to exact encodings whose T terms all have one squared
+    modulus m, with d^k dividing T; the norm invariant makes r = T m.  When
+    the rows take each of the d^k values on S exactly T / d^k times and no
+    two rows agree off S, the reduction is diagonal with entries
+    (T / d^k) m / r = 1 / d^k.  Full radix keys and squared moduli must fit
+    int64; no array longer than T is built.
+    """
+    T, N = e.idx.shape
+    dim = d**k
+    if e.bound is None or T % dim or d**N >= _INT64_LIMIT or 2 * e.bound**2 >= _INT64_LIMIT:
+        return None
+    modulus = e.re * e.re + e.im * e.im
+    if (modulus != modulus[0]).any():
+        return None
+    weights = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    full = e.idx @ weights
+
+    def passes(subset: tuple) -> bool:
+        parties = list(subset)
+        cols = e.idx[:, parties]
+        if (np.bincount(cols @ weights[N - k :], minlength=dim) != T // dim).any():
+            return False
+        complement = np.sort(full - cols @ weights[parties])
+        return bool((complement[1:] != complement[:-1]).all())
+
+    return passes
 
 
 def _operator(s1: PureState, s2: PureState, red: _Reduced) -> SparseOperator:
@@ -573,6 +608,14 @@ def verify_k_uniform(
     Exact states are checked exactly (tol only enters deviation reporting);
     k = 0 passes trivially and k above floor(N / 2) is impossible for any
     pure state, reported without checking.
+
+    When the T terms of an exact state share one squared modulus and d^k
+    divides T, a subset S passes by counting alone if the rows take each
+    value on S exactly T / d^k times and no two rows agree off S (the
+    irredundant-array criterion); the reduction is then diagonal and
+    exactly I / d^k.  Every other subset, and every subset of a float
+    state, goes through the pair-reduction kernel, which alone reports
+    failures and deviations.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")
@@ -584,9 +627,13 @@ def verify_k_uniform(
     check_cap("matrix_dim", dim, cap, what=f"reductions of dimension {dim}")
 
     subsets = list(combinations(range(state.N), k))
+    floats = not state.exact
+    e = _encode(state, floats)
+    passes = _counting_check(e, state.d, k)
+    unpassed = subsets if passes is None else [s for s in subsets if not passes(s)]
     failures = []
     max_dev = 0.0
-    for subset, _, red in _reductions([state], subsets, [(0, 0)]):
+    for subset, _, red in _reductions([state], unpassed, [(0, 0)], {(id(state), floats): e}):
         if state.exact and _is_maximally_mixed(red, state.r, dim):
             continue  # deviation exactly 0.0
         rho = _operator(state, state, red)

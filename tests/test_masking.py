@@ -586,6 +586,11 @@ def test_witness_names_the_failing_pauli():
     _assert_matches_oracle(basis, 2)
     cross = [f for f in verify_pure_qecc(basis, 2).failures if f[1:3] == (0, 1)]
     assert [f[0] for f in cross] == ["X2Z0[0]"]
+    # |<psi| X Z |psi>| > |<psi| X Z^2 |psi>|; a witness read off the
+    # complex conjugate of the reduction would name X1Z2
+    psi = PureState(N=1, d=3, amplitudes={(0,): (1, 0), (1,): (1, 0), (2,): (0, 1)}, r=3)
+    _assert_matches_oracle([psi], 2)
+    assert [f[0] for f in verify_pure_qecc([psi], 2).failures] == ["X1Z1[0]"]
 
 
 def test_pair_reductions_when_delta_exceeds_parties():
@@ -594,6 +599,23 @@ def test_pair_reductions_when_delta_exceeds_parties():
     report = verify_pure_qecc([ghz(2, 2)], 4)
     assert report.verdict == "fail" and report.ops_checked == 2 * 3 + 9
     assert report.worst == pytest.approx(1.0)
+
+
+def test_float_witnesses_check_caps_once(monkeypatch):
+    """Every float pair reduction goes to the witness, which builds its
+    matrix from the reduction arrays: still one matrix_dim and one qecc_ops
+    check per call, and the witnesses the Pauli oracle names."""
+    basis = [_float_copy(s) for s in qubit_masker().images]
+    calls = []
+    check_cap = masking.check_cap
+    for module in (masking, states_module):
+        monkeypatch.setattr(module, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
+    # the five-qubit code has distance 3
+    for delta, verdict in [(3, "pass"), (4, "fail")]:
+        calls.clear()
+        assert verify_pure_qecc(basis, delta).verdict == verdict
+        assert sorted(calls) == ["matrix_dim", "qecc_ops"]
+        _assert_matches_oracle(basis, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 from unittest import mock
@@ -280,14 +281,27 @@ def test_kernel_blocks_keep_entries_whole():
                 assert_same_operator(cross_reduction(s, s, parties), oracle_cross_reduction(s, s, parties))
 
 
+UNIT_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))
+NORM_25 = ((5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (-4, 3), (-3, -4), (4, -3))
+
+
+def transformed(state: PureState, parties, symbols, factors) -> PureState:
+    """state with party p moved to parties[p] and its symbols relabelled by
+    symbols[p], and its terms, in dict order, multiplied by the Gaussian
+    integers in factors; a factor (0, 0) drops its term."""
+    amps = {}
+    for (idx, (a, b)), (c, e) in zip(state.amplitudes.items(), factors):
+        if c or e:
+            moved = [0] * state.N
+            for p, x in enumerate(idx):
+                moved[parties[p]] = symbols[p][x]
+            amps[tuple(moved)] = (a * c - b * e, a * e + b * c)
+    return PureState(N=state.N, d=state.d, amplitudes=amps, r=sum(a * a + b * b for a, b in amps.values()))
+
+
 def with_phases(state: PureState, exponents) -> PureState:
     """state with its terms, in dict order, multiplied by i^m for m in exponents."""
-    amps = {}
-    for (idx, (a, b)), m in zip(state.amplitudes.items(), exponents):
-        for _ in range(m):
-            a, b = -b, a
-        amps[idx] = (a, b)
-    return PureState(N=state.N, d=state.d, amplitudes=amps, r=state.r)
+    return transformed(state, range(state.N), [range(state.d)] * state.N, [UNIT_PHASES[m] for m in exponents])
 
 
 @st.composite
@@ -338,16 +352,19 @@ def test_float_report_matches_oracle():
         assert report.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
 
 
+# |+>|+>|0...0>
+PLUS_70 = PureState(N=70, d=2, amplitudes={(a, b) + (0,) * 68: (1, 0) for a in (0, 1) for b in (0, 1)}, r=4)
+
+
 def test_complement_keys_beyond_int64():
     # the complement of one party has 2^69 radix keys
     report = verify_k_uniform(ghz(70, 2), 1)
     assert report.verdict == "pass" and report.max_deviation == 0.0
     assert report == oracle_verify_k_uniform(ghz(70, 2), 1)
-    # |+>|+>|0...0>: complements of the last party differ only in the two
+    # complements of the last party of PLUS_70 differ only in the two
     # parties whose radix weights 2^68 and 2^67 would wrap in int64
-    plus = PureState(N=70, d=2, amplitudes={(a, b) + (0,) * 68: (1, 0) for a in (0, 1) for b in (0, 1)}, r=4)
     for parties in [(69,), (0,), (1, 69)]:
-        assert_same_operator(cross_reduction(plus, plus, parties), oracle_cross_reduction(plus, plus, parties))
+        assert_same_operator(cross_reduction(PLUS_70, PLUS_70, parties), oracle_cross_reduction(PLUS_70, PLUS_70, parties))
 
 
 def test_kept_keys_beyond_pair_key_range():
@@ -368,6 +385,132 @@ def test_numerators_whose_products_overflow_int64(big):
         for s1, s2 in [(s, s), (s, t), (t, s)]:
             assert_same_operator(cross_reduction(s1, s2, parties), oracle_cross_reduction(s1, s2, parties))
     assert verify_k_uniform(s, 1) == oracle_verify_k_uniform(s, 1)
+
+
+# ---------------------------------------------------------------------------
+# the counting pre-check of verify_k_uniform
+
+def graph_state(N: int, edges) -> PureState:
+    """The qubit graph state: every index, sign (-1)^(number of edges with
+    both ends 1).  Every complement is shared by many terms, so the signs
+    alone decide uniformity."""
+    amps = {x: ((-1) ** sum(x[i] * x[j] for i, j in edges), 0) for x in np.ndindex((2,) * N)}
+    return PureState(N=N, d=2, amplitudes=amps, r=2**N)
+
+
+@functools.cache
+def array_states() -> tuple:
+    """Uniform superpositions of irredundant arrays; the example array with
+    party 0 copied, uniform on some pairs only; ame_6_2, whose complements
+    collide."""
+    copied = PureState(N=5, d=3, amplitudes={row + row[:1]: (1, 0) for row in EXAMPLE_ROWS}, r=9)
+    arrays = (ghz(4, 3), example_state(), construct_k_uniform(2, 4, 5), construct_k_uniform(3, 4, 6))
+    return arrays + (copied, load_bundled_state("ame_6_2"))
+
+
+@st.composite
+def counting_cases(draw):
+    """(state, k), 1 <= k <= N / 2: an array state or a random graph state
+    under a party permutation and per-party symbol relabelling, its terms
+    times one common factor, unit phases, Gaussian integers of norm 25, or
+    ones with some terms dropped or one doubled; exact or float."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(array_states()))
+    else:
+        N = draw(st.integers(2, 6))
+        base = graph_state(N, draw(st.lists(st.sampled_from(list(combinations(range(N), 2))), unique=True)))
+    N, d, T = base.N, base.d, base.num_terms
+    parties = draw(st.permutations(range(N)))
+    symbols = [draw(st.permutations(range(d))) for _ in range(N)]
+    kind = draw(st.sampled_from(("common", "unit", "norm 25", "dropped", "doubled")))
+    if kind == "common":
+        factors = [draw(st.sampled_from(UNIT_PHASES + NORM_25))] * T
+    elif kind in ("unit", "norm 25"):
+        values = st.sampled_from(UNIT_PHASES if kind == "unit" else NORM_25)
+        factors = draw(st.lists(values, min_size=T, max_size=T))
+    else:
+        factors = [(1, 0)] * T
+        if kind == "dropped":
+            for t in draw(st.sets(st.integers(0, T - 1), min_size=1, max_size=T - 1)):
+                factors[t] = (0, 0)
+        else:
+            factors[draw(st.integers(0, T - 1))] = (2, 0)
+    state = transformed(base, parties, symbols, factors)
+    if draw(st.integers(0, 3)) == 0:
+        state = from_vector(state.to_vector(), N, d)
+    return state, draw(st.integers(1, N // 2))
+
+
+@settings(max_examples=150)
+@given(case=counting_cases())
+def test_counting_reports_match_oracle(case):
+    state, k = case
+    # dataclass equality: max_deviation bit for bit, failure texts in order
+    assert verify_k_uniform(state, k) == oracle_verify_k_uniform(state, k)
+
+
+def _record_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every call of states.<name>."""
+    calls = []
+    fn = getattr(states_module, name)
+    monkeypatch.setattr(states_module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_kernel_runs_only_where_counting_cannot_pass(monkeypatch):
+    rng = np.random.default_rng(9)
+    phased = phased_four_uniform()
+    moved = transformed(
+        phased, rng.permutation(11).tolist(), [rng.permutation(3).tolist() for _ in range(11)], [(1, 0)] * 729
+    )
+    reduced = _record_calls(monkeypatch, "_reduce")
+    encoded = _record_calls(monkeypatch, "_encode")
+    report = verify_k_uniform(moved, 4)
+    assert report.verdict == "pass" and report.subsets_checked == 330
+    assert reduced == [] and encoded == [(moved, False)]
+    encoded.clear()
+    report = verify_k_uniform(moved, 5)
+    assert report.verdict == "fail" and 0 < len(report.failures) < report.subsets_checked
+    assert [args[2] for args in reduced] == [subset for subset, _ in report.failures]
+    assert encoded == [(moved, False)]
+    # colliding complements and float amplitudes: every subset
+    ame = load_bundled_state("ame_6_2")
+    for state, k in [(ame, 3), (from_vector(ame.to_vector(), 6, 2), 3), (from_vector(example_state().to_vector(), 4, 3), 2)]:
+        reduced.clear()
+        encoded.clear()
+        report = verify_k_uniform(state, k)
+        assert report.verdict == "pass" and [args[2] for args in reduced] == list(combinations(range(state.N), k))
+        assert encoded == [(state, not state.exact)]
+
+
+def _scaled_example(big: int) -> PureState:
+    """example_state with terms big and big * i in turn: one squared modulus big^2."""
+    return transformed(example_state(), range(4), [range(3)] * 4, [(big, 0), (0, big)] * 5)
+
+
+@pytest.mark.parametrize(
+    "state, k, counted",
+    [
+        (ghz(70, 2), 1, False),  # d^N >= 2^63: radix keys would wrap
+        (PLUS_70, 1, False),
+        (_scaled_example(2**31 - 1), 2, True),  # 2 big^2 just below 2^63
+        (_scaled_example(2**31), 2, False),
+        (_scaled_example(2**40 + 1), 2, False),
+        (_scaled_example(2**70 - 3), 2, False),
+        (ghz(4, 3), 2, False),  # 3 terms, d^k = 9
+        (ghz(4, 100), 2, False),  # d^k = 10^4 above the default matrix_dim
+    ],
+    ids=["ghz70", "plus70", "big31-1", "big31", "big40", "big70", "ghz4_3", "ghz4_100"],
+)
+def test_counting_steps_aside(monkeypatch, state, k, counted):
+    reduced = _record_calls(monkeypatch, "_reduce")
+    lengths = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: lengths.append(len(out := bincount(*a, **kw))) or out)
+    report = verify_k_uniform(state, k, cap=10**4)
+    assert len(reduced) == (0 if counted else report.subsets_checked)
+    assert max(lengths, default=0) <= state.num_terms  # no array of length d^k > T
+    assert report == oracle_verify_k_uniform(state, k)
 
 
 # ---------------------------------------------------------------------------
