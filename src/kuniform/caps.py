@@ -2,11 +2,25 @@
 
 Every potentially exponential loop in the package is guarded by a named cap.
 When a cap would be exceeded the operation raises CapExceeded instead of
-degrading to an approximation.  Defaults suit a desk machine; raise them via
-the KUF_CAPS environment variable, a comma-separated list of name=integer
-pairs, e.g.::
+degrading to an approximation.  Defaults suit a desk machine.  The only way
+to change a cap is the KUF_CAPS environment variable, a comma-separated list
+of name=integer pairs read on every check, e.g.::
 
     KUF_CAPS="codewords=33554432,oa_pairs=16384"
+
+Each cap is checked where its memory is allocated:
+
+- field_order: gf.field_new, before the log tables of GF(p^m) are built;
+- codewords: codes.min_distance and codes.dual_distance, on the
+  q^min(t, N-t) codewords of the side whose weights are enumerated;
+- oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
+  of catalog.execute_recipe that builds an array from a code;
+- oa_pairs: oa.oa_min_distance, before the pairwise row scan;
+- matrix_dim: the d^k-wide reductions of states.cross_reduction,
+  states.reduction, states.verify_k_uniform, masking.verify_masker and
+  masking.verify_pure_qecc, and the dense PureState.to_vector and
+  SparseOperator.to_matrix;
+- qecc_ops: masking.verify_pure_qecc, on its subset x pair reductions.
 """
 
 from __future__ import annotations
@@ -25,7 +39,9 @@ DEFAULTS = {
 }
 
 
-def _env_overrides() -> dict[str, int]:
+def _env_caps() -> dict[str, int]:
+    """The caps KUF_CAPS sets; unknown, repeated or non-positive entries
+    raise KuniformError."""
     raw = os.environ.get("KUF_CAPS", "").strip()
     if not raw:
         return {}
@@ -38,28 +54,30 @@ def _env_overrides() -> dict[str, int]:
         name = name.strip()
         if not sep or name not in DEFAULTS:
             raise KuniformError(f"KUF_CAPS: unknown entry {item!r}")
+        if name in out:
+            raise KuniformError(f"KUF_CAPS: {name} is set more than once")
         try:
             out[name] = int(value.strip())
         except ValueError:
             raise KuniformError(f"KUF_CAPS: bad integer in {item!r}") from None
+        if out[name] < 1:
+            raise KuniformError(f"KUF_CAPS: {name} must be positive, got {out[name]}")
     return out
 
 
-def get_cap(name: str, override: int | None = None) -> int:
-    """Resolve a cap: explicit override > KUF_CAPS > default."""
-    if name not in DEFAULTS:
-        raise KeyError(name)
-    if override is not None:
-        return int(override)
-    return _env_overrides().get(name, DEFAULTS[name])
+def get_cap(name: str) -> int:
+    """Resolve a cap: KUF_CAPS if it sets the name, else the default."""
+    return _env_caps().get(name, DEFAULTS[name])
 
 
-def check_cap(name: str, needed: int, override: int | None = None, what: str = "") -> None:
-    """Raise CapExceeded if `needed` exceeds the resolved cap."""
-    cap = get_cap(name, override)
+def check_cap(name: str, needed: int, what: str = "") -> None:
+    """Raise CapExceeded if `needed` exceeds the resolved cap; the message
+    says whether the cap is the default or set in KUF_CAPS."""
+    env = _env_caps()
+    cap = env.get(name, DEFAULTS[name])
     if needed > cap:
-        label = what or name
+        source = "set in KUF_CAPS" if name in env else "default"
         raise CapExceeded(
-            f"{label} needs {needed} > cap {cap} ({name}); "
-            f"raise via KUF_CAPS or an explicit cap argument"
+            f"{what or name} needs {needed} > cap {cap} ({name}, {source}); "
+            f"raise it via KUF_CAPS={name}=<n>"
         )

@@ -194,36 +194,36 @@ def _nearest_rule(k: int, d: int, N: int) -> str:
     )
 
 
-def execute_recipe(recipe: dict, cap: int | None = None) -> PureState:
+def execute_recipe(recipe: dict) -> PureState:
     """Build the state a recipe describes.  Raises on malformed input."""
     rule = recipe.get("rule")
     if rule == "ghz":
         return ghz(recipe["N"], recipe["d"])
     if rule == "mds_trim":
         k, d = recipe["k"], recipe["d"]
-        A = oa_from_code(mds_code(field_for_order(d), k), cap=cap)
+        A = oa_from_code(mds_code(field_for_order(d), k))
         return state_from_iroa(trim_to_iroa(A, k, recipe["N"]), k)
     if rule == "mds_direct_sum":
         k, d = recipe["k"], recipe["d"]
-        base = oa_from_code(mds_code(field_for_order(d), k), cap=cap)
+        base = oa_from_code(mds_code(field_for_order(d), k))
         code = None
         for n in recipe["parts"]:
             part = trim_to_iroa(base, k, n).source_code
             code = part if code is None else direct_sum(code, part)
-        return state_from_iroa(oa_from_code(code, cap=cap), k)
+        return state_from_iroa(oa_from_code(code), k)
     if rule == "bundled_code_trim":
         from .codes import load_bundled_code
 
         k = recipe["k"]
-        A = oa_from_code(load_bundled_code(recipe["name"]), cap=cap)
+        A = oa_from_code(load_bundled_code(recipe["name"]))
         return state_from_iroa(trim_to_iroa(A, k, recipe["N"]), k)
     if rule == "bundled_state":
         return load_bundled_state(recipe["name"])
     if rule == "tensor":
         parts = recipe["parts"]
-        state = execute_recipe(parts[0], cap=cap)
+        state = execute_recipe(parts[0])
         for sub in parts[1:]:
-            state = tensor_parties(state, execute_recipe(sub, cap=cap))
+            state = tensor_parties(state, execute_recipe(sub))
         return state
     raise CatalogError(f"unknown recipe rule {rule!r}")
 
@@ -233,7 +233,6 @@ def construct_k_uniform(
     d: int,
     N: int,
     verify: bool = True,
-    cap: int | None = None,
 ) -> PureState:
     """Build a k-uniform state of N parties with local dimension d.
 
@@ -248,9 +247,9 @@ def construct_k_uniform(
             f"no implemented rule builds a {k}-uniform state for d={d}, "
             f"N={N}: {_nearest_rule(k, d, N)}"
         )
-    state = execute_recipe(recipe, cap=cap)
+    state = execute_recipe(recipe)
     if verify:
-        report = verify_k_uniform(state, k, cap=cap)
+        report = verify_k_uniform(state, k)
         if not report:
             raise KuniformError(
                 f"internal error: recipe {recipe} produced a state that is "

@@ -78,7 +78,7 @@ def _int_spec(text: str) -> list[int]:
 
 
 # -- handlers ----------------------------------------------------------------
-# each returns (ok, inputs, details, text_override)
+# each returns (ok, inputs, details, text)
 
 
 def _cmd_construct_kuniform(args):

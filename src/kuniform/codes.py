@@ -205,11 +205,19 @@ def dual(C: LinearCode) -> LinearCode:
 # codeword enumeration
 
 
-def codeword_matrix(C: LinearCode, cap: int | None = None, cap_name: str = "codewords") -> np.ndarray:
-    """All q^t codewords as a (q^t, N) array, message-order enumeration."""
+def codeword_matrix(C: LinearCode) -> np.ndarray:
+    """All q^t codewords as a (q^t, N) array, message-order enumeration.
+
+    These are the rows of oa.oa_from_code, so the oa_rows cap bounds q^t.
+    """
+    check_cap("oa_rows", C.q**C.t, what=f"codeword enumeration of [{C.N},{C.t}]_{C.q}")
+    return _enumerate(C)
+
+
+def _enumerate(C: LinearCode) -> np.ndarray:
+    """codeword_matrix without the cap check, for callers that checked a
+    cap covering it."""
     F, q, t, N = C.field, C.q, C.t, C.N
-    total = q**t
-    check_cap(cap_name, total, cap, what=f"codeword enumeration of [{N},{t}]_{q}")
     rows = np.zeros((1, N), dtype=np.int64)
     for i in range(t - 1, -1, -1):
         # prepend one message digit: new block = old block + c * G[i]
@@ -219,14 +227,17 @@ def codeword_matrix(C: LinearCode, cap: int | None = None, cap_name: str = "code
 
 
 def _chunked_codewords(C: LinearCode, chunk_rows: int = 1 << 16):
-    """Yield codeword blocks without materializing all q^t rows at once."""
+    """Yield codeword blocks without materializing all q^t rows at once.
+
+    Unchecked: the caller has checked a cap on all q^t codewords.
+    """
     F, q, t, N = C.field, C.q, C.t, C.N
     low = 0
     while q ** (t - low) > chunk_rows and low < t:
         low += 1
     # block spanned by the last (t - low) generators
     tail = LinearCode(F, C.G[low:]) if low < t else None
-    block = codeword_matrix(tail, cap=chunk_rows + 1) if tail is not None else np.zeros((1, N), dtype=np.int64)
+    block = _enumerate(tail) if tail is not None else np.zeros((1, N), dtype=np.int64)
     if low == 0:
         yield block
         return
@@ -255,7 +266,7 @@ def _krawtchouk(j: int, i: int, N: int, q: int) -> int:
     )
 
 
-def _weight_distributions(C: LinearCode, cap: int | None = None) -> tuple[list[int], list[int]]:
+def _weight_distributions(C: LinearCode) -> tuple[list[int], list[int]]:
     """Weight distributions (A_0, ..., A_N) of C and of dual(C).
 
     The side of smaller dimension is enumerated, q^min(t, N-t) codewords;
@@ -268,7 +279,7 @@ def _weight_distributions(C: LinearCode, cap: int | None = None) -> tuple[list[i
     side = C if t <= N - t else dual(C)
     size = q**side.t
     what = f"weight enumerator of [{N},{t}]_{q}"
-    check_cap("codewords", size, cap, what=what)
+    check_cap("codewords", size, what=what)
     counts = np.zeros(N + 1, dtype=np.int64)
     for block in _chunked_codewords(side):
         counts += np.bincount(np.count_nonzero(block, axis=1), minlength=N + 1)
@@ -293,15 +304,15 @@ def _first_nonzero(counts: list[int]) -> int | float:
     return next((w for w in range(1, len(counts)) if counts[w]), math.inf)
 
 
-def _distances(C: LinearCode, cap: int | None) -> None:
+def _distances(C: LinearCode) -> None:
     """Compute and cache both distances from one weight enumerator."""
     if C._w is None or C._w_dual is None:
-        A, B = _weight_distributions(C, cap)
+        A, B = _weight_distributions(C)
         C._w_dual = _first_nonzero(B)
         C._w = _first_nonzero(A)
 
 
-def min_distance(C: LinearCode, cap: int | None = None) -> int | float:
+def min_distance(C: LinearCode) -> int | float:
     """Exact minimum Hamming weight over the nonzero codewords of C.
 
     Read off the weight distribution of C, which is enumerated or, when the
@@ -311,17 +322,17 @@ def min_distance(C: LinearCode, cap: int | None = None) -> int | float:
     it the computation is refused, never approximated.  Both distances are
     cached together.
     """
-    _distances(C, cap)
+    _distances(C)
     return C._w
 
 
-def dual_distance(C: LinearCode, cap: int | None = None) -> int | float:
+def dual_distance(C: LinearCode) -> int | float:
     """Minimum distance of dual(C); infinity sentinel when the dual is zero.
 
     Read off the same pair of weight distributions as min_distance, so the
     codewords cap bounds q^min(t, N-t) here too.  Cached with it.
     """
-    _distances(C, cap)
+    _distances(C)
     return C._w_dual
 
 

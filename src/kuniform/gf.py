@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .caps import check_cap
+from .caps import check_cap, get_cap
 from .errors import KuniformError
 
 
@@ -311,23 +311,27 @@ def _cached_field(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
 
 
-def field_new(p: int, m: int = 1, cap: int | None = None) -> FiniteField:
+def field_new(p: int, m: int = 1) -> FiniteField:
     """Build (or fetch the cached) GF(p^m).
 
     Raises ValueError for non-prime p or m < 1, CapExceeded when p^m is
-    larger than the field_order cap.
+    larger than the field_order cap.  Since p >= 2, p^m exceeds the cap
+    whenever m exceeds its bit length, so the power is taken only up to
+    that exponent: a huge m is refused without computing p^m.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"m = {m} must be positive")
-    check_cap("field_order", p**m, cap, what=f"field order {p}^{m}")
+    bound = get_cap("field_order").bit_length() + 1
+    what = f"field order {p}^{m}" if m <= bound else f"field order {p}^{m} >= {p}^{bound}"
+    check_cap("field_order", p ** min(m, bound), what=what)
     return _cached_field(p, m)
 
 
-def field_for_order(q: int, cap: int | None = None) -> FiniteField:
+def field_for_order(q: int) -> FiniteField:
     """GF(q) for a prime power q; ValueError otherwise."""
     pm = is_prime_power(q)
     if pm is None:
         raise ValueError(f"{q} is not a prime power")
-    return field_new(*pm, cap=cap)
+    return field_new(*pm)

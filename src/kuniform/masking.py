@@ -130,7 +130,6 @@ def build_masker(
     split_party: int,
     k: int,
     tol: float = FLOAT_TOL,
-    cap: int | None = None,
 ) -> Masker:
     """Split one party off a (k+1)-uniform state, yielding a masker whose
     images hide the split symbol from any k parties.
@@ -145,12 +144,12 @@ def build_masker(
         raise MaskingError(f"split party {split_party} out of range for N = {psi.N}")
     if k < 0:
         raise MaskingError("k must be non-negative")
-    uni = verify_k_uniform(psi, k + 1, tol=tol, cap=cap)
+    uni = verify_k_uniform(psi, k + 1, tol=tol)
     if uni.verdict != "pass":
         raise MaskingError(
             f"input is not {k + 1}-uniform (verdict {uni.verdict}); cannot mask k = {k}"
         )
-    marginal = reduction(psi, [split_party], cap=cap)
+    marginal = reduction(psi, [split_party])
     if not marginal.is_maximally_mixed(tol=tol):
         raise MaskingError("split-party marginal is not maximally mixed")
 
@@ -195,7 +194,7 @@ def build_masker(
         images=images,
         provenance=f"split party {split_party} of ({psi.provenance})",
     )
-    report = verify_masker(m, k, tol=tol, cap=cap)
+    report = verify_masker(m, k, tol=tol)
     if report.verdict != "pass":
         raise MaskingError(
             f"masking criterion failed at k = {k} despite {k + 1}-uniform input: "
@@ -221,7 +220,6 @@ def verify_masker(
     tol: float = FLOAT_TOL,
     samples: int = 0,
     seed: int = 0,
-    cap: int | None = None,
 ) -> MaskingReport:
     """Run the full masking criterion at k.
 
@@ -244,9 +242,7 @@ def verify_masker(
         verdict = "pass" if not failures else "fail"
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
 
-    check_cap(
-        "matrix_dim", m.d**k, cap, what=f"reduction onto {k} parties of dimension {m.d}"
-    )
+    check_cap("matrix_dim", m.d**k, what=f"reduction onto {k} parties of dimension {m.d}")
     images = m.images
     subsets = list(combinations(range(m.N), k))
     pairs = [(s, s) for s in range(m.d)] + list(combinations(range(m.d), 2))
@@ -454,7 +450,6 @@ def verify_pure_qecc(
     basis: list,
     delta: int,
     tol: float = PAULI_TOL,
-    cap: int | None = None,
 ) -> QeccReport:
     """Check that `basis` spans a pure ((N, K, delta))_d code.
 
@@ -466,8 +461,8 @@ def verify_pure_qecc(
     i <= j, Tr over the complement of S of |psi_j><psi_i| must be I / d^k
     when i == j and zero otherwise.  Exact reductions are decided exactly
     for every d; a reduction of float states passes when its largest
-    non-identity Pauli coefficient is at most tol.  cap bounds the number
-    of pair reductions (cap name qecc_ops).
+    non-identity Pauli coefficient is at most tol.  The qecc_ops cap bounds
+    the number of pair reductions, the matrix_dim cap their dimension d^k.
 
     ops_checked counts the errors covered, sum over 1 <= w < delta of
     C(N, w) (d^2 - 1)^w, not operators iterated.  failures holds one
@@ -506,7 +501,6 @@ def verify_pure_qecc(
     check_cap(
         "qecc_ops",
         len(subsets) * len(pairs),
-        cap,
         what=f"{len(subsets)} x {len(pairs)} pair reductions onto {k} parties",
     )
     dim = d**k
@@ -572,14 +566,22 @@ def load_masker(directory: str | Path, tol: float = FLOAT_TOL) -> Masker:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: {exc}") from None
-    if manifest.get("format") != "masker":
+    if not isinstance(manifest, dict) or manifest.get("format") != "masker":
         raise ParseError(f"{manifest_path}: not a masker bundle")
-    images = [load_state(directory / name) for name in manifest["images"]]
+    names = manifest.get("images")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ParseError(f"{manifest_path}: images must be a list of file names")
+    manifest.setdefault("verified_k", -1)
+    for key in ("d", "N", "verified_k"):
+        value = manifest.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(f"{manifest_path}: {key} must be an integer, got {value!r}")
+    images = [load_state(directory / name) for name in names]
     m = Masker(
-        d=int(manifest["d"]),
-        N=int(manifest["N"]),
+        d=manifest["d"],
+        N=manifest["N"],
         images=images,
-        verified_k=int(manifest.get("verified_k", -1)),
+        verified_k=manifest["verified_k"],
         provenance=str(manifest.get("provenance", str(directory))),
     )
     for s, t in combinations(range(m.d), 2):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codes
-from .caps import check_cap, get_cap
+from .caps import check_cap
 from .errors import KuniformError, NotIrredundant, ParseError, RankDeficient
 
 __all__ = [
@@ -77,16 +77,16 @@ class OrthogonalArray:
         return f"OA({self.r},{self.N},{self.d},{self.k})"
 
 
-def oa_from_code(C: codes.LinearCode, cap: int | None = None) -> OrthogonalArray:
+def oa_from_code(C: codes.LinearCode) -> OrthogonalArray:
     """All codewords of C as an OA(q^t, N, q, w_dual - 1).
 
     The strength comes from the dual distance; for the full space (dual
-    distance sentinel inf) the strength saturates at N.
+    distance sentinel inf) the strength saturates at N.  The q^t rows are
+    bounded by the oa_rows cap, which codes.codeword_matrix checks.
     """
     if C.t == 0:
         raise ValueError("zero code has a single row; not a useful array")
-    check_cap("oa_rows", C.q**C.t, cap, what=f"OA rows from [{C.N},{C.t}]_{C.q}")
-    rows = codes.codeword_matrix(C, cap=get_cap("oa_rows", cap), cap_name="oa_rows")
+    rows = codes.codeword_matrix(C)
     wd = codes.dual_distance(C)
     k = C.N if wd == math.inf else min(int(wd) - 1, C.N)
     return OrthogonalArray(
@@ -117,7 +117,7 @@ def verify_strength(A: OrthogonalArray, k: int) -> bool:
     return True
 
 
-def oa_min_distance(A: OrthogonalArray, cap: int | None = None) -> int | float:
+def oa_min_distance(A: OrthogonalArray) -> int | float:
     """Exact minimum Hamming distance between distinct rows; 0 when the
     array has duplicate rows, infinity sentinel for a single-row array.
 
@@ -129,7 +129,7 @@ def oa_min_distance(A: OrthogonalArray, cap: int | None = None) -> int | float:
     C = A.source_code
     if C is not None and C.q == A.d and C.q**C.t == A.r:
         return codes.min_distance(C)
-    check_cap("oa_pairs", A.r, cap, what=f"pairwise distance scan over {A.r} rows")
+    check_cap("oa_pairs", A.r, what=f"pairwise distance scan over {A.r} rows")
     best: int | float = math.inf
     for i in range(A.r - 1):
         dist = np.count_nonzero(A.rows[i + 1 :] != A.rows[i], axis=1)

@@ -92,7 +92,7 @@ class PureState:
             if self.r != 1:
                 raise ValueError("float states use r = 1")
             norm = sum(abs(v) ** 2 for v in self.amplitudes.values())
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
                 raise NormError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
 
     @property
@@ -103,10 +103,10 @@ class PureState:
         """Amplitude items in lexicographic index order."""
         return sorted(self.amplitudes.items())
 
-    def to_vector(self, cap: int | None = None) -> np.ndarray:
+    def to_vector(self) -> np.ndarray:
         """Dense normalized amplitude vector, radix order."""
         dim = self.d**self.N
-        check_cap("matrix_dim", dim, cap, what=f"dense vector of length {dim}")
+        check_cap("matrix_dim", dim, what=f"dense vector of length {dim}")
         vec = np.zeros(dim, dtype=complex)
         scale = 1.0 / math.sqrt(self.r)
         for idx, amp in self.amplitudes.items():
@@ -154,8 +154,8 @@ class SparseOperator:
             return (a, b)
         return sum(v for (r, c), v in self.entries.items() if r == c)
 
-    def to_matrix(self, cap: int | None = None) -> np.ndarray:
-        check_cap("matrix_dim", self.dim, cap, what=f"dense {self.dim} x {self.dim} operator")
+    def to_matrix(self) -> np.ndarray:
+        check_cap("matrix_dim", self.dim, what=f"dense {self.dim} x {self.dim} operator")
         M = np.zeros((self.dim, self.dim), dtype=complex)
         scale = 1.0 / math.sqrt(self.r_ket * self.r_bra)
         for (row, col), val in self.entries.items():
@@ -511,9 +511,7 @@ def _operator(s1: PureState, s2: PureState, red: _Reduced) -> SparseOperator:
     )
 
 
-def cross_reduction(
-    s1: PureState, s2: PureState, parties, cap: int | None = None
-) -> SparseOperator:
+def cross_reduction(s1: PureState, s2: PureState, parties) -> SparseOperator:
     """Trace of |s1><s2| over the complement of `parties`.
 
     The masking criterion needs exactly this: the result must vanish for
@@ -525,17 +523,16 @@ def cross_reduction(
     check_cap(
         "matrix_dim",
         s1.d ** len(parties),
-        cap,
         what=f"reduction onto {len(parties)} parties of dimension {s1.d}",
     )
     [(_, _, red)] = _reductions([s1, s2], [parties], [(0, 1)])
     return _operator(s1, s2, red)
 
 
-def reduction(state: PureState, parties, cap: int | None = None) -> SparseOperator:
+def reduction(state: PureState, parties) -> SparseOperator:
     """Reduced density operator of `state` on `parties`, exact when the
     state is exact."""
-    return cross_reduction(state, state, parties, cap=cap)
+    return cross_reduction(state, state, parties)
 
 
 def inner_product(s1: PureState, s2: PureState) -> InnerProduct:
@@ -601,7 +598,6 @@ def verify_k_uniform(
     state: PureState,
     k: int,
     tol: float = 1e-10,
-    cap: int | None = None,
 ) -> UniformityReport:
     """Check every reduction onto k parties against I / d^k.
 
@@ -624,7 +620,7 @@ def verify_k_uniform(
     if k > state.N // 2:
         return UniformityReport(state.N, state.d, k, "impossible", 0, [])
     dim = state.d**k
-    check_cap("matrix_dim", dim, cap, what=f"reductions of dimension {dim}")
+    check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
 
     subsets = list(combinations(range(state.N), k))
     floats = not state.exact
@@ -651,7 +647,7 @@ def from_vector(vec, N: int, d: int, tol: float = NORM_TOL) -> PureState:
     if vec.size != d**N:
         raise ValueError(f"vector length {vec.size} is not d^N = {d ** N}")
     norm = float(np.sum(np.abs(vec) ** 2))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also refuses a NaN norm
         raise NormError(f"squared norm {norm!r} deviates from 1 beyond {tol}")
     amps = {}
     for pos in np.flatnonzero(vec):

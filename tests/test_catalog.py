@@ -16,7 +16,7 @@ from kuniform.catalog import (
     facts_for,
     standard_rows,
 )
-from kuniform.errors import CapExceeded, CatalogError, ConstructionUnavailable
+from kuniform.errors import CatalogError, ConstructionUnavailable
 from kuniform.masking import strong_masking_feasible
 from kuniform.states import verify_k_uniform
 
@@ -189,13 +189,6 @@ def test_construct_validates_arguments():
             construct_k_uniform(*bad)
         with pytest.raises(ValueError):
             exists_k_uniform(*bad)
-
-
-def test_construct_cap_is_an_int():
-    # the [10, 2]_9 MDS code has 81 codewords, one OA row each
-    with pytest.raises(CapExceeded, match="oa_rows"):
-        construct_k_uniform(2, 9, 10, cap=80)
-    assert construct_k_uniform(2, 9, 10, cap=81).num_terms == 81
 
 
 def test_execute_recipe_rejects_unknown_rule():

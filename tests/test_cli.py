@@ -115,6 +115,32 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "direct-sum" in capsys.readouterr().err
 
 
+def test_nan_state_is_refused(tmp_path, capsys):
+    path = tmp_path / "nan.state"
+    path.write_text("state 2 2 1 float\n0 0 1.0 0.0\n1 1 nan 0.0\n")
+    assert run(["verify", "state", "--k", "1", str(path)]) == (1, None)
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ['{"format": "masker", "d": 2, "N": 2}', '["format", "masker"]', '{"format": "masker", "d": 2, "N": 2, "images": 5}'],
+    ids=["no_images", "list", "images_int"],
+)
+def test_malformed_masker_manifest_exits_1(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert run(["mask", "verify", str(tmp_path), "--k", "1"]) == (1, None)
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_huge_field_is_refused_before_its_order_is_computed(tmp_path, capsys):
+    path = tmp_path / "huge.code"
+    path.write_text("code 2 20000 3 1\n1 0 1\n")
+    assert run(["verify", "code", str(path)]) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field_order" in err
+
+
 def test_int_spec_forms():
     assert _int_spec("4") == [4]
     assert _int_spec("8..11") == [8, 9, 10, 11]

@@ -169,14 +169,15 @@ def test_min_distance_matches_pairwise_oracle():
         assert min_distance(C) == oracle
 
 
-def test_min_distance_cap_refusal():
+def test_min_distance_cap_refusal(monkeypatch):
     # [17,8]_16: 16^8 codewords and 16^9 dual codewords, both over the cap
     for distance in (min_distance, dual_distance):
         with pytest.raises(CapExceeded, match="codewords"):
             distance(mds_code(field_for_order(16), 8))
-    # explicit tiny cap refuses even small codes
-    with pytest.raises(CapExceeded):
-        min_distance(mds_code(F3, 2), cap=5)
+    # a tiny cap refuses even small codes
+    monkeypatch.setenv("KUF_CAPS", "codewords=5")
+    with pytest.raises(CapExceeded, match="codewords"):
+        min_distance(mds_code(F3, 2))
 
 
 def brute_weights(C: LinearCode) -> list[int]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from kuniform import CapExceeded
+from kuniform.errors import KuniformError
 from kuniform.gf import (
     FiniteField,
     field_for_order,
@@ -191,12 +192,32 @@ def test_element_coeff_roundtrip():
 
 
 def test_kuf_caps_env(monkeypatch):
-    from kuniform.caps import get_cap
+    from kuniform.caps import check_cap, get_cap
 
     monkeypatch.setenv("KUF_CAPS", "codewords=123, oa_pairs=456")
     assert get_cap("codewords") == 123
     assert get_cap("oa_pairs") == 456
     assert get_cap("matrix_dim") == 4096
-    monkeypatch.setenv("KUF_CAPS", "bogus=1")
-    with pytest.raises(Exception):
-        get_cap("codewords")
+    unknown = ["bogus=1", "codewords", "codewords=x"]
+    for bad in unknown + ["matrix_dim=0", "matrix_dim=-1", "matrix_dim=-1,matrix_dim=0", "oa_rows=5, oa_rows=5"]:
+        monkeypatch.setenv("KUF_CAPS", bad)
+        with pytest.raises(KuniformError, match="KUF_CAPS"):
+            get_cap("codewords")
+        with pytest.raises(KuniformError, match="KUF_CAPS"):
+            check_cap("codewords", 1)
+    monkeypatch.setenv("KUF_CAPS", " , matrix_dim = 1 ,")
+    assert get_cap("matrix_dim") == 1
+    with pytest.raises(KeyError):
+        get_cap("bogus")
+
+
+def test_huge_field_refused_without_its_order():
+    with pytest.raises(CapExceeded, match=r"field order 2\^1000000 >= 2\^18 needs 262144 > cap 65536 \(field_order"):
+        field_new(2, 10**6)
+    # at and just past the bit length of the cap the order is exact
+    with pytest.raises(CapExceeded, match=r"field order 2\^17 needs 131072 > cap 65536 \(field_order, default\)"):
+        field_new(2, 17)
+    with pytest.raises(CapExceeded, match=r"field order 3\^18 needs 387420489 "):
+        field_new(3, 18)
+    with pytest.raises(CapExceeded, match=r"field order 3\^19 >= 3\^18 needs 387420489 "):
+        field_new(3, 19)

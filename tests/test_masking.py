@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -217,9 +218,11 @@ def test_masker_encodes_each_state_once(monkeypatch, mode, k, samples):
 
 def test_masker_cap_checked_once(monkeypatch):
     m = qubit_masker()
+    monkeypatch.setenv("KUF_CAPS", "matrix_dim=3")
     with pytest.raises(CapExceeded, match="matrix_dim"):
-        verify_masker(m, 2, cap=3)
-    assert verify_masker(m, 2, cap=4).verdict == "pass"
+        verify_masker(m, 2)
+    monkeypatch.setenv("KUF_CAPS", "matrix_dim=4")
+    assert verify_masker(m, 2).verdict == "pass"
     calls = []
     check_cap = masking.check_cap
     monkeypatch.setattr(masking, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
@@ -455,9 +458,11 @@ def test_qecc_exact_for_every_d():
 def test_qecc_ops_cap(monkeypatch):
     # ame_6_2 at delta = 4 needs C(6, 3) = 20 pair reductions
     ame = load_bundled_state("ame_6_2")
+    monkeypatch.setenv("KUF_CAPS", "qecc_ops=19")
     with pytest.raises(CapExceeded, match="qecc_ops"):
-        verify_pure_qecc([ame], 4, cap=19)
-    assert verify_pure_qecc([ame], 4, cap=20).verdict == "pass"
+        verify_pure_qecc([ame], 4)
+    monkeypatch.setenv("KUF_CAPS", "qecc_ops=20")
+    assert verify_pure_qecc([ame], 4).verdict == "pass"
     monkeypatch.setenv("KUF_CAPS", "qecc_ops=100")
     report = verify_pure_qecc([ame], 4)  # 693 errors covered by 20 reductions
     assert report.verdict == "pass" and report.ops_checked == 693
@@ -476,12 +481,10 @@ def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
         assert verify_pure_qecc(basis, 3).verdict == "pass"
         assert len(encodes) == len(set(encodes)) == n_encodes
         assert sorted(calls) == ["matrix_dim", "qecc_ops"]
-    # 2^13 > 4096: one reduction, refused before any state is encoded;
-    # cap= sets only qecc_ops
+    # 2^13 > 4096: one reduction, refused before any state is encoded
     encodes.clear()
-    for cap in (None, 1 << 20):
-        with pytest.raises(CapExceeded, match="matrix_dim"):
-            verify_pure_qecc([ghz(13, 2)], 14, cap=cap)
+    with pytest.raises(CapExceeded, match="matrix_dim"):
+        verify_pure_qecc([ghz(13, 2)], 14)
     assert not encodes
 
 
@@ -706,6 +709,25 @@ def test_masker_bundle_round_trip(tmp_path):
     for a, b in zip(loaded.images, m.images):
         assert a.amplitudes == b.amplitudes and a.r == b.r
     assert verify_masker(loaded, 1).verdict == "pass"
+
+
+MALFORMED_MANIFESTS = {
+    "no_images": {"format": "masker", "d": 3, "N": 3},
+    "list": ["format", "masker"],
+    "images_int": {"format": "masker", "d": 3, "N": 3, "images": 5},
+    "images_of_ints": {"format": "masker", "d": 3, "N": 3, "images": [0, 1, 2]},
+    "d_string": {"format": "masker", "d": "3", "N": 3, "images": []},
+    "N_missing": {"format": "masker", "d": 3, "images": []},
+    "verified_k_float": {"format": "masker", "d": 3, "N": 3, "verified_k": 1.5, "images": []},
+    "d_bool": {"format": "masker", "d": True, "N": 3, "images": []},
+}
+
+
+@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+def test_malformed_manifest_is_a_parse_error(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match="manifest.json"):
+        load_masker(tmp_path)
 
 
 def test_masker_bundle_errors(tmp_path):

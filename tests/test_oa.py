@@ -173,12 +173,13 @@ def test_min_distance_duplicates_and_single_row():
     assert oa_min_distance(single) == math.inf
 
 
-def test_min_distance_pair_cap():
+def test_min_distance_pair_cap(monkeypatch):
     from kuniform.errors import CapExceeded
 
     A = example_array()
-    with pytest.raises(CapExceeded):
-        oa_min_distance(A, cap=4)
+    monkeypatch.setenv("KUF_CAPS", "oa_pairs=4")
+    with pytest.raises(CapExceeded, match="oa_pairs"):
+        oa_min_distance(A)
 
 
 # ---------------------------------------------------------------------------

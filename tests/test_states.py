@@ -156,15 +156,18 @@ def test_reduction_matches_dense_oracle_random_float(seed=7):
             assert np.allclose(got, want, atol=1e-12)
 
 
-def test_reduction_cap():
+def test_reduction_cap(monkeypatch):
     s = ghz(4, 4)
-    with pytest.raises(CapExceeded):
-        reduction(s, [0, 1], cap=8)
+    monkeypatch.setenv("KUF_CAPS", "matrix_dim=8")
+    with pytest.raises(CapExceeded, match="matrix_dim"):
+        reduction(s, [0, 1])
 
 
 def test_uniformity_cap_checked_once_per_call(monkeypatch):
-    with pytest.raises(CapExceeded, match="matrix_dim"):
-        verify_k_uniform(ghz(4, 4), 2, cap=8)
+    with monkeypatch.context() as env:
+        env.setenv("KUF_CAPS", "matrix_dim=8")
+        with pytest.raises(CapExceeded, match="matrix_dim"):
+            verify_k_uniform(ghz(4, 4), 2)
     calls = []
     monkeypatch.setattr(
         states_module, "check_cap", lambda *args, **kw: calls.append(args) or check_cap(*args, **kw)
@@ -261,8 +264,9 @@ def reduction_cases(draw):
 @given(case=reduction_cases(), block=st.sampled_from((1, 5, states_module._PAIR_BLOCK)))
 def test_kernel_matches_dict_oracle(case, block):
     s1, s2, parties = case
-    with mock.patch.object(states_module, "_PAIR_BLOCK", block):
-        got = cross_reduction(s1, s2, parties, cap=s1.d ** len(parties))
+    with mock.patch.object(states_module, "_PAIR_BLOCK", block), pytest.MonkeyPatch.context() as env:
+        env.setenv("KUF_CAPS", f"matrix_dim={s1.d ** len(parties)}")
+        got = cross_reduction(s1, s2, parties)
     assert_same_operator(got, oracle_cross_reduction(s1, s2, parties))
 
 
@@ -367,11 +371,12 @@ def test_complement_keys_beyond_int64():
         assert_same_operator(cross_reduction(PLUS_70, PLUS_70, parties), oracle_cross_reduction(PLUS_70, PLUS_70, parties))
 
 
-def test_kept_keys_beyond_pair_key_range():
+def test_kept_keys_beyond_pair_key_range(monkeypatch):
     # 2^34 kept radix keys: row key * 2^34 + col key would wrap in int64 and
     # merge entries whose row keys differ by 2^30, as these two terms' do
     s = PureState(N=34, d=2, amplitudes={(0,) * 34: (1, 0), (0, 0, 0, 1) + (0,) * 30: (0, 1)}, r=2)
-    rho = cross_reduction(s, s, range(34), cap=1 << 34)
+    monkeypatch.setenv("KUF_CAPS", f"matrix_dim={1 << 34}")
+    rho = cross_reduction(s, s, range(34))
     assert_same_operator(rho, oracle_cross_reduction(s, s, range(34)))
     assert len(rho.entries) == 4  # |s><s| itself
 
@@ -507,7 +512,8 @@ def test_counting_steps_aside(monkeypatch, state, k, counted):
     lengths = []
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **kw: lengths.append(len(out := bincount(*a, **kw))) or out)
-    report = verify_k_uniform(state, k, cap=10**4)
+    monkeypatch.setenv("KUF_CAPS", f"matrix_dim={10**4}")
+    report = verify_k_uniform(state, k)
     assert len(reduced) == (0 if counted else report.subsets_checked)
     assert max(lengths, default=0) <= state.num_terms  # no array of length d^k > T
     assert report == oracle_verify_k_uniform(state, k)
@@ -669,9 +675,18 @@ def test_parse_state_errors():
         parse_state("# nothing\n")
 
 
+@pytest.mark.parametrize("bad", ["nan 0", "0 nan", "inf 0", "nan nan"])
+def test_parse_state_refuses_non_finite_norm(bad):
+    with pytest.raises(NormError):
+        parse_state(f"state 2 2 1 float\n0 0 1.0 0.0\n1 1 {bad}\n")
+
+
 def test_from_vector_norm_check():
     with pytest.raises(NormError):
         from_vector(np.array([1.0, 1.0]), 1, 2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NormError):
+            from_vector(np.array([1.0, 0.0, 0.0, bad]), 2, 2)
     with pytest.raises(ValueError):
         from_vector(np.zeros(3), 1, 2)
 
