@@ -10,16 +10,18 @@ of name=integer pairs read on every check, e.g.::
 
 Each cap is checked where its memory is allocated:
 
-- field_order: gf.field_new, before the log tables of GF(p^m) are built;
+- field_order: gf.field_new and gf.field_for_order, before p or q is
+  factored and the log tables of GF(p^m) are built;
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
 - oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
   of catalog.execute_recipe that builds an array from a code;
 - oa_pairs: oa.oa_min_distance, before the pairwise row scan;
 - matrix_dim: the d^k-wide reductions of states.cross_reduction,
-  states.reduction, states.verify_k_uniform, masking.verify_masker and
-  masking.verify_pure_qecc, and the dense PureState.to_vector and
-  SparseOperator.to_matrix;
+  states.reduction, masking.verify_masker and masking.verify_pure_qecc, of
+  states.verify_k_uniform when some subset is left for the reduction kernel
+  after its counting check (which allocates at most one count per term),
+  and the dense PureState.to_vector and SparseOperator.to_matrix;
 - qecc_ops: masking.verify_pure_qecc, on its subset x pair reductions.
 """
 

@@ -25,7 +25,7 @@ from .codes import (
     save_code,
 )
 from .errors import KuniformError
-from .gf import field_new, is_prime_power
+from .gf import field_for_order
 
 
 def _digest(path: str | Path) -> str:
@@ -109,10 +109,7 @@ def _cmd_construct_ghz(args):
 
 
 def _cmd_construct_mds(args):
-    if is_prime_power(args.q) is None:
-        raise KuniformError(f"q = {args.q} is not a prime power")
-    p, m = is_prime_power(args.q)
-    C = mds_code(field_new(p, m), args.t)
+    C = mds_code(field_for_order(args.q), args.t)
     details = {
         "q": args.q,
         "n": C.N,

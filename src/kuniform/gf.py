@@ -317,21 +317,27 @@ def field_new(p: int, m: int = 1) -> FiniteField:
     Raises ValueError for non-prime p or m < 1, CapExceeded when p^m is
     larger than the field_order cap.  Since p >= 2, p^m exceeds the cap
     whenever m exceeds its bit length, so the power is taken only up to
-    that exponent: a huge m is refused without computing p^m.
+    that exponent: a huge m is refused without computing p^m.  The cap is
+    checked before p is tested for primality, so a huge p is refused
+    without trial division.
     """
-    if not is_prime(p):
+    if p < 2:
         raise ValueError(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"m = {m} must be positive")
     bound = get_cap("field_order").bit_length() + 1
     what = f"field order {p}^{m}" if m <= bound else f"field order {p}^{m} >= {p}^{bound}"
     check_cap("field_order", p ** min(m, bound), what=what)
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     return _cached_field(p, m)
 
 
 def field_for_order(q: int) -> FiniteField:
-    """GF(q) for a prime power q; ValueError otherwise."""
+    """GF(q) for a prime power q; ValueError otherwise.  A q above the
+    field_order cap is refused before it is factored."""
+    check_cap("field_order", q, what=f"field order {q}")
     pm = is_prime_power(q)
     if pm is None:
         raise ValueError(f"{q} is not a prime power")
-    return field_new(*pm)
+    return _cached_field(*pm)

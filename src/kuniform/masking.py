@@ -571,6 +571,10 @@ def load_masker(directory: str | Path, tol: float = FLOAT_TOL) -> Masker:
     names = manifest.get("images")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ParseError(f"{manifest_path}: images must be a list of file names")
+    for name in names:
+        # only files inside the bundle, which are the files its digest covers
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ParseError(f"{manifest_path}: image {name!r} is not a bare file name")
     manifest.setdefault("verified_k", -1)
     for key in ("d", "N", "verified_k"):
         value = manifest.get(key)

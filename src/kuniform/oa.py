@@ -4,9 +4,16 @@ An array has strength k when every r x k subarray contains each k-tuple over
 the symbol set exactly r/d^k times, and it is irredundant for k when on top
 of that any two distinct rows differ in more than k positions, so that
 deleting any k columns leaves the remaining rows pairwise distinct.
-is_irredundant decides it through the minimum row distance.  Arrays built
-from a linear code keep a reference to it so minimum-distance queries can
-reuse the code-level enumeration instead of an all-pairs scan.
+check_irredundant decides it through the minimum row distance and names
+the criterion that fails.
+
+Arrays built from a linear code keep a reference to it, and both criteria
+are then read off the code: its codebook has strength exactly w_dual - 1
+(Delsarte; Hedayat, Sloane & Stufken, Orthogonal Arrays, Thm 3.29) and
+minimum row distance w, both from one weight enumerator.  The exhaustive
+C(N, k) strength scan and the pairwise distance scan run only for arrays
+without a code: arrays loaded from files, and column slices whose code
+lost rank.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "verify_strength",
     "oa_min_distance",
     "is_irredundant",
+    "check_irredundant",
     "delete_columns",
     "trim_to_iroa",
     "load_oa",
@@ -41,6 +49,7 @@ class OrthogonalArray:
     rows: np.ndarray  # shape (r, N), dtype int64
     k: int  # claimed strength; verify_strength checks it
     provenance: str = ""
+    # when set, the rows are exactly the codewords of this code
     source_code: codes.LinearCode | None = None
 
     def __post_init__(self):
@@ -56,6 +65,12 @@ class OrthogonalArray:
         if self.k > 0 and rows.shape[0] % self.d**self.k:
             raise ValueError(
                 f"row count {rows.shape[0]} is not a multiple of d^k = {self.d ** self.k}"
+            )
+        C = self.source_code
+        if C is not None and (C.q, C.N, C.q**C.t) != (self.d, rows.shape[1], rows.shape[0]):
+            raise ValueError(
+                f"source code {C} does not have the (q, N, q^t) = "
+                f"({self.d}, {rows.shape[1]}, {rows.shape[0]}) of the rows"
             )
         rows.setflags(write=False)
         self.rows = rows
@@ -99,9 +114,21 @@ def oa_from_code(C: codes.LinearCode) -> OrthogonalArray:
 
 
 def verify_strength(A: OrthogonalArray, k: int) -> bool:
-    """Exhaustively check strength k over all C(N, k) column subsets."""
+    """Whether A has strength k.
+
+    An array with a source code has strength exactly w_dual - 1, so the
+    answer is k < dual_distance; any other array is scanned over all C(N, k)
+    column subsets.
+    """
     if not 0 <= k <= A.N:
         raise ValueError(f"strength {k} outside [0, {A.N}]")
+    if A.source_code is not None:
+        return k < codes.dual_distance(A.source_code)
+    return _scan_strength(A, k)
+
+
+def _scan_strength(A: OrthogonalArray, k: int) -> bool:
+    """Strength k by counting the k-tuples of every column subset."""
     if k == 0:
         return True
     block = A.d**k
@@ -121,14 +148,13 @@ def oa_min_distance(A: OrthogonalArray) -> int | float:
     """Exact minimum Hamming distance between distinct rows; 0 when the
     array has duplicate rows, infinity sentinel for a single-row array.
 
-    Reuses the source code's minimum distance when the rows are exactly a
-    linear code's codebook; otherwise runs the pairwise scan (capped).
+    Reuses the source code's minimum distance when the array has one;
+    otherwise runs the pairwise scan (capped).
     """
     if A.r == 1:
         return math.inf
-    C = A.source_code
-    if C is not None and C.q == A.d and C.q**C.t == A.r:
-        return codes.min_distance(C)
+    if A.source_code is not None:
+        return codes.min_distance(A.source_code)
     check_cap("oa_pairs", A.r, what=f"pairwise distance scan over {A.r} rows")
     best: int | float = math.inf
     for i in range(A.r - 1):
@@ -141,9 +167,27 @@ def oa_min_distance(A: OrthogonalArray) -> int | float:
     return best
 
 
+def check_irredundant(A: OrthogonalArray, k: int) -> int | float:
+    """The minimum row distance of A, once A is known irredundant for k.
+
+    Raises NotIrredundant naming the first criterion that fails: strength
+    k, then minimum row distance above k.
+    """
+    if not verify_strength(A, k):
+        raise NotIrredundant(f"{A} does not have strength {k}")
+    w = oa_min_distance(A)
+    if w <= k:
+        raise NotIrredundant(f"minimum row distance {w} is not above k = {k}")
+    return w
+
+
 def is_irredundant(A: OrthogonalArray, k: int) -> bool:
     """Strength k and minimum row distance > k."""
-    return verify_strength(A, k) and oa_min_distance(A) >= k + 1
+    try:
+        check_irredundant(A, k)
+    except NotIrredundant:
+        return False
+    return True
 
 
 def delete_columns(A: OrthogonalArray, cols) -> OrthogonalArray:
@@ -151,7 +195,7 @@ def delete_columns(A: OrthogonalArray, cols) -> OrthogonalArray:
 
     Minimum distance may drop by at most len(cols).  When the source code's
     matching column slice keeps full rank the sliced code rides along so
-    distance queries stay cheap.
+    strength and distance queries stay cheap.
     """
     cols = sorted(set(int(c) for c in cols))
     if any(c < 0 or c >= A.N for c in cols):
@@ -178,13 +222,10 @@ def trim_to_iroa(A: OrthogonalArray, k: int, target_N: int) -> OrthogonalArray:
     """Trim trailing columns down to target_N, yielding an irredundant OA.
 
     Requires strength k and minimum distance w > k; the admissible window is
-    N - w + k + 1 <= target_N <= N.  The result is re-verified irredundant.
+    N - w + k + 1 <= target_N <= N.  The result is re-verified irredundant,
+    from the trimmed code's distances when the array has a code.
     """
-    if not verify_strength(A, k):
-        raise NotIrredundant(f"{A} does not have strength {k}")
-    w = oa_min_distance(A)
-    if w <= k:
-        raise NotIrredundant(f"minimum distance {w} is not above k = {k}")
+    w = check_irredundant(A, k)
     lo = A.N - (w if w != math.inf else A.N) + k + 1
     lo = max(lo, k + 1)
     if not lo <= target_N <= A.N:

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .caps import check_cap
-from .errors import KuniformError, NormError, NotIrredundant, ParseError
-from .oa import OrthogonalArray, oa_min_distance, verify_strength
+from .errors import KuniformError, NormError, ParseError
+from .oa import OrthogonalArray, check_irredundant
 
 __all__ = [
     "PureState",
@@ -222,14 +222,10 @@ def ghz(N: int, d: int) -> PureState:
 def state_from_iroa(A: OrthogonalArray, k: int) -> PureState:
     """Uniform superposition of the rows of an irredundant strength-k array.
 
-    Each criterion failure is named: missing strength, or minimum row
-    distance at most k.
+    oa.check_irredundant decides it and names the failing criterion:
+    missing strength, or minimum row distance at most k.
     """
-    if not verify_strength(A, k):
-        raise NotIrredundant(f"{A} does not have strength {k}")
-    w = oa_min_distance(A)
-    if w <= k:
-        raise NotIrredundant(f"minimum row distance {w} is not above k = {k}")
+    check_irredundant(A, k)
     amps = {tuple(int(x) for x in row): (1, 0) for row in A.rows}
     return PureState(
         N=A.N,
@@ -611,7 +607,9 @@ def verify_k_uniform(
     irredundant-array criterion); the reduction is then diagonal and
     exactly I / d^k.  Every other subset, and every subset of a float
     state, goes through the pair-reduction kernel, which alone reports
-    failures and deviations.
+    failures and deviations.  The matrix_dim cap bounds that kernel's d^k
+    wide reductions, so it is checked only when some subset is left for
+    it; the counting check allocates at most T counts per subset.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")
@@ -620,13 +618,13 @@ def verify_k_uniform(
     if k > state.N // 2:
         return UniformityReport(state.N, state.d, k, "impossible", 0, [])
     dim = state.d**k
-    check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-
     subsets = list(combinations(range(state.N), k))
     floats = not state.exact
     e = _encode(state, floats)
     passes = _counting_check(e, state.d, k)
     unpassed = subsets if passes is None else [s for s in subsets if not passes(s)]
+    if unpassed:
+        check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
     failures = []
     max_dev = 0.0
     for subset, _, red in _reductions([state], unpassed, [(0, 0)], {(id(state), floats): e}):

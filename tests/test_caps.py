@@ -34,7 +34,9 @@ def sites():
     """cap name -> (its limit, a site needing one more than that).
 
     Besides its own cap a site needs at most: field_order 9, codewords 81,
-    matrix_dim 8, each below the limit of that cap."""
+    matrix_dim 8, each below the limit of that cap.  The matrix_dim site
+    checks k = 3 on a state of strength 2, so its subsets reach the
+    reduction kernel: 9^3 does not divide its 81 terms."""
     state = construct_k_uniform(2, 9, 10, verify=False)  # 81 terms
     ame = load_bundled_state("ame_6_2")
     return {
@@ -42,7 +44,7 @@ def sites():
         "codewords": (342, lambda: min_distance(_fresh(mds_code(field_for_order(7), 3)))),
         "oa_rows": (80, lambda: oa_from_code(_fresh(mds_code(field_for_order(9), 2)))),
         "oa_pairs": (8, lambda: oa_min_distance(OrthogonalArray(d=3, rows=np.array(PAIR_ROWS), k=2))),
-        "matrix_dim": (80, lambda: verify_k_uniform(state, 2)),
+        "matrix_dim": (728, lambda: verify_k_uniform(state, 3)),
         "qecc_ops": (19, lambda: verify_pure_qecc([ame], 4)),  # C(6, 3) pair reductions
     }
 
@@ -64,10 +66,19 @@ def test_construct_refuses_at_build_or_at_verification(monkeypatch):
     monkeypatch.setenv("KUF_CAPS", "oa_rows=80")
     with pytest.raises(CapExceeded, match="oa_rows"):
         construct_k_uniform(2, 9, 10)
+    # every 2-subset passes the counting check, so no 81-wide reduction is
+    # built and matrix_dim does not refuse the state
     monkeypatch.setenv("KUF_CAPS", "matrix_dim=80")
-    assert construct_k_uniform(2, 9, 10, verify=False).num_terms == 81
-    with pytest.raises(CapExceeded, match=r"reductions of dimension 81 .*\(matrix_dim"):
-        construct_k_uniform(2, 9, 10)
+    state = construct_k_uniform(2, 9, 10)
+    assert state.num_terms == 81
+    with pytest.raises(CapExceeded, match=r"reductions of dimension 729 .*\(matrix_dim"):
+        verify_k_uniform(state, 3)  # strength 2 only: the kernel runs
+    # 16^16 radix keys overflow int64, so the 256 terms of the [16, 2]_16
+    # trim go through the kernel and matrix_dim refuses them at verification
+    monkeypatch.setenv("KUF_CAPS", "matrix_dim=255")
+    assert construct_k_uniform(2, 16, 16, verify=False).num_terms == 256
+    with pytest.raises(CapExceeded, match=r"reductions of dimension 256 .*\(matrix_dim"):
+        construct_k_uniform(2, 16, 16)
 
 
 def _public_callables():

@@ -1,5 +1,7 @@
 """Tests for the existence catalog: recipes, cited facts, tables."""
 
+import math
+
 import pytest
 
 from kuniform import catalog
@@ -16,9 +18,10 @@ from kuniform.catalog import (
     facts_for,
     standard_rows,
 )
+from kuniform.codes import load_bundled_code
 from kuniform.errors import CatalogError, ConstructionUnavailable
 from kuniform.masking import strong_masking_feasible
-from kuniform.states import verify_k_uniform
+from kuniform.states import load_bundled_state, verify_k_uniform
 
 # Expected symbol grids for the published 4- and 5-uniform existence
 # tables, frozen from the cited literature.  Columns are N = 8..16 for
@@ -350,6 +353,46 @@ def test_soundness_of_table_recipes():
                 assert verify_k_uniform(state, k), (cell.d, cell.N)
                 executed += 1
     assert executed >= 3
+
+
+def _recipe_terms(recipe: dict) -> int:
+    """Terms of the state a recipe builds, read off the recipe alone."""
+    rule = recipe["rule"]
+    if rule == "ghz":
+        return recipe["d"]
+    if rule == "mds_trim":
+        return recipe["d"] ** recipe["k"]
+    if rule == "mds_direct_sum":
+        return recipe["d"] ** (recipe["k"] * len(recipe["parts"]))
+    if rule == "bundled_code_trim":
+        C = load_bundled_code(recipe["name"])
+        return C.q**C.t
+    if rule == "bundled_state":
+        return load_bundled_state(recipe["name"]).num_terms
+    assert rule == "tensor", rule
+    return math.prod(_recipe_terms(part) for part in recipe["parts"])
+
+
+def test_table_cells_construct_under_default_caps(monkeypatch):
+    # every constructive cell of the two standard tables, over every row
+    # member, whose state has at most 15000 terms is built and verified by
+    # construct_k_uniform; those with d^k > 4096 pass by exact counting,
+    # with no d^k-wide reduction for matrix_dim to refuse
+    monkeypatch.delenv("KUF_CAPS", raising=False)
+    built = []
+    for k, N_values in [(4, range(8, 17)), (5, range(10, 19))]:
+        for row in standard_rows(k):
+            members = (row,) if isinstance(row, int) else row[1]
+            for d in members:
+                for N in N_values:
+                    recipe = exists_k_uniform(k, d, N).witness
+                    if recipe is None or _recipe_terms(recipe) > 15000:
+                        continue
+                    state = construct_k_uniform(k, d, N)
+                    assert (state.N, state.d, state.num_terms) == (N, d, _recipe_terms(recipe))
+                    built.append((k, d, N))
+    assert len(built) >= 17
+    assert sum(d**k > 4096 for k, d, _ in built) >= 8
 
 
 # -- masking integration -----------------------------------------------------

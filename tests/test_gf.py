@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from kuniform import CapExceeded
+from kuniform import CapExceeded, gf
+from kuniform.cli import run
 from kuniform.errors import KuniformError
 from kuniform.gf import (
     FiniteField,
@@ -221,3 +222,35 @@ def test_huge_field_refused_without_its_order():
         field_new(3, 18)
     with pytest.raises(CapExceeded, match=r"field order 3\^19 >= 3\^18 needs 387420489 "):
         field_new(3, 19)
+
+
+HUGE_PRIME = 100000000000031  # trial division to its square root takes seconds
+
+
+def _refuse_factoring(monkeypatch):
+    def fail(n):
+        raise AssertionError(f"{n} factored before the field_order cap was checked")
+
+    monkeypatch.setattr(gf, "is_prime", fail)
+    monkeypatch.setattr(gf, "is_prime_power", fail)
+
+
+def test_huge_orders_refused_before_factoring(monkeypatch):
+    _refuse_factoring(monkeypatch)
+    with pytest.raises(CapExceeded, match=rf"field order {HUGE_PRIME}\^1 needs"):
+        field_new(HUGE_PRIME)
+    with pytest.raises(CapExceeded, match=rf"field order {HUGE_PRIME} needs"):
+        field_for_order(HUGE_PRIME)
+    with pytest.raises(CapExceeded, match=r"field order 65537 needs"):
+        field_for_order(65537)  # one above the default cap
+
+
+def test_huge_orders_refused_by_the_cli_before_factoring(tmp_path, capsys, monkeypatch):
+    _refuse_factoring(monkeypatch)
+    path = tmp_path / "huge.code"
+    path.write_text(f"code {HUGE_PRIME} 1 3 1\n1 0 1\n")
+    assert run(["verify", "code", str(path)]) == (1, None)
+    assert run(["construct", "mds", "--q", str(HUGE_PRIME), "--t", "2"]) == (1, None)
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+    assert all(line.startswith("error:") and "field_order" in line for line in errors)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from kuniform.masking import (
     verify_pure_qecc,
 )
 from kuniform.catalog import construct_k_uniform
+from kuniform.cli import run
 from kuniform.oa import OrthogonalArray, oa_from_code, trim_to_iroa
 from kuniform.states import (
     PureState,
@@ -739,3 +741,45 @@ def test_masker_bundle_errors(tmp_path):
     (bundle / "manifest.json").write_text('{"format": "other"}')
     with pytest.raises(ParseError, match="not a masker"):
         load_masker(bundle)
+
+
+# image entries that would load a file outside the bundle, or no file at all;
+# "outside" stands for a copy of image 0 next to the bundle directory
+OUTSIDE_IMAGE_NAMES = {
+    "parent": "../outside.state",
+    "absolute": "{outside}",
+    "nested": "sub/image_0.state",
+    "dot_dot": "..",
+    "dot": ".",
+    "empty": "",
+}
+
+
+def _bundle_with_image_name(tmp_path, name: str) -> Path:
+    """A valid bundle whose manifest names image 0 by `name`, with the file
+    that name points at present, so only the name itself can be refused."""
+    bundle = tmp_path / "b"
+    save_masker(build_masker(qutrit_state(), split_party=0, k=1), bundle)
+    outside = tmp_path / "outside.state"
+    outside.write_bytes((bundle / "image_0.state").read_bytes())
+    (bundle / "sub").mkdir()
+    (bundle / "sub" / "image_0.state").write_bytes(outside.read_bytes())
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["images"][0] = name.format(outside=outside)
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return bundle
+
+
+@pytest.mark.parametrize("name", OUTSIDE_IMAGE_NAMES.values(), ids=OUTSIDE_IMAGE_NAMES)
+def test_masker_images_must_be_bare_file_names(tmp_path, name):
+    bundle = _bundle_with_image_name(tmp_path, name)
+    with pytest.raises(ParseError, match="not a bare file name"):
+        load_masker(bundle)
+
+
+@pytest.mark.parametrize("name", ["../outside.state", "{outside}"], ids=["parent", "absolute"])
+def test_mask_verify_refuses_images_outside_the_bundle(tmp_path, capsys, name):
+    bundle = _bundle_with_image_name(tmp_path, name)
+    assert run(["mask", "verify", str(bundle), "--k", "1"]) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a bare file name" in err

@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oa_oracle import oracle_is_irredundant
+from test_codes import full_rank_codes
 
 from kuniform import field_new
+from kuniform import oa as oa_module
+from kuniform.catalog import construct_k_uniform
+from kuniform.cli import run
 from kuniform.codes import (
     LinearCode,
     direct_sum,
@@ -32,6 +39,7 @@ from kuniform.oa import (
     trim_to_iroa,
     verify_strength,
 )
+from kuniform.states import state_from_iroa
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -213,6 +221,54 @@ def test_irredundant_methods_agree():
         assert A.r <= 2**12
         for k in range(A.N + 1):
             assert is_irredundant(A, k) == oracle_is_irredundant(A, k)
+
+
+def _outcome(call):
+    """What a call returns, or the message of the NotIrredundant it raises."""
+    try:
+        return call()
+    except NotIrredundant as exc:
+        return f"NotIrredundant: {exc}"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_code_answers_match_the_scans(q, data):
+    """Strength and distance read off a code, and everything decided from
+    them, agree with the scans of the same rows with no code attached; the
+    column slices include rank-losing ones, which drop their code."""
+    C = data.draw(full_rank_codes(q))
+    assume(C.t >= 1 and q**C.t <= 729)
+    cols = data.draw(st.lists(st.integers(0, C.N - 1), max_size=C.N - 1, unique=True))
+    A = delete_columns(oa_from_code(C), cols) if cols else oa_from_code(C)
+    B = replace(A, source_code=None)
+    for k in range(A.N + 1):
+        assert verify_strength(A, k) == verify_strength(B, k), k
+        assert is_irredundant(A, k) == is_irredundant(B, k), k
+        assert _outcome(lambda: state_from_iroa(A, k)) == _outcome(lambda: state_from_iroa(B, k)), k
+    assert oa_min_distance(A) == oa_min_distance(B)
+
+
+def test_source_code_must_match_the_rows():
+    C = mds_code(F3, 2)  # [4, 2]_3: 9 rows over 3 symbols
+    full = oa_from_code(C).rows
+    for d, rows in [(3, full[:, :3]), (3, full[:3]), (4, full)]:
+        with pytest.raises(ValueError, match=r"source code .* \(q, N, q\^t\)"):
+            OrthogonalArray(d=d, rows=rows, k=0, source_code=C)
+
+
+def test_only_arrays_without_a_code_are_scanned(monkeypatch, tmp_path):
+    calls = []
+    scan = oa_module._scan_strength
+    monkeypatch.setattr(oa_module, "_scan_strength", lambda A, k: calls.append(k) or scan(A, k))
+    assert construct_k_uniform(4, 9, 10).num_terms == 9**4
+    assert calls == []
+    path = tmp_path / "mds.oa"
+    save_oa(oa_from_code(mds_code(F3, 2)), path)
+    code, report = run(["verify", "oa", str(path), "--k", "2"])
+    assert code == 0 and report["details"]["strength_ok"] is True
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
