@@ -19,9 +19,10 @@ Each cap is checked where its memory is allocated:
 - oa_pairs: oa.oa_min_distance, before the pairwise row scan;
 - matrix_dim: the d^k-wide reductions of states.cross_reduction,
   states.reduction, masking.verify_masker and masking.verify_pure_qecc, of
-  states.verify_k_uniform when some subset is left for the reduction kernel
-  after its counting check (which allocates at most one count per term),
-  and the dense PureState.to_vector and SparseOperator.to_matrix;
+  states.verify_k_uniform before the first subset its counting check
+  (which allocates at most one count per term) leaves for the reduction
+  kernel, and at once when that check applies to no subset, and the dense
+  PureState.to_vector and SparseOperator.to_matrix;
 - qecc_ops: masking.verify_pure_qecc, on its subset x pair reductions.
 """
 

@@ -340,4 +340,4 @@ def field_for_order(q: int) -> FiniteField:
     pm = is_prime_power(q)
     if pm is None:
         raise ValueError(f"{q} is not a prime power")
-    return _cached_field(*pm)
+    return field_new(*pm)

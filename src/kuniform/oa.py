@@ -13,7 +13,9 @@ are then read off the code: its codebook has strength exactly w_dual - 1
 minimum row distance w, both from one weight enumerator.  The exhaustive
 C(N, k) strength scan and the pairwise distance scan run only for arrays
 without a code: arrays loaded from files, and column slices whose code
-lost rank.
+lost rank.  An array given a source code checks that its rows are that
+code's codewords in message order; oa_from_code, delete_columns and
+trim_to_iroa build them so and skip the check.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class OrthogonalArray:
     rows: np.ndarray  # shape (r, N), dtype int64
     k: int  # claimed strength; verify_strength checks it
     provenance: str = ""
-    # when set, the rows are exactly the codewords of this code
+    # when set, the rows are exactly the codewords of this code in message
+    # order; the constructor checks it unless the array is built by _coded
     source_code: codes.LinearCode | None = None
 
     def __post_init__(self):
@@ -67,11 +70,11 @@ class OrthogonalArray:
                 f"row count {rows.shape[0]} is not a multiple of d^k = {self.d ** self.k}"
             )
         C = self.source_code
-        if C is not None and (C.q, C.N, C.q**C.t) != (self.d, rows.shape[1], rows.shape[0]):
-            raise ValueError(
-                f"source code {C} does not have the (q, N, q^t) = "
-                f"({self.d}, {rows.shape[1]}, {rows.shape[0]}) of the rows"
-            )
+        if C is not None and not (
+            (C.q, C.N, C.q**C.t) == (self.d, rows.shape[1], rows.shape[0])
+            and np.array_equal(rows, codes._enumerate(C))
+        ):
+            raise ValueError(f"rows are not the codewords of source code {C} in message order")
         rows.setflags(write=False)
         self.rows = rows
 
@@ -92,6 +95,14 @@ class OrthogonalArray:
         return f"OA({self.r},{self.N},{self.d},{self.k})"
 
 
+def _coded(d: int, rows: np.ndarray, k: int, provenance: str, C) -> OrthogonalArray:
+    """An array whose rows the caller built as the codewords of C in message
+    order, so the constructor's re-enumeration of C is skipped."""
+    A = OrthogonalArray(d=d, rows=rows, k=k, provenance=provenance)
+    A.source_code = C
+    return A
+
+
 def oa_from_code(C: codes.LinearCode) -> OrthogonalArray:
     """All codewords of C as an OA(q^t, N, q, w_dual - 1).
 
@@ -104,13 +115,7 @@ def oa_from_code(C: codes.LinearCode) -> OrthogonalArray:
     rows = codes.codeword_matrix(C)
     wd = codes.dual_distance(C)
     k = C.N if wd == math.inf else min(int(wd) - 1, C.N)
-    return OrthogonalArray(
-        d=C.q,
-        rows=rows,
-        k=k,
-        provenance=f"codewords of [{C.N},{C.t}]_{C.q}",
-        source_code=C,
-    )
+    return _coded(C.q, rows, k, f"codewords of [{C.N},{C.t}]_{C.q}", C)
 
 
 def verify_strength(A: OrthogonalArray, k: int) -> bool:
@@ -209,13 +214,9 @@ def delete_columns(A: OrthogonalArray, cols) -> OrthogonalArray:
             src = codes.LinearCode(A.source_code.field, A.source_code.G[:, keep])
         except (RankDeficient, ValueError):
             src = None  # sliced generator lost rank; fall back to pairwise
-    return OrthogonalArray(
-        d=A.d,
-        rows=A.rows[:, keep],
-        k=min(A.k, len(keep)),
-        provenance=f"{A.provenance}; columns {cols} deleted",
-        source_code=src,
-    )
+    # message m of the sliced code gives m G[:, keep], the kept part of row m
+    provenance = f"{A.provenance}; columns {cols} deleted"
+    return _coded(A.d, A.rows[:, keep], min(A.k, len(keep)), provenance, src)
 
 
 def trim_to_iroa(A: OrthogonalArray, k: int, target_N: int) -> OrthogonalArray:
@@ -236,13 +237,8 @@ def trim_to_iroa(A: OrthogonalArray, k: int, target_N: int) -> OrthogonalArray:
         base = A
     else:
         base = delete_columns(A, range(target_N, A.N))
-    out = OrthogonalArray(
-        d=base.d,
-        rows=base.rows,
-        k=k,
-        provenance=f"{A.provenance}; trimmed to irredundant OA on {target_N} columns",
-        source_code=base.source_code,
-    )
+    provenance = f"{A.provenance}; trimmed to irredundant OA on {target_N} columns"
+    out = _coded(base.d, base.rows, k, provenance, base.source_code)
     if not is_irredundant(out, k):
         raise KuniformError("trimmed array unexpectedly failed irredundancy")
     return out

@@ -608,8 +608,9 @@ def verify_k_uniform(
     exactly I / d^k.  Every other subset, and every subset of a float
     state, goes through the pair-reduction kernel, which alone reports
     failures and deviations.  The matrix_dim cap bounds that kernel's d^k
-    wide reductions, so it is checked only when some subset is left for
-    it; the counting check allocates at most T counts per subset.
+    wide reductions, so it is checked before the first subset left for it,
+    and at once when the counting check applies to no subset; that check
+    allocates at most T counts per subset.  Subsets are walked lazily.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")
@@ -618,16 +619,25 @@ def verify_k_uniform(
     if k > state.N // 2:
         return UniformityReport(state.N, state.d, k, "impossible", 0, [])
     dim = state.d**k
-    subsets = list(combinations(range(state.N), k))
     floats = not state.exact
     e = _encode(state, floats)
     passes = _counting_check(e, state.d, k)
-    unpassed = subsets if passes is None else [s for s in subsets if not passes(s)]
-    if unpassed:
+    if passes is None:
         check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+
+    def unpassed():
+        capped = passes is None
+        for subset in combinations(range(state.N), k):
+            if passes is not None and passes(subset):
+                continue
+            if not capped:
+                check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+                capped = True
+            yield subset
+
     failures = []
     max_dev = 0.0
-    for subset, _, red in _reductions([state], unpassed, [(0, 0)], {(id(state), floats): e}):
+    for subset, _, red in _reductions([state], unpassed(), [(0, 0)], {(id(state), floats): e}):
         if state.exact and _is_maximally_mixed(red, state.r, dim):
             continue  # deviation exactly 0.0
         rho = _operator(state, state, red)
@@ -636,7 +646,7 @@ def verify_k_uniform(
         if not rho.is_maximally_mixed(tol=tol):
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
-    return UniformityReport(state.N, state.d, k, verdict, len(subsets), failures, max_dev)
+    return UniformityReport(state.N, state.d, k, verdict, math.comb(state.N, k), failures, max_dev)
 
 
 def from_vector(vec, N: int, d: int, tol: float = NORM_TOL) -> PureState:

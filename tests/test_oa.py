@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oa_oracle import oracle_is_irredundant
 from test_codes import full_rank_codes
 
-from kuniform import field_new
+from kuniform import codes, field_new
 from kuniform import oa as oa_module
 from kuniform.catalog import construct_k_uniform
 from kuniform.cli import run
@@ -242,6 +242,8 @@ def test_code_answers_match_the_scans(q, data):
     assume(C.t >= 1 and q**C.t <= 729)
     cols = data.draw(st.lists(st.integers(0, C.N - 1), max_size=C.N - 1, unique=True))
     A = delete_columns(oa_from_code(C), cols) if cols else oa_from_code(C)
+    if A.source_code is not None:  # the invariant the coded constructors keep
+        assert np.array_equal(A.rows, codes._enumerate(A.source_code))
     B = replace(A, source_code=None)
     for k in range(A.N + 1):
         assert verify_strength(A, k) == verify_strength(B, k), k
@@ -252,10 +254,16 @@ def test_code_answers_match_the_scans(q, data):
 
 def test_source_code_must_match_the_rows():
     C = mds_code(F3, 2)  # [4, 2]_3: 9 rows over 3 symbols
-    full = oa_from_code(C).rows
-    for d, rows in [(3, full[:, :3]), (3, full[:3]), (4, full)]:
-        with pytest.raises(ValueError, match=r"source code .* \(q, N, q\^t\)"):
+    A = oa_from_code(C)
+    full = A.rows
+    # wrong shape or symbol count, then the right shape with other rows:
+    # reordered, or a coset of the code
+    for d, rows in [(3, full[:, :3]), (3, full[:3]), (4, full), (3, full[::-1]), (3, (full + 1) % 3)]:
+        with pytest.raises(ValueError, match="rows are not the codewords of source code"):
             OrthogonalArray(d=d, rows=rows, k=0, source_code=C)
+    with pytest.raises(ValueError, match="rows are not the codewords of source code"):
+        replace(A, rows=full[::-1])
+    assert OrthogonalArray(d=3, rows=full.copy(), k=2, source_code=C).source_code is C
 
 
 def test_only_arrays_without_a_code_are_scanned(monkeypatch, tmp_path):

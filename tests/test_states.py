@@ -176,6 +176,43 @@ def test_uniformity_cap_checked_once_per_call(monkeypatch):
     assert [args[:2] for args in calls] == [("matrix_dim", 8)]
 
 
+def test_uniformity_cap_refuses_before_listing_subsets(monkeypatch):
+    # 2^20 does not divide the 2 terms, so no subset can pass by counting
+    # and matrix_dim refuses before any of the C(40, 20) subsets is made
+    state = ghz(40, 2)
+    monkeypatch.setattr(states_module, "combinations", mock.Mock(side_effect=AssertionError("subsets listed")))
+    with pytest.raises(CapExceeded, match=r"reductions of dimension 1048576 .*\(matrix_dim"):
+        verify_k_uniform(state, 20)
+
+
+def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypatch):
+    # (0, 1) passes by counting, (0, 2) does not: the cap is checked there
+    rows = [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)]
+    state = PureState(N=4, d=2, amplitudes={row: (1, 0) for row in rows}, r=4)
+    asked = []
+    counting_check = states_module._counting_check
+
+    def recording_check(*args):
+        passes = counting_check(*args)
+
+        def recorded(subset):
+            asked.append(subset)
+            return passes(subset)
+
+        return recorded
+
+    monkeypatch.setattr(states_module, "_counting_check", recording_check)
+    reduced = _record_calls(monkeypatch, "_reduce")
+    with monkeypatch.context() as env:
+        env.setenv("KUF_CAPS", "matrix_dim=3")
+        with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
+            verify_k_uniform(state, 2)
+    assert asked == [(0, 1), (0, 2)] and reduced == []
+    report = verify_k_uniform(state, 2)
+    assert report.verdict == "fail" and report.subsets_checked == 6
+    assert [subset for subset, _ in report.failures] == [(0, 2), (1, 3)]
+
+
 def test_cross_reduction_orthogonal_product_terms():
     s1 = PureState(N=2, d=2, amplitudes={(0, 0): (1, 0)})
     s2 = PureState(N=2, d=2, amplitudes={(1, 1): (1, 0)})
