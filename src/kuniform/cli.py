@@ -9,6 +9,7 @@ for `table --format text`, the grid itself.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -378,11 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing changes no parser state, and every
+    default is immutable."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> tuple[int, dict | None]:
     """Parse and execute argv; return (exit code, report dict)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), None
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -290,6 +290,9 @@ _INT64_LIMIT = 1 << 63
 _KEPT_KEY_LIMIT = 1 << 31
 # matched row pairs built at once; larger reductions go in blocks
 _PAIR_BLOCK = 1 << 20
+# entries of each (subsets, terms) array of the counting check, unless one
+# subset's row is longer
+_COUNT_BLOCK = 1 << 14
 
 
 class _Encoded(NamedTuple):
@@ -456,36 +459,85 @@ def _is_maximally_mixed(red: _Reduced, r: int, dim: int) -> bool:
 
 
 def _counting_check(e: _Encoded, d: int, k: int):
-    """A predicate on k-subsets S that holds only where the reduction onto
-    S is exactly I / d^k, decided by counting rows; None when it can pass
-    nothing.
+    """A predicate on a (B, k) block of k-subsets S whose bool mask holds
+    only where the reduction onto S is exactly I / d^k, decided by counting
+    rows; None when it can pass nothing.
 
     It applies to exact encodings whose T terms all have one squared
     modulus m, with d^k dividing T; the norm invariant makes r = T m.  When
     the rows take each of the d^k values on S exactly T / d^k times and no
     two rows agree off S, the reduction is diagonal with entries
-    (T / d^k) m / r = 1 / d^k.  Full radix keys and squared moduli must fit
-    int64; no array longer than T is built.
+    (T / d^k) m / r = 1 / d^k.  A block holds one row of T keys per subset;
+    squared moduli must fit int64.
     """
     T, N = e.idx.shape
     dim = d**k
-    if e.bound is None or T % dim or d**N >= _INT64_LIMIT or 2 * e.bound**2 >= _INT64_LIMIT:
+    if e.bound is None or T % dim or 2 * e.bound**2 >= _INT64_LIMIT:
         return None
     modulus = e.re * e.re + e.im * e.im
     if (modulus != modulus[0]).any():
         return None
-    weights = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    columns = np.ascontiguousarray(e.idx.T)
+    # radix weights mod 2^64: full keys wrap, but a full key less the keys
+    # of S is the complement's radix key, exact whenever it is below 2^63
+    radix = d ** (N - k) < _INT64_LIMIT
+    weights = np.array([pow(d, N - 1 - p, 1 << 64) for p in range(N)], dtype=np.uint64).view(np.int64)
     full = e.idx @ weights
 
-    def passes(subset: tuple) -> bool:
-        parties = list(subset)
-        cols = e.idx[:, parties]
-        if (np.bincount(cols @ weights[N - k :], minlength=dim) != T // dim).any():
-            return False
-        complement = np.sort(full - cols @ weights[parties])
-        return bool((complement[1:] != complement[:-1]).all())
+    def passes(block: np.ndarray) -> np.ndarray:
+        B = len(block)
+        kept = np.zeros((B, T), dtype=np.int64)
+        complement = np.tile(full, (B, 1)) if radix else None
+        for j in range(k):
+            column = columns[block[:, j]]
+            kept *= d
+            kept += column
+            if radix:
+                complement -= column * weights[block[:, j], None]
+        kept += np.arange(0, B * dim, dim)[:, None]
+        ok = (np.bincount(kept.reshape(-1), minlength=B * dim).reshape(B, dim) == T // dim).all(axis=1)
+        if radix:
+            complement = complement[ok]
+        else:
+            # distinct-row ids of each complement, one subset at a time
+            complement = np.zeros((np.count_nonzero(ok), T), dtype=np.int64)
+            for row, subset in zip(complement, block[ok].tolist()):
+                rest = e.idx[:, [p for p in range(N) if p not in subset]]
+                row[:] = _row_keys(rest, rest, d, _INT64_LIMIT)[0]
+        complement.sort(axis=1)
+        ok[ok] = (complement[:, 1:] != complement[:, :-1]).all(axis=1)
+        return ok
 
     return passes
+
+
+def _deviation(red: _Reduced, r: int, dim: int) -> float:
+    """SparseOperator.maximally_mixed_deviation of the exact self-reduction
+    `red` over the denominator r, bit for bit, from its arrays.
+
+    Over the common denominator r dim, an entry deviates from I / dim by
+    |a dim - r + b dim i| on the diagonal and |a dim + b dim i| off it; the
+    reduction has trace 1 and is positive, so |a + bi| <= r and those
+    squared numerators stay below 2 (r dim)^2.  Only entries within 2^-39
+    of the largest one, which include every entry whose float could round
+    above it, are evaluated in floats as SparseOperator does.
+    """
+    wide = 2 * (r * dim) ** 2 >= _INT64_LIMIT
+    x, y = (part.astype(object if wide else np.int64) * dim for part in (red.re, red.im))
+    x[red.diagonal] -= r
+    squared = x * x + y * y
+    top = squared.max()
+    near = np.flatnonzero(squared >= top - (top >> 39))
+    scale = 1.0 / math.sqrt(r * r)
+    dev = 0.0
+    for a, b, diagonal in zip(red.re[near].tolist(), red.im[near].tolist(), red.diagonal[near].tolist()):
+        if diagonal:
+            dev = max(dev, abs(complex(a * dim - r, b * dim)) * scale / dim)
+        else:
+            dev = max(dev, abs(complex(a, b)) * scale)
+    if np.count_nonzero(red.diagonal) < dim:
+        dev = max(dev, 1.0 / dim)  # some diagonal entry is missing entirely
+    return dev
 
 
 def _operator(s1: PureState, s2: PureState, red: _Reduced) -> SparseOperator:
@@ -605,12 +657,14 @@ def verify_k_uniform(
     divides T, a subset S passes by counting alone if the rows take each
     value on S exactly T / d^k times and no two rows agree off S (the
     irredundant-array criterion); the reduction is then diagonal and
-    exactly I / d^k.  Every other subset, and every subset of a float
-    state, goes through the pair-reduction kernel, which alone reports
-    failures and deviations.  The matrix_dim cap bounds that kernel's d^k
-    wide reductions, so it is checked before the first subset left for it,
-    and at once when the counting check applies to no subset; that check
-    allocates at most T counts per subset.  Subsets are walked lazily.
+    exactly I / d^k.  Subsets are walked lazily and counted in blocks whose
+    arrays hold at most max(T, _COUNT_BLOCK) entries each.  Every other
+    subset, and every subset of a float state, goes through the
+    pair-reduction kernel, which alone reports failures; an exact state's
+    deviations are read off the kernel's arrays.  The matrix_dim cap bounds
+    that kernel's d^k wide reductions, so it is checked before the first
+    subset left for it, and at once when the counting check applies to no
+    subset.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")
@@ -626,24 +680,33 @@ def verify_k_uniform(
         check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
 
     def unpassed():
-        capped = passes is None
-        for subset in combinations(range(state.N), k):
-            if passes is not None and passes(subset):
-                continue
-            if not capped:
-                check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-                capped = True
-            yield subset
+        subsets = combinations(range(state.N), k)
+        if passes is None:
+            yield from subsets
+            return
+        capped = False
+        size = max(1, _COUNT_BLOCK // state.num_terms)
+        while block := list(islice(subsets, size)):
+            for subset, ok in zip(block, passes(np.array(block)).tolist()):
+                if ok:
+                    continue
+                if not capped:
+                    check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+                    capped = True
+                yield subset
 
     failures = []
     max_dev = 0.0
     for subset, _, red in _reductions([state], unpassed(), [(0, 0)], {(id(state), floats): e}):
-        if state.exact and _is_maximally_mixed(red, state.r, dim):
+        if floats:
+            rho = _operator(state, state, red)
+            dev, failed = rho.maximally_mixed_deviation(), not rho.is_maximally_mixed(tol=tol)
+        elif _is_maximally_mixed(red, state.r, dim):
             continue  # deviation exactly 0.0
-        rho = _operator(state, state, red)
-        dev = rho.maximally_mixed_deviation()
+        else:  # exact and not I / d^k
+            dev, failed = _deviation(red, state.r, dim), True
         max_dev = max(max_dev, dev)
-        if not rho.is_maximally_mixed(tol=tol):
+        if failed:
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, math.comb(state.N, k), failures, max_dev)

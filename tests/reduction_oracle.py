@@ -6,7 +6,8 @@ exact, complex floats otherwise.  The array kernel behind
 states.cross_reduction and states.verify_k_uniform computes the same
 operators; the tests hold it to this oracle.  oracle_verify_masker is the
 masking criterion with one cross_reduction call per (subset, pair) and
-deviations read off dense matrices.
+deviations read off dense matrices.  oracle_counting_passes is the
+counting criterion of verify_k_uniform decided for one subset at a time.
 """
 
 from __future__ import annotations
@@ -90,6 +91,25 @@ def oracle_verify_k_uniform(state: PureState, k: int, tol: float = 1e-10) -> Uni
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, len(subsets), failures, max_dev)
+
+
+def oracle_counting_passes(state: PureState, subset) -> bool:
+    """Whether the reduction onto `subset` is I / d^k by counting alone: an
+    exact state whose terms share one squared modulus, rows taking each of
+    the d^k values on the subset equally often, and no two rows agreeing
+    off it.  Needs d^N < 2^63 for its full radix keys."""
+    T, N, d, k = state.num_terms, state.N, state.d, len(subset)
+    dim = d**k
+    if not state.exact or T % dim or len({a * a + b * b for a, b in state.amplitudes.values()}) > 1:
+        return False
+    idx = np.array(list(state.amplitudes), dtype=np.int64).reshape(T, N)
+    weights = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    parties = list(subset)
+    cols = idx[:, parties]
+    if (np.bincount(cols @ weights[N - k :], minlength=dim) != T // dim).any():
+        return False
+    complement = np.sort(idx @ weights - cols @ weights[parties])
+    return bool((complement[1:] != complement[:-1]).all())
 
 
 def _operators_equal(a: SparseOperator, b: SparseOperator, tol: float) -> bool:

@@ -73,12 +73,16 @@ def test_construct_refuses_at_build_or_at_verification(monkeypatch):
     assert state.num_terms == 81
     with pytest.raises(CapExceeded, match=r"reductions of dimension 729 .*\(matrix_dim"):
         verify_k_uniform(state, 3)  # strength 2 only: the kernel runs
-    # 16^16 radix keys overflow int64, so the 256 terms of the [16, 2]_16
-    # trim go through the kernel and matrix_dim refuses them at verification
+    # 16^16 full radix keys wrap int64, but the complement keys 16^14 do
+    # not, so the 256 terms of the [16, 2]_16 trim pass by counting too
     monkeypatch.setenv("KUF_CAPS", "matrix_dim=255")
-    assert construct_k_uniform(2, 16, 16, verify=False).num_terms == 256
-    with pytest.raises(CapExceeded, match=r"reductions of dimension 256 .*\(matrix_dim"):
-        construct_k_uniform(2, 16, 16)
+    assert construct_k_uniform(2, 16, 16).num_terms == 256
+    # the complements of the bundled AME(6, 2) state collide, so each of its
+    # 3-subsets goes through the kernel and matrix_dim refuses it there
+    monkeypatch.setenv("KUF_CAPS", "matrix_dim=7")
+    assert construct_k_uniform(3, 2, 6, verify=False).num_terms == 16
+    with pytest.raises(CapExceeded, match=r"reductions of dimension 8 .*\(matrix_dim"):
+        construct_k_uniform(3, 2, 6)
 
 
 def _public_callables():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import kuniform
+from kuniform import cli
 from kuniform.cli import _int_spec, main, run
 from kuniform.states import PureState, load_bundled_state, save_state
 
@@ -103,6 +104,30 @@ def test_usage_errors_exit_2():
         code, report = run(argv)
         assert code == 2, argv
         assert report is None
+
+
+def test_one_parser_serves_every_run(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "ame.state")
+    save_state(load_bundled_state("ame_6_2"), path)
+    argvs = [
+        ["verify", "state", path],  # usage error: missing --k
+        ["verify", "state", "--k", "3", path],
+        ["table", "--k", "4", "--d", "2", "--N", "8..11"],
+    ]
+
+    def outcomes():
+        return [(run(argv), capsys.readouterr()) for argv in argvs]
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    shared = outcomes()
+    assert len(built) == 1
+    assert [code for (code, _), _ in shared] == [2, 0, 0]
+    # a fresh parser for every run gives the same codes, reports and output
+    monkeypatch.setattr(cli, "_parser", build)
+    assert outcomes() == shared
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -9,9 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reduction_oracle import oracle_cross_reduction, oracle_verify_k_uniform
+from reduction_oracle import oracle_counting_passes, oracle_cross_reduction, oracle_verify_k_uniform
 
 from kuniform import states as states_module
 from kuniform.caps import check_cap
@@ -186,7 +186,8 @@ def test_uniformity_cap_refuses_before_listing_subsets(monkeypatch):
 
 
 def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypatch):
-    # (0, 1) passes by counting, (0, 2) does not: the cap is checked there
+    # (0, 1) passes by counting, (0, 2) does not: the cap is checked there,
+    # inside the first block of two subsets, before the next block is asked
     rows = [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)]
     state = PureState(N=4, d=2, amplitudes={row: (1, 0) for row in rows}, r=4)
     asked = []
@@ -195,22 +196,26 @@ def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypa
     def recording_check(*args):
         passes = counting_check(*args)
 
-        def recorded(subset):
-            asked.append(subset)
-            return passes(subset)
+        def recorded(block):
+            asked.append([tuple(subset) for subset in block.tolist()])
+            return passes(block)
 
         return recorded
 
     monkeypatch.setattr(states_module, "_counting_check", recording_check)
+    monkeypatch.setattr(states_module, "_COUNT_BLOCK", 2 * state.num_terms)
     reduced = _record_calls(monkeypatch, "_reduce")
     with monkeypatch.context() as env:
         env.setenv("KUF_CAPS", "matrix_dim=3")
         with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
             verify_k_uniform(state, 2)
-    assert asked == [(0, 1), (0, 2)] and reduced == []
+    assert asked == [[(0, 1), (0, 2)]] and reduced == []
+    asked.clear()
     report = verify_k_uniform(state, 2)
+    assert asked == [[(0, 1), (0, 2)], [(0, 3), (1, 2)], [(1, 3), (2, 3)]]
     assert report.verdict == "fail" and report.subsets_checked == 6
     assert [subset for subset, _ in report.failures] == [(0, 2), (1, 3)]
+    assert [args[2] for args in reduced] == [(0, 2), (1, 3)]
 
 
 def test_cross_reduction_orthogonal_product_terms():
@@ -397,6 +402,11 @@ def test_float_report_matches_oracle():
 PLUS_70 = PureState(N=70, d=2, amplitudes={(a, b) + (0,) * 68: (1, 0) for a in (0, 1) for b in (0, 1)}, r=4)
 
 
+# the 256 rows (x, y, 0, ..., 0) over d = 16: each party-0 and party-1
+# value 16 times, but complements shared by 16 rows
+PLUS_16 = PureState(N=16, d=16, amplitudes={(x, y) + (0,) * 14: (1, 0) for x in range(16) for y in range(16)}, r=256)
+
+
 def test_complement_keys_beyond_int64():
     # the complement of one party has 2^69 radix keys
     report = verify_k_uniform(ghz(70, 2), 1)
@@ -491,6 +501,83 @@ def test_counting_reports_match_oracle(case):
     assert verify_k_uniform(state, k) == oracle_verify_k_uniform(state, k)
 
 
+@settings(max_examples=150)
+@given(case=counting_cases(), size=st.integers(1, 3))
+def test_batched_counting_matches_oracle(case, size):
+    state, k = case
+    subsets = list(combinations(range(state.N), k))
+    want = [oracle_counting_passes(state, subset) for subset in subsets]
+    passes = states_module._counting_check(states_module._encode(state, not state.exact), state.d, k)
+    if passes is None:
+        assert not any(want)
+    else:
+        assert passes(np.array(subsets)).tolist() == want
+    # blocks of `size` subsets split the walk of verify_k_uniform
+    reduced = []
+    reduce = states_module._reduce
+    with (
+        mock.patch.object(states_module, "_COUNT_BLOCK", size * state.num_terms),
+        mock.patch.object(states_module, "_reduce", lambda *args: reduced.append(args[2]) or reduce(*args)),
+    ):
+        report = verify_k_uniform(state, k)
+    assert reduced == [subset for subset, ok in zip(subsets, want) if not ok]
+    assert report == oracle_verify_k_uniform(state, k)
+
+
+def test_counting_on_complement_ids(monkeypatch):
+    # 2^64 complements of 2 of 66 parties: keys are ids of distinct rows;
+    # the rows (x, y, x ^ y, x, y, x ^ y, 0, ...) pass by counting on pairs that
+    # see x and y, and fail on the others
+    state = PureState(
+        N=66, d=2, amplitudes={(x, y, x ^ y) * 2 + (0,) * 60: (1, 0) for x in (0, 1) for y in (0, 1)}, r=4
+    )
+    rows = list(state.amplitudes)
+
+    def counts(subset):
+        kept = [tuple(row[p] for p in subset) for row in rows]
+        complements = {tuple(x for p, x in enumerate(row) if p not in subset) for row in rows}
+        return len(set(kept)) == 4 and len(complements) == 4
+
+    monkeypatch.setattr(states_module, "_COUNT_BLOCK", 7 * state.num_terms)
+    reduced = _record_calls(monkeypatch, "_reduce")
+    report = verify_k_uniform(state, 2)
+    kept = [subset for subset in combinations(range(66), 2) if counts(subset)]
+    assert len(kept) == 12 and report.subsets_checked == 2145
+    assert [args[2] for args in reduced] == [s for s in combinations(range(66), 2) if s not in kept]
+    assert report == oracle_verify_k_uniform(state, 2)
+
+
+@st.composite
+def deviation_cases(draw):
+    """(state, parties): sparse exact states times one common Gaussian
+    factor, which keeps reductions in int64 or takes their squared
+    deviations, or the reductions themselves, to Python ints."""
+    N = draw(st.integers(1, 5))
+    base = draw(sparse_exact_states(N, draw(st.sampled_from((2, 3, 4, 5)))))
+    factor = draw(st.sampled_from(((1, 0), (3, 4), (1 << 20, 1), (1 << 33, 5))))
+    state = transformed(base, range(N), [range(base.d)] * N, [factor] * base.num_terms)
+    return state, tuple(sorted(draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))))
+
+
+# onto party 0: diagonal deviation and off-diagonal entry tie exactly at
+# 18 / 45, yet evaluate to 0.39999999999999997 and 0.4; party-0 value 2 is
+# missing from the diagonal
+TIED = PureState(N=2, d=3, amplitudes={(0, 0): (3, 0), (0, 1): (1, 1), (1, 0): (2, 0)}, r=15)
+
+
+@settings(max_examples=200)
+@given(case=deviation_cases())
+@example(case=(TIED, (0,)))
+@example(case=(transformed(TIED, range(2), [range(3)] * 2, [(1 << 33, 5)] * 3), (0,)))
+@example(case=(ghz(3, 3), (0,)))
+def test_deviation_matches_sparse_operator(case):
+    state, parties = case
+    e = states_module._encode(state, False)
+    red = states_module._reduce(e, e, parties, state.d)
+    want = states_module._operator(state, state, red).maximally_mixed_deviation()
+    assert states_module._deviation(red, state.r, state.d ** len(parties)).hex() == want.hex()
+
+
 def _record_calls(monkeypatch, name: str) -> list:
     """The argument tuples of every call of states.<name>."""
     calls = []
@@ -533,8 +620,10 @@ def _scaled_example(big: int) -> PureState:
 @pytest.mark.parametrize(
     "state, k, counted",
     [
-        (ghz(70, 2), 1, False),  # d^N >= 2^63: radix keys would wrap
+        (ghz(70, 2), 1, True),  # d^(N-k) >= 2^63: complements keyed by distinct-row ids
         (PLUS_70, 1, False),
+        (ghz(16, 16), 1, True),  # d^N = 2^64, d^(N-k) = 2^60: wrapped full keys
+        (PLUS_16, 1, False),
         (_scaled_example(2**31 - 1), 2, True),  # 2 big^2 just below 2^63
         (_scaled_example(2**31), 2, False),
         (_scaled_example(2**40 + 1), 2, False),
@@ -542,7 +631,7 @@ def _scaled_example(big: int) -> PureState:
         (ghz(4, 3), 2, False),  # 3 terms, d^k = 9
         (ghz(4, 100), 2, False),  # d^k = 10^4 above the default matrix_dim
     ],
-    ids=["ghz70", "plus70", "big31-1", "big31", "big40", "big70", "ghz4_3", "ghz4_100"],
+    ids=["ghz70", "plus70", "ghz16_16", "plus16_16", "big31-1", "big31", "big40", "big70", "ghz4_3", "ghz4_100"],
 )
 def test_counting_steps_aside(monkeypatch, state, k, counted):
     reduced = _record_calls(monkeypatch, "_reduce")
@@ -552,7 +641,10 @@ def test_counting_steps_aside(monkeypatch, state, k, counted):
     monkeypatch.setenv("KUF_CAPS", f"matrix_dim={10**4}")
     report = verify_k_uniform(state, k)
     assert len(reduced) == (0 if counted else report.subsets_checked)
-    assert max(lengths, default=0) <= state.num_terms  # no array of length d^k > T
+    # counts stay within one block, and no array of length d^k > T is made
+    assert max(lengths, default=0) <= max(state.num_terms, states_module._COUNT_BLOCK)
+    if state.d**k > state.num_terms:
+        assert lengths == []
     assert report == oracle_verify_k_uniform(state, k)
 
 
