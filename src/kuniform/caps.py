@@ -22,8 +22,11 @@ Each cap is checked where its memory is allocated:
   states.verify_k_uniform before the first subset its counting check
   (which allocates at most one count per term) leaves for the reduction
   kernel, and at once when that check applies to no subset, and the dense
-  PureState.to_vector and SparseOperator.to_matrix;
-- qecc_ops: masking.verify_pure_qecc, on its subset x pair reductions.
+  PureState.to_vector and SparseOperator.to_matrix.  It bounds d^k, the
+  ancilla of a masker's or a code's stacked family excluded: each block of
+  a reduction can hold d^(2k) entries, and the kernel allocates those
+  entries even though it never builds a dense matrix;
+- qecc_ops: masking.verify_pure_qecc, on its C(N, k) K (K + 1) / 2 blocks.
 """
 
 from __future__ import annotations

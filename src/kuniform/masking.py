@@ -19,9 +19,12 @@ PRA 69, 052330 (2004)), so the condition is equivalent to every
 (delta - 1)-party reduction of |psi_j><psi_i| being delta_ij I / d^(delta-1),
 which exact states decide in integer arithmetic for every d.
 
-Both checks, like states.verify_k_uniform, run on one loop of pair
-reductions (states._reductions) that encodes each state once; an operator
-is built only for the common reductions, a failure or a float deviation.
+Both checks read one purified state, Psi = sum_s |s>_a |psi_s> over the
+images or the basis: the reduction of Psi onto {a} and a party subset S is
+the block matrix whose (s, t) block is |psi_s><psi_t| traced down to S.
+Each subset costs one reduction of Psi (states._block_reduction), whose
+blocks are then walked; an operator is built only for the common
+reductions, a failure or a float deviation.
 """
 
 from __future__ import annotations
@@ -40,13 +43,15 @@ from .errors import KuniformError, MaskingError, ParseError
 from .states import (
     PureState,
     SparseOperator,
-    _Reduced,
+    _block_reduction,
     _is_maximally_mixed,
     _operator,
-    _reductions,
+    _reduce,
+    _Reduced,
+    _same_operator,
+    _stack,
     inner_product,
     load_state,
-    reduction,
     save_state,
     verify_k_uniform,
 )
@@ -134,9 +139,11 @@ def build_masker(
     """Split one party off a (k+1)-uniform state, yielding a masker whose
     images hide the split symbol from any k parties.
 
-    The input's (k+1)-uniformity and the split-party marginal are checked
-    up front; the resulting images are renormalized exactly for exact
-    inputs and verified orthonormal, then the full criterion runs at k.
+    The input's (k+1)-uniformity is the one check, and it implies the
+    rest: the (s, t) blocks of the reduction of psi onto the split party and
+    any k others, I / d^(k+1), are the images' k-party cross reductions
+    over d.  So every symbol carries terms, an exact r is divisible by d,
+    and the images are orthonormal and pass verify_masker at k.
     """
     if psi.N < 2:
         raise MaskingError("need at least two parties to split one off")
@@ -149,9 +156,6 @@ def build_masker(
         raise MaskingError(
             f"input is not {k + 1}-uniform (verdict {uni.verdict}); cannot mask k = {k}"
         )
-    marginal = reduction(psi, [split_party])
-    if not marginal.is_maximally_mixed(tol=tol):
-        raise MaskingError("split-party marginal is not maximally mixed")
 
     d, n_out = psi.d, psi.N - 1
     images = []
@@ -161,18 +165,9 @@ def build_masker(
             for idx, amp in psi.amplitudes.items()
             if idx[split_party] == s
         }
-        if not branch:
-            raise MaskingError(f"no terms carry symbol {s} at the split party")
+        provenance = f"image {s} of split at party {split_party}"
         if psi.exact:
-            if psi.r % d:
-                raise MaskingError(f"denominator {psi.r} not divisible by d = {d}")
-            img = PureState(
-                N=n_out,
-                d=d,
-                amplitudes=branch,
-                r=psi.r // d,
-                provenance=f"image {s} of split at party {split_party}",
-            )
+            img = PureState(N=n_out, d=d, amplitudes=branch, r=psi.r // d, provenance=provenance)
         else:
             scale = math.sqrt(d)
             img = PureState(
@@ -180,28 +175,17 @@ def build_masker(
                 d=d,
                 amplitudes={idx: amp * scale for idx, amp in branch.items()},
                 exact=False,
-                provenance=f"image {s} of split at party {split_party}",
+                provenance=provenance,
             )
         images.append(img)
 
-    for s, t in combinations(range(d), 2):
-        if not inner_product(images[s], images[t]).is_zero(tol=tol):
-            raise MaskingError(f"images {s} and {t} are not orthogonal")
-
-    m = Masker(
+    return Masker(
         d=d,
         N=n_out,
         images=images,
+        verified_k=k,
         provenance=f"split party {split_party} of ({psi.provenance})",
     )
-    report = verify_masker(m, k, tol=tol)
-    if report.verdict != "pass":
-        raise MaskingError(
-            f"masking criterion failed at k = {k} despite {k + 1}-uniform input: "
-            f"{report.failures[:3]}"
-        )
-    m.verified_k = k
-    return m
 
 
 def _operator_deviation(a: SparseOperator, b: SparseOperator) -> float:
@@ -243,33 +227,32 @@ def verify_masker(
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
 
     check_cap("matrix_dim", m.d**k, what=f"reduction onto {k} parties of dimension {m.d}")
-    images = m.images
     subsets = list(combinations(range(m.N), k))
-    pairs = [(s, s) for s in range(m.d)] + list(combinations(range(m.d), 2))
-    for subset, (s, t), red in _reductions(images, subsets, pairs):
-        if s == t == 0:
-            red0 = red
-            rho0 = common[subset] = _operator(images[0], images[0], red)
-            continue
-        if s == t:
-            exact = images[s].exact and images[0].exact
-            if exact and images[s].r == images[0].r and all(map(np.array_equal, red, red0)):
+    psi, width = _stack(m.images)
+    exact = psi.bound is not None
+    r = [img.r for img in m.images]  # _operator takes floats over r = 1
+    for subset in subsets:
+        block = _block_reduction(psi, width, m.d, subset, m.d)
+        red0 = block(0, 0)
+        rho0 = common[subset] = _operator(red0, m.d, exact, r[0], r[0])
+        for s in range(1, m.d):
+            red = block(s, s)
+            if exact and _same_operator(red, r[s], red0, r[0]):
                 continue  # the same operator as image 0's
-            delta = _operator_deviation(_operator(images[s], images[s], red), rho0)
+            delta = _operator_deviation(_operator(red, m.d, exact, r[s], r[s]), rho0)
             max_dev = max(max_dev, delta)
             if exact or delta > tol:
                 failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
-            continue
-        exact = images[s].exact and images[t].exact
-        if exact and not len(red.re):
-            continue  # the cross term vanishes exactly
-        cross = _operator(images[s], images[t], red)
-        mag = max((abs(complex(*v) if exact else v) for v in cross.entries.values()), default=0.0)
-        if exact:
-            mag /= math.sqrt(cross.r_ket * cross.r_bra)
-        max_dev = max(max_dev, mag)
-        if exact or mag > tol:
-            failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
+        for s, t in combinations(range(m.d), 2):
+            red = block(s, t)
+            if exact and not len(red.re):
+                continue  # the cross term vanishes exactly
+            mag = max(map(abs, map(complex, red.re.tolist(), red.im.tolist())), default=0.0)
+            if exact:
+                mag /= math.sqrt(r[s] * r[t])
+            max_dev = max(max_dev, mag)
+            if exact or mag > tol:
+                failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
 
     samples_checked = 0
     if samples > 0 and not failures:
@@ -289,8 +272,10 @@ def verify_masker(
                 exact=False,
                 provenance="sampled superposition",
             )
-            for subset, _, red in _reductions([masked], subsets, [(0, 0)]):
-                delta = _operator_deviation(_operator(masked, masked, red), common[subset])
+            e, _ = _stack([masked])
+            for subset in subsets:
+                rho = _operator(_reduce(e, subset, m.d), m.d, False)
+                delta = _operator_deviation(rho, common[subset])
                 max_dev = max(max_dev, delta)
                 if delta > tol:
                     failures.append(
@@ -457,12 +442,15 @@ def verify_pure_qecc(
     traceless, so the pure-code condition is that <psi_i| E |psi_j> vanishes
     for all of them; orthonormality of the basis covers the identity.  The
     Paulis on a set S of k = min(delta - 1, N) parties span every operator
-    on S, so the check runs on pair reductions: for each k-subset S and each
-    i <= j, Tr over the complement of S of |psi_j><psi_i| must be I / d^k
-    when i == j and zero otherwise.  Exact reductions are decided exactly
-    for every d; a reduction of float states passes when its largest
-    non-identity Pauli coefficient is at most tol.  The qecc_ops cap bounds
-    the number of pair reductions, the matrix_dim cap their dimension d^k.
+    on S, so the check runs on the blocks of one purified state
+    Psi = sum_i |i>_a |psi_i>: for each k-subset S, Psi is reduced once onto
+    the ancilla and S, and for each i <= j its block (j, i), which is
+    |psi_j><psi_i| traced down to S, must be I / d^k when i == j and zero
+    otherwise.  A basis whose states are all exact is decided exactly for
+    every d; otherwise every state is taken in floats, and a block passes
+    when its largest non-identity Pauli coefficient is at most tol.  The
+    qecc_ops cap bounds the C(N, k) K (K + 1) / 2 blocks checked, the
+    matrix_dim cap their dimension d^k.
 
     ops_checked counts the errors covered, sum over 1 <= w < delta of
     C(N, w) (d^2 - 1)^w, not operators iterated.  failures holds one
@@ -497,23 +485,28 @@ def verify_pure_qecc(
     ops = sum(math.comb(N, w) * (d * d - 1) ** w for w in range(1, delta))
     k = min(delta - 1, N)
     subsets = list(combinations(range(N), k)) if k else []
-    pairs = [(j, i) for i in range(K) for j in range(i, K)]  # |psi_j><psi_i|, i <= j
+    n_pairs = K * (K + 1) // 2
     check_cap(
         "qecc_ops",
-        len(subsets) * len(pairs),
-        what=f"{len(subsets)} x {len(pairs)} pair reductions onto {k} parties",
+        len(subsets) * n_pairs,
+        what=f"{len(subsets)} x {n_pairs} pair reductions onto {k} parties",
     )
     dim = d**k
     check_cap("matrix_dim", dim, what=f"reduction onto {k} parties of dimension {d}")
-    for subset, (j, i), red in _reductions(basis, subsets, pairs):
-        exact = basis[i].exact and basis[j].exact
-        if exact and (_is_maximally_mixed(red, basis[i].r, dim) if i == j else not len(red.re)):
-            continue
-        scale = 1.0 / math.sqrt(basis[j].r * basis[i].r) if exact else 1.0
-        op, mag = _pauli_witness(red, scale, d, subset)
-        if exact or mag > tol:
-            failures.append((str(op), i, j, mag))
-            worst = max(worst, mag)
+    psi, width = _stack(basis)
+    exact = psi.bound is not None
+    for subset in subsets:
+        block = _block_reduction(psi, width, K, subset, d)
+        for i in range(K):
+            for j in range(i, K):
+                red = block(j, i)  # |psi_j><psi_i|
+                if exact and (_is_maximally_mixed(red, basis[i].r, dim) if i == j else not len(red.re)):
+                    continue
+                scale = 1.0 / math.sqrt(basis[j].r * basis[i].r) if exact else 1.0
+                op, mag = _pauli_witness(red, scale, d, subset)
+                if exact or mag > tol:
+                    failures.append((str(op), i, j, mag))
+                    worst = max(worst, mag)
 
     verdict = "pass" if not failures else "fail"
     return QeccReport(N, d, K, delta, verdict, ops, failures, worst, True)

@@ -278,12 +278,16 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the reduction kernel: states as arrays, one sort per subset
 #
-# Entry (kept1, kept2) of tr_others |s1><s2| sums amp1 * conj(amp2) over the
-# row pairs of s1 and s2 that agree on the traced-out parties.  Rows are
-# matched through integer keys of their complement columns, and the pair
-# products are summed per (kept1, kept2) key.  Exact states stay in int64
-# only where every product and sum provably fits, and in Python ints
-# otherwise, so no result ever wraps.
+# Entry (kept1, kept2) of tr_others |psi><psi| sums amp1 * conj(amp2) over
+# the row pairs that agree on the traced-out parties.  Rows are matched
+# through integer keys of their complement columns, and the pair products
+# are summed per (kept1, kept2) key.  Exact states stay in int64 only where
+# every product and sum provably fits, and in Python ints otherwise, so no
+# result ever wraps.
+#
+# A family of states psi_s is reduced as one purified state
+# Psi = sum_s |s>_a |psi_s>: block (s, t) of its reduction onto the ancilla
+# and S is |psi_s><psi_t| traced down to S.
 
 _INT64_LIMIT = 1 << 63
 # kept keys stay below this, so a (row, col) key pair fits one int64
@@ -305,10 +309,12 @@ class _Encoded(NamedTuple):
 
 
 class _Reduced(NamedTuple):
-    """Entries of a cross reduction, nonzero ones only when exact.
+    """Entries of a reduction or of one of its blocks, nonzero ones only
+    when exact.
 
     Entries come in lexicographic (row, column) order, so two exact
-    reductions are the same operator iff their arrays are equal.
+    reductions over one denominator are the same operator iff their arrays
+    are equal.
     """
 
     rows: np.ndarray  # (entries, kept parties) row indices
@@ -320,7 +326,7 @@ class _Reduced(NamedTuple):
 
 def _encode(state: PureState, floats: bool) -> _Encoded:
     """Index and amplitude arrays; an exact state becomes physical floats
-    when `floats` is set, as it must when paired with a float state."""
+    when `floats` is set, as it must when stacked with a float state."""
     idx = np.array(list(state.amplitudes), dtype=np.int64).reshape(state.num_terms, state.N)
     values = list(state.amplitudes.values())
     if not state.exact:
@@ -334,19 +340,15 @@ def _encode(state: PureState, floats: bool) -> _Encoded:
     return _Encoded(idx, parts[:, 0], parts[:, 1], bound)
 
 
-def _row_keys(a: np.ndarray, b: np.ndarray, d: int, limit: int):
-    """Integer keys of the rows of a and b, equal exactly when the rows are,
-    and a bound above every key: radix keys while d^width <= limit, ids of
-    the distinct rows otherwise."""
+def _row_keys(a: np.ndarray, d: int, limit: int):
+    """Integer keys of the rows of a, equal exactly when the rows are, and a
+    bound above every key: radix keys while d^width <= limit, ids of the
+    distinct rows otherwise."""
     width = a.shape[1]
     if d**width <= limit:
-        weights = d ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        ka = a @ weights
-        return ka, ka if b is a else b @ weights, d**width
-    both = a if b is a else np.concatenate([a, b])
-    distinct, ids = np.unique(both, axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
-    return ids[: len(a)], ids[len(a) :] if b is not a else ids, len(distinct)
+        return a @ d ** np.arange(width - 1, -1, -1, dtype=np.int64), d**width
+    distinct, ids = np.unique(a, axis=0, return_inverse=True)
+    return ids.reshape(-1), len(distinct)
 
 
 def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
@@ -369,81 +371,104 @@ def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
     return blocks
 
 
-def _reduce(e1: _Encoded, e2: _Encoded, parties: tuple, d: int) -> _Reduced:
-    """Trace of |s1><s2| over the complement of `parties`, on arrays."""
+def _reduce(e: _Encoded, parties: tuple, d: int) -> _Reduced:
+    """Trace of |psi><psi| over the complement of `parties`, on arrays."""
     kept = list(parties)
-    others = [p for p in range(e1.idx.shape[1]) if p not in parties]
-    kept1, comp1 = e1.idx[:, kept], e1.idx[:, others]
-    kept2, comp2 = (kept1, comp1) if e2 is e1 else (e2.idx[:, kept], e2.idx[:, others])
-    k1, k2, n_kept = _row_keys(kept1, kept2, d, _KEPT_KEY_LIMIT)
-    c1, c2, _ = _row_keys(comp1, comp2, d, _INT64_LIMIT)
+    others = [p for p in range(e.idx.shape[1]) if p not in parties]
+    kept_idx = e.idx[:, kept]
+    keys, n_kept = _row_keys(kept_idx, d, _KEPT_KEY_LIMIT)
+    comp, _ = _row_keys(e.idx[:, others], d, _INT64_LIMIT)
 
-    # s2 rows sharing the complement of s1 row i: order2[lo[i] : lo[i] + counts[i]];
+    # rows sharing the complement of row i: order[lo[i] : lo[i] + counts[i]];
     # searching with sorted keys is several times faster than with unsorted ones
-    order2 = np.argsort(c2, kind="stable")
-    order1 = order2 if e2 is e1 else np.argsort(c1, kind="stable")
-    sorted2, sorted1 = c2[order2], c1[order1]
-    lo, counts = np.empty_like(order1), np.empty_like(order1)
-    lo[order1] = np.searchsorted(sorted2, sorted1, side="left")
-    counts[order1] = np.searchsorted(sorted2, sorted1, side="right") - lo[order1]
+    order = np.argsort(comp, kind="stable")
+    ordered = comp[order]
+    lo, counts = np.empty_like(order), np.empty_like(order)
+    lo[order] = np.searchsorted(ordered, ordered, side="left")
+    counts[order] = np.searchsorted(ordered, ordered, side="right") - lo[order]
 
-    a1, b1, a2, b2 = e1.re, e1.im, e2.re, e2.im
-    floats = e1.bound is None
-    # an entry sums at most min(terms) products, each below 2 * bound1 * bound2
-    if not floats and 2 * e1.bound * e2.bound * min(len(c1), len(c2)) >= _INT64_LIMIT:
-        a1, b1, a2, b2 = (x.astype(object) for x in (a1, b1, a2, b2))
+    a, b = e.re, e.im
+    floats = e.bound is None
+    # an entry sums at most one product per row, each below 2 * bound^2
+    if not floats and 2 * e.bound**2 * len(comp) >= _INT64_LIMIT:
+        a, b = a.astype(object), b.astype(object)
 
     if counts.sum() <= _PAIR_BLOCK:
-        blocks = [np.arange(len(c1))]
+        blocks = [np.arange(len(comp))]
     else:
-        blocks = _blocks(k1, counts)
+        blocks = _blocks(keys, counts)
     parts = []
     for rows in blocks:
         n = counts[rows]
         i1 = np.repeat(rows, n)
-        i2 = order2[np.repeat(lo[rows] - (np.cumsum(n) - n), n) + np.arange(len(i1))]
+        i2 = order[np.repeat(lo[rows] - (np.cumsum(n) - n), n) + np.arange(len(i1))]
         # (a1 + b1 i)(a2 - b2 i)
-        re = a1[i1] * a2[i2] + b1[i1] * b2[i2]
-        im = b1[i1] * a2[i2] - a1[i1] * b2[i2]
-        keys, first, inv = np.unique(k1[i1] * n_kept + k2[i2], return_index=True, return_inverse=True)
+        re = a[i1] * a[i2] + b[i1] * b[i2]
+        im = b[i1] * a[i2] - a[i1] * b[i2]
+        pair_keys, first, inv = np.unique(keys[i1] * n_kept + keys[i2], return_index=True, return_inverse=True)
         if floats:
-            # bincount adds in pair order, as a running sum over s1 would
-            re_sum = np.bincount(inv, re, len(keys))
-            im_sum = np.bincount(inv, im, len(keys))
+            # bincount adds in pair order, as a running sum over the rows would
+            re_sum = np.bincount(inv, re, len(pair_keys))
+            im_sum = np.bincount(inv, im, len(pair_keys))
         else:
-            re_sum = np.zeros(len(keys), dtype=re.dtype)
-            im_sum = np.zeros(len(keys), dtype=im.dtype)
+            re_sum = np.zeros(len(pair_keys), dtype=re.dtype)
+            im_sum = np.zeros(len(pair_keys), dtype=im.dtype)
             np.add.at(re_sum, inv, re)
             np.add.at(im_sum, inv, im)
             nonzero = (re_sum != 0) | (im_sum != 0)
             first, re_sum, im_sum = first[nonzero], re_sum[nonzero], im_sum[nonzero]
         rows_out, cols_out = i1[first], i2[first]
-        diagonal = k1[rows_out] == k2[cols_out]
-        parts.append(_Reduced(kept1[rows_out], kept2[cols_out], diagonal, re_sum, im_sum))
+        diagonal = keys[rows_out] == keys[cols_out]
+        parts.append(_Reduced(kept_idx[rows_out], kept_idx[cols_out], diagonal, re_sum, im_sum))
     return _Reduced(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _reductions(states: list, subsets, pairs, encoded: dict | None = None):
-    """(subset, (a, b), reduction) of |states[a]><states[b]| for every
-    subset and, within it, every pair, on states already validated and
-    capped.  Each state is encoded once per arithmetic mode, exact only when
-    both states of a pair are; a pair of one state shares one encoding.
-    `encoded` holds encodings a caller already made, keyed by
-    (id(state), floats)."""
-    encoded = {} if encoded is None else encoded
+def _stack(family: list) -> tuple[_Encoded, int]:
+    """The encoding of Psi = sum_s |s>_a |psi_s> over a family of states on
+    one system, and the number m of its leading ancilla columns.
 
-    def encode(state: PureState, floats: bool) -> _Encoded:
-        key = (id(state), floats)
-        if key not in encoded:
-            encoded[key] = _encode(state, floats)
-        return encoded[key]
+    Member s keeps its numerators as they are, so block (s, t) of a
+    reduction of Psi is the reduction of |psi_s><psi_t| over the
+    denominator sqrt(r_s r_t).  The family is exact only when every member
+    is; otherwise every member is encoded as physical floats.  The index s
+    takes m = ceil(log K) digits of base max(d, 2), none for one state.
+    """
+    base, K = max(family[0].d, 2), len(family)
+    floats = not all(state.exact for state in family)
+    parts = [_encode(state, floats) for state in family]
+    m = 0
+    while base**m < K:
+        m += 1
+    member = np.repeat(np.arange(K), [len(e.idx) for e in parts])
+    ancilla = member[:, None] // base ** np.arange(m - 1, -1, -1) % base
+    idx = np.hstack([ancilla, np.concatenate([e.idx for e in parts])])
+    re = np.concatenate([e.re for e in parts])
+    im = np.concatenate([e.im for e in parts])
+    return _Encoded(idx, re, im, None if floats else max(e.bound for e in parts)), m
 
-    d = states[0].d
-    for subset in subsets:
-        for a, b in pairs:
-            s1, s2 = states[a], states[b]
-            floats = not (s1.exact and s2.exact)
-            yield subset, (a, b), _reduce(encode(s1, floats), encode(s2, floats), subset, d)
+
+def _block_reduction(e: _Encoded, m: int, K: int, parties: tuple, d: int):
+    """block(s, t): the entries of tr |psi_s><psi_t| traced down to
+    `parties`, for the stack e of K states with m ancilla columns.
+
+    Psi is reduced once onto the ancilla and `parties`, and its entries are
+    split by one stable argsort on the ancilla (row, column) key, which
+    keeps each block in lexicographic order.
+    """
+    base = max(d, 2)
+    red = _reduce(e, tuple(range(m)) + tuple(p + m for p in parties), base)
+    weights = base ** np.arange(m - 1, -1, -1)
+    key = (red.rows[:, :m] @ weights) * K + red.cols[:, :m] @ weights
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(K * K + 1)).tolist()
+    rows, cols = red.rows[order, m:], red.cols[order, m:]
+    diagonal, re, im = red.diagonal[order], red.re[order], red.im[order]
+
+    def block(s: int, t: int) -> _Reduced:
+        cut = slice(bounds[s * K + t], bounds[s * K + t + 1])
+        return _Reduced(rows[cut], cols[cut], diagonal[cut], re[cut], im[cut])
+
+    return block
 
 
 def _is_maximally_mixed(red: _Reduced, r: int, dim: int) -> bool:
@@ -456,6 +481,18 @@ def _is_maximally_mixed(red: _Reduced, r: int, dim: int) -> bool:
         and (red.re == r // dim).all()
         and not red.im.any()
     )
+
+
+def _same_operator(a: _Reduced, ra: int, b: _Reduced, rb: int) -> bool:
+    """Whether exact self-reductions a over the denominator ra and b over rb
+    are the same operator: the same entries, and a rb == b ra.  Entries of
+    a trace-1 positive operator are at most 1, so |a| <= ra and |b| <= rb,
+    and the products stay below ra rb."""
+    if not (np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)):
+        return False
+    wide = object if ra * rb >= _INT64_LIMIT else None
+    pairs = ((a.re, b.re), (a.im, b.im))
+    return all(np.array_equal(np.asarray(x, wide) * rb, np.asarray(y, wide) * ra) for x, y in pairs)
 
 
 def _counting_check(e: _Encoded, d: int, k: int):
@@ -503,7 +540,7 @@ def _counting_check(e: _Encoded, d: int, k: int):
             complement = np.zeros((np.count_nonzero(ok), T), dtype=np.int64)
             for row, subset in zip(complement, block[ok].tolist()):
                 rest = e.idx[:, [p for p in range(N) if p not in subset]]
-                row[:] = _row_keys(rest, rest, d, _INT64_LIMIT)[0]
+                row[:] = _row_keys(rest, d, _INT64_LIMIT)[0]
         complement.sort(axis=1)
         ok[ok] = (complement[:, 1:] != complement[:, :-1]).all(axis=1)
         return ok
@@ -540,47 +577,52 @@ def _deviation(red: _Reduced, r: int, dim: int) -> float:
     return dev
 
 
-def _operator(s1: PureState, s2: PureState, red: _Reduced) -> SparseOperator:
-    """The SparseOperator holding the entries of `red`."""
+def _operator(red: _Reduced, d: int, exact: bool, r_ket: int = 1, r_bra: int = 1) -> SparseOperator:
+    """The SparseOperator holding the entries of `red`, exact ones over the
+    denominator sqrt(r_ket r_bra)."""
     rows = map(tuple, red.rows.tolist())
     cols = map(tuple, red.cols.tolist())
-    exact = s1.exact and s2.exact
     if exact:
         values = zip(red.re.tolist(), red.im.tolist())
     else:
         values = map(complex, red.re.tolist(), red.im.tolist())
+        r_ket = r_bra = 1
     return SparseOperator(
         n_parties=red.rows.shape[1],
-        d=s1.d,
+        d=d,
         entries=dict(zip(zip(rows, cols), values)),
-        r_ket=s1.r if exact else 1,
-        r_bra=s2.r if exact else 1,
+        r_ket=r_ket,
+        r_bra=r_bra,
         exact=exact,
     )
 
 
+def _block_operator(family: list, parties, s: int, t: int) -> SparseOperator:
+    """Block (s, t) of the reduction of the stack of `family` onto `parties`."""
+    d = family[0].d
+    parties = _validate_parties(family[0].N, parties)
+    check_cap("matrix_dim", d ** len(parties), what=f"reduction onto {len(parties)} parties of dimension {d}")
+    e, m = _stack(family)
+    red = _block_reduction(e, m, len(family), parties, d)(s, t)
+    return _operator(red, d, e.bound is not None, family[s].r, family[t].r)
+
+
 def cross_reduction(s1: PureState, s2: PureState, parties) -> SparseOperator:
-    """Trace of |s1><s2| over the complement of `parties`.
+    """Trace of |s1><s2| over the complement of `parties`, exact when both
+    states are: block (0, 1) of the reduction of their two-state stack.
 
     The masking criterion needs exactly this: the result must vanish for
     distinct images and agree with a common reduced operator for equal ones.
     """
     if (s1.N, s1.d) != (s2.N, s2.d):
         raise ValueError("states live on different systems")
-    parties = _validate_parties(s1.N, parties)
-    check_cap(
-        "matrix_dim",
-        s1.d ** len(parties),
-        what=f"reduction onto {len(parties)} parties of dimension {s1.d}",
-    )
-    [(_, _, red)] = _reductions([s1, s2], [parties], [(0, 1)])
-    return _operator(s1, s2, red)
+    return _block_operator([s1, s2], parties, 0, 1)
 
 
 def reduction(state: PureState, parties) -> SparseOperator:
     """Reduced density operator of `state` on `parties`, exact when the
     state is exact."""
-    return cross_reduction(state, state, parties)
+    return _block_operator([state], parties, 0, 0)
 
 
 def inner_product(s1: PureState, s2: PureState) -> InnerProduct:
@@ -660,7 +702,7 @@ def verify_k_uniform(
     exactly I / d^k.  Subsets are walked lazily and counted in blocks whose
     arrays hold at most max(T, _COUNT_BLOCK) entries each.  Every other
     subset, and every subset of a float state, goes through the
-    pair-reduction kernel, which alone reports failures; an exact state's
+    reduction kernel, which alone reports failures; an exact state's
     deviations are read off the kernel's arrays.  The matrix_dim cap bounds
     that kernel's d^k wide reductions, so it is checked before the first
     subset left for it, and at once when the counting check applies to no
@@ -697,9 +739,10 @@ def verify_k_uniform(
 
     failures = []
     max_dev = 0.0
-    for subset, _, red in _reductions([state], unpassed(), [(0, 0)], {(id(state), floats): e}):
+    for subset in unpassed():
+        red = _reduce(e, subset, state.d)
         if floats:
-            rho = _operator(state, state, red)
+            rho = _operator(red, state.d, False)
             dev, failed = rho.maximally_mixed_deviation(), not rho.is_maximally_mixed(tol=tol)
         elif _is_maximally_mixed(red, state.r, dim):
             continue  # deviation exactly 0.0

@@ -5,9 +5,10 @@ amp1 * conj(amp2) term by term: Gaussian integers when both states are
 exact, complex floats otherwise.  The array kernel behind
 states.cross_reduction and states.verify_k_uniform computes the same
 operators; the tests hold it to this oracle.  oracle_verify_masker is the
-masking criterion with one cross_reduction call per (subset, pair) and
-deviations read off dense matrices.  oracle_counting_passes is the
-counting criterion of verify_k_uniform decided for one subset at a time.
+masking criterion with one oracle_cross_reduction call per (subset, pair),
+in floats for every pair unless every image is exact, and deviations read
+off dense matrices.  oracle_counting_passes is the counting criterion of
+verify_k_uniform decided for one subset at a time.
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ from kuniform.states import (
     PureState,
     SparseOperator,
     UniformityReport,
-    cross_reduction,
     inner_product,
 )
 
 
-def oracle_cross_reduction(s1: PureState, s2: PureState, parties) -> SparseOperator:
-    """Trace of |s1><s2| over the complement of `parties`."""
+def oracle_cross_reduction(s1: PureState, s2: PureState, parties, floats: bool = False) -> SparseOperator:
+    """Trace of |s1><s2| over the complement of `parties`; in floats when
+    either state is a float state or `floats` is set."""
     if (s1.N, s1.d) != (s2.N, s2.d):
         raise ValueError("states live on different systems")
     parties = tuple(sorted(set(int(p) for p in parties)))
     others = tuple(p for p in range(s1.N) if p not in parties)
-    exact = s1.exact and s2.exact
+    exact = s1.exact and s2.exact and not floats
 
     groups: dict = {}
     for idx, amp in s2.amplitudes.items():
@@ -114,10 +115,17 @@ def oracle_counting_passes(state: PureState, subset) -> bool:
 
 def _operators_equal(a: SparseOperator, b: SparseOperator, tol: float) -> bool:
     if a.exact and b.exact:
+        # x / sqrt(ra) == y / sqrt(rb) for every numerator part: same sign,
+        # and x^2 rb == y^2 ra
+        ra, rb = a.r_ket * a.r_bra, b.r_ket * b.r_bra
         return (
-            a.entries == b.entries
-            and (a.r_ket, a.r_bra) == (b.r_ket, b.r_bra)
-            and (a.n_parties, a.d) == (b.n_parties, b.d)
+            (a.n_parties, a.d) == (b.n_parties, b.d)
+            and a.entries.keys() == b.entries.keys()
+            and all(
+                x * y >= 0 and x * x * rb == y * y * ra
+                for key, val in a.entries.items()
+                for x, y in zip(val, b.entries[key])
+            )
         )
     return bool(np.allclose(a.to_matrix(), b.to_matrix(), atol=tol, rtol=0.0))
 
@@ -143,17 +151,20 @@ def oracle_verify_masker(
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
 
     subsets = list(combinations(range(m.N), k))
+    floats = not all(img.exact for img in m.images)
     for subset in subsets:
-        rho0 = cross_reduction(m.images[0], m.images[0], subset)
+        rho0 = oracle_cross_reduction(m.images[0], m.images[0], subset, floats)
         common[subset] = rho0
         for s in range(1, m.d):
-            rho_s = cross_reduction(m.images[s], m.images[s], subset)
-            delta = _operator_deviation(rho_s, rho0)
+            rho_s = oracle_cross_reduction(m.images[s], m.images[s], subset, floats)
+            equal = _operators_equal(rho_s, rho0, tol)
+            # exactly equal operators deviate by exactly 0
+            delta = 0.0 if equal and rho0.exact else _operator_deviation(rho_s, rho0)
             max_dev = max(max_dev, delta)
-            if not _operators_equal(rho_s, rho0, tol):
+            if not equal:
                 failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
         for s, t in combinations(range(m.d), 2):
-            cross = cross_reduction(m.images[s], m.images[t], subset)
+            cross = oracle_cross_reduction(m.images[s], m.images[t], subset, floats)
             if cross.exact:
                 leaked = not cross.is_zero()
                 mag = float(
@@ -189,7 +200,7 @@ def oracle_verify_masker(
                 exact=False,
             )
             for subset in subsets:
-                delta = _operator_deviation(cross_reduction(masked, masked, subset), common[subset])
+                delta = _operator_deviation(oracle_cross_reduction(masked, masked, subset), common[subset])
                 max_dev = max(max_dev, delta)
                 if delta > tol:
                     failures.append(

@@ -201,8 +201,9 @@ def _count_encodes(monkeypatch) -> list:
 @pytest.mark.parametrize("mode", ["exact", "float", "mixed"])
 @pytest.mark.parametrize("k, samples", [(1, 0), (2, 0), (1, 3)])
 def test_masker_encodes_each_state_once(monkeypatch, mode, k, samples):
-    """No state is encoded twice in one arithmetic mode, and the report is
-    the one the per-pair oracle gives."""
+    """Each image and each sample is encoded once, the images in floats
+    unless every image is exact, and the report is the one the per-pair
+    oracle gives."""
     images = build_masker(qutrit_state(), split_party=0, k=1).images
     if mode == "float":
         images = [_float_copy(s) for s in images]
@@ -212,9 +213,9 @@ def test_masker_encodes_each_state_once(monkeypatch, mode, k, samples):
 
     encodes = _count_encodes(monkeypatch)
     report = verify_masker(m, k, samples=samples, seed=3)
-    assert len(encodes) == len(set(encodes))
-    if mode == "exact":
-        assert len(encodes) == 3 + report.samples_checked
+    assert len(encodes) == len(set(encodes)) == 3 + report.samples_checked
+    assert encodes[:3] == [(id(s), mode != "exact") for s in images]
+    assert all(floats for _, floats in encodes[3:])
     assert report == oracle_verify_masker(m, k, samples=samples, seed=3)
 
 
@@ -282,6 +283,46 @@ def test_masker_reports_match_oracle(m, data):
     want = oracle_verify_masker(m, k, samples=samples, seed=11)
     assert report == want
     assert report.max_deviation.hex() == want.max_deviation.hex()
+
+
+def _uniformity(psi: PureState) -> int:
+    return max(k for k in range(psi.N // 2 + 1) if verify_k_uniform(psi, k))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_built_maskers_pass(data):
+    """build_masker checks only its input's (k+1)-uniformity; every masker
+    it builds, from a source or its float copy, passes the full criterion
+    at k, exactly for exact sources."""
+    psi = data.draw(st.sampled_from(_masker_sources()), label="source")
+    if data.draw(st.booleans(), label="float copy"):
+        psi = _float_copy(psi)
+    split = data.draw(st.integers(0, psi.N - 1), label="split party")
+    k = data.draw(st.integers(0, _uniformity(psi) - 1), label="k")
+    m = build_masker(psi, split, k)
+    report = verify_masker(m, k)
+    assert report.verdict == "pass" and m.verified_k == k
+    assert report == oracle_verify_masker(m, k)
+    if psi.exact:
+        assert report.max_deviation == 0.0
+
+
+def test_image_with_other_denominator_masks():
+    # image 1 times the global phase 1 + i: numerators (a - b, a + b) over
+    # 2r; its reductions equal image 0's as operators, not as numerators
+    m = qubit_masker()
+    image = m.images[1]
+    phased = PureState(
+        N=image.N,
+        d=image.d,
+        amplitudes={idx: (a - b, a + b) for idx, (a, b) in image.amplitudes.items()},
+        r=2 * image.r,
+    )
+    m = Masker(d=2, N=m.N, images=[m.images[0], phased])
+    report = verify_masker(m, 2)
+    assert report.verdict == "pass" and report.max_deviation == 0.0
+    assert report == oracle_verify_masker(m, 2)
 
 
 def test_masker_deviation_spans_entries_of_either_image():
@@ -476,12 +517,13 @@ def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
     calls = []
     check_cap = masking.check_cap
     monkeypatch.setattr(masking, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
-    # image 0 pairs with itself exactly and with the float image 1 in floats
-    for basis, n_encodes in [(images, 2), ([images[0], _float_copy(images[1])], 3)]:
+    # a basis with a float state is encoded in floats throughout
+    for basis, floats in [(images, False), ([images[0], _float_copy(images[1])], True)]:
         encodes.clear()
         calls.clear()
         assert verify_pure_qecc(basis, 3).verdict == "pass"
-        assert len(encodes) == len(set(encodes)) == n_encodes
+        assert len(encodes) == len(set(encodes)) == 2
+        assert {mode for _, mode in encodes} == {floats}
         assert sorted(calls) == ["matrix_dim", "qecc_ops"]
     # 2^13 > 4096: one reduction, refused before any state is encoded
     encodes.clear()
@@ -581,6 +623,31 @@ def _assert_matches_oracle(basis, delta):
 @settings(max_examples=80)
 @given(basis=small_bases(), delta=st.integers(1, 3))
 def test_pair_reductions_match_pauli_oracle(basis, delta):
+    _assert_matches_oracle(basis, delta)
+
+
+@st.composite
+def wide_bases(draw):
+    """Bases of K > d states with disjoint supports on N <= 3 parties, so
+    the stack's index takes two or three ancilla digits; each state exact
+    or float."""
+    d = draw(st.sampled_from((2, 3)))
+    N = draw(st.integers(2, 3))
+    K = draw(st.integers(d + 1, 5))
+    indices = st.tuples(*[st.integers(0, d - 1)] * N)
+    support = draw(st.lists(indices, min_size=K, max_size=2 * K, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, len(support) - 1), min_size=K - 1, max_size=K - 1)))
+    basis = []
+    for part in np.split(np.arange(len(support)), cuts):
+        amps = {support[i]: draw(st.sampled_from(AMPLITUDES)) for i in part}
+        s = PureState(N=N, d=d, amplitudes=amps, r=sum(a * a + b * b for a, b in amps.values()))
+        basis.append(_float_copy(s) if draw(st.booleans()) else s)
+    return basis
+
+
+@settings(max_examples=60)
+@given(basis=wide_bases(), delta=st.integers(1, 3))
+def test_wide_bases_match_pauli_oracle(basis, delta):
     _assert_matches_oracle(basis, delta)
 
 

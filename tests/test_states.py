@@ -215,7 +215,7 @@ def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypa
     assert asked == [[(0, 1), (0, 2)], [(0, 3), (1, 2)], [(1, 3), (2, 3)]]
     assert report.verdict == "fail" and report.subsets_checked == 6
     assert [subset for subset, _ in report.failures] == [(0, 2), (1, 3)]
-    assert [args[2] for args in reduced] == [(0, 2), (1, 3)]
+    assert [args[1] for args in reduced] == [(0, 2), (1, 3)]
 
 
 def test_cross_reduction_orthogonal_product_terms():
@@ -310,6 +310,41 @@ def test_kernel_matches_dict_oracle(case, block):
         env.setenv("KUF_CAPS", f"matrix_dim={s1.d ** len(parties)}")
         got = cross_reduction(s1, s2, parties)
     assert_same_operator(got, oracle_cross_reduction(s1, s2, parties))
+
+
+@st.composite
+def families(draw):
+    """(family, parties): K <= 5 states on N <= 4 parties with d in
+    {2, 3}, each exact or float, so the stack's index may take one to
+    three ancilla digits and leave some of their values unused."""
+    N = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((2, 3)))
+    states = st.one_of(sparse_exact_states(N, d), sparse_float_states(N, d))
+    family = draw(st.lists(states, min_size=1, max_size=5))
+    parties = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
+    return family, parties
+
+
+@settings(max_examples=150)
+@given(case=families(), block=st.sampled_from((1, 5, states_module._PAIR_BLOCK)))
+def test_stack_blocks_match_dict_oracle(case, block):
+    """Block (s, t) of one reduction of the stacked family is the reduction
+    of |psi_s><psi_t|, in floats unless every member is exact, with its
+    entries in order."""
+    family, parties = case
+    d, K = family[0].d, len(family)
+    floats = not all(s.exact for s in family)
+    e, m = states_module._stack(family)
+    assert d**m >= K and (m == 0 or d ** (m - 1) < K)
+    with mock.patch.object(states_module, "_PAIR_BLOCK", block):
+        blocks = states_module._block_reduction(e, m, K, tuple(sorted(parties)), d)
+    for s, t in np.ndindex(K, K):
+        red = blocks(s, t)
+        # entries in lexicographic (row, column) order
+        keys = [row + col for row, col in zip(red.rows.tolist(), red.cols.tolist())]
+        assert keys == sorted(keys)
+        got = states_module._operator(red, d, not floats, family[s].r, family[t].r)
+        assert_same_operator(got, oracle_cross_reduction(family[s], family[t], parties, floats))
 
 
 def test_kernel_blocks_keep_entries_whole():
@@ -517,7 +552,7 @@ def test_batched_counting_matches_oracle(case, size):
     reduce = states_module._reduce
     with (
         mock.patch.object(states_module, "_COUNT_BLOCK", size * state.num_terms),
-        mock.patch.object(states_module, "_reduce", lambda *args: reduced.append(args[2]) or reduce(*args)),
+        mock.patch.object(states_module, "_reduce", lambda *args: reduced.append(args[1]) or reduce(*args)),
     ):
         report = verify_k_uniform(state, k)
     assert reduced == [subset for subset, ok in zip(subsets, want) if not ok]
@@ -543,7 +578,7 @@ def test_counting_on_complement_ids(monkeypatch):
     report = verify_k_uniform(state, 2)
     kept = [subset for subset in combinations(range(66), 2) if counts(subset)]
     assert len(kept) == 12 and report.subsets_checked == 2145
-    assert [args[2] for args in reduced] == [s for s in combinations(range(66), 2) if s not in kept]
+    assert [args[1] for args in reduced] == [s for s in combinations(range(66), 2) if s not in kept]
     assert report == oracle_verify_k_uniform(state, 2)
 
 
@@ -572,9 +607,8 @@ TIED = PureState(N=2, d=3, amplitudes={(0, 0): (3, 0), (0, 1): (1, 1), (1, 0): (
 @example(case=(ghz(3, 3), (0,)))
 def test_deviation_matches_sparse_operator(case):
     state, parties = case
-    e = states_module._encode(state, False)
-    red = states_module._reduce(e, e, parties, state.d)
-    want = states_module._operator(state, state, red).maximally_mixed_deviation()
+    red = states_module._reduce(states_module._encode(state, False), parties, state.d)
+    want = states_module._operator(red, state.d, True, state.r, state.r).maximally_mixed_deviation()
     assert states_module._deviation(red, state.r, state.d ** len(parties)).hex() == want.hex()
 
 
@@ -600,7 +634,7 @@ def test_kernel_runs_only_where_counting_cannot_pass(monkeypatch):
     encoded.clear()
     report = verify_k_uniform(moved, 5)
     assert report.verdict == "fail" and 0 < len(report.failures) < report.subsets_checked
-    assert [args[2] for args in reduced] == [subset for subset, _ in report.failures]
+    assert [args[1] for args in reduced] == [subset for subset, _ in report.failures]
     assert encoded == [(moved, False)]
     # colliding complements and float amplitudes: every subset
     ame = load_bundled_state("ame_6_2")
@@ -608,7 +642,7 @@ def test_kernel_runs_only_where_counting_cannot_pass(monkeypatch):
         reduced.clear()
         encoded.clear()
         report = verify_k_uniform(state, k)
-        assert report.verdict == "pass" and [args[2] for args in reduced] == list(combinations(range(state.N), k))
+        assert report.verdict == "pass" and [args[1] for args in reduced] == list(combinations(range(state.N), k))
         assert encoded == [(state, not state.exact)]
 
 
