@@ -15,7 +15,9 @@ Each cap is checked where its memory is allocated:
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
 - oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
-  of catalog.execute_recipe that builds an array from a code;
+  of catalog.execute_recipe that builds an array from a code, and
+  states.tensor_parties, on the T1 T2 terms of a product, the rows of the
+  partywise product of the two index arrays;
 - oa_pairs: oa.oa_min_distance, before the pairwise row scan;
 - matrix_dim: the d^k-wide reductions of states.cross_reduction,
   states.reduction, masking.verify_masker and masking.verify_pure_qecc, of
@@ -38,7 +40,7 @@ from .errors import CapExceeded, KuniformError
 DEFAULTS = {
     "field_order": 1 << 16,   # largest p^m a field may have
     "codewords": 1 << 24,     # codewords enumerated for distances: q^min(t, N-t)
-    "oa_rows": 1 << 20,       # rows of an orthogonal array
+    "oa_rows": 1 << 20,       # rows of an orthogonal array, or terms of a tensor product
     "oa_pairs": 1 << 13,      # rows allowed in pairwise-distance scans
     "matrix_dim": 4096,       # reduced density operator dimension d^k
     "qecc_ops": 1 << 22,      # pair reductions computed by verify_pure_qecc

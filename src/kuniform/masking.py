@@ -41,13 +41,17 @@ import numpy as np
 from .caps import check_cap
 from .errors import KuniformError, MaskingError, ParseError
 from .states import (
+    _INT64_LIMIT,
     PureState,
     SparseOperator,
     _block_reduction,
+    _complex,
+    _from_arrays,
     _is_maximally_mixed,
     _operator,
     _reduce,
     _Reduced,
+    _row_keys,
     _same_operator,
     _stack,
     inner_product,
@@ -130,6 +134,15 @@ def _physical(values: dict, exact: bool, r: int) -> dict:
     return {key: complex(a, b) * scale for key, (a, b) in values.items()}
 
 
+def _sample_parts(img: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of an image's physical amplitudes, exact
+    numerators times 1 / sqrt(r) as _physical takes them."""
+    if not img.exact:
+        return img._values.real, img._values.imag
+    parts = img._values.astype(float) * (1.0 / math.sqrt(img.r))
+    return parts[:, 0], parts[:, 1]
+
+
 def build_masker(
     psi: PureState,
     split_party: int,
@@ -160,23 +173,17 @@ def build_masker(
     d, n_out = psi.d, psi.N - 1
     images = []
     for s in range(d):
-        branch = {
-            idx[:split_party] + idx[split_party + 1 :]: amp
-            for idx, amp in psi.amplitudes.items()
-            if idx[split_party] == s
-        }
+        rows = psi._idx[:, split_party] == s
+        idx = np.delete(psi._idx[rows], split_party, axis=1)
         provenance = f"image {s} of split at party {split_party}"
         if psi.exact:
-            img = PureState(N=n_out, d=d, amplitudes=branch, r=psi.r // d, provenance=provenance)
+            img = _from_arrays(n_out, d, idx, psi._values[rows], r=psi.r // d, provenance=provenance)
         else:
-            scale = math.sqrt(d)
-            img = PureState(
-                N=n_out,
-                d=d,
-                amplitudes={idx: amp * scale for idx, amp in branch.items()},
-                exact=False,
-                provenance=provenance,
-            )
+            # sqrt(d) times each amplitude, as a Python complex * float product
+            scale, amps = math.sqrt(d), psi._values[rows]
+            re = amps.real * scale - amps.imag * 0.0
+            im = amps.real * 0.0 + amps.imag * scale
+            img = _from_arrays(n_out, d, idx, _complex(re, im), exact=False, provenance=provenance)
         images.append(img)
 
     return Masker(
@@ -257,20 +264,26 @@ def verify_masker(
     samples_checked = 0
     if samples > 0 and not failures:
         rng = np.random.default_rng(seed)
-        image_amps = [_physical(img.amplitudes, img.exact, img.r) for img in m.images]
+        # the images' terms, and each one's slot among the distinct indices
+        # in order of first appearance
+        idx = np.concatenate([img._idx for img in m.images])
+        member = np.repeat(np.arange(m.d), [img.num_terms for img in m.images])
+        x, y = (np.concatenate(parts) for parts in zip(*map(_sample_parts, m.images)))
+        _, first, inv = np.unique(_row_keys(idx, m.d, _INT64_LIMIT)[0], return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        slot, support = rank[inv], idx[np.sort(first)]
         for _ in range(samples):
             coeffs = rng.normal(size=m.d) + 1j * rng.normal(size=m.d)
             coeffs /= np.linalg.norm(coeffs)
-            amps: dict = {}
-            for c, amp_map in zip(coeffs, image_amps):
-                for idx, v in amp_map.items():
-                    amps[idx] = amps.get(idx, 0j) + c * v
-            masked = PureState(
-                N=m.N,
-                d=m.d,
-                amplitudes={i: v for i, v in amps.items() if v != 0},
-                exact=False,
-                provenance="sampled superposition",
+            cx, cy = coeffs.real[member], coeffs.imag[member]
+            # sum over images of c * amplitude, added term by term in order
+            re, im = np.zeros(len(first)), np.zeros(len(first))
+            np.add.at(re, slot, cx * x - cy * y)
+            np.add.at(im, slot, cx * y + cy * x)
+            keep = (re != 0) | (im != 0)
+            masked = _from_arrays(
+                m.N, m.d, support[keep], _complex(re[keep], im[keep]), exact=False, provenance="sampled superposition"
             )
             e, _ = _stack([masked])
             for subset in subsets:

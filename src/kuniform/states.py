@@ -1,11 +1,14 @@
-"""Pure multiparty states with exact sparse amplitudes and partial traces.
+"""Pure multiparty states with exact amplitudes and partial traces.
 
-A state on N parties of local dimension d is stored as a sparse map from
-index tuples to amplitudes.  Exact states keep Gaussian-integer numerators
-(a, b) meaning a + bi over a common denominator sqrt(r), so norms, inner
-products and reduced density operators are computed in integer arithmetic
-with no rounding.  Float states carry physical complex amplitudes for data
-that does not fit the integer form.
+A state on N parties of local dimension d is a list of terms held as
+arrays: a (T, N) index array and one amplitude per row, in the order the
+terms were given.  Exact states keep Gaussian-integer numerators (a, b)
+meaning a + bi over a common denominator sqrt(r), in int64 or, past 2^63,
+in Python ints, so norms, inner products and reduced density operators are
+computed in integer arithmetic with no rounding.  Float states carry
+physical complex amplitudes for data that does not fit the integer form.
+Construction, file reading and writing, tensor and inner products all work
+on those arrays; only a float state's norm is still summed term by term.
 
 A state built from an irredundant orthogonal array of strength k is
 k-uniform: every reduction onto k parties is exactly I / d^k.
@@ -14,10 +17,11 @@ k-uniform: every reduction onto k parties is exactly I / d^k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -48,77 +52,213 @@ __all__ = [
 NORM_TOL = 1e-12
 
 
-@dataclass
-class PureState:
-    """|psi> = (1 / sqrt(r)) * sum over amplitudes of (a + bi) |index>.
+class _RowFault(ValueError):
+    """An index row out of range or repeated; parse_state names its line."""
 
-    Exact mode requires sum(a^2 + b^2) == r; float mode stores physical
-    complex amplitudes with r == 1.  provenance is an in-memory note about
-    where the state came from and is not serialized.
+
+class PureState:
+    """|psi> = (1 / sqrt(r)) * sum_j (a_j + b_j i) |index_j>, held as arrays.
+
+    Terms keep the order they were given in: file order, construction
+    order, or the insertion order of an amplitudes dict.  The indices are
+    an int64 (T, N) array.  An exact state holds its numerator pairs (a, b)
+    in a (T, 2) int64 array, or in an object array of Python ints once any
+    |a| or |b| reaches 2^63, and requires sum(a^2 + b^2) == r.  A float
+    state holds physical complex amplitudes in a (T,) array, with r == 1
+    and a squared norm within NORM_TOL of 1.  Construction checks the
+    arrays at once: indices in range and distinct, no zero amplitude, the
+    exact norm summed without wrapping.
+
+    PureState(N, d, amplitudes, r, exact) builds a state from an
+    {index tuple: (a, b) or complex} dict; `amplitudes` gives that mapping
+    back, read-only and built on first use.  Equality ignores term order.
+    provenance is an in-memory note about where the state came from and is
+    neither compared nor serialized.
     """
 
-    N: int
-    d: int
-    amplitudes: dict
-    r: int = 1
-    exact: bool = True
-    provenance: str = field(default="", compare=False)
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("state needs at least one party")
-        if self.d < 1:
-            raise ValueError("local dimension must be positive")
-        if self.r < 1:
-            raise ValueError("denominator r must be positive")
-        if not self.amplitudes:
-            raise ValueError("state has no terms")
-        for idx, amp in self.amplitudes.items():
-            if len(idx) != self.N:
-                raise ValueError(f"index {idx} does not have {self.N} parties")
-            if any(not 0 <= x < self.d for x in idx):
-                raise ValueError(f"index {idx} out of range for d = {self.d}")
-            if self.exact:
-                a, b = amp
-                if a == b == 0:
-                    raise ValueError(f"zero amplitude stored at {idx}")
-            elif amp == 0:
-                raise ValueError(f"zero amplitude stored at {idx}")
-        if self.exact:
-            norm = sum(a * a + b * b for a, b in self.amplitudes.values())
-            if norm != self.r:
-                raise NormError(f"sum of |numerator|^2 is {norm}, expected r = {self.r}")
+    def __init__(self, N: int, d: int, amplitudes, r: int = 1, exact: bool = True, provenance: str = ""):
+        _check_sizes(N, d, r, len(amplitudes))
+        idx, values = _dict_arrays(amplitudes, N, d, exact)
+        self._init(N, d, idx, values, r, exact, provenance)
+
+    def _init(self, N, d, idx, values, r, exact, provenance):
+        _check_sizes(N, d, r, len(idx))
+        T = len(idx)
+        out_of_range = ((idx < 0) | (idx >= d)).any(axis=1)
+        if out_of_range.any():
+            raise _RowFault(f"index {_row(idx, out_of_range.argmax())} out of range for d = {d}")
+        repeats = _repeats(idx, d)
+        if len(repeats):
+            raise _RowFault(f"duplicate index {_row(idx, repeats.min())}")
+        bound = None
+        if exact:
+            values, bound = _normalized(values)
+            zero = (values == 0).all(axis=1)
         else:
-            if self.r != 1:
+            zero = values == 0
+        if zero.any():
+            raise ValueError(f"zero amplitude stored at {_row(idx, zero.argmax())}")
+        if exact:
+            squares = values * values if 2 * bound**2 * T < _INT64_LIMIT else values.astype(object) ** 2
+            norm = int(squares.sum())
+            if norm != r:
+                raise NormError(f"sum of |numerator|^2 is {norm}, expected r = {r}")
+        else:
+            if r != 1:
                 raise ValueError("float states use r = 1")
-            norm = sum(abs(v) ** 2 for v in self.amplitudes.values())
+            # term by term, so a NormError quotes the norm to the same bits
+            norm = sum(abs(v) ** 2 for v in values.tolist())
             if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
                 raise NormError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        idx.setflags(write=False)
+        values.setflags(write=False)
+        self.N, self.d, self.r, self.exact, self.provenance = N, d, r, exact, provenance
+        self._idx, self._values, self._bound = idx, values, bound
+        self._amplitudes = None
+
+    @property
+    def amplitudes(self) -> MappingProxyType:
+        """Read-only {index tuple: amplitude} mapping in term order: (a, b)
+        pairs of Python ints when exact, complex values otherwise."""
+        if self._amplitudes is None:
+            keys = map(tuple, self._idx.tolist())
+            values = map(tuple, self._values.tolist()) if self.exact else self._values.tolist()
+            self._amplitudes = MappingProxyType(dict(zip(keys, values)))
+        return self._amplitudes
 
     @property
     def num_terms(self) -> int:
-        return len(self.amplitudes)
+        return len(self._idx)
 
     def terms(self):
         """Amplitude items in lexicographic index order."""
         return sorted(self.amplitudes.items())
+
+    def _lex_order(self) -> np.ndarray:
+        return np.lexsort(self._idx.T[::-1])
+
+    def __eq__(self, other):
+        if not isinstance(other, PureState):
+            return NotImplemented
+        if (self.N, self.d, self.r, self.exact, self.num_terms) != (
+            other.N, other.d, other.r, other.exact, other.num_terms
+        ):
+            return False
+        a, b = self._lex_order(), other._lex_order()
+        return np.array_equal(self._idx[a], other._idx[b]) and np.array_equal(self._values[a], other._values[b])
 
     def to_vector(self) -> np.ndarray:
         """Dense normalized amplitude vector, radix order."""
         dim = self.d**self.N
         check_cap("matrix_dim", dim, what=f"dense vector of length {dim}")
         vec = np.zeros(dim, dtype=complex)
-        scale = 1.0 / math.sqrt(self.r)
-        for idx, amp in self.amplitudes.items():
-            pos = 0
-            for x in idx:
-                pos = pos * self.d + x
-            vec[pos] = complex(amp[0], amp[1]) * scale if self.exact else amp
+        pos = self._idx @ self.d ** np.arange(self.N - 1, -1, -1)
+        if self.exact:
+            parts = self._values.astype(float) * (1.0 / math.sqrt(self.r))
+            vec[pos] = _complex(parts[:, 0], parts[:, 1])
+        else:
+            vec[pos] = self._values
         return vec
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
         return f"PureState(N={self.N}, d={self.d}, terms={self.num_terms}, {mode})"
+
+
+def _check_sizes(N: int, d: int, r: int, terms: int) -> None:
+    if N < 1:
+        raise ValueError("state needs at least one party")
+    if d < 1:
+        raise ValueError("local dimension must be positive")
+    if r < 1:
+        raise ValueError("denominator r must be positive")
+    if not terms:
+        raise ValueError("state has no terms")
+
+
+def _repeats(idx: np.ndarray, d: int) -> np.ndarray:
+    """Rows equal to an earlier row: one stable sort of radix keys while
+    d^N fits int64, of the rows themselves otherwise."""
+    if d ** idx.shape[1] <= _INT64_LIMIT:
+        keys = _row_keys(idx, d, _INT64_LIMIT)[0]
+        order = np.argsort(keys, kind="stable")
+        same = keys[order[1:]] == keys[order[:-1]]
+    else:
+        order = np.lexsort(idx.T[::-1])
+        rows = idx[order]
+        same = (rows[1:] == rows[:-1]).all(axis=1)
+    return order[1:][same]
+
+
+def _row(idx: np.ndarray, i) -> tuple:
+    return tuple(idx[i].tolist())
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with these parts, bit for bit."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _normalized(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact numerators as int64 while every |a| and |b| is below 2^63, as
+    Python ints otherwise, and that bound."""
+    if values.dtype == object:
+        bound = int(np.abs(values).max())
+    else:
+        bound = max(-int(values.min()), int(values.max()))
+    dtype = np.dtype(np.int64) if bound < _INT64_LIMIT else np.dtype(object)
+    return (values if values.dtype == dtype else values.astype(dtype)), bound
+
+
+def _numerators(pairs: list) -> np.ndarray:
+    """A (T, 2) array of integer numerator pairs: int64 where they fit,
+    Python ints otherwise."""
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("exact amplitudes must be numerator pairs (a, b)")
+    if not all(isinstance(x, (int, np.integer)) for pair in pairs for x in pair):
+        raise ValueError("exact numerators must be integers")
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    except OverflowError:
+        return np.array(pairs, dtype=object).reshape(len(pairs), 2)
+
+
+def _dict_arrays(amplitudes: dict, N: int, d: int, exact: bool):
+    """The index and value arrays of an {index tuple: amplitude} dict."""
+    keys = list(amplitudes)
+    for key in keys:
+        if len(key) != N:
+            raise ValueError(f"index {key} does not have {N} parties")
+    try:
+        idx = np.array(keys, dtype=np.int64).reshape(len(keys), N)
+    except OverflowError:
+        far = next((key for key in keys if not all(0 <= x < d for x in key)), None)
+        if far is None:
+            raise ValueError("indices must be below 2^63") from None
+        raise _RowFault(f"index {far} out of range for d = {d}") from None
+    values = list(amplitudes.values())
+    return idx, _numerators(values) if exact else np.array(values, dtype=complex)
+
+
+def _from_arrays(N: int, d: int, idx, values, r: int = 1, exact: bool = True, provenance: str = "") -> PureState:
+    """A PureState over (T, N) indices and (T, 2) numerators, or (T,)
+    complex amplitudes when not exact, checked as the constructor does."""
+    state = PureState.__new__(PureState)
+    state._init(N, d, idx, values, r, exact, provenance)
+    return state
+
+
+def _amplitude_parts(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the physical amplitudes: (a, b) / sqrt(r)
+    of an exact state, as Python's complex(a, b) / sqrt(r) gives them."""
+    if not state.exact:
+        return state._values.real, state._values.imag
+    parts = state._values.astype(float) / math.sqrt(state.r)
+    return parts[:, 0], parts[:, 1]
 
 
 @dataclass
@@ -215,8 +355,14 @@ def ghz(N: int, d: int) -> PureState:
     """(1 / sqrt(d)) * sum_i |i i ... i>; 1-uniform for every d >= 2."""
     if N < 1 or d < 1:
         raise ValueError("need N >= 1 and d >= 1")
-    amps = {(i,) * N: (1, 0) for i in range(d)}
-    return PureState(N=N, d=d, amplitudes=amps, r=d, provenance=f"ghz({N},{d})")
+    idx = np.repeat(np.arange(d, dtype=np.int64)[:, None], N, axis=1)
+    return _from_arrays(N, d, idx, _unit_numerators(d), r=d, provenance=f"ghz({N},{d})")
+
+
+def _unit_numerators(T: int) -> np.ndarray:
+    values = np.zeros((T, 2), dtype=np.int64)
+    values[:, 0] = 1
+    return values
 
 
 def state_from_iroa(A: OrthogonalArray, k: int) -> PureState:
@@ -226,11 +372,11 @@ def state_from_iroa(A: OrthogonalArray, k: int) -> PureState:
     missing strength, or minimum row distance at most k.
     """
     check_irredundant(A, k)
-    amps = {tuple(int(x) for x in row): (1, 0) for row in A.rows}
-    return PureState(
-        N=A.N,
-        d=A.d,
-        amplitudes=amps,
+    return _from_arrays(
+        A.N,
+        A.d,
+        np.array(A.rows, dtype=np.int64),
+        _unit_numerators(A.r),
         r=A.r,
         provenance=f"rows of {A} ({A.provenance})" if A.provenance else f"rows of {A}",
     )
@@ -238,28 +384,33 @@ def state_from_iroa(A: OrthogonalArray, k: int) -> PureState:
 
 def tensor_parties(s1: PureState, s2: PureState) -> PureState:
     """Partywise tensor: party j of the result carries the pair of party-j
-    symbols, encoded i1 * d2 + i2, so local dimension becomes d1 * d2."""
+    symbols, encoded i1 * d2 + i2, so local dimension becomes d1 * d2.
+
+    Its terms are the rows of the partywise product of the two index
+    arrays, s1's term outermost, so the oa_rows cap bounds their number
+    before anything is allocated.
+    """
     if s1.N != s2.N:
         raise ValueError(f"party counts differ: {s1.N} vs {s2.N}")
-    d = s1.d * s2.d
+    T1, T2 = s1.num_terms, s2.num_terms
+    check_cap("oa_rows", T1 * T2, what=f"tensor product of {T1} and {T2} terms")
+    idx = (s1._idx[:, None, :] * s2.d + s2._idx[None, :, :]).reshape(T1 * T2, s1.N)
     exact = s1.exact and s2.exact
-    amps: dict = {}
-    for idx1, a1 in s1.amplitudes.items():
-        for idx2, a2 in s2.amplitudes.items():
-            idx = tuple(x1 * s2.d + x2 for x1, x2 in zip(idx1, idx2))
-            if exact:
-                re = a1[0] * a2[0] - a1[1] * a2[1]
-                im = a1[0] * a2[1] + a1[1] * a2[0]
-                if re or im:
-                    amps[idx] = (re, im)
-            else:
-                v1 = complex(a1[0], a1[1]) / math.sqrt(s1.r) if s1.exact else a1
-                v2 = complex(a2[0], a2[1]) / math.sqrt(s2.r) if s2.exact else a2
-                amps[idx] = v1 * v2
-    return PureState(
-        N=s1.N,
-        d=d,
-        amplitudes=amps,
+    if exact:
+        wide = 2 * s1._bound * s2._bound >= _INT64_LIMIT
+        a1, b1 = (part.astype(object) if wide else part for part in s1._values.T[:, :, None])
+        a2, b2 = s2._values.T
+        # (a1 + b1 i)(a2 + b2 i)
+        values = np.stack([(a1 * a2 - b1 * b2).reshape(-1), (a1 * b2 + b1 * a2).reshape(-1)], axis=1)
+    else:
+        x1, y1 = (part[:, None] for part in _amplitude_parts(s1))
+        x2, y2 = _amplitude_parts(s2)
+        values = _complex((x1 * x2 - y1 * y2).reshape(-1), (x1 * y2 + y1 * x2).reshape(-1))
+    return _from_arrays(
+        s1.N,
+        s1.d * s2.d,
+        idx,
+        values,
         r=s1.r * s2.r if exact else 1,
         exact=exact,
         provenance=f"tensor of ({s1.provenance}) and ({s2.provenance})",
@@ -325,19 +476,11 @@ class _Reduced(NamedTuple):
 
 
 def _encode(state: PureState, floats: bool) -> _Encoded:
-    """Index and amplitude arrays; an exact state becomes physical floats
+    """Views of the state's arrays; an exact state becomes physical floats
     when `floats` is set, as it must when stacked with a float state."""
-    idx = np.array(list(state.amplitudes), dtype=np.int64).reshape(state.num_terms, state.N)
-    values = list(state.amplitudes.values())
-    if not state.exact:
-        amps = np.array(values, dtype=complex)
-        return _Encoded(idx, amps.real, amps.imag, None)
-    if floats:
-        parts = np.array(values, dtype=float) / math.sqrt(state.r)
-        return _Encoded(idx, parts[:, 0], parts[:, 1], None)
-    bound = max(map(abs, chain.from_iterable(values)))
-    parts = np.array(values, dtype=np.int64 if bound < _INT64_LIMIT else object)
-    return _Encoded(idx, parts[:, 0], parts[:, 1], bound)
+    if floats or not state.exact:
+        return _Encoded(state._idx, *_amplitude_parts(state), None)
+    return _Encoded(state._idx, state._values[:, 0], state._values[:, 1], state._bound)
 
 
 def _row_keys(a: np.ndarray, d: int, limit: int):
@@ -626,29 +769,31 @@ def reduction(state: PureState, parties) -> SparseOperator:
 
 
 def inner_product(s1: PureState, s2: PureState) -> InnerProduct:
-    """<s1|s2>, exact when both states are exact."""
+    """<s1|s2>, exact when both states are exact; float sums run over the
+    shared indices in s1's term order."""
     if (s1.N, s1.d) != (s2.N, s2.d):
         raise ValueError("states live on different systems")
+    T1 = s1.num_terms
+    keys, _ = _row_keys(np.concatenate([s1._idx, s2._idx]), s1.d, _INT64_LIMIT)
+    keys1, keys2 = keys[:T1], keys[T1:]
+    order = np.argsort(keys2)
+    at = np.minimum(np.searchsorted(keys2[order], keys1), len(order) - 1)
+    shared = keys2[order[at]] == keys1
+    i1, i2 = np.flatnonzero(shared), order[at[shared]]
     if s1.exact and s2.exact:
-        re = im = 0
-        for idx, (a1, b1) in s1.amplitudes.items():
-            amp2 = s2.amplitudes.get(idx)
-            if amp2 is None:
-                continue
-            a2, b2 = amp2
-            # conj(a1 + b1 i) * (a2 + b2 i)
-            re += a1 * a2 + b1 * b2
-            im += a1 * b2 - b1 * a2
-        return InnerProduct(num=(re, im), r_ket=s2.r, r_bra=s1.r, exact=True)
-    total = 0j
-    for idx, amp in s1.amplitudes.items():
-        amp2 = s2.amplitudes.get(idx)
-        if amp2 is None:
-            continue
-        v1 = complex(amp[0], amp[1]) / math.sqrt(s1.r) if s1.exact else amp
-        v2 = complex(amp2[0], amp2[1]) / math.sqrt(s2.r) if s2.exact else amp2
-        total += v1.conjugate() * v2
-    return InnerProduct(num=total, r_ket=1, r_bra=1, exact=False)
+        v1, v2 = s1._values[i1], s2._values[i2]
+        if 2 * s1._bound * s2._bound * len(i1) >= _INT64_LIMIT:
+            v1 = v1.astype(object)
+        # conj(a1 + b1 i) * (a2 + b2 i) = (a1 a2 + b1 b2) + (a1 b2 - b1 a2) i;
+        # vdot gives None on empty object arrays
+        num = (int(np.vdot(v1, v2) or 0), int(np.vdot(v1, v2[:, ::-1] * (1, -1)) or 0))
+        return InnerProduct(num=num, r_ket=s2.r, r_bra=s1.r, exact=True)
+    x1, y1 = (part[i1] for part in _amplitude_parts(s1))
+    x2, y2 = (part[i2] for part in _amplitude_parts(s2))
+    # running sums from 0, as a Python loop adds conj(v1) * v2
+    re = np.cumsum(np.append(0.0, x1 * x2 + y1 * y2))[-1]
+    im = np.cumsum(np.append(0.0, x1 * y2 - y1 * x2))[-1]
+    return InnerProduct(num=complex(re, im), r_ket=1, r_bra=1, exact=False)
 
 
 @dataclass(frozen=True)
@@ -763,21 +908,28 @@ def from_vector(vec, N: int, d: int, tol: float = NORM_TOL) -> PureState:
     norm = float(np.sum(np.abs(vec) ** 2))
     if not abs(norm - 1.0) <= tol:  # also refuses a NaN norm
         raise NormError(f"squared norm {norm!r} deviates from 1 beyond {tol}")
-    amps = {}
-    for pos in np.flatnonzero(vec):
-        idx = []
-        q = int(pos)
-        for _ in range(N):
-            q, rem = divmod(q, d)
-            idx.append(rem)
-        amps[tuple(reversed(idx))] = complex(vec[pos])
-    return PureState(N=N, d=d, amplitudes=amps, exact=False, provenance="from_vector")
+    pos = np.flatnonzero(vec)
+    idx = pos[:, None] // d ** np.arange(N - 1, -1, -1) % d
+    return _from_arrays(N, d, idx.astype(np.int64), vec[pos], exact=False, provenance="from_vector")
 
 
 # ---------------------------------------------------------------------------
 # file I/O: header `state N d r mode`, then one line per term holding the N
 # indices and the amplitude pair (integers a b when exact, floats re im when
 # float); `#` comments, blank lines ignored; terms saved in index order.
+#
+# A body is read on arrays: its bytes are cut into fields once and the plain
+# decimal fields converted together.  Numerators past int64 are read as
+# Python ints and float amplitudes by float(), never the other way round.
+# Only a body the array reader cannot take as it stands, or whose rows
+# repeat or leave [0, d), is read line by line, which names the first faulty
+# line.
+
+
+# lines parsed at once by parse_state, and terms formatted at once by
+# save_state
+_READ_BLOCK = 1 << 14
+_SAVE_BLOCK = 1 << 14
 
 
 def load_state(path: str | Path) -> PureState:
@@ -786,12 +938,11 @@ def load_state(path: str | Path) -> PureState:
 
 
 def parse_state(text: str, source: str = "<string>") -> PureState:
-    from .codes import _content_lines
-
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = text.splitlines()
+    start = next((i for i, raw in enumerate(lines) if raw.split("#", 1)[0].strip()), None)
+    if start is None:
         raise ParseError(f"{source}: empty state file")
-    lineno, header = lines[0]
+    lineno, header = start + 1, lines[start].split("#", 1)[0].strip()
     parts = header.split()
     if len(parts) != 5 or parts[0] != "state":
         raise ParseError(f"{source}:{lineno}: expected header 'state N d r mode'")
@@ -803,8 +954,111 @@ def parse_state(text: str, source: str = "<string>") -> PureState:
     if mode not in ("exact", "float"):
         raise ParseError(f"{source}:{lineno}: mode must be 'exact' or 'float'")
     exact = mode == "exact"
-    amps: dict = {}
-    for lineno, line in lines[1:]:
+    body = lines[start + 1 :]
+    terms = _read_terms(body, N, exact) if min(N, d, r) >= 1 else None
+    try:
+        if terms is not None:
+            try:
+                return _from_arrays(N, d, *terms, r=r, exact=exact, provenance=source)
+            except _RowFault:
+                pass  # read again line by line to name the line
+        rows, values = _read_lines(body, lineno + 1, N, d, exact, source)
+        _check_sizes(N, d, r, len(rows))
+        idx = np.array(rows, dtype=np.int64).reshape(len(rows), N)
+        values = _numerators(values) if exact else np.array(values, dtype=complex)
+        return _from_arrays(N, d, idx, values, r=r, exact=exact, provenance=source)
+    except (NormError, ParseError):
+        raise
+    except OverflowError:
+        raise ParseError(f"{source}: indices must be below 2^63") from None
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from None
+
+
+def _read_terms(lines: list, N: int, exact: bool):
+    """(indices, values) of the body `lines`, or None when its indices are
+    not all plain integers in lines of N + 2 fields, or an amplitude does not
+    convert.  Blocks of _READ_BLOCK lines are read in turn, which bounds the
+    reader's temporary arrays."""
+    blocks = []
+    for start in range(0, max(len(lines), 1), _READ_BLOCK):
+        block = _read_block(lines[start : start + _READ_BLOCK], N, exact)
+        if block is None:
+            return None
+        blocks.append(block)
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _read_block(lines: list, N: int, exact: bool):
+    body = "\n".join(lines)
+    if "#" in body:
+        body = "\n".join(line.split("#", 1)[0] for line in lines)
+    width = N + 2
+    fields = _int_fields(body, width)
+    if fields is None:
+        return None
+    values, plain = fields
+    if not plain[:, :N].all():
+        return None
+    idx = np.ascontiguousarray(values[:, :N])
+    if exact and plain[:, N:].all():
+        return idx, values[:, N:].copy()
+    tokens = body.split()
+    try:
+        parts = [list(map(int if exact else float, tokens[j::width])) for j in (N, N + 1)]
+    except ValueError:
+        return None
+    if exact:
+        return idx, np.array(parts, dtype=object).T
+    return idx, _complex(np.array(parts[0], dtype=float), np.array(parts[1], dtype=float))
+
+
+def _int_fields(body: str, width: int):
+    """The fields of `body` as a (lines, width) int64 array, one row per
+    non-blank line, and a mask of the plain fields: an optional '-' and 1 to
+    18 ASCII digits, which int64 always holds and int() reads alike; the
+    values of other fields are meaningless.  None unless the body is ASCII
+    with fields separated by spaces and tabs, and every non-blank line has
+    `width` fields."""
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    if ((b < 32) & (b != ord("\n")) & (b != ord("\t"))).any():
+        return None
+    field = np.concatenate(([False], b > 32, [False]))
+    edges = np.flatnonzero(field[1:] != field[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    if len(starts) % width:
+        return None
+    # each row's fields share a line, and the next row starts on a later one
+    newlines = np.flatnonzero(b == ord("\n"))
+    line_first = np.searchsorted(newlines, starts[::width])
+    line_last = np.searchsorted(newlines, starts[width - 1 :: width])
+    if (line_first != line_last).any() or (line_first[1:] <= line_last[:-1]).any():
+        return None
+    negative = b[starts] == ord("-")
+    length = ends - starts - negative
+    plain = (length >= 1) & (length <= 18)
+    # a byte other than a digit is allowed only as a field's leading '-'
+    odd = np.flatnonzero(field[1:-1] & ((b < ord("0")) | (b > ord("9"))))
+    at = np.searchsorted(starts, odd, side="right") - 1
+    plain[at[(odd != starts[at]) | (b[odd] != ord("-"))]] = False
+    values = b[ends - 1].astype(np.int64) - ord("0")
+    for place in range(1, int(length.max(initial=0, where=plain))):
+        longer = np.flatnonzero(plain & (length > place))
+        values[longer] += (b[ends[longer] - 1 - place].astype(np.int64) - ord("0")) * 10**place
+    values[negative] *= -1
+    return values.reshape(-1, width), plain.reshape(-1, width)
+
+
+def _read_lines(lines: list, first_lineno: int, N: int, d: int, exact: bool, source: str):
+    """Index tuples and amplitudes of the body `lines`, read one line at a
+    time; ParseError names the first faulty line."""
+    rows, values, seen = [], [], set()
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         fields = line.split()
         if len(fields) != N + 2:
             raise ParseError(f"{source}:{lineno}: expected {N} indices and 2 amplitude fields")
@@ -814,34 +1068,35 @@ def parse_state(text: str, source: str = "<string>") -> PureState:
             raise ParseError(f"{source}:{lineno}: non-integer index") from None
         if any(not 0 <= x < d for x in idx):
             raise ParseError(f"{source}:{lineno}: index out of range [0, {d})")
-        if idx in amps:
+        if idx in seen:
             raise ParseError(f"{source}:{lineno}: duplicate index {idx}")
+        seen.add(idx)
         try:
             if exact:
-                amps[idx] = (int(fields[N]), int(fields[N + 1]))
+                values.append((int(fields[N]), int(fields[N + 1])))
             else:
-                amps[idx] = complex(float(fields[N]), float(fields[N + 1]))
+                values.append(complex(float(fields[N]), float(fields[N + 1])))
         except ValueError:
             raise ParseError(f"{source}:{lineno}: malformed amplitude") from None
-    try:
-        return PureState(N=N, d=d, amplitudes=amps, r=r, exact=exact, provenance=source)
-    except NormError:
-        raise
-    except ValueError as exc:
-        raise ParseError(f"{source}: {exc}") from None
+        rows.append(idx)
+    return rows, values
 
 
 def save_state(state: PureState, path: str | Path) -> None:
-    path = Path(path)
-    mode = "exact" if state.exact else "float"
-    out = [f"state {state.N} {state.d} {state.r} {mode}"]
-    for idx, amp in state.terms():
-        head = " ".join(str(x) for x in idx)
-        if state.exact:
-            out.append(f"{head} {amp[0]} {amp[1]}")
-        else:
-            out.append(f"{head} {amp.real!r} {amp.imag!r}")
-    path.write_text("\n".join(out) + "\n")
+    """Write `state` in index order, gathering and formatting _SAVE_BLOCK
+    terms at a time with one format operation each."""
+    # repr round-trips floats exactly
+    line = " ".join(["%d"] * state.N + ["%d" if state.exact else "%r"] * 2) + "\n"
+    order = state._lex_order()
+    with open(path, "w") as out:
+        out.write(f"state {state.N} {state.d} {state.r} {'exact' if state.exact else 'float'}\n")
+        for start in range(0, len(order), _SAVE_BLOCK):
+            rows = order[start : start + _SAVE_BLOCK]
+            values = state._values[rows]
+            if not state.exact:
+                values = np.stack([values.real, values.imag], axis=1).astype(object)
+            table = np.hstack([state._idx[rows], values])
+            out.write(line * len(rows) % tuple(table.reshape(-1).tolist()))
 
 
 BUNDLED_STATES = ("ame_6_2",)
