@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .caps import check_cap
 from .errors import FieldMismatch, KuniformError, ParseError, RankDeficient
 from .gf import FiniteField, field_new
@@ -365,17 +366,7 @@ def is_self_dual(C: LinearCode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# file I/O
-#
-# format: header `code p m N t`, then t generator rows of N symbols,
-# whitespace separated; `#` starts a comment; blank lines ignored.
-
-
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+# file I/O: header `code p m N t`, then t generator rows of N symbols
 
 
 def load_code(path: str | Path) -> LinearCode:
@@ -384,45 +375,23 @@ def load_code(path: str | Path) -> LinearCode:
 
 
 def parse_code(text: str, source: str = "<string>") -> LinearCode:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(f"{source}: empty code file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 5 or parts[0] != "code":
-        raise ParseError(f"{source}:{lineno}: expected header 'code p m N t'")
+    lineno, (p, m, N, t), body = textio.read_header(text, source, "code", "code p m N t")
     try:
-        p, m, N, t = (int(x) for x in parts[1:])
-    except ValueError:
-        raise ParseError(f"{source}:{lineno}: non-integer header field") from None
-    F = field_new(p, m)
-    body = lines[1:]
-    if len(body) != t:
-        raise ParseError(f"{source}: expected {t} generator rows, found {len(body)}")
-    G = np.zeros((t, N), dtype=np.int64)
-    for i, (lineno, line) in enumerate(body):
-        symbols = line.split()
-        if len(symbols) != N:
-            raise ParseError(f"{source}:{lineno}: row has {len(symbols)} symbols, expected {N}")
-        try:
-            row = [int(s) for s in symbols]
-        except ValueError:
-            raise ParseError(f"{source}:{lineno}: non-integer symbol") from None
-        if any(s < 0 or s >= F.order for s in row):
-            raise ParseError(f"{source}:{lineno}: symbol out of range for GF({F.order})")
-        G[i] = row
+        F = field_new(p, m)
+    except ValueError as exc:
+        raise ParseError(f"{source}:{lineno}: {exc}") from None
+    G = textio.read_symbols(body, lineno, source, t, N, F.order, f"symbol out of range for GF({F.order})", "generator rows")
     try:
         return LinearCode(F, G)
     except RankDeficient as exc:
         raise RankDeficient(f"{source}: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"{source}:{lineno}: {exc}") from None
 
 
 def save_code(C: LinearCode, path: str | Path) -> None:
-    path = Path(path)
-    out = [f"code {C.field.p} {C.field.m} {C.N} {C.t}"]
-    for row in C.G:
-        out.append(" ".join(str(int(x)) for x in row))
-    path.write_text("\n".join(out) + "\n")
+    header = f"code {C.field.p} {C.field.m} {C.N} {C.t}"
+    textio.write_rows(path, header, " ".join(["%d"] * C.N) + "\n", C.t, C.G.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codes
+from . import codes, textio
 from .caps import check_cap
 from .errors import KuniformError, NotIrredundant, ParseError, RankDeficient
 
@@ -245,7 +245,7 @@ def trim_to_iroa(A: OrthogonalArray, k: int, target_N: int) -> OrthogonalArray:
 
 
 # ---------------------------------------------------------------------------
-# file I/O: header `oa r N d k`, then r rows; `#` comments, blank lines ok
+# file I/O: header `oa r N d k`, then r rows of N symbols
 
 
 def load_oa(path: str | Path) -> OrthogonalArray:
@@ -254,31 +254,8 @@ def load_oa(path: str | Path) -> OrthogonalArray:
 
 
 def parse_oa(text: str, source: str = "<string>") -> OrthogonalArray:
-    lines = list(codes._content_lines(text))
-    if not lines:
-        raise ParseError(f"{source}: empty array file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 5 or parts[0] != "oa":
-        raise ParseError(f"{source}:{lineno}: expected header 'oa r N d k'")
-    try:
-        r, N, d, k = (int(x) for x in parts[1:])
-    except ValueError:
-        raise ParseError(f"{source}:{lineno}: non-integer header field") from None
-    body = lines[1:]
-    if len(body) != r:
-        raise ParseError(f"{source}: expected {r} rows, found {len(body)}")
-    rows = np.zeros((r, N), dtype=np.int64)
-    for i, (lineno, line) in enumerate(body):
-        symbols = line.split()
-        if len(symbols) != N:
-            raise ParseError(f"{source}:{lineno}: row has {len(symbols)} symbols, expected {N}")
-        try:
-            rows[i] = [int(s) for s in symbols]
-        except ValueError:
-            raise ParseError(f"{source}:{lineno}: non-integer symbol") from None
-        if rows[i].min() < 0 or rows[i].max() >= d:
-            raise ParseError(f"{source}:{lineno}: symbol out of range [0, {d})")
+    lineno, (r, N, d, k), body = textio.read_header(text, source, "array", "oa r N d k")
+    rows = textio.read_symbols(body, lineno, source, r, N, d, f"symbol out of range [0, {d})", "rows")
     try:
         return OrthogonalArray(d=d, rows=rows, k=k, provenance=source)
     except ValueError as exc:
@@ -286,8 +263,4 @@ def parse_oa(text: str, source: str = "<string>") -> OrthogonalArray:
 
 
 def save_oa(A: OrthogonalArray, path: str | Path) -> None:
-    path = Path(path)
-    out = [f"oa {A.r} {A.N} {A.d} {A.k}"]
-    for row in A.rows:
-        out.append(" ".join(str(int(x)) for x in row))
-    path.write_text("\n".join(out) + "\n")
+    textio.write_rows(path, f"oa {A.r} {A.N} {A.d} {A.k}", " ".join(["%d"] * A.N) + "\n", A.r, A.rows.__getitem__)

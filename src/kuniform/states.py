@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from itertools import combinations, islice
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textio
 from .caps import check_cap
 from .errors import KuniformError, NormError, ParseError
 from .oa import OrthogonalArray, check_irredundant
@@ -914,22 +916,10 @@ def from_vector(vec, N: int, d: int, tol: float = NORM_TOL) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# file I/O: header `state N d r mode`, then one line per term holding the N
-# indices and the amplitude pair (integers a b when exact, floats re im when
-# float); `#` comments, blank lines ignored; terms saved in index order.
-#
-# A body is read on arrays: its bytes are cut into fields once and the plain
-# decimal fields converted together.  Numerators past int64 are read as
-# Python ints and float amplitudes by float(), never the other way round.
-# Only a body the array reader cannot take as it stands, or whose rows
-# repeat or leave [0, d), is read line by line, which names the first faulty
-# line.
-
-
-# lines parsed at once by parse_state, and terms formatted at once by
-# save_state
-_READ_BLOCK = 1 << 14
-_SAVE_BLOCK = 1 << 14
+# file I/O: header `state N d r mode`, then one term per line, its N indices
+# and its amplitude pair (integers a b when exact, floats re im when float),
+# in the conventions of textio; terms saved in index order.  Numerators past
+# int64 are read as Python ints, never through floats.
 
 
 def load_state(path: str | Path) -> PureState:
@@ -938,66 +928,28 @@ def load_state(path: str | Path) -> PureState:
 
 
 def parse_state(text: str, source: str = "<string>") -> PureState:
-    lines = text.splitlines()
-    start = next((i for i, raw in enumerate(lines) if raw.split("#", 1)[0].strip()), None)
-    if start is None:
-        raise ParseError(f"{source}: empty state file")
-    lineno, header = start + 1, lines[start].split("#", 1)[0].strip()
-    parts = header.split()
-    if len(parts) != 5 or parts[0] != "state":
-        raise ParseError(f"{source}:{lineno}: expected header 'state N d r mode'")
-    try:
-        N, d, r = (int(x) for x in parts[1:4])
-    except ValueError:
-        raise ParseError(f"{source}:{lineno}: non-integer header field") from None
-    mode = parts[4]
+    lineno, (N, d, r, mode), body = textio.read_header(text, source, "state", "state N d r mode", ints=3)
     if mode not in ("exact", "float"):
         raise ParseError(f"{source}:{lineno}: mode must be 'exact' or 'float'")
     exact = mode == "exact"
-    body = lines[start + 1 :]
-    terms = _read_terms(body, N, exact) if min(N, d, r) >= 1 else None
+    terms = textio.read_blocks(body, N + 2, partial(_read_block, N=N, exact=exact)) if min(N, d, r) >= 1 else None
     try:
         if terms is not None:
             try:
                 return _from_arrays(N, d, *terms, r=r, exact=exact, provenance=source)
             except _RowFault:
-                pass  # read again line by line to name the line
-        rows, values = _read_lines(body, lineno + 1, N, d, exact, source)
-        _check_sizes(N, d, r, len(rows))
-        idx = np.array(rows, dtype=np.int64).reshape(len(rows), N)
-        values = _numerators(values) if exact else np.array(values, dtype=complex)
-        return _from_arrays(N, d, idx, values, r=r, exact=exact, provenance=source)
+                pass  # a repeated or out-of-range row: name its line
+        terms = textio.read_lines(body, lineno + 1, source, _term_reader(N, d, exact))
+        return PureState(N, d, dict(terms), r=r, exact=exact, provenance=source)
     except (NormError, ParseError):
         raise
-    except OverflowError:
-        raise ParseError(f"{source}: indices must be below 2^63") from None
     except ValueError as exc:
         raise ParseError(f"{source}: {exc}") from None
 
 
-def _read_terms(lines: list, N: int, exact: bool):
-    """(indices, values) of the body `lines`, or None when its indices are
-    not all plain integers in lines of N + 2 fields, or an amplitude does not
-    convert.  Blocks of _READ_BLOCK lines are read in turn, which bounds the
-    reader's temporary arrays."""
-    blocks = []
-    for start in range(0, max(len(lines), 1), _READ_BLOCK):
-        block = _read_block(lines[start : start + _READ_BLOCK], N, exact)
-        if block is None:
-            return None
-        blocks.append(block)
-    return tuple(np.concatenate(part) for part in zip(*blocks))
-
-
-def _read_block(lines: list, N: int, exact: bool):
-    body = "\n".join(lines)
-    if "#" in body:
-        body = "\n".join(line.split("#", 1)[0] for line in lines)
-    width = N + 2
-    fields = _int_fields(body, width)
-    if fields is None:
-        return None
-    values, plain = fields
+def _read_block(body: str, values: np.ndarray, plain: np.ndarray, N: int, exact: bool):
+    """(indices, amplitudes) of one block of N + 2 fields per line, or None
+    when an index is not plain or an amplitude does not convert."""
     if not plain[:, :N].all():
         return None
     idx = np.ascontiguousarray(values[:, :N])
@@ -1005,7 +957,7 @@ def _read_block(lines: list, N: int, exact: bool):
         return idx, values[:, N:].copy()
     tokens = body.split()
     try:
-        parts = [list(map(int if exact else float, tokens[j::width])) for j in (N, N + 1)]
+        parts = [list(map(int if exact else float, tokens[j :: N + 2])) for j in (N, N + 1)]
     except ValueError:
         return None
     if exact:
@@ -1013,90 +965,45 @@ def _read_block(lines: list, N: int, exact: bool):
     return idx, _complex(np.array(parts[0], dtype=float), np.array(parts[1], dtype=float))
 
 
-def _int_fields(body: str, width: int):
-    """The fields of `body` as a (lines, width) int64 array, one row per
-    non-blank line, and a mask of the plain fields: an optional '-' and 1 to
-    18 ASCII digits, which int64 always holds and int() reads alike; the
-    values of other fields are meaningless.  None unless the body is ASCII
-    with fields separated by spaces and tabs, and every non-blank line has
-    `width` fields."""
-    if not body.isascii():
-        return None
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    if ((b < 32) & (b != ord("\n")) & (b != ord("\t"))).any():
-        return None
-    field = np.concatenate(([False], b > 32, [False]))
-    edges = np.flatnonzero(field[1:] != field[:-1])
-    starts, ends = edges[::2], edges[1::2]
-    if len(starts) % width:
-        return None
-    # each row's fields share a line, and the next row starts on a later one
-    newlines = np.flatnonzero(b == ord("\n"))
-    line_first = np.searchsorted(newlines, starts[::width])
-    line_last = np.searchsorted(newlines, starts[width - 1 :: width])
-    if (line_first != line_last).any() or (line_first[1:] <= line_last[:-1]).any():
-        return None
-    negative = b[starts] == ord("-")
-    length = ends - starts - negative
-    plain = (length >= 1) & (length <= 18)
-    # a byte other than a digit is allowed only as a field's leading '-'
-    odd = np.flatnonzero(field[1:-1] & ((b < ord("0")) | (b > ord("9"))))
-    at = np.searchsorted(starts, odd, side="right") - 1
-    plain[at[(odd != starts[at]) | (b[odd] != ord("-"))]] = False
-    values = b[ends - 1].astype(np.int64) - ord("0")
-    for place in range(1, int(length.max(initial=0, where=plain))):
-        longer = np.flatnonzero(plain & (length > place))
-        values[longer] += (b[ends[longer] - 1 - place].astype(np.int64) - ord("0")) * 10**place
-    values[negative] *= -1
-    return values.reshape(-1, width), plain.reshape(-1, width)
+def _term_reader(N: int, d: int, exact: bool):
+    """A reader of term lines into (index tuple, amplitude), refusing repeats."""
+    seen = set()
 
-
-def _read_lines(lines: list, first_lineno: int, N: int, d: int, exact: bool, source: str):
-    """Index tuples and amplitudes of the body `lines`, read one line at a
-    time; ParseError names the first faulty line."""
-    rows, values, seen = [], [], set()
-    for lineno, raw in enumerate(lines, start=first_lineno):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    def read_term(fields: list):
         if len(fields) != N + 2:
-            raise ParseError(f"{source}:{lineno}: expected {N} indices and 2 amplitude fields")
+            raise textio.LineFault(f"expected {N} indices and 2 amplitude fields")
         try:
             idx = tuple(int(x) for x in fields[:N])
         except ValueError:
-            raise ParseError(f"{source}:{lineno}: non-integer index") from None
+            raise textio.LineFault("non-integer index") from None
         if any(not 0 <= x < d for x in idx):
-            raise ParseError(f"{source}:{lineno}: index out of range [0, {d})")
+            raise textio.LineFault(f"index out of range [0, {d})")
         if idx in seen:
-            raise ParseError(f"{source}:{lineno}: duplicate index {idx}")
+            raise textio.LineFault(f"duplicate index {idx}")
         seen.add(idx)
         try:
-            if exact:
-                values.append((int(fields[N]), int(fields[N + 1])))
-            else:
-                values.append(complex(float(fields[N]), float(fields[N + 1])))
+            return idx, (int(fields[N]), int(fields[N + 1])) if exact else complex(float(fields[N]), float(fields[N + 1]))
         except ValueError:
-            raise ParseError(f"{source}:{lineno}: malformed amplitude") from None
-        rows.append(idx)
-    return rows, values
+            raise textio.LineFault("malformed amplitude") from None
+
+    return read_term
 
 
 def save_state(state: PureState, path: str | Path) -> None:
-    """Write `state` in index order, gathering and formatting _SAVE_BLOCK
-    terms at a time with one format operation each."""
+    """Write `state` in index order, gathering the rows of each block."""
     # repr round-trips floats exactly
     line = " ".join(["%d"] * state.N + ["%d" if state.exact else "%r"] * 2) + "\n"
     order = state._lex_order()
-    with open(path, "w") as out:
-        out.write(f"state {state.N} {state.d} {state.r} {'exact' if state.exact else 'float'}\n")
-        for start in range(0, len(order), _SAVE_BLOCK):
-            rows = order[start : start + _SAVE_BLOCK]
-            values = state._values[rows]
-            if not state.exact:
-                values = np.stack([values.real, values.imag], axis=1).astype(object)
-            table = np.hstack([state._idx[rows], values])
-            out.write(line * len(rows) % tuple(table.reshape(-1).tolist()))
+
+    def block(s: slice) -> np.ndarray:
+        rows = order[s]
+        values = state._values[rows]
+        if not state.exact:
+            values = np.stack([values.real, values.imag], axis=1).astype(object)
+        return np.hstack([state._idx[rows], values])
+
+    mode = "exact" if state.exact else "float"
+    textio.write_rows(path, f"state {state.N} {state.d} {state.r} {mode}", line, len(order), block)
 
 
 BUNDLED_STATES = ("ame_6_2",)

@@ -166,6 +166,14 @@ def test_huge_field_is_refused_before_its_order_is_computed(tmp_path, capsys):
     assert err.startswith("error:") and "field_order" in err
 
 
+def test_array_wider_than_its_rows_is_refused(tmp_path, capsys):
+    path = tmp_path / "wide.oa"
+    path.write_text("oa 1 1000000000000 2 0\n0 1\n")
+    assert run(["verify", "oa", str(path), "--k", "0"]) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected 1000000000000" in err
+
+
 def test_int_spec_forms():
     assert _int_spec("4") == [4]
     assert _int_spec("8..11") == [8, 9, 10, 11]

@@ -367,6 +367,17 @@ def test_code_parse_errors_name_lines():
         parse_code("code 2 1 3 2\n1 1 1\n")
     with pytest.raises(RankDeficient):
         parse_code("code 3 1 4 2\n1 2 0 1\n2 1 0 2\n")
+    # header faults name the header line, and no array is sized from N
+    for text, message in (
+        ("code 2 1 -1 1\n1\n", "<string>:1: negative row length -1"),
+        ("code 2 1 1000000000000 1\n1 1\n", "<string>:2: row has 2 symbols, expected 1000000000000"),
+        ("code 4 1 2 1\n1 1\n", "<string>:1: p = 4 is not prime"),
+        ("code 2 1 1 2\n1\n1\n", "<string>:1: dimension 2 exceeds length 1"),
+        ("code 2 1 0 0\n", "<string>:1: code length must be positive"),
+    ):
+        with pytest.raises(ParseError) as caught:
+            parse_code(text)
+        assert str(caught.value) == message
 
 
 def test_comments_and_blanks_ignored():

@@ -378,6 +378,12 @@ def test_parse_errors_carry_line_numbers():
         parse_oa("oa 3 2 2 1\n0 0\n0 1\n1 0\n")  # 3 rows, d^1 = 2
     with pytest.raises(ParseError, match="empty"):
         parse_oa("# nothing here\n")
+    # header faults: a negative N names the header, an N the rows do not
+    # hold names the first row, and neither allocates N columns
+    with pytest.raises(ParseError, match=r"^<string>:1: negative row length -1$"):
+        parse_oa("oa 1 -1 2 0\n0\n")
+    with pytest.raises(ParseError, match=r"^<string>:2: row has 2 symbols, expected 1000000000000$"):
+        parse_oa("oa 1 1000000000000 2 0\n0 1\n")
 
 
 def test_parse_ignores_comments_and_blanks():

@@ -18,7 +18,7 @@ from state_oracle import (
     oracle_tensor_parties,
 )
 
-from kuniform import states as states_module
+from kuniform import textio
 from kuniform.catalog import construct_k_uniform
 from kuniform.errors import CapExceeded, NormError, ParseError
 from kuniform.states import (
@@ -161,13 +161,13 @@ def state_files(draw):
 
 
 @settings(max_examples=250, deadline=None)
-@given(text=state_files(), block=st.sampled_from((1, 3, states_module._READ_BLOCK)))
+@given(text=state_files(), block=st.sampled_from((1, 3, textio._BLOCK)))
 @example(text="state 1 2 85070591730234615865843651857942052864 exact\n0 9223372036854775808 0\n", block=1)
 @example(text="state 2 3 1 float\n0 1 0.6 -0.0\n2 2 0.0 0.8\n", block=1)
 def test_parse_and_save_match_dict_oracle(scratch, text, block):
     """Also when lines are read and terms saved a block of 1 or 3 at a time."""
     want = _outcome(oracle_parse_state, text, source="s.state")
-    with mock.patch.object(states_module, "_READ_BLOCK", block), mock.patch.object(states_module, "_SAVE_BLOCK", block):
+    with mock.patch.object(textio, "_BLOCK", block):
         got = _outcome(parse_state, text, source="s.state")
         if isinstance(want, tuple):
             assert got == want
