@@ -24,7 +24,9 @@ Each cap is checked where its memory is allocated:
   states.verify_k_uniform before the first subset its counting check
   (which allocates at most one count per term) leaves for the reduction
   kernel, and at once when that check applies to no subset, and the dense
-  PureState.to_vector and SparseOperator.to_matrix.  It bounds d^k, the
+  PureState.to_vector and SparseOperator.to_matrix, a public export that no
+  verifier calls (verify_pure_qecc's Pauli witness builds a dense block
+  under the matrix_dim it checked once).  It bounds d^k, the
   ancilla of a masker's or a code's stacked family excluded: each block of
   a reduction can hold d^(2k) entries, and the kernel allocates those
   entries even though it never builds a dense matrix;

@@ -263,11 +263,7 @@ def _cmd_qecc_verify(args):
         "orthonormal": report.orthonormal,
         "worst": report.worst,
         "failures": report.failures[:32],
-        "singleton_ok": masking.singleton_check(
-            report.N, report.K, args.delta - 1, report.d
-        )
-        if args.delta >= 1
-        else None,
+        "singleton_ok": masking.singleton_check(report.N, report.K, args.delta - 1, report.d),
     }
     inputs = {_posix(path): _digest(path) for path in args.files}
     return bool(report), inputs, details, None

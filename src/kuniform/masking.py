@@ -23,8 +23,9 @@ Both checks read one purified state, Psi = sum_s |s>_a |psi_s> over the
 images or the basis: the reduction of Psi onto {a} and a party subset S is
 the block matrix whose (s, t) block is |psi_s><psi_t| traced down to S.
 Each subset costs one reduction of Psi (states._block_reduction), whose
-blocks are then walked; an operator is built only for the common
-reductions, a failure or a float deviation.
+blocks are SparseOperators gathered from its arrays: exact blocks are
+compared in integers, and a deviation, a cross-term magnitude or a Pauli
+witness is read off a block's arrays without building another operator.
 """
 
 from __future__ import annotations
@@ -47,10 +48,7 @@ from .states import (
     _block_reduction,
     _complex,
     _from_arrays,
-    _is_maximally_mixed,
-    _operator,
     _reduce,
-    _Reduced,
     _row_keys,
     _same_operator,
     _stack,
@@ -95,6 +93,8 @@ class Masker:
     provenance: str = field(default="", compare=False)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise MaskingError(f"need local dimension d >= 1, got {self.d}")
         if len(self.images) != self.d:
             raise MaskingError(f"need {self.d} images, got {len(self.images)}")
         for img in self.images:
@@ -125,18 +125,9 @@ class MaskingFeasibility:
     witness: object = None
 
 
-def _physical(values: dict, exact: bool, r: int) -> dict:
-    """Physical complex values: exact numerator pairs over sqrt(r), float
-    values as stored."""
-    if not exact:
-        return values
-    scale = 1.0 / math.sqrt(r)
-    return {key: complex(a, b) * scale for key, (a, b) in values.items()}
-
-
 def _sample_parts(img: PureState) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of an image's physical amplitudes, exact
-    numerators times 1 / sqrt(r) as _physical takes them."""
+    numerators times 1 / sqrt(r)."""
     if not img.exact:
         return img._values.real, img._values.imag
     parts = img._values.astype(float) * (1.0 / math.sqrt(img.r))
@@ -195,16 +186,6 @@ def build_masker(
     )
 
 
-def _operator_deviation(a: SparseOperator, b: SparseOperator) -> float:
-    """Largest entrywise |a - b| of the physical operators, taken over the
-    entries either one stores; every other entry is 0 in both.  np.abs
-    gives the same bits as on dense matrices, abs() of a complex may not."""
-    va = _physical(a.entries, a.exact, a.r_ket * a.r_bra)
-    vb = _physical(b.entries, b.exact, b.r_ket * b.r_bra)
-    diff = [va.get(key, 0) - vb.get(key, 0) for key in va.keys() | vb.keys()]
-    return float(np.max(np.abs(np.array(diff, dtype=complex)), initial=0.0))
-
-
 def verify_masker(
     m: Masker,
     k: int,
@@ -237,26 +218,25 @@ def verify_masker(
     subsets = list(combinations(range(m.N), k))
     psi, width = _stack(m.images)
     exact = psi.bound is not None
-    r = [img.r for img in m.images]  # _operator takes floats over r = 1
     for subset in subsets:
-        block = _block_reduction(psi, width, m.d, subset, m.d)
-        red0 = block(0, 0)
-        rho0 = common[subset] = _operator(red0, m.d, exact, r[0], r[0])
+        block = _block_reduction(psi, width, m.images, subset)
+        rho0 = common[subset] = block(0, 0)
         for s in range(1, m.d):
-            red = block(s, s)
-            if exact and _same_operator(red, r[s], red0, r[0]):
+            rho = block(s, s)
+            if exact and _same_operator(rho, rho0):
                 continue  # the same operator as image 0's
-            delta = _operator_deviation(_operator(red, m.d, exact, r[s], r[s]), rho0)
+            delta = rho.deviation(rho0)
             max_dev = max(max_dev, delta)
             if exact or delta > tol:
                 failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
         for s, t in combinations(range(m.d), 2):
-            red = block(s, t)
-            if exact and not len(red.re):
+            cross = block(s, t)
+            if exact and cross.is_zero():
                 continue  # the cross term vanishes exactly
-            mag = max(map(abs, map(complex, red.re.tolist(), red.im.tolist())), default=0.0)
+            # abs() of each stored value, as np.hypot gives it, then the denominator
+            mag = float(np.max(np.hypot(cross.re.astype(float), cross.im.astype(float)), initial=0.0))
             if exact:
-                mag /= math.sqrt(r[s] * r[t])
+                mag /= math.sqrt(cross.r_ket * cross.r_bra)
             max_dev = max(max_dev, mag)
             if exact or mag > tol:
                 failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
@@ -287,8 +267,7 @@ def verify_masker(
             )
             e, _ = _stack([masked])
             for subset in subsets:
-                rho = _operator(_reduce(e, subset, m.d), m.d, False)
-                delta = _operator_deviation(rho, common[subset])
+                delta = _reduce(e, subset, m.d).deviation(common[subset])
                 max_dev = max(max_dev, delta)
                 if delta > tol:
                     failures.append(
@@ -387,25 +366,18 @@ class ErrorOperator:
         )
 
 
-def _pauli_witness(
-    red: _Reduced, scale: float, d: int, subset: tuple
-) -> tuple[ErrorOperator, float]:
-    """The non-identity Pauli E on `subset` with the largest |Tr(E rho)|,
-    rho being the entries of `red` times `scale`.
+def _pauli_witness(rho: SparseOperator, subset: tuple) -> tuple[ErrorOperator, float]:
+    """The non-identity Pauli E on `subset` with the largest |Tr(E rho)|.
 
     For a shift a, Tr(X^a Z^b rho) = sum over y of omega^(b.y) rho[y, y + a],
     so one inverse FFT over the k digits of y gives every b at once.
     """
-    k = len(subset)
-    dim = d**k
+    d, k, dim = rho.d, len(subset), rho.dim
     digits = np.indices((d,) * k).reshape(k, dim)  # digits[:, n] spell index n
     place = d ** np.arange(k - 1, -1, -1)
-    rho = np.zeros((dim, dim), dtype=complex)
-    values = [complex(a, b) * scale for a, b in zip(red.re.tolist(), red.im.tolist())]
-    rho[red.rows @ place, red.cols @ place] = values
     # shifted[a, y] is the index of y + a, digit by digit mod d
     shifted = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % d, axes=1)
-    diagonals = rho[np.arange(dim), shifted]  # [a, y] -> rho[y, y + a]
+    diagonals = rho._dense()[np.arange(dim), shifted]  # [a, y] -> rho[y, y + a]
     axes = tuple(range(1, k + 1))
     coeffs = np.fft.ifftn(diagonals.reshape((dim,) + (d,) * k), axes=axes) * dim
     mags = np.abs(coeffs).reshape(dim, dim)
@@ -504,19 +476,17 @@ def verify_pure_qecc(
         len(subsets) * n_pairs,
         what=f"{len(subsets)} x {n_pairs} pair reductions onto {k} parties",
     )
-    dim = d**k
-    check_cap("matrix_dim", dim, what=f"reduction onto {k} parties of dimension {d}")
+    check_cap("matrix_dim", d**k, what=f"reduction onto {k} parties of dimension {d}")
     psi, width = _stack(basis)
     exact = psi.bound is not None
     for subset in subsets:
-        block = _block_reduction(psi, width, K, subset, d)
+        block = _block_reduction(psi, width, basis, subset)
         for i in range(K):
             for j in range(i, K):
-                red = block(j, i)  # |psi_j><psi_i|
-                if exact and (_is_maximally_mixed(red, basis[i].r, dim) if i == j else not len(red.re)):
+                rho = block(j, i)  # |psi_j><psi_i|
+                if exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
                     continue
-                scale = 1.0 / math.sqrt(basis[j].r * basis[i].r) if exact else 1.0
-                op, mag = _pauli_witness(red, scale, d, subset)
+                op, mag = _pauli_witness(rho, subset)
                 if exact or mag > tol:
                     failures.append((str(op), i, j, mag))
                     worst = max(worst, mag)

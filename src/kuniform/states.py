@@ -263,94 +263,173 @@ def _amplitude_parts(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     return parts[:, 0], parts[:, 1]
 
 
-@dataclass
 class SparseOperator:
-    """Sparse operator on n_parties subsystems of dimension d.
+    """Sparse operator on n_parties subsystems of dimension d, held as arrays.
 
-    Entries map (row_index, col_index) pairs of index tuples to values; the
-    physical operator divides them by sqrt(r_bra * r_ket).  Exact entries
-    are Gaussian-integer pairs, float entries are complex.
+    Entry j sits at row index rows[j] and column index cols[j], both
+    (entries, n_parties) int64 arrays in lexicographic (row, column) order,
+    and diagonal[j] says whether the two are equal.  re and im hold the
+    values: Gaussian-integer numerators (int64, or Python ints past 2^63)
+    over the denominator sqrt(r_ket * r_bra) when exact, physical complex
+    parts otherwise.  Exact reductions store nonzero entries only, so two
+    over one denominator are the same operator iff their arrays are equal.
+
+    SparseOperator(n_parties, d, entries, r_ket, r_bra, exact) builds one
+    from an {(row tuple, col tuple): (a, b) or complex} dict; `entries`
+    gives that mapping back, read-only and built on first use.  Equality
+    compares the fields and the arrays.
     """
 
-    n_parties: int
-    d: int
-    entries: dict
-    r_ket: int = 1
-    r_bra: int = 1
-    exact: bool = True
+    __hash__ = None
+
+    def __init__(self, n_parties: int, d: int, entries, r_ket: int = 1, r_bra: int = 1, exact: bool = True):
+        keys = sorted(entries)
+        pairs = np.array(keys, dtype=np.int64).reshape(len(keys), 2, n_parties)
+        values = list(map(entries.__getitem__, keys))
+        if exact:
+            values = _numerators(values)
+            re, im = values[:, 0], values[:, 1]
+        else:
+            values = np.array(values, dtype=complex)
+            re, im = values.real, values.imag
+        rows, cols = pairs[:, 0], pairs[:, 1]
+        self._init(d, rows, cols, (rows == cols).all(axis=1), re, im, r_ket, r_bra, exact)
+
+    def _init(self, d, rows, cols, diagonal, re, im, r_ket, r_bra, exact):
+        for array in (rows, cols, diagonal, re, im):
+            array.setflags(write=False)
+        self.n_parties, self.d, self.r_ket, self.r_bra, self.exact = rows.shape[1], d, r_ket, r_bra, exact
+        self.rows, self.cols, self.diagonal, self.re, self.im = rows, cols, diagonal, re, im
+        self._entries = None
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """Read-only {(row tuple, col tuple): value} mapping in entry order:
+        (a, b) pairs of Python ints when exact, complex values otherwise."""
+        if self._entries is None:
+            keys = zip(map(tuple, self.rows.tolist()), map(tuple, self.cols.tolist()))
+            parts = self.re.tolist(), self.im.tolist()
+            self._entries = MappingProxyType(dict(zip(keys, zip(*parts) if self.exact else map(complex, *parts))))
+        return self._entries
 
     @property
     def dim(self) -> int:
         return self.d**self.n_parties
 
+    def __eq__(self, other):
+        if not isinstance(other, SparseOperator):
+            return NotImplemented
+        fields = ("n_parties", "d", "r_ket", "r_bra", "exact")
+        arrays = ("rows", "cols", "re", "im")
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays
+        )
+
+    def __repr__(self) -> str:
+        mode = "exact" if self.exact else "float"
+        return f"SparseOperator(n_parties={self.n_parties}, d={self.d}, entries={len(self.re)}, {mode})"
+
     def is_zero(self, tol: float = 0.0) -> bool:
+        """No stored entry when exact; every |entry| within tol otherwise."""
         if self.exact:
-            return not self.entries
+            return not len(self.re)
         scale = 1.0 / math.sqrt(self.r_ket * self.r_bra)
-        return all(abs(v) * scale <= tol for v in self.entries.values())
+        # np.hypot gives abs() of a Python complex bit for bit; np.abs may not
+        return bool((np.hypot(self.re, self.im) * scale <= tol).all())
 
     def trace(self):
+        """The sum of the stored diagonal values: an (a, b) numerator pair
+        when exact, a complex number otherwise."""
         if self.exact:
-            a = sum(v[0] for (r, c), v in self.entries.items() if r == c)
-            b = sum(v[1] for (r, c), v in self.entries.items() if r == c)
-            return (a, b)
-        return sum(v for (r, c), v in self.entries.items() if r == c)
+            return sum(self.re[self.diagonal].tolist()), sum(self.im[self.diagonal].tolist())
+        return sum(_complex(self.re, self.im)[self.diagonal].tolist())
 
     def to_matrix(self) -> np.ndarray:
         check_cap("matrix_dim", self.dim, what=f"dense {self.dim} x {self.dim} operator")
+        return self._dense()
+
+    def _dense(self) -> np.ndarray:
+        place = self.d ** np.arange(self.n_parties - 1, -1, -1)
         M = np.zeros((self.dim, self.dim), dtype=complex)
-        scale = 1.0 / math.sqrt(self.r_ket * self.r_bra)
-        for (row, col), val in self.entries.items():
-            i = 0
-            for x in row:
-                i = i * self.d + x
-            j = 0
-            for x in col:
-                j = j * self.d + x
-            v = complex(val[0], val[1]) if self.exact else val
-            M[i, j] = v * scale
+        M[self.rows @ place, self.cols @ place] = self._physical()
         return M
 
-    def maximally_mixed_deviation(self) -> float:
-        """Largest entrywise distance from I / d^n_parties."""
-        dim = self.dim
+    def _physical(self) -> np.ndarray:
+        """The values over sqrt(r_ket * r_bra), with the bits of a Python
+        complex(a, b) * (1 / sqrt(r_ket * r_bra)) product."""
         scale = 1.0 / math.sqrt(self.r_ket * self.r_bra)
-        target = 1.0 / dim
-        dev = 0.0
-        diagonal_hits = 0
-        for (row, col), val in self.entries.items():
-            if self.exact and self.r_ket == self.r_bra:
-                # subtract in integers so exact matches report exactly 0
-                if row == col:
-                    diagonal_hits += 1
-                    num = complex(val[0] * dim - self.r_ket, val[1] * dim)
-                    dev = max(dev, abs(num) * scale / dim)
+        x, y = self.re.astype(float), self.im.astype(float)
+        return _complex(x * scale - y * 0.0, x * 0.0 + y * scale)
+
+    def maximally_mixed_deviation(self) -> float:
+        """Largest entrywise distance from I / d^n_parties.
+
+        Exact operators over one denominator r are compared in integers, so
+        exact matches report exactly 0.  Over the common denominator r dim,
+        an entry deviates by |a dim - r + b dim i| on the diagonal and by
+        |a dim + b dim i| off it.  The largest of those is found exactly, and
+        only the entries within 2^-39 of it, which include every entry whose
+        float could round above it, are evaluated in floats.
+        """
+        dim = self.dim
+        if not (self.exact and self.r_ket == self.r_bra):
+            v = self._physical()
+            x = np.where(self.diagonal, v.real - 1.0 / dim, v.real)
+            dev = float(np.max(np.hypot(x, v.imag), initial=0.0))
+        elif not len(self.re):
+            dev = 0.0
+        else:
+            r = self.r_ket
+            bound = max(abs(int(v)) for part in (self.re, self.im) for v in (part.min(), part.max()))
+            wide = 2 * (bound * dim + r) ** 2 >= _INT64_LIMIT
+            x, y = (part.astype(object if wide else np.int64) * dim for part in (self.re, self.im))
+            x[self.diagonal] -= r
+            squared = x * x + y * y
+            top = squared.max()
+            near = np.flatnonzero(squared >= top - (top >> 39))
+            scale = 1.0 / math.sqrt(r * r)
+            dev = 0.0
+            for a, b, diagonal in zip(self.re[near].tolist(), self.im[near].tolist(), self.diagonal[near].tolist()):
+                if diagonal:
+                    dev = max(dev, abs(complex(a * dim - r, b * dim)) * scale / dim)
                 else:
-                    dev = max(dev, abs(complex(*val)) * scale)
-                continue
-            v = complex(*val) * scale if self.exact else val * scale
-            if row == col:
-                diagonal_hits += 1
-                dev = max(dev, abs(v - target))
-            else:
-                dev = max(dev, abs(v))
-        if diagonal_hits < dim:
-            dev = max(dev, target)  # some diagonal entry is missing entirely
+                    dev = max(dev, abs(complex(a, b)) * scale)
+        if np.count_nonzero(self.diagonal) < dim:
+            dev = max(dev, 1.0 / dim)  # some diagonal entry is missing entirely
         return dev
 
     def is_maximally_mixed(self, tol: float = 0.0) -> bool:
         """Exactly I / d^n_parties for exact operators, within tol otherwise."""
         if not self.exact:
             return self.maximally_mixed_deviation() <= tol
-        if self.r_ket != self.r_bra:
-            return False
         r, dim = self.r_ket, self.dim
-        if r % dim:
-            return False
-        lam = r // dim
-        if len(self.entries) != dim:
-            return False
-        return all(row == col and val == (lam, 0) for (row, col), val in self.entries.items())
+        return bool(
+            self.r_bra == r
+            and r % dim == 0
+            and len(self.re) == dim
+            and self.diagonal.all()
+            and (self.re == r // dim).all()
+            and (self.im == 0).all()
+        )
+
+    def deviation(self, other: SparseOperator) -> float:
+        """Largest entrywise |self - other| of the physical operators, taken
+        over the entries either one stores; every other entry is 0 in both.
+        np.abs gives the bits of the same difference of dense matrices."""
+        T = len(self.re)
+        pairs = np.concatenate([np.hstack([op.rows, op.cols]) for op in (self, other)])
+        _, slot = np.unique(_row_keys(pairs, self.d, _INT64_LIMIT)[0], return_inverse=True)
+        a, b = np.zeros((2, slot.max(initial=-1) + 1), dtype=complex)
+        a[slot[:T]], b[slot[T:]] = self._physical(), other._physical()
+        return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def _sparse(d, rows, cols, diagonal, re, im, r_ket=1, r_bra=1, exact=True) -> SparseOperator:
+    """A SparseOperator over arrays already in lexicographic (row, column)
+    order, with their diagonal mask."""
+    op = SparseOperator.__new__(SparseOperator)
+    op._init(d, rows, cols, diagonal, re, im, r_ket, r_bra, exact)
+    return op
 
 
 def ghz(N: int, d: int) -> PureState:
@@ -461,22 +540,6 @@ class _Encoded(NamedTuple):
     bound: int | None  # largest |a| or |b| of an exact encoding, None for floats
 
 
-class _Reduced(NamedTuple):
-    """Entries of a reduction or of one of its blocks, nonzero ones only
-    when exact.
-
-    Entries come in lexicographic (row, column) order, so two exact
-    reductions over one denominator are the same operator iff their arrays
-    are equal.
-    """
-
-    rows: np.ndarray  # (entries, kept parties) row indices
-    cols: np.ndarray  # (entries, kept parties) column indices
-    diagonal: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
-
-
 def _encode(state: PureState, floats: bool) -> _Encoded:
     """Views of the state's arrays; an exact state becomes physical floats
     when `floats` is set, as it must when stacked with a float state."""
@@ -516,8 +579,9 @@ def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
     return blocks
 
 
-def _reduce(e: _Encoded, parties: tuple, d: int) -> _Reduced:
-    """Trace of |psi><psi| over the complement of `parties`, on arrays."""
+def _reduce(e: _Encoded, parties: tuple, d: int, r: int = 1) -> SparseOperator:
+    """Trace of |psi><psi| over the complement of `parties`, on arrays,
+    exact ones over the denominator r."""
     kept = list(parties)
     others = [p for p in range(e.idx.shape[1]) if p not in parties]
     kept_idx = e.idx[:, kept]
@@ -564,8 +628,8 @@ def _reduce(e: _Encoded, parties: tuple, d: int) -> _Reduced:
             first, re_sum, im_sum = first[nonzero], re_sum[nonzero], im_sum[nonzero]
         rows_out, cols_out = i1[first], i2[first]
         diagonal = keys[rows_out] == keys[cols_out]
-        parts.append(_Reduced(kept_idx[rows_out], kept_idx[cols_out], diagonal, re_sum, im_sum))
-    return _Reduced(*(np.concatenate(column) for column in zip(*parts)))
+        parts.append((kept_idx[rows_out], kept_idx[cols_out], diagonal, re_sum, im_sum))
+    return _sparse(d, *(np.concatenate(column) for column in zip(*parts)), r, r, not floats)
 
 
 def _stack(family: list) -> tuple[_Encoded, int]:
@@ -592,47 +656,39 @@ def _stack(family: list) -> tuple[_Encoded, int]:
     return _Encoded(idx, re, im, None if floats else max(e.bound for e in parts)), m
 
 
-def _block_reduction(e: _Encoded, m: int, K: int, parties: tuple, d: int):
-    """block(s, t): the entries of tr |psi_s><psi_t| traced down to
-    `parties`, for the stack e of K states with m ancilla columns.
+def _block_reduction(e: _Encoded, m: int, family: list, parties: tuple):
+    """block(s, t): |psi_s><psi_t| traced down to `parties`, over the
+    denominator sqrt(r_s r_t) when exact, for the stack e of `family` with
+    m ancilla columns.
 
     Psi is reduced once onto the ancilla and `parties`, and its entries are
     split by one stable argsort on the ancilla (row, column) key, which
-    keeps each block in lexicographic order.
+    keeps each block in lexicographic order.  Each block gathers its own
+    arrays, so a block kept does not keep the whole reduction alive.
     """
+    d, K = family[0].d, len(family)
+    exact = e.bound is not None
+    r = [state.r if exact else 1 for state in family]
     base = max(d, 2)
     red = _reduce(e, tuple(range(m)) + tuple(p + m for p in parties), base)
     weights = base ** np.arange(m - 1, -1, -1)
     key = (red.rows[:, :m] @ weights) * K + red.cols[:, :m] @ weights
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[order], np.arange(K * K + 1)).tolist()
-    rows, cols = red.rows[order, m:], red.cols[order, m:]
-    diagonal, re, im = red.diagonal[order], red.re[order], red.im[order]
 
-    def block(s: int, t: int) -> _Reduced:
-        cut = slice(bounds[s * K + t], bounds[s * K + t + 1])
-        return _Reduced(rows[cut], cols[cut], diagonal[cut], re[cut], im[cut])
+    def block(s: int, t: int) -> SparseOperator:
+        at = order[bounds[s * K + t] : bounds[s * K + t + 1]]
+        return _sparse(d, red.rows[at, m:], red.cols[at, m:], red.diagonal[at], red.re[at], red.im[at], r[s], r[t], exact)
 
     return block
 
 
-def _is_maximally_mixed(red: _Reduced, r: int, dim: int) -> bool:
-    """Whether exact entries over the denominator r are exactly I / dim:
-    dim diagonal entries r / dim."""
-    return (
-        r % dim == 0
-        and len(red.re) == dim
-        and red.diagonal.all()
-        and (red.re == r // dim).all()
-        and not red.im.any()
-    )
-
-
-def _same_operator(a: _Reduced, ra: int, b: _Reduced, rb: int) -> bool:
-    """Whether exact self-reductions a over the denominator ra and b over rb
-    are the same operator: the same entries, and a rb == b ra.  Entries of
-    a trace-1 positive operator are at most 1, so |a| <= ra and |b| <= rb,
-    and the products stay below ra rb."""
+def _same_operator(a: SparseOperator, b: SparseOperator) -> bool:
+    """Whether exact self-reductions a, over the denominator ra, and b, over
+    rb, are the same operator: the same entries, and a rb == b ra.  Entries
+    of a trace-1 positive operator are at most 1, so |a| <= ra and
+    |b| <= rb, and the products stay below ra rb."""
+    ra, rb = a.r_ket, b.r_ket
     if not (np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)):
         return False
     wide = object if ra * rb >= _INT64_LIMIT else None
@@ -693,63 +749,13 @@ def _counting_check(e: _Encoded, d: int, k: int):
     return passes
 
 
-def _deviation(red: _Reduced, r: int, dim: int) -> float:
-    """SparseOperator.maximally_mixed_deviation of the exact self-reduction
-    `red` over the denominator r, bit for bit, from its arrays.
-
-    Over the common denominator r dim, an entry deviates from I / dim by
-    |a dim - r + b dim i| on the diagonal and |a dim + b dim i| off it; the
-    reduction has trace 1 and is positive, so |a + bi| <= r and those
-    squared numerators stay below 2 (r dim)^2.  Only entries within 2^-39
-    of the largest one, which include every entry whose float could round
-    above it, are evaluated in floats as SparseOperator does.
-    """
-    wide = 2 * (r * dim) ** 2 >= _INT64_LIMIT
-    x, y = (part.astype(object if wide else np.int64) * dim for part in (red.re, red.im))
-    x[red.diagonal] -= r
-    squared = x * x + y * y
-    top = squared.max()
-    near = np.flatnonzero(squared >= top - (top >> 39))
-    scale = 1.0 / math.sqrt(r * r)
-    dev = 0.0
-    for a, b, diagonal in zip(red.re[near].tolist(), red.im[near].tolist(), red.diagonal[near].tolist()):
-        if diagonal:
-            dev = max(dev, abs(complex(a * dim - r, b * dim)) * scale / dim)
-        else:
-            dev = max(dev, abs(complex(a, b)) * scale)
-    if np.count_nonzero(red.diagonal) < dim:
-        dev = max(dev, 1.0 / dim)  # some diagonal entry is missing entirely
-    return dev
-
-
-def _operator(red: _Reduced, d: int, exact: bool, r_ket: int = 1, r_bra: int = 1) -> SparseOperator:
-    """The SparseOperator holding the entries of `red`, exact ones over the
-    denominator sqrt(r_ket r_bra)."""
-    rows = map(tuple, red.rows.tolist())
-    cols = map(tuple, red.cols.tolist())
-    if exact:
-        values = zip(red.re.tolist(), red.im.tolist())
-    else:
-        values = map(complex, red.re.tolist(), red.im.tolist())
-        r_ket = r_bra = 1
-    return SparseOperator(
-        n_parties=red.rows.shape[1],
-        d=d,
-        entries=dict(zip(zip(rows, cols), values)),
-        r_ket=r_ket,
-        r_bra=r_bra,
-        exact=exact,
-    )
-
-
 def _block_operator(family: list, parties, s: int, t: int) -> SparseOperator:
     """Block (s, t) of the reduction of the stack of `family` onto `parties`."""
     d = family[0].d
     parties = _validate_parties(family[0].N, parties)
     check_cap("matrix_dim", d ** len(parties), what=f"reduction onto {len(parties)} parties of dimension {d}")
     e, m = _stack(family)
-    red = _block_reduction(e, m, len(family), parties, d)(s, t)
-    return _operator(red, d, e.bound is not None, family[s].r, family[t].r)
+    return _block_reduction(e, m, family, parties)(s, t)
 
 
 def cross_reduction(s1: PureState, s2: PureState, parties) -> SparseOperator:
@@ -887,16 +893,12 @@ def verify_k_uniform(
     failures = []
     max_dev = 0.0
     for subset in unpassed():
-        red = _reduce(e, subset, state.d)
-        if floats:
-            rho = _operator(red, state.d, False)
-            dev, failed = rho.maximally_mixed_deviation(), not rho.is_maximally_mixed(tol=tol)
-        elif _is_maximally_mixed(red, state.r, dim):
+        rho = _reduce(e, subset, state.d, state.r)
+        if not floats and rho.is_maximally_mixed():
             continue  # deviation exactly 0.0
-        else:  # exact and not I / d^k
-            dev, failed = _deviation(red, state.r, dim), True
+        dev = rho.maximally_mixed_deviation()
         max_dev = max(max_dev, dev)
-        if failed:
+        if not floats or not dev <= tol:
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, math.comb(state.N, k), failures, max_dev)

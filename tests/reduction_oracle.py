@@ -2,18 +2,22 @@
 
 Groups the terms of s2 by their complement indices in a dict and sums
 amp1 * conj(amp2) term by term: Gaussian integers when both states are
-exact, complex floats otherwise.  The array kernel behind
-states.cross_reduction and states.verify_k_uniform computes the same
-operators; the tests hold it to this oracle.  oracle_verify_masker is the
-masking criterion with one oracle_cross_reduction call per (subset, pair),
-in floats for every pair unless every image is exact, and deviations read
-off dense matrices.  oracle_counting_passes is the counting criterion of
+exact, complex floats otherwise.  The result is a DictOperator, the
+operator as an {(row tuple, col tuple): value} dict, and the oracle_*
+operator functions loop over those entries one by one.  The array kernel
+behind states.cross_reduction and states.verify_k_uniform, and the methods
+of states.SparseOperator, compute the same things; the tests hold them to
+this oracle, which never calls them.  oracle_verify_masker is the masking
+criterion with one oracle_cross_reduction call per (subset, pair), in
+floats for every pair unless every image is exact, and deviations read off
+dense matrices.  oracle_counting_passes is the counting criterion of
 verify_k_uniform decided for one subset at a time.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +31,101 @@ from kuniform.states import (
 )
 
 
-def oracle_cross_reduction(s1: PureState, s2: PureState, parties, floats: bool = False) -> SparseOperator:
+@dataclass
+class DictOperator:
+    """An operator as a dict: entries map (row, col) pairs of index tuples
+    to Gaussian-integer pairs over sqrt(r_ket * r_bra) when exact, to
+    complex values otherwise."""
+
+    n_parties: int
+    d: int
+    entries: dict
+    r_ket: int = 1
+    r_bra: int = 1
+    exact: bool = True
+
+    @property
+    def dim(self) -> int:
+        return self.d**self.n_parties
+
+    def sparse(self) -> SparseOperator:
+        return SparseOperator(self.n_parties, self.d, self.entries, self.r_ket, self.r_bra, self.exact)
+
+
+def oracle_is_zero(op, tol: float = 0.0) -> bool:
+    if op.exact:
+        return not op.entries
+    scale = 1.0 / math.sqrt(op.r_ket * op.r_bra)
+    return all(abs(v) * scale <= tol for v in op.entries.values())
+
+
+def oracle_trace(op):
+    if op.exact:
+        a = sum(v[0] for (r, c), v in op.entries.items() if r == c)
+        b = sum(v[1] for (r, c), v in op.entries.items() if r == c)
+        return (a, b)
+    return sum(v for (r, c), v in op.entries.items() if r == c)
+
+
+def oracle_to_matrix(op) -> np.ndarray:
+    M = np.zeros((op.dim, op.dim), dtype=complex)
+    scale = 1.0 / math.sqrt(op.r_ket * op.r_bra)
+    for (row, col), val in op.entries.items():
+        i = 0
+        for x in row:
+            i = i * op.d + x
+        j = 0
+        for x in col:
+            j = j * op.d + x
+        v = complex(val[0], val[1]) if op.exact else val
+        M[i, j] = v * scale
+    return M
+
+
+def oracle_maximally_mixed_deviation(op) -> float:
+    """Largest entrywise distance from I / d^n_parties."""
+    dim = op.dim
+    scale = 1.0 / math.sqrt(op.r_ket * op.r_bra)
+    target = 1.0 / dim
+    dev = 0.0
+    diagonal_hits = 0
+    for (row, col), val in op.entries.items():
+        if op.exact and op.r_ket == op.r_bra:
+            # subtract in integers so exact matches report exactly 0
+            if row == col:
+                diagonal_hits += 1
+                num = complex(val[0] * dim - op.r_ket, val[1] * dim)
+                dev = max(dev, abs(num) * scale / dim)
+            else:
+                dev = max(dev, abs(complex(*val)) * scale)
+            continue
+        v = complex(*val) * scale if op.exact else val * scale
+        if row == col:
+            diagonal_hits += 1
+            dev = max(dev, abs(v - target))
+        else:
+            dev = max(dev, abs(v))
+    if diagonal_hits < dim:
+        dev = max(dev, target)  # some diagonal entry is missing entirely
+    return dev
+
+
+def oracle_is_maximally_mixed(op, tol: float = 0.0) -> bool:
+    """Exactly I / d^n_parties for exact operators, within tol otherwise."""
+    if not op.exact:
+        return oracle_maximally_mixed_deviation(op) <= tol
+    if op.r_ket != op.r_bra:
+        return False
+    r, dim = op.r_ket, op.dim
+    if r % dim:
+        return False
+    lam = r // dim
+    if len(op.entries) != dim:
+        return False
+    return all(row == col and val == (lam, 0) for (row, col), val in op.entries.items())
+
+
+def oracle_cross_reduction(s1: PureState, s2: PureState, parties, floats: bool = False) -> DictOperator:
     """Trace of |s1><s2| over the complement of `parties`; in floats when
     either state is a float state or `floats` is set."""
     if (s1.N, s1.d) != (s2.N, s2.d):
@@ -65,7 +163,7 @@ def oracle_cross_reduction(s1: PureState, s2: PureState, parties, floats: bool =
                 entries[key] = entries.get(key, 0j) + v1 * v2.conjugate()
     if exact:
         entries = {key: val for key, val in entries.items() if val != (0, 0)}
-    return SparseOperator(
+    return DictOperator(
         n_parties=len(parties),
         d=s1.d,
         entries=entries,
@@ -86,9 +184,9 @@ def oracle_verify_k_uniform(state: PureState, k: int, tol: float = 1e-10) -> Uni
     max_dev = 0.0
     for subset in subsets:
         rho = oracle_cross_reduction(state, state, subset)
-        dev = rho.maximally_mixed_deviation()
+        dev = oracle_maximally_mixed_deviation(rho)
         max_dev = max(max_dev, dev)
-        if not rho.is_maximally_mixed(tol=tol):
+        if not oracle_is_maximally_mixed(rho, tol=tol):
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, len(subsets), failures, max_dev)
@@ -113,7 +211,7 @@ def oracle_counting_passes(state: PureState, subset) -> bool:
     return bool((complement[1:] != complement[:-1]).all())
 
 
-def _operators_equal(a: SparseOperator, b: SparseOperator, tol: float) -> bool:
+def _operators_equal(a: DictOperator, b: DictOperator, tol: float) -> bool:
     if a.exact and b.exact:
         # x / sqrt(ra) == y / sqrt(rb) for every numerator part: same sign,
         # and x^2 rb == y^2 ra
@@ -127,11 +225,12 @@ def _operators_equal(a: SparseOperator, b: SparseOperator, tol: float) -> bool:
                 for x, y in zip(val, b.entries[key])
             )
         )
-    return bool(np.allclose(a.to_matrix(), b.to_matrix(), atol=tol, rtol=0.0))
+    return bool(np.allclose(oracle_to_matrix(a), oracle_to_matrix(b), atol=tol, rtol=0.0))
 
 
-def _operator_deviation(a: SparseOperator, b: SparseOperator) -> float:
-    return float(np.max(np.abs(a.to_matrix() - b.to_matrix()), initial=0.0))
+def oracle_deviation(a: DictOperator, b: DictOperator) -> float:
+    """Largest entrywise |a - b|, read off dense matrices."""
+    return float(np.max(np.abs(oracle_to_matrix(a) - oracle_to_matrix(b)), initial=0.0))
 
 
 def oracle_verify_masker(
@@ -140,6 +239,7 @@ def oracle_verify_masker(
     """The report verify_masker must give."""
     failures: list = []
     common: dict = {}
+    rho0s: dict = {}  # the common reductions as DictOperators
     max_dev = 0.0
 
     if k == 0:
@@ -154,19 +254,20 @@ def oracle_verify_masker(
     floats = not all(img.exact for img in m.images)
     for subset in subsets:
         rho0 = oracle_cross_reduction(m.images[0], m.images[0], subset, floats)
-        common[subset] = rho0
+        rho0s[subset] = rho0
+        common[subset] = rho0.sparse()
         for s in range(1, m.d):
             rho_s = oracle_cross_reduction(m.images[s], m.images[s], subset, floats)
             equal = _operators_equal(rho_s, rho0, tol)
             # exactly equal operators deviate by exactly 0
-            delta = 0.0 if equal and rho0.exact else _operator_deviation(rho_s, rho0)
+            delta = 0.0 if equal and rho0.exact else oracle_deviation(rho_s, rho0)
             max_dev = max(max_dev, delta)
             if not equal:
                 failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
         for s, t in combinations(range(m.d), 2):
             cross = oracle_cross_reduction(m.images[s], m.images[t], subset, floats)
             if cross.exact:
-                leaked = not cross.is_zero()
+                leaked = not oracle_is_zero(cross)
                 mag = float(
                     max((abs(complex(a, b)) for a, b in cross.entries.values()), default=0.0)
                 ) / math.sqrt(cross.r_ket * cross.r_bra)
@@ -200,7 +301,7 @@ def oracle_verify_masker(
                 exact=False,
             )
             for subset in subsets:
-                delta = _operator_deviation(oracle_cross_reduction(masked, masked, subset), common[subset])
+                delta = oracle_deviation(oracle_cross_reduction(masked, masked, subset), rho0s[subset])
                 max_dev = max(max_dev, delta)
                 if delta > tol:
                     failures.append(

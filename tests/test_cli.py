@@ -149,8 +149,13 @@ def test_nan_state_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "manifest",
-    ['{"format": "masker", "d": 2, "N": 2}', '["format", "masker"]', '{"format": "masker", "d": 2, "N": 2, "images": 5}'],
-    ids=["no_images", "list", "images_int"],
+    [
+        '{"format": "masker", "d": 2, "N": 2}',
+        '["format", "masker"]',
+        '{"format": "masker", "d": 2, "N": 2, "images": 5}',
+        '{"format": "masker", "d": 0, "N": 3, "images": []}',
+    ],
+    ids=["no_images", "list", "images_int", "d_zero"],
 )
 def test_malformed_masker_manifest_exits_1(tmp_path, capsys, manifest):
     (tmp_path / "manifest.json").write_text(manifest)

@@ -355,6 +355,8 @@ def test_masker_type_validation():
         Masker(d=3, N=2, images=[ghz(2, 3)])
     with pytest.raises(MaskingError, match="disagree"):
         Masker(d=2, N=2, images=[ghz(2, 2), ghz(3, 2)])
+    with pytest.raises(MaskingError, match="local dimension"):
+        Masker(d=0, N=3, images=[])
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def state_files(draw):
     return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("\n", "")))
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(text=state_files(), block=st.sampled_from((1, 3, textio._BLOCK)))
 @example(text="state 1 2 85070591730234615865843651857942052864 exact\n0 9223372036854775808 0\n", block=1)
 @example(text="state 2 3 1 float\n0 1 0.6 -0.0\n2 2 0.0 0.8\n", block=1)
@@ -202,7 +202,7 @@ def faulty_terms(draw):
     return N, d, amps, r, exact
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(args=faulty_terms())
 def test_validation_matches_dict_oracle(args):
     got = _outcome(PureState, *args)
@@ -236,14 +236,14 @@ def state_pairs(draw, same_d: bool):
     return s1, s2
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(pair=state_pairs(same_d=False))
 def test_tensor_matches_dict_oracle(pair):
     s1, s2 = pair
     assert_same_state(tensor_parties(_array_state(s1), _array_state(s2)), oracle_tensor_parties(s1, s2))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(pair=state_pairs(same_d=True))
 @example(pair=(DictState(1, 2, {(0,): (1, 0)}), DictState(1, 2, {(1,): (0, 2**63)}, r=2**126)))
 def test_inner_product_matches_dict_oracle(pair):
@@ -274,7 +274,7 @@ def test_large_tensor_cell_refused_by_oa_rows():
 # uniformity reports
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     state=st.integers(2, 5).flatmap(
         lambda N: dict_states(N=N, d=2, alphabet=2) | dict_states(N=N, d=3, alphabet=3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from itertools import combinations
@@ -11,7 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reduction_oracle import oracle_counting_passes, oracle_cross_reduction, oracle_verify_k_uniform
+from reduction_oracle import (
+    DictOperator,
+    oracle_counting_passes,
+    oracle_cross_reduction,
+    oracle_deviation,
+    oracle_is_maximally_mixed,
+    oracle_is_zero,
+    oracle_maximally_mixed_deviation,
+    oracle_to_matrix,
+    oracle_trace,
+    oracle_verify_k_uniform,
+)
 
 from kuniform import states as states_module
 from kuniform.caps import check_cap
@@ -337,13 +349,12 @@ def test_stack_blocks_match_dict_oracle(case, block):
     e, m = states_module._stack(family)
     assert d**m >= K and (m == 0 or d ** (m - 1) < K)
     with mock.patch.object(states_module, "_PAIR_BLOCK", block):
-        blocks = states_module._block_reduction(e, m, K, tuple(sorted(parties)), d)
+        blocks = states_module._block_reduction(e, m, family, tuple(sorted(parties)))
     for s, t in np.ndindex(K, K):
-        red = blocks(s, t)
+        got = blocks(s, t)
         # entries in lexicographic (row, column) order
-        keys = [row + col for row, col in zip(red.rows.tolist(), red.cols.tolist())]
+        keys = [row + col for row, col in zip(got.rows.tolist(), got.cols.tolist())]
         assert keys == sorted(keys)
-        got = states_module._operator(red, d, not floats, family[s].r, family[t].r)
         assert_same_operator(got, oracle_cross_reduction(family[s], family[t], parties, floats))
 
 
@@ -600,16 +611,92 @@ def deviation_cases(draw):
 TIED = PureState(N=2, d=3, amplitudes={(0, 0): (3, 0), (0, 1): (1, 1), (1, 0): (2, 0)}, r=15)
 
 
-@settings(max_examples=200)
-@given(case=deviation_cases())
-@example(case=(TIED, (0,)))
-@example(case=(transformed(TIED, range(2), [range(3)] * 2, [(1 << 33, 5)] * 3), (0,)))
-@example(case=(ghz(3, 3), (0,)))
-def test_deviation_matches_sparse_operator(case):
-    state, parties = case
-    red = states_module._reduce(states_module._encode(state, False), parties, state.d)
-    want = states_module._operator(red, state.d, True, state.r, state.r).maximally_mixed_deviation()
-    assert states_module._deviation(red, state.r, state.d ** len(parties)).hex() == want.hex()
+@st.composite
+def dict_operators(draw, n, d):
+    """DictOperators on n parties of dimension d, entries in lexicographic
+    order: exact ones with numerators up to 6 * 2^70 and r_ket != r_bra at
+    times, or float ones with signed zeros and subnormals.  Half hold every
+    diagonal entry I / d^n before the drawn entries; most others miss some."""
+    dim = d**n
+    index = st.tuples(*[st.integers(0, d - 1)] * n)
+    keys = draw(st.lists(st.tuples(index, index), max_size=8, unique=True))
+    exact = draw(st.booleans())
+    if exact:
+        big = draw(st.sampled_from((1, 1 << 20, 1 << 62, 1 << 70)))
+        lam = draw(st.integers(1, 4)) * big * big
+        r_ket = lam * dim
+        r_bra = r_ket if draw(st.booleans()) else draw(st.integers(1, 60)) * big * big
+        part = st.integers(-6, 6).map(lambda x: x * big)
+        unit = (lam, 0)
+        values = st.tuples(part, part)
+    else:
+        r_ket, r_bra = draw(st.sampled_from(((1, 1), (1, 1), (2, 3))))
+        unit = complex(1 / dim)
+        values = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    entries = {}
+    if draw(st.booleans()):
+        entries = {(i, i): unit for i in np.ndindex((d,) * n)}
+    entries.update((key, draw(values)) for key in keys)
+    return DictOperator(n, d, dict(sorted(entries.items())), r_ket, r_bra, exact)
+
+
+def _kernel_case(state, parties):
+    """A state's reduction from the kernel and from the oracle, the oracle's
+    entries put in lexicographic order."""
+    ref = oracle_cross_reduction(state, state, parties)
+    return reduction(state, parties), dataclasses.replace(ref, entries=dict(sorted(ref.entries.items())))
+
+
+def _dict_case(ref):
+    """A DictOperator converted once, and the DictOperator itself."""
+    return ref.sparse(), ref
+
+
+@st.composite
+def operator_cases(draw):
+    """(operator, reference, other): a SparseOperator, the DictOperator it
+    must agree with, and a second DictOperator on the same system.  The
+    operator is a kernel reduction of a deviation case or a drawn
+    DictOperator converted once."""
+    if draw(st.booleans()):
+        op, ref = _kernel_case(*draw(deviation_cases().filter(lambda c: c[0].d ** len(c[1]) <= 256)))
+    else:
+        op, ref = _dict_case(draw(dict_operators(draw(st.integers(1, 3)), draw(st.sampled_from((1, 2, 3))))))
+    return op, ref, draw(dict_operators(ref.n_parties, ref.d))
+
+
+def _bits(x):
+    """A value with every float spelled by its hex."""
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    return x.hex() if isinstance(x, float) else x
+
+
+@settings(max_examples=300)
+@given(case=operator_cases())
+@example(case=(*_kernel_case(TIED, (0,)), DictOperator(1, 3, {})))
+@example(case=(*_kernel_case(transformed(TIED, range(2), [range(3)] * 2, [(1 << 33, 5)] * 3), (0,)), DictOperator(1, 3, {})))
+@example(case=(*_kernel_case(ghz(3, 3), (0,)), DictOperator(1, 3, {((0,), (0,)): 0.5j}, exact=False)))
+# -0.0 - 0.5i times 1.0, as a Python complex * float product: 0.0 - 0.5i
+@example(case=(*_dict_case(DictOperator(1, 2, {((0,), (0,)): complex(-0.0, -0.5)}, exact=False)), DictOperator(1, 2, {})))
+def test_sparse_operator_matches_dict_oracle(case):
+    """Every SparseOperator method gives the bits of the per-entry loop it
+    replaced."""
+    op, ref, other = case
+    assert (op.n_parties, op.d, op.r_ket, op.r_bra, op.exact) == (ref.n_parties, ref.d, ref.r_ket, ref.r_bra, ref.exact)
+    assert list(op.entries) == list(ref.entries)
+    assert _bits(list(op.entries.values())) == _bits(list(ref.entries.values()))
+    assert op.to_matrix().tobytes() == oracle_to_matrix(ref).tobytes()
+    assert _bits(op.trace()) == _bits(oracle_trace(ref))
+    assert op.maximally_mixed_deviation().hex() == oracle_maximally_mixed_deviation(ref).hex()
+    for tol in (0.0, 1e-10, 0.25):
+        assert op.is_zero(tol) == oracle_is_zero(ref, tol)
+        assert op.is_maximally_mixed(tol) == oracle_is_maximally_mixed(ref, tol)
+    assert op.deviation(other.sparse()).hex() == oracle_deviation(ref, other).hex()
+    assert other.sparse().deviation(op).hex() == oracle_deviation(other, ref).hex()
+    assert op == ref.sparse() and (op == other.sparse()) == (ref == other)
 
 
 def _record_calls(monkeypatch, name: str) -> list:
