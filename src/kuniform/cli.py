@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,16 @@ def _nonnegative(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 <= value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -319,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_s = vsub.add_parser("state")
     v_s.add_argument("file")
     v_s.add_argument("--k", type=_nonnegative, required=True)
-    v_s.add_argument("--tol", type=float, default=1e-10)
+    v_s.add_argument("--tol", type=_tolerance, default=states.FLOAT_TOL, help="deviation allowed to float states")
     v_s.set_defaults(handler=_cmd_verify_state)
     v_o = vsub.add_parser("oa")
     v_o.add_argument("file")

@@ -212,51 +212,41 @@ def codeword_matrix(C: LinearCode) -> np.ndarray:
     These are the rows of oa.oa_from_code, so the oa_rows cap bounds q^t.
     """
     check_cap("oa_rows", C.q**C.t, what=f"codeword enumeration of [{C.N},{C.t}]_{C.q}")
-    return _enumerate(C)
+    return _enumerate(C.field, C.G)
 
 
-def _enumerate(C: LinearCode) -> np.ndarray:
-    """codeword_matrix without the cap check, for callers that checked a
-    cap covering it."""
-    F, q, t, N = C.field, C.q, C.t, C.N
+def _enumerate(F: FiniteField, G: np.ndarray) -> np.ndarray:
+    """Every combination of the rows of G over F in message order, the
+    first row's coefficient most significant; unchecked, for callers that
+    checked a cap covering it."""
+    q, (t, N) = F.order, G.shape
     rows = np.zeros((1, N), dtype=np.int64)
     for i in range(t - 1, -1, -1):
         # prepend one message digit: new block = old block + c * G[i]
-        mults = np.stack([F.mul_arr(np.full(N, c, dtype=np.int64), C.G[i]) for c in range(q)])
+        mults = np.stack([F.mul_arr(np.full(N, c, dtype=np.int64), G[i]) for c in range(q)])
         rows = F.add_arr(rows[None, :, :], mults[:, None, :]).reshape(-1, N)
     return rows
 
 
-def _chunked_codewords(C: LinearCode, chunk_rows: int = 1 << 16):
-    """Yield codeword blocks without materializing all q^t rows at once.
+# the most codewords in one block of _chunked_codewords
+_CHUNK_ROWS = 1 << 16
+
+
+def _chunked_codewords(C: LinearCode):
+    """Yield the codewords in message order, in blocks of at most
+    _CHUNK_ROWS rows: the span of the trailing generator rows plus each
+    combination of the leading ones.  The first block is that span itself,
+    so no caller may write to a block.
 
     Unchecked: the caller has checked a cap on all q^t codewords.
     """
-    F, q, t, N = C.field, C.q, C.t, C.N
+    F, q, t = C.field, C.q, C.t
     low = 0
-    while q ** (t - low) > chunk_rows and low < t:
+    while q ** (t - low) > _CHUNK_ROWS and low < t:
         low += 1
-    # block spanned by the last (t - low) generators
-    tail = LinearCode(F, C.G[low:]) if low < t else None
-    block = _enumerate(tail) if tail is not None else np.zeros((1, N), dtype=np.int64)
-    if low == 0:
-        yield block
-        return
-    head = C.G[:low]
-    digits = [0] * low
-    while True:
-        prefix = np.zeros(N, dtype=np.int64)
-        for i, c in enumerate(digits):
-            if c:
-                prefix = F.add_arr(prefix, F.mul_arr(np.full(N, c, dtype=np.int64), head[i]))
-        yield F.add_arr(block, prefix[None, :])
-        i = low - 1
-        while i >= 0 and digits[i] == q - 1:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
+    block = _enumerate(F, C.G[low:])
+    for prefix in _enumerate(F, C.G[:low]):
+        yield F.add_arr(block, prefix[None, :]) if prefix.any() else block
 
 
 def _krawtchouk(j: int, i: int, N: int, q: int) -> int:

@@ -43,8 +43,10 @@ from .caps import check_cap
 from .errors import KuniformError, MaskingError, ParseError
 from .states import (
     _INT64_LIMIT,
+    FLOAT_TOL,
     PureState,
     SparseOperator,
+    _amplitude_parts,
     _block_reduction,
     _complex,
     _from_arrays,
@@ -74,7 +76,6 @@ __all__ = [
     "load_masker",
 ]
 
-FLOAT_TOL = 1e-10
 PAULI_TOL = 1e-9
 
 
@@ -125,21 +126,7 @@ class MaskingFeasibility:
     witness: object = None
 
 
-def _sample_parts(img: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of an image's physical amplitudes, exact
-    numerators times 1 / sqrt(r)."""
-    if not img.exact:
-        return img._values.real, img._values.imag
-    parts = img._values.astype(float) * (1.0 / math.sqrt(img.r))
-    return parts[:, 0], parts[:, 1]
-
-
-def build_masker(
-    psi: PureState,
-    split_party: int,
-    k: int,
-    tol: float = FLOAT_TOL,
-) -> Masker:
+def build_masker(psi: PureState, split_party: int, k: int) -> Masker:
     """Split one party off a (k+1)-uniform state, yielding a masker whose
     images hide the split symbol from any k parties.
 
@@ -155,7 +142,7 @@ def build_masker(
         raise MaskingError(f"split party {split_party} out of range for N = {psi.N}")
     if k < 0:
         raise MaskingError("k must be non-negative")
-    uni = verify_k_uniform(psi, k + 1, tol=tol)
+    uni = verify_k_uniform(psi, k + 1)
     if uni.verdict != "pass":
         raise MaskingError(
             f"input is not {k + 1}-uniform (verdict {uni.verdict}); cannot mask k = {k}"
@@ -186,19 +173,14 @@ def build_masker(
     )
 
 
-def verify_masker(
-    m: Masker,
-    k: int,
-    tol: float = FLOAT_TOL,
-    samples: int = 0,
-    seed: int = 0,
-) -> MaskingReport:
+def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> MaskingReport:
     """Run the full masking criterion at k.
 
     k = 0 reduces to image orthonormality.  With samples > 0 a seeded
     sanity pass additionally prepares that many random input superpositions
     and compares each of their k-party reductions against the common one in
-    float arithmetic; the exact criterion never depends on it.
+    float arithmetic; the exact criterion never depends on it.  Float
+    deviations, cross terms and inner products pass within FLOAT_TOL.
     """
     if not 0 <= k <= m.N:
         raise ValueError(f"k = {k} outside [0, {m.N}]")
@@ -209,7 +191,7 @@ def verify_masker(
     if k == 0:
         for s, t in combinations(range(m.d), 2):
             ip = inner_product(m.images[s], m.images[t])
-            if not ip.is_zero(tol=tol):
+            if not ip.is_zero(tol=FLOAT_TOL):
                 failures.append(((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}"))
         verdict = "pass" if not failures else "fail"
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
@@ -227,7 +209,7 @@ def verify_masker(
                 continue  # the same operator as image 0's
             delta = rho.deviation(rho0)
             max_dev = max(max_dev, delta)
-            if exact or delta > tol:
+            if exact or delta > FLOAT_TOL:
                 failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
         for s, t in combinations(range(m.d), 2):
             cross = block(s, t)
@@ -238,7 +220,7 @@ def verify_masker(
             if exact:
                 mag /= math.sqrt(cross.r_ket * cross.r_bra)
             max_dev = max(max_dev, mag)
-            if exact or mag > tol:
+            if exact or mag > FLOAT_TOL:
                 failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
 
     samples_checked = 0
@@ -248,7 +230,7 @@ def verify_masker(
         # in order of first appearance
         idx = np.concatenate([img._idx for img in m.images])
         member = np.repeat(np.arange(m.d), [img.num_terms for img in m.images])
-        x, y = (np.concatenate(parts) for parts in zip(*map(_sample_parts, m.images)))
+        x, y = (np.concatenate(parts) for parts in zip(*map(_amplitude_parts, m.images)))
         _, first, inv = np.unique(_row_keys(idx, m.d, _INT64_LIMIT)[0], return_index=True, return_inverse=True)
         rank = np.empty_like(first)
         rank[np.argsort(first)] = np.arange(len(first))
@@ -269,7 +251,7 @@ def verify_masker(
             for subset in subsets:
                 delta = _reduce(e, subset, m.d).deviation(common[subset])
                 max_dev = max(max_dev, delta)
-                if delta > tol:
+                if delta > FLOAT_TOL:
                     failures.append(
                         (subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}")
                     )
@@ -416,11 +398,7 @@ class QeccReport:
         return self.verdict == "pass"
 
 
-def verify_pure_qecc(
-    basis: list,
-    delta: int,
-    tol: float = PAULI_TOL,
-) -> QeccReport:
+def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     """Check that `basis` spans a pure ((N, K, delta))_d code.
 
     Every tensor product E of generalized Paulis with 1 <= weight < delta is
@@ -433,9 +411,10 @@ def verify_pure_qecc(
     |psi_j><psi_i| traced down to S, must be I / d^k when i == j and zero
     otherwise.  A basis whose states are all exact is decided exactly for
     every d; otherwise every state is taken in floats, and a block passes
-    when its largest non-identity Pauli coefficient is at most tol.  The
-    qecc_ops cap bounds the C(N, k) K (K + 1) / 2 blocks checked, the
-    matrix_dim cap their dimension d^k.
+    when its largest non-identity Pauli coefficient is at most PAULI_TOL;
+    two states that are not both exact are orthogonal when |<psi_i|psi_j>|
+    is.  The qecc_ops cap bounds the C(N, k) K (K + 1) / 2 blocks checked,
+    the matrix_dim cap their dimension d^k.
 
     ops_checked counts the errors covered, sum over 1 <= w < delta of
     C(N, w) (d^2 - 1)^w, not operators iterated.  failures holds one
@@ -460,7 +439,7 @@ def verify_pure_qecc(
     for i, j in combinations(range(K), 2):
         ip = inner_product(basis[i], basis[j])
         dev = abs(ip.value)
-        bad = not ip.is_zero() if ip.exact else dev > tol
+        bad = not ip.is_zero() if ip.exact else dev > PAULI_TOL
         if bad:
             failures.append(("<i|j>", i, j, dev))
             worst = max(worst, dev)
@@ -487,7 +466,7 @@ def verify_pure_qecc(
                 if exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
                     continue
                 op, mag = _pauli_witness(rho, subset)
-                if exact or mag > tol:
+                if exact or mag > PAULI_TOL:
                     failures.append((str(op), i, j, mag))
                     worst = max(worst, mag)
 
@@ -533,7 +512,7 @@ def save_masker(m: Masker, directory: str | Path) -> None:
     )
 
 
-def load_masker(directory: str | Path, tol: float = FLOAT_TOL) -> Masker:
+def load_masker(directory: str | Path) -> Masker:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -565,6 +544,6 @@ def load_masker(directory: str | Path, tol: float = FLOAT_TOL) -> Masker:
         provenance=str(manifest.get("provenance", str(directory))),
     )
     for s, t in combinations(range(m.d), 2):
-        if not inner_product(m.images[s], m.images[t]).is_zero(tol=tol):
+        if not inner_product(m.images[s], m.images[t]).is_zero(tol=FLOAT_TOL):
             raise KuniformError(f"{directory}: bundle images {s}, {t} not orthogonal")
     return m

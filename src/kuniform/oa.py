@@ -72,7 +72,7 @@ class OrthogonalArray:
         C = self.source_code
         if C is not None and not (
             (C.q, C.N, C.q**C.t) == (self.d, rows.shape[1], rows.shape[0])
-            and np.array_equal(rows, codes._enumerate(C))
+            and np.array_equal(rows, codes._enumerate(C.field, C.G))
         ):
             raise ValueError(f"rows are not the codewords of source code {C} in message order")
         rows.setflags(write=False)

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
+# the largest deviation, cross term or inner product a float state may show
+FLOAT_TOL = 1e-10
 
 
 class _RowFault(ValueError):
@@ -365,11 +367,9 @@ class SparseOperator:
         """Largest entrywise distance from I / d^n_parties.
 
         Exact operators over one denominator r are compared in integers, so
-        exact matches report exactly 0.  Over the common denominator r dim,
-        an entry deviates by |a dim - r + b dim i| on the diagonal and by
-        |a dim + b dim i| off it.  The largest of those is found exactly, and
-        only the entries within 2^-39 of it, which include every entry whose
-        float could round above it, are evaluated in floats.
+        exact matches report exactly 0: a diagonal entry deviates by
+        |a dim - r + b dim i| / (r dim), its parts formed in integers and
+        taken to floats once, and an off-diagonal entry by |a + b i| / r.
         """
         dim = self.dim
         if not (self.exact and self.r_ket == self.r_bra):
@@ -379,21 +379,15 @@ class SparseOperator:
         elif not len(self.re):
             dev = 0.0
         else:
-            r = self.r_ket
+            r, on = self.r_ket, self.diagonal
             bound = max(abs(int(v)) for part in (self.re, self.im) for v in (part.min(), part.max()))
-            wide = 2 * (bound * dim + r) ** 2 >= _INT64_LIMIT
-            x, y = (part.astype(object if wide else np.int64) * dim for part in (self.re, self.im))
-            x[self.diagonal] -= r
-            squared = x * x + y * y
-            top = squared.max()
-            near = np.flatnonzero(squared >= top - (top >> 39))
-            scale = 1.0 / math.sqrt(r * r)
-            dev = 0.0
-            for a, b, diagonal in zip(self.re[near].tolist(), self.im[near].tolist(), self.diagonal[near].tolist()):
-                if diagonal:
-                    dev = max(dev, abs(complex(a * dim - r, b * dim)) * scale / dim)
-                else:
-                    dev = max(dev, abs(complex(a, b)) * scale)
+            x, y = (part.astype(object if bound * dim + r >= _INT64_LIMIT else np.int64) for part in (self.re, self.im))
+            x[on] = x[on] * dim - r
+            y[on] *= dim
+            # np.hypot gives abs() of a Python complex bit for bit
+            mags = np.hypot(x.astype(float), y.astype(float)) * (1.0 / math.sqrt(r * r))
+            mags[on] /= dim
+            dev = float(mags.max())
         if np.count_nonzero(self.diagonal) < dim:
             dev = max(dev, 1.0 / dim)  # some diagonal entry is missing entirely
         return dev
@@ -837,11 +831,7 @@ class UniformityReport:
         return self.verdict == "pass"
 
 
-def verify_k_uniform(
-    state: PureState,
-    k: int,
-    tol: float = 1e-10,
-) -> UniformityReport:
+def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> UniformityReport:
     """Check every reduction onto k parties against I / d^k.
 
     Exact states are checked exactly (tol only enters deviation reporting);
@@ -904,14 +894,15 @@ def verify_k_uniform(
     return UniformityReport(state.N, state.d, k, verdict, math.comb(state.N, k), failures, max_dev)
 
 
-def from_vector(vec, N: int, d: int, tol: float = NORM_TOL) -> PureState:
-    """Float-mode state from a dense amplitude vector in radix order."""
+def from_vector(vec, N: int, d: int) -> PureState:
+    """Float-mode state from a dense amplitude vector in radix order, its
+    squared norm within NORM_TOL of 1."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if vec.size != d**N:
         raise ValueError(f"vector length {vec.size} is not d^N = {d ** N}")
     norm = float(np.sum(np.abs(vec) ** 2))
-    if not abs(norm - 1.0) <= tol:  # also refuses a NaN norm
-        raise NormError(f"squared norm {norm!r} deviates from 1 beyond {tol}")
+    if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
+        raise NormError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
     pos = np.flatnonzero(vec)
     idx = pos[:, None] // d ** np.arange(N - 1, -1, -1) % d
     return _from_arrays(N, d, idx.astype(np.int64), vec[pos], exact=False, provenance="from_vector")

@@ -282,7 +282,7 @@ def oracle_verify_masker(
     if samples > 0 and not failures:
         rng = np.random.default_rng(seed)
         image_amps = [
-            {idx: complex(*amp) * (1.0 / math.sqrt(img.r)) for idx, amp in img.amplitudes.items()}
+            {idx: complex(*amp) / math.sqrt(img.r) for idx, amp in img.amplitudes.items()}
             if img.exact
             else img.amplitudes
             for img in m.images

@@ -9,12 +9,13 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kuniform
 from kuniform import cli
 from kuniform.cli import _int_spec, main, run
-from kuniform.states import PureState, load_bundled_state, save_state
+from kuniform.states import PureState, from_vector, ghz, load_bundled_state, save_state
 
 
 def test_construct_then_verify_pipeline(tmp_path):
@@ -100,10 +101,33 @@ def test_usage_errors_exit_2():
         ["verify", "state", "x.state"],  # missing --k
         ["table", "--k", "4", "--d", "nope", "--N", "8"],
         ["construct", "kuniform", "--k", "0", "--d", "3", "--N", "4"],
+        *(["verify", "state", "x.state", "--k", "1", "--tol", tol] for tol in ("nan", "-1", "inf")),
     ]:
         code, report = run(argv)
         assert code == 2, argv
         assert report is None
+
+
+def test_tol_applies_to_float_states_only(tmp_path, capsys):
+    """A float 3-uniform state off by about 1e-8 fails at the default
+    tolerance and passes at 1e-6; an exact state's report ignores --tol."""
+    vec = load_bundled_state("ame_6_2").to_vector()
+    vec += 1e-8 * np.random.default_rng(1).normal(size=vec.size)
+    path = str(tmp_path / "near.state")
+    save_state(from_vector(vec / np.linalg.norm(vec), 6, 2), path)
+    assert run(["verify", "state", "--k", "3", path])[0] == 1
+    code, report = run(["verify", "state", "--k", "3", "--tol", "1e-6", path])
+    assert code == 0 and report["details"]["failures"] == []
+    assert 0 < report["details"]["max_deviation"] <= 1e-6
+
+    path = str(tmp_path / "ghz.state")
+    save_state(ghz(4, 2), path)
+    outcomes = []
+    for tol in ([], ["--tol", "0"], ["--tol", "1e-6"], ["--tol", "1"]):
+        code, report = run(["verify", "state", "--k", "2", path, *tol])
+        outcomes.append((code, report["details"]))
+    capsys.readouterr()
+    assert outcomes[0][0] == 1 and outcomes[1:] == outcomes[:1] * 3
 
 
 def test_one_parser_serves_every_run(tmp_path, capsys, monkeypatch):

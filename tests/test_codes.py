@@ -260,6 +260,21 @@ def test_transform_rejects_inconsistent_counts(monkeypatch, C, corrupt, message)
         _weight_distributions(C)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_chunked_codewords_are_the_enumeration(monkeypatch, q):
+    """Blocks of every size concatenate to the message-order enumeration,
+    and none exceeds _CHUNK_ROWS."""
+    F = field_for_order(q)
+    for t in range(1, min(4, q + 1) + 1):
+        C = mds_code(F, t)
+        want = codes._enumerate(F, C.G)
+        for rows in (1, q, q * q, codes._CHUNK_ROWS):
+            monkeypatch.setattr(codes, "_CHUNK_ROWS", rows)
+            blocks = list(codes._chunked_codewords(C))
+            assert max(map(len, blocks)) <= rows
+            assert np.array_equal(np.concatenate(blocks), want)
+
+
 def mds_weights(n: int, t: int, q: int) -> list[int]:
     """Closed-form weight distribution of an [n, t, n-t+1]_q MDS code."""
     d = n - t + 1

@@ -219,6 +219,13 @@ def test_masker_encodes_each_state_once(monkeypatch, mode, k, samples):
     assert report == oracle_verify_masker(m, k, samples=samples, seed=3)
 
 
+def test_verify_masker_takes_samples_and_seed_by_keyword():
+    """A tolerance passed by position, as the signature once allowed, is
+    refused rather than read as a sample count."""
+    with pytest.raises(TypeError):
+        verify_masker(qubit_masker(), 2, 1e-10)
+
+
 def test_masker_cap_checked_once(monkeypatch):
     m = qubit_masker()
     monkeypatch.setenv("KUF_CAPS", "matrix_dim=3")

@@ -243,7 +243,7 @@ def test_code_answers_match_the_scans(q, data):
     cols = data.draw(st.lists(st.integers(0, C.N - 1), max_size=C.N - 1, unique=True))
     A = delete_columns(oa_from_code(C), cols) if cols else oa_from_code(C)
     if A.source_code is not None:  # the invariant the coded constructors keep
-        assert np.array_equal(A.rows, codes._enumerate(A.source_code))
+        assert np.array_equal(A.rows, codes._enumerate(A.source_code.field, A.source_code.G))
     B = replace(A, source_code=None)
     for k in range(A.N + 1):
         assert verify_strength(A, k) == verify_strength(B, k), k

@@ -674,6 +674,17 @@ def _bits(x):
     return x.hex() if isinstance(x, float) else x
 
 
+def _near_ties(d: int, r: int, unit: int) -> DictOperator:
+    """An exact one-party operator over r whose diagonal deviations and
+    off-diagonal entries all have magnitude unit / r, or nearly: squared
+    numerators one apart, or off by a half when d does not divide r."""
+    lam, half = r // d, 1 << (unit.bit_length() // 2)
+    off = [(unit, 0), (0, -unit), (unit - 1, half), (-unit, 1)]
+    entries = {((i,), (j,)): off[(i * d + j) % 4] for i in range(d) for j in range(d) if i != j}
+    entries.update({((i,), (i,)): (lam + (-1) ** i * unit, 0) for i in range(d)})
+    return DictOperator(1, d, dict(sorted(entries.items())), r, r)
+
+
 @settings(max_examples=300)
 @given(case=operator_cases())
 @example(case=(*_kernel_case(TIED, (0,)), DictOperator(1, 3, {})))
@@ -681,6 +692,11 @@ def _bits(x):
 @example(case=(*_kernel_case(ghz(3, 3), (0,)), DictOperator(1, 3, {((0,), (0,)): 0.5j}, exact=False)))
 # -0.0 - 0.5i times 1.0, as a Python complex * float product: 0.0 - 0.5i
 @example(case=(*_dict_case(DictOperator(1, 2, {((0,), (0,)): complex(-0.0, -0.5)}, exact=False)), DictOperator(1, 2, {})))
+# near ties among int64 entries whose squares are near 2^62, among
+# numerators past 2^63, and over r = 2^70 + 1
+@example(case=(*_dict_case(_near_ties(4, 4 << 40, 1 << 31)), DictOperator(1, 4, {})))
+@example(case=(*_dict_case(_near_ties(3, 3 << 80, 1 << 71)), DictOperator(1, 3, {})))
+@example(case=(*_dict_case(_near_ties(2, (1 << 70) + 1, 1 << 40)), DictOperator(1, 2, {})))
 def test_sparse_operator_matches_dict_oracle(case):
     """Every SparseOperator method gives the bits of the per-entry loop it
     replaced."""
