@@ -6,7 +6,8 @@ distributions: the side of smaller dimension, C or its dual, is enumerated,
 and the other side follows from the MacWilliams transform.  Both are cached
 write-once: each value is computed locally first and published with a
 single attribute store, so concurrent readers never observe a partial result.
-Distances are never stored in code files.
+Distances are never stored in code files.  code_of_rows recognises rows
+that are exactly a coset of a linear code.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import textio
-from .caps import check_cap
+from .caps import check_cap, get_cap
 from .errors import FieldMismatch, KuniformError, ParseError, RankDeficient
-from .gf import FiniteField, field_new
+from .gf import FiniteField, field_new, is_prime_power
 
 __all__ = [
     "LinearCode",
@@ -34,6 +35,7 @@ __all__ = [
     "direct_sum",
     "is_self_dual",
     "codeword_matrix",
+    "code_of_rows",
     "load_code",
     "save_code",
     "load_bundled_code",
@@ -135,17 +137,15 @@ def _rank(F: FiniteField, M: np.ndarray) -> int:
 
 
 def _matmul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product over F (small matrices; scalar loops are fine here)."""
+    """Matrix product over F: one integer product mod p for a prime field
+    whose row sums cannot wrap int64, one field product and sum per inner
+    index otherwise."""
     n, k = A.shape
-    k2, m = B.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for s in range(k):
-                acc = F.add(acc, F.mul(int(A[i, s]), int(B[s, j])))
-            out[i, j] = acc
+    if F.m == 1 and k * (F.p - 1) ** 2 < 1 << 63:
+        return (A @ B) % F.p
+    out = np.zeros((n, B.shape[1]), dtype=np.int64)
+    for s in range(k):
+        out = F.add_arr(out, F.mul_arr(A[:, s, None], B[s]))
     return out
 
 
@@ -325,6 +325,78 @@ def dual_distance(C: LinearCode) -> int | float:
     """
     _distances(C)
     return C._w_dual
+
+
+# ---------------------------------------------------------------------------
+# recognising cosets of codes
+
+
+# rows in the first block code_of_rows translates; later blocks double up
+# to _CHUNK_ROWS, so rows that are no coset are usually refused early
+_FIRST_ROWS = 64
+
+
+def _minus(F: FiniteField, y: np.ndarray, c: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """y - c X over F, for rows y, their coefficients c and a few rows X."""
+    return F.add_arr(y, F.neg_arr(_matmul(F, c, X)))
+
+
+def code_of_rows(q: int, rows) -> LinearCode | None:
+    """The linear code C whose coset rows[0] + C the rows are exactly, or
+    None when they are not one.
+
+    Exact over GF(q): q must be a prime power within the field_order cap,
+    the T rows must number q^t, and every row less rows[0] must lie in one
+    t-dimensional space.  That space is grown deterministically from the
+    rows themselves: each row's difference is reduced against the basis so
+    far, and the first one left nonzero joins it, so no sample can miss a
+    direction.  The rows are translated in blocks, _FIRST_ROWS first and
+    each next one twice as long up to _CHUNK_ROWS, never as one full copy.
+    Distinct rows of that coset differ in their pivot columns, so one
+    count of those columns' radix keys decides that all q^t rows are
+    distinct, hence the whole coset.  C is returned with its generator in
+    reduced row echelon form; the rows are its codewords translated by
+    rows[0], in any order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    T, N = rows.shape
+    pm = is_prime_power(q) if q <= get_cap("field_order") else None
+    if pm is None or not T or not N:
+        return None
+    t = 0
+    while q**t < T:
+        t += 1
+    if q**t != T or t > N:
+        return None
+    F = field_new(*pm)
+    shift = F.neg_arr(rows[0])
+    basis, pivots = np.zeros((0, N), dtype=np.int64), []
+    start, size = 0, _FIRST_ROWS
+    while start < T:
+        block = rows[start : start + size]
+        start, size = start + size, min(2 * size, _CHUNK_ROWS)
+        if block.min() < 0 or block.max() >= q:
+            return None
+        # the basis is zero at every pivot but its own, so one pass reduces
+        residual = F.add_arr(block, shift)
+        residual = _minus(F, residual, residual[:, pivots], basis)
+        while len(left := np.flatnonzero(residual.any(axis=1))):
+            if len(pivots) == t:
+                return None
+            v = residual[left[0]]
+            p = int(np.flatnonzero(v)[0])
+            v = F.mul_arr(v, F.inv(int(v[p])))
+            basis = np.vstack([_minus(F, basis, basis[:, p, None], v[None]), v])
+            pivots.append(p)
+            residual = _minus(F, residual[left], residual[left, p, None], v[None])
+    if len(pivots) < t:
+        return None  # a coset of fewer than T rows: some rows repeat
+    keys = np.zeros(T, dtype=np.int64)
+    for p in sorted(pivots):
+        keys = keys * q + rows[:, p]
+    if not (np.bincount(keys, minlength=T) == 1).all():
+        return None
+    return LinearCode(F, basis[np.argsort(pivots)])
 
 
 # ---------------------------------------------------------------------------

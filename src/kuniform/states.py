@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from itertools import combinations, islice
 from pathlib import Path
@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import textio
-from .caps import check_cap
+from .caps import check_cap, get_cap
+from .codes import code_of_rows, dual_distance, min_distance
 from .errors import KuniformError, NormError, ParseError
 from .oa import OrthogonalArray, check_irredundant
 
@@ -331,13 +332,13 @@ class SparseOperator:
         mode = "exact" if self.exact else "float"
         return f"SparseOperator(n_parties={self.n_parties}, d={self.d}, entries={len(self.re)}, {mode})"
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        """No stored entry when exact; every |entry| within tol otherwise."""
-        if self.exact:
-            return not len(self.re)
-        scale = 1.0 / math.sqrt(self.r_ket * self.r_bra)
-        # np.hypot gives abs() of a Python complex bit for bit; np.abs may not
-        return bool((np.hypot(self.re, self.im) * scale <= tol).all())
+    def is_zero(self) -> bool:
+        """Whether an exact operator stores no entry; ValueError for a
+        float operator, whose deviations are read with
+        maximally_mixed_deviation or deviation instead."""
+        if not self.exact:
+            raise ValueError("is_zero decides exact operators only")
+        return not len(self.re)
 
     def trace(self):
         """The sum of the stored diagonal values: an (a, b) numerator pair
@@ -392,10 +393,11 @@ class SparseOperator:
             dev = max(dev, 1.0 / dim)  # some diagonal entry is missing entirely
         return dev
 
-    def is_maximally_mixed(self, tol: float = 0.0) -> bool:
-        """Exactly I / d^n_parties for exact operators, within tol otherwise."""
+    def is_maximally_mixed(self) -> bool:
+        """Whether an exact operator is exactly I / d^n_parties; ValueError
+        for a float operator."""
         if not self.exact:
-            return self.maximally_mixed_deviation() <= tol
+            raise ValueError("is_maximally_mixed decides exact operators only")
         r, dim = self.r_ket, self.dim
         return bool(
             self.r_bra == r
@@ -523,6 +525,9 @@ _PAIR_BLOCK = 1 << 20
 # entries of each (subsets, terms) array of the counting check, unless one
 # subset's row is longer
 _COUNT_BLOCK = 1 << 14
+# counting takes a few array steps per (subset, term) pair; below this many
+# pairs it is cheaper than recognising a code and enumerating its distances
+_CODE_MIN_PAIRS = 1 << 16
 
 
 class _Encoded(NamedTuple):
@@ -709,14 +714,18 @@ def _counting_check(e: _Encoded, d: int, k: int):
     modulus = e.re * e.re + e.im * e.im
     if (modulus != modulus[0]).any():
         return None
-    columns = np.ascontiguousarray(e.idx.T)
     # radix weights mod 2^64: full keys wrap, but a full key less the keys
     # of S is the complement's radix key, exact whenever it is below 2^63
     radix = d ** (N - k) < _INT64_LIMIT
     weights = np.array([pow(d, N - 1 - p, 1 << 64) for p in range(N)], dtype=np.uint64).view(np.int64)
-    full = e.idx @ weights
+
+    @cache
+    def arrays():
+        """Columns and full keys, made at the first block a caller asks for."""
+        return np.ascontiguousarray(e.idx.T), e.idx @ weights
 
     def passes(block: np.ndarray) -> np.ndarray:
+        columns, full = arrays()
         B = len(block)
         kept = np.zeros((B, T), dtype=np.int64)
         complement = np.tile(full, (B, 1)) if radix else None
@@ -741,6 +750,22 @@ def _counting_check(e: _Encoded, d: int, k: int):
         return ok
 
     return passes
+
+
+def _coset_of_distant_code(idx: np.ndarray, d: int, k: int) -> bool:
+    """Whether the rows are a coset of a linear [N, t]_d code C with
+    w(C) > k and w(C-perp) > k, its distances within the codewords cap.
+
+    Such rows take every value on any k parties equally often and no two
+    of them agree off k parties (Delsarte; Hedayat, Sloane & Stufken,
+    Thm 3.29), which is the counting criterion on every k-subset at once.
+    A code whose q^min(t, N - t) codewords exceed the cap decides nothing,
+    and neither does one with k > N - t, since w <= N - t + 1 (Singleton).
+    """
+    C = code_of_rows(d, idx)
+    if C is None or k > C.N - C.t or C.q ** min(C.t, C.N - C.t) > get_cap("codewords"):
+        return False
+    return min_distance(C) > k and dual_distance(C) > k
 
 
 def _block_operator(family: list, parties, s: int, t: int) -> SparseOperator:
@@ -836,20 +861,33 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
 
     Exact states are checked exactly (tol only enters deviation reporting);
     k = 0 passes trivially and k above floor(N / 2) is impossible for any
-    pure state, reported without checking.
+    pure state, reported without checking.  Three stages decide the
+    subsets, each only what the one before left:
 
-    When the T terms of an exact state share one squared modulus and d^k
-    divides T, a subset S passes by counting alone if the rows take each
-    value on S exactly T / d^k times and no two rows agree off S (the
-    irredundant-array criterion); the reduction is then diagonal and
-    exactly I / d^k.  Subsets are walked lazily and counted in blocks whose
-    arrays hold at most max(T, _COUNT_BLOCK) entries each.  Every other
-    subset, and every subset of a float state, goes through the
-    reduction kernel, which alone reports failures; an exact state's
-    deviations are read off the kernel's arrays.  The matrix_dim cap bounds
-    that kernel's d^k wide reductions, so it is checked before the first
-    subset left for it, and at once when the counting check applies to no
-    subset.
+    1. Code.  When the T terms of an exact state share one squared modulus
+       and d^k divides T, and the rows are exactly a coset of a linear
+       [N, t]_d code C (codes.code_of_rows) with w(C) > k and
+       w(C-perp) > k, every subset passes at once: the rows then take each
+       value on any k parties T / d^k times and no two agree off them
+       (Delsarte; Hedayat, Sloane & Stufken, Thm 3.29).  The distances are
+       consulted only when C's q^min(t, N - t) codewords are within the
+       codewords cap; otherwise, as for any other outcome, the walk goes on.
+       States with fewer than _CODE_MIN_PAIRS (subset, term) pairs skip
+       this stage, since counting them costs less.
+    2. Counting.  Under the same conditions on moduli and T, a subset S
+       passes by counting alone if the rows take each value on S exactly
+       T / d^k times and no two rows agree off S (the irredundant-array
+       criterion); the reduction is then diagonal and exactly I / d^k.
+       Subsets are walked lazily and counted in blocks whose arrays hold
+       at most max(T, _COUNT_BLOCK) entries each.
+    3. Kernel.  Every other subset, and every subset of a float state,
+       goes through the reduction kernel, which alone reports failures; an
+       exact state's deviations are read off the kernel's arrays.  The
+       matrix_dim cap bounds that kernel's d^k wide reductions, so it is
+       checked before the first subset left for it, and at once when the
+       counting check applies to no subset.
+
+    A pass from any stage gives the same report.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")
@@ -863,6 +901,8 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
     passes = _counting_check(e, state.d, k)
     if passes is None:
         check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+    elif math.comb(state.N, k) * state.num_terms >= _CODE_MIN_PAIRS and _coset_of_distant_code(e.idx, state.d, k):
+        return UniformityReport(state.N, state.d, k, "pass", math.comb(state.N, k), [])
 
     def unpassed():
         subsets = combinations(range(state.N), k)

@@ -120,6 +120,19 @@ def test_parity_check_annihilates():
             assert acc == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_matmul_matches_scalar_products(q):
+    """The array product over GF(q) against sums of scalar products."""
+    F = field_for_order(q)
+    rng = np.random.default_rng(q)
+    for n, k, m in [(1, 1, 1), (3, 5, 4), (6, 11, 5), (2, 0, 3)]:
+        A, B = rng.integers(q, size=(n, k)), rng.integers(q, size=(k, m))
+        want = np.zeros((n, m), dtype=np.int64)
+        for i, j, s in product(range(n), range(m), range(k)):
+            want[i, j] = F.add(int(want[i, j]), F.mul(int(A[i, s]), int(B[s, j])))
+        assert np.array_equal(codes._matmul(F, A, B), want)
+
+
 def test_dual_involution_and_zero_code():
     C = mds_code(F3, 2)
     DD = dual(dual(C))
@@ -398,3 +411,78 @@ def test_code_parse_errors_name_lines():
 def test_comments_and_blanks_ignored():
     C = parse_code("# a code\n\ncode 3 1 4 2  # header\n0 1 1 1\n1 0 2 1\n")
     assert brute_codewords(C) == EXAMPLE_ROWS
+
+
+# ---------------------------------------------------------------------------
+# recognising cosets of codes
+
+
+def _coset(C: LinearCode, shift, order) -> np.ndarray:
+    """The codewords of C plus shift, over C's field, in the given order."""
+    return C.field.add_arr(codeword_matrix(C), np.asarray(shift, dtype=np.int64))[order]
+
+
+RECOGNISED = [
+    mds_code(F5, 3),  # [6,3]_5
+    mds_code(F4, 2),  # [5,2]_4
+    mds_code(field_new(3, 2), 2),  # [10,2]_9: odd p with m > 1
+    PAIRS_2,
+    LinearCode(F3, np.array([[0, 1, 1, 1], [1, 0, 2, 1]])),
+]
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 7])
+@pytest.mark.parametrize("C", RECOGNISED, ids=repr)
+def test_code_of_rows_recognises_translated_shuffled_cosets(monkeypatch, C, chunk):
+    """Message order, where the first q^(t-1) rows span one dimension less,
+    a translated coset and a shuffled one all give C back; blocks of 7 rows
+    grow the basis across blocks."""
+    monkeypatch.setattr(codes, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(C.q * C.N)
+    T = C.q**C.t
+    for shift, order in [
+        (np.zeros(C.N), np.arange(T)),
+        (rng.integers(C.q, size=C.N), np.arange(T)),
+        (rng.integers(C.q, size=C.N), rng.permutation(T)),
+    ]:
+        rows = _coset(C, shift, order)
+        got = codes.code_of_rows(C.q, rows)
+        assert got is not None and (got.N, got.t, got.q) == (C.N, C.t, C.q)
+        assert brute_codewords(got) == brute_codewords(C)
+        assert min_distance(got) == min_distance(C) and dual_distance(got) == dual_distance(C)
+        # the generator is in reduced row echelon form
+        assert np.array_equal(got.G, codes._rref(C.field, got.G)[0])
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 7])
+def test_code_of_rows_refuses_what_is_not_a_coset(monkeypatch, chunk):
+    monkeypatch.setattr(codes, "_CHUNK_ROWS", chunk)
+    C = mds_code(F5, 3)
+    rows = _coset(C, [1, 2, 3, 4, 0, 1], np.random.default_rng(3).permutation(125))
+    assert codes.code_of_rows(5, rows) is not None
+    changed = rows.copy()
+    changed[-1, 2] = (changed[-1, 2] + 1) % 5  # one symbol, in the last block
+    assert codes.code_of_rows(5, changed) is None
+    repeated = rows.copy()
+    repeated[-1] = repeated[0]  # still inside the coset, but not all of it
+    assert codes.code_of_rows(5, repeated) is None
+    # swapping the symbols 0 and 1 of one party is not affine over GF(5)
+    swapped = rows.copy()
+    swapped[:, 0] = np.array([1, 0, 2, 3, 4])[swapped[:, 0]]
+    assert codes.code_of_rows(5, swapped) is None
+    assert codes.code_of_rows(5, rows[:124]) is None  # T is not 5^t
+    assert codes.code_of_rows(6, rows) is None  # no field of order 6
+    assert codes.code_of_rows(25, rows) is None  # 125 is not 25^t
+    out_of_range = rows.copy()
+    out_of_range[0, 0] = 5
+    assert codes.code_of_rows(5, out_of_range) is None
+    # one row is the zero code's coset
+    zero = codes.code_of_rows(5, rows[:1])
+    assert zero is not None and zero.t == 0 and zero.N == 6
+
+
+def test_code_of_rows_leaves_fields_above_the_cap_alone(monkeypatch):
+    monkeypatch.setenv("KUF_CAPS", "field_order=4")
+    rows = codeword_matrix(mds_code(F5, 2))
+    assert codes.code_of_rows(5, rows) is None  # and no CapExceeded
+    assert codes.code_of_rows(4, codeword_matrix(mds_code(F4, 2))) is not None

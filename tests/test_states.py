@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reduction_oracle import (
     DictOperator,
@@ -28,8 +28,10 @@ from reduction_oracle import (
 from kuniform import states as states_module
 from kuniform.caps import check_cap
 from kuniform.catalog import construct_k_uniform
+from kuniform.codes import LinearCode, code_of_rows, dual_distance, min_distance
 from kuniform.errors import CapExceeded, NormError, NotIrredundant, ParseError
-from kuniform.oa import OrthogonalArray
+from kuniform.gf import field_for_order
+from kuniform.oa import OrthogonalArray, oa_from_code
 from kuniform.states import (
     PureState,
     cross_reduction,
@@ -593,6 +595,165 @@ def test_counting_on_complement_ids(monkeypatch):
     assert report == oracle_verify_k_uniform(state, 2)
 
 
+# ---------------------------------------------------------------------------
+# the code stage of verify_k_uniform
+
+
+def _record_counting(monkeypatch) -> list:
+    """Every subset the counting predicate of verify_k_uniform is asked."""
+    asked = []
+    counting_check = states_module._counting_check
+
+    def recording_check(*args):
+        passes = counting_check(*args)
+        if passes is None:
+            return None
+
+        def recorded(block):
+            asked.extend(tuple(subset) for subset in block.tolist())
+            return passes(block)
+
+        return recorded
+
+    monkeypatch.setattr(states_module, "_counting_check", recording_check)
+    return asked
+
+
+def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
+    """A coset of a code with both distances above k is decided by its code;
+    a copy relabelled off the affine maps still goes through counting, and
+    so does a state too small for recognising its code to pay."""
+    reduced = _record_calls(monkeypatch, "_reduce")
+    asked = _record_counting(monkeypatch)
+    recognised = _record_calls(monkeypatch, "code_of_rows")
+    # the [6,3]_5 extended Reed-Solomon support, w = w-perp = 4: 20 subsets
+    # of 125 terms
+    state = construct_k_uniform(3, 5, 6, verify=False)
+    report = verify_k_uniform(state, 3)
+    assert report == oracle_verify_k_uniform(state, 3)
+    assert recognised == [] and reduced == [] and asked == list(combinations(range(6), 3))
+    asked.clear()
+    monkeypatch.setattr(states_module, "_CODE_MIN_PAIRS", 20 * 125)
+    assert verify_k_uniform(state, 3) == report
+    assert len(recognised) == 1 and reduced == [] and asked == []
+    # swapping the symbols 0 and 1 of party 0 is not affine over GF(5)
+    moved = transformed(state, range(6), [[1, 0, 2, 3, 4]] + [range(5)] * 5, [(1, 0)] * 125)
+    assert code_of_rows(5, moved._idx) is None
+    assert verify_k_uniform(moved, 3) == report
+    assert reduced == [] and asked == list(combinations(range(6), 3))
+    # the seeded relabelling of the phased 11-qutrit state is affine, as
+    # every relabelling over GF(3) is: its coset is decided at k = 4, and
+    # at k = 5 (w = 5) counting and the kernel decide
+    asked.clear()
+    rng = np.random.default_rng(9)
+    phased = transformed(
+        phased_four_uniform(), rng.permutation(11).tolist(), [rng.permutation(3).tolist() for _ in range(11)], [(1, 0)] * 729
+    )
+    assert verify_k_uniform(phased, 4).verdict == "pass" and asked == [] and reduced == []
+    report = verify_k_uniform(phased, 5)
+    assert report.verdict == "fail" and asked == list(combinations(range(11), 5))
+    assert [args[1] for args in reduced] == [subset for subset, _ in report.failures]
+
+
+def test_largest_mds_trim_is_decided_by_its_code(monkeypatch):
+    """The 371293-term (5,13,14) state: 2002 subsets, no counting."""
+    reduced = _record_calls(monkeypatch, "_reduce")
+    asked = _record_counting(monkeypatch)
+    state = construct_k_uniform(5, 13, 14, verify=False)
+    report = verify_k_uniform(state, 5)
+    assert (report.verdict, report.subsets_checked, report.failures, report.max_deviation) == ("pass", 2002, [], 0.0)
+    assert reduced == [] and asked == []
+
+
+def test_code_stage_never_refuses_where_counting_passes(monkeypatch):
+    """A code whose distances need more codewords than the codewords cap,
+    or a field above the field_order cap, leaves the state to counting."""
+    state = construct_k_uniform(4, 3, 11, verify=False)  # [11,6]_3: 3^5 codewords enumerated
+    asked = _record_counting(monkeypatch)
+    want = verify_k_uniform(state, 4)
+    assert want.verdict == "pass" and asked == []
+    for caps in ("codewords=242", "field_order=2"):
+        with monkeypatch.context() as env:
+            env.setenv("KUF_CAPS", caps)
+            assert verify_k_uniform(state, 4) == want
+        assert asked == list(combinations(range(11), 4))
+        asked.clear()
+    with monkeypatch.context() as env:
+        env.setenv("KUF_CAPS", "codewords=243")
+        assert verify_k_uniform(state, 4) == want and asked == []
+
+
+CODE_FIELDS = {2: 6, 3: 4, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}  # q: largest t with q^t <= 81
+
+
+@st.composite
+def code_state_cases(draw):
+    """(state, k, coset): the state_from_iroa state of a random [N, t]_q
+    code over GF(2, 3, 4, 5, 7, 8, 9), translated or relabelled per party
+    by affine maps or by any permutation, its rows shuffled, with unit
+    phases or not, and intact or with one symbol changed or one term
+    doubled; k one of w - 1, w, w-perp - 1, w-perp.  coset says whether
+    the rows are still a coset of a code: intact and affinely moved."""
+    q = draw(st.sampled_from(sorted(CODE_FIELDS)))
+    F = field_for_order(q)
+    t = draw(st.integers(1, CODE_FIELDS[q]))
+    N = draw(st.integers(t + 1, 8))
+    symbols = st.integers(0, q - 1)
+    G = np.array(draw(st.lists(symbols, min_size=t * N, max_size=t * N)), dtype=np.int64).reshape(t, N)
+    G[:, draw(st.lists(st.integers(0, N - 1), min_size=t, max_size=t, unique=True))] = np.eye(t, dtype=np.int64)
+    C = LinearCode(F, G)
+    w, w_dual = min_distance(C), dual_distance(C)
+    assume(min(w, w_dual) >= 2)
+    idx = state_from_iroa(oa_from_code(C), min(w, w_dual) - 1)._idx.copy()
+    T = len(idx)
+    affine = draw(st.booleans())
+    for p in range(N):
+        if affine:
+            a, b = draw(st.integers(1, q - 1)), draw(symbols)
+            idx[:, p] = F.add_arr(F.mul_arr(idx[:, p], a), b)
+        else:
+            idx[:, p] = np.array(draw(st.permutations(range(q))))[idx[:, p]]
+    idx = idx[draw(st.permutations(range(T)))]
+    values = np.array([UNIT_PHASES[m] for m in draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))])
+    if not draw(st.booleans()):
+        values[:] = (1, 0)
+    fault = draw(st.sampled_from(("none", "none", "changed", "doubled")))
+    i = draw(st.integers(0, T - 1))
+    if fault == "changed":
+        p = draw(st.integers(0, N - 1))
+        idx[i, p] = (idx[i, p] + draw(st.integers(1, q - 1))) % q
+        assume(not (idx[i] == np.delete(idx, i, axis=0)).all(axis=1).any())
+    elif fault == "doubled":
+        values[i] *= 2
+    amps = dict(zip(map(tuple, idx.tolist()), map(tuple, values.tolist())))
+    state = PureState(N=N, d=q, amplitudes=amps, r=int((values**2).sum()))
+    # k past the default matrix_dim cap would refuse failing subsets
+    ks = sorted(k for k in {w - 1, w, w_dual - 1, w_dual} if 1 <= k <= N and q**k <= 4096)
+    assume(ks)
+    return state, draw(st.sampled_from(ks)), fault == "none" and affine
+
+
+def _coset_case(q: int, G, k: int) -> tuple:
+    """An intact case: the state_from_iroa state of the code generated by G."""
+    C = LinearCode(field_for_order(q), np.array(G))
+    return state_from_iroa(oa_from_code(C), min(min_distance(C), dual_distance(C)) - 1), k, True
+
+
+@settings(max_examples=80)
+@given(case=code_state_cases())
+# w = k = 2 < w-perp = 3, with N - t = 2 leaving the Singleton bound room:
+# a [6,4]_2 code, not 2-uniform
+@example(case=_coset_case(2, [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 1], [0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 0, 1]], 2))
+# w-perp = k = 2 < w = 3: two equal columns, not 2-uniform
+@example(case=_coset_case(3, [[0, 1, 1, 1, 1], [1, 0, 2, 1, 1]], 2))
+def test_code_stage_reports_match_oracle(case):
+    state, k, coset = case
+    with mock.patch.object(states_module, "_CODE_MIN_PAIRS", 0):
+        assert verify_k_uniform(state, k) == oracle_verify_k_uniform(state, k)
+    if coset:
+        assert code_of_rows(state.d, state._idx) is not None
+
+
 @st.composite
 def deviation_cases(draw):
     """(state, parties): sparse exact states times one common Gaussian
@@ -707,9 +868,13 @@ def test_sparse_operator_matches_dict_oracle(case):
     assert op.to_matrix().tobytes() == oracle_to_matrix(ref).tobytes()
     assert _bits(op.trace()) == _bits(oracle_trace(ref))
     assert op.maximally_mixed_deviation().hex() == oracle_maximally_mixed_deviation(ref).hex()
-    for tol in (0.0, 1e-10, 0.25):
-        assert op.is_zero(tol) == oracle_is_zero(ref, tol)
-        assert op.is_maximally_mixed(tol) == oracle_is_maximally_mixed(ref, tol)
+    if op.exact:
+        assert op.is_zero() == oracle_is_zero(ref)
+        assert op.is_maximally_mixed() == oracle_is_maximally_mixed(ref)
+    else:
+        for method in (op.is_zero, op.is_maximally_mixed):
+            with pytest.raises(ValueError, match="exact operators only"):
+                method()
     assert op.deviation(other.sparse()).hex() == oracle_deviation(ref, other).hex()
     assert other.sparse().deviation(op).hex() == oracle_deviation(other, ref).hex()
     assert op == ref.sparse() and (op == other.sparse()) == (ref == other)
@@ -754,12 +919,23 @@ def _scaled_example(big: int) -> PureState:
     return transformed(example_state(), range(4), [range(3)] * 4, [(big, 0), (0, big)] * 5)
 
 
+# six rows over 70 qubits, column j one at the rows of the (j mod 20)-th
+# 3-subset of the six: each column balanced, any two rows 12 or more apart
+TRIPLES = list(combinations(range(6), 3))
+SIX_70 = PureState(N=70, d=2, amplitudes={tuple(int(row in TRIPLES[j % 20]) for j in range(70)): (1, 0) for row in range(6)}, r=6)
+# ghz(16, 16) with the symbols 0 and 1 of party 0 swapped, which is not
+# affine over GF(16): no longer the coset of a code
+GHZ_16_SWAPPED = transformed(ghz(16, 16), range(16), [[1, 0, *range(2, 16)]] + [range(16)] * 15, [(1, 0)] * 16)
+
+
 @pytest.mark.parametrize(
     "state, k, counted",
     [
         (ghz(70, 2), 1, True),  # d^(N-k) >= 2^63: complements keyed by distinct-row ids
+        (SIX_70, 1, True),  # the same keys, on rows that are no coset
         (PLUS_70, 1, False),
         (ghz(16, 16), 1, True),  # d^N = 2^64, d^(N-k) = 2^60: wrapped full keys
+        (GHZ_16_SWAPPED, 1, True),  # the same keys, on rows that are no coset
         (PLUS_16, 1, False),
         (_scaled_example(2**31 - 1), 2, True),  # 2 big^2 just below 2^63
         (_scaled_example(2**31), 2, False),
@@ -768,16 +944,19 @@ def _scaled_example(big: int) -> PureState:
         (ghz(4, 3), 2, False),  # 3 terms, d^k = 9
         (ghz(4, 100), 2, False),  # d^k = 10^4 above the default matrix_dim
     ],
-    ids=["ghz70", "plus70", "ghz16_16", "plus16_16", "big31-1", "big31", "big40", "big70", "ghz4_3", "ghz4_100"],
+    ids=["ghz70", "six70", "plus70", "ghz16_16", "ghz16_16_swapped", "plus16_16", "big31-1", "big31", "big40", "big70", "ghz4_3", "ghz4_100"],
 )
 def test_counting_steps_aside(monkeypatch, state, k, counted):
     reduced = _record_calls(monkeypatch, "_reduce")
+    asked = _record_counting(monkeypatch)
     lengths = []
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **kw: lengths.append(len(out := bincount(*a, **kw))) or out)
     monkeypatch.setenv("KUF_CAPS", f"matrix_dim={10**4}")
     report = verify_k_uniform(state, k)
     assert len(reduced) == (0 if counted else report.subsets_checked)
+    if counted and code_of_rows(state.d, state._idx) is None:
+        assert asked == list(combinations(range(state.N), k))
     # counts stay within one block, and no array of length d^k > T is made
     assert max(lengths, default=0) <= max(state.num_terms, states_module._COUNT_BLOCK)
     if state.d**k > state.num_terms:
