@@ -15,24 +15,29 @@ Each cap is checked where its memory is allocated:
   recognises no code over a larger q;
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
-  states.verify_k_uniform reads it first and, above it, leaves a
-  recognised code unused rather than raising;
+  states._undecided, the subset walk of verify_k_uniform, verify_masker
+  and verify_pure_qecc, reads it first and, above it, leaves a recognised
+  code unused rather than raising;
 - oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
   of catalog.execute_recipe that builds an array from a code, and
   states.tensor_parties, on the T1 T2 terms of a product, the rows of the
   partywise product of the two index arrays;
 - oa_pairs: oa.oa_min_distance, before the pairwise row scan;
-- matrix_dim: the d^k-wide reductions of states.cross_reduction,
-  states.reduction, masking.verify_masker and masking.verify_pure_qecc, of
-  states.verify_k_uniform before the first subset its counting check
-  (which allocates at most one count per term) leaves for the reduction
-  kernel, and at once when that check applies to no subset, and the dense
-  PureState.to_vector and SparseOperator.to_matrix, a public export that no
-  verifier calls (verify_pure_qecc's Pauli witness builds a dense block
-  under the matrix_dim it checked once).  It bounds d^k, the
-  ancilla of a masker's or a code's stacked family excluded: each block of
-  a reduction can hold d^(2k) entries, and the kernel allocates those
-  entries even though it never builds a dense matrix;
+- matrix_dim: the d^k-wide reductions of the kernel, checked once per
+  call: by states.reduction, by states._undecided, which walks the subsets
+  of verify_k_uniform, masking.verify_masker and masking.verify_pure_qecc,
+  before the first subset that its code and counting stages (which
+  allocate at most a few integers per term) leave for the kernel, and at
+  once when counting applies to no subset, and by verify_masker before the
+  first sampled superposition; and the dense PureState.to_vector and
+  SparseOperator.to_matrix, a public export that no verifier calls
+  (verify_pure_qecc's Pauli witness builds a dense block under the
+  matrix_dim already checked).  It bounds d^k, the ancilla of a masker's or
+  a code's stacked family excluded: each block of a reduction can hold
+  d^(2k) entries, and the kernel allocates those entries even though it
+  never builds a dense matrix.  A subset decided without the kernel
+  allocates no block, and the I / d^k a masker report then holds has at
+  most as many entries as an image has terms;
 - qecc_ops: masking.verify_pure_qecc, on its C(N, k) K (K + 1) / 2 blocks.
 """
 

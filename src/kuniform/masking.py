@@ -22,10 +22,17 @@ which exact states decide in integer arithmetic for every d.
 Both checks read one purified state, Psi = sum_s |s>_a |psi_s> over the
 images or the basis: the reduction of Psi onto {a} and a party subset S is
 the block matrix whose (s, t) block is |psi_s><psi_t| traced down to S.
-Each subset costs one reduction of Psi (states._block_reduction), whose
-blocks are SparseOperators gathered from its arrays: exact blocks are
-compared in integers, and a deviation, a cross-term magnitude or a Pauli
-witness is read off a block's arrays without building another operator.
+They walk the subsets with states._undecided, as verify_k_uniform does: a
+subset on which Psi is decided by its code or by counting rows has that
+reduction equal to I / d^(k + m), so every block (s, t) is delta_st I / d^k
+and the subset passes both checks, a masker's common operator there being
+I / d^k over image 0's r.  Each subset left costs one reduction of Psi
+(states._block_reduction), whose blocks are SparseOperators gathered from
+its arrays: exact blocks are compared in integers, and a deviation, a
+cross-term magnitude or a Pauli witness is read off a block's arrays
+without building another operator.  The matrix_dim cap is checked where
+those reductions are made: by _undecided, and before the first sample of
+verify_masker.
 """
 
 from __future__ import annotations
@@ -50,10 +57,12 @@ from .states import (
     _block_reduction,
     _complex,
     _from_arrays,
+    _maximally_mixed,
     _reduce,
     _row_keys,
     _same_operator,
     _stack,
+    _undecided,
     inner_product,
     load_state,
     save_state,
@@ -176,7 +185,9 @@ def build_masker(psi: PureState, split_party: int, k: int) -> Masker:
 def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> MaskingReport:
     """Run the full masking criterion at k.
 
-    k = 0 reduces to image orthonormality.  With samples > 0 a seeded
+    k = 0 reduces to image orthonormality.  Subsets decided on the
+    images' purified state are passed without a reduction, with I / d^k
+    as their common operator.  With samples > 0 a seeded
     sanity pass additionally prepares that many random input superpositions
     and compares each of their k-party reductions against the common one in
     float arithmetic; the exact criterion never depends on it.  Float
@@ -191,16 +202,15 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     if k == 0:
         for s, t in combinations(range(m.d), 2):
             ip = inner_product(m.images[s], m.images[t])
-            if not ip.is_zero(tol=FLOAT_TOL):
+            if not ip.is_zero():
                 failures.append(((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}"))
         verdict = "pass" if not failures else "fail"
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
 
-    check_cap("matrix_dim", m.d**k, what=f"reduction onto {k} parties of dimension {m.d}")
-    subsets = list(combinations(range(m.N), k))
+    n_subsets = math.comb(m.N, k)
     psi, width = _stack(m.images)
     exact = psi.bound is not None
-    for subset in subsets:
+    for subset in _undecided(psi, width, m.d, m.N, k):
         block = _block_reduction(psi, width, m.images, subset)
         rho0 = common[subset] = block(0, 0)
         for s in range(1, m.d):
@@ -222,9 +232,15 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
             max_dev = max(max_dev, mag)
             if exact or mag > FLOAT_TOL:
                 failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
+    if len(common) < n_subsets:
+        # every subset left out has the blocks delta_st I / d^k
+        mixed = _maximally_mixed(m.d, k, m.images[0].r)
+        common = {subset: common.get(subset, mixed) for subset in combinations(range(m.N), k)}
 
     samples_checked = 0
     if samples > 0 and not failures:
+        # each sample is reduced in the kernel onto every subset
+        check_cap("matrix_dim", m.d**k, what=f"reductions of dimension {m.d**k}")
         rng = np.random.default_rng(seed)
         # the images' terms, and each one's slot among the distinct indices
         # in order of first appearance
@@ -248,8 +264,8 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
                 m.N, m.d, support[keep], _complex(re[keep], im[keep]), exact=False, provenance="sampled superposition"
             )
             e, _ = _stack([masked])
-            for subset in subsets:
-                delta = _reduce(e, subset, m.d).deviation(common[subset])
+            for subset, rho0 in common.items():
+                delta = _reduce(e, subset, m.d).deviation(rho0)
                 max_dev = max(max_dev, delta)
                 if delta > FLOAT_TOL:
                     failures.append(
@@ -259,7 +275,7 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
 
     verdict = "pass" if not failures else "fail"
     return MaskingReport(
-        m.N, m.d, k, verdict, len(subsets), failures, common, max_dev, samples_checked
+        m.N, m.d, k, verdict, n_subsets, failures, common, max_dev, samples_checked
     )
 
 
@@ -406,15 +422,16 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     for all of them; orthonormality of the basis covers the identity.  The
     Paulis on a set S of k = min(delta - 1, N) parties span every operator
     on S, so the check runs on the blocks of one purified state
-    Psi = sum_i |i>_a |psi_i>: for each k-subset S, Psi is reduced once onto
-    the ancilla and S, and for each i <= j its block (j, i), which is
+    Psi = sum_i |i>_a |psi_i>: for each k-subset S that states._undecided
+    leaves, Psi is reduced once onto the ancilla and S, and for each i <= j
+    its block (j, i), which is
     |psi_j><psi_i| traced down to S, must be I / d^k when i == j and zero
     otherwise.  A basis whose states are all exact is decided exactly for
     every d; otherwise every state is taken in floats, and a block passes
     when its largest non-identity Pauli coefficient is at most PAULI_TOL;
     two states that are not both exact are orthogonal when |<psi_i|psi_j>|
     is.  The qecc_ops cap bounds the C(N, k) K (K + 1) / 2 blocks checked,
-    the matrix_dim cap their dimension d^k.
+    and the matrix_dim cap their dimension d^k where they are reduced.
 
     ops_checked counts the errors covered, sum over 1 <= w < delta of
     C(N, w) (d^2 - 1)^w, not operators iterated.  failures holds one
@@ -448,17 +465,16 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
 
     ops = sum(math.comb(N, w) * (d * d - 1) ** w for w in range(1, delta))
     k = min(delta - 1, N)
-    subsets = list(combinations(range(N), k)) if k else []
+    n_subsets = math.comb(N, k) if k else 0
     n_pairs = K * (K + 1) // 2
     check_cap(
         "qecc_ops",
-        len(subsets) * n_pairs,
-        what=f"{len(subsets)} x {n_pairs} pair reductions onto {k} parties",
+        n_subsets * n_pairs,
+        what=f"{n_subsets} x {n_pairs} pair reductions onto {k} parties",
     )
-    check_cap("matrix_dim", d**k, what=f"reduction onto {k} parties of dimension {d}")
     psi, width = _stack(basis)
     exact = psi.bound is not None
-    for subset in subsets:
+    for subset in _undecided(psi, width, d, N, k) if k else ():
         block = _block_reduction(psi, width, basis, subset)
         for i in range(K):
             for j in range(i, K):
@@ -544,6 +560,6 @@ def load_masker(directory: str | Path) -> Masker:
         provenance=str(manifest.get("provenance", str(directory))),
     )
     for s, t in combinations(range(m.d), 2):
-        if not inner_product(m.images[s], m.images[t]).is_zero(tol=FLOAT_TOL):
+        if not inner_product(m.images[s], m.images[t]).is_zero():
             raise KuniformError(f"{directory}: bundle images {s}, {t} not orthogonal")
     return m

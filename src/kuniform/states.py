@@ -42,7 +42,6 @@ __all__ = [
     "state_from_iroa",
     "tensor_parties",
     "reduction",
-    "cross_reduction",
     "inner_product",
     "verify_k_uniform",
     "from_vector",
@@ -428,6 +427,15 @@ def _sparse(d, rows, cols, diagonal, re, im, r_ket=1, r_bra=1, exact=True) -> Sp
     return op
 
 
+def _maximally_mixed(d: int, k: int, r: int) -> SparseOperator:
+    """I / d^k over the denominator r, which d^k divides, stored as the
+    kernel stores an exact reduction."""
+    dim = d**k
+    rows = np.indices((d,) * k).reshape(k, dim).T
+    re = np.full(dim, r // dim, dtype=np.int64 if r // dim < _INT64_LIMIT else object)
+    return _sparse(d, rows, rows, np.ones(dim, dtype=bool), re, np.zeros_like(re), r, r)
+
+
 def ghz(N: int, d: int) -> PureState:
     """(1 / sqrt(d)) * sum_i |i i ... i>; 1-uniform for every d >= 2."""
     if N < 1 or d < 1:
@@ -768,31 +776,56 @@ def _coset_of_distant_code(idx: np.ndarray, d: int, k: int) -> bool:
     return min_distance(C) > k and dual_distance(C) > k
 
 
-def _block_operator(family: list, parties, s: int, t: int) -> SparseOperator:
-    """Block (s, t) of the reduction of the stack of `family` onto `parties`."""
-    d = family[0].d
-    parties = _validate_parties(family[0].N, parties)
-    check_cap("matrix_dim", d ** len(parties), what=f"reduction onto {len(parties)} parties of dimension {d}")
-    e, m = _stack(family)
-    return _block_reduction(e, m, family, parties)(s, t)
+def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
+    """The k-subsets S of the N parties of the stack e, its first m columns
+    the ancilla, whose reduction onto the ancilla and S is not shown to be
+    I / d^(k + m) by the two stages below, lazily in lexicographic order.
 
+    Such a reduction has every block (s, t) equal to delta_st I / d^k, so a
+    subset left out here is decided for a state (m = 0), a masker and a
+    pure code alike.  Both stages need an exact stack whose T terms share
+    one squared modulus, with d^(k + m) dividing T:
 
-def cross_reduction(s1: PureState, s2: PureState, parties) -> SparseOperator:
-    """Trace of |s1><s2| over the complement of `parties`, exact when both
-    states are: block (0, 1) of the reduction of their two-state stack.
+    1. Code.  When C(N, k) T >= _CODE_MIN_PAIRS and the rows are a coset
+       of a linear code with both distances above k + m
+       (_coset_of_distant_code), no subset is left.
+    2. Counting.  Otherwise the ancilla columns and S are counted in blocks
+       (_counting_check) whose arrays hold at most max(T, _COUNT_BLOCK)
+       entries each.
 
-    The masking criterion needs exactly this: the result must vanish for
-    distinct images and agree with a common reduced operator for equal ones.
+    The matrix_dim cap bounds the d^k-wide reductions of what is left, so
+    it is checked before the first subset yielded, and at once, before any
+    subset is listed, when counting cannot apply.
     """
-    if (s1.N, s1.d) != (s2.N, s2.d):
-        raise ValueError("states live on different systems")
-    return _block_operator([s1, s2], parties, 0, 1)
+    dim = d**k
+    passes = _counting_check(e, d, k + m)
+    if passes is None:
+        check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+        yield from combinations(range(N), k)
+        return
+    T = len(e.idx)
+    if math.comb(N, k) * T >= _CODE_MIN_PAIRS and _coset_of_distant_code(e.idx, d, k + m):
+        return
+    subsets = combinations(range(N), k)
+    capped = False
+    while block := list(islice(subsets, max(1, _COUNT_BLOCK // T))):
+        columns = np.hstack([np.broadcast_to(np.arange(m), (len(block), m)), np.array(block) + m])
+        for subset, ok in zip(block, passes(columns).tolist()):
+            if ok:
+                continue
+            if not capped:
+                check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+                capped = True
+            yield subset
 
 
 def reduction(state: PureState, parties) -> SparseOperator:
     """Reduced density operator of `state` on `parties`, exact when the
     state is exact."""
-    return _block_operator([state], parties, 0, 0)
+    parties = _validate_parties(state.N, parties)
+    dim = state.d ** len(parties)
+    check_cap("matrix_dim", dim, what=f"reduction onto {len(parties)} parties of dimension {state.d}")
+    return _reduce(_encode(state, not state.exact), parties, state.d, state.r)
 
 
 def inner_product(s1: PureState, s2: PureState) -> InnerProduct:
@@ -836,10 +869,11 @@ class InnerProduct:
             return complex(self.num[0], self.num[1]) / math.sqrt(self.r_ket * self.r_bra)
         return complex(self.num)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
+    def is_zero(self) -> bool:
+        """Exactly zero when exact, within FLOAT_TOL in floats."""
         if self.exact:
             return self.num == (0, 0)
-        return abs(self.num) <= tol
+        return abs(self.num) <= FLOAT_TOL
 
 
 @dataclass
@@ -861,33 +895,16 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
 
     Exact states are checked exactly (tol only enters deviation reporting);
     k = 0 passes trivially and k above floor(N / 2) is impossible for any
-    pure state, reported without checking.  Three stages decide the
-    subsets, each only what the one before left:
-
-    1. Code.  When the T terms of an exact state share one squared modulus
-       and d^k divides T, and the rows are exactly a coset of a linear
-       [N, t]_d code C (codes.code_of_rows) with w(C) > k and
-       w(C-perp) > k, every subset passes at once: the rows then take each
-       value on any k parties T / d^k times and no two agree off them
-       (Delsarte; Hedayat, Sloane & Stufken, Thm 3.29).  The distances are
-       consulted only when C's q^min(t, N - t) codewords are within the
-       codewords cap; otherwise, as for any other outcome, the walk goes on.
-       States with fewer than _CODE_MIN_PAIRS (subset, term) pairs skip
-       this stage, since counting them costs less.
-    2. Counting.  Under the same conditions on moduli and T, a subset S
-       passes by counting alone if the rows take each value on S exactly
-       T / d^k times and no two rows agree off S (the irredundant-array
-       criterion); the reduction is then diagonal and exactly I / d^k.
-       Subsets are walked lazily and counted in blocks whose arrays hold
-       at most max(T, _COUNT_BLOCK) entries each.
-    3. Kernel.  Every other subset, and every subset of a float state,
-       goes through the reduction kernel, which alone reports failures; an
-       exact state's deviations are read off the kernel's arrays.  The
-       matrix_dim cap bounds that kernel's d^k wide reductions, so it is
-       checked before the first subset left for it, and at once when the
-       counting check applies to no subset.
-
-    A pass from any stage gives the same report.
+    pure state, reported without checking.  The state is the m = 0 case of
+    _undecided: when its T terms share one squared modulus and d^k divides
+    T, a coset of a linear [N, t]_d code C with w(C) > k and w(C-perp) > k
+    passes every subset at once (Delsarte; Hedayat, Sloane & Stufken,
+    Thm 3.29), and otherwise a subset S passes by counting alone if the
+    rows take each value on S exactly T / d^k times and no two rows agree
+    off S (the irredundant-array criterion).  Every subset left, and every
+    subset of a float state, goes through the reduction kernel, which alone
+    reports failures; an exact state's deviations are read off the
+    kernel's arrays.  A pass from any stage gives the same report.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")
@@ -895,40 +912,16 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
         return UniformityReport(state.N, state.d, 0, "pass", 0, [])
     if k > state.N // 2:
         return UniformityReport(state.N, state.d, k, "impossible", 0, [])
-    dim = state.d**k
-    floats = not state.exact
-    e = _encode(state, floats)
-    passes = _counting_check(e, state.d, k)
-    if passes is None:
-        check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-    elif math.comb(state.N, k) * state.num_terms >= _CODE_MIN_PAIRS and _coset_of_distant_code(e.idx, state.d, k):
-        return UniformityReport(state.N, state.d, k, "pass", math.comb(state.N, k), [])
-
-    def unpassed():
-        subsets = combinations(range(state.N), k)
-        if passes is None:
-            yield from subsets
-            return
-        capped = False
-        size = max(1, _COUNT_BLOCK // state.num_terms)
-        while block := list(islice(subsets, size)):
-            for subset, ok in zip(block, passes(np.array(block)).tolist()):
-                if ok:
-                    continue
-                if not capped:
-                    check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-                    capped = True
-                yield subset
-
+    e = _encode(state, not state.exact)
     failures = []
     max_dev = 0.0
-    for subset in unpassed():
+    for subset in _undecided(e, 0, state.d, state.N, k):
         rho = _reduce(e, subset, state.d, state.r)
-        if not floats and rho.is_maximally_mixed():
+        if state.exact and rho.is_maximally_mixed():
             continue  # deviation exactly 0.0
         dev = rho.maximally_mixed_deviation()
         max_dev = max(max_dev, dev)
-        if not floats or not dev <= tol:
+        if state.exact or not dev <= tol:
             failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, math.comb(state.N, k), failures, max_dev)

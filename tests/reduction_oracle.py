@@ -5,9 +5,9 @@ amp1 * conj(amp2) term by term: Gaussian integers when both states are
 exact, complex floats otherwise.  The result is a DictOperator, the
 operator as an {(row tuple, col tuple): value} dict, and the oracle_*
 operator functions loop over those entries one by one.  The array kernel
-behind states.cross_reduction and states.verify_k_uniform, and the methods
-of states.SparseOperator, compute the same things; the tests hold them to
-this oracle, which never calls them.  oracle_verify_masker is the masking
+behind states._block_reduction, states.reduction and the three verifiers,
+and the methods of states.SparseOperator, compute the same things; the
+tests hold them to this oracle, which never calls them.  oracle_verify_masker is the masking
 criterion with one oracle_cross_reduction call per (subset, pair), in
 floats for every pair unless every image is exact, and deviations read off
 dense matrices.  oracle_counting_passes is the counting criterion of
@@ -245,7 +245,7 @@ def oracle_verify_masker(
     if k == 0:
         for s, t in combinations(range(m.d), 2):
             ip = inner_product(m.images[s], m.images[t])
-            if not ip.is_zero(tol=tol):
+            if not (ip.num == (0, 0) if ip.exact else abs(ip.num) <= tol):
                 failures.append(((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}"))
         verdict = "pass" if not failures else "fail"
         return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)

@@ -21,7 +21,7 @@ from reduction_oracle import oracle_verify_masker
 
 from kuniform import field_new, masking
 from kuniform import states as states_module
-from kuniform.codes import mds_code
+from kuniform.codes import LinearCode, mds_code
 from kuniform.errors import CapExceeded, MaskingError, ParseError
 from kuniform.masking import (
     ErrorOperator,
@@ -90,6 +90,37 @@ def qutrit_state() -> PureState:
 
 def qubit_masker():
     return build_masker(load_bundled_state("ame_6_2"), split_party=0, k=2)
+
+
+def hamming_state() -> PureState:
+    """The 3-uniform state of 8 qubits on the 16 codewords of the extended
+    Hamming [8, 4, 4] code, which is self-dual."""
+    G = np.array([[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]])
+    return state_from_iroa(oa_from_code(LinearCode(field_new(2, 1), G)), 3)
+
+
+def hamming_masker():
+    """Two 7-qubit images that mask at k = 2.  Unlike ame_6_2, whose 16
+    terms share their complements on every 3 parties, the stacked images
+    pass by counting on every subset."""
+    return build_masker(hamming_state(), split_party=0, k=2)
+
+
+def _record(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call of module.name."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    return calls
+
+
+def _record_cap_checks(monkeypatch) -> list:
+    """Record the cap names that masking and states check."""
+    calls = []
+    check_cap = masking.check_cap
+    for module in (masking, states_module):
+        monkeypatch.setattr(module, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +258,38 @@ def test_verify_masker_takes_samples_and_seed_by_keyword():
 
 
 def test_masker_cap_checked_once(monkeypatch):
-    m = qubit_masker()
+    """matrix_dim bounds the reductions made in the kernel: checked once, at
+    the first subset left for it, never for a masker counted on every
+    subset, at once for its float copy, which counting cannot decide, and
+    once before the first sample, which is reduced onto every subset."""
+    m, qubit = hamming_masker(), qubit_masker()
+    floats = Masker(d=2, N=m.N, images=[_float_copy(s) for s in m.images])
+    calls = _record_cap_checks(monkeypatch)
+    reduced = _record(monkeypatch, states_module, "_reduce")
     monkeypatch.setenv("KUF_CAPS", "matrix_dim=3")
-    with pytest.raises(CapExceeded, match="matrix_dim"):
-        verify_masker(m, 2)
+    assert verify_masker(m, 2).verdict == "pass" and calls == [] and reduced == []
+    with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
+        verify_masker(m, 2, samples=4)
+    with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
+        verify_masker(floats, 2)
+    assert reduced == []
     monkeypatch.setenv("KUF_CAPS", "matrix_dim=4")
-    assert verify_masker(m, 2).verdict == "pass"
-    calls = []
-    check_cap = masking.check_cap
-    monkeypatch.setattr(masking, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
-    verify_masker(m, 2)
-    assert calls == ["matrix_dim"]
+    for masker, samples in [(m, 4), (floats, 0), (qubit, 0)]:
+        calls.clear()
+        assert verify_masker(masker, 2, samples=samples).verdict == "pass"
+        assert calls == ["matrix_dim"]
 
 
 def _scaled(state: PureState) -> PureState:
     """The same physical state with every numerator doubled."""
     amps = {idx: (2 * a, 2 * b) for idx, (a, b) in state.amplitudes.items()}
     return PureState(N=state.N, d=state.d, amplitudes=amps, r=4 * state.r)
+
+
+def _times_one_plus_i(state: PureState) -> PureState:
+    """The same physical state: numerators times 1 + i, over 2r."""
+    amps = {idx: (a - b, a + b) for idx, (a, b) in state.amplitudes.items()}
+    return PureState(N=state.N, d=state.d, amplitudes=amps, r=2 * state.r)
 
 
 def _masker_sources() -> list:
@@ -319,14 +365,7 @@ def test_image_with_other_denominator_masks():
     # image 1 times the global phase 1 + i: numerators (a - b, a + b) over
     # 2r; its reductions equal image 0's as operators, not as numerators
     m = qubit_masker()
-    image = m.images[1]
-    phased = PureState(
-        N=image.N,
-        d=image.d,
-        amplitudes={idx: (a - b, a + b) for idx, (a, b) in image.amplitudes.items()},
-        r=2 * image.r,
-    )
-    m = Masker(d=2, N=m.N, images=[m.images[0], phased])
+    m = Masker(d=2, N=m.N, images=[m.images[0], _times_one_plus_i(m.images[1])])
     report = verify_masker(m, 2)
     assert report.verdict == "pass" and report.max_deviation == 0.0
     assert report == oracle_verify_masker(m, 2)
@@ -521,24 +560,34 @@ def test_qecc_ops_cap(monkeypatch):
 
 
 def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
-    images = qubit_masker().images
+    """Each basis state is encoded once.  qecc_ops is checked once per call,
+    and matrix_dim once, at the first subset left for the kernel: never for
+    a basis counted on every subset, at once for a float one."""
+    counted, qubit = hamming_masker().images, qubit_masker().images
+    mixed, counted_floats = [qubit[0], _float_copy(qubit[1])], [_float_copy(s) for s in counted]
     encodes = _count_encodes(monkeypatch)
-    calls = []
-    check_cap = masking.check_cap
-    monkeypatch.setattr(masking, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
+    calls = _record_cap_checks(monkeypatch)
+    reduced = _record(monkeypatch, states_module, "_reduce")
     # a basis with a float state is encoded in floats throughout
-    for basis, floats in [(images, False), ([images[0], _float_copy(images[1])], True)]:
+    kernel = ["matrix_dim", "qecc_ops"]
+    for basis, floats, checks in [(counted, False, ["qecc_ops"]), (qubit, False, kernel), (mixed, True, kernel)]:
         encodes.clear()
         calls.clear()
         assert verify_pure_qecc(basis, 3).verdict == "pass"
         assert len(encodes) == len(set(encodes)) == 2
         assert {mode for _, mode in encodes} == {floats}
-        assert sorted(calls) == ["matrix_dim", "qecc_ops"]
-    # 2^13 > 4096: one reduction, refused before any state is encoded
-    encodes.clear()
+        assert sorted(calls) == checks
+    reduced.clear()
+    with monkeypatch.context() as env:
+        env.setenv("KUF_CAPS", "matrix_dim=3")
+        assert verify_pure_qecc(counted, 3).verdict == "pass" and reduced == []
+        with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
+            verify_pure_qecc(counted_floats, 3)
+    # 2^13 > 4096: one reduction, whose two terms counting cannot decide,
+    # refused before it is made
     with pytest.raises(CapExceeded, match="matrix_dim"):
         verify_pure_qecc([ghz(13, 2)], 14)
-    assert not encodes
+    assert reduced == []
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +736,145 @@ def test_float_witnesses_check_caps_once(monkeypatch):
     matrix from the reduction arrays: still one matrix_dim and one qecc_ops
     check per call, and the witnesses the Pauli oracle names."""
     basis = [_float_copy(s) for s in qubit_masker().images]
-    calls = []
-    check_cap = masking.check_cap
-    for module in (masking, states_module):
-        monkeypatch.setattr(module, "check_cap", lambda *a, **kw: calls.append(a[0]) or check_cap(*a, **kw))
+    calls = _record_cap_checks(monkeypatch)
     # the five-qubit code has distance 3
     for delta, verdict in [(3, "pass"), (4, "fail")]:
         calls.clear()
         assert verify_pure_qecc(basis, delta).verdict == verdict
         assert sorted(calls) == ["matrix_dim", "qecc_ops"]
         _assert_matches_oracle(basis, delta)
+
+
+# ---------------------------------------------------------------------------
+# families decided on the purified state
+
+
+def _split(psi: PureState, m: int) -> list:
+    """The d^m states left by splitting parties 0 to m - 1 off psi, in the
+    order of those parties' symbols: Psi of the family is psi itself."""
+    family = [psi]
+    for _ in range(m):
+        family = [image for state in family for image in build_masker(state, 0, k=0).images]
+    return family
+
+
+def _with_copy(state: PureState, party: int) -> PureState:
+    """state with a copy of `party` appended as a last party."""
+    amps = {idx + (idx[party],): amp for idx, amp in state.amplitudes.items()}
+    return PureState(N=state.N + 1, d=state.d, amplitudes=amps, r=state.r)
+
+
+def _split_source(name: str) -> tuple[PureState, int]:
+    """(state, t): a code-built t-uniform state, whose rows are a coset of
+    a code with both distances above t, or the ghz state, t = 1."""
+    if name == "mds4":
+        return state_from_iroa(trim_to_iroa(oa_from_code(mds_code(field_new(2, 2), 2)), 2, 4), 2), 2
+    return {"qutrit": (qutrit_state(), 2), "hamming": (hamming_state(), 3), "ghz": (ghz(4, 3), 1)}[name]
+
+
+def _relabelled(state: PureState, perms, exponents) -> PureState:
+    """state with the symbols of party p relabelled by perms[p] and its
+    terms, in dict order, multiplied by i^m for m in exponents."""
+    amps = {}
+    for (idx, amp), e in zip(state.amplitudes.items(), exponents):
+        for _ in range(e):
+            amp = (-amp[1], amp[0])
+        amps[tuple(perms[p][x] for p, x in enumerate(idx))] = amp
+    return PureState(N=state.N, d=state.d, amplitudes=amps, r=state.r)
+
+
+@st.composite
+def split_families(draw, K_is_d: bool, share: str, source: str):
+    """(family, k, verdict): the d^m states split off a source under
+    random symbol permutations and unit phases, m = 1 when K must be d (a
+    masker) and 1 or 2 otherwise, the share of k-subsets that Psi decides,
+    and the verdict due.  "every" as built, at k <= t - m; "some" with a
+    copy of a kept party appended, so that the subsets holding both go to
+    the kernel, where a masker passes, since the copy is a local isometry,
+    and a code fails; "none" with one state taken in floats or times 1 + i,
+    which leaves two squared moduli, or for a ghz split, whose d terms
+    counting cannot divide and whose images are told apart by one party."""
+    low = 2 if share == "some" else 1
+    psi, t = _split_source(source)
+    m = 1 if K_is_d else draw(st.integers(1, max(1, t - low)))
+    k = draw(st.integers(low, max(low, t - m)))
+    perms = [draw(st.permutations(range(psi.d))) for _ in range(psi.N)]
+    psi = _relabelled(psi, perms, [draw(st.integers(0, 3)) for _ in range(psi.num_terms)])
+    if share == "some":
+        psi = _with_copy(psi, draw(st.integers(m, psi.N - 1)))
+    family = _split(psi, m)
+    if share == "none" and psi.num_terms > psi.d:
+        s = draw(st.integers(0, len(family) - 1))
+        family[s] = draw(st.sampled_from((_float_copy, _times_one_plus_i)))(family[s])
+    verdict = "fail" if k > t - m or (share == "some" and not K_is_d) else "pass"
+    return family, k, verdict
+
+
+def _assert_share(family: list, k: int, share: str) -> None:
+    """The k-subsets left for the kernel are none, some or all of them."""
+    e, m = states_module._stack(family)
+    N, d = family[0].N, family[0].d
+    left, n = len(list(states_module._undecided(e, m, d, N, k))), math.comb(N, k)
+    assert {"every": left == 0, "some": 0 < left < n, "none": left == n}[share]
+
+
+# (share, source): "some" needs a source of t >= 3 and a ghz split decides
+# no subset
+SPLIT_CASES = [
+    *[("every", name) for name in ("qutrit", "hamming", "mds4")],
+    ("some", "hamming"),
+    *[("none", name) for name in ("qutrit", "hamming", "mds4", "ghz")],
+]
+
+
+@pytest.mark.parametrize("share, source", SPLIT_CASES)
+@settings(max_examples=10)
+@given(data=st.data(), samples=st.sampled_from((0, 2)), code_min=st.sampled_from((0, None)))
+def test_masker_decided_on_psi_matches_oracle(share, source, data, samples, code_min):
+    """Reports, the common operators of counted subsets included, are the
+    oracle's, with the code stage asked on every family or at its usual size."""
+    images, k, verdict = data.draw(split_families(True, share, source), label="case")
+    m = Masker(d=images[0].d, N=images[0].N, images=images)
+    _assert_share(images, k, share)
+    with pytest.MonkeyPatch.context() as env:
+        if code_min is not None:
+            env.setattr(states_module, "_CODE_MIN_PAIRS", code_min)
+        report = verify_masker(m, k, samples=samples, seed=7)
+    want = oracle_verify_masker(m, k, samples=samples, seed=7)
+    assert report == want and report.max_deviation.hex() == want.max_deviation.hex()
+    assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("share, source", SPLIT_CASES)
+@settings(max_examples=10)
+@given(data=st.data(), code_min=st.sampled_from((0, None)))
+def test_pure_code_decided_on_psi_matches_oracle(share, source, data, code_min):
+    """Witnesses and verdicts are the Pauli oracle's, with the code stage
+    asked on every family or at its usual size."""
+    basis, k, verdict = data.draw(split_families(False, share, source), label="case")
+    _assert_share(basis, k, share)
+    with pytest.MonkeyPatch.context() as env:
+        if code_min is not None:
+            env.setattr(states_module, "_CODE_MIN_PAIRS", code_min)
+        _assert_matches_oracle(basis, k + 1)
+    assert verify_pure_qecc(basis, k + 1).verdict == verdict
+
+
+def test_split_codes_pass_without_the_kernel(monkeypatch):
+    """Splits of the code-built (4, 9, 10) state are decided on Psi, the
+    source state itself, by its code: the masker at k = 3 and the
+    ((8, 81, 3))_9 basis of its first two parties reach no block
+    reduction.  With image 1 times 1 + i the masker has two squared moduli
+    and reaches the kernel, and still passes."""
+    psi = construct_k_uniform(4, 9, 10, verify=False)
+    masker, basis = build_masker(psi, 0, k=3), _split(psi, 2)
+    phased = Masker(d=9, N=9, images=[_times_one_plus_i(s) if s is masker.images[1] else s for s in masker.images])
+    blocks = _record(monkeypatch, masking, "_block_reduction")
+    assert verify_masker(masker, 3).verdict == "pass"
+    report = verify_pure_qecc(basis, 3)
+    assert (report.verdict, report.K, report.N) == ("pass", 81, 8) and singleton_check(8, 81, 2, 9)
+    assert blocks == []
+    assert verify_masker(phased, 3).verdict == "pass" and len(blocks) == math.comb(9, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ from kuniform.errors import CapExceeded, NormError, NotIrredundant, ParseError
 from kuniform.gf import field_for_order
 from kuniform.oa import OrthogonalArray, oa_from_code
 from kuniform.states import (
+    FLOAT_TOL,
+    InnerProduct,
     PureState,
-    cross_reduction,
     from_vector,
     ghz,
     inner_product,
@@ -64,6 +65,13 @@ EXAMPLE_ROWS = [
 def example_state() -> PureState:
     A = OrthogonalArray(d=3, rows=np.array(EXAMPLE_ROWS), k=2)
     return state_from_iroa(A, 2)
+
+
+def cross_block(s1: PureState, s2: PureState, parties):
+    """|s1><s2| traced down to `parties`: block (0, 1) of the reduction of
+    the two-state stack, in floats unless both states are exact."""
+    e, m = states_module._stack([s1, s2])
+    return states_module._block_reduction(e, m, [s1, s2], tuple(sorted(parties)))(0, 1)
 
 
 def dense_reduction(vec: np.ndarray, N: int, d: int, parties) -> np.ndarray:
@@ -235,8 +243,8 @@ def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypa
 def test_cross_reduction_orthogonal_product_terms():
     s1 = PureState(N=2, d=2, amplitudes={(0, 0): (1, 0)})
     s2 = PureState(N=2, d=2, amplitudes={(1, 1): (1, 0)})
-    assert cross_reduction(s1, s2, [0]).is_zero()
-    full = cross_reduction(s1, s2, [0, 1])
+    assert cross_block(s1, s2, [0]).is_zero()
+    full = cross_block(s1, s2, [0, 1])
     assert full.entries == {((0, 0), (1, 1)): (1, 0)}
     assert not full.is_zero()
 
@@ -250,7 +258,7 @@ def test_cross_reduction_vs_dense(seed=11):
     v2 /= np.linalg.norm(v2)
     s1, s2 = from_vector(v1, N, d), from_vector(v2, N, d)
     for subset in [(0,), (1, 2), (0, 1, 2)]:
-        got = cross_reduction(s1, s2, subset).to_matrix()
+        got = cross_block(s1, s2, subset).to_matrix()
         parties = tuple(sorted(subset))
         others = tuple(p for p in range(N) if p not in parties)
         T1 = v1.reshape((d,) * N)
@@ -320,9 +328,8 @@ def reduction_cases(draw):
 @given(case=reduction_cases(), block=st.sampled_from((1, 5, states_module._PAIR_BLOCK)))
 def test_kernel_matches_dict_oracle(case, block):
     s1, s2, parties = case
-    with mock.patch.object(states_module, "_PAIR_BLOCK", block), pytest.MonkeyPatch.context() as env:
-        env.setenv("KUF_CAPS", f"matrix_dim={s1.d ** len(parties)}")
-        got = cross_reduction(s1, s2, parties)
+    with mock.patch.object(states_module, "_PAIR_BLOCK", block):
+        got = cross_block(s1, s2, parties)
     assert_same_operator(got, oracle_cross_reduction(s1, s2, parties))
 
 
@@ -372,7 +379,7 @@ def test_kernel_blocks_keep_entries_whole():
     for block in (1, 2, 4, 100):
         with mock.patch.object(states_module, "_PAIR_BLOCK", block):
             for parties in [(0,), (1,), (2,), (0, 2), (0, 1, 2)]:
-                assert_same_operator(cross_reduction(s, s, parties), oracle_cross_reduction(s, s, parties))
+                assert_same_operator(cross_block(s, s, parties), oracle_cross_reduction(s, s, parties))
 
 
 UNIT_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -463,15 +470,14 @@ def test_complement_keys_beyond_int64():
     # complements of the last party of PLUS_70 differ only in the two
     # parties whose radix weights 2^68 and 2^67 would wrap in int64
     for parties in [(69,), (0,), (1, 69)]:
-        assert_same_operator(cross_reduction(PLUS_70, PLUS_70, parties), oracle_cross_reduction(PLUS_70, PLUS_70, parties))
+        assert_same_operator(cross_block(PLUS_70, PLUS_70, parties), oracle_cross_reduction(PLUS_70, PLUS_70, parties))
 
 
-def test_kept_keys_beyond_pair_key_range(monkeypatch):
+def test_kept_keys_beyond_pair_key_range():
     # 2^34 kept radix keys: row key * 2^34 + col key would wrap in int64 and
     # merge entries whose row keys differ by 2^30, as these two terms' do
     s = PureState(N=34, d=2, amplitudes={(0,) * 34: (1, 0), (0, 0, 0, 1) + (0,) * 30: (0, 1)}, r=2)
-    monkeypatch.setenv("KUF_CAPS", f"matrix_dim={1 << 34}")
-    rho = cross_reduction(s, s, range(34))
+    rho = cross_block(s, s, range(34))
     assert_same_operator(rho, oracle_cross_reduction(s, s, range(34)))
     assert len(rho.entries) == 4  # |s><s| itself
 
@@ -483,7 +489,7 @@ def test_numerators_whose_products_overflow_int64(big):
     t = PureState(N=3, d=2, amplitudes={(0, 0, 1): (big, 0), (1, 1, 0): (0, big)}, r=2 * big * big)
     for parties in [(0,), (1,), (0, 1), (1, 2), (0, 1, 2)]:
         for s1, s2 in [(s, s), (s, t), (t, s)]:
-            assert_same_operator(cross_reduction(s1, s2, parties), oracle_cross_reduction(s1, s2, parties))
+            assert_same_operator(cross_block(s1, s2, parties), oracle_cross_reduction(s1, s2, parties))
     assert verify_k_uniform(s, 1) == oracle_verify_k_uniform(s, 1)
 
 
@@ -1076,6 +1082,12 @@ def test_inner_product_float():
     s = from_vector(vec, 1, 2)
     ip = inner_product(s, ghz(1, 2))
     assert not ip.exact and ip.value == pytest.approx(1 / math.sqrt(2))
+    assert not ip.is_zero()
+    # float products are zero within FLOAT_TOL, the one tolerance they take
+    near = [InnerProduct(num=complex(x, 0.0), r_ket=1, r_bra=1, exact=False) for x in (FLOAT_TOL, 2 * FLOAT_TOL)]
+    assert near[0].is_zero() and not near[1].is_zero()
+    with pytest.raises(TypeError):
+        near[0].is_zero(tol=1.0)
 
 
 # ---------------------------------------------------------------------------
