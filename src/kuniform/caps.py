@@ -16,8 +16,11 @@ Each cap is checked where its memory is allocated:
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
   states._undecided, the subset walk of verify_k_uniform, verify_masker
-  and verify_pure_qecc, reads it first and, above it, leaves a recognised
-  code unused rather than raising;
+  and verify_pure_qecc, reads it before it enumerates the q^(N-t)
+  codewords of C-perp for their short words, which it does only when a
+  recognised coset's w(C-perp) <= k + m, and above it leaves the code
+  unused rather than raising (C's words and both distances come from the
+  rows, under no cap);
 - oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
   of catalog.execute_recipe that builds an array from a code, and
   states.tensor_parties, on the T1 T2 terms of a product, the rows of the
@@ -38,7 +41,9 @@ Each cap is checked where its memory is allocated:
   never builds a dense matrix.  A subset decided without the kernel
   allocates no block, and the I / d^k a masker report then holds has at
   most as many entries as an image has terms;
-- qecc_ops: masking.verify_pure_qecc, on its C(N, k) K (K + 1) / 2 blocks.
+- qecc_ops: masking.verify_pure_qecc, on its C(N, k) K (K + 1) / 2 blocks,
+  before the first subset that _undecided leaves for the kernel, so a
+  basis decided on Psi alone builds no block and is never refused.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -48,13 +49,15 @@ class LinearCode:
     """A linear code given by a t x N generator matrix of full row rank.
 
     The degenerate zero code (t = 0) is allowed so that dual() is total; its
-    minimum distance is the infinity sentinel.
+    minimum distance is the infinity sentinel.  The rank check keeps the
+    reduced row echelon form of G and its pivot columns for parity_check.
     """
 
     field: FiniteField
     G: np.ndarray  # shape (t, N), dtype int64, symbols in [0, q)
     _w: int | float | None = None
     _w_dual: int | float | None = None
+    _echelon: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=np.int64)
@@ -67,10 +70,11 @@ class LinearCode:
             raise ValueError(f"dimension {t} exceeds length {N}")
         if G.size and (G.min() < 0 or G.max() >= self.field.order):
             raise ValueError(f"symbols out of range for {self.field}")
-        if t > 0 and _rank(self.field, G) != t:
+        R, pivots = _rref(self.field, G)
+        if len(pivots) != t:
             raise RankDeficient(f"generator matrix has rank < {t}")
         G.setflags(write=False)
-        self.G = G
+        self.G, self._echelon = G, (R, pivots)
 
     @property
     def N(self) -> int:
@@ -101,39 +105,36 @@ class ParityCheck:
 
 
 def _rref(F: FiniteField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (reduced copy, pivot columns)."""
+    """Reduced row echelon form; returns (reduced copy, pivot columns).
+    Each pivot column is cleared from every other row in one array step."""
     R = np.array(M, dtype=np.int64)
     rows, cols = R.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if R[i, c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        inv = F.inv(int(R[r, c]))
-        R[r] = F.mul_arr(R[r], np.full(cols, inv, dtype=np.int64))
-        for i in range(rows):
-            if i != r and R[i, c]:
-                factor = F.neg(int(R[i, c]))
-                R[i] = F.add_arr(R[i], F.mul_arr(R[r], np.full(cols, factor, dtype=np.int64)))
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        below = np.flatnonzero(R[r:, c])
+        if not len(below):
+            continue
+        if below[0]:
+            R[[r, r + below[0]]] = R[[r + below[0], r]]
+        R[r] = F.mul_arr(R[r], F.inv(int(R[r, c])))
+        factors = F.neg_arr(R[:, c])
+        factors[r] = 0
+        R = F.add_arr(R, F.mul_arr(factors[:, None], R[r]))
+        pivots.append(c)
     return R, pivots
 
 
-def _rank(F: FiniteField, M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    _, pivots = _rref(F, M)
-    return len(pivots)
+def _echelon_code(F: FiniteField, R: np.ndarray, pivots: list[int]) -> LinearCode:
+    """The code generated by R, which the caller holds in reduced row
+    echelon form with these pivot columns, so neither the rank check nor
+    parity_check eliminates it again."""
+    C = LinearCode.__new__(LinearCode)
+    R.setflags(write=False)
+    C.field, C.G, C._echelon = F, R, (R, pivots)
+    return C
 
 
 def _matmul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -181,7 +182,7 @@ def parity_check(C: LinearCode) -> ParityCheck:
     if t == 0:
         H = np.eye(N, dtype=np.int64)
         return ParityCheck(F, H)
-    R, pivots = _rref(F, G)
+    R, pivots = C._echelon
     free = [c for c in range(N) if c not in pivots]
     H = np.zeros((N - t, N), dtype=np.int64)
     for i, fc in enumerate(free):
@@ -249,8 +250,10 @@ def _chunked_codewords(C: LinearCode):
         yield F.add_arr(block, prefix[None, :]) if prefix.any() else block
 
 
+@cache
 def _krawtchouk(j: int, i: int, N: int, q: int) -> int:
-    """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(N-i, j-s)."""
+    """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(N-i, j-s), kept for the
+    next transform of a code of the same length and field."""
     return sum(
         (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(N - i, j - s)
         for s in range(j + 1)
@@ -277,18 +280,26 @@ def _weight_distributions(C: LinearCode) -> tuple[list[int], list[int]]:
     enumerated = counts.tolist()
     if sum(enumerated) != size:
         raise KuniformError(f"{what} counts {sum(enumerated)} codewords, not {size}")
+    transformed = _macwilliams(enumerated, q, what)
+    return (enumerated, transformed) if side is C else (transformed, enumerated)
+
+
+def _macwilliams(counts: list[int], q: int, what: str) -> list[int]:
+    """The weight distribution of the dual of a code whose weight
+    distribution is counts, in Python ints; a transformed count that is
+    negative or not integral, or counts that do not sum to q^N over the
+    code's size, raise KuniformError."""
+    N, size = len(counts) - 1, sum(counts)
     transformed = []
     for j in range(N + 1):
-        total = sum(a * _krawtchouk(j, i, N, q) for i, a in enumerate(enumerated) if a)
+        total = sum(a * _krawtchouk(j, i, N, q) for i, a in enumerate(counts) if a)
         b, rem = divmod(total, size)
         if rem or b < 0:
             raise KuniformError(f"{what}: MacWilliams transform gives a non-count at weight {j}")
         transformed.append(b)
-    if sum(transformed) != q ** (N - side.t):
-        raise KuniformError(
-            f"{what}: MacWilliams transform sums to {sum(transformed)}, not {q ** (N - side.t)}"
-        )
-    return (enumerated, transformed) if side is C else (transformed, enumerated)
+    if sum(transformed) * size != q**N:
+        raise KuniformError(f"{what}: MacWilliams transform sums to {sum(transformed)}, not {q**N // size}")
+    return transformed
 
 
 def _first_nonzero(counts: list[int]) -> int | float:
@@ -355,8 +366,8 @@ def code_of_rows(q: int, rows) -> LinearCode | None:
     Distinct rows of that coset differ in their pivot columns, so one
     count of those columns' radix keys decides that all q^t rows are
     distinct, hence the whole coset.  C is returned with its generator in
-    reduced row echelon form; the rows are its codewords translated by
-    rows[0], in any order.
+    reduced row echelon form, kept for parity_check; the rows are its
+    codewords translated by rows[0], in any order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     T, N = rows.shape
@@ -396,7 +407,41 @@ def code_of_rows(q: int, rows) -> LinearCode | None:
         keys = keys * q + rows[:, p]
     if not (np.bincount(keys, minlength=T) == 1).all():
         return None
-    return LinearCode(F, basis[np.argsort(pivots)])
+    order = np.argsort(pivots)
+    return _echelon_code(F, basis[order], [pivots[i] for i in order])
+
+
+def _supports_within(C: LinearCode, rows: np.ndarray, w: int) -> np.ndarray | None:
+    """The distinct supports, rows of a (P, N) bool array, of the nonzero
+    words of weight at most w in C and in dual(C), for rows that are
+    exactly the coset rows[0] + C; None when dual(C) has such words and its
+    q^(N - t) codewords exceed the codewords cap.
+
+    C's words are the rows less rows[0], so the support of each is where
+    its row differs from rows[0]: C's supports and weight distribution come
+    from the rows, in blocks of _CHUNK_ROWS, with no field arithmetic and no
+    enumeration.  The MacWilliams transform of that distribution gives
+    dual(C)'s, and dual(C) is enumerated only when its distance is at
+    most w.
+    """
+    q, N = C.q, C.N
+
+    def short(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        weight = support.sum(axis=1)
+        return support[(weight > 0) & (weight <= w)], weight
+
+    counts = np.zeros(N + 1, dtype=np.int64)
+    found = []
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        support, weight = short(rows[start : start + _CHUNK_ROWS] != rows[0])
+        counts += np.bincount(weight, minlength=N + 1)
+        found.append(support)
+    if _first_nonzero(_macwilliams(counts.tolist(), q, f"coset of [{N},{C.t}]_{q}")) <= w:
+        D = dual(C)
+        if q**D.t > get_cap("codewords"):
+            return None
+        found.extend(short(block != 0)[0] for block in _chunked_codewords(D))
+    return np.unique(np.concatenate(found), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ identical multiplication tables, on every run.
 
 Multiplication and inversion go through precomputed log/antilog tables over a
 fixed multiplicative generator, so both are O(1) per scalar and vectorize
-over numpy arrays for the enumeration-heavy callers in kuniform.codes.
+over numpy arrays for the enumeration-heavy callers in kuniform.codes; array
+products over a prime field are a * b mod p, with no table.
 """
 
 from __future__ import annotations
@@ -280,6 +281,8 @@ class FiniteField:
     def mul_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.m == 1:
+            return a * b % self.p
         nz = (a != 0) & (b != 0)
         idx = self._log[a] + self._log[b]
         out = np.where(nz, self._exp[np.where(nz, idx, 0)], 0)

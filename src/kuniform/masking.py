@@ -430,8 +430,9 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     every d; otherwise every state is taken in floats, and a block passes
     when its largest non-identity Pauli coefficient is at most PAULI_TOL;
     two states that are not both exact are orthogonal when |<psi_i|psi_j>|
-    is.  The qecc_ops cap bounds the C(N, k) K (K + 1) / 2 blocks checked,
-    and the matrix_dim cap their dimension d^k where they are reduced.
+    is.  The qecc_ops cap bounds the C(N, k) K (K + 1) / 2 blocks, and the
+    matrix_dim cap their dimension d^k; both are checked before the first
+    subset left is reduced, so a basis decided on Psi alone meets neither.
 
     ops_checked counts the errors covered, sum over 1 <= w < delta of
     C(N, w) (d^2 - 1)^w, not operators iterated.  failures holds one
@@ -467,14 +468,12 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     k = min(delta - 1, N)
     n_subsets = math.comb(N, k) if k else 0
     n_pairs = K * (K + 1) // 2
-    check_cap(
-        "qecc_ops",
-        n_subsets * n_pairs,
-        what=f"{n_subsets} x {n_pairs} pair reductions onto {k} parties",
-    )
     psi, width = _stack(basis)
     exact = psi.bound is not None
-    for subset in _undecided(psi, width, d, N, k) if k else ():
+    for n, subset in enumerate(_undecided(psi, width, d, N, k) if k else ()):
+        if not n:
+            # blocks are built only for the subsets left, from the first one
+            check_cap("qecc_ops", n_subsets * n_pairs, what=f"{n_subsets} x {n_pairs} pair reductions onto {k} parties")
         block = _block_reduction(psi, width, basis, subset)
         for i in range(K):
             for j in range(i, K):

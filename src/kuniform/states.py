@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import textio
-from .caps import check_cap, get_cap
-from .codes import code_of_rows, dual_distance, min_distance
+from .caps import check_cap
+from .codes import _supports_within, code_of_rows
 from .errors import KuniformError, NormError, ParseError
 from .oa import OrthogonalArray, check_irredundant
 
@@ -534,7 +534,7 @@ _PAIR_BLOCK = 1 << 20
 # subset's row is longer
 _COUNT_BLOCK = 1 << 14
 # counting takes a few array steps per (subset, term) pair; below this many
-# pairs it is cheaper than recognising a code and enumerating its distances
+# pairs it is cheaper than recognising a code and reading its short words
 _CODE_MIN_PAIRS = 1 << 16
 
 
@@ -760,20 +760,17 @@ def _counting_check(e: _Encoded, d: int, k: int):
     return passes
 
 
-def _coset_of_distant_code(idx: np.ndarray, d: int, k: int) -> bool:
-    """Whether the rows are a coset of a linear [N, t]_d code C with
-    w(C) > k and w(C-perp) > k, its distances within the codewords cap.
+def _avoiding(supports: np.ndarray):
+    """A predicate on a (B, k) block of column sets, as _counting_check's:
+    its bool mask holds where a set contains none of the supports."""
 
-    Such rows take every value on any k parties equally often and no two
-    of them agree off k parties (Delsarte; Hedayat, Sloane & Stufken,
-    Thm 3.29), which is the counting criterion on every k-subset at once.
-    A code whose q^min(t, N - t) codewords exceed the cap decides nothing,
-    and neither does one with k > N - t, since w <= N - t + 1 (Singleton).
-    """
-    C = code_of_rows(d, idx)
-    if C is None or k > C.N - C.t or C.q ** min(C.t, C.N - C.t) > get_cap("codewords"):
-        return False
-    return min_distance(C) > k and dual_distance(C) > k
+    def passes(block: np.ndarray) -> np.ndarray:
+        outside = np.ones((len(block), supports.shape[1]), dtype=bool)
+        np.put_along_axis(outside, block, False, axis=1)
+        # a support lies inside a set exactly when none of its columns is outside
+        return (outside @ supports.T).all(axis=1)
+
+    return passes
 
 
 def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
@@ -784,18 +781,26 @@ def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
     Such a reduction has every block (s, t) equal to delta_st I / d^k, so a
     subset left out here is decided for a state (m = 0), a masker and a
     pure code alike.  Both stages need an exact stack whose T terms share
-    one squared modulus, with d^(k + m) dividing T:
+    one squared modulus, with d^(k + m) dividing T.  The reduction onto a
+    set U of columns is then I / d^|U| exactly when the rows take every
+    value on U equally often and no two rows agree off U.  On a coset of a
+    linear code C, the first holds exactly when no nonzero word of C-perp
+    lies inside U, and the second when no nonzero word of C does
+    (Delsarte; Hedayat, Sloane & Stufken, Thm 3.29).
 
     1. Code.  When C(N, k) T >= _CODE_MIN_PAIRS and the rows are a coset
-       of a linear code with both distances above k + m
-       (_coset_of_distant_code), no subset is left.
+       of a linear code C, the subsets left are those whose ancilla
+       columns and S hold the support of a nonzero word of weight at most
+       k + m of C or of C-perp (codes._supports_within).  With no such
+       word, as when both distances exceed k + m, no subset is walked.
     2. Counting.  Otherwise the ancilla columns and S are counted in blocks
        (_counting_check) whose arrays hold at most max(T, _COUNT_BLOCK)
        entries each.
 
-    The matrix_dim cap bounds the d^k-wide reductions of what is left, so
-    it is checked before the first subset yielded, and at once, before any
-    subset is listed, when counting cannot apply.
+    Both stages leave the same subsets.  The matrix_dim cap bounds the
+    d^k-wide reductions of what is left, so it is checked before the first
+    subset yielded, and at once, before any subset is listed, when counting
+    cannot apply.
     """
     dim = d**k
     passes = _counting_check(e, d, k + m)
@@ -803,12 +808,16 @@ def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
         check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
         yield from combinations(range(N), k)
         return
-    T = len(e.idx)
-    if math.comb(N, k) * T >= _CODE_MIN_PAIRS and _coset_of_distant_code(e.idx, d, k + m):
-        return
+    width = len(e.idx)
+    code = code_of_rows(d, e.idx) if math.comb(N, k) * width >= _CODE_MIN_PAIRS else None
+    supports = None if code is None else _supports_within(code, e.idx, k + m)
+    if supports is not None:
+        if not len(supports):
+            return
+        passes, width = _avoiding(supports), len(supports)
     subsets = combinations(range(N), k)
     capped = False
-    while block := list(islice(subsets, max(1, _COUNT_BLOCK // T))):
+    while block := list(islice(subsets, max(1, _COUNT_BLOCK // width))):
         columns = np.hstack([np.broadcast_to(np.arange(m), (len(block), m)), np.array(block) + m])
         for subset, ok in zip(block, passes(columns).tolist()):
             if ok:
@@ -897,14 +906,16 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
     k = 0 passes trivially and k above floor(N / 2) is impossible for any
     pure state, reported without checking.  The state is the m = 0 case of
     _undecided: when its T terms share one squared modulus and d^k divides
-    T, a coset of a linear [N, t]_d code C with w(C) > k and w(C-perp) > k
-    passes every subset at once (Delsarte; Hedayat, Sloane & Stufken,
-    Thm 3.29), and otherwise a subset S passes by counting alone if the
-    rows take each value on S exactly T / d^k times and no two rows agree
-    off S (the irredundant-array criterion).  Every subset left, and every
-    subset of a float state, goes through the reduction kernel, which alone
-    reports failures; an exact state's deviations are read off the
-    kernel's arrays.  A pass from any stage gives the same report.
+    T, a subset S passes if the rows take each value on S exactly T / d^k
+    times and no two rows agree off S (the irredundant-array criterion).
+    On a coset of a linear [N, t]_d code C that holds exactly when no
+    nonzero word of C or C-perp lies inside S (Delsarte; Hedayat, Sloane &
+    Stufken, Thm 3.29), so the code's short words name the subsets left,
+    none when w(C) > k and w(C-perp) > k; other rows are counted.  Every
+    subset left, and every subset of a float state, goes through the
+    reduction kernel, which alone reports failures; an exact state's
+    deviations are read off the kernel's arrays.  A pass from any stage
+    gives the same report.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rref_oracle import oracle_rref
+
 from kuniform import CapExceeded, FieldMismatch, KuniformError, ParseError, RankDeficient, codes
 from kuniform.codes import (
     LinearCode,
-    _rank,
     _weight_distributions,
     codeword_matrix,
     direct_sum,
@@ -111,7 +112,7 @@ def test_parity_check_annihilates():
     C = mds_code(F5, 2)
     H = parity_check(C).H
     assert H.shape == (4, 6)
-    assert _rank(F5, H) == 4
+    assert len(codes._rref(F5, H)[1]) == 4
     for h in H:
         for g in C.G:
             acc = 0
@@ -233,6 +234,33 @@ def test_weight_distributions_match_enumeration(q, data):
     assert B == brute_weights(dual(C))
     assert min_distance(C) == min((w for w in range(1, C.N + 1) if A[w]), default=math.inf)
     assert dual_distance(C) == min((w for w in range(1, C.N + 1) if B[w]), default=math.inf)
+
+
+@st.composite
+def matrices(draw):
+    """(field, matrix): up to 6 x 8 over GF(2, 3, 4, 5, 7, 8, 9), built as
+    a product of two random factors through an inner dimension that may be
+    below both sides, so rank-deficient matrices, zero ones included, are
+    drawn often."""
+    F = field_for_order(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    rows, inner, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    symbols = st.integers(0, F.order - 1)
+    A = np.array(draw(st.lists(symbols, min_size=rows * inner, max_size=rows * inner)), dtype=np.int64).reshape(rows, inner)
+    B = np.array(draw(st.lists(symbols, min_size=inner * cols, max_size=inner * cols)), dtype=np.int64).reshape(inner, cols)
+    return F, codes._matmul(F, A, B)
+
+
+@settings(max_examples=200)
+@given(case=matrices())
+def test_rref_matches_row_by_row_oracle(case):
+    F, M = case
+    R, pivots = codes._rref(F, M)
+    want, want_pivots = oracle_rref(F, M)
+    assert np.array_equal(R, want) and pivots == want_pivots
+    # the code_of_rows path keeps that form: no elimination repeats it
+    if len(pivots) == len(M):
+        C = codes._echelon_code(F, R, pivots)
+        assert np.array_equal(parity_check(C).H, parity_check(LinearCode(F, M)).H)
 
 
 PAIRS_2 = LinearCode(F2, np.array([[1, 1, 0, 0], [0, 0, 1, 1]]))  # [4,2,2]_2

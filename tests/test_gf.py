@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kuniform import CapExceeded, gf
 from kuniform.cli import run
@@ -183,6 +185,21 @@ def test_vectorized_ops_match_scalar(q):
         assert add[i] == F.add(int(a[i]), int(b[i]))
         assert mul[i] == F.mul(int(a[i]), int(b[i]))
         assert neg[i] == F.neg(int(a[i]))
+
+
+@given(data=st.data(), q=st.sampled_from([2, 3, 5, 7, 4, 8, 9]))
+def test_mul_arr_matches_scalar_mul(data, q):
+    """Products of whole arrays, one of them broadcast and zeros drawn
+    often, are the scalar products: a * b mod p on a prime field, the log
+    tables otherwise."""
+    F = field_for_order(q)
+    symbols = st.integers(0, q - 1) | st.just(0)
+    a = data.draw(st.lists(symbols, min_size=1, max_size=20))
+    b = data.draw(st.lists(symbols, min_size=len(a), max_size=len(a)))
+    got = F.mul_arr(np.array(a), np.array(b))
+    assert got.dtype == np.int64 and got.tolist() == [F.mul(x, y) for x, y in zip(a, b)]
+    c = data.draw(symbols)
+    assert F.mul_arr(np.array(a), c).tolist() == [F.mul(x, c) for x in a]
 
 
 def test_element_coeff_roundtrip():

@@ -559,10 +559,27 @@ def test_qecc_ops_cap(monkeypatch):
     assert report.verdict == "pass" and report.ops_checked == 693
 
 
+def test_qecc_ops_cap_checked_where_blocks_are_reduced(monkeypatch):
+    """A basis decided on Psi alone builds no block, so qecc_ops never
+    refuses it; a basis left to the kernel is refused before any reduction."""
+    counted, qubit = hamming_masker().images, qubit_masker().images
+    reduced = _record(monkeypatch, states_module, "_reduce")
+    # the Hamming images at delta = 3: C(7, 2) x 3 = 63 blocks, all counted
+    monkeypatch.setenv("KUF_CAPS", "qecc_ops=62")
+    assert verify_pure_qecc(counted, 3).verdict == "pass" and reduced == []
+    # the ame_6_2 images: C(5, 2) x 3 = 30 blocks, left to the kernel
+    monkeypatch.setenv("KUF_CAPS", "qecc_ops=29")
+    with pytest.raises(CapExceeded, match=r"10 x 3 pair reductions onto 2 parties needs 30 > cap 29 \(qecc_ops"):
+        verify_pure_qecc(qubit, 3)
+    assert reduced == []
+    monkeypatch.setenv("KUF_CAPS", "qecc_ops=30")
+    assert verify_pure_qecc(qubit, 3).verdict == "pass" and len(reduced) == 10
+
+
 def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
-    """Each basis state is encoded once.  qecc_ops is checked once per call,
-    and matrix_dim once, at the first subset left for the kernel: never for
-    a basis counted on every subset, at once for a float one."""
+    """Each basis state is encoded once.  qecc_ops and matrix_dim are each
+    checked once per call, at the first subset left for the kernel: never
+    for a basis counted on every subset, at once for a float one."""
     counted, qubit = hamming_masker().images, qubit_masker().images
     mixed, counted_floats = [qubit[0], _float_copy(qubit[1])], [_float_copy(s) for s in counted]
     encodes = _count_encodes(monkeypatch)
@@ -570,7 +587,7 @@ def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
     reduced = _record(monkeypatch, states_module, "_reduce")
     # a basis with a float state is encoded in floats throughout
     kernel = ["matrix_dim", "qecc_ops"]
-    for basis, floats, checks in [(counted, False, ["qecc_ops"]), (qubit, False, kernel), (mixed, True, kernel)]:
+    for basis, floats, checks in [(counted, False, []), (qubit, False, kernel), (mixed, True, kernel)]:
         encodes.clear()
         calls.clear()
         assert verify_pure_qecc(basis, 3).verdict == "pass"

@@ -626,9 +626,11 @@ def _record_counting(monkeypatch) -> list:
 
 
 def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
-    """A coset of a code with both distances above k is decided by its code;
-    a copy relabelled off the affine maps still goes through counting, and
-    so does a state too small for recognising its code to pay."""
+    """A coset of a code with both distances above k is decided by its code,
+    and one with shorter words leaves the kernel only the subsets holding
+    them; a copy relabelled off the affine maps still goes through
+    counting, and so does a state too small for recognising its code to
+    pay."""
     reduced = _record_calls(monkeypatch, "_reduce")
     asked = _record_counting(monkeypatch)
     recognised = _record_calls(monkeypatch, "code_of_rows")
@@ -648,8 +650,9 @@ def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
     assert verify_k_uniform(moved, 3) == report
     assert reduced == [] and asked == list(combinations(range(6), 3))
     # the seeded relabelling of the phased 11-qutrit state is affine, as
-    # every relabelling over GF(3) is: its coset is decided at k = 4, and
-    # at k = 5 (w = 5) counting and the kernel decide
+    # every relabelling over GF(3) is: its [11,6,5]_3 coset decides k = 4,
+    # and at k = 5 leaves the kernel the 66 subsets that hold a weight-5
+    # word of C
     asked.clear()
     rng = np.random.default_rng(9)
     phased = transformed(
@@ -657,7 +660,7 @@ def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
     )
     assert verify_k_uniform(phased, 4).verdict == "pass" and asked == [] and reduced == []
     report = verify_k_uniform(phased, 5)
-    assert report.verdict == "fail" and asked == list(combinations(range(11), 5))
+    assert report.verdict == "fail" and len(report.failures) == 66 and asked == []
     assert [args[1] for args in reduced] == [subset for subset, _ in report.failures]
 
 
@@ -672,34 +675,48 @@ def test_largest_mds_trim_is_decided_by_its_code(monkeypatch):
 
 
 def test_code_stage_never_refuses_where_counting_passes(monkeypatch):
-    """A code whose distances need more codewords than the codewords cap,
-    or a field above the field_order cap, leaves the state to counting."""
-    state = construct_k_uniform(4, 3, 11, verify=False)  # [11,6]_3: 3^5 codewords enumerated
+    """A field above the field_order cap, or a C-perp with short words and
+    more codewords than the codewords cap, leaves the state to counting.
+    C's words and both distances come from the rows, under no cap."""
+    state = construct_k_uniform(4, 3, 11, verify=False)  # [11,6,5]_3, w-perp = 6
     asked = _record_counting(monkeypatch)
     want = verify_k_uniform(state, 4)
     assert want.verdict == "pass" and asked == []
-    for caps in ("codewords=242", "field_order=2"):
-        with monkeypatch.context() as env:
-            env.setenv("KUF_CAPS", caps)
-            assert verify_k_uniform(state, 4) == want
-        assert asked == list(combinations(range(11), 4))
-        asked.clear()
     with monkeypatch.context() as env:
-        env.setenv("KUF_CAPS", "codewords=243")
+        env.setenv("KUF_CAPS", "field_order=2")
+        assert verify_k_uniform(state, 4) == want
+    assert asked == list(combinations(range(11), 4))
+    asked.clear()
+    with monkeypatch.context() as env:
+        env.setenv("KUF_CAPS", "codewords=1")
         assert verify_k_uniform(state, 4) == want and asked == []
+    # the self-dual [12,6,6]_3 code at k = 6: C-perp's 729 codewords are
+    # enumerated for its 132 supports of weight 6
+    state = construct_k_uniform(4, 3, 12, verify=False)
+    want = verify_k_uniform(state, 6)
+    assert want.verdict == "fail" and len(want.failures) == 132 and asked == []
+    with monkeypatch.context() as env:
+        env.setenv("KUF_CAPS", "codewords=728")
+        assert verify_k_uniform(state, 6) == want
+    assert asked == list(combinations(range(12), 6))
+    asked.clear()
+    with monkeypatch.context() as env:
+        env.setenv("KUF_CAPS", "codewords=729")
+        assert verify_k_uniform(state, 6) == want and asked == []
 
 
 CODE_FIELDS = {2: 6, 3: 4, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}  # q: largest t with q^t <= 81
 
 
 @st.composite
-def code_state_cases(draw):
+def code_state_cases(draw, intact: bool = False):
     """(state, k, coset): the state_from_iroa state of a random [N, t]_q
     code over GF(2, 3, 4, 5, 7, 8, 9), translated or relabelled per party
     by affine maps or by any permutation, its rows shuffled, with unit
     phases or not, and intact or with one symbol changed or one term
     doubled; k one of w - 1, w, w-perp - 1, w-perp.  coset says whether
-    the rows are still a coset of a code: intact and affinely moved."""
+    the rows are still a coset of a code: intact and affinely moved, as
+    they always are when `intact` is set."""
     q = draw(st.sampled_from(sorted(CODE_FIELDS)))
     F = field_for_order(q)
     t = draw(st.integers(1, CODE_FIELDS[q]))
@@ -712,7 +729,7 @@ def code_state_cases(draw):
     assume(min(w, w_dual) >= 2)
     idx = state_from_iroa(oa_from_code(C), min(w, w_dual) - 1)._idx.copy()
     T = len(idx)
-    affine = draw(st.booleans())
+    affine = intact or draw(st.booleans())
     for p in range(N):
         if affine:
             a, b = draw(st.integers(1, q - 1)), draw(symbols)
@@ -723,7 +740,7 @@ def code_state_cases(draw):
     values = np.array([UNIT_PHASES[m] for m in draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))])
     if not draw(st.booleans()):
         values[:] = (1, 0)
-    fault = draw(st.sampled_from(("none", "none", "changed", "doubled")))
+    fault = "none" if intact else draw(st.sampled_from(("none", "none", "changed", "doubled")))
     i = draw(st.integers(0, T - 1))
     if fault == "changed":
         p = draw(st.integers(0, N - 1))
@@ -758,6 +775,72 @@ def test_code_stage_reports_match_oracle(case):
         assert verify_k_uniform(state, k) == oracle_verify_k_uniform(state, k)
     if coset:
         assert code_of_rows(state.d, state._idx) is not None
+
+
+def _split_rows(state: PureState, j: int) -> list:
+    """The family whose stack is state with its first j parties as the
+    ancilla: member s holds the terms whose first j symbols spell s in
+    radix d, for each s that has terms, in order of s."""
+    keys = state._idx[:, :j] @ state.d ** np.arange(j - 1, -1, -1)
+    family = []
+    for s in np.unique(keys):
+        rows = keys == s
+        values = state._values[rows]
+        family.append(states_module._from_arrays(state.N - j, state.d, state._idx[rows, j:], values, r=int((values**2).sum())))
+    return family
+
+
+@st.composite
+def stack_cases(draw):
+    """(family, k, capped): a code_state_cases state, whole or split by its
+    first j = 1 or 2 parties into a masker's or a pure code's family, k
+    one with d^(k + j) dividing its T terms, and whether the codewords cap
+    is 1.  Three in four states are intact cosets, which the code stage
+    decides."""
+    state, _, _ = draw(code_state_cases(intact=draw(st.integers(0, 3)) > 0))
+    j = draw(st.sampled_from([j for j in (0, 1, 2) if state.N - j >= 2]))
+    family = _split_rows(state, j) if j else [state]
+    d, T = state.d, state.num_terms
+    ks = [k for k in range(1, state.N - j + 1) if T % d ** (k + j) == 0 and d**k <= 4096]
+    assume(ks)
+    return family, draw(st.sampled_from(ks)), draw(st.booleans())
+
+
+# w-perp = 2 < w = 3, through two equal columns: C-perp's short words
+# alone leave subsets, of the state at k = 2 and, as the columns are
+# parties 0 and 1, of the split family at k = 1
+EQUAL_COLUMNS = _coset_case(3, [[1, 1, 0, 1, 1], [0, 0, 1, 1, 2]], 2)[0]
+
+
+@settings(max_examples=150, derandomize=True)
+@given(case=stack_cases(), block=st.sampled_from((1, 7, states_module._COUNT_BLOCK)))
+@example(case=([EQUAL_COLUMNS], 2, False), block=1)
+@example(case=(_split_rows(EQUAL_COLUMNS, 1), 1, False), block=1)
+def test_code_stage_leaves_what_counting_leaves(case, block):
+    """The subsets the code stage leaves are those counting leaves, in the
+    same order, for states, maskers and codes alike; with C-perp's short
+    words beyond the codewords cap, counting decides."""
+    family, k, capped = case
+    e, m = states_module._stack(family)
+    d, N = family[0].d, family[0].N
+    supports = []
+    supports_within = states_module._supports_within
+    with pytest.MonkeyPatch.context() as env:
+        env.setattr(states_module, "_COUNT_BLOCK", block)
+        env.setattr(states_module, "_supports_within", lambda *a: supports.append(out := supports_within(*a)) or out)
+        if capped:
+            env.setenv("KUF_CAPS", "codewords=1")
+        env.setattr(states_module, "_CODE_MIN_PAIRS", 0)
+        got = list(states_module._undecided(e, m, d, N, k))
+        env.setattr(states_module, "_CODE_MIN_PAIRS", math.inf)
+        assert got == list(states_module._undecided(e, m, d, N, k))
+    C = code_of_rows(d, e.idx)
+    if states_module._counting_check(e, d, k + m) is None or C is None:
+        assert supports == []
+    elif capped and dual_distance(C) <= k + m:
+        assert supports == [None]
+    else:
+        assert len(supports) == 1 and supports[0] is not None
 
 
 @st.composite
