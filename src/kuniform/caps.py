@@ -15,12 +15,8 @@ Each cap is checked where its memory is allocated:
   recognises no code over a larger q;
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
-  states._undecided, the subset walk of verify_k_uniform, verify_masker
-  and verify_pure_qecc, reads it before it enumerates the q^(N-t)
-  codewords of C-perp for their short words, which it does only when a
-  recognised coset's w(C-perp) <= k + m, and above it leaves the code
-  unused rather than raising (C's words and both distances come from the
-  rows, under no cap);
+  the code stage of states._undecided enumerates none, since C's words and
+  w(C-perp) come from the rows;
 - oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
   of catalog.execute_recipe that builds an array from a code, and
   states.tensor_parties, on the T1 T2 terms of a product, the rows of the

@@ -127,16 +127,6 @@ def _rref(F: FiniteField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def _echelon_code(F: FiniteField, R: np.ndarray, pivots: list[int]) -> LinearCode:
-    """The code generated by R, which the caller holds in reduced row
-    echelon form with these pivot columns, so neither the rank check nor
-    parity_check eliminates it again."""
-    C = LinearCode.__new__(LinearCode)
-    R.setflags(write=False)
-    C.field, C.G, C._echelon = F, R, (R, pivots)
-    return C
-
-
 def _matmul(F: FiniteField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix product over F: one integer product mod p for a prime field
     whose row sums cannot wrap int64, one field product and sum per inner
@@ -253,7 +243,9 @@ def _chunked_codewords(C: LinearCode):
 @cache
 def _krawtchouk(j: int, i: int, N: int, q: int) -> int:
     """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(N-i, j-s), kept for the
-    next transform of a code of the same length and field."""
+    next transform of a code of the same length and field: at most
+    (N + 1)^2 values each, and the code stage asks the same ones on every
+    call."""
     return sum(
         (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(N - i, j - s)
         for s in range(j + 1)
@@ -366,8 +358,8 @@ def code_of_rows(q: int, rows) -> LinearCode | None:
     Distinct rows of that coset differ in their pivot columns, so one
     count of those columns' radix keys decides that all q^t rows are
     distinct, hence the whole coset.  C is returned with its generator in
-    reduced row echelon form, kept for parity_check; the rows are its
-    codewords translated by rows[0], in any order.
+    reduced row echelon form; the rows are its codewords translated by
+    rows[0], in any order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     T, N = rows.shape
@@ -407,40 +399,30 @@ def code_of_rows(q: int, rows) -> LinearCode | None:
         keys = keys * q + rows[:, p]
     if not (np.bincount(keys, minlength=T) == 1).all():
         return None
-    order = np.argsort(pivots)
-    return _echelon_code(F, basis[order], [pivots[i] for i in order])
+    return LinearCode(F, basis[np.argsort(pivots)])
 
 
 def _supports_within(C: LinearCode, rows: np.ndarray, w: int) -> np.ndarray | None:
     """The distinct supports, rows of a (P, N) bool array, of the nonzero
-    words of weight at most w in C and in dual(C), for rows that are
-    exactly the coset rows[0] + C; None when dual(C) has such words and its
-    q^(N - t) codewords exceed the codewords cap.
+    words of weight at most w in C, for rows that are exactly the coset
+    rows[0] + C; None when dual(C) has such words too.
 
     C's words are the rows less rows[0], so the support of each is where
     its row differs from rows[0]: C's supports and weight distribution come
     from the rows, in blocks of _CHUNK_ROWS, with no field arithmetic and no
     enumeration.  The MacWilliams transform of that distribution gives
-    dual(C)'s, and dual(C) is enumerated only when its distance is at
-    most w.
+    dual(C)'s distance, and dual(C) is never enumerated.
     """
     q, N = C.q, C.N
-
-    def short(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        weight = support.sum(axis=1)
-        return support[(weight > 0) & (weight <= w)], weight
-
     counts = np.zeros(N + 1, dtype=np.int64)
     found = []
     for start in range(0, len(rows), _CHUNK_ROWS):
-        support, weight = short(rows[start : start + _CHUNK_ROWS] != rows[0])
+        support = rows[start : start + _CHUNK_ROWS] != rows[0]
+        weight = support.sum(axis=1)
         counts += np.bincount(weight, minlength=N + 1)
-        found.append(support)
+        found.append(support[(weight > 0) & (weight <= w)])
     if _first_nonzero(_macwilliams(counts.tolist(), q, f"coset of [{N},{C.t}]_{q}")) <= w:
-        D = dual(C)
-        if q**D.t > get_cap("codewords"):
-            return None
-        found.extend(short(block != 0)[0] for block in _chunked_codewords(D))
+        return None
     return np.unique(np.concatenate(found), axis=0)
 
 

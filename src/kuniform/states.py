@@ -788,11 +788,11 @@ def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
     lies inside U, and the second when no nonzero word of C does
     (Delsarte; Hedayat, Sloane & Stufken, Thm 3.29).
 
-    1. Code.  When C(N, k) T >= _CODE_MIN_PAIRS and the rows are a coset
-       of a linear code C, the subsets left are those whose ancilla
-       columns and S hold the support of a nonzero word of weight at most
-       k + m of C or of C-perp (codes._supports_within).  With no such
-       word, as when both distances exceed k + m, no subset is walked.
+    1. Code.  When C(N, k) T >= _CODE_MIN_PAIRS, the rows are a coset of
+       a linear code C and w(C-perp) > k + m, the subsets left are those
+       whose ancilla columns and S hold the support of a nonzero word of
+       weight at most k + m of C (codes._supports_within).  With no such
+       word, as when w(C) > k + m too, no subset is walked.
     2. Counting.  Otherwise the ancilla columns and S are counted in blocks
        (_counting_check) whose arrays hold at most max(T, _COUNT_BLOCK)
        entries each.
@@ -910,8 +910,8 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
     times and no two rows agree off S (the irredundant-array criterion).
     On a coset of a linear [N, t]_d code C that holds exactly when no
     nonzero word of C or C-perp lies inside S (Delsarte; Hedayat, Sloane &
-    Stufken, Thm 3.29), so the code's short words name the subsets left,
-    none when w(C) > k and w(C-perp) > k; other rows are counted.  Every
+    Stufken, Thm 3.29), so when w(C-perp) > k the short words of C name
+    the subsets left, none when w(C) > k too; other rows are counted.  Every
     subset left, and every subset of a float state, goes through the
     reduction kernel, which alone reports failures; an exact state's
     deviations are read off the kernel's arrays.  A pass from any stage

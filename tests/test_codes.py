@@ -257,10 +257,10 @@ def test_rref_matches_row_by_row_oracle(case):
     R, pivots = codes._rref(F, M)
     want, want_pivots = oracle_rref(F, M)
     assert np.array_equal(R, want) and pivots == want_pivots
-    # the code_of_rows path keeps that form: no elimination repeats it
+    # a generator in that form, as code_of_rows returns, is its own
     if len(pivots) == len(M):
-        C = codes._echelon_code(F, R, pivots)
-        assert np.array_equal(parity_check(C).H, parity_check(LinearCode(F, M)).H)
+        echelon, echelon_pivots = LinearCode(F, R)._echelon
+        assert np.array_equal(echelon, R) and echelon_pivots == pivots
 
 
 PAIRS_2 = LinearCode(F2, np.array([[1, 1, 0, 0], [0, 0, 1, 1]]))  # [4,2,2]_2

@@ -675,9 +675,9 @@ def test_largest_mds_trim_is_decided_by_its_code(monkeypatch):
 
 
 def test_code_stage_never_refuses_where_counting_passes(monkeypatch):
-    """A field above the field_order cap, or a C-perp with short words and
-    more codewords than the codewords cap, leaves the state to counting.
-    C's words and both distances come from the rows, under no cap."""
+    """A field above the field_order cap, or a C-perp with words of weight
+    at most k, leaves the state to counting.  C's words and both distances
+    come from the rows, under no codewords cap."""
     state = construct_k_uniform(4, 3, 11, verify=False)  # [11,6,5]_3, w-perp = 6
     asked = _record_counting(monkeypatch)
     want = verify_k_uniform(state, 4)
@@ -690,19 +690,12 @@ def test_code_stage_never_refuses_where_counting_passes(monkeypatch):
     with monkeypatch.context() as env:
         env.setenv("KUF_CAPS", "codewords=1")
         assert verify_k_uniform(state, 4) == want and asked == []
-    # the self-dual [12,6,6]_3 code at k = 6: C-perp's 729 codewords are
-    # enumerated for its 132 supports of weight 6
+    # the self-dual [12,6,6]_3 code at k = 6: C-perp has words of weight 6,
+    # so counting decides, failing the 132 subsets that hold one
     state = construct_k_uniform(4, 3, 12, verify=False)
-    want = verify_k_uniform(state, 6)
-    assert want.verdict == "fail" and len(want.failures) == 132 and asked == []
-    with monkeypatch.context() as env:
-        env.setenv("KUF_CAPS", "codewords=728")
-        assert verify_k_uniform(state, 6) == want
+    report = verify_k_uniform(state, 6)
+    assert report.verdict == "fail" and len(report.failures) == 132
     assert asked == list(combinations(range(12), 6))
-    asked.clear()
-    with monkeypatch.context() as env:
-        env.setenv("KUF_CAPS", "codewords=729")
-        assert verify_k_uniform(state, 6) == want and asked == []
 
 
 CODE_FIELDS = {2: 6, 3: 4, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}  # q: largest t with q^t <= 81
@@ -792,35 +785,34 @@ def _split_rows(state: PureState, j: int) -> list:
 
 @st.composite
 def stack_cases(draw):
-    """(family, k, capped): a code_state_cases state, whole or split by its
-    first j = 1 or 2 parties into a masker's or a pure code's family, k
-    one with d^(k + j) dividing its T terms, and whether the codewords cap
-    is 1.  Three in four states are intact cosets, which the code stage
-    decides."""
+    """(family, k): a code_state_cases state, whole or split by its first
+    j = 1 or 2 parties into a masker's or a pure code's family, and k one
+    with d^(k + j) dividing its T terms.  Three in four states are intact
+    cosets, which the code stage decides when w(C-perp) > k + j."""
     state, _, _ = draw(code_state_cases(intact=draw(st.integers(0, 3)) > 0))
     j = draw(st.sampled_from([j for j in (0, 1, 2) if state.N - j >= 2]))
     family = _split_rows(state, j) if j else [state]
     d, T = state.d, state.num_terms
     ks = [k for k in range(1, state.N - j + 1) if T % d ** (k + j) == 0 and d**k <= 4096]
     assume(ks)
-    return family, draw(st.sampled_from(ks)), draw(st.booleans())
+    return family, draw(st.sampled_from(ks))
 
 
-# w-perp = 2 < w = 3, through two equal columns: C-perp's short words
-# alone leave subsets, of the state at k = 2 and, as the columns are
-# parties 0 and 1, of the split family at k = 1
+# w-perp = 2 < w = 3, through two equal columns: C-perp's short words send
+# the state at k = 2 and, as the columns are parties 0 and 1, the split
+# family at k = 1 to counting
 EQUAL_COLUMNS = _coset_case(3, [[1, 1, 0, 1, 1], [0, 0, 1, 1, 2]], 2)[0]
 
 
 @settings(max_examples=150, derandomize=True)
 @given(case=stack_cases(), block=st.sampled_from((1, 7, states_module._COUNT_BLOCK)))
-@example(case=([EQUAL_COLUMNS], 2, False), block=1)
-@example(case=(_split_rows(EQUAL_COLUMNS, 1), 1, False), block=1)
+@example(case=([EQUAL_COLUMNS], 2), block=1)
+@example(case=(_split_rows(EQUAL_COLUMNS, 1), 1), block=1)
 def test_code_stage_leaves_what_counting_leaves(case, block):
     """The subsets the code stage leaves are those counting leaves, in the
-    same order, for states, maskers and codes alike; with C-perp's short
-    words beyond the codewords cap, counting decides."""
-    family, k, capped = case
+    same order, for states, maskers and codes alike; where C-perp has
+    words of weight at most k + m, counting decides."""
+    family, k = case
     e, m = states_module._stack(family)
     d, N = family[0].d, family[0].N
     supports = []
@@ -828,8 +820,6 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
     with pytest.MonkeyPatch.context() as env:
         env.setattr(states_module, "_COUNT_BLOCK", block)
         env.setattr(states_module, "_supports_within", lambda *a: supports.append(out := supports_within(*a)) or out)
-        if capped:
-            env.setenv("KUF_CAPS", "codewords=1")
         env.setattr(states_module, "_CODE_MIN_PAIRS", 0)
         got = list(states_module._undecided(e, m, d, N, k))
         env.setattr(states_module, "_CODE_MIN_PAIRS", math.inf)
@@ -837,7 +827,7 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
     C = code_of_rows(d, e.idx)
     if states_module._counting_check(e, d, k + m) is None or C is None:
         assert supports == []
-    elif capped and dual_distance(C) <= k + m:
+    elif dual_distance(C) <= k + m:
         assert supports == [None]
     else:
         assert len(supports) == 1 and supports[0] is not None
