@@ -4,8 +4,8 @@ A LinearCode holds a full-rank generator matrix over a FiniteField.  Minimum
 distance and dual distance are computed exactly from one pair of weight
 distributions: the side of smaller dimension, C or its dual, is enumerated,
 and the other side follows from the MacWilliams transform.  Both are cached
-write-once: each value is computed locally first and published with a
-single attribute store, so concurrent readers never observe a partial result.
+on the code at the first call of either: they are computed together and
+stored as two attributes, and nothing reads them between the two stores.
 Distances are never stored in code files.  code_of_rows recognises rows
 that are exactly a coset of a linear code.
 """

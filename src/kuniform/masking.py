@@ -33,6 +33,15 @@ cross-term magnitude or a Pauli witness is read off a block's arrays
 without building another operator.  The matrix_dim cap is checked where
 those reductions are made: by _undecided, and before the first sample of
 verify_masker.
+
+Orthonormality is the same Psi with no party kept: its reduction onto the
+ancilla alone has entry (s, t) = <psi_t|psi_s>, and an exact reduction
+stores nonzero entries only, so the entries above its diagonal are the
+pairs that may not be orthogonal (states._inner_products).
+verify_pure_qecc, verify_masker at k = 0 and load_masker each make that one
+reduction, none for a single state, rather than one inner product per pair;
+a family that mixes exact and float states makes one more, over its exact
+members, so two exact states are always compared exactly.
 """
 
 from __future__ import annotations
@@ -56,14 +65,16 @@ from .states import (
     _amplitude_parts,
     _block_reduction,
     _complex,
+    _floats,
     _from_arrays,
+    _inner_products,
     _maximally_mixed,
     _reduce,
     _row_keys,
     _same_operator,
     _stack,
     _undecided,
-    inner_product,
+    inner_product,  # noqa: F401 -- public through this module too
     load_state,
     save_state,
     verify_k_uniform,
@@ -185,7 +196,9 @@ def build_masker(psi: PureState, split_party: int, k: int) -> Masker:
 def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> MaskingReport:
     """Run the full masking criterion at k.
 
-    k = 0 reduces to image orthonormality.  Subsets decided on the
+    k = 0 reduces to image orthonormality, read off one reduction of the
+    images' purified state onto its ancilla; two exact images are compared
+    exactly, other pairs within FLOAT_TOL.  Subsets decided on the
     images' purified state are passed without a reduction, with I / d^k
     as their common operator.  With samples > 0 a seeded
     sanity pass additionally prepares that many random input superpositions
@@ -200,12 +213,9 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     max_dev = 0.0
 
     if k == 0:
-        for s, t in combinations(range(m.d), 2):
-            ip = inner_product(m.images[s], m.images[t])
-            if not ip.is_zero():
-                failures.append(((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}"))
-        verdict = "pass" if not failures else "fail"
-        return MaskingReport(m.N, m.d, 0, verdict, 1, failures, {}, 0.0)
+        pairs = _inner_products(*_stack(m.images), m.images)
+        failures = [((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}") for s, t, ip in pairs if not ip.is_zero()]
+        return MaskingReport(m.N, m.d, 0, "fail" if failures else "pass", 1, failures, {}, 0.0)
 
     n_subsets = math.comb(m.N, k)
     psi, width = _stack(m.images)
@@ -225,10 +235,10 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
             cross = block(s, t)
             if exact and cross.is_zero():
                 continue  # the cross term vanishes exactly
-            # abs() of each stored value, as np.hypot gives it, then the denominator
-            mag = float(np.max(np.hypot(cross.re.astype(float), cross.im.astype(float)), initial=0.0))
-            if exact:
-                mag /= math.sqrt(cross.r_ket * cross.r_bra)
+            # abs() of each stored value, as np.hypot gives it, then the
+            # denominator, 1 for a float block
+            R, x, y = _floats(cross.r_ket * cross.r_bra, cross.re, cross.im)
+            mag = float(np.max(np.hypot(x, y), initial=0.0)) / math.sqrt(R)
             max_dev = max(max_dev, mag)
             if exact or mag > FLOAT_TOL:
                 failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
@@ -248,9 +258,8 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
         member = np.repeat(np.arange(m.d), [img.num_terms for img in m.images])
         x, y = (np.concatenate(parts) for parts in zip(*map(_amplitude_parts, m.images)))
         _, first, inv = np.unique(_row_keys(idx, m.d, _INT64_LIMIT)[0], return_index=True, return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(len(first))
-        slot, support = rank[inv], idx[np.sort(first)]
+        order = np.argsort(first)
+        slot, support = np.argsort(order)[inv], idx[first[order]]
         for _ in range(samples):
             coeffs = rng.normal(size=m.d) + 1j * rng.normal(size=m.d)
             coeffs /= np.linalg.norm(coeffs)
@@ -419,12 +428,15 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
 
     Every tensor product E of generalized Paulis with 1 <= weight < delta is
     traceless, so the pure-code condition is that <psi_i| E |psi_j> vanishes
-    for all of them; orthonormality of the basis covers the identity.  The
-    Paulis on a set S of k = min(delta - 1, N) parties span every operator
-    on S, so the check runs on the blocks of one purified state
-    Psi = sum_i |i>_a |psi_i>: for each k-subset S that states._undecided
-    leaves, Psi is reduced once onto the ancilla and S, and for each i <= j
-    its block (j, i), which is
+    for all of them; orthonormality of the basis covers the identity.  Both
+    are read off one purified state Psi = sum_i |i>_a |psi_i>.
+    Orthonormality comes first, from the reduction of Psi onto its ancilla
+    alone, whose entries above the diagonal are the pairs that may not be
+    orthogonal; a basis that fails it is reported without checking any
+    Pauli, and one state makes no such reduction.  The Paulis on a set S of
+    k = min(delta - 1, N) parties span every operator on S, so for each
+    k-subset S that states._undecided leaves, Psi is reduced once onto the
+    ancilla and S, and for each i <= j its block (j, i), which is
     |psi_j><psi_i| traced down to S, must be I / d^k when i == j and zero
     otherwise.  A basis whose states are all exact is decided exactly for
     every d; otherwise every state is taken in floats, and a block passes
@@ -452,13 +464,12 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
 
     # unit norms are enforced by the state constructors; only pairwise
     # orthogonality can fail here
+    psi, width = _stack(basis)
     failures: list = []
     worst = 0.0
-    for i, j in combinations(range(K), 2):
-        ip = inner_product(basis[i], basis[j])
+    for i, j, ip in _inner_products(psi, width, basis):
         dev = abs(ip.value)
-        bad = not ip.is_zero() if ip.exact else dev > PAULI_TOL
-        if bad:
+        if (not ip.is_zero()) if ip.exact else dev > PAULI_TOL:
             failures.append(("<i|j>", i, j, dev))
             worst = max(worst, dev)
     if failures:
@@ -468,7 +479,6 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     k = min(delta - 1, N)
     n_subsets = math.comb(N, k) if k else 0
     n_pairs = K * (K + 1) // 2
-    psi, width = _stack(basis)
     exact = psi.bound is not None
     for n, subset in enumerate(_undecided(psi, width, d, N, k) if k else ()):
         if not n:
@@ -508,11 +518,9 @@ def singleton_check(N: int, K: int, k: int, d: int) -> bool:
 def save_masker(m: Masker, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for s, img in enumerate(m.images):
-        name = f"image_{s}.state"
+    names = [f"image_{s}.state" for s in range(len(m.images))]
+    for name, img in zip(names, m.images):
         save_state(img, directory / name)
-        names.append(name)
     manifest = {
         "format": "masker",
         "d": m.d,
@@ -558,7 +566,7 @@ def load_masker(directory: str | Path) -> Masker:
         verified_k=manifest["verified_k"],
         provenance=str(manifest.get("provenance", str(directory))),
     )
-    for s, t in combinations(range(m.d), 2):
-        if not inner_product(m.images[s], m.images[t]).is_zero():
+    for s, t, ip in _inner_products(*_stack(m.images), m.images):
+        if not ip.is_zero():
             raise KuniformError(f"{directory}: bundle images {s}, {t} not orthogonal")
     return m

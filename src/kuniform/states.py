@@ -7,8 +7,10 @@ meaning a + bi over a common denominator sqrt(r), in int64 or, past 2^63,
 in Python ints, so norms, inner products and reduced density operators are
 computed in integer arithmetic with no rounding.  Float states carry
 physical complex amplitudes for data that does not fit the integer form.
-Construction, file reading and writing, tensor and inner products all work
-on those arrays; only a float state's norm is still summed term by term.
+Construction, file reading and writing and tensor products work on those
+arrays, and inner products are read off the reduction kernel; only a float
+state's norm is still summed term by term.  Numerators past float range
+still give finite magnitudes: they are scaled down by powers of two first.
 
 A state built from an irredundant orthogonal array of strength k is
 k-uniform: every reduction onto k parties is exactly I / d^k.
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -136,10 +138,6 @@ class PureState:
     def num_terms(self) -> int:
         return len(self._idx)
 
-    def terms(self):
-        """Amplitude items in lexicographic index order."""
-        return sorted(self.amplitudes.items())
-
     def _lex_order(self) -> np.ndarray:
         return np.lexsort(self._idx.T[::-1])
 
@@ -160,8 +158,8 @@ class PureState:
         vec = np.zeros(dim, dtype=complex)
         pos = self._idx @ self.d ** np.arange(self.N - 1, -1, -1)
         if self.exact:
-            parts = self._values.astype(float) * (1.0 / math.sqrt(self.r))
-            vec[pos] = _complex(parts[:, 0], parts[:, 1])
+            r, parts = _floats(self.r, self._values)
+            vec[pos] = _complex(*(parts * (1.0 / math.sqrt(r))).T)
         else:
             vec[pos] = self._values
         return vec
@@ -183,17 +181,12 @@ def _check_sizes(N: int, d: int, r: int, terms: int) -> None:
 
 
 def _repeats(idx: np.ndarray, d: int) -> np.ndarray:
-    """Rows equal to an earlier row: one stable sort of radix keys while
-    d^N fits int64, of the rows themselves otherwise."""
-    if d ** idx.shape[1] <= _INT64_LIMIT:
-        keys = _row_keys(idx, d, _INT64_LIMIT)[0]
-        order = np.argsort(keys, kind="stable")
-        same = keys[order[1:]] == keys[order[:-1]]
-    else:
-        order = np.lexsort(idx.T[::-1])
-        rows = idx[order]
-        same = (rows[1:] == rows[:-1]).all(axis=1)
-    return order[1:][same]
+    """Rows equal to an earlier row: one stable sort of the rows' keys,
+    radix keys while d^N fits int64 and distinct-row ids, which sort as the
+    rows do, otherwise."""
+    keys = _row_keys(idx, d, _INT64_LIMIT)[0]
+    order = np.argsort(keys, kind="stable")
+    return order[1:][keys[order[1:]] == keys[order[:-1]]]
 
 
 def _row(idx: np.ndarray, i) -> tuple:
@@ -205,6 +198,20 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
+
+
+def _floats(R: int, *parts) -> tuple:
+    """The integer R > 0 and the integer arrays `parts` as floats, for
+    computing parts / sqrt(R): float(R) and float(x) while both are within
+    float range; past it, R / 4^s and x / 2^s for s = bit_length(R) // 2,
+    each a correctly rounded int / int division, so that quotients of
+    magnitude at most about 1 stay finite."""
+    try:
+        return (float(R), *(np.asarray(x).astype(float) for x in parts))
+    except OverflowError:
+        s = R.bit_length() // 2
+        halve = np.frompyfunc(lambda v: int(v) / (1 << s), 1, 1)
+        return (R / (1 << 2 * s), *(np.asarray(halve(x), dtype=float) for x in parts))
 
 
 def _normalized(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -261,8 +268,8 @@ def _amplitude_parts(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     of an exact state, as Python's complex(a, b) / sqrt(r) gives them."""
     if not state.exact:
         return state._values.real, state._values.imag
-    parts = state._values.astype(float) / math.sqrt(state.r)
-    return parts[:, 0], parts[:, 1]
+    r, parts = _floats(state.r, state._values)
+    return parts[:, 0] / math.sqrt(r), parts[:, 1] / math.sqrt(r)
 
 
 class SparseOperator:
@@ -359,8 +366,8 @@ class SparseOperator:
     def _physical(self) -> np.ndarray:
         """The values over sqrt(r_ket * r_bra), with the bits of a Python
         complex(a, b) * (1 / sqrt(r_ket * r_bra)) product."""
-        scale = 1.0 / math.sqrt(self.r_ket * self.r_bra)
-        x, y = self.re.astype(float), self.im.astype(float)
+        R, x, y = _floats(self.r_ket * self.r_bra, self.re, self.im)
+        scale = 1.0 / math.sqrt(R)
         return _complex(x * scale - y * 0.0, x * 0.0 + y * scale)
 
     def maximally_mixed_deviation(self) -> float:
@@ -384,8 +391,9 @@ class SparseOperator:
             x, y = (part.astype(object if bound * dim + r >= _INT64_LIMIT else np.int64) for part in (self.re, self.im))
             x[on] = x[on] * dim - r
             y[on] *= dim
+            R, x, y = _floats(r * r, x, y)
             # np.hypot gives abs() of a Python complex bit for bit
-            mags = np.hypot(x.astype(float), y.astype(float)) * (1.0 / math.sqrt(r * r))
+            mags = np.hypot(x, y) * (1.0 / math.sqrt(R))
             mags[on] /= dim
             dev = float(mags.max())
         if np.count_nonzero(self.diagonal) < dim:
@@ -652,15 +660,18 @@ def _stack(family: list) -> tuple[_Encoded, int]:
     base, K = max(family[0].d, 2), len(family)
     floats = not all(state.exact for state in family)
     parts = [_encode(state, floats) for state in family]
-    m = 0
-    while base**m < K:
-        m += 1
+    m = next(n for n in count() if base**n >= K)
     member = np.repeat(np.arange(K), [len(e.idx) for e in parts])
     ancilla = member[:, None] // base ** np.arange(m - 1, -1, -1) % base
     idx = np.hstack([ancilla, np.concatenate([e.idx for e in parts])])
     re = np.concatenate([e.re for e in parts])
     im = np.concatenate([e.im for e in parts])
     return _Encoded(idx, re, im, None if floats else max(e.bound for e in parts)), m
+
+
+def _member(digits: np.ndarray, base: int) -> np.ndarray:
+    """The member index s that each row of a stack's ancilla digits spells."""
+    return digits @ base ** np.arange(digits.shape[1] - 1, -1, -1)
 
 
 def _block_reduction(e: _Encoded, m: int, family: list, parties: tuple):
@@ -678,8 +689,7 @@ def _block_reduction(e: _Encoded, m: int, family: list, parties: tuple):
     r = [state.r if exact else 1 for state in family]
     base = max(d, 2)
     red = _reduce(e, tuple(range(m)) + tuple(p + m for p in parties), base)
-    weights = base ** np.arange(m - 1, -1, -1)
-    key = (red.rows[:, :m] @ weights) * K + red.cols[:, :m] @ weights
+    key = _member(red.rows[:, :m], base) * K + _member(red.cols[:, :m], base)
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[order], np.arange(K * K + 1)).tolist()
 
@@ -688,6 +698,39 @@ def _block_reduction(e: _Encoded, m: int, family: list, parties: tuple):
         return _sparse(d, red.rows[at, m:], red.cols[at, m:], red.diagonal[at], red.re[at], red.im[at], r[s], r[t], exact)
 
     return block
+
+
+def _inner_products(e: _Encoded, m: int, family: list) -> list:
+    """(s, t, <psi_s|psi_t>) for the pairs s < t of `family`, stacked as e
+    with m ancilla columns, that are not shown orthogonal, in combinations
+    order, each value an InnerProduct.
+
+    Entry (s, t) of the reduction of Psi onto its ancilla alone is
+    <psi_t|psi_s>, summed over the terms of psi_s in their order.  An exact
+    reduction stores nonzero entries only, so its entries above the
+    diagonal, in lexicographic order, are the candidate pairs; a float one
+    stores every pair that shares an index.  Two exact members of a family
+    that mixes modes are read exactly, from a stack of its exact members.
+    One state makes no reduction.
+    """
+    if len(family) < 2:
+        return []
+    base = max(family[0].d, 2)
+    red = _reduce(e, tuple(range(m)), base)
+    bra, ket = _member(red.rows, base), _member(red.cols, base)
+    found = []
+    for s, t, re, im in zip(*(x[bra < ket].tolist() for x in (bra, ket, red.re, red.im))):
+        if e.bound is not None:
+            found.append((s, t, InnerProduct((re, -im), family[t].r, family[s].r, True)))
+        elif not (family[s].exact and family[t].exact):
+            # 0.0 - im, not -im: a zero sum keeps the sign of a sum from 0.0
+            found.append((s, t, InnerProduct(complex(re, 0.0 - im), 1, 1, False)))
+    own = [s for s, state in enumerate(family) if state.exact]
+    if 1 < len(own) < len(family):
+        sub = [family[s] for s in own]
+        found += [(own[s], own[t], ip) for s, t, ip in _inner_products(*_stack(sub), sub)]
+        found.sort(key=lambda pair: pair[:2])
+    return found
 
 
 def _same_operator(a: SparseOperator, b: SparseOperator) -> bool:
@@ -838,31 +881,17 @@ def reduction(state: PureState, parties) -> SparseOperator:
 
 
 def inner_product(s1: PureState, s2: PureState) -> InnerProduct:
-    """<s1|s2>, exact when both states are exact; float sums run over the
-    shared indices in s1's term order."""
+    """<s1|s2>, exact when both states are exact: the conjugate of entry
+    (0, 1) of the reduction of their stack onto its ancilla, so float sums
+    run over the shared indices in s1's term order."""
     if (s1.N, s1.d) != (s2.N, s2.d):
         raise ValueError("states live on different systems")
-    T1 = s1.num_terms
-    keys, _ = _row_keys(np.concatenate([s1._idx, s2._idx]), s1.d, _INT64_LIMIT)
-    keys1, keys2 = keys[:T1], keys[T1:]
-    order = np.argsort(keys2)
-    at = np.minimum(np.searchsorted(keys2[order], keys1), len(order) - 1)
-    shared = keys2[order[at]] == keys1
-    i1, i2 = np.flatnonzero(shared), order[at[shared]]
+    pair = [s1, s2]
+    for _, _, ip in _inner_products(*_stack(pair), pair):
+        return ip
     if s1.exact and s2.exact:
-        v1, v2 = s1._values[i1], s2._values[i2]
-        if 2 * s1._bound * s2._bound * len(i1) >= _INT64_LIMIT:
-            v1 = v1.astype(object)
-        # conj(a1 + b1 i) * (a2 + b2 i) = (a1 a2 + b1 b2) + (a1 b2 - b1 a2) i;
-        # vdot gives None on empty object arrays
-        num = (int(np.vdot(v1, v2) or 0), int(np.vdot(v1, v2[:, ::-1] * (1, -1)) or 0))
-        return InnerProduct(num=num, r_ket=s2.r, r_bra=s1.r, exact=True)
-    x1, y1 = (part[i1] for part in _amplitude_parts(s1))
-    x2, y2 = (part[i2] for part in _amplitude_parts(s2))
-    # running sums from 0, as a Python loop adds conj(v1) * v2
-    re = np.cumsum(np.append(0.0, x1 * x2 + y1 * y2))[-1]
-    im = np.cumsum(np.append(0.0, x1 * y2 - y1 * x2))[-1]
-    return InnerProduct(num=complex(re, im), r_ket=1, r_bra=1, exact=False)
+        return InnerProduct(num=(0, 0), r_ket=s2.r, r_bra=s1.r, exact=True)
+    return InnerProduct(num=0j, r_ket=1, r_bra=1, exact=False)
 
 
 @dataclass(frozen=True)
@@ -875,7 +904,8 @@ class InnerProduct:
     @property
     def value(self) -> complex:
         if self.exact:
-            return complex(self.num[0], self.num[1]) / math.sqrt(self.r_ket * self.r_bra)
+            R, a, b = _floats(self.r_ket * self.r_bra, *self.num)
+            return complex(a, b) / math.sqrt(R)
         return complex(self.num)
 
     def is_zero(self) -> bool:
@@ -1053,7 +1083,6 @@ def load_bundled_state(name: str) -> PureState:
         raise KeyError(f"unknown bundled state {name!r}; have {BUNDLED_STATES}")
     text = resources.files("kuniform.data").joinpath(f"{name}.state").read_text()
     try:
-        state = parse_state(text, source=f"bundled:{name}")
+        return parse_state(text, source=f"bundled:{name}")
     except (ParseError, NormError) as exc:
         raise KuniformError(f"bundled state {name!r} is corrupt: {exc}") from exc
-    return state

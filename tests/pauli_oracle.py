@@ -12,8 +12,10 @@ import cmath
 import math
 from itertools import combinations, product
 
+from state_oracle import oracle_inner_product
+
 from kuniform.masking import ErrorOperator
-from kuniform.states import PureState, inner_product
+from kuniform.states import PureState
 
 
 def error_operators(N: int, d: int, delta: int):
@@ -80,7 +82,7 @@ def oracle_pure_qecc(basis: list, delta: int, tol: float = 1e-9):
     failures = []
     worst = 0.0
     for i, j in combinations(range(K), 2):
-        ip = inner_product(basis[i], basis[j])
+        ip = oracle_inner_product(basis[i], basis[j])
         dev = abs(ip.value)
         if (not ip.is_zero()) if ip.exact else dev > tol:
             failures.append(("<i|j>", i, j, dev))

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from state_oracle import oracle_inner_product
 
 from kuniform.masking import FLOAT_TOL, Masker, MaskingReport
 from kuniform.states import (
     PureState,
     SparseOperator,
     UniformityReport,
-    inner_product,
 )
 
 
@@ -244,7 +244,7 @@ def oracle_verify_masker(
 
     if k == 0:
         for s, t in combinations(range(m.d), 2):
-            ip = inner_product(m.images[s], m.images[t])
+            ip = oracle_inner_product(m.images[s], m.images[t])
             if not (ip.num == (0, 0) if ip.exact else abs(ip.num) <= tol):
                 failures.append(((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}"))
         verdict = "pass" if not failures else "fail"

@@ -5,7 +5,9 @@ it term by term; oracle_parse_state reads a state file one line at a time
 into it, oracle_state_text formats it for saving, and oracle_tensor_parties
 and oracle_inner_product loop over its terms.  This was the storage of
 states.PureState before it moved to arrays; the tests hold the array-backed
-state to these loops, bit for bit.
+state to these loops, bit for bit.  oracle_inner_product reads only N, d, r,
+exact and the amplitudes mapping, so it takes PureStates too: the other
+oracles decide orthogonality with it, never with the kernel.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import pytest
 import kuniform
 from kuniform import cli
 from kuniform.cli import _int_spec, main, run
+from kuniform.masking import Masker, save_masker
 from kuniform.states import PureState, from_vector, ghz, load_bundled_state, save_state
 
 
@@ -185,6 +186,30 @@ def test_malformed_masker_manifest_exits_1(tmp_path, capsys, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     assert run(["mask", "verify", str(tmp_path), "--k", "1"]) == (1, None)
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_numerators_past_float_range_are_reported(tmp_path, capsys):
+    """Verdicts stay exact and magnitudes come out finite when numerators
+    and r lie past float range: exit 1 with a report, no traceback."""
+    big, root = 2**2200, 2**1100
+    two, one = tmp_path / "two.state", tmp_path / "one.state"
+    two.write_text(f"state 2 2 {big} exact\n0 0 {root} 0\n")
+    one.write_text(f"state 1 2 {big} exact\n0 {root} 0\n")
+    # images (|00> + |11>) / sqrt(2) and (|01> + |10>) / sqrt(2): their
+    # cross reduction onto either party is |0><1| / 2 + |1><0| / 2
+    pair = [{(0, 0): (root, 0), (1, 1): (root, 0)}, {(0, 1): (root, 0), (1, 0): (root, 0)}]
+    save_masker(Masker(d=2, N=2, images=[PureState(2, 2, amps, r=2 * big) for amps in pair]), tmp_path / "m")
+
+    code, report = run(["verify", "state", str(two), "--k", "1"])
+    assert code == 1 and report["details"]["max_deviation"] == 0.5
+    code, report = run(["qecc", "verify", str(two), "--delta", "2"])
+    assert code == 1 and report["details"]["worst"] == 1.0
+    code, report = run(["qecc", "verify", str(one), str(one), "--delta", "1"])
+    assert code == 1 and report["details"]["failures"] == [("<i|j>", 0, 1, 1.0)]
+    code, report = run(["mask", "verify", str(tmp_path / "m"), "--k", "1"])
+    reasons = {failure["reason"] for failure in report["details"]["failures"]}
+    assert code == 1 and "cross term does not vanish, max entry 5.000e-01" in reasons
+    assert capsys.readouterr().err == ""
 
 
 def test_huge_field_is_refused_before_its_order_is_computed(tmp_path, capsys):

@@ -18,11 +18,12 @@ from pauli_oracle import (
     pauli_element_float,
 )
 from reduction_oracle import oracle_verify_masker
+from state_oracle import oracle_inner_product
 
 from kuniform import field_new, masking
 from kuniform import states as states_module
 from kuniform.codes import LinearCode, mds_code
-from kuniform.errors import CapExceeded, MaskingError, ParseError
+from kuniform.errors import CapExceeded, KuniformError, MaskingError, ParseError
 from kuniform.masking import (
     ErrorOperator,
     Masker,
@@ -42,7 +43,9 @@ from kuniform.states import (
     PureState,
     from_vector,
     ghz,
+    inner_product,
     load_bundled_state,
+    load_state,
     reduction,
     state_from_iroa,
     verify_k_uniform,
@@ -112,6 +115,11 @@ def _record(monkeypatch, module, name: str) -> list:
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
     return calls
+
+
+def _onto(reduced: list) -> list:
+    """The columns kept by each recorded _reduce call."""
+    return [args[1] for args in reduced]
 
 
 def _record_cap_checks(monkeypatch) -> list:
@@ -561,19 +569,24 @@ def test_qecc_ops_cap(monkeypatch):
 
 def test_qecc_ops_cap_checked_where_blocks_are_reduced(monkeypatch):
     """A basis decided on Psi alone builds no block, so qecc_ops never
-    refuses it; a basis left to the kernel is refused before any reduction."""
+    refuses it; a basis left to the kernel is refused before any block
+    reduction.  Either one is first reduced onto its ancilla alone, for its
+    inner products."""
     counted, qubit = hamming_masker().images, qubit_masker().images
     reduced = _record(monkeypatch, states_module, "_reduce")
     # the Hamming images at delta = 3: C(7, 2) x 3 = 63 blocks, all counted
     monkeypatch.setenv("KUF_CAPS", "qecc_ops=62")
-    assert verify_pure_qecc(counted, 3).verdict == "pass" and reduced == []
+    assert verify_pure_qecc(counted, 3).verdict == "pass" and _onto(reduced) == [(0,)]
     # the ame_6_2 images: C(5, 2) x 3 = 30 blocks, left to the kernel
+    reduced.clear()
     monkeypatch.setenv("KUF_CAPS", "qecc_ops=29")
     with pytest.raises(CapExceeded, match=r"10 x 3 pair reductions onto 2 parties needs 30 > cap 29 \(qecc_ops"):
         verify_pure_qecc(qubit, 3)
-    assert reduced == []
+    assert _onto(reduced) == [(0,)]
+    reduced.clear()
     monkeypatch.setenv("KUF_CAPS", "qecc_ops=30")
-    assert verify_pure_qecc(qubit, 3).verdict == "pass" and len(reduced) == 10
+    assert verify_pure_qecc(qubit, 3).verdict == "pass"
+    assert _onto(reduced) == [(0,)] + [(0,) + tuple(p + 1 for p in S) for S in combinations(range(5), 2)]
 
 
 def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
@@ -597,11 +610,13 @@ def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
     reduced.clear()
     with monkeypatch.context() as env:
         env.setenv("KUF_CAPS", "matrix_dim=3")
-        assert verify_pure_qecc(counted, 3).verdict == "pass" and reduced == []
+        # the reduction onto the ancilla alone, for the inner products
+        assert verify_pure_qecc(counted, 3).verdict == "pass" and _onto(reduced) == [(0,)]
         with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
             verify_pure_qecc(counted_floats, 3)
     # 2^13 > 4096: one reduction, whose two terms counting cannot decide,
-    # refused before it is made
+    # refused before it is made; one state has no inner products to read
+    reduced.clear()
     with pytest.raises(CapExceeded, match="matrix_dim"):
         verify_pure_qecc([ghz(13, 2)], 14)
     assert reduced == []
@@ -888,10 +903,111 @@ def test_split_codes_pass_without_the_kernel(monkeypatch):
     phased = Masker(d=9, N=9, images=[_times_one_plus_i(s) if s is masker.images[1] else s for s in masker.images])
     blocks = _record(monkeypatch, masking, "_block_reduction")
     assert verify_masker(masker, 3).verdict == "pass"
+    # the basis's orthonormality is read off one reduction onto its two
+    # ancilla columns, with no pairwise inner product
+    pairs = _record(monkeypatch, masking, "inner_product") + _record(monkeypatch, states_module, "inner_product")
+    reduced = _record(monkeypatch, states_module, "_reduce")
     report = verify_pure_qecc(basis, 3)
     assert (report.verdict, report.K, report.N) == ("pass", 81, 8) and singleton_check(8, 81, 2, 9)
-    assert blocks == []
+    assert blocks == [] and pairs == [] and _onto(reduced) == [(0, 1)]
     assert verify_masker(phased, 3).verdict == "pass" and len(blocks) == math.comb(9, 3)
+
+
+# ---------------------------------------------------------------------------
+# orthonormality read off the reduction onto the ancilla, against pairwise
+# dict-oracle inner products
+
+
+@st.composite
+def _numerators(draw) -> tuple:
+    """A nonzero Gaussian integer whose parts are small, units or past 2^63."""
+    parts = st.one_of(
+        st.integers(-9, 9),
+        st.integers(-1, 1),
+        st.builds(lambda sign, x: sign * (2**63 + x), st.sampled_from((-1, 1)), st.integers(-1, 2**70)),
+    )
+    return draw(st.tuples(parts, parts).filter(any))
+
+
+def _family_state(draw, N: int, d: int, rows: list, exact: bool) -> PureState:
+    if exact:
+        values = [draw(_numerators()) for _ in rows]
+        return PureState(N, d, dict(zip(rows, values)), r=sum(a * a + b * b for a, b in values))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = (1, 1j) @ rng.normal(size=(2, len(rows)))
+    return PureState(N, d, dict(zip(rows, (v / np.linalg.norm(v)).tolist())), exact=False)
+
+
+@st.composite
+def families(draw) -> list:
+    """Families of states on one system: exact, float or mixed members on
+    rows drawn from one pool, shared or split disjointly, with K = 1, K not
+    a power of d and K > d; or a split of ame_6_2 or the qutrit state by
+    m = 1 or 2 parties, some members as floats."""
+    if draw(st.integers(0, 3)) == 0:
+        source = draw(st.sampled_from(("ame", "qutrit")))
+        psi = load_bundled_state("ame_6_2") if source == "ame" else qutrit_state()
+        family = _split(psi, draw(st.integers(1, 2)))
+        return [_float_copy(s) if draw(st.integers(0, 3)) == 0 else s for s in family]
+    N, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    K = draw(st.sampled_from((1, 2, 3, d, d + 1, 5, 9)))
+    mode = draw(st.sampled_from(("exact", "float", "mixed")))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * N), min_size=1, max_size=12, unique=True))
+    if len(pool) >= K > 1 and draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(1, len(pool) - 1), min_size=K - 1, max_size=K - 1, unique=True)))
+        supports = [pool[a:b] for a, b in zip([0] + cuts, cuts + [len(pool)])]
+    else:
+        supports = [draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)) for _ in range(K)]
+    exact = [mode == "exact" or (mode == "mixed" and draw(st.booleans())) for _ in range(K)]
+    return [_family_state(draw, N, d, rows, e) for rows, e in zip(supports, exact)]
+
+
+def _bits(ip) -> tuple:
+    num = ip.num if ip.exact else (ip.num.real.hex(), ip.num.imag.hex())
+    return ip.exact, ip.r_ket, ip.r_bra, num
+
+
+@settings(max_examples=150)
+@given(family=families())
+def test_orthonormality_matches_pairwise_oracle(family, tmp_path_factory):
+    """The pairs read off one reduction onto the ancilla, inner_product bit
+    for bit, verify_pure_qecc's orthonormality, verify_masker at k = 0 and
+    load_masker's refusal all agree with oracle_inner_product pair by pair."""
+    K, N, d = len(family), family[0].N, family[0].d
+    want = {(s, t): oracle_inner_product(family[s], family[t]) for s, t in combinations(range(K), 2)}
+    found = states_module._inner_products(*states_module._stack(family), family)
+    assert [(s, t) for s, t, _ in found] == sorted({(s, t) for s, t, _ in found})
+    listed = {(s, t): ip for s, t, ip in found}
+    for pair, ip in want.items():
+        if pair in listed:
+            assert _bits(listed[pair]) == _bits(ip)
+        else:  # orthogonal: exactly, or with no shared index
+            assert ip.num == (0, 0) if ip.exact else _bits(ip)[3] == ((0.0).hex(),) * 2
+        s, t = pair
+        assert _bits(inner_product(family[s], family[t])) == _bits(ip)
+        assert _bits(inner_product(family[t], family[s])) == _bits(oracle_inner_product(family[t], family[s]))
+
+    if d >= 2:
+        bad = [(s, t, abs(ip.value)) for (s, t), ip in want.items() if (not ip.is_zero() if ip.exact else abs(ip.value) > masking.PAULI_TOL)]
+        report = verify_pure_qecc(family, 1)
+        assert report.orthonormal == (not bad) and report.verdict == ("fail" if bad else "pass")
+        assert report.failures == [("<i|j>", s, t, dev) for s, t, dev in bad]
+        assert report.worst.hex() == max((dev for _, _, dev in bad), default=0.0).hex()
+    if K == d:
+        masker = Masker(d=d, N=N, images=family)
+        refused = [((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}") for (s, t), ip in want.items() if not ip.is_zero()]
+        report = verify_masker(masker, 0)
+        assert (report.verdict, report.failures) == ("fail" if refused else "pass", refused)
+        bundle = tmp_path_factory.mktemp("bundle")
+        save_masker(masker, bundle)
+        # saved images come back in index order, so their float sums may differ
+        loaded = [load_state(bundle / f"image_{s}.state") for s in range(d)]
+        first = next(((s, t) for s, t in combinations(range(d), 2) if not oracle_inner_product(loaded[s], loaded[t]).is_zero()), None)
+        if first is None:
+            assert load_masker(bundle).images == loaded
+        else:
+            with pytest.raises(KuniformError, match=rf"bundle images {first[0]}, {first[1]} not orthogonal"):
+                load_masker(bundle)
 
 
 # ---------------------------------------------------------------------------
