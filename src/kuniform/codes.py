@@ -44,19 +44,21 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearCode:
     """A linear code given by a t x N generator matrix of full row rank.
 
     The degenerate zero code (t = 0) is allowed so that dual() is total; its
     minimum distance is the infinity sentinel.  The rank check keeps the
     reduced row echelon form of G and its pivot columns for parity_check.
+    Both caches are derived, never passed in, so dataclasses.replace starts
+    them afresh.  Equality compares the field and G.
     """
 
     field: FiniteField
     G: np.ndarray  # shape (t, N), dtype int64, symbols in [0, q)
-    _w: int | float | None = None
-    _w_dual: int | float | None = None
+    _w: int | float | None = field(default=None, init=False, repr=False, compare=False)
+    _w_dual: int | float | None = field(default=None, init=False, repr=False, compare=False)
     _echelon: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,6 +77,13 @@ class LinearCode:
             raise RankDeficient(f"generator matrix has rank < {t}")
         G.setflags(write=False)
         self.G, self._echelon = G, (R, pivots)
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return self.field == other.field and np.array_equal(self.G, other.G)
+
+    __hash__ = None
 
     @property
     def N(self) -> int:

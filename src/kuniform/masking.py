@@ -62,6 +62,7 @@ from .states import (
     FLOAT_TOL,
     PureState,
     SparseOperator,
+    _Encoded,
     _amplitude_parts,
     _block_reduction,
     _complex,
@@ -269,10 +270,9 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
             np.add.at(re, slot, cx * x - cy * y)
             np.add.at(im, slot, cx * y + cy * x)
             keep = (re != 0) | (im != 0)
-            masked = _from_arrays(
-                m.N, m.d, support[keep], _complex(re[keep], im[keep]), exact=False, provenance="sampled superposition"
-            )
-            e, _ = _stack([masked])
+            # reduced as encoded: a superposition of images that are
+            # orthonormal within FLOAT_TOL need not meet NORM_TOL
+            e = _Encoded(support[keep], re[keep], im[keep], None)
             for subset, rho0 in common.items():
                 delta = _reduce(e, subset, m.d).deviation(rho0)
                 max_dev = max(max_dev, delta)

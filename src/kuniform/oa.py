@@ -10,19 +10,21 @@ the criterion that fails.
 Arrays built from a linear code keep a reference to it, and both criteria
 are then read off the code: its codebook has strength exactly w_dual - 1
 (Delsarte; Hedayat, Sloane & Stufken, Orthogonal Arrays, Thm 3.29) and
-minimum row distance w, both from one weight enumerator.  The exhaustive
-C(N, k) strength scan and the pairwise distance scan run only for arrays
-without a code: arrays loaded from files, and column slices whose code
-lost rank.  An array given a source code checks that its rows are that
-code's codewords in message order; oa_from_code, delete_columns and
-trim_to_iroa build them so and skip the check.
+minimum row distance w, both from one weight enumerator.  The source code
+is derived, never passed in: only oa_from_code, delete_columns and
+trim_to_iroa attach one, to rows they built as its codewords in message
+order, and any other array, dataclasses.replace included, has none.  Arrays
+without a code are counted over all C(N, k) column subsets in blocks
+(_balanced, which states' counting check shares) and scanned pairwise for
+their distance: arrays loaded from files, and column slices whose code lost
+rank.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +46,24 @@ __all__ = [
     "save_oa",
 ]
 
+# entries of each (subsets, rows) array of a counting block, unless one
+# subset's row is longer
+_COUNT_BLOCK = 1 << 14
 
-@dataclass
+
+@dataclass(eq=False)
 class OrthogonalArray:
+    """An r x N array over d symbols with claimed strength k.  Equality
+    compares d, k and the rows; provenance and source_code are not
+    compared."""
+
     d: int
     rows: np.ndarray  # shape (r, N), dtype int64
     k: int  # claimed strength; verify_strength checks it
     provenance: str = ""
-    # when set, the rows are exactly the codewords of this code in message
-    # order; the constructor checks it unless the array is built by _coded
-    source_code: codes.LinearCode | None = None
+    # the code whose codewords the rows are, in message order; set only by
+    # _coded, so a constructed or replaced array has none
+    source_code: codes.LinearCode | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64)
@@ -69,14 +79,15 @@ class OrthogonalArray:
             raise ValueError(
                 f"row count {rows.shape[0]} is not a multiple of d^k = {self.d ** self.k}"
             )
-        C = self.source_code
-        if C is not None and not (
-            (C.q, C.N, C.q**C.t) == (self.d, rows.shape[1], rows.shape[0])
-            and np.array_equal(rows, codes._enumerate(C.field, C.G))
-        ):
-            raise ValueError(f"rows are not the codewords of source code {C} in message order")
         rows.setflags(write=False)
         self.rows = rows
+
+    def __eq__(self, other):
+        if not isinstance(other, OrthogonalArray):
+            return NotImplemented
+        return (self.d, self.k) == (other.d, other.k) and np.array_equal(self.rows, other.rows)
+
+    __hash__ = None
 
     @property
     def r(self) -> int:
@@ -97,7 +108,7 @@ class OrthogonalArray:
 
 def _coded(d: int, rows: np.ndarray, k: int, provenance: str, C) -> OrthogonalArray:
     """An array whose rows the caller built as the codewords of C in message
-    order, so the constructor's re-enumeration of C is skipped."""
+    order, with C as its source code."""
     A = OrthogonalArray(d=d, rows=rows, k=k, provenance=provenance)
     A.source_code = C
     return A
@@ -122,31 +133,40 @@ def verify_strength(A: OrthogonalArray, k: int) -> bool:
     """Whether A has strength k.
 
     An array with a source code has strength exactly w_dual - 1, so the
-    answer is k < dual_distance; any other array is scanned over all C(N, k)
-    column subsets.
+    answer is k < dual_distance; any other array is counted over all C(N, k)
+    column subsets, in blocks.
     """
     if not 0 <= k <= A.N:
         raise ValueError(f"strength {k} outside [0, {A.N}]")
     if A.source_code is not None:
         return k < codes.dual_distance(A.source_code)
-    return _scan_strength(A, k)
-
-
-def _scan_strength(A: OrthogonalArray, k: int) -> bool:
-    """Strength k by counting the k-tuples of every column subset."""
-    if k == 0:
-        return True
-    block = A.d**k
-    if A.r % block:
+    if A.r % A.d**k:
         return False
-    lam = A.r // block
-    weights = A.d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for cols in combinations(range(A.N), k):
-        keys = A.rows[:, cols] @ weights
-        counts = np.bincount(keys, minlength=block)
-        if counts.size > block or not np.all(counts == lam):
-            return False
-    return True
+    columns = np.ascontiguousarray(A.rows.T)
+    blocks = _in_blocks(combinations(range(A.N), k), A.r)
+    return all(_balanced(columns, A.d, np.array(block, dtype=np.int64)).all() for block in blocks)
+
+
+def _in_blocks(subsets, width: int):
+    """The subsets in order, in lists of at most max(1, _COUNT_BLOCK //
+    width), so that a block's (subsets, width) arrays hold at most
+    max(width, _COUNT_BLOCK) entries."""
+    while block := list(islice(subsets, max(1, _COUNT_BLOCK // width))):
+        yield block
+
+
+def _balanced(columns: np.ndarray, d: int, block: np.ndarray) -> np.ndarray:
+    """A bool mask over a (B, k) block of column subsets S: where the rows
+    take each of the d^k values on S exactly r / d^k times.  `columns` is
+    the (N, r) transpose of rows over d symbols, and d^k divides r."""
+    B, k = block.shape
+    r, dim = columns.shape[1], d**k
+    kept = np.zeros((B, r), dtype=np.int64)
+    for j in range(k):
+        kept *= d
+        kept += columns[block[:, j]]
+    kept += np.arange(0, B * dim, dim)[:, None]
+    return (np.bincount(kept.reshape(-1), minlength=B * dim).reshape(B, dim) == r // dim).all(axis=1)
 
 
 def oa_min_distance(A: OrthogonalArray) -> int | float:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
-from itertools import combinations, count, islice
+from itertools import combinations, count
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -33,7 +33,7 @@ from . import textio
 from .caps import check_cap
 from .codes import _supports_within, code_of_rows
 from .errors import KuniformError, NormError, ParseError
-from .oa import OrthogonalArray, check_irredundant
+from .oa import OrthogonalArray, _balanced, _in_blocks, check_irredundant
 
 __all__ = [
     "PureState",
@@ -538,9 +538,6 @@ _INT64_LIMIT = 1 << 63
 _KEPT_KEY_LIMIT = 1 << 31
 # matched row pairs built at once; larger reductions go in blocks
 _PAIR_BLOCK = 1 << 20
-# entries of each (subsets, terms) array of the counting check, unless one
-# subset's row is longer
-_COUNT_BLOCK = 1 << 14
 # counting takes a few array steps per (subset, term) pair; below this many
 # pairs it is cheaper than recognising a code and reading its short words
 _CODE_MIN_PAIRS = 1 << 16
@@ -753,10 +750,10 @@ def _counting_check(e: _Encoded, d: int, k: int):
 
     It applies to exact encodings whose T terms all have one squared
     modulus m, with d^k dividing T; the norm invariant makes r = T m.  When
-    the rows take each of the d^k values on S exactly T / d^k times and no
-    two rows agree off S, the reduction is diagonal with entries
-    (T / d^k) m / r = 1 / d^k.  A block holds one row of T keys per subset;
-    squared moduli must fit int64.
+    the rows take each of the d^k values on S exactly T / d^k times
+    (oa._balanced) and no two rows agree off S, the reduction is diagonal
+    with entries (T / d^k) m / r = 1 / d^k.  A block holds one row of T
+    keys per subset; squared moduli must fit int64.
     """
     T, N = e.idx.shape
     dim = d**k
@@ -777,23 +774,17 @@ def _counting_check(e: _Encoded, d: int, k: int):
 
     def passes(block: np.ndarray) -> np.ndarray:
         columns, full = arrays()
-        B = len(block)
-        kept = np.zeros((B, T), dtype=np.int64)
-        complement = np.tile(full, (B, 1)) if radix else None
-        for j in range(k):
-            column = columns[block[:, j]]
-            kept *= d
-            kept += column
-            if radix:
-                complement -= column * weights[block[:, j], None]
-        kept += np.arange(0, B * dim, dim)[:, None]
-        ok = (np.bincount(kept.reshape(-1), minlength=B * dim).reshape(B, dim) == T // dim).all(axis=1)
+        ok = _balanced(columns, d, block)
+        # complements are keyed only for the subsets whose counts passed
+        counted = block[ok]
         if radix:
-            complement = complement[ok]
+            complement = np.tile(full, (len(counted), 1))
+            for j in range(k):
+                complement -= columns[counted[:, j]] * weights[counted[:, j], None]
         else:
             # distinct-row ids of each complement, one subset at a time
-            complement = np.zeros((np.count_nonzero(ok), T), dtype=np.int64)
-            for row, subset in zip(complement, block[ok].tolist()):
+            complement = np.zeros((len(counted), T), dtype=np.int64)
+            for row, subset in zip(complement, counted.tolist()):
                 rest = e.idx[:, [p for p in range(N) if p not in subset]]
                 row[:] = _row_keys(rest, d, _INT64_LIMIT)[0]
         complement.sort(axis=1)
@@ -837,7 +828,7 @@ def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
        weight at most k + m of C (codes._supports_within).  With no such
        word, as when w(C) > k + m too, no subset is walked.
     2. Counting.  Otherwise the ancilla columns and S are counted in blocks
-       (_counting_check) whose arrays hold at most max(T, _COUNT_BLOCK)
+       (_counting_check) whose arrays hold at most max(T, oa._COUNT_BLOCK)
        entries each.
 
     Both stages leave the same subsets.  The matrix_dim cap bounds the
@@ -858,9 +849,8 @@ def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
         if not len(supports):
             return
         passes, width = _avoiding(supports), len(supports)
-    subsets = combinations(range(N), k)
     capped = False
-    while block := list(islice(subsets, max(1, _COUNT_BLOCK // width))):
+    for block in _in_blocks(combinations(range(N), k), width):
         columns = np.hstack([np.broadcast_to(np.arange(m), (len(block), m)), np.array(block) + m])
         for subset, ok in zip(block, passes(columns).tolist()):
             if ok:

@@ -15,7 +15,7 @@ import pytest
 import kuniform
 from kuniform import cli
 from kuniform.cli import _int_spec, main, run
-from kuniform.masking import Masker, save_masker
+from kuniform.masking import Masker, build_masker, save_masker
 from kuniform.states import PureState, from_vector, ghz, load_bundled_state, save_state
 
 
@@ -331,6 +331,21 @@ def test_mask_verify_seeded_sampling_is_reproducible(tmp_path, capsys):
     first = capsys.readouterr().out
     run(argv)
     assert first == capsys.readouterr().out
+
+
+def test_sampled_check_takes_float_maskers_within_tolerance(tmp_path, capsys):
+    """A float masker whose images are orthonormal within FLOAT_TOL, but
+    whose superpositions miss NORM_TOL, is sampled rather than refused as
+    a malformed state."""
+    v0, v1 = (img.to_vector() for img in build_masker(load_bundled_state("ame_6_2"), split_party=0, k=2).images)
+    v1 = v1 + 3e-11 * v0
+    images = [from_vector(v, 5, 2) for v in (v0, v1 / np.linalg.norm(v1))]
+    mdir = str(tmp_path / "tilted")
+    save_masker(Masker(d=2, N=5, images=images), mdir)
+    assert run(["mask", "verify", mdir, "--k", "2"])[0] == 0
+    code, report = run(["mask", "verify", mdir, "--k", "2", "--samples", "4"])
+    assert code == 0 and report["details"]["samples_checked"] == 4
+    assert "error" not in capsys.readouterr().err
 
 
 def test_qecc_verify_exit_codes(tmp_path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -192,6 +193,29 @@ def test_min_distance_cap_refusal(monkeypatch):
     monkeypatch.setenv("KUF_CAPS", "codewords=5")
     with pytest.raises(CapExceeded, match="codewords"):
         min_distance(mds_code(F3, 2))
+
+
+def test_distances_are_derived_never_passed_in():
+    """Distances are computed from G, never taken from the caller, and a
+    code replaced with another G computes them afresh."""
+    C = mds_code(F5, 2)
+    assert (min_distance(C), dual_distance(C)) == (5, 3)
+    for cache in ("_w", "_w_dual"):
+        with pytest.raises(TypeError):
+            LinearCode(F5, C.G, **{cache: 6})
+    D = replace(C, G=[[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
+    assert (min_distance(D), dual_distance(D)) == (1, 1)
+    assert (min_distance(C), dual_distance(C)) == (5, 3)
+
+
+def test_codes_compare_by_value():
+    """Equal codes compare equal whatever their caches; the field and G decide."""
+    C, D = mds_code(F5, 2), mds_code(F5, 2)
+    min_distance(C)
+    assert C == D and not C != D and C is not D
+    assert C != mds_code(F5, 3) and C != mds_code(F3, 2)
+    assert C != LinearCode(F5, C.G[::-1]) and C != LinearCode(field_for_order(7), C.G)
+    assert C != repr(C)
 
 
 def brute_weights(C: LinearCode) -> list[int]:

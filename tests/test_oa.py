@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oa_oracle import oracle_is_irredundant
+from oa_oracle import oracle_is_irredundant, oracle_scan_strength
 from test_codes import full_rank_codes
 
 from kuniform import codes, field_new
@@ -244,7 +244,8 @@ def test_code_answers_match_the_scans(q, data):
     A = delete_columns(oa_from_code(C), cols) if cols else oa_from_code(C)
     if A.source_code is not None:  # the invariant the coded constructors keep
         assert np.array_equal(A.rows, codes._enumerate(A.source_code.field, A.source_code.G))
-    B = replace(A, source_code=None)
+    B = replace(A)
+    assert B.source_code is None and B == A
     for k in range(A.N + 1):
         assert verify_strength(A, k) == verify_strength(B, k), k
         assert is_irredundant(A, k) == is_irredundant(B, k), k
@@ -252,31 +253,84 @@ def test_code_answers_match_the_scans(q, data):
     assert oa_min_distance(A) == oa_min_distance(B)
 
 
-def test_source_code_must_match_the_rows():
+def test_source_code_is_derived_never_passed_in():
+    """The constructor takes no source code, and a replaced array has none:
+    its rows, reordered here, are counted rather than read off a code they
+    are no longer the message-order codewords of."""
     C = mds_code(F3, 2)  # [4, 2]_3: 9 rows over 3 symbols
     A = oa_from_code(C)
-    full = A.rows
-    # wrong shape or symbol count, then the right shape with other rows:
-    # reordered, or a coset of the code
-    for d, rows in [(3, full[:, :3]), (3, full[:3]), (4, full), (3, full[::-1]), (3, (full + 1) % 3)]:
-        with pytest.raises(ValueError, match="rows are not the codewords of source code"):
-            OrthogonalArray(d=d, rows=rows, k=0, source_code=C)
-    with pytest.raises(ValueError, match="rows are not the codewords of source code"):
-        replace(A, rows=full[::-1])
-    assert OrthogonalArray(d=3, rows=full.copy(), k=2, source_code=C).source_code is C
+    with pytest.raises(TypeError):
+        OrthogonalArray(d=3, rows=A.rows.copy(), k=2, source_code=C)
+    B = replace(A, rows=A.rows[::-1])
+    assert A.source_code is C and B.source_code is None
+    assert B != A and (B.r, B.N, B.d, B.k) == (A.r, A.N, A.d, A.k)
+    assert [verify_strength(B, k) for k in range(5)] == [True, True, True, False, False]
+    assert oa_min_distance(B) == 3
+
+
+def test_arrays_compare_by_value():
+    """Equal arrays compare equal whatever their provenance and source code;
+    d, k and the rows decide."""
+    A = oa_from_code(mds_code(F3, 2))
+    B = OrthogonalArray(d=3, rows=A.rows.copy(), k=A.k, provenance="a copy")
+    assert A == B and not A != B and A.source_code is not None and B.source_code is None
+    assert A != replace(A, k=1)
+    assert A != replace(A, rows=A.rows[::-1])
+    assert replace(A, k=0) != replace(A, d=4, k=0)
+    assert A != replace(A, rows=A.rows[:, :3])
+    assert A != repr(A)
 
 
 def test_only_arrays_without_a_code_are_scanned(monkeypatch, tmp_path):
     calls = []
-    scan = oa_module._scan_strength
-    monkeypatch.setattr(oa_module, "_scan_strength", lambda A, k: calls.append(k) or scan(A, k))
+    balanced = oa_module._balanced
+    monkeypatch.setattr(oa_module, "_balanced", lambda cols, d, block: calls.append(block.shape) or balanced(cols, d, block))
     assert construct_k_uniform(4, 9, 10).num_terms == 9**4
     assert calls == []
     path = tmp_path / "mds.oa"
     save_oa(oa_from_code(mds_code(F3, 2)), path)
     code, report = run(["verify", "oa", str(path), "--k", "2"])
     assert code == 0 and report["details"]["strength_ok"] is True
-    assert calls == [2]
+    assert calls == [(6, 2)]  # the C(4, 2) subsets in one block
+
+
+@st.composite
+def codeless_arrays(draw):
+    """(A, k): code-less arrays at or near strength k.  Codebooks of random
+    codes, shuffled, some stacked twice (duplicate rows), some with one
+    symbol changed or one row dropped (r no longer divisible by d^k); or
+    random rows.  k runs from 0 to N."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    if draw(st.booleans()):
+        C = draw(full_rank_codes(q))
+        assume(C.t >= 1 and q**C.t <= 243)
+        rows = codes._enumerate(C.field, C.G)
+    else:
+        N, r = draw(st.integers(1, 5)), q * draw(st.integers(1, 12))
+        rows = np.array(draw(st.lists(st.integers(0, q - 1), min_size=r * N, max_size=r * N))).reshape(r, N)
+    rows = rows[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(rows))]
+    if draw(st.booleans()):
+        rows = np.vstack([rows, rows])
+    fault = draw(st.sampled_from(("none", "symbol", "row")))
+    if fault == "symbol":
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, rows.shape[1] - 1))
+        rows[i, j] = (rows[i, j] + draw(st.integers(1, q - 1))) % q
+    elif fault == "row" and len(rows) > 1:
+        rows = rows[1:]
+    return OrthogonalArray(d=q, rows=rows, k=0), draw(st.integers(0, rows.shape[1]))
+
+
+@settings(max_examples=200)
+@given(case=codeless_arrays(), size=st.sampled_from((1, 7, None)))
+def test_counted_strength_matches_the_scan(case, size):
+    """verify_strength counts code-less arrays in blocks of 1, 7 or the
+    default number of subsets, and agrees with the subset-by-subset scan."""
+    A, k = case
+    assert A.source_code is None
+    with pytest.MonkeyPatch.context() as env:
+        if size is not None:
+            env.setattr(oa_module, "_COUNT_BLOCK", size * A.r)
+        assert verify_strength(A, k) == oracle_scan_strength(A, k)
 
 
 # ---------------------------------------------------------------------------

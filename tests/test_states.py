@@ -25,6 +25,7 @@ from reduction_oracle import (
     oracle_verify_k_uniform,
 )
 
+from kuniform import oa as oa_module
 from kuniform import states as states_module
 from kuniform.caps import check_cap
 from kuniform.catalog import construct_k_uniform
@@ -225,7 +226,7 @@ def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypa
         return recorded
 
     monkeypatch.setattr(states_module, "_counting_check", recording_check)
-    monkeypatch.setattr(states_module, "_COUNT_BLOCK", 2 * state.num_terms)
+    monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 2 * state.num_terms)
     reduced = _record_calls(monkeypatch, "_reduce")
     with monkeypatch.context() as env:
         env.setenv("KUF_CAPS", "matrix_dim=3")
@@ -570,7 +571,7 @@ def test_batched_counting_matches_oracle(case, size):
     reduced = []
     reduce = states_module._reduce
     with (
-        mock.patch.object(states_module, "_COUNT_BLOCK", size * state.num_terms),
+        mock.patch.object(oa_module, "_COUNT_BLOCK", size * state.num_terms),
         mock.patch.object(states_module, "_reduce", lambda *args: reduced.append(args[1]) or reduce(*args)),
     ):
         report = verify_k_uniform(state, k)
@@ -592,7 +593,7 @@ def test_counting_on_complement_ids(monkeypatch):
         complements = {tuple(x for p, x in enumerate(row) if p not in subset) for row in rows}
         return len(set(kept)) == 4 and len(complements) == 4
 
-    monkeypatch.setattr(states_module, "_COUNT_BLOCK", 7 * state.num_terms)
+    monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 7 * state.num_terms)
     reduced = _record_calls(monkeypatch, "_reduce")
     report = verify_k_uniform(state, 2)
     kept = [subset for subset in combinations(range(66), 2) if counts(subset)]
@@ -805,7 +806,7 @@ EQUAL_COLUMNS = _coset_case(3, [[1, 1, 0, 1, 1], [0, 0, 1, 1, 2]], 2)[0]
 
 
 @settings(max_examples=150, derandomize=True)
-@given(case=stack_cases(), block=st.sampled_from((1, 7, states_module._COUNT_BLOCK)))
+@given(case=stack_cases(), block=st.sampled_from((1, 7, oa_module._COUNT_BLOCK)))
 @example(case=([EQUAL_COLUMNS], 2), block=1)
 @example(case=(_split_rows(EQUAL_COLUMNS, 1), 1), block=1)
 def test_code_stage_leaves_what_counting_leaves(case, block):
@@ -818,7 +819,7 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
     supports = []
     supports_within = states_module._supports_within
     with pytest.MonkeyPatch.context() as env:
-        env.setattr(states_module, "_COUNT_BLOCK", block)
+        env.setattr(oa_module, "_COUNT_BLOCK", block)
         env.setattr(states_module, "_supports_within", lambda *a: supports.append(out := supports_within(*a)) or out)
         env.setattr(states_module, "_CODE_MIN_PAIRS", 0)
         got = list(states_module._undecided(e, m, d, N, k))
@@ -1037,7 +1038,7 @@ def test_counting_steps_aside(monkeypatch, state, k, counted):
     if counted and code_of_rows(state.d, state._idx) is None:
         assert asked == list(combinations(range(state.N), k))
     # counts stay within one block, and no array of length d^k > T is made
-    assert max(lengths, default=0) <= max(state.num_terms, states_module._COUNT_BLOCK)
+    assert max(lengths, default=0) <= max(state.num_terms, oa_module._COUNT_BLOCK)
     if state.d**k > state.num_terms:
         assert lengths == []
     assert report == oracle_verify_k_uniform(state, k)
