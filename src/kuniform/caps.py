@@ -22,11 +22,13 @@ Each cap is checked where its memory is allocated:
   states.tensor_parties, on the T1 T2 terms of a product, the rows of the
   partywise product of the two index arrays;
 - oa_pairs: oa.oa_min_distance, before the pairwise row scan;
-- matrix_dim: the d^k-wide reductions of the kernel, checked once per
-  call: by states.reduction, by states._undecided, which walks the subsets
-  of verify_k_uniform, masking.verify_masker and masking.verify_pure_qecc,
-  before the first subset that its code and counting stages (which
-  allocate at most a few integers per term) leave for the kernel, and at
+- matrix_dim: the d^k-wide reductions of the kernel, each call of which
+  reduces a block of subsets; checked once per call of the functions
+  below, before their first kernel call: by states.reduction, by states._undecided, which
+  hands the subsets of verify_k_uniform, masking.verify_masker and
+  masking.verify_pure_qecc to the kernel in blocks, as soon as its code
+  and counting stages (which allocate at most a few integers per term)
+  leave a first subset, before that subset's block is complete, and at
   once when counting applies to no subset, and by verify_masker before the
   first sampled superposition; and the dense PureState.to_vector and
   SparseOperator.to_matrix, a public export that no verifier calls

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """A linear code given by a t x N generator matrix of full row rank.
 
@@ -52,7 +52,8 @@ class LinearCode:
     minimum distance is the infinity sentinel.  The rank check keeps the
     reduced row echelon form of G and its pivot columns for parity_check.
     Both caches are derived, never passed in, so dataclasses.replace starts
-    them afresh.  Equality compares the field and G.
+    them afresh, and the code is frozen, so G cannot change under them.
+    Equality compares the field and G.
     """
 
     field: FiniteField
@@ -76,7 +77,8 @@ class LinearCode:
         if len(pivots) != t:
             raise RankDeficient(f"generator matrix has rank < {t}")
         G.setflags(write=False)
-        self.G, self._echelon = G, (R, pivots)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "_echelon", (R, pivots))
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
@@ -311,8 +313,8 @@ def _distances(C: LinearCode) -> None:
     """Compute and cache both distances from one weight enumerator."""
     if C._w is None or C._w_dual is None:
         A, B = _weight_distributions(C)
-        C._w_dual = _first_nonzero(B)
-        C._w = _first_nonzero(A)
+        object.__setattr__(C, "_w_dual", _first_nonzero(B))
+        object.__setattr__(C, "_w", _first_nonzero(A))
 
 
 def min_distance(C: LinearCode) -> int | float:

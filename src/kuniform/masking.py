@@ -26,13 +26,15 @@ They walk the subsets with states._undecided, as verify_k_uniform does: a
 subset on which Psi is decided by its code or by counting rows has that
 reduction equal to I / d^(k + m), so every block (s, t) is delta_st I / d^k
 and the subset passes both checks, a masker's common operator there being
-I / d^k over image 0's r.  Each subset left costs one reduction of Psi
+I / d^k over image 0's r.  The subsets left come in lists, and each list
+costs one kernel call that reduces Psi onto every subset in it
 (states._block_reduction), whose blocks are SparseOperators gathered from
 its arrays: exact blocks are compared in integers, and a deviation, a
 cross-term magnitude or a Pauli witness is read off a block's arrays
 without building another operator.  The matrix_dim cap is checked where
 those reductions are made: by _undecided, and before the first sample of
-verify_masker.
+verify_masker, whose reductions onto every subset are also made a list of
+subsets per kernel call.
 
 Orthonormality is the same Psi with no party kept: its reduction onto the
 ancilla alone has entry (s, t) = <psi_t|psi_s>, and an exact reduction
@@ -57,6 +59,7 @@ import numpy as np
 
 from .caps import check_cap
 from .errors import KuniformError, MaskingError, ParseError
+from .oa import _in_blocks
 from .states import (
     _INT64_LIMIT,
     FLOAT_TOL,
@@ -65,6 +68,7 @@ from .states import (
     _Encoded,
     _amplitude_parts,
     _block_reduction,
+    _call_width,
     _complex,
     _floats,
     _from_arrays,
@@ -221,28 +225,28 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     n_subsets = math.comb(m.N, k)
     psi, width = _stack(m.images)
     exact = psi.bound is not None
-    for subset in _undecided(psi, width, m.d, m.N, k):
-        block = _block_reduction(psi, width, m.images, subset)
-        rho0 = common[subset] = block(0, 0)
-        for s in range(1, m.d):
-            rho = block(s, s)
-            if exact and _same_operator(rho, rho0):
-                continue  # the same operator as image 0's
-            delta = rho.deviation(rho0)
-            max_dev = max(max_dev, delta)
-            if exact or delta > FLOAT_TOL:
-                failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
-        for s, t in combinations(range(m.d), 2):
-            cross = block(s, t)
-            if exact and cross.is_zero():
-                continue  # the cross term vanishes exactly
-            # abs() of each stored value, as np.hypot gives it, then the
-            # denominator, 1 for a float block
-            R, x, y = _floats(cross.r_ket * cross.r_bra, cross.re, cross.im)
-            mag = float(np.max(np.hypot(x, y), initial=0.0)) / math.sqrt(R)
-            max_dev = max(max_dev, mag)
-            if exact or mag > FLOAT_TOL:
-                failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
+    for subsets in _undecided(psi, width, m.d, m.N, k):
+        for subset, block in zip(subsets, _block_reduction(psi, width, m.images, subsets)):
+            rho0 = common[subset] = block(0, 0)
+            for s in range(1, m.d):
+                rho = block(s, s)
+                if exact and _same_operator(rho, rho0):
+                    continue  # the same operator as image 0's
+                delta = rho.deviation(rho0)
+                max_dev = max(max_dev, delta)
+                if exact or delta > FLOAT_TOL:
+                    failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
+            for s, t in combinations(range(m.d), 2):
+                cross = block(s, t)
+                if exact and cross.is_zero():
+                    continue  # the cross term vanishes exactly
+                # abs() of each stored value, as np.hypot gives it, then the
+                # denominator, 1 for a float block
+                R, x, y = _floats(cross.r_ket * cross.r_bra, cross.re, cross.im)
+                mag = float(np.max(np.hypot(x, y), initial=0.0)) / math.sqrt(R)
+                max_dev = max(max_dev, mag)
+                if exact or mag > FLOAT_TOL:
+                    failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
     if len(common) < n_subsets:
         # every subset left out has the blocks delta_st I / d^k
         mixed = _maximally_mixed(m.d, k, m.images[0].r)
@@ -273,13 +277,15 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
             # reduced as encoded: a superposition of images that are
             # orthonormal within FLOAT_TOL need not meet NORM_TOL
             e = _Encoded(support[keep], re[keep], im[keep], None)
-            for subset, rho0 in common.items():
-                delta = _reduce(e, subset, m.d).deviation(rho0)
-                max_dev = max(max_dev, delta)
-                if delta > FLOAT_TOL:
-                    failures.append(
-                        (subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}")
-                    )
+            for subsets in _in_blocks(iter(common), _call_width(e, m.d, k)):
+                red = _reduce(e, subsets, m.d)
+                for j, subset in enumerate(subsets):
+                    delta = red.operator(j).deviation(common[subset])
+                    max_dev = max(max_dev, delta)
+                    if delta > FLOAT_TOL:
+                        failures.append(
+                            (subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}")
+                        )
             samples_checked += 1
 
     verdict = "pass" if not failures else "fail"
@@ -480,20 +486,20 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     n_subsets = math.comb(N, k) if k else 0
     n_pairs = K * (K + 1) // 2
     exact = psi.bound is not None
-    for n, subset in enumerate(_undecided(psi, width, d, N, k) if k else ()):
+    for n, subsets in enumerate(_undecided(psi, width, d, N, k) if k else ()):
         if not n:
-            # blocks are built only for the subsets left, from the first one
+            # blocks are built only for the subsets left, from the first list
             check_cap("qecc_ops", n_subsets * n_pairs, what=f"{n_subsets} x {n_pairs} pair reductions onto {k} parties")
-        block = _block_reduction(psi, width, basis, subset)
-        for i in range(K):
-            for j in range(i, K):
-                rho = block(j, i)  # |psi_j><psi_i|
-                if exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
-                    continue
-                op, mag = _pauli_witness(rho, subset)
-                if exact or mag > PAULI_TOL:
-                    failures.append((str(op), i, j, mag))
-                    worst = max(worst, mag)
+        for subset, block in zip(subsets, _block_reduction(psi, width, basis, subsets)):
+            for i in range(K):
+                for j in range(i, K):
+                    rho = block(j, i)  # |psi_j><psi_i|
+                    if exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
+                        continue
+                    op, mag = _pauli_witness(rho, subset)
+                    if exact or mag > PAULI_TOL:
+                        failures.append((str(op), i, j, mag))
+                        worst = max(worst, mag)
 
     verdict = "pass" if not failures else "fail"
     return QeccReport(N, d, K, delta, verdict, ops, failures, worst, True)

@@ -51,11 +51,11 @@ __all__ = [
 _COUNT_BLOCK = 1 << 14
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OrthogonalArray:
     """An r x N array over d symbols with claimed strength k.  Equality
     compares d, k and the rows; provenance and source_code are not
-    compared."""
+    compared.  Frozen, so facts derived from the rows cannot go stale."""
 
     d: int
     rows: np.ndarray  # shape (r, N), dtype int64
@@ -80,7 +80,7 @@ class OrthogonalArray:
                 f"row count {rows.shape[0]} is not a multiple of d^k = {self.d ** self.k}"
             )
         rows.setflags(write=False)
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
 
     def __eq__(self, other):
         if not isinstance(other, OrthogonalArray):
@@ -110,7 +110,7 @@ def _coded(d: int, rows: np.ndarray, k: int, provenance: str, C) -> OrthogonalAr
     """An array whose rows the caller built as the codewords of C in message
     order, with C as its source code."""
     A = OrthogonalArray(d=d, rows=rows, k=k, provenance=provenance)
-    A.source_code = C
+    object.__setattr__(A, "source_code", C)
     return A
 
 

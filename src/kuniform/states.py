@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
-from itertools import combinations, count
+from itertools import combinations, compress, count
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -364,56 +364,24 @@ class SparseOperator:
         return M
 
     def _physical(self) -> np.ndarray:
-        """The values over sqrt(r_ket * r_bra), with the bits of a Python
-        complex(a, b) * (1 / sqrt(r_ket * r_bra)) product."""
-        R, x, y = _floats(self.r_ket * self.r_bra, self.re, self.im)
-        scale = 1.0 / math.sqrt(R)
-        return _complex(x * scale - y * 0.0, x * 0.0 + y * scale)
+        return _physical(self.r_ket * self.r_bra, self.re, self.im)
+
+    def _alone(self) -> tuple:
+        """The arguments that make this operator a block of one for
+        _deviations and _maximally_mixed_mask."""
+        return self.dim, np.array([0, len(self.re)]), self.diagonal, self.re, self.im, self.r_ket, self.r_bra
 
     def maximally_mixed_deviation(self) -> float:
-        """Largest entrywise distance from I / d^n_parties.
-
-        Exact operators over one denominator r are compared in integers, so
-        exact matches report exactly 0: a diagonal entry deviates by
-        |a dim - r + b dim i| / (r dim), its parts formed in integers and
-        taken to floats once, and an off-diagonal entry by |a + b i| / r.
-        """
-        dim = self.dim
-        if not (self.exact and self.r_ket == self.r_bra):
-            v = self._physical()
-            x = np.where(self.diagonal, v.real - 1.0 / dim, v.real)
-            dev = float(np.max(np.hypot(x, v.imag), initial=0.0))
-        elif not len(self.re):
-            dev = 0.0
-        else:
-            r, on = self.r_ket, self.diagonal
-            bound = max(abs(int(v)) for part in (self.re, self.im) for v in (part.min(), part.max()))
-            x, y = (part.astype(object if bound * dim + r >= _INT64_LIMIT else np.int64) for part in (self.re, self.im))
-            x[on] = x[on] * dim - r
-            y[on] *= dim
-            R, x, y = _floats(r * r, x, y)
-            # np.hypot gives abs() of a Python complex bit for bit
-            mags = np.hypot(x, y) * (1.0 / math.sqrt(R))
-            mags[on] /= dim
-            dev = float(mags.max())
-        if np.count_nonzero(self.diagonal) < dim:
-            dev = max(dev, 1.0 / dim)  # some diagonal entry is missing entirely
-        return dev
+        """Largest entrywise distance from I / d^n_parties, exactly 0 for an
+        exact match (_deviations, on a block of one)."""
+        return float(_deviations(*self._alone(), self.exact)[0])
 
     def is_maximally_mixed(self) -> bool:
         """Whether an exact operator is exactly I / d^n_parties; ValueError
         for a float operator."""
         if not self.exact:
             raise ValueError("is_maximally_mixed decides exact operators only")
-        r, dim = self.r_ket, self.dim
-        return bool(
-            self.r_bra == r
-            and r % dim == 0
-            and len(self.re) == dim
-            and self.diagonal.all()
-            and (self.re == r // dim).all()
-            and (self.im == 0).all()
-        )
+        return bool(_maximally_mixed_mask(*self._alone())[0])
 
     def deviation(self, other: SparseOperator) -> float:
         """Largest entrywise |self - other| of the physical operators, taken
@@ -425,6 +393,70 @@ class SparseOperator:
         a, b = np.zeros((2, slot.max(initial=-1) + 1), dtype=complex)
         a[slot[:T]], b[slot[T:]] = self._physical(), other._physical()
         return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def _physical(R: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The values re + im i over sqrt(R), with the bits of a Python
+    complex(a, b) * (1 / sqrt(R)) product."""
+    R, x, y = _floats(R, re, im)
+    scale = 1.0 / math.sqrt(R)
+    return _complex(x * scale - y * 0.0, x * 0.0 + y * scale)
+
+
+def _segment_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The largest of values[starts[j] : starts[j + 1]] for each j, 0.0 for
+    an empty segment; NaN propagates."""
+    out = np.zeros(len(starts) - 1)
+    filled = np.flatnonzero(starts[1:] > starts[:-1])
+    if len(filled):
+        out[filled] = np.maximum.reduceat(values, starts[filled])
+    return out
+
+
+def _segment_count(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The number of set entries of mask[starts[j] : starts[j + 1]] for each j."""
+    cum = np.concatenate([[0], np.cumsum(mask)])
+    return cum[starts[1:]] - cum[starts[:-1]]
+
+
+def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarray:
+    """The largest entrywise distance from I / dim of each operator of a
+    block, operator j holding the entries starts[j] : starts[j + 1].
+
+    Exact operators over one denominator r are compared in integers, so
+    exact matches report exactly 0: a diagonal entry deviates by
+    |a dim - r + b dim i| / (r dim), its parts formed in integers and taken
+    to floats once, and an off-diagonal entry by |a + b i| / r.  Every
+    value is elementwise, so an operator reports the same bits in any block.
+    """
+    if not (exact and r_ket == r_bra):
+        v = _physical(r_ket * r_bra, re, im)
+        mags = np.hypot(np.where(diagonal, v.real - 1.0 / dim, v.real), v.imag)
+    elif not len(re):
+        mags = np.zeros(0)
+    else:
+        r, on = r_ket, diagonal
+        bound = max(abs(int(v)) for part in (re, im) for v in (part.min(), part.max()))
+        x, y = (part.astype(object if bound * dim + r >= _INT64_LIMIT else np.int64) for part in (re, im))
+        x[on] = x[on] * dim - r
+        y[on] *= dim
+        R, x, y = _floats(r * r, x, y)
+        # np.hypot gives abs() of a Python complex bit for bit
+        mags = np.hypot(x, y) * (1.0 / math.sqrt(R))
+        mags[on] /= dim
+    dev = _segment_max(mags, starts)
+    # an operator missing some diagonal entry entirely is 1 / dim off there
+    return np.where(_segment_count(diagonal, starts) < dim, np.maximum(dev, 1.0 / dim), dev)
+
+
+def _maximally_mixed_mask(dim, starts, diagonal, re, im, r_ket, r_bra) -> np.ndarray:
+    """Which exact operators of a block, as for _deviations, are exactly
+    I / dim: dim stored entries, each diagonal with value r / dim."""
+    sized = np.diff(starts) == dim
+    if r_ket != r_bra or r_ket % dim or not sized.any():
+        return np.zeros(len(sized), dtype=bool)
+    off = ~diagonal | (re != r_ket // dim) | (im != 0)
+    return sized & (_segment_count(off, starts) == 0)
 
 
 def _sparse(d, rows, cols, diagonal, re, im, r_ket=1, r_bra=1, exact=True) -> SparseOperator:
@@ -520,14 +552,16 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the reduction kernel: states as arrays, one sort per subset
+# the reduction kernel: states as arrays, one sort per block of subsets
 #
 # Entry (kept1, kept2) of tr_others |psi><psi| sums amp1 * conj(amp2) over
-# the row pairs that agree on the traced-out parties.  Rows are matched
-# through integer keys of their complement columns, and the pair products
-# are summed per (kept1, kept2) key.  Exact states stay in int64 only where
-# every product and sum provably fits, and in Python ints otherwise, so no
-# result ever wraps.
+# the row pairs that agree on the traced-out parties.  One call reduces a
+# block of equal-sized subsets: the rows are seen once through each subset,
+# one run of rows per subset, and keyed per run, so rows are matched through
+# integer keys of their complement columns within their own subset only,
+# and the pair products are summed per (subset, kept1, kept2) key.  Exact
+# states stay in int64 only where every product and sum provably fits, and
+# in Python ints otherwise, so no result ever wraps.
 #
 # A family of states psi_s is reduced as one purified state
 # Psi = sum_s |s>_a |psi_s>: block (s, t) of its reduction onto the ancilla
@@ -560,22 +594,34 @@ def _encode(state: PureState, floats: bool) -> _Encoded:
     return _Encoded(state._idx, state._values[:, 0], state._values[:, 1], state._bound)
 
 
-def _row_keys(a: np.ndarray, d: int, limit: int):
-    """Integer keys of the rows of a, equal exactly when the rows are, and a
-    bound above every key: radix keys while d^width <= limit, ids of the
-    distinct rows otherwise."""
+def _row_keys(a: np.ndarray, d: int, limit: int, runs: int = 1):
+    """Integer keys of the rows of a, read as `runs` runs of equally many
+    rows one after another: equal exactly when two rows of one run are,
+    ordered by run and then as the rows are; and a bound above every key.
+    A row's own key is its radix key while d^width <= limit, the id of its
+    distinct row otherwise; the run offsets it while runs times that bound
+    stays within limit, and ids of distinct (run, key) pairs replace it
+    otherwise."""
     width = a.shape[1]
     if d**width <= limit:
-        return a @ d ** np.arange(width - 1, -1, -1, dtype=np.int64), d**width
-    distinct, ids = np.unique(a, axis=0, return_inverse=True)
+        keys, size = a @ d ** np.arange(width - 1, -1, -1, dtype=np.int64), d**width
+    else:
+        distinct, ids = np.unique(a, axis=0, return_inverse=True)
+        keys, size = ids.reshape(-1), len(distinct)
+    if runs == 1:
+        return keys, size
+    run = np.repeat(np.arange(runs), len(a) // runs)
+    if runs * size <= limit:
+        return run * size + keys, runs * size
+    distinct, ids = np.unique(np.stack([run, keys], axis=1), axis=0, return_inverse=True)
     return ids.reshape(-1), len(distinct)
 
 
 def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
-    """s1 rows grouped by kept key and cut between groups into blocks of
-    about _PAIR_BLOCK matched pairs.  No entry spans two blocks, and a block
-    exceeds the budget by at most one group, whose pairs number at most the
-    terms of s2."""
+    """Rows grouped by (subset, kept) key and cut between groups into blocks
+    of about _PAIR_BLOCK matched pairs.  No entry spans two blocks, and a
+    block exceeds the budget by at most one group, whose pairs number at
+    most the terms of the state."""
     order = np.argsort(keys, kind="stable")
     ends = np.append(np.flatnonzero(np.diff(keys[order])) + 1, len(order))
     cum = np.cumsum(counts[order])
@@ -591,14 +637,59 @@ def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
     return blocks
 
 
-def _reduce(e: _Encoded, parties: tuple, d: int, r: int = 1) -> SparseOperator:
-    """Trace of |psi><psi| over the complement of `parties`, on arrays,
-    exact ones over the denominator r."""
-    kept = list(parties)
-    others = [p for p in range(e.idx.shape[1]) if p not in parties]
-    kept_idx = e.idx[:, kept]
-    keys, n_kept = _row_keys(kept_idx, d, _KEPT_KEY_LIMIT)
-    comp, _ = _row_keys(e.idx[:, others], d, _INT64_LIMIT)
+class _Reductions(NamedTuple):
+    """The reductions of one _reduce call, one per subset of its block, over
+    the denominator r when exact: every entry of all of them, those of
+    subset j at starts[j] : starts[j + 1], each subset's in lexicographic
+    (row, column) order."""
+
+    d: int
+    rows: np.ndarray  # (entries, k) int64
+    cols: np.ndarray
+    diagonal: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    starts: np.ndarray  # (subsets + 1,) int64
+    r: int
+    exact: bool
+
+    def operator(self, j: int) -> SparseOperator:
+        """Subset j's reduction, as views of the block's arrays."""
+        at = slice(self.starts[j], self.starts[j + 1])
+        return _sparse(self.d, self.rows[at], self.cols[at], self.diagonal[at], self.re[at], self.im[at], self.r, self.r, self.exact)
+
+    def _block(self) -> tuple:
+        dim = self.d ** self.rows.shape[1]
+        return dim, self.starts, self.diagonal, self.re, self.im, self.r, self.r
+
+    def maximally_mixed(self) -> np.ndarray:
+        """Which exact reductions are exactly I / d^k."""
+        return _maximally_mixed_mask(*self._block())
+
+    def deviations(self) -> np.ndarray:
+        """Each reduction's largest entrywise distance from I / d^k."""
+        return _deviations(*self._block(), self.exact)
+
+
+def _runs(idx: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The rows of idx seen through each row of `columns`, a (B, w) array
+    of column lists: a (B T, w) array, run j the T rows on columns[j]."""
+    return np.swapaxes(idx[:, columns], 0, 1).reshape(len(columns) * len(idx), columns.shape[1])
+
+
+def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
+    """Traces of |psi><psi| over the complement of each of a block of
+    equal-sized party subsets, in one pass over arrays, exact ones over the
+    denominator r.  Each subset's entries are summed in the order that one
+    subset alone would give, so float sums keep their bits."""
+    T, N = e.idx.shape
+    B = len(subsets)
+    kept = np.array(subsets, dtype=np.int64).reshape(B, -1)
+    others = [[p for p in range(N) if p not in S] for S in subsets]
+    others = np.array(others, dtype=np.int64).reshape(B, N - kept.shape[1])
+    kept_idx = _runs(e.idx, kept)
+    keys, n_kept = _row_keys(kept_idx, d, _KEPT_KEY_LIMIT, B)
+    comp, _ = _row_keys(_runs(e.idx, others), d, _INT64_LIMIT, B)
 
     # rows sharing the complement of row i: order[lo[i] : lo[i] + counts[i]];
     # searching with sorted keys is several times faster than with unsorted ones
@@ -611,8 +702,10 @@ def _reduce(e: _Encoded, parties: tuple, d: int, r: int = 1) -> SparseOperator:
     a, b = e.re, e.im
     floats = e.bound is None
     # an entry sums at most one product per row, each below 2 * bound^2
-    if not floats and 2 * e.bound**2 * len(comp) >= _INT64_LIMIT:
+    if not floats and 2 * e.bound**2 * T >= _INT64_LIMIT:
         a, b = a.astype(object), b.astype(object)
+    # row i of the runs is term i mod T
+    a, b = np.tile(a, B), np.tile(b, B)
 
     if counts.sum() <= _PAIR_BLOCK:
         blocks = [np.arange(len(comp))]
@@ -626,22 +719,44 @@ def _reduce(e: _Encoded, parties: tuple, d: int, r: int = 1) -> SparseOperator:
         # (a1 + b1 i)(a2 - b2 i)
         re = a[i1] * a[i2] + b[i1] * b[i2]
         im = b[i1] * a[i2] - a[i1] * b[i2]
-        pair_keys, first, inv = np.unique(keys[i1] * n_kept + keys[i2], return_index=True, return_inverse=True)
+        # pairs grouped by entry key; any pair of an entry names its rows
+        pair_keys = keys[i1] * n_kept + keys[i2]
+        perm = np.argsort(pair_keys, kind="stable")
+        head = np.empty(len(perm), dtype=bool)
+        head[:1] = True
+        np.not_equal(pair_keys[perm[1:]], pair_keys[perm[:-1]], out=head[1:])
+        first = perm[head]
         if floats:
             # bincount adds in pair order, as a running sum over the rows would
-            re_sum = np.bincount(inv, re, len(pair_keys))
-            im_sum = np.bincount(inv, im, len(pair_keys))
+            inv = np.empty_like(perm)
+            inv[perm] = np.cumsum(head) - 1
+            re_sum = np.bincount(inv, re, len(first))
+            im_sum = np.bincount(inv, im, len(first))
         else:
-            re_sum = np.zeros(len(pair_keys), dtype=re.dtype)
-            im_sum = np.zeros(len(pair_keys), dtype=im.dtype)
-            np.add.at(re_sum, inv, re)
-            np.add.at(im_sum, inv, im)
+            heads = np.flatnonzero(head)
+            re_sum, im_sum = np.add.reduceat(re[perm], heads), np.add.reduceat(im[perm], heads)
             nonzero = (re_sum != 0) | (im_sum != 0)
             first, re_sum, im_sum = first[nonzero], re_sum[nonzero], im_sum[nonzero]
         rows_out, cols_out = i1[first], i2[first]
-        diagonal = keys[rows_out] == keys[cols_out]
-        parts.append((kept_idx[rows_out], kept_idx[cols_out], diagonal, re_sum, im_sum))
-    return _sparse(d, *(np.concatenate(column) for column in zip(*parts)), r, r, not floats)
+        parts.append((rows_out, cols_out, keys[rows_out] == keys[cols_out], re_sum, im_sum))
+    # entries come in (subset, kept1, kept2) key order, so run by run, and
+    # rows_out >= j T holds from the first entry of subset j on
+    rows_out, cols_out, diagonal, re, im = (np.concatenate(column) for column in zip(*parts))
+    starts = np.searchsorted(rows_out, np.arange(0, (B + 1) * T, T))
+    return _Reductions(d, kept_idx[rows_out], kept_idx[cols_out], diagonal, re, im, starts, r, not floats)
+
+
+def _call_width(e: _Encoded, d: int, k: int) -> int:
+    """The entries that one k-subset adds to the largest arrays of a _reduce
+    call on e: its run of the (T, N) index array, and its matched row
+    pairs, at least T max(1, T / d^(N - k)) of them, with k columns
+    gathered for each entry they make.  Calls sized by it keep those arrays
+    within oa._COUNT_BLOCK int64 entries, 128 KiB, a size whose freed
+    memory the allocator reuses; larger temporaries come fresh from the
+    system on every call and cost more in page faults than the calls that
+    batching saves."""
+    T, N = e.idx.shape
+    return max(e.idx.size, T * max(1, T // d ** (N - k)) * k)
 
 
 def _stack(family: list) -> tuple[_Encoded, int]:
@@ -671,30 +786,33 @@ def _member(digits: np.ndarray, base: int) -> np.ndarray:
     return digits @ base ** np.arange(digits.shape[1] - 1, -1, -1)
 
 
-def _block_reduction(e: _Encoded, m: int, family: list, parties: tuple):
-    """block(s, t): |psi_s><psi_t| traced down to `parties`, over the
-    denominator sqrt(r_s r_t) when exact, for the stack e of `family` with
-    m ancilla columns.
+def _block_reduction(e: _Encoded, m: int, family: list, subsets: list) -> list:
+    """For each of a block of equal-sized party subsets S, the function
+    block(s, t): |psi_s><psi_t| traced down to S, over the denominator
+    sqrt(r_s r_t) when exact, for the stack e of `family` with m ancilla
+    columns.
 
-    Psi is reduced once onto the ancilla and `parties`, and its entries are
-    split by one stable argsort on the ancilla (row, column) key, which
-    keeps each block in lexicographic order.  Each block gathers its own
-    arrays, so a block kept does not keep the whole reduction alive.
+    Psi is reduced onto the ancilla and every S in one kernel call, and its
+    entries are split by one stable argsort on the (subset, ancilla row,
+    ancilla column) key, which keeps each block in lexicographic order.
+    Each block gathers its own arrays, so a block kept does not keep the
+    whole reduction alive.
     """
     d, K = family[0].d, len(family)
     exact = e.bound is not None
     r = [state.r if exact else 1 for state in family]
     base = max(d, 2)
-    red = _reduce(e, tuple(range(m)) + tuple(p + m for p in parties), base)
-    key = _member(red.rows[:, :m], base) * K + _member(red.cols[:, :m], base)
+    red = _reduce(e, [tuple(range(m)) + tuple(p + m for p in S) for S in subsets], base)
+    subset = np.repeat(np.arange(len(subsets)), np.diff(red.starts))
+    key = (subset * K + _member(red.rows[:, :m], base)) * K + _member(red.cols[:, :m], base)
     order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(K * K + 1)).tolist()
+    bounds = np.searchsorted(key[order], np.arange(len(subsets) * K * K + 1)).tolist()
 
-    def block(s: int, t: int) -> SparseOperator:
-        at = order[bounds[s * K + t] : bounds[s * K + t + 1]]
+    def block(j: int, s: int, t: int) -> SparseOperator:
+        at = order[bounds[(j * K + s) * K + t] : bounds[(j * K + s) * K + t + 1]]
         return _sparse(d, red.rows[at, m:], red.cols[at, m:], red.diagonal[at], red.re[at], red.im[at], r[s], r[t], exact)
 
-    return block
+    return [partial(block, j) for j in range(len(subsets))]
 
 
 def _inner_products(e: _Encoded, m: int, family: list) -> list:
@@ -713,7 +831,7 @@ def _inner_products(e: _Encoded, m: int, family: list) -> list:
     if len(family) < 2:
         return []
     base = max(family[0].d, 2)
-    red = _reduce(e, tuple(range(m)), base)
+    red = _reduce(e, [tuple(range(m))], base)
     bra, ket = _member(red.rows, base), _member(red.cols, base)
     found = []
     for s, t, re, im in zip(*(x[bra < ket].tolist() for x in (bra, ket, red.re, red.im))):
@@ -810,7 +928,11 @@ def _avoiding(supports: np.ndarray):
 def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
     """The k-subsets S of the N parties of the stack e, its first m columns
     the ancilla, whose reduction onto the ancilla and S is not shown to be
-    I / d^(k + m) by the two stages below, lazily in lexicographic order.
+    I / d^(k + m) by the two stages below, lazily in lexicographic order,
+    in lists for one kernel call each: oa._in_blocks over _call_width, so
+    that a call's index runs and, as far as their lower bound tells, its
+    pair arrays stay within oa._COUNT_BLOCK entries unless one subset's
+    exceed it.
 
     Such a reduction has every block (s, t) equal to delta_st I / d^k, so a
     subset left out here is decided for a state (m = 0), a masker and a
@@ -833,14 +955,14 @@ def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
 
     Both stages leave the same subsets.  The matrix_dim cap bounds the
     d^k-wide reductions of what is left, so it is checked before the first
-    subset yielded, and at once, before any subset is listed, when counting
-    cannot apply.
+    subset left is found, and at once, before any subset is listed, when
+    counting cannot apply.
     """
     dim = d**k
     passes = _counting_check(e, d, k + m)
     if passes is None:
         check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-        yield from combinations(range(N), k)
+        yield from _in_blocks(combinations(range(N), k), _call_width(e, d, k + m))
         return
     width = len(e.idx)
     code = code_of_rows(d, e.idx) if math.comb(N, k) * width >= _CODE_MIN_PAIRS else None
@@ -849,16 +971,20 @@ def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
         if not len(supports):
             return
         passes, width = _avoiding(supports), len(supports)
-    capped = False
-    for block in _in_blocks(combinations(range(N), k), width):
-        columns = np.hstack([np.broadcast_to(np.arange(m), (len(block), m)), np.array(block) + m])
-        for subset, ok in zip(block, passes(columns).tolist()):
-            if ok:
-                continue
-            if not capped:
-                check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-                capped = True
-            yield subset
+
+    def left():
+        capped = False
+        for block in _in_blocks(combinations(range(N), k), width):
+            columns = np.hstack([np.broadcast_to(np.arange(m), (len(block), m)), np.array(block) + m])
+            for subset, ok in zip(block, passes(columns).tolist()):
+                if ok:
+                    continue
+                if not capped:
+                    check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+                    capped = True
+                yield subset
+
+    yield from _in_blocks(left(), _call_width(e, d, k + m))
 
 
 def reduction(state: PureState, parties) -> SparseOperator:
@@ -867,7 +993,7 @@ def reduction(state: PureState, parties) -> SparseOperator:
     parties = _validate_parties(state.N, parties)
     dim = state.d ** len(parties)
     check_cap("matrix_dim", dim, what=f"reduction onto {len(parties)} parties of dimension {state.d}")
-    return _reduce(_encode(state, not state.exact), parties, state.d, state.r)
+    return _reduce(_encode(state, not state.exact), [parties], state.d, state.r).operator(0)
 
 
 def inner_product(s1: PureState, s2: PureState) -> InnerProduct:
@@ -933,9 +1059,10 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
     Stufken, Thm 3.29), so when w(C-perp) > k the short words of C name
     the subsets left, none when w(C) > k too; other rows are counted.  Every
     subset left, and every subset of a float state, goes through the
-    reduction kernel, which alone reports failures; an exact state's
-    deviations are read off the kernel's arrays.  A pass from any stage
-    gives the same report.
+    reduction kernel, one call per list that _undecided yields, which alone
+    reports failures: whether each subset's reduction is exactly I / d^k,
+    and its deviation, are read off the call's arrays at once.  A pass from
+    any stage gives the same report.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")
@@ -946,14 +1073,16 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
     e = _encode(state, not state.exact)
     failures = []
     max_dev = 0.0
-    for subset in _undecided(e, 0, state.d, state.N, k):
-        rho = _reduce(e, subset, state.d, state.r)
-        if state.exact and rho.is_maximally_mixed():
-            continue  # deviation exactly 0.0
-        dev = rho.maximally_mixed_deviation()
-        max_dev = max(max_dev, dev)
-        if state.exact or not dev <= tol:
-            failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
+    for subsets in _undecided(e, 0, state.d, state.N, k):
+        red = _reduce(e, subsets, state.d, state.r)
+        # deviations exactly 0.0 where an exact reduction is I / d^k
+        mixed = red.maximally_mixed() if state.exact else np.zeros(len(subsets), dtype=bool)
+        if mixed.all():
+            continue
+        for subset, dev in zip(compress(subsets, ~mixed), red.deviations()[~mixed].tolist()):
+            max_dev = max(max_dev, dev)
+            if state.exact or not dev <= tol:
+                failures.append((subset, f"reduction deviates from I/{state.d ** k} by {dev:.3e}"))
     verdict = "pass" if not failures else "fail"
     return UniformityReport(state.N, state.d, k, verdict, math.comb(state.N, k), failures, max_dev)
 

@@ -21,6 +21,7 @@ from reduction_oracle import oracle_verify_masker
 from state_oracle import oracle_inner_product
 
 from kuniform import field_new, masking
+from kuniform import oa as oa_module
 from kuniform import states as states_module
 from kuniform.codes import LinearCode, mds_code
 from kuniform.errors import CapExceeded, KuniformError, MaskingError, ParseError
@@ -109,17 +110,15 @@ def hamming_masker():
     return build_masker(hamming_state(), split_party=0, k=2)
 
 
-def _record(monkeypatch, module, name: str) -> list:
-    """Record the arguments of every call of module.name."""
+def _record(monkeypatch, module, name: str, each: int | None = None) -> list:
+    """Record the arguments of every call of module.name, or, with `each`
+    set, the elements of argument `each` of every call, one entry per
+    element: every subset of each block call."""
     calls = []
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    record = calls.append if each is None else (lambda args: calls.extend(args[each]))
+    monkeypatch.setattr(module, name, lambda *args, **kw: record(args) or original(*args, **kw))
     return calls
-
-
-def _onto(reduced: list) -> list:
-    """The columns kept by each recorded _reduce call."""
-    return [args[1] for args in reduced]
 
 
 def _record_cap_checks(monkeypatch) -> list:
@@ -272,7 +271,7 @@ def test_masker_cap_checked_once(monkeypatch):
     m, qubit = hamming_masker(), qubit_masker()
     floats = Masker(d=2, N=m.N, images=[_float_copy(s) for s in m.images])
     calls = _record_cap_checks(monkeypatch)
-    reduced = _record(monkeypatch, states_module, "_reduce")
+    reduced = _record(monkeypatch, states_module, "_reduce", each=1)
     monkeypatch.setenv("KUF_CAPS", "matrix_dim=3")
     assert verify_masker(m, 2).verdict == "pass" and calls == [] and reduced == []
     with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
@@ -285,6 +284,28 @@ def test_masker_cap_checked_once(monkeypatch):
         calls.clear()
         assert verify_masker(masker, 2, samples=samples).verdict == "pass"
         assert calls == ["matrix_dim"]
+
+
+def test_kernel_reduces_each_block_of_subsets_in_one_call(monkeypatch):
+    """The kernel takes the subsets left a block at a time: ame_6_2's 20
+    subsets at k = 3, none decided by counting, make one call, and its
+    one-party split at k = 2 makes one call per block of subsets, not one
+    per subset."""
+    calls = _record(monkeypatch, states_module, "_reduce")
+    ame = load_bundled_state("ame_6_2")
+    assert verify_k_uniform(ame, 3).verdict == "pass"
+    assert [args[1] for args in calls] == [list(combinations(range(6), 3))]
+    m = qubit_masker()
+    pairs = list(combinations(range(5), 2))
+    calls.clear()
+    assert verify_masker(m, 2).verdict == "pass"
+    assert [args[1] for args in calls] == [[(0,) + tuple(p + 1 for p in S) for S in pairs]]
+    # blocks of three subsets of the images' 16 stacked terms on 6 columns
+    monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 3 * 16 * 6)
+    calls.clear()
+    assert verify_masker(m, 2).verdict == "pass"
+    assert [len(args[1]) for args in calls] == [3, 3, 3, 1]
+    assert [S for args in calls for S in args[1]] == [(0,) + tuple(p + 1 for p in S) for S in pairs]
 
 
 def _scaled(state: PureState) -> PureState:
@@ -572,20 +593,20 @@ def test_qecc_ops_cap_checked_where_blocks_are_reduced(monkeypatch):
     reduction.  Either one is first reduced onto its ancilla alone, for its
     inner products."""
     counted, qubit = hamming_masker().images, qubit_masker().images
-    reduced = _record(monkeypatch, states_module, "_reduce")
+    reduced = _record(monkeypatch, states_module, "_reduce", each=1)
     # the Hamming images at delta = 3: C(7, 2) x 3 = 63 blocks, all counted
     monkeypatch.setenv("KUF_CAPS", "qecc_ops=62")
-    assert verify_pure_qecc(counted, 3).verdict == "pass" and _onto(reduced) == [(0,)]
+    assert verify_pure_qecc(counted, 3).verdict == "pass" and reduced == [(0,)]
     # the ame_6_2 images: C(5, 2) x 3 = 30 blocks, left to the kernel
     reduced.clear()
     monkeypatch.setenv("KUF_CAPS", "qecc_ops=29")
     with pytest.raises(CapExceeded, match=r"10 x 3 pair reductions onto 2 parties needs 30 > cap 29 \(qecc_ops"):
         verify_pure_qecc(qubit, 3)
-    assert _onto(reduced) == [(0,)]
+    assert reduced == [(0,)]
     reduced.clear()
     monkeypatch.setenv("KUF_CAPS", "qecc_ops=30")
     assert verify_pure_qecc(qubit, 3).verdict == "pass"
-    assert _onto(reduced) == [(0,)] + [(0,) + tuple(p + 1 for p in S) for S in combinations(range(5), 2)]
+    assert reduced == [(0,)] + [(0,) + tuple(p + 1 for p in S) for S in combinations(range(5), 2)]
 
 
 def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
@@ -596,7 +617,7 @@ def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
     mixed, counted_floats = [qubit[0], _float_copy(qubit[1])], [_float_copy(s) for s in counted]
     encodes = _count_encodes(monkeypatch)
     calls = _record_cap_checks(monkeypatch)
-    reduced = _record(monkeypatch, states_module, "_reduce")
+    reduced = _record(monkeypatch, states_module, "_reduce", each=1)
     # a basis with a float state is encoded in floats throughout
     kernel = ["matrix_dim", "qecc_ops"]
     for basis, floats, checks in [(counted, False, []), (qubit, False, kernel), (mixed, True, kernel)]:
@@ -610,7 +631,7 @@ def test_pure_code_encodes_once_and_checks_caps_once(monkeypatch):
     with monkeypatch.context() as env:
         env.setenv("KUF_CAPS", "matrix_dim=3")
         # the reduction onto the ancilla alone, for the inner products
-        assert verify_pure_qecc(counted, 3).verdict == "pass" and _onto(reduced) == [(0,)]
+        assert verify_pure_qecc(counted, 3).verdict == "pass" and reduced == [(0,)]
         with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
             verify_pure_qecc(counted_floats, 3)
     # 2^13 > 4096: one reduction, whose two terms counting cannot decide,
@@ -845,7 +866,7 @@ def _assert_share(family: list, k: int, share: str) -> None:
     """The k-subsets left for the kernel are none, some or all of them."""
     e, m = states_module._stack(family)
     N, d = family[0].N, family[0].d
-    left, n = len(list(states_module._undecided(e, m, d, N, k))), math.comb(N, k)
+    left, n = sum(map(len, states_module._undecided(e, m, d, N, k))), math.comb(N, k)
     assert {"every": left == 0, "some": 0 < left < n, "none": left == n}[share]
 
 
@@ -900,15 +921,15 @@ def test_split_codes_pass_without_the_kernel(monkeypatch):
     psi = construct_k_uniform(4, 9, 10, verify=False)
     masker, basis = build_masker(psi, 0, k=3), _split(psi, 2)
     phased = Masker(d=9, N=9, images=[_times_one_plus_i(s) if s is masker.images[1] else s for s in masker.images])
-    blocks = _record(monkeypatch, masking, "_block_reduction")
+    blocks = _record(monkeypatch, masking, "_block_reduction", each=3)
     assert verify_masker(masker, 3).verdict == "pass"
     # the basis's orthonormality is read off one reduction onto its two
     # ancilla columns, with no pairwise inner product
     pairs = _record(monkeypatch, masking, "inner_product") + _record(monkeypatch, states_module, "inner_product")
-    reduced = _record(monkeypatch, states_module, "_reduce")
+    reduced = _record(monkeypatch, states_module, "_reduce", each=1)
     report = verify_pure_qecc(basis, 3)
     assert (report.verdict, report.K, report.N) == ("pass", 81, 8) and singleton_check(8, 81, 2, 9)
-    assert blocks == [] and pairs == [] and _onto(reduced) == [(0, 1)]
+    assert blocks == [] and pairs == [] and reduced == [(0, 1)]
     assert verify_masker(phased, 3).verdict == "pass" and len(blocks) == math.comb(9, 3)
 
 

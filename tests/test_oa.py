@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 
 import numpy as np
@@ -266,6 +266,21 @@ def test_source_code_is_derived_never_passed_in():
     assert B != A and (B.r, B.N, B.d, B.k) == (A.r, A.N, A.d, A.k)
     assert [verify_strength(B, k) for k in range(5)] == [True, True, True, False, False]
     assert oa_min_distance(B) == 3
+
+
+def test_arrays_and_codes_refuse_assignment():
+    """Arrays and codes are frozen: a field assigned after construction
+    would skip its checks and leave the kept code and the cached distances
+    answering for rows or a generator they no longer describe."""
+    A = oa_from_code(mds_code(F3, 2))
+    with pytest.raises(FrozenInstanceError):
+        A.rows = np.zeros((9, 4), dtype=np.int64)
+    assert verify_strength(A, 2) and oa_min_distance(A) == 3 and A.rows.any()
+    C = mds_code(F3, 2)
+    assert min_distance(C) == 3
+    with pytest.raises(FrozenInstanceError):
+        C.G = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert min_distance(C) == 3 and C.G.shape == (2, 4) and C.G[0, 2:].any()
 
 
 def test_arrays_compare_by_value():

@@ -72,7 +72,7 @@ def cross_block(s1: PureState, s2: PureState, parties):
     """|s1><s2| traced down to `parties`: block (0, 1) of the reduction of
     the two-state stack, in floats unless both states are exact."""
     e, m = states_module._stack([s1, s2])
-    return states_module._block_reduction(e, m, [s1, s2], tuple(sorted(parties)))(0, 1)
+    return states_module._block_reduction(e, m, [s1, s2], [tuple(sorted(parties))])[0](0, 1)
 
 
 def dense_reduction(vec: np.ndarray, N: int, d: int, parties) -> np.ndarray:
@@ -227,7 +227,7 @@ def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypa
 
     monkeypatch.setattr(states_module, "_counting_check", recording_check)
     monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 2 * state.num_terms)
-    reduced = _record_calls(monkeypatch, "_reduce")
+    reduced = _record_calls(monkeypatch, "_reduce", each=1)
     with monkeypatch.context() as env:
         env.setenv("KUF_CAPS", "matrix_dim=3")
         with pytest.raises(CapExceeded, match=r"reductions of dimension 4 .*\(matrix_dim"):
@@ -238,7 +238,7 @@ def test_uniformity_cap_checked_at_the_first_subset_left_for_the_kernel(monkeypa
     assert asked == [[(0, 1), (0, 2)], [(0, 3), (1, 2)], [(1, 3), (2, 3)]]
     assert report.verdict == "fail" and report.subsets_checked == 6
     assert [subset for subset, _ in report.failures] == [(0, 2), (1, 3)]
-    assert [args[1] for args in reduced] == [(0, 2), (1, 3)]
+    assert reduced == [(0, 2), (1, 3)]
 
 
 def test_cross_reduction_orthogonal_product_terms():
@@ -359,7 +359,7 @@ def test_stack_blocks_match_dict_oracle(case, block):
     e, m = states_module._stack(family)
     assert d**m >= K and (m == 0 or d ** (m - 1) < K)
     with mock.patch.object(states_module, "_PAIR_BLOCK", block):
-        blocks = states_module._block_reduction(e, m, family, tuple(sorted(parties)))
+        (blocks,) = states_module._block_reduction(e, m, family, [tuple(sorted(parties))])
     for s, t in np.ndindex(K, K):
         got = blocks(s, t)
         # entries in lexicographic (row, column) order
@@ -381,6 +381,83 @@ def test_kernel_blocks_keep_entries_whole():
         with mock.patch.object(states_module, "_PAIR_BLOCK", block):
             for parties in [(0,), (1,), (2,), (0, 2), (0, 1, 2)]:
                 assert_same_operator(cross_block(s, s, parties), oracle_cross_reduction(s, s, parties))
+
+
+@st.composite
+def block_families(draw):
+    """(family, k): one to three states on N <= 5 parties with d in {2, 3},
+    all exact with int64 numerators, all exact with numerators past 2^63,
+    all float, or exact ones joined by a float one; k the size of the
+    subsets reduced."""
+    N = draw(st.integers(1, 5))
+    d = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("int64", "wide", "float", "mixed")))
+    members = sparse_float_states(N, d) if kind == "float" else sparse_exact_states(N, d)
+    if kind == "wide":
+        big = draw(st.sampled_from((2**63, 3**41 + 2)))
+        members = members.map(lambda s: transformed(s, range(N), [range(d)] * N, [(big, 0)] * s.num_terms))
+    family = draw(st.lists(members, min_size=1, max_size=3))
+    if kind == "mixed":
+        family.insert(draw(st.integers(0, len(family))), draw(sparse_float_states(N, d)))
+    return family, draw(st.integers(1, N))
+
+
+@settings(max_examples=150)
+@given(case=block_families(), size=st.sampled_from((1, 7, None)), pair_block=st.sampled_from((5, states_module._PAIR_BLOCK)))
+def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
+    """Every subset's blocks from a kernel call over many subsets are the
+    dict oracle's, and bit for bit what the subset alone gives, for blocks
+    of one, of seven and of the walk's default size, with pair blocks of 5
+    that cut through subsets or of the default budget."""
+    family, k = case
+    e, m = states_module._stack(family)
+    d, N, K = family[0].d, family[0].N, len(family)
+    floats = e.bound is None
+    assert floats == (not all(s.exact for s in family))
+    subsets = list(combinations(range(N), k))
+    if size is None:
+        calls = list(oa_module._in_blocks(iter(subsets), states_module._call_width(e, d, k + m)))
+    else:
+        calls = [subsets[i : i + size] for i in range(0, len(subsets), size)]
+    with mock.patch.object(states_module, "_PAIR_BLOCK", pair_block):
+        got = [blocks for call in calls for blocks in states_module._block_reduction(e, m, family, call)]
+        alone = [states_module._block_reduction(e, m, family, [S])[0] for S in subsets]
+        reductions = [states_module._reduce(e, call, d, family[0].r) for call in calls] if K == 1 else []
+    for S, blocks, single in zip(subsets, got, alone):
+        for s, t in np.ndindex(K, K):
+            op, one = blocks(s, t), single(s, t)
+            keys = [row + col for row, col in zip(op.rows.tolist(), op.cols.tolist())]
+            assert keys == sorted(keys)
+            assert_same_operator(op, oracle_cross_reduction(family[s], family[t], S, floats))
+            for x, y in ((getattr(op, name), getattr(one, name)) for name in ("rows", "cols", "diagonal", "re", "im")):
+                assert x.dtype == y.dtype and _bits(x.tolist()) == _bits(y.tolist())
+    # one state: the call's own decisions, per subset, are its operators'
+    for call, red in zip(calls, reductions):
+        assert len(red.starts) == len(call) + 1
+        for j, S in enumerate(call):
+            op = red.operator(j)
+            assert_same_operator(op, oracle_cross_reduction(family[0], family[0], S, floats))
+            assert red.deviations()[j].tobytes() == np.float64(op.maximally_mixed_deviation()).tobytes()
+            if not floats:
+                assert red.maximally_mixed()[j] == op.is_maximally_mixed() == oracle_is_maximally_mixed(op)
+
+
+def test_pair_blocks_cut_through_subsets():
+    """With a pair budget of 4, the kernel's pair blocks hold rows of two
+    subsets at once, and every reduction is still the oracle's."""
+    state = example_state()
+    subsets = list(combinations(range(4), 2))
+    cuts = []
+    blocks = states_module._blocks
+    with (
+        mock.patch.object(states_module, "_PAIR_BLOCK", 4),
+        mock.patch.object(states_module, "_blocks", lambda *a: cuts.append(out := blocks(*a)) or out),
+    ):
+        red = states_module._reduce(states_module._encode(state, False), subsets, 3, state.r)
+    assert any(len(set((rows // state.num_terms).tolist())) > 1 for rows in cuts[0])
+    for j, S in enumerate(subsets):
+        assert_same_operator(red.operator(j), oracle_cross_reduction(state, state, S))
+    assert red.maximally_mixed().tolist() == [True] * 6
 
 
 UNIT_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -572,7 +649,7 @@ def test_batched_counting_matches_oracle(case, size):
     reduce = states_module._reduce
     with (
         mock.patch.object(oa_module, "_COUNT_BLOCK", size * state.num_terms),
-        mock.patch.object(states_module, "_reduce", lambda *args: reduced.append(args[1]) or reduce(*args)),
+        mock.patch.object(states_module, "_reduce", lambda *args: reduced.extend(args[1]) or reduce(*args)),
     ):
         report = verify_k_uniform(state, k)
     assert reduced == [subset for subset, ok in zip(subsets, want) if not ok]
@@ -594,11 +671,11 @@ def test_counting_on_complement_ids(monkeypatch):
         return len(set(kept)) == 4 and len(complements) == 4
 
     monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 7 * state.num_terms)
-    reduced = _record_calls(monkeypatch, "_reduce")
+    reduced = _record_calls(monkeypatch, "_reduce", each=1)
     report = verify_k_uniform(state, 2)
     kept = [subset for subset in combinations(range(66), 2) if counts(subset)]
     assert len(kept) == 12 and report.subsets_checked == 2145
-    assert [args[1] for args in reduced] == [s for s in combinations(range(66), 2) if s not in kept]
+    assert reduced == [s for s in combinations(range(66), 2) if s not in kept]
     assert report == oracle_verify_k_uniform(state, 2)
 
 
@@ -632,7 +709,7 @@ def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
     them; a copy relabelled off the affine maps still goes through
     counting, and so does a state too small for recognising its code to
     pay."""
-    reduced = _record_calls(monkeypatch, "_reduce")
+    reduced = _record_calls(monkeypatch, "_reduce", each=1)
     asked = _record_counting(monkeypatch)
     recognised = _record_calls(monkeypatch, "code_of_rows")
     # the [6,3]_5 extended Reed-Solomon support, w = w-perp = 4: 20 subsets
@@ -662,12 +739,12 @@ def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
     assert verify_k_uniform(phased, 4).verdict == "pass" and asked == [] and reduced == []
     report = verify_k_uniform(phased, 5)
     assert report.verdict == "fail" and len(report.failures) == 66 and asked == []
-    assert [args[1] for args in reduced] == [subset for subset, _ in report.failures]
+    assert reduced == [subset for subset, _ in report.failures]
 
 
 def test_largest_mds_trim_is_decided_by_its_code(monkeypatch):
     """The 371293-term (5,13,14) state: 2002 subsets, no counting."""
-    reduced = _record_calls(monkeypatch, "_reduce")
+    reduced = _record_calls(monkeypatch, "_reduce", each=1)
     asked = _record_counting(monkeypatch)
     state = construct_k_uniform(5, 13, 14, verify=False)
     report = verify_k_uniform(state, 5)
@@ -960,11 +1037,14 @@ def test_sparse_operator_matches_dict_oracle(case):
     assert op == ref.sparse() and (op == other.sparse()) == (ref == other)
 
 
-def _record_calls(monkeypatch, name: str) -> list:
-    """The argument tuples of every call of states.<name>."""
+def _record_calls(monkeypatch, name: str, each: int | None = None) -> list:
+    """The argument tuples of every call of states.<name>, or, with `each`
+    set, the elements of argument `each` of every call, one entry per
+    element: every subset of each block call."""
     calls = []
     fn = getattr(states_module, name)
-    monkeypatch.setattr(states_module, name, lambda *args: calls.append(args) or fn(*args))
+    record = calls.append if each is None else (lambda args: calls.extend(args[each]))
+    monkeypatch.setattr(states_module, name, lambda *args: record(args) or fn(*args))
     return calls
 
 
@@ -974,7 +1054,7 @@ def test_kernel_runs_only_where_counting_cannot_pass(monkeypatch):
     moved = transformed(
         phased, rng.permutation(11).tolist(), [rng.permutation(3).tolist() for _ in range(11)], [(1, 0)] * 729
     )
-    reduced = _record_calls(monkeypatch, "_reduce")
+    reduced = _record_calls(monkeypatch, "_reduce", each=1)
     encoded = _record_calls(monkeypatch, "_encode")
     report = verify_k_uniform(moved, 4)
     assert report.verdict == "pass" and report.subsets_checked == 330
@@ -982,7 +1062,7 @@ def test_kernel_runs_only_where_counting_cannot_pass(monkeypatch):
     encoded.clear()
     report = verify_k_uniform(moved, 5)
     assert report.verdict == "fail" and 0 < len(report.failures) < report.subsets_checked
-    assert [args[1] for args in reduced] == [subset for subset, _ in report.failures]
+    assert reduced == [subset for subset, _ in report.failures]
     assert encoded == [(moved, False)]
     # colliding complements and float amplitudes: every subset
     ame = load_bundled_state("ame_6_2")
@@ -990,7 +1070,7 @@ def test_kernel_runs_only_where_counting_cannot_pass(monkeypatch):
         reduced.clear()
         encoded.clear()
         report = verify_k_uniform(state, k)
-        assert report.verdict == "pass" and [args[1] for args in reduced] == list(combinations(range(state.N), k))
+        assert report.verdict == "pass" and reduced == list(combinations(range(state.N), k))
         assert encoded == [(state, not state.exact)]
 
 
@@ -1027,7 +1107,7 @@ GHZ_16_SWAPPED = transformed(ghz(16, 16), range(16), [[1, 0, *range(2, 16)]] + [
     ids=["ghz70", "six70", "plus70", "ghz16_16", "ghz16_16_swapped", "plus16_16", "big31-1", "big31", "big40", "big70", "ghz4_3", "ghz4_100"],
 )
 def test_counting_steps_aside(monkeypatch, state, k, counted):
-    reduced = _record_calls(monkeypatch, "_reduce")
+    reduced = _record_calls(monkeypatch, "_reduce", each=1)
     asked = _record_counting(monkeypatch)
     lengths = []
     bincount = np.bincount
