@@ -15,8 +15,8 @@ Each cap is checked where its memory is allocated:
   recognises no code over a larger q;
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
-  the code stage of states._undecided enumerates none, since C's words and
-  w(C-perp) come from the rows;
+  the code stage of states._Purified.undecided enumerates none, since
+  C's words and w(C-perp) come from the rows;
 - oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
   of catalog.execute_recipe that builds an array from a code, and
   states.tensor_parties, on the T1 T2 terms of a product, the rows of the
@@ -24,23 +24,24 @@ Each cap is checked where its memory is allocated:
 - oa_pairs: oa.oa_min_distance, before the pairwise row scan;
 - matrix_dim: the d^k-wide reductions of the kernel, each call of which
   reduces a block of subsets; checked once per call of the functions
-  below, before their first kernel call: by states.reduction, by states._undecided, which
-  hands the subsets of verify_k_uniform, masking.verify_masker and
-  masking.verify_pure_qecc to the kernel in blocks, as soon as its code
-  and counting stages (which allocate at most a few integers per term)
-  leave a first subset, before that subset's block is complete, and at
-  once when counting applies to no subset, and by verify_masker before the
+  below, before their first kernel call: by states.reduction, by
+  states._Purified.undecided, which hands the subsets of
+  verify_k_uniform, masking.verify_masker and masking.verify_pure_qecc to
+  the kernel in blocks, as soon as its code and counting stages (which
+  allocate at most a few integers per term) leave a first subset, before
+  that subset's block is complete, and at once when counting applies to
+  no subset, and by verify_masker before the
   first sampled superposition; and the dense PureState.to_vector and
   SparseOperator.to_matrix, a public export that no verifier calls
   (verify_pure_qecc's Pauli witness builds a dense block under the
   matrix_dim already checked).  It bounds d^k, the ancilla of a masker's or
-  a code's stacked family excluded: each block of a reduction can hold
+  a code's purified family excluded: each block of a reduction can hold
   d^(2k) entries, and the kernel allocates those entries even though it
   never builds a dense matrix.  A subset decided without the kernel
   allocates no block, and the I / d^k a masker report then holds has at
   most as many entries as an image has terms;
 - qecc_ops: masking.verify_pure_qecc, on its C(N, k) K (K + 1) / 2 blocks,
-  before the first subset that _undecided leaves for the kernel, so a
+  before the first subset that undecided leaves for the kernel, so a
   basis decided on Psi alone builds no block and is never refused.
 """
 

@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     m_v.add_argument("dir")
     m_v.add_argument("--k", type=_nonnegative, required=True)
     m_v.add_argument("--samples", type=_nonnegative, default=0)
-    m_v.add_argument("--seed", type=int, default=0, help="RNG seed for --samples")
+    m_v.add_argument("--seed", type=_nonnegative, default=0, help="RNG seed for --samples")
     m_v.set_defaults(handler=_cmd_mask_verify)
 
     qecc = sub.add_parser("qecc", help="check pure quantum codes")

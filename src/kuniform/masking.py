@@ -20,30 +20,31 @@ PRA 69, 052330 (2004)), so the condition is equivalent to every
 which exact states decide in integer arithmetic for every d.
 
 Both checks read one purified state, Psi = sum_s |s>_a |psi_s> over the
-images or the basis: the reduction of Psi onto {a} and a party subset S is
-the block matrix whose (s, t) block is |psi_s><psi_t| traced down to S.
-They walk the subsets with states._undecided, as verify_k_uniform does: a
-subset on which Psi is decided by its code or by counting rows has that
-reduction equal to I / d^(k + m), so every block (s, t) is delta_st I / d^k
-and the subset passes both checks, a masker's common operator there being
-I / d^k over image 0's r.  The subsets left come in lists, and each list
-costs one kernel call that reduces Psi onto every subset in it
-(states._block_reduction), whose blocks are SparseOperators gathered from
-its arrays: exact blocks are compared in integers, and a deviation, a
-cross-term magnitude or a Pauli witness is read off a block's arrays
-without building another operator.  The matrix_dim cap is checked where
-those reductions are made: by _undecided, and before the first sample of
-verify_masker, whose reductions onto every subset are also made a list of
-subsets per kernel call.
+images or the basis, held as a states._Purified: the reduction of Psi onto
+{a} and a party subset S is the block matrix whose (s, t) block is
+|psi_s><psi_t| traced down to S.  They walk the subsets with its
+undecided, as verify_k_uniform does: a subset on which Psi is decided by
+its code or by counting rows has that reduction equal to I / d^(k + m), so
+every block (s, t) is delta_st I / d^k and the subset passes both checks,
+a masker's common operator there being I / d^k over image 0's r.  The
+subsets left come in lists, and each list costs one kernel call that
+reduces Psi onto every subset in it (its blocks), whose blocks are
+SparseOperators gathered from its arrays: exact blocks are compared in
+integers, and a deviation, a cross-term magnitude or a Pauli witness is
+read off a block's arrays without building another operator.  The
+matrix_dim cap is checked where those reductions are made: by undecided,
+and before the first sample of verify_masker, whose superpositions are
+reduced onto every subset a list of subsets per kernel call (its
+superposed).
 
 Orthonormality is the same Psi with no party kept: its reduction onto the
 ancilla alone has entry (s, t) = <psi_t|psi_s>, and an exact reduction
 stores nonzero entries only, so the entries above its diagonal are the
-pairs that may not be orthogonal (states._inner_products).
-verify_pure_qecc, verify_masker at k = 0 and load_masker each make that one
-reduction, none for a single state, rather than one inner product per pair;
-a family that mixes exact and float states makes one more, over its exact
-members, so two exact states are always compared exactly.
+pairs that may not be orthogonal (its inner_products).  verify_pure_qecc,
+verify_masker at k = 0 and load_masker each make that one reduction, none
+for a single state, rather than one inner product per pair; a family that
+mixes exact and float states makes one more, over its exact members, so
+two exact states are always compared exactly.
 """
 
 from __future__ import annotations
@@ -59,26 +60,16 @@ import numpy as np
 
 from .caps import check_cap
 from .errors import KuniformError, MaskingError, ParseError
-from .oa import _in_blocks
 from .states import (
-    _INT64_LIMIT,
     FLOAT_TOL,
     PureState,
     SparseOperator,
-    _Encoded,
-    _amplitude_parts,
-    _block_reduction,
-    _call_width,
+    _Purified,
     _complex,
     _floats,
     _from_arrays,
-    _inner_products,
     _maximally_mixed,
-    _reduce,
-    _row_keys,
     _same_operator,
-    _stack,
-    _undecided,
     inner_product,  # noqa: F401 -- public through this module too
     load_state,
     save_state,
@@ -216,36 +207,35 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     failures: list = []
     common: dict = {}
     max_dev = 0.0
+    psi = _Purified(m.images)
 
     if k == 0:
-        pairs = _inner_products(*_stack(m.images), m.images)
+        pairs = psi.inner_products()
         failures = [((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}") for s, t, ip in pairs if not ip.is_zero()]
         return MaskingReport(m.N, m.d, 0, "fail" if failures else "pass", 1, failures, {}, 0.0)
 
     n_subsets = math.comb(m.N, k)
-    psi, width = _stack(m.images)
-    exact = psi.bound is not None
-    for subsets in _undecided(psi, width, m.d, m.N, k):
-        for subset, block in zip(subsets, _block_reduction(psi, width, m.images, subsets)):
+    for subsets in psi.undecided(k):
+        for subset, block in zip(subsets, psi.blocks(subsets)):
             rho0 = common[subset] = block(0, 0)
             for s in range(1, m.d):
                 rho = block(s, s)
-                if exact and _same_operator(rho, rho0):
+                if psi.exact and _same_operator(rho, rho0):
                     continue  # the same operator as image 0's
                 delta = rho.deviation(rho0)
                 max_dev = max(max_dev, delta)
-                if exact or delta > FLOAT_TOL:
+                if psi.exact or delta > FLOAT_TOL:
                     failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
             for s, t in combinations(range(m.d), 2):
                 cross = block(s, t)
-                if exact and cross.is_zero():
+                if psi.exact and cross.is_zero():
                     continue  # the cross term vanishes exactly
                 # abs() of each stored value, as np.hypot gives it, then the
                 # denominator, 1 for a float block
                 R, x, y = _floats(cross.r_ket * cross.r_bra, cross.re, cross.im)
                 mag = float(np.max(np.hypot(x, y), initial=0.0)) / math.sqrt(R)
                 max_dev = max(max_dev, mag)
-                if exact or mag > FLOAT_TOL:
+                if psi.exact or mag > FLOAT_TOL:
                     failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
     if len(common) < n_subsets:
         # every subset left out has the blocks delta_st I / d^k
@@ -257,35 +247,14 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
         # each sample is reduced in the kernel onto every subset
         check_cap("matrix_dim", m.d**k, what=f"reductions of dimension {m.d**k}")
         rng = np.random.default_rng(seed)
-        # the images' terms, and each one's slot among the distinct indices
-        # in order of first appearance
-        idx = np.concatenate([img._idx for img in m.images])
-        member = np.repeat(np.arange(m.d), [img.num_terms for img in m.images])
-        x, y = (np.concatenate(parts) for parts in zip(*map(_amplitude_parts, m.images)))
-        _, first, inv = np.unique(_row_keys(idx, m.d, _INT64_LIMIT)[0], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        slot, support = np.argsort(order)[inv], idx[first[order]]
         for _ in range(samples):
             coeffs = rng.normal(size=m.d) + 1j * rng.normal(size=m.d)
             coeffs /= np.linalg.norm(coeffs)
-            cx, cy = coeffs.real[member], coeffs.imag[member]
-            # sum over images of c * amplitude, added term by term in order
-            re, im = np.zeros(len(first)), np.zeros(len(first))
-            np.add.at(re, slot, cx * x - cy * y)
-            np.add.at(im, slot, cx * y + cy * x)
-            keep = (re != 0) | (im != 0)
-            # reduced as encoded: a superposition of images that are
-            # orthonormal within FLOAT_TOL need not meet NORM_TOL
-            e = _Encoded(support[keep], re[keep], im[keep], None)
-            for subsets in _in_blocks(iter(common), _call_width(e, m.d, k)):
-                red = _reduce(e, subsets, m.d)
-                for j, subset in enumerate(subsets):
-                    delta = red.operator(j).deviation(common[subset])
-                    max_dev = max(max_dev, delta)
-                    if delta > FLOAT_TOL:
-                        failures.append(
-                            (subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}")
-                        )
+            for subset, rho in psi.superposed(coeffs, k):
+                delta = rho.deviation(common[subset])
+                max_dev = max(max_dev, delta)
+                if delta > FLOAT_TOL:
+                    failures.append((subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}"))
             samples_checked += 1
 
     verdict = "pass" if not failures else "fail"
@@ -441,8 +410,8 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     orthogonal; a basis that fails it is reported without checking any
     Pauli, and one state makes no such reduction.  The Paulis on a set S of
     k = min(delta - 1, N) parties span every operator on S, so for each
-    k-subset S that states._undecided leaves, Psi is reduced once onto the
-    ancilla and S, and for each i <= j its block (j, i), which is
+    k-subset S that the undecided walk of Psi leaves, Psi is reduced once
+    onto the ancilla and S, and for each i <= j its block (j, i), which is
     |psi_j><psi_i| traced down to S, must be I / d^k when i == j and zero
     otherwise.  A basis whose states are all exact is decided exactly for
     every d; otherwise every state is taken in floats, and a block passes
@@ -470,10 +439,10 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
 
     # unit norms are enforced by the state constructors; only pairwise
     # orthogonality can fail here
-    psi, width = _stack(basis)
+    psi = _Purified(basis)
     failures: list = []
     worst = 0.0
-    for i, j, ip in _inner_products(psi, width, basis):
+    for i, j, ip in psi.inner_products():
         dev = abs(ip.value)
         if (not ip.is_zero()) if ip.exact else dev > PAULI_TOL:
             failures.append(("<i|j>", i, j, dev))
@@ -485,19 +454,18 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     k = min(delta - 1, N)
     n_subsets = math.comb(N, k) if k else 0
     n_pairs = K * (K + 1) // 2
-    exact = psi.bound is not None
-    for n, subsets in enumerate(_undecided(psi, width, d, N, k) if k else ()):
+    for n, subsets in enumerate(psi.undecided(k) if k else ()):
         if not n:
             # blocks are built only for the subsets left, from the first list
             check_cap("qecc_ops", n_subsets * n_pairs, what=f"{n_subsets} x {n_pairs} pair reductions onto {k} parties")
-        for subset, block in zip(subsets, _block_reduction(psi, width, basis, subsets)):
+        for subset, block in zip(subsets, psi.blocks(subsets)):
             for i in range(K):
                 for j in range(i, K):
                     rho = block(j, i)  # |psi_j><psi_i|
-                    if exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
+                    if psi.exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
                         continue
                     op, mag = _pauli_witness(rho, subset)
-                    if exact or mag > PAULI_TOL:
+                    if psi.exact or mag > PAULI_TOL:
                         failures.append((str(op), i, j, mag))
                         worst = max(worst, mag)
 
@@ -572,7 +540,7 @@ def load_masker(directory: str | Path) -> Masker:
         verified_k=manifest["verified_k"],
         provenance=str(manifest.get("provenance", str(directory))),
     )
-    for s, t, ip in _inner_products(*_stack(m.images), m.images):
+    for s, t, ip in _Purified(m.images).inner_products():
         if not ip.is_zero():
             raise KuniformError(f"{directory}: bundle images {s}, {t} not orthogonal")
     return m

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from importlib import resources
 from itertools import combinations, compress, count
 from pathlib import Path
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import textio
+from . import oa, textio
 from .caps import check_cap
 from .codes import _supports_within, code_of_rows
 from .errors import KuniformError, NormError, ParseError
@@ -563,15 +563,13 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 # states stay in int64 only where every product and sum provably fits, and
 # in Python ints otherwise, so no result ever wraps.
 #
-# A family of states psi_s is reduced as one purified state
+# A family of states psi_s is reduced as one purified state (_Purified)
 # Psi = sum_s |s>_a |psi_s>: block (s, t) of its reduction onto the ancilla
 # and S is |psi_s><psi_t| traced down to S.
 
 _INT64_LIMIT = 1 << 63
 # kept keys stay below this, so a (row, col) key pair fits one int64
 _KEPT_KEY_LIMIT = 1 << 31
-# matched row pairs built at once; larger reductions go in blocks
-_PAIR_BLOCK = 1 << 20
 # counting takes a few array steps per (subset, term) pair; below this many
 # pairs it is cheaper than recognising a code and reading its short words
 _CODE_MIN_PAIRS = 1 << 16
@@ -588,7 +586,7 @@ class _Encoded(NamedTuple):
 
 def _encode(state: PureState, floats: bool) -> _Encoded:
     """Views of the state's arrays; an exact state becomes physical floats
-    when `floats` is set, as it must when stacked with a float state."""
+    when `floats` is set, as it must be in a family with a float state."""
     if floats or not state.exact:
         return _Encoded(state._idx, *_amplitude_parts(state), None)
     return _Encoded(state._idx, state._values[:, 0], state._values[:, 1], state._bound)
@@ -619,9 +617,9 @@ def _row_keys(a: np.ndarray, d: int, limit: int, runs: int = 1):
 
 def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
     """Rows grouped by (subset, kept) key and cut between groups into blocks
-    of about _PAIR_BLOCK matched pairs.  No entry spans two blocks, and a
-    block exceeds the budget by at most one group, whose pairs number at
-    most the terms of the state."""
+    of about oa._COUNT_BLOCK matched pairs, the budget of _call_width.  No
+    entry spans two blocks, and a block exceeds the budget by at most one
+    group, whose pairs number at most the terms of the state."""
     order = np.argsort(keys, kind="stable")
     ends = np.append(np.flatnonzero(np.diff(keys[order])) + 1, len(order))
     cum = np.cumsum(counts[order])
@@ -630,7 +628,7 @@ def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
     while start < len(order):
         done = cum[start - 1] if start else 0
         first = np.searchsorted(ends, start, side="right")
-        last = np.searchsorted(cum_at_ends, done + _PAIR_BLOCK, side="right") - 1
+        last = np.searchsorted(cum_at_ends, done + oa._COUNT_BLOCK, side="right") - 1
         stop = ends[max(first, last)]
         blocks.append(order[start:stop])
         start = stop
@@ -707,7 +705,7 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     # row i of the runs is term i mod T
     a, b = np.tile(a, B), np.tile(b, B)
 
-    if counts.sum() <= _PAIR_BLOCK:
+    if counts.sum() <= oa._COUNT_BLOCK:
         blocks = [np.arange(len(comp))]
     else:
         blocks = _blocks(keys, counts)
@@ -757,95 +755,6 @@ def _call_width(e: _Encoded, d: int, k: int) -> int:
     batching saves."""
     T, N = e.idx.shape
     return max(e.idx.size, T * max(1, T // d ** (N - k)) * k)
-
-
-def _stack(family: list) -> tuple[_Encoded, int]:
-    """The encoding of Psi = sum_s |s>_a |psi_s> over a family of states on
-    one system, and the number m of its leading ancilla columns.
-
-    Member s keeps its numerators as they are, so block (s, t) of a
-    reduction of Psi is the reduction of |psi_s><psi_t| over the
-    denominator sqrt(r_s r_t).  The family is exact only when every member
-    is; otherwise every member is encoded as physical floats.  The index s
-    takes m = ceil(log K) digits of base max(d, 2), none for one state.
-    """
-    base, K = max(family[0].d, 2), len(family)
-    floats = not all(state.exact for state in family)
-    parts = [_encode(state, floats) for state in family]
-    m = next(n for n in count() if base**n >= K)
-    member = np.repeat(np.arange(K), [len(e.idx) for e in parts])
-    ancilla = member[:, None] // base ** np.arange(m - 1, -1, -1) % base
-    idx = np.hstack([ancilla, np.concatenate([e.idx for e in parts])])
-    re = np.concatenate([e.re for e in parts])
-    im = np.concatenate([e.im for e in parts])
-    return _Encoded(idx, re, im, None if floats else max(e.bound for e in parts)), m
-
-
-def _member(digits: np.ndarray, base: int) -> np.ndarray:
-    """The member index s that each row of a stack's ancilla digits spells."""
-    return digits @ base ** np.arange(digits.shape[1] - 1, -1, -1)
-
-
-def _block_reduction(e: _Encoded, m: int, family: list, subsets: list) -> list:
-    """For each of a block of equal-sized party subsets S, the function
-    block(s, t): |psi_s><psi_t| traced down to S, over the denominator
-    sqrt(r_s r_t) when exact, for the stack e of `family` with m ancilla
-    columns.
-
-    Psi is reduced onto the ancilla and every S in one kernel call, and its
-    entries are split by one stable argsort on the (subset, ancilla row,
-    ancilla column) key, which keeps each block in lexicographic order.
-    Each block gathers its own arrays, so a block kept does not keep the
-    whole reduction alive.
-    """
-    d, K = family[0].d, len(family)
-    exact = e.bound is not None
-    r = [state.r if exact else 1 for state in family]
-    base = max(d, 2)
-    red = _reduce(e, [tuple(range(m)) + tuple(p + m for p in S) for S in subsets], base)
-    subset = np.repeat(np.arange(len(subsets)), np.diff(red.starts))
-    key = (subset * K + _member(red.rows[:, :m], base)) * K + _member(red.cols[:, :m], base)
-    order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(len(subsets) * K * K + 1)).tolist()
-
-    def block(j: int, s: int, t: int) -> SparseOperator:
-        at = order[bounds[(j * K + s) * K + t] : bounds[(j * K + s) * K + t + 1]]
-        return _sparse(d, red.rows[at, m:], red.cols[at, m:], red.diagonal[at], red.re[at], red.im[at], r[s], r[t], exact)
-
-    return [partial(block, j) for j in range(len(subsets))]
-
-
-def _inner_products(e: _Encoded, m: int, family: list) -> list:
-    """(s, t, <psi_s|psi_t>) for the pairs s < t of `family`, stacked as e
-    with m ancilla columns, that are not shown orthogonal, in combinations
-    order, each value an InnerProduct.
-
-    Entry (s, t) of the reduction of Psi onto its ancilla alone is
-    <psi_t|psi_s>, summed over the terms of psi_s in their order.  An exact
-    reduction stores nonzero entries only, so its entries above the
-    diagonal, in lexicographic order, are the candidate pairs; a float one
-    stores every pair that shares an index.  Two exact members of a family
-    that mixes modes are read exactly, from a stack of its exact members.
-    One state makes no reduction.
-    """
-    if len(family) < 2:
-        return []
-    base = max(family[0].d, 2)
-    red = _reduce(e, [tuple(range(m))], base)
-    bra, ket = _member(red.rows, base), _member(red.cols, base)
-    found = []
-    for s, t, re, im in zip(*(x[bra < ket].tolist() for x in (bra, ket, red.re, red.im))):
-        if e.bound is not None:
-            found.append((s, t, InnerProduct((re, -im), family[t].r, family[s].r, True)))
-        elif not (family[s].exact and family[t].exact):
-            # 0.0 - im, not -im: a zero sum keeps the sign of a sum from 0.0
-            found.append((s, t, InnerProduct(complex(re, 0.0 - im), 1, 1, False)))
-    own = [s for s, state in enumerate(family) if state.exact]
-    if 1 < len(own) < len(family):
-        sub = [family[s] for s in own]
-        found += [(own[s], own[t], ip) for s, t, ip in _inner_products(*_stack(sub), sub)]
-        found.sort(key=lambda pair: pair[:2])
-    return found
 
 
 def _same_operator(a: SparseOperator, b: SparseOperator) -> bool:
@@ -925,66 +834,191 @@ def _avoiding(supports: np.ndarray):
     return passes
 
 
-def _undecided(e: _Encoded, m: int, d: int, N: int, k: int):
-    """The k-subsets S of the N parties of the stack e, its first m columns
-    the ancilla, whose reduction onto the ancilla and S is not shown to be
-    I / d^(k + m) by the two stages below, lazily in lexicographic order,
-    in lists for one kernel call each: oa._in_blocks over _call_width, so
-    that a call's index runs and, as far as their lower bound tells, its
-    pair arrays stay within oa._COUNT_BLOCK entries unless one subset's
-    exceed it.
+class _Purified:
+    """Psi = sum_s |s>_a |psi_s> over a family of K states on one system,
+    encoded once as e: its first m columns are the ancilla, holding s in
+    m = ceil(log K) digits of base max(d, 2).  A state is the family of
+    one, with m = 0, and e is then views of the state's own arrays.
 
-    Such a reduction has every block (s, t) equal to delta_st I / d^k, so a
-    subset left out here is decided for a state (m = 0), a masker and a
-    pure code alike.  Both stages need an exact stack whose T terms share
-    one squared modulus, with d^(k + m) dividing T.  The reduction onto a
-    set U of columns is then I / d^|U| exactly when the rows take every
-    value on U equally often and no two rows agree off U.  On a coset of a
-    linear code C, the first holds exactly when no nonzero word of C-perp
-    lies inside U, and the second when no nonzero word of C does
-    (Delsarte; Hedayat, Sloane & Stufken, Thm 3.29).
-
-    1. Code.  When C(N, k) T >= _CODE_MIN_PAIRS, the rows are a coset of
-       a linear code C and w(C-perp) > k + m, the subsets left are those
-       whose ancilla columns and S hold the support of a nonzero word of
-       weight at most k + m of C (codes._supports_within).  With no such
-       word, as when w(C) > k + m too, no subset is walked.
-    2. Counting.  Otherwise the ancilla columns and S are counted in blocks
-       (_counting_check) whose arrays hold at most max(T, oa._COUNT_BLOCK)
-       entries each.
-
-    Both stages leave the same subsets.  The matrix_dim cap bounds the
-    d^k-wide reductions of what is left, so it is checked before the first
-    subset left is found, and at once, before any subset is listed, when
-    counting cannot apply.
+    Member s keeps its numerators as they are, so block (s, t) of a
+    reduction of Psi is the reduction of |psi_s><psi_t| over the
+    denominator sqrt(r_s r_t).  The family is exact only when every member
+    is; otherwise every member is encoded as physical floats.
     """
-    dim = d**k
-    passes = _counting_check(e, d, k + m)
-    if passes is None:
-        check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-        yield from _in_blocks(combinations(range(N), k), _call_width(e, d, k + m))
-        return
-    width = len(e.idx)
-    code = code_of_rows(d, e.idx) if math.comb(N, k) * width >= _CODE_MIN_PAIRS else None
-    supports = None if code is None else _supports_within(code, e.idx, k + m)
-    if supports is not None:
-        if not len(supports):
+
+    def __init__(self, family: list):
+        K, d = len(family), family[0].d
+        self.family, self.K, self.d, self.N = family, K, d, family[0].N
+        self.exact = all(state.exact for state in family)
+        self.r = [state.r if self.exact else 1 for state in family]
+        parts = [_encode(state, not self.exact) for state in family]
+        # a family of one has no ancilla digit; its reductions are over d
+        self.base = max(d, 2) if K > 1 else d
+        self.m = next(n for n in count() if self.base**n >= K)
+        if K == 1:
+            self.e = parts[0]
             return
-        passes, width = _avoiding(supports), len(supports)
+        member = np.repeat(np.arange(K), [len(e.idx) for e in parts])
+        ancilla = member[:, None] // self.base ** np.arange(self.m - 1, -1, -1) % self.base
+        idx = np.hstack([ancilla, np.concatenate([e.idx for e in parts])])
+        re = np.concatenate([e.re for e in parts])
+        im = np.concatenate([e.im for e in parts])
+        self.e = _Encoded(idx, re, im, max(e.bound for e in parts) if self.exact else None)
 
-    def left():
-        capped = False
-        for block in _in_blocks(combinations(range(N), k), width):
-            columns = np.hstack([np.broadcast_to(np.arange(m), (len(block), m)), np.array(block) + m])
-            for subset, ok in zip(block, passes(columns).tolist()):
-                if ok:
-                    continue
-                if not capped:
-                    check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-                    capped = True
-                yield subset
+    def undecided(self, k: int):
+        """The k-subsets S of the N parties whose reduction of Psi onto the
+        ancilla and S is not shown to be I / d^(k + m) by the two stages
+        below, lazily in lexicographic order, in lists for one kernel call
+        each: oa._in_blocks over _call_width, so that a call's index runs
+        and, as far as their lower bound tells, its pair arrays stay within
+        oa._COUNT_BLOCK entries unless one subset's exceed it.
 
-    yield from _in_blocks(left(), _call_width(e, d, k + m))
+        Such a reduction has every block (s, t) equal to delta_st I / d^k, so a
+        subset left out here is decided for a state (m = 0), a masker and a
+        pure code alike.  Both stages need an exact Psi whose T terms share
+        one squared modulus, with d^(k + m) dividing T.  The reduction onto a
+        set U of columns is then I / d^|U| exactly when the rows take every
+        value on U equally often and no two rows agree off U.  On a coset of a
+        linear code C, the first holds exactly when no nonzero word of C-perp
+        lies inside U, and the second when no nonzero word of C does
+        (Delsarte; Hedayat, Sloane & Stufken, Thm 3.29).
+
+        1. Code.  When C(N, k) T >= _CODE_MIN_PAIRS, the rows are a coset of
+           a linear code C and w(C-perp) > k + m, the subsets left are those
+           whose ancilla columns and S hold the support of a nonzero word of
+           weight at most k + m of C (codes._supports_within).  With no such
+           word, as when w(C) > k + m too, no subset is walked.
+        2. Counting.  Otherwise the ancilla columns and S are counted in blocks
+           (_counting_check) whose arrays hold at most max(T, oa._COUNT_BLOCK)
+           entries each.
+
+        Both stages leave the same subsets.  The matrix_dim cap bounds the
+        d^k-wide reductions of what is left, so it is checked before the first
+        subset left is found, and at once, before any subset is listed, when
+        counting cannot apply.
+        """
+        e, m, d, N = self.e, self.m, self.d, self.N
+        dim = d**k
+        passes = _counting_check(e, d, k + m)
+        if passes is None:
+            check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+            yield from _in_blocks(combinations(range(N), k), _call_width(e, d, k + m))
+            return
+        width = len(e.idx)
+        code = code_of_rows(d, e.idx) if math.comb(N, k) * width >= _CODE_MIN_PAIRS else None
+        supports = None if code is None else _supports_within(code, e.idx, k + m)
+        if supports is not None:
+            if not len(supports):
+                return
+            passes, width = _avoiding(supports), len(supports)
+
+        def left():
+            capped = False
+            for block in _in_blocks(combinations(range(N), k), width):
+                columns = np.hstack([np.broadcast_to(np.arange(m), (len(block), m)), np.array(block) + m])
+                for subset, ok in zip(block, passes(columns).tolist()):
+                    if ok:
+                        continue
+                    if not capped:
+                        check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
+                        capped = True
+                    yield subset
+
+        yield from _in_blocks(left(), _call_width(e, d, k + m))
+
+    def reductions(self, subsets: list) -> _Reductions:
+        """Psi reduced onto its ancilla and each of a block of equal-sized
+        party subsets in one kernel call, over member 0's denominator: for
+        a family of one, the state's own reductions."""
+        m = self.m
+        return _reduce(self.e, [tuple(range(m)) + tuple(p + m for p in S) for S in subsets], self.base, self.r[0])
+
+    def blocks(self, subsets: list) -> list:
+        """For each of a block of equal-sized party subsets S, the function
+        block(s, t): |psi_s><psi_t| traced down to S, over the denominator
+        sqrt(r_s r_t) when exact.
+
+        Psi is reduced onto the ancilla and every S in one kernel call, and
+        its entries are split by one stable argsort on the (subset, ancilla
+        row, ancilla column) key, the ancilla rows read as their radix keys
+        s, which keeps each block in lexicographic order.  Each block
+        gathers its own arrays, so a block kept does not keep the whole
+        reduction alive.
+        """
+        red, K, m = self.reductions(subsets), self.K, self.m
+        subset = np.repeat(np.arange(len(subsets)), np.diff(red.starts))
+        bra, ket = (_row_keys(x[:, :m], self.base, _INT64_LIMIT)[0] for x in (red.rows, red.cols))
+        key = (subset * K + bra) * K + ket
+        order = np.argsort(key, kind="stable")
+        bounds = np.searchsorted(key[order], np.arange(len(subsets) * K * K + 1)).tolist()
+
+        def block(j: int, s: int, t: int) -> SparseOperator:
+            at = order[bounds[(j * K + s) * K + t] : bounds[(j * K + s) * K + t + 1]]
+            rows, cols = red.rows[at, m:], red.cols[at, m:]
+            return _sparse(self.d, rows, cols, red.diagonal[at], red.re[at], red.im[at], self.r[s], self.r[t], self.exact)
+
+        return [partial(block, j) for j in range(len(subsets))]
+
+    def inner_products(self) -> list:
+        """(s, t, <psi_s|psi_t>) for the pairs s < t of the family that are
+        not shown orthogonal, in combinations order, each value an
+        InnerProduct.
+
+        Entry (s, t) of the reduction of Psi onto its ancilla alone is
+        <psi_t|psi_s>, summed over the terms of psi_s in their order.  An exact
+        reduction stores nonzero entries only, so its entries above the
+        diagonal, in lexicographic order, are the candidate pairs; a float one
+        stores every pair that shares an index.  Two exact members of a family
+        that mixes modes are read exactly, from the family of its exact
+        members.  One state makes no reduction.
+        """
+        if self.K < 2:
+            return []
+        family = self.family
+        red = self.reductions([()])
+        bra, ket = (_row_keys(x, self.base, _INT64_LIMIT)[0] for x in (red.rows, red.cols))
+        found = []
+        for s, t, re, im in zip(*(x[bra < ket].tolist() for x in (bra, ket, red.re, red.im))):
+            if self.exact:
+                found.append((s, t, InnerProduct((re, -im), family[t].r, family[s].r, True)))
+            elif not (family[s].exact and family[t].exact):
+                # 0.0 - im, not -im: a zero sum keeps the sign of a sum from 0.0
+                found.append((s, t, InnerProduct(complex(re, 0.0 - im), 1, 1, False)))
+        own = [s for s, state in enumerate(family) if state.exact]
+        if 1 < len(own) < self.K:
+            found += [(own[s], own[t], ip) for s, t, ip in _Purified([family[s] for s in own]).inner_products()]
+            found.sort(key=lambda pair: pair[:2])
+        return found
+
+    @cached_property
+    def _terms(self) -> tuple:
+        """The members' terms, for superpositions: each term's member and
+        physical parts (_amplitude_parts), its slot among the distinct
+        indices in order of first appearance, and those indices."""
+        idx = self.e.idx[:, self.m :]
+        member = np.repeat(np.arange(self.K), [state.num_terms for state in self.family])
+        x, y = (np.concatenate(parts) for parts in zip(*map(_amplitude_parts, self.family)))
+        _, first, inv = np.unique(_row_keys(idx, self.d, _INT64_LIMIT)[0], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return member, x, y, np.argsort(order)[inv], idx[first[order]]
+
+    def superposed(self, coeffs: np.ndarray, k: int):
+        """(S, reduction onto S) for every k-subset S in lexicographic order,
+        of sum_s coeffs[s] |psi_s> in floats, its terms added member by
+        member in order; one kernel call per list of subsets sized by
+        _call_width.  It is reduced as encoded: a superposition of members
+        that are orthonormal within FLOAT_TOL need not meet NORM_TOL."""
+        member, x, y, slot, support = self._terms
+        cx, cy = coeffs.real[member], coeffs.imag[member]
+        re, im = np.zeros(len(support)), np.zeros(len(support))
+        np.add.at(re, slot, cx * x - cy * y)
+        np.add.at(im, slot, cx * y + cy * x)
+        keep = (re != 0) | (im != 0)
+        e = _Encoded(support[keep], re[keep], im[keep], None)
+        for subsets in _in_blocks(combinations(range(self.N), k), _call_width(e, self.d, k)):
+            red = _reduce(e, subsets, self.d)
+            for j, subset in enumerate(subsets):
+                yield subset, red.operator(j)
 
 
 def reduction(state: PureState, parties) -> SparseOperator:
@@ -993,17 +1027,16 @@ def reduction(state: PureState, parties) -> SparseOperator:
     parties = _validate_parties(state.N, parties)
     dim = state.d ** len(parties)
     check_cap("matrix_dim", dim, what=f"reduction onto {len(parties)} parties of dimension {state.d}")
-    return _reduce(_encode(state, not state.exact), [parties], state.d, state.r).operator(0)
+    return _Purified([state]).reductions([parties]).operator(0)
 
 
 def inner_product(s1: PureState, s2: PureState) -> InnerProduct:
     """<s1|s2>, exact when both states are exact: the conjugate of entry
-    (0, 1) of the reduction of their stack onto its ancilla, so float sums
-    run over the shared indices in s1's term order."""
+    (0, 1) of the reduction of their purified state onto its ancilla, so
+    float sums run over the shared indices in s1's term order."""
     if (s1.N, s1.d) != (s2.N, s2.d):
         raise ValueError("states live on different systems")
-    pair = [s1, s2]
-    for _, _, ip in _inner_products(*_stack(pair), pair):
+    for _, _, ip in _Purified([s1, s2]).inner_products():
         return ip
     if s1.exact and s2.exact:
         return InnerProduct(num=(0, 0), r_ket=s2.r, r_bra=s1.r, exact=True)
@@ -1050,17 +1083,17 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
 
     Exact states are checked exactly (tol only enters deviation reporting);
     k = 0 passes trivially and k above floor(N / 2) is impossible for any
-    pure state, reported without checking.  The state is the m = 0 case of
-    _undecided: when its T terms share one squared modulus and d^k divides
-    T, a subset S passes if the rows take each value on S exactly T / d^k
-    times and no two rows agree off S (the irredundant-array criterion).
-    On a coset of a linear [N, t]_d code C that holds exactly when no
-    nonzero word of C or C-perp lies inside S (Delsarte; Hedayat, Sloane &
-    Stufken, Thm 3.29), so when w(C-perp) > k the short words of C name
-    the subsets left, none when w(C) > k too; other rows are counted.  Every
-    subset left, and every subset of a float state, goes through the
-    reduction kernel, one call per list that _undecided yields, which alone
-    reports failures: whether each subset's reduction is exactly I / d^k,
+    pure state, reported without checking.  The state is a _Purified
+    family of one, with m = 0: when its T terms share one squared modulus
+    and d^k divides T, a subset S passes if the rows take each value on S
+    exactly T / d^k times and no two rows agree off S (the
+    irredundant-array criterion).  On a coset of a linear [N, t]_d code C
+    that holds exactly when no nonzero word of C or C-perp lies inside S
+    (Delsarte; Hedayat, Sloane & Stufken, Thm 3.29), so when w(C-perp) > k
+    the short words of C name the subsets left, none when w(C) > k too;
+    other rows are counted.  Every subset left, and every subset of a float
+    state, goes through the reduction kernel, one call per list that
+    undecided yields, which alone reports failures: whether each subset's reduction is exactly I / d^k,
     and its deviation, are read off the call's arrays at once.  A pass from
     any stage gives the same report.
     """
@@ -1070,11 +1103,11 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
         return UniformityReport(state.N, state.d, 0, "pass", 0, [])
     if k > state.N // 2:
         return UniformityReport(state.N, state.d, k, "impossible", 0, [])
-    e = _encode(state, not state.exact)
+    psi = _Purified([state])
     failures = []
     max_dev = 0.0
-    for subsets in _undecided(e, 0, state.d, state.N, k):
-        red = _reduce(e, subsets, state.d, state.r)
+    for subsets in psi.undecided(k):
+        red = psi.reductions(subsets)
         # deviations exactly 0.0 where an exact reduction is I / d^k
         mixed = red.maximally_mixed() if state.exact else np.zeros(len(subsets), dtype=bool)
         if mixed.all():

@@ -374,6 +374,11 @@ def test_only_mask_verify_takes_a_seed(tmp_path):
     assert run(["table", "--k", "1", "--d", "2", "--N", "2..3", "--seed", "7"]) == (2, None)
     assert run(["verify", "state", ame, "--k", "3", "--seed", "7"]) == (2, None)
     assert run(["verify", "state", ame, "--k", "3", "--threads", "2"]) == (2, None)
+    # the seed is a non-negative integer, refused as a usage error otherwise
+    mdir = str(tmp_path / "m6")
+    run(["mask", "build", "--state", ame, "--split", "0", "--k", "2", "-o", mdir])
+    assert run(["mask", "verify", mdir, "--k", "2", "--samples", "2", "--seed", "-1"]) == (2, None)
+    assert run(["mask", "verify", mdir, "--k", "2", "--samples", "2", "--seed", "0"])[0] == 0
 
 
 def test_main_returns_exit_code():

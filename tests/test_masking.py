@@ -864,9 +864,8 @@ def split_families(draw, K_is_d: bool, share: str, source: str):
 
 def _assert_share(family: list, k: int, share: str) -> None:
     """The k-subsets left for the kernel are none, some or all of them."""
-    e, m = states_module._stack(family)
-    N, d = family[0].N, family[0].d
-    left, n = sum(map(len, states_module._undecided(e, m, d, N, k))), math.comb(N, k)
+    psi = states_module._Purified(family)
+    left, n = sum(map(len, psi.undecided(k))), math.comb(psi.N, k)
     assert {"every": left == 0, "some": 0 < left < n, "none": left == n}[share]
 
 
@@ -921,7 +920,7 @@ def test_split_codes_pass_without_the_kernel(monkeypatch):
     psi = construct_k_uniform(4, 9, 10, verify=False)
     masker, basis = build_masker(psi, 0, k=3), _split(psi, 2)
     phased = Masker(d=9, N=9, images=[_times_one_plus_i(s) if s is masker.images[1] else s for s in masker.images])
-    blocks = _record(monkeypatch, masking, "_block_reduction", each=3)
+    blocks = _record(monkeypatch, states_module._Purified, "blocks", each=1)
     assert verify_masker(masker, 3).verdict == "pass"
     # the basis's orthonormality is read off one reduction onto its two
     # ancilla columns, with no pairwise inner product
@@ -995,7 +994,7 @@ def test_orthonormality_matches_pairwise_oracle(family, tmp_path_factory):
     load_masker's refusal all agree with oracle_inner_product pair by pair."""
     K, N, d = len(family), family[0].N, family[0].d
     want = {(s, t): oracle_inner_product(family[s], family[t]) for s, t in combinations(range(K), 2)}
-    found = states_module._inner_products(*states_module._stack(family), family)
+    found = states_module._Purified(family).inner_products()
     assert [(s, t) for s, t, _ in found] == sorted({(s, t) for s, t, _ in found})
     listed = {(s, t): ip for s, t, ip in found}
     for pair, ip in want.items():

@@ -70,9 +70,8 @@ def example_state() -> PureState:
 
 def cross_block(s1: PureState, s2: PureState, parties):
     """|s1><s2| traced down to `parties`: block (0, 1) of the reduction of
-    the two-state stack, in floats unless both states are exact."""
-    e, m = states_module._stack([s1, s2])
-    return states_module._block_reduction(e, m, [s1, s2], [tuple(sorted(parties))])[0](0, 1)
+    the two states' purified state, in floats unless both are exact."""
+    return states_module._Purified([s1, s2]).blocks([tuple(sorted(parties))])[0](0, 1)
 
 
 def dense_reduction(vec: np.ndarray, N: int, d: int, parties) -> np.ndarray:
@@ -326,10 +325,10 @@ def reduction_cases(draw):
 
 
 @settings(max_examples=200)
-@given(case=reduction_cases(), block=st.sampled_from((1, 5, states_module._PAIR_BLOCK)))
+@given(case=reduction_cases(), block=st.sampled_from((1, 5, oa_module._COUNT_BLOCK)))
 def test_kernel_matches_dict_oracle(case, block):
     s1, s2, parties = case
-    with mock.patch.object(states_module, "_PAIR_BLOCK", block):
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", block):
         got = cross_block(s1, s2, parties)
     assert_same_operator(got, oracle_cross_reduction(s1, s2, parties))
 
@@ -348,24 +347,37 @@ def families(draw):
 
 
 @settings(max_examples=150)
-@given(case=families(), block=st.sampled_from((1, 5, states_module._PAIR_BLOCK)))
+@given(case=families(), block=st.sampled_from((1, 5, oa_module._COUNT_BLOCK)))
 def test_stack_blocks_match_dict_oracle(case, block):
-    """Block (s, t) of one reduction of the stacked family is the reduction
-    of |psi_s><psi_t|, in floats unless every member is exact, with its
-    entries in order."""
+    """Block (s, t) of one reduction of the family's purified state is the
+    reduction of |psi_s><psi_t|, in floats unless every member is exact,
+    with its entries in order."""
     family, parties = case
     d, K = family[0].d, len(family)
     floats = not all(s.exact for s in family)
-    e, m = states_module._stack(family)
+    psi = states_module._Purified(family)
+    m = psi.m
     assert d**m >= K and (m == 0 or d ** (m - 1) < K)
-    with mock.patch.object(states_module, "_PAIR_BLOCK", block):
-        (blocks,) = states_module._block_reduction(e, m, family, [tuple(sorted(parties))])
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", block):
+        (blocks,) = psi.blocks([tuple(sorted(parties))])
     for s, t in np.ndindex(K, K):
         got = blocks(s, t)
         # entries in lexicographic (row, column) order
         keys = [row + col for row, col in zip(got.rows.tolist(), got.cols.tolist())]
         assert keys == sorted(keys)
         assert_same_operator(got, oracle_cross_reduction(family[s], family[t], parties, floats))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_family_of_one_copies_nothing(exact):
+    """A state is the purified family of one, with no ancilla, whose
+    encoding is views of the state's own index and value arrays: verifying
+    a large state makes no stacked copy of it."""
+    state = example_state() if exact else from_vector(example_state().to_vector(), 4, 3)
+    psi = states_module._Purified([state])
+    assert psi.m == 0 and psi.exact == exact
+    assert np.shares_memory(psi.e.idx, state._idx)
+    assert np.shares_memory(psi.e.re, state._values) and np.shares_memory(psi.e.im, state._values)
 
 
 def test_kernel_blocks_keep_entries_whole():
@@ -378,7 +390,7 @@ def test_kernel_blocks_keep_entries_whole():
         r=sum((x + 1) ** 2 + (y - 1) ** 2 for x in range(3) for y in range(3)),
     )
     for block in (1, 2, 4, 100):
-        with mock.patch.object(states_module, "_PAIR_BLOCK", block):
+        with mock.patch.object(oa_module, "_COUNT_BLOCK", block):
             for parties in [(0,), (1,), (2,), (0, 2), (0, 1, 2)]:
                 assert_same_operator(cross_block(s, s, parties), oracle_cross_reduction(s, s, parties))
 
@@ -403,14 +415,15 @@ def block_families(draw):
 
 
 @settings(max_examples=150)
-@given(case=block_families(), size=st.sampled_from((1, 7, None)), pair_block=st.sampled_from((5, states_module._PAIR_BLOCK)))
+@given(case=block_families(), size=st.sampled_from((1, 7, None)), pair_block=st.sampled_from((5, oa_module._COUNT_BLOCK)))
 def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
     """Every subset's blocks from a kernel call over many subsets are the
     dict oracle's, and bit for bit what the subset alone gives, for blocks
     of one, of seven and of the walk's default size, with pair blocks of 5
     that cut through subsets or of the default budget."""
     family, k = case
-    e, m = states_module._stack(family)
+    psi = states_module._Purified(family)
+    e, m = psi.e, psi.m
     d, N, K = family[0].d, family[0].N, len(family)
     floats = e.bound is None
     assert floats == (not all(s.exact for s in family))
@@ -419,10 +432,10 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
         calls = list(oa_module._in_blocks(iter(subsets), states_module._call_width(e, d, k + m)))
     else:
         calls = [subsets[i : i + size] for i in range(0, len(subsets), size)]
-    with mock.patch.object(states_module, "_PAIR_BLOCK", pair_block):
-        got = [blocks for call in calls for blocks in states_module._block_reduction(e, m, family, call)]
-        alone = [states_module._block_reduction(e, m, family, [S])[0] for S in subsets]
-        reductions = [states_module._reduce(e, call, d, family[0].r) for call in calls] if K == 1 else []
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block):
+        got = [blocks for call in calls for blocks in psi.blocks(call)]
+        alone = [psi.blocks([S])[0] for S in subsets]
+        reductions = [psi.reductions(call) for call in calls] if K == 1 else []
     for S, blocks, single in zip(subsets, got, alone):
         for s, t in np.ndindex(K, K):
             op, one = blocks(s, t), single(s, t)
@@ -450,7 +463,7 @@ def test_pair_blocks_cut_through_subsets():
     cuts = []
     blocks = states_module._blocks
     with (
-        mock.patch.object(states_module, "_PAIR_BLOCK", 4),
+        mock.patch.object(oa_module, "_COUNT_BLOCK", 4),
         mock.patch.object(states_module, "_blocks", lambda *a: cuts.append(out := blocks(*a)) or out),
     ):
         red = states_module._reduce(states_module._encode(state, False), subsets, 3, state.r)
@@ -891,7 +904,8 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
     same order, for states, maskers and codes alike; where C-perp has
     words of weight at most k + m, counting decides."""
     family, k = case
-    e, m = states_module._stack(family)
+    psi = states_module._Purified(family)
+    e, m = psi.e, psi.m
     d, N = family[0].d, family[0].N
     supports = []
     supports_within = states_module._supports_within
@@ -899,9 +913,9 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
         env.setattr(oa_module, "_COUNT_BLOCK", block)
         env.setattr(states_module, "_supports_within", lambda *a: supports.append(out := supports_within(*a)) or out)
         env.setattr(states_module, "_CODE_MIN_PAIRS", 0)
-        got = list(states_module._undecided(e, m, d, N, k))
+        got = list(psi.undecided(k))
         env.setattr(states_module, "_CODE_MIN_PAIRS", math.inf)
-        assert got == list(states_module._undecided(e, m, d, N, k))
+        assert got == list(psi.undecided(k))
     C = code_of_rows(d, e.idx)
     if states_module._counting_check(e, d, k + m) is None or C is None:
         assert supports == []
