@@ -28,14 +28,18 @@ its code or by counting rows has that reduction equal to I / d^(k + m), so
 every block (s, t) is delta_st I / d^k and the subset passes both checks,
 a masker's common operator there being I / d^k over image 0's r.  The
 subsets left come in lists, and each list costs one kernel call that
-reduces Psi onto every subset in it (its blocks), whose blocks are
-SparseOperators gathered from its arrays: exact blocks are compared in
-integers, and a deviation, a cross-term magnitude or a Pauli witness is
-read off a block's arrays without building another operator.  The
-matrix_dim cap is checked where those reductions are made: by undecided,
-and before the first sample of verify_masker, whose superpositions are
-reduced onto every subset a list of subsets per kernel call (its
-superposed).
+reduces Psi onto every subset in it (its reductions), with block (s, t)
+of subset j as segment (j, s, t) of the call's arrays.  An exact call
+passes segments from those arrays at once, in integers: a masker's
+(s, t) when it is empty and its (s, s) when it is the same operator as
+(0, 0), a code's (s, t) when it is empty and its (s, s) when it is
+I / d^k.  Only the segments left, every one of a float call, become
+SparseOperators, for a deviation, a cross-term magnitude or a Pauli
+witness; a masker also keeps (0, 0) of each subset as its common
+operator.  The matrix_dim cap is checked where those reductions are made:
+by undecided, and before the first sample of verify_masker, whose
+superpositions are reduced onto every subset a list of subsets per kernel
+call (its superposed).
 
 Orthonormality is the same Psi with no party kept: its reduction onto the
 ancilla alone has entry (s, t) = <psi_t|psi_s>, and an exact reduction
@@ -69,7 +73,6 @@ from .states import (
     _floats,
     _from_arrays,
     _maximally_mixed,
-    _same_operator,
     inner_product,  # noqa: F401 -- public through this module too
     load_state,
     save_state,
@@ -196,7 +199,11 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     images' purified state onto its ancilla; two exact images are compared
     exactly, other pairs within FLOAT_TOL.  Subsets decided on the
     images' purified state are passed without a reduction, with I / d^k
-    as their common operator.  With samples > 0 a seeded
+    as their common operator.  Each kernel call over the subsets left
+    gives every block (s, t) of each subset as a segment: segment (0, 0)
+    is the subset's common operator, and an exact call passes an (s, s)
+    that is the same operator and an (s, t) that is empty without
+    building either.  With samples > 0 a seeded
     sanity pass additionally prepares that many random input superpositions
     and compares each of their k-party reductions against the common one in
     float arithmetic; the exact criterion never depends on it.  Float
@@ -214,29 +221,25 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
         failures = [((), s, t, f"images not orthogonal, <s|t> = {ip.value:.3e}") for s, t, ip in pairs if not ip.is_zero()]
         return MaskingReport(m.N, m.d, 0, "fail" if failures else "pass", 1, failures, {}, 0.0)
 
-    n_subsets = math.comb(m.N, k)
+    n_subsets, K = math.comb(m.N, k), psi.K
+    # (s, s) for s >= 1, then (s, t) for s < t, of each subset in turn
+    kinds = np.stack([np.diag(np.arange(K) > 0), np.less.outer(range(K), range(K))])
     for subsets in psi.undecided(k):
-        for subset, block in zip(subsets, psi.blocks(subsets)):
-            rho0 = common[subset] = block(0, 0)
-            for s in range(1, m.d):
-                rho = block(s, s)
-                if psi.exact and _same_operator(rho, rho0):
-                    continue  # the same operator as image 0's
-                delta = rho.deviation(rho0)
-                max_dev = max(max_dev, delta)
-                if psi.exact or delta > FLOAT_TOL:
-                    failures.append((subset, s, s, f"reduction differs from image 0 by {delta:.3e}"))
-            for s, t in combinations(range(m.d), 2):
-                cross = block(s, t)
-                if psi.exact and cross.is_zero():
-                    continue  # the cross term vanishes exactly
+        red = psi.reductions(subsets)
+        common.update((subset, red.operator(j)) for j, subset in enumerate(subsets))
+        for j, cross, s, t in np.argwhere(red.left(red.same_as_first).reshape(-1, 1, K, K) & kinds).tolist():
+            rho = red.operator(j, s, t)
+            if cross:
                 # abs() of each stored value, as np.hypot gives it, then the
                 # denominator, 1 for a float block
-                R, x, y = _floats(cross.r_ket * cross.r_bra, cross.re, cross.im)
-                mag = float(np.max(np.hypot(x, y), initial=0.0)) / math.sqrt(R)
-                max_dev = max(max_dev, mag)
-                if psi.exact or mag > FLOAT_TOL:
-                    failures.append((subset, s, t, f"cross term does not vanish, max entry {mag:.3e}"))
+                R, x, y = _floats(rho.r_ket * rho.r_bra, rho.re, rho.im)
+                delta = float(np.max(np.hypot(x, y), initial=0.0)) / math.sqrt(R)
+            else:
+                delta = rho.deviation(common[subsets[j]])
+            max_dev = max(max_dev, delta)
+            if psi.exact or delta > FLOAT_TOL:
+                what = "cross term does not vanish, max entry" if cross else "reduction differs from image 0 by"
+                failures.append((subsets[j], s, t, f"{what} {delta:.3e}"))
     if len(common) < n_subsets:
         # every subset left out has the blocks delta_st I / d^k
         mixed = _maximally_mixed(m.d, k, m.images[0].r)
@@ -414,7 +417,9 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     onto the ancilla and S, and for each i <= j its block (j, i), which is
     |psi_j><psi_i| traced down to S, must be I / d^k when i == j and zero
     otherwise.  A basis whose states are all exact is decided exactly for
-    every d; otherwise every state is taken in floats, and a block passes
+    every d, each call's blocks at once from its segments, and only a
+    failing block becomes an operator, for its witness; otherwise every
+    state is taken in floats, and a block passes
     when its largest non-identity Pauli coefficient is at most PAULI_TOL;
     two states that are not both exact are orthogonal when |<psi_i|psi_j>|
     is.  The qecc_ops cap bounds the C(N, k) K (K + 1) / 2 blocks, and the
@@ -456,18 +461,15 @@ def verify_pure_qecc(basis: list, delta: int) -> QeccReport:
     n_pairs = K * (K + 1) // 2
     for n, subsets in enumerate(psi.undecided(k) if k else ()):
         if not n:
-            # blocks are built only for the subsets left, from the first list
+            # blocks are reduced only for the subsets left, from the first list
             check_cap("qecc_ops", n_subsets * n_pairs, what=f"{n_subsets} x {n_pairs} pair reductions onto {k} parties")
-        for subset, block in zip(subsets, psi.blocks(subsets)):
-            for i in range(K):
-                for j in range(i, K):
-                    rho = block(j, i)  # |psi_j><psi_i|
-                    if psi.exact and (rho.is_maximally_mixed() if i == j else rho.is_zero()):
-                        continue
-                    op, mag = _pauli_witness(rho, subset)
-                    if psi.exact or mag > PAULI_TOL:
-                        failures.append((str(op), i, j, mag))
-                        worst = max(worst, mag)
+        red = psi.reductions(subsets)
+        # (b, i, j) in order for i <= j: segment (b, j, i) is |psi_j><psi_i|
+        for b, i, j in np.argwhere(np.triu(red.left(red.maximally_mixed).reshape(-1, K, K).transpose(0, 2, 1))).tolist():
+            op, mag = _pauli_witness(red.operator(b, j, i), subsets[b])
+            if psi.exact or mag > PAULI_TOL:
+                failures.append((str(op), i, j, mag))
+                worst = max(worst, mag)
 
     verdict = "pass" if not failures else "fail"
     return QeccReport(N, d, K, delta, verdict, ops, failures, worst, True)

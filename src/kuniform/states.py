@@ -368,20 +368,20 @@ class SparseOperator:
 
     def _alone(self) -> tuple:
         """The arguments that make this operator a block of one for
-        _deviations and _maximally_mixed_mask."""
-        return self.dim, np.array([0, len(self.re)]), self.diagonal, self.re, self.im, self.r_ket, self.r_bra
+        _deviations and _maximally_mixed_mask, its denominators left out."""
+        return self.dim, np.array([0, len(self.re)]), self.diagonal, self.re, self.im
 
     def maximally_mixed_deviation(self) -> float:
         """Largest entrywise distance from I / d^n_parties, exactly 0 for an
         exact match (_deviations, on a block of one)."""
-        return float(_deviations(*self._alone(), self.exact)[0])
+        return float(_deviations(*self._alone(), self.r_ket, self.r_bra, self.exact)[0])
 
     def is_maximally_mixed(self) -> bool:
         """Whether an exact operator is exactly I / d^n_parties; ValueError
         for a float operator."""
         if not self.exact:
             raise ValueError("is_maximally_mixed decides exact operators only")
-        return bool(_maximally_mixed_mask(*self._alone())[0])
+        return self.r_ket == self.r_bra and bool(_maximally_mixed_mask(*self._alone(), [self.r_ket])[0])
 
     def deviation(self, other: SparseOperator) -> float:
         """Largest entrywise |self - other| of the physical operators, taken
@@ -449,13 +449,15 @@ def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarra
     return np.where(_segment_count(diagonal, starts) < dim, np.maximum(dev, 1.0 / dim), dev)
 
 
-def _maximally_mixed_mask(dim, starts, diagonal, re, im, r_ket, r_bra) -> np.ndarray:
+def _maximally_mixed_mask(dim, starts, diagonal, re, im, r) -> np.ndarray:
     """Which exact operators of a block, as for _deviations, are exactly
-    I / dim: dim stored entries, each diagonal with value r / dim."""
-    sized = np.diff(starts) == dim
-    if r_ket != r_bra or r_ket % dim or not sized.any():
-        return np.zeros(len(sized), dtype=bool)
-    off = ~diagonal | (re != r_ket // dim) | (im != 0)
+    I / dim, operator j over the denominator r[j]: dim stored entries, each
+    diagonal with value r[j] / dim."""
+    sized = (np.diff(starts) == dim) & np.array([x % dim == 0 for x in r], dtype=bool)
+    if not sized.any():
+        return sized
+    want = np.array([x // dim for x in r], dtype=object if max(r) // dim >= _INT64_LIMIT else np.int64)
+    off = ~diagonal | (re != np.repeat(want, np.diff(starts))) | (im != 0)
     return sized & (_segment_count(off, starts) == 0)
 
 
@@ -565,7 +567,7 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 #
 # A family of states psi_s is reduced as one purified state (_Purified)
 # Psi = sum_s |s>_a |psi_s>: block (s, t) of its reduction onto the ancilla
-# and S is |psi_s><psi_t| traced down to S.
+# and S is |psi_s><psi_t| traced down to S, one segment of a _Reductions.
 
 _INT64_LIMIT = 1 << 63
 # kept keys stay below this, so a (row, col) key pair fits one int64
@@ -636,10 +638,12 @@ def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
 
 
 class _Reductions(NamedTuple):
-    """The reductions of one _reduce call, one per subset of its block, over
-    the denominator r when exact: every entry of all of them, those of
-    subset j at starts[j] : starts[j + 1], each subset's in lexicographic
-    (row, column) order."""
+    """The reductions of one kernel call onto a block of subsets, as
+    segments: segment (j, s, t), at starts[(j K + s) K + t], is
+    |psi_s><psi_t| traced down to subset j for a family of K = len(r)
+    states, over the denominator sqrt(r_s r_t) when exact, its entries in
+    lexicographic (row, column) order.  A state is the family of one, whose
+    segments are its reductions onto the subsets."""
 
     d: int
     rows: np.ndarray  # (entries, k) int64
@@ -647,26 +651,61 @@ class _Reductions(NamedTuple):
     diagonal: np.ndarray
     re: np.ndarray
     im: np.ndarray
-    starts: np.ndarray  # (subsets + 1,) int64
-    r: int
+    starts: np.ndarray  # (segments + 1,) int64
+    r: tuple  # each member's r, 1 for floats
     exact: bool
 
-    def operator(self, j: int) -> SparseOperator:
-        """Subset j's reduction, as views of the block's arrays."""
-        at = slice(self.starts[j], self.starts[j + 1])
-        return _sparse(self.d, self.rows[at], self.cols[at], self.diagonal[at], self.re[at], self.im[at], self.r, self.r, self.exact)
+    def operator(self, j: int, s: int = 0, t: int = 0) -> SparseOperator:
+        """Segment (j, s, t), as views of the call's arrays."""
+        i = (j * len(self.r) + s) * len(self.r) + t
+        at = slice(self.starts[i], self.starts[i + 1])
+        # rows, cols, diagonal, re and im
+        return _sparse(self.d, *(x[at] for x in self[1:6]), self.r[s], self.r[t], self.exact)
 
     def _block(self) -> tuple:
-        dim = self.d ** self.rows.shape[1]
-        return dim, self.starts, self.diagonal, self.re, self.im, self.r, self.r
+        return self.d ** self.rows.shape[1], self.starts, self.diagonal, self.re, self.im
+
+    def _members(self) -> tuple:
+        """Each segment's s and t."""
+        return np.divmod(np.arange(len(self.starts) - 1) % len(self.r) ** 2, len(self.r))
+
+    def left(self, own) -> np.ndarray:
+        """Which segments the call's arrays leave undecided: every segment
+        of a float call; of an exact one, each (s, s) where own() does not
+        hold and each (s, t) with s != t that stores an entry."""
+        s, t = self._members()
+        return ~np.where(s == t, own(), np.diff(self.starts) == 0) if self.exact else np.ones(len(s), dtype=bool)
 
     def maximally_mixed(self) -> np.ndarray:
-        """Which exact reductions are exactly I / d^k."""
-        return _maximally_mixed_mask(*self._block())
+        """Which exact segments (j, s, s) are exactly I / d^k over r_s; every
+        (j, s, t) with s != t reads False."""
+        s, t = self._members()
+        return _maximally_mixed_mask(*self._block(), [self.r[x] for x in s.tolist()]) & (s == t)
 
     def deviations(self) -> np.ndarray:
-        """Each reduction's largest entrywise distance from I / d^k."""
-        return _deviations(*self._block(), self.exact)
+        """Each reduction's largest entrywise distance from I / d^k, for a
+        state (a family of one)."""
+        return _deviations(*self._block(), self.r[0], self.r[0], self.exact)
+
+    def same_as_first(self) -> np.ndarray:
+        """Which exact segments (j, s, s) with s >= 1 are the same operator
+        as (j, 0, 0): the same entries, with x r_0 == y r_s for their values
+        x over r_s and y over r_0; every other segment reads False.  Entries
+        of a trace-1 positive operator are at most 1, so |x| <= r_s and
+        |y| <= r_0, and the products stay below r_s r_0."""
+        s, t = self._members()
+        size, first = np.diff(self.starts), np.arange(len(s)) // len(self.r) ** 2 * len(self.r) ** 2
+        ok = (s == t) & (s > 0) & (size == size[first])
+        # the entries of those segments, each paired with its (j, 0, 0) one
+        ia = np.flatnonzero(np.repeat(ok, size))
+        seg = np.repeat(np.arange(len(s)), size)[ia]
+        ib = ia - self.starts[seg] + self.starts[first[seg]]
+        r = np.array(self.r, dtype=object if max(self.r) ** 2 >= _INT64_LIMIT else np.int64)
+        # a bool matmul tells whether any column differs, faster than any(axis=1)
+        differ = ((self.rows[ia] != self.rows[ib]) | (self.cols[ia] != self.cols[ib])) @ np.ones(self.rows.shape[1], dtype=bool)
+        for part in (self.re, self.im):
+            differ |= part[ia] * r[:1] != part[ib] * r[s[seg]]
+        return ok & (np.bincount(seg[differ], minlength=len(s)) == 0)
 
 
 def _runs(idx: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -741,7 +780,7 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     # rows_out >= j T holds from the first entry of subset j on
     rows_out, cols_out, diagonal, re, im = (np.concatenate(column) for column in zip(*parts))
     starts = np.searchsorted(rows_out, np.arange(0, (B + 1) * T, T))
-    return _Reductions(d, kept_idx[rows_out], kept_idx[cols_out], diagonal, re, im, starts, r, not floats)
+    return _Reductions(d, kept_idx[rows_out], kept_idx[cols_out], diagonal, re, im, starts, (r,), not floats)
 
 
 def _call_width(e: _Encoded, d: int, k: int) -> int:
@@ -755,19 +794,6 @@ def _call_width(e: _Encoded, d: int, k: int) -> int:
     batching saves."""
     T, N = e.idx.shape
     return max(e.idx.size, T * max(1, T // d ** (N - k)) * k)
-
-
-def _same_operator(a: SparseOperator, b: SparseOperator) -> bool:
-    """Whether exact self-reductions a, over the denominator ra, and b, over
-    rb, are the same operator: the same entries, and a rb == b ra.  Entries
-    of a trace-1 positive operator are at most 1, so |a| <= ra and
-    |b| <= rb, and the products stay below ra rb."""
-    ra, rb = a.r_ket, b.r_ket
-    if not (np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)):
-        return False
-    wide = object if ra * rb >= _INT64_LIMIT else None
-    pairs = ((a.re, b.re), (a.im, b.im))
-    return all(np.array_equal(np.asarray(x, wide) * rb, np.asarray(y, wide) * ra) for x, y in pairs)
 
 
 def _counting_check(e: _Encoded, d: int, k: int):
@@ -842,8 +868,10 @@ class _Purified:
 
     Member s keeps its numerators as they are, so block (s, t) of a
     reduction of Psi is the reduction of |psi_s><psi_t| over the
-    denominator sqrt(r_s r_t).  The family is exact only when every member
-    is; otherwise every member is encoded as physical floats.
+    denominator sqrt(r_s r_t): segment (j, s, t) of what reductions gives
+    for subset j, the one gather that the three verifiers share.  The
+    family is exact only when every member is; otherwise every member is
+    encoded as physical floats.
     """
 
     def __init__(self, family: list):
@@ -928,65 +956,59 @@ class _Purified:
 
     def reductions(self, subsets: list) -> _Reductions:
         """Psi reduced onto its ancilla and each of a block of equal-sized
-        party subsets in one kernel call, over member 0's denominator: for
-        a family of one, the state's own reductions."""
-        m = self.m
-        return _reduce(self.e, [tuple(range(m)) + tuple(p + m for p in S) for S in subsets], self.base, self.r[0])
+        party subsets S in one kernel call, as the segments (j, s, t):
+        |psi_s><psi_t| traced down to subset j, over the denominator
+        sqrt(r_s r_t) when exact.  For a family of one, the state's own
+        reductions, as the kernel gives them.
 
-    def blocks(self, subsets: list) -> list:
-        """For each of a block of equal-sized party subsets S, the function
-        block(s, t): |psi_s><psi_t| traced down to S, over the denominator
-        sqrt(r_s r_t) when exact.
-
-        Psi is reduced onto the ancilla and every S in one kernel call, and
-        its entries are split by one stable argsort on the (subset, ancilla
-        row, ancilla column) key, the ancilla rows read as their radix keys
-        s, which keeps each block in lexicographic order.  Each block
-        gathers its own arrays, so a block kept does not keep the whole
-        reduction alive.
+        Otherwise one stable argsort on the (subset, ancilla row, ancilla
+        column) key, the ancilla rows read as their radix keys s, splits the
+        entries into segments and keeps each in lexicographic order.  The
+        ancilla columns are then stripped, and each entry's diagonal flag is
+        read off the system columns alone.
         """
-        red, K, m = self.reductions(subsets), self.K, self.m
-        subset = np.repeat(np.arange(len(subsets)), np.diff(red.starts))
+        m, K = self.m, self.K
+        red = _reduce(self.e, [tuple(range(m)) + tuple(p + m for p in S) for S in subsets], self.base, self.r[0])
+        if K == 1:
+            return red
         bra, ket = (_row_keys(x[:, :m], self.base, _INT64_LIMIT)[0] for x in (red.rows, red.cols))
-        key = (subset * K + bra) * K + ket
+        key = (np.repeat(np.arange(len(subsets)), np.diff(red.starts)) * K + bra) * K + ket
         order = np.argsort(key, kind="stable")
-        bounds = np.searchsorted(key[order], np.arange(len(subsets) * K * K + 1)).tolist()
-
-        def block(j: int, s: int, t: int) -> SparseOperator:
-            at = order[bounds[(j * K + s) * K + t] : bounds[(j * K + s) * K + t + 1]]
-            rows, cols = red.rows[at, m:], red.cols[at, m:]
-            return _sparse(self.d, rows, cols, red.diagonal[at], red.re[at], red.im[at], self.r[s], self.r[t], self.exact)
-
-        return [partial(block, j) for j in range(len(subsets))]
+        starts = np.searchsorted(key[order], np.arange(len(subsets) * K * K + 1))
+        # np.take, comparing whole rows and a bool matmul (whether any system
+        # column differs) are each several times faster here than fancy
+        # indexing, comparing column slices and any(axis=1)
+        rows, cols = (np.take(x, order, axis=0) for x in (red.rows, red.cols))
+        diagonal = ~((rows != cols)[:, m:] @ np.ones(rows.shape[1] - m, dtype=bool))
+        return _Reductions(self.d, rows[:, m:], cols[:, m:], diagonal, red.re[order], red.im[order], starts, tuple(self.r), self.exact)
 
     def inner_products(self) -> list:
         """(s, t, <psi_s|psi_t>) for the pairs s < t of the family that are
         not shown orthogonal, in combinations order, each value an
         InnerProduct.
 
-        Entry (s, t) of the reduction of Psi onto its ancilla alone is
-        <psi_t|psi_s>, summed over the terms of psi_s in their order.  An exact
-        reduction stores nonzero entries only, so its entries above the
-        diagonal, in lexicographic order, are the candidate pairs; a float one
-        stores every pair that shares an index.  Two exact members of a family
-        that mixes modes are read exactly, from the family of its exact
-        members.  One state makes no reduction.
+        Segment (s, t) of the reduction of Psi onto its ancilla alone holds
+        one entry at most, <psi_t|psi_s>, summed over the terms of psi_s in
+        their order.  An exact reduction stores nonzero entries only, so its
+        filled segments above the diagonal are the candidate pairs; a float
+        one stores every pair that shares an index.  Two exact members of a
+        family that mixes modes are read exactly, from the family of its
+        exact members.  One state makes no reduction.
         """
         if self.K < 2:
             return []
-        family = self.family
         red = self.reductions([()])
-        bra, ket = (_row_keys(x, self.base, _INT64_LIMIT)[0] for x in (red.rows, red.cols))
+        bra, ket = np.divmod(np.flatnonzero(np.diff(red.starts)), self.K)
         found = []
         for s, t, re, im in zip(*(x[bra < ket].tolist() for x in (bra, ket, red.re, red.im))):
             if self.exact:
-                found.append((s, t, InnerProduct((re, -im), family[t].r, family[s].r, True)))
-            elif not (family[s].exact and family[t].exact):
+                found.append((s, t, InnerProduct((re, -im), self.r[t], self.r[s], True)))
+            elif not (self.family[s].exact and self.family[t].exact):
                 # 0.0 - im, not -im: a zero sum keeps the sign of a sum from 0.0
                 found.append((s, t, InnerProduct(complex(re, 0.0 - im), 1, 1, False)))
-        own = [s for s, state in enumerate(family) if state.exact]
+        own = [s for s, state in enumerate(self.family) if state.exact]
         if 1 < len(own) < self.K:
-            found += [(own[s], own[t], ip) for s, t, ip in _Purified([family[s] for s in own]).inner_products()]
+            found += [(own[s], own[t], ip) for s, t, ip in _Purified([self.family[s] for s in own]).inner_products()]
             found.sort(key=lambda pair: pair[:2])
         return found
 

@@ -5,10 +5,10 @@ amp1 * conj(amp2) term by term: Gaussian integers when both states are
 exact, complex floats otherwise.  The result is a DictOperator, the
 operator as an {(row tuple, col tuple): value} dict, and the oracle_*
 operator functions loop over those entries one by one.  The array kernel
-behind the blocks of states._Purified, states.reduction and the three
-verifiers, and the methods of states.SparseOperator, compute the same
-things; the tests hold them to this oracle, which never calls them.
-oracle_verify_masker is the masking criterion with one
+behind the segments of states._Purified.reductions, states.reduction
+and the three verifiers, and the methods of states.SparseOperator,
+compute the same things; the tests hold them to this oracle, which never
+calls them.  oracle_verify_masker is the masking criterion with one
 oracle_cross_reduction call per (subset, pair), in
 floats for every pair unless every image is exact, and deviations read off
 dense matrices.  oracle_counting_passes is the counting criterion of

@@ -308,6 +308,23 @@ def test_kernel_reduces_each_block_of_subsets_in_one_call(monkeypatch):
     assert [S for args in calls for S in args[1]] == [(0,) + tuple(p + 1 for p in S) for S in pairs]
 
 
+def test_passing_segments_build_no_operators(monkeypatch):
+    """An exact call decides its segments from its arrays: a passing masker
+    builds one operator per subset left, its common entry, and a passing
+    pure code builds none.  The ame_6_2 split leaves all 10 subsets at
+    k = 2 to the kernel, and the code's orthonormality takes one more
+    reduction, onto the ancilla alone."""
+    m = qubit_masker()
+    reduced = _record(monkeypatch, states_module, "_reduce", each=1)
+    built = _record(monkeypatch, states_module, "_sparse")
+    report = verify_masker(m, 2)
+    assert report.verdict == "pass" and len(reduced) == 10
+    assert len(built) == len(report.common) == 10
+    reduced.clear(), built.clear()
+    assert verify_pure_qecc(m.images, 3).verdict == "pass"
+    assert len(reduced) == 11 and built == []
+
+
 def _scaled(state: PureState) -> PureState:
     """The same physical state with every numerator doubled."""
     amps = {idx: (2 * a, 2 * b) for idx, (a, b) in state.amplitudes.items()}
@@ -920,7 +937,7 @@ def test_split_codes_pass_without_the_kernel(monkeypatch):
     psi = construct_k_uniform(4, 9, 10, verify=False)
     masker, basis = build_masker(psi, 0, k=3), _split(psi, 2)
     phased = Masker(d=9, N=9, images=[_times_one_plus_i(s) if s is masker.images[1] else s for s in masker.images])
-    blocks = _record(monkeypatch, states_module._Purified, "blocks", each=1)
+    blocks = _record(monkeypatch, states_module._Purified, "reductions", each=1)
     assert verify_masker(masker, 3).verdict == "pass"
     # the basis's orthonormality is read off one reduction onto its two
     # ancilla columns, with no pairwise inner product
@@ -928,8 +945,9 @@ def test_split_codes_pass_without_the_kernel(monkeypatch):
     reduced = _record(monkeypatch, states_module, "_reduce", each=1)
     report = verify_pure_qecc(basis, 3)
     assert (report.verdict, report.K, report.N) == ("pass", 81, 8) and singleton_check(8, 81, 2, 9)
-    assert blocks == [] and pairs == [] and reduced == [(0, 1)]
-    assert verify_masker(phased, 3).verdict == "pass" and len(blocks) == math.comb(9, 3)
+    # that reduction, onto no party, is the only one of Psi
+    assert blocks == [()] and pairs == [] and reduced == [(0, 1)]
+    assert verify_masker(phased, 3).verdict == "pass" and len(blocks) == 1 + math.comb(9, 3)
 
 
 # ---------------------------------------------------------------------------

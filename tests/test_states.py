@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -71,7 +71,7 @@ def example_state() -> PureState:
 def cross_block(s1: PureState, s2: PureState, parties):
     """|s1><s2| traced down to `parties`: block (0, 1) of the reduction of
     the two states' purified state, in floats unless both are exact."""
-    return states_module._Purified([s1, s2]).blocks([tuple(sorted(parties))])[0](0, 1)
+    return states_module._Purified([s1, s2]).reductions([tuple(sorted(parties))]).operator(0, 0, 1)
 
 
 def dense_reduction(vec: np.ndarray, N: int, d: int, parties) -> np.ndarray:
@@ -279,12 +279,15 @@ def assert_same_operator(got, want):
         want.r_bra,
         want.exact,
     )
+    assert np.array_equal(got.diagonal, (got.rows == got.cols).all(axis=1))
     if want.exact:
         assert got.entries == want.entries
+        assert got.trace() == oracle_trace(want)
     else:
         assert got.entries.keys() == want.entries.keys()
         for key, val in want.entries.items():
             assert abs(got.entries[key] - val) <= 1e-12
+        assert abs(got.trace() - oracle_trace(want)) <= 1e-12 * max(1, len(want.entries))
 
 
 @st.composite
@@ -359,13 +362,89 @@ def test_stack_blocks_match_dict_oracle(case, block):
     m = psi.m
     assert d**m >= K and (m == 0 or d ** (m - 1) < K)
     with mock.patch.object(oa_module, "_COUNT_BLOCK", block):
-        (blocks,) = psi.blocks([tuple(sorted(parties))])
+        red = psi.reductions([tuple(sorted(parties))])
     for s, t in np.ndindex(K, K):
-        got = blocks(s, t)
+        got = red.operator(0, s, t)
         # entries in lexicographic (row, column) order
         keys = [row + col for row, col in zip(got.rows.tolist(), got.cols.tolist())]
         assert keys == sorted(keys)
         assert_same_operator(got, oracle_cross_reduction(family[s], family[t], parties, floats))
+
+
+@st.composite
+def segment_families(draw):
+    """(family, k): one to four states on one system, random sparse ones or
+    copies of the 2-uniform example state with a phase i^m on each term,
+    whose self-segments are I / 9 for k <= 2.  Each is kept, doubled (over
+    4r) or times 1 + i (over 2r), so exact members' r's differ; then all
+    stay exact, all go to floats, or one float state joins them."""
+    if draw(st.booleans()):
+        N, d = 4, 3
+        states = st.lists(st.integers(0, 3), min_size=9, max_size=9).map(lambda e: with_phases(example_state(), e))
+    else:
+        N, d = draw(st.integers(1, 4)), draw(st.sampled_from((2, 3)))
+        states = sparse_exact_states(N, d)
+    factor = st.sampled_from(((1, 0), (2, 0), (1, 1)))
+    states = st.tuples(states, factor).map(lambda sf: transformed(sf[0], range(N), [range(d)] * N, [sf[1]] * sf[0].num_terms))
+    family = draw(st.lists(states, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(("exact", "float", "mixed")))
+    if kind == "float":
+        family = [from_vector(s.to_vector(), N, d) for s in family]
+    elif kind == "mixed":
+        family.insert(draw(st.integers(0, len(family))), draw(sparse_float_states(N, d)))
+    return family, draw(st.integers(0, N))
+
+
+def _same_physical(a, b) -> bool:
+    """Whether exact self-reductions a, over a.r_ket, and b, over b.r_ket,
+    hold the same operator, entry by entry."""
+    if a.entries.keys() != b.entries.keys():
+        return False
+    return all(x * b.r_ket == y * a.r_ket for key in a.entries for x, y in zip(a.entries[key], b.entries[key]))
+
+
+@settings(max_examples=100)
+@given(case=segment_families())
+def test_segments_match_cross_reduction_oracle(case):
+    """Segment (j, s, t) of one call is the oracle's |psi_s><psi_t| traced
+    down to subset j, over sqrt(r_s r_t), entries in order; and the call's
+    masks read maximally mixed segments, (s, s) segments with s >= 1 that
+    are the same operator as (0, 0), and the segments an exact call leaves
+    (an (s, s) not I / d^k, an (s, t) that is not zero) as the oracle's
+    operators do."""
+    family, k = case
+    psi = states_module._Purified(family)
+    K, floats = len(family), not psi.exact
+    subsets = list(combinations(range(family[0].N), k))
+    red = psi.reductions(subsets)
+    assert len(red.starts) == len(subsets) * K * K + 1
+    want = {}
+    for (j, S), (s, t) in product(enumerate(subsets), np.ndindex(K, K)):
+        got = red.operator(j, s, t)
+        want[j, s, t] = oracle_cross_reduction(family[s], family[t], S, floats)
+        keys = [row + col for row, col in zip(got.rows.tolist(), got.cols.tolist())]
+        assert keys == sorted(keys)
+        assert_same_operator(got, want[j, s, t])
+    left = red.left(red.maximally_mixed).reshape(-1).tolist()
+    if floats:
+        assert left == [True] * len(want)
+        return
+    mixed, same = red.maximally_mixed().tolist(), red.same_as_first().tolist()
+    for i, (j, s, t) in enumerate(want):
+        is_mixed = s == t and oracle_is_maximally_mixed(want[j, s, t])
+        assert mixed[i] == is_mixed and left[i] == (not is_mixed if s == t else bool(want[j, s, t].entries))
+        assert same[i] == (s == t > 0 and _same_physical(want[j, s, s], want[j, 0, 0]))
+
+
+def test_cross_segments_flag_their_diagonal():
+    """A cross segment's diagonal flags are read off the system columns,
+    not the ancilla's, so its trace is <psi_t|psi_s>."""
+    a = PureState(N=2, d=2, amplitudes={(0, 0): (1, 0), (1, 1): (1, 0)}, r=2)
+    c = PureState(N=2, d=2, amplitudes={(0, 0): (1, 0), (0, 1): (1, 0)}, r=2)
+    op = states_module._Purified([a, c]).reductions([(0,)]).operator(0, 1, 0)
+    assert op.entries == {((0,), (0,)): (1, 0), ((0,), (1,)): (1, 0)}
+    assert op.diagonal.tolist() == [True, False]
+    assert op.trace() == (1, 0) == inner_product(a, c).num
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -433,19 +512,19 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
     else:
         calls = [subsets[i : i + size] for i in range(0, len(subsets), size)]
     with mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block):
-        got = [blocks for call in calls for blocks in psi.blocks(call)]
-        alone = [psi.blocks([S])[0] for S in subsets]
-        reductions = [psi.reductions(call) for call in calls] if K == 1 else []
+        reductions = [psi.reductions(call) for call in calls]
+        alone = [psi.reductions([S]) for S in subsets]
+    got = [functools.partial(red.operator, j) for call, red in zip(calls, reductions) for j in range(len(call))]
     for S, blocks, single in zip(subsets, got, alone):
         for s, t in np.ndindex(K, K):
-            op, one = blocks(s, t), single(s, t)
+            op, one = blocks(s, t), single.operator(0, s, t)
             keys = [row + col for row, col in zip(op.rows.tolist(), op.cols.tolist())]
             assert keys == sorted(keys)
             assert_same_operator(op, oracle_cross_reduction(family[s], family[t], S, floats))
             for x, y in ((getattr(op, name), getattr(one, name)) for name in ("rows", "cols", "diagonal", "re", "im")):
                 assert x.dtype == y.dtype and _bits(x.tolist()) == _bits(y.tolist())
     # one state: the call's own decisions, per subset, are its operators'
-    for call, red in zip(calls, reductions):
+    for call, red in zip(calls, reductions if K == 1 else []):
         assert len(red.starts) == len(call) + 1
         for j, S in enumerate(call):
             op = red.operator(j)
