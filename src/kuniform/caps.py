@@ -11,12 +11,14 @@ of name=integer pairs read on every check, e.g.::
 Each cap is checked where its memory is allocated:
 
 - field_order: gf.field_new and gf.field_for_order, before p or q is
-  factored and the log tables of GF(p^m) are built; codes.code_of_rows
-  recognises no code over a larger q;
+  factored and the log tables of GF(p^m) are built; codes._read_coset,
+  hence codes.code_of_rows and the code stage of
+  states._Purified.undecided, recognises no code over a larger q;
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
   the code stage of states._Purified.undecided enumerates none, since
-  C's words and w(C-perp) come from the rows;
+  codes._read_coset reads C's words and weight distribution off the rows
+  and takes w(C-perp) from its MacWilliams transform;
 - oa_rows: codes.codeword_matrix, hence oa.oa_from_code and every recipe
   of catalog.execute_recipe that builds an array from a code, and
   states.tensor_parties, on the T1 T2 terms of a product, the rows of the

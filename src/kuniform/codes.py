@@ -7,7 +7,10 @@ and the other side follows from the MacWilliams transform.  Both are cached
 on the code at the first call of either: they are computed together and
 stored as two attributes, and nothing reads them between the two stores.
 Distances are never stored in code files.  code_of_rows recognises rows
-that are exactly a coset of a linear code.
+that are exactly a coset of a linear code; _read_coset, behind it, reads
+that code's weight distribution and short words off the same one read of
+the rows, with no enumeration, and its dual's distance off the MacWilliams
+transform.  _rref is the one row reduction.
 """
 
 from __future__ import annotations
@@ -115,15 +118,16 @@ class ParityCheck:
 # row reduction over a finite field
 
 
-def _rref(F: FiniteField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _rref(F: FiniteField, M: np.ndarray, most: int | float = math.inf) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (reduced copy, pivot columns).
-    Each pivot column is cleared from every other row in one array step."""
+    Each pivot column is cleared from every other row in one array step.
+    It stops once it has more than `most` pivots, leaving the form partial."""
     R = np.array(M, dtype=np.int64)
     rows, cols = R.shape
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
-        if r == rows:
+        if r == rows or r > most:
             break
         below = np.flatnonzero(R[r:, c])
         if not len(below):
@@ -345,32 +349,42 @@ def dual_distance(C: LinearCode) -> int | float:
 # recognising cosets of codes
 
 
-# rows in the first block code_of_rows translates; later blocks double up
-# to _CHUNK_ROWS, so rows that are no coset are usually refused early
+# rows in the strided sample that first grows _read_coset's basis and in its
+# first block; later blocks double up to _CHUNK_ROWS, so rows that are no
+# coset are usually refused early
 _FIRST_ROWS = 64
-
-
-def _minus(F: FiniteField, y: np.ndarray, c: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """y - c X over F, for rows y, their coefficients c and a few rows X."""
-    return F.add_arr(y, F.neg_arr(_matmul(F, c, X)))
 
 
 def code_of_rows(q: int, rows) -> LinearCode | None:
     """The linear code C whose coset rows[0] + C the rows are exactly, or
-    None when they are not one.
+    None when they are not one, as _read_coset decides.  C is returned with
+    its generator in reduced row echelon form; the rows are its codewords
+    translated by rows[0], in any order.
+    """
+    found = _read_coset(q, rows, 0)
+    return None if found is None else LinearCode(*found[:2])
 
-    Exact over GF(q): q must be a prime power within the field_order cap,
-    the T rows must number q^t, and every row less rows[0] must lie in one
-    t-dimensional space.  That space is grown deterministically from the
-    rows themselves: each row's difference is reduced against the basis so
-    far, and the first one left nonzero joins it, so no sample can miss a
-    direction.  The rows are translated in blocks, _FIRST_ROWS first and
-    each next one twice as long up to _CHUNK_ROWS, never as one full copy.
-    Distinct rows of that coset differ in their pivot columns, so one
-    count of those columns' radix keys decides that all q^t rows are
-    distinct, hence the whole coset.  C is returned with its generator in
-    reduced row echelon form; the rows are its codewords translated by
-    rows[0], in any order.
+
+def _read_coset(q: int, rows, w: int) -> tuple | None:
+    """(F, G, supports) when the rows are exactly a coset rows[0] + C of a
+    linear code C over F = GF(q), None otherwise.  G is C's generator in
+    reduced row echelon form; supports are the distinct supports, rows of a
+    (P, N) bool array, of C's nonzero words of weight at most w, or None
+    when dual(C) has such words too.
+
+    Exact: q must be a prime power within the field_order cap, and the T
+    rows must number q^t.  Each row is read once, in blocks of _FIRST_ROWS
+    rows, each next one twice as long up to _CHUNK_ROWS, never as one full
+    copy.  The differences from rows[0], first of a strided sample and then
+    of each block, grow the basis through _rref until its rank is t, so no
+    sample can miss a direction, and a rank above t refuses the rows.  Each
+    later block must then equal the combination of the basis that its
+    pivot entries name.  Distinct words of C differ in those entries, so
+    one count of their radix keys decides that all q^t rows are distinct,
+    hence the whole coset.  The same differences are C's words: their
+    weights give C's weight distribution, whose MacWilliams transform gives
+    dual(C)'s distance, and their supports the short words, with no
+    enumeration.
     """
     rows = np.asarray(rows, dtype=np.int64)
     T, N = rows.shape
@@ -384,57 +398,44 @@ def code_of_rows(q: int, rows) -> LinearCode | None:
         return None
     F = field_new(*pm)
     shift = F.neg_arr(rows[0])
-    basis, pivots = np.zeros((0, N), dtype=np.int64), []
-    start, size = 0, _FIRST_ROWS
-    while start < T:
+    # a stride that p does not divide: in message order, rows a multiple of
+    # p apart can share their last message digit and so miss a direction
+    stride = -(-T // _FIRST_ROWS)
+    sample = rows[:: stride + (stride % F.p == 0)]
+    if sample.min() < 0 or sample.max() >= q:
+        return None
+    basis, pivots = _rref(F, F.add_arr(sample, shift), t)
+    basis = basis[: len(pivots)]
+    radix = q ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    keys, counts, found, held = [], np.zeros(N + 1, dtype=np.int64), [], []
+    start, size = 0, min(_FIRST_ROWS, _CHUNK_ROWS)
+    while start < T and len(pivots) <= t:
         block = rows[start : start + size]
         start, size = start + size, min(2 * size, _CHUNK_ROWS)
         if block.min() < 0 or block.max() >= q:
             return None
-        # the basis is zero at every pivot but its own, so one pass reduces
-        residual = F.add_arr(block, shift)
-        residual = _minus(F, residual, residual[:, pivots], basis)
-        while len(left := np.flatnonzero(residual.any(axis=1))):
-            if len(pivots) == t:
-                return None
-            v = residual[left[0]]
-            p = int(np.flatnonzero(v)[0])
-            v = F.mul_arr(v, F.inv(int(v[p])))
-            basis = np.vstack([_minus(F, basis, basis[:, p, None], v[None]), v])
-            pivots.append(p)
-            residual = _minus(F, residual[left], residual[left, p, None], v[None])
-    if len(pivots) < t:
-        return None  # a coset of fewer than T rows: some rows repeat
-    keys = np.zeros(T, dtype=np.int64)
-    for p in sorted(pivots):
-        keys = keys * q + rows[:, p]
-    if not (np.bincount(keys, minlength=T) == 1).all():
-        return None
-    return LinearCode(F, basis[np.argsort(pivots)])
-
-
-def _supports_within(C: LinearCode, rows: np.ndarray, w: int) -> np.ndarray | None:
-    """The distinct supports, rows of a (P, N) bool array, of the nonzero
-    words of weight at most w in C, for rows that are exactly the coset
-    rows[0] + C; None when dual(C) has such words too.
-
-    C's words are the rows less rows[0], so the support of each is where
-    its row differs from rows[0]: C's supports and weight distribution come
-    from the rows, in blocks of _CHUNK_ROWS, with no field arithmetic and no
-    enumeration.  The MacWilliams transform of that distribution gives
-    dual(C)'s distance, and dual(C) is never enumerated.
-    """
-    q, N = C.q, C.N
-    counts = np.zeros(N + 1, dtype=np.int64)
-    found = []
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        support = rows[start : start + _CHUNK_ROWS] != rows[0]
-        weight = support.sum(axis=1)
+        words = F.add_arr(block, shift)
+        if len(pivots) < t:
+            # rows that grow the basis lie in its span, and are keyed once
+            # its pivots are known
+            basis, pivots = _rref(F, np.vstack([basis, words]), t)
+            basis = basis[: len(pivots)]
+            held.append(words)
+            if len(pivots) != t:
+                continue
+            words = np.concatenate(held)
+        elif not np.array_equal(_matmul(F, words[:, pivots], basis), words):
+            return None
+        keys.append(words[:, pivots] @ radix)
+        weight = np.count_nonzero(words, axis=1)
         counts += np.bincount(weight, minlength=N + 1)
-        found.append(support[(weight > 0) & (weight <= w)])
-    if _first_nonzero(_macwilliams(counts.tolist(), q, f"coset of [{N},{C.t}]_{q}")) <= w:
+        found.append(words[(weight > 0) & (weight <= w)] != 0)
+    # a rank below t leaves some rows repeated
+    if len(pivots) != t or (np.bincount(np.concatenate(keys), minlength=T) != 1).any():
         return None
-    return np.unique(np.concatenate(found), axis=0)
+    if _first_nonzero(_macwilliams(counts.tolist(), q, f"coset of [{N},{t}]_{q}")) <= w:
+        return F, basis, None
+    return F, basis, np.unique(np.concatenate(found), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ operations, and the closed-form weight distribution of MDS codes.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from kuniform.codes import (
     parse_code,
     save_code,
 )
-from kuniform.gf import field_for_order, field_new
+from kuniform.gf import field_for_order, field_new, is_prime_power
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -275,12 +277,14 @@ def matrices(draw):
 
 
 @settings(max_examples=200)
-@given(case=matrices())
-def test_rref_matches_row_by_row_oracle(case):
+@given(case=matrices(), most=st.integers(0, 6))
+def test_rref_matches_row_by_row_oracle(case, most):
     F, M = case
     R, pivots = codes._rref(F, M)
     want, want_pivots = oracle_rref(F, M)
     assert np.array_equal(R, want) and pivots == want_pivots
+    # stopped past `most` pivots, it has found the first most + 1 of them
+    assert codes._rref(F, M, most)[1] == want_pivots[: most + 1]
     # a generator in that form, as code_of_rows returns, is its own
     if len(pivots) == len(M):
         echelon, echelon_pivots = LinearCode(F, R)._echelon
@@ -538,3 +542,87 @@ def test_code_of_rows_leaves_fields_above_the_cap_alone(monkeypatch):
     rows = codeword_matrix(mds_code(F5, 2))
     assert codes.code_of_rows(5, rows) is None  # and no CapExceeded
     assert codes.code_of_rows(4, codeword_matrix(mds_code(F4, 2))) is not None
+
+
+def oracle_coset(q: int, rows: np.ndarray, w: int, field_cap: int):
+    """(G, supports) by brute force: the rows are a coset when they are T =
+    q^t distinct rows whose differences from rows[0], row-reduced all at
+    once by the oracle, span t dimensions; G is that reduction, and the
+    supports those of the enumerated nonzero words of weight at most w, as
+    a set, or None when dual_distance is at most w.  None for no coset."""
+    T, N = rows.shape
+    if q > field_cap or is_prime_power(q) is None or rows.min() < 0 or rows.max() >= q:
+        return None
+    if len({tuple(row) for row in rows.tolist()}) != T:
+        return None
+    t = next(t for t in range(T + 1) if q**t >= T)
+    F = field_for_order(q)
+    differences = np.array([[F.add(x, F.neg(y)) for x, y in zip(row, rows[0].tolist())] for row in rows.tolist()])
+    R, pivots = oracle_rref(F, differences.reshape(T, N))
+    if q**t != T or len(pivots) != t:
+        return None
+    C = LinearCode(F, R[:t])
+    words = brute_codewords(C)
+    assert words == {tuple(row) for row in differences.tolist()}
+    if dual_distance(C) <= w:
+        return R[:t], None
+    return R[:t], {tuple(x != 0 for x in word) for word in words if 0 < sum(x != 0 for x in word) <= w}
+
+
+FAULTS = ("none", "symbol", "repeat", "relabel", "drop", "capped")
+
+
+@st.composite
+def coset_rows(draw):
+    """(q, rows, w, fault): the codewords of a drawn [N, t]_q code, t = 0
+    included, in message order (whose leading rows span less) or shuffled,
+    translated or not, then left whole or given one fault: a symbol changed
+    in the last row, a repeated row, one party's symbols relabelled by a
+    drawn permutation (affine or not), the last row dropped (T no power of
+    q), or a field_order cap below q."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    C = draw(full_rank_codes(q))
+    F, T, N = C.field, q**C.t, C.N
+    rows = codeword_matrix(C)
+    if draw(st.booleans()):
+        rows = F.add_arr(rows, np.array(draw(st.lists(st.integers(0, q - 1), min_size=N, max_size=N)), dtype=np.int64))
+    if draw(st.booleans()):
+        rows = rows[np.array(draw(st.permutations(range(T))), dtype=np.int64)]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "symbol":
+        j = draw(st.integers(0, N - 1))
+        rows[-1, j] = (rows[-1, j] + draw(st.integers(1, q - 1))) % q
+    elif fault == "repeat" and T > 1:
+        i, j = draw(st.lists(st.integers(0, T - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = rows[i]
+    elif fault == "relabel":
+        j = draw(st.integers(0, N - 1))
+        rows[:, j] = np.array(draw(st.permutations(range(q))), dtype=np.int64)[rows[:, j]]
+    elif fault == "drop" and T > 1:
+        rows = rows[:-1]
+    return q, rows, draw(st.integers(0, N)), fault
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coset_rows(), chunk=st.sampled_from((7, codes._CHUNK_ROWS)))
+def test_read_coset_matches_brute_force(case, chunk):
+    """_read_coset and code_of_rows against the oracle: the same generator
+    in reduced row echelon form, the same distinct short supports, None for
+    rows that are no coset, whatever the block size."""
+    q, rows, w, fault = case
+    cap = q - 1 if fault == "capped" else 1 << 16
+    want = oracle_coset(q, rows, w, cap)
+    with mock.patch.dict(os.environ, {"KUF_CAPS": f"field_order={cap}"}), mock.patch.object(codes, "_CHUNK_ROWS", chunk):
+        got = codes._read_coset(q, rows, w)
+        C = codes.code_of_rows(q, rows)
+    if want is None:
+        assert got is None and C is None
+        return
+    G, supports = want
+    F, G_got, supports_got = got
+    assert F.order == q and np.array_equal(G_got, G) and C == LinearCode(F, G)
+    if supports is None:
+        assert supports_got is None
+    else:
+        assert supports_got.dtype == bool and supports_got.shape == (len(supports), rows.shape[1])
+        assert {tuple(x) for x in supports_got.tolist()} == supports

@@ -803,7 +803,7 @@ def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
     pay."""
     reduced = _record_calls(monkeypatch, "_reduce", each=1)
     asked = _record_counting(monkeypatch)
-    recognised = _record_calls(monkeypatch, "code_of_rows")
+    recognised = _record_calls(monkeypatch, "_read_coset")
     # the [6,3]_5 extended Reed-Solomon support, w = w-perp = 4: 20 subsets
     # of 125 terms
     state = construct_k_uniform(3, 5, 6, verify=False)
@@ -987,10 +987,17 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
     e, m = psi.e, psi.m
     d, N = family[0].d, family[0].N
     supports = []
-    supports_within = states_module._supports_within
+    read_coset = states_module._read_coset
+
+    def recording(*args):
+        found = read_coset(*args)
+        if found is not None:
+            supports.append(found[2])
+        return found
+
     with pytest.MonkeyPatch.context() as env:
         env.setattr(oa_module, "_COUNT_BLOCK", block)
-        env.setattr(states_module, "_supports_within", lambda *a: supports.append(out := supports_within(*a)) or out)
+        env.setattr(states_module, "_read_coset", recording)
         env.setattr(states_module, "_CODE_MIN_PAIRS", 0)
         got = list(psi.undecided(k))
         env.setattr(states_module, "_CODE_MIN_PAIRS", math.inf)
