@@ -161,12 +161,20 @@ def _balanced(columns: np.ndarray, d: int, block: np.ndarray) -> np.ndarray:
     the (N, r) transpose of rows over d symbols, and d^k divides r."""
     B, k = block.shape
     r, dim = columns.shape[1], d**k
-    kept = np.zeros((B, r), dtype=np.int64)
-    for j in range(k):
-        kept *= d
-        kept += columns[block[:, j]]
+    kept = _radix_keys(columns, d, block)
     kept += np.arange(0, B * dim, dim)[:, None]
     return (np.bincount(kept.reshape(-1), minlength=B * dim).reshape(B, dim) == r // dim).all(axis=1)
+
+
+def _radix_keys(columns: np.ndarray, d: int, block: np.ndarray) -> np.ndarray:
+    """The (B, r) radix keys of the rows on each column list of a (B, w)
+    block, its first column most significant: `columns` is the (N, r)
+    transpose of rows over d symbols, and d^w must fit int64."""
+    keys = np.zeros((len(block), columns.shape[1]), dtype=np.int64)
+    for column in block.T:
+        keys *= d
+        keys += columns[column]
+    return keys
 
 
 def oa_min_distance(A: OrthogonalArray) -> int | float:

@@ -33,7 +33,7 @@ from . import oa, textio
 from .caps import check_cap
 from .codes import _read_coset
 from .errors import KuniformError, NormError, ParseError
-from .oa import OrthogonalArray, _balanced, _in_blocks, check_irredundant
+from .oa import OrthogonalArray, _balanced, _in_blocks, _radix_keys, check_irredundant
 
 __all__ = [
     "PureState",
@@ -184,8 +184,8 @@ def _repeats(idx: np.ndarray, d: int) -> np.ndarray:
     """Rows equal to an earlier row: one stable sort of the rows' keys,
     radix keys while d^N fits int64 and distinct-row ids, which sort as the
     rows do, otherwise."""
-    keys = _row_keys(idx, d, _INT64_LIMIT)[0]
-    order = np.argsort(keys, kind="stable")
+    keys, size = _row_keys(idx, d, _INT64_LIMIT)
+    order = _stable_order(keys, size)
     return order[1:][keys[order[1:]] == keys[order[:-1]]]
 
 
@@ -564,16 +564,20 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the reduction kernel: states as arrays, one sort per block of subsets
+# the reduction kernel: states as arrays, radix-keyed sorts per block of
+# subsets
 #
 # Entry (kept1, kept2) of tr_others |psi><psi| sums amp1 * conj(amp2) over
 # the row pairs that agree on the traced-out parties.  One call reduces a
-# block of equal-sized subsets: the rows are seen once through each subset,
-# one run of rows per subset, and keyed per run, so rows are matched through
-# integer keys of their complement columns within their own subset only,
-# and the pair products are summed per (subset, kept1, kept2) key.  Exact
-# states stay in int64 only where every product and sum provably fits, and
-# in Python ints otherwise, so no result ever wraps.
+# block of equal-sized subsets, one run of the T rows per subset: each row
+# gets integer keys of its kept and of its complement columns, summed radix
+# digit by digit over the transposed index array and offset by run, so rows
+# are matched on their complement keys within their own subset only, and the
+# pair products are summed per (subset, kept1, kept2) key.  Keys are bounded,
+# so every sort is _stable_order's, by radix while the bound is below 2^32.
+# An entry's kept row and column are gathered only for callers that read
+# them.  Exact states stay in int64 only where every product and sum
+# provably fits, and in Python ints otherwise, so no result ever wraps.
 #
 # A family of states psi_s is reduced as one purified state (_Purified)
 # Psi = sum_s |s>_a |psi_s>: block (s, t) of its reduction onto the ancilla
@@ -609,35 +613,101 @@ def _encode(state: PureState, floats: bool) -> _Encoded:
     return _Encoded(state._idx, state._values[:, 0], state._values[:, 1], state._bound)
 
 
-def _row_keys(a: np.ndarray, d: int, limit: int, runs: int = 1):
-    """Integer keys of the rows of a, read as `runs` runs of equally many
-    rows one after another: equal exactly when two rows of one run are,
-    ordered by run and then as the rows are; and a bound above every key.
-    A row's own key is its radix key while d^width <= limit, the id of its
-    distinct row otherwise; the run offsets it while runs times that bound
-    stays within limit, and ids of distinct (run, key) pairs replace it
-    otherwise."""
+def _row_keys(a: np.ndarray, d: int, limit: int):
+    """Integer keys of the rows of a: equal exactly when two rows are and
+    ordered as the rows are; and a bound above every key.  A row's key is
+    its radix key while d^width <= limit, and the id of its distinct row,
+    from one np.unique of the rows, otherwise."""
     width = a.shape[1]
     if d**width <= limit:
-        keys, size = a @ d ** np.arange(width - 1, -1, -1, dtype=np.int64), d**width
-    else:
-        distinct, ids = np.unique(a, axis=0, return_inverse=True)
-        keys, size = ids.reshape(-1), len(distinct)
+        return a @ d ** np.arange(width - 1, -1, -1, dtype=np.int64), d**width
+    distinct, ids = np.unique(a, axis=0, return_inverse=True)
+    return ids.reshape(-1), len(distinct)
+
+
+def _runs(columns: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The rows of an index array, given as its (N, T) transpose, seen
+    through each column list of a (B, w) block: a (B T, w) array, run j the
+    T rows on block[j]."""
+    return np.swapaxes(columns[block], 1, 2).reshape(len(block) * columns.shape[1], block.shape[1])
+
+
+def _complements(block: np.ndarray, N: int) -> np.ndarray:
+    """The columns of range(N) outside each row of a (B, w) block, in
+    order: a (B, N - w) array."""
+    outside = np.ones((len(block), N), dtype=bool)
+    outside[np.arange(len(block))[:, None], block] = False
+    return np.nonzero(outside)[1].reshape(len(block), N - block.shape[1])
+
+
+def _run_keys(columns: np.ndarray, block: np.ndarray, d: int, limit: int):
+    """Each row's key within its run, as _row_keys gives it, for the rows of
+    an index array, given as its (N, T) transpose, on each column list of a
+    (B, w) block: a (B T,) array read run by run, run j the T rows on
+    block[j]; and a bound above every key.  Radix keys are summed over the
+    columns (oa._radix_keys) while d^w <= limit; the ids of _row_keys
+    replace them otherwise."""
+    if d ** block.shape[1] <= limit:
+        return _radix_keys(columns, d, block).reshape(-1), d ** block.shape[1]
+    return _row_keys(_runs(columns, block), d, limit)
+
+
+def _by_run(keys: np.ndarray, size: int, runs: int, limit: int):
+    """Keys of `runs` equal runs of rows from each row's key within its run,
+    below size: equal exactly when two rows of one run have the same key,
+    ordered by run and then by key; and a bound above every key.  The run
+    offsets the key while runs times size stays within limit, and ids of
+    distinct (run, key) pairs replace it otherwise."""
     if runs == 1:
         return keys, size
-    run = np.repeat(np.arange(runs), len(a) // runs)
     if runs * size <= limit:
-        return run * size + keys, runs * size
+        return (keys.reshape(runs, -1) + np.arange(runs)[:, None] * size).reshape(-1), runs * size
+    run = np.repeat(np.arange(runs), len(keys) // runs)
     distinct, ids = np.unique(np.stack([run, keys], axis=1), axis=0, return_inverse=True)
     return ids.reshape(-1), len(distinct)
 
 
-def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
-    """Rows grouped by (subset, kept) key and cut between groups into blocks
-    of about oa._COUNT_BLOCK matched pairs, the budget of _call_width.  No
-    entry spans two blocks, and a block exceeds the budget by at most one
-    group, whose pairs number at most the terms of the state."""
-    order = np.argsort(keys, kind="stable")
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for int64 keys in [0, bound): keys
+    below 2^16 sort as uint16, which numpy sorts stably by radix, keys below
+    2^32 in two such passes, low digit first, and wider keys by comparison.
+    Radix passes run several times faster than the comparison sort."""
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound <= 1 << 32:
+        order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+        return order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
+    return np.argsort(keys, kind="stable")
+
+
+def _heads(ordered: np.ndarray) -> np.ndarray:
+    """Where each group of equal values of a sorted array starts."""
+    head = np.empty(len(ordered), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return head
+
+
+def _partners(keys: np.ndarray, bound: int) -> tuple:
+    """(order, lo, counts) for keys below bound: the rows whose key is row
+    i's are order[lo[i] : lo[i] + counts[i]], one group of equal keys in
+    sorted order."""
+    order = _stable_order(keys, bound)
+    head = _heads(keys[order])
+    group, first = np.cumsum(head) - 1, np.flatnonzero(head)
+    lo, counts = np.empty_like(order), np.empty_like(order)
+    lo[order] = first[group]
+    counts[order] = (np.append(first[1:], len(order)) - first)[group]
+    return order, lo, counts
+
+
+def _blocks(keys: np.ndarray, bound: int, counts: np.ndarray) -> list:
+    """Rows grouped by (subset, kept) key, each below bound, and cut between
+    groups into blocks of about oa._COUNT_BLOCK matched pairs, the budget
+    that _call_width keeps a call's row arrays within.  No entry spans two
+    blocks, and a block exceeds the budget by at most one group, whose pairs
+    number at most the terms of the state."""
+    order = _stable_order(keys, bound)
     ends = np.append(np.flatnonzero(np.diff(keys[order])) + 1, len(order))
     cum = np.cumsum(counts[order])
     cum_at_ends = cum[ends - 1]
@@ -652,17 +722,20 @@ def _blocks(keys: np.ndarray, counts: np.ndarray) -> list:
     return blocks
 
 
-class _Reductions(NamedTuple):
-    """The reductions of one kernel call onto a block of subsets, as
+@dataclass(frozen=True, eq=False)
+class _Reductions:
+    """The reductions of one kernel call onto a block of k-subsets, as
     segments: segment (j, s, t), at starts[(j K + s) K + t], is
     |psi_s><psi_t| traced down to subset j for a family of K = len(r)
     states, over the denominator sqrt(r_s r_t) when exact, its entries in
     lexicographic (row, column) order.  A state is the family of one, whose
-    segments are its reductions onto the subsets."""
+    segments are its reductions onto the subsets.  Each entry's kept row
+    and column are gathered at the first read of rows or cols."""
 
     d: int
-    rows: np.ndarray  # (entries, k) int64
-    cols: np.ndarray
+    columns: np.ndarray  # (N, T) transpose of the reduced index array
+    kept: np.ndarray  # (B, k) int64, the columns kept for each subset
+    at: tuple  # each entry's row and column, as rows j T + i of the runs
     diagonal: np.ndarray
     re: np.ndarray
     im: np.ndarray
@@ -670,15 +743,33 @@ class _Reductions(NamedTuple):
     r: tuple  # each member's r, 1 for floats
     exact: bool
 
+    @property
+    def k(self) -> int:
+        return self.kept.shape[1]
+
+    @cached_property
+    def _kept_rows(self) -> np.ndarray:
+        return _runs(self.columns, self.kept)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(entries, k) int64."""
+        # np.take is several times faster here than fancy indexing
+        return np.take(self._kept_rows, self.at[0], axis=0)
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        return np.take(self._kept_rows, self.at[1], axis=0)
+
     def operator(self, j: int, s: int = 0, t: int = 0) -> SparseOperator:
         """Segment (j, s, t), as views of the call's arrays."""
         i = (j * len(self.r) + s) * len(self.r) + t
         at = slice(self.starts[i], self.starts[i + 1])
-        # rows, cols, diagonal, re and im
-        return _sparse(self.d, *(x[at] for x in self[1:6]), self.r[s], self.r[t], self.exact)
+        parts = self.rows, self.cols, self.diagonal, self.re, self.im
+        return _sparse(self.d, *(x[at] for x in parts), self.r[s], self.r[t], self.exact)
 
     def _block(self) -> tuple:
-        return self.d ** self.rows.shape[1], self.starts, self.diagonal, self.re, self.im
+        return self.d**self.k, self.starts, self.diagonal, self.re, self.im
 
     def left(self, own) -> np.ndarray:
         """Which segments the call's arrays leave undecided: every segment
@@ -712,16 +803,10 @@ class _Reductions(NamedTuple):
         ib = ia - self.starts[seg] + self.starts[first[seg]]
         r = np.array(self.r, dtype=object if max(self.r) ** 2 >= _INT64_LIMIT else np.int64)
         # a bool matmul tells whether any column differs, faster than any(axis=1)
-        differ = ((self.rows[ia] != self.rows[ib]) | (self.cols[ia] != self.cols[ib])) @ np.ones(self.rows.shape[1], dtype=bool)
+        differ = ((self.rows[ia] != self.rows[ib]) | (self.cols[ia] != self.cols[ib])) @ np.ones(self.k, dtype=bool)
         for part in (self.re, self.im):
             differ |= part[ia] * r[:1] != part[ib] * r[s[seg]]
         return ok & (np.bincount(seg[differ], minlength=len(s)) == 0)
-
-
-def _runs(idx: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """The rows of idx seen through each row of `columns`, a (B, w) array
-    of column lists: a (B T, w) array, run j the T rows on columns[j]."""
-    return np.swapaxes(idx[:, columns], 0, 1).reshape(len(columns) * len(idx), columns.shape[1])
 
 
 def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
@@ -732,19 +817,13 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     T, N = e.idx.shape
     B = len(subsets)
     kept = np.array(subsets, dtype=np.int64).reshape(B, -1)
-    others = [[p for p in range(N) if p not in S] for S in subsets]
-    others = np.array(others, dtype=np.int64).reshape(B, N - kept.shape[1])
-    kept_idx = _runs(e.idx, kept)
-    keys, n_kept = _row_keys(kept_idx, d, _KEPT_KEY_LIMIT, B)
-    comp, _ = _row_keys(_runs(e.idx, others), d, _INT64_LIMIT, B)
-
-    # rows sharing the complement of row i: order[lo[i] : lo[i] + counts[i]];
-    # searching with sorted keys is several times faster than with unsorted ones
-    order = np.argsort(comp, kind="stable")
-    ordered = comp[order]
-    lo, counts = np.empty_like(order), np.empty_like(order)
-    lo[order] = np.searchsorted(ordered, ordered, side="left")
-    counts[order] = np.searchsorted(ordered, ordered, side="right") - lo[order]
+    others = _complements(kept, N)
+    columns = np.ascontiguousarray(e.idx.T)
+    # each row's kept key within its run, below size, and offset by run
+    own, size = _run_keys(columns, kept, d, _KEPT_KEY_LIMIT)
+    keys, n_kept = _by_run(own, size, B, _KEPT_KEY_LIMIT)
+    # rows sharing the complement of row i in its run
+    order, lo, counts = _partners(*_by_run(*_run_keys(columns, others, d, _INT64_LIMIT), B, _INT64_LIMIT))
 
     a, b = e.re, e.im
     floats = e.bound is None
@@ -752,60 +831,57 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     if not floats and 2 * e.bound**2 * T >= _INT64_LIMIT:
         a, b = a.astype(object), b.astype(object)
     # row i of the runs is term i mod T
-    a, b = np.tile(a, B), np.tile(b, B)
+    a, b = np.concatenate([a] * B), np.concatenate([b] * B)
 
     if counts.sum() <= oa._COUNT_BLOCK:
-        blocks = [np.arange(len(comp))]
+        blocks = [np.arange(len(order))]
     else:
-        blocks = _blocks(keys, counts)
-    parts = []
-    for rows in blocks:
+        blocks = _blocks(keys, n_kept, counts)
+
+    def entries(rows: np.ndarray) -> tuple:
+        """The entries that a block of rows makes, its temporaries freed on
+        return: each entry's row, column, diagonal flag and sums."""
         n = counts[rows]
         i1 = np.repeat(rows, n)
         i2 = order[np.repeat(lo[rows] - (np.cumsum(n) - n), n) + np.arange(len(i1))]
+        # pairs grouped by entry key, below n_kept * size as both rows of a
+        # pair share a run, and in their order above within an entry; any
+        # pair of an entry names its rows
+        pair_keys = keys[i1] * size + own[i2]
+        perm = _stable_order(pair_keys, n_kept * size)
+        i1, i2 = i1[perm], i2[perm]
+        head = _heads(pair_keys[perm])
+        a1, b1, a2, b2 = a[i1], b[i1], a[i2], b[i2]
         # (a1 + b1 i)(a2 - b2 i)
-        re = a[i1] * a[i2] + b[i1] * b[i2]
-        im = b[i1] * a[i2] - a[i1] * b[i2]
-        # pairs grouped by entry key; any pair of an entry names its rows
-        pair_keys = keys[i1] * n_kept + keys[i2]
-        perm = np.argsort(pair_keys, kind="stable")
-        head = np.empty(len(perm), dtype=bool)
-        head[:1] = True
-        np.not_equal(pair_keys[perm[1:]], pair_keys[perm[:-1]], out=head[1:])
-        first = perm[head]
+        re, im = a1 * a2 + b1 * b2, b1 * a2 - a1 * b2
+        heads = np.flatnonzero(head)
         if floats:
             # bincount adds in pair order, as a running sum over the rows would
-            inv = np.empty_like(perm)
-            inv[perm] = np.cumsum(head) - 1
-            re_sum = np.bincount(inv, re, len(first))
-            im_sum = np.bincount(inv, im, len(first))
+            entry = np.cumsum(head) - 1
+            re_sum, im_sum = np.bincount(entry, re, len(heads)), np.bincount(entry, im, len(heads))
         else:
-            heads = np.flatnonzero(head)
-            re_sum, im_sum = np.add.reduceat(re[perm], heads), np.add.reduceat(im[perm], heads)
+            re_sum, im_sum = np.add.reduceat(re, heads), np.add.reduceat(im, heads)
             nonzero = (re_sum != 0) | (im_sum != 0)
-            first, re_sum, im_sum = first[nonzero], re_sum[nonzero], im_sum[nonzero]
-        rows_out, cols_out = i1[first], i2[first]
-        parts.append((rows_out, cols_out, keys[rows_out] == keys[cols_out], re_sum, im_sum))
+            heads, re_sum, im_sum = heads[nonzero], re_sum[nonzero], im_sum[nonzero]
+        rows_out, cols_out = i1[heads], i2[heads]
+        return rows_out, cols_out, own[rows_out] == own[cols_out], re_sum, im_sum
+
+    parts = [entries(rows) for rows in blocks]
     # entries come in (subset, kept1, kept2) key order, so run by run, and
     # rows_out >= j T holds from the first entry of subset j on
     rows_out, cols_out, diagonal, re, im = (np.concatenate(column) for column in zip(*parts))
     starts = np.searchsorted(rows_out, np.arange(0, (B + 1) * T, T))
-    # np.take is several times faster here than fancy indexing
-    rows, cols = (np.take(kept_idx, x, axis=0) for x in (rows_out, cols_out))
-    return _Reductions(d, rows, cols, diagonal, re, im, starts, (r,), not floats)
+    return _Reductions(d, columns, kept, (rows_out, cols_out), diagonal, re, im, starts, (r,), not floats)
 
 
-def _call_width(e: _Encoded, d: int, k: int) -> int:
-    """The entries that one k-subset adds to the largest arrays of a _reduce
-    call on e: its run of the (T, N) index array, and its matched row
-    pairs, at least T max(1, T / d^(N - k)) of them, with k columns
-    gathered for each entry they make.  Calls sized by it keep those arrays
+def _call_width(e: _Encoded) -> int:
+    """The entries that one subset adds to each row array of a _reduce call
+    on e, one per term: its kept and complement keys, their order and
+    counts, its copy of the amplitudes.  Calls sized by it keep those arrays
     within oa._COUNT_BLOCK int64 entries, 128 KiB, a size whose freed
-    memory the allocator reuses; larger temporaries come fresh from the
-    system on every call and cost more in page faults than the calls that
-    batching saves."""
-    T, N = e.idx.shape
-    return max(e.idx.size, T * max(1, T // d ** (N - k)) * k)
+    memory the allocator reuses, unless one subset's rows exceed it; the
+    pair arrays are cut at the same budget by _blocks."""
+    return len(e.idx)
 
 
 def _counting_check(e: _Encoded, d: int, k: int):
@@ -847,11 +923,8 @@ def _counting_check(e: _Encoded, d: int, k: int):
             for j in range(k):
                 complement -= columns[counted[:, j]] * weights[counted[:, j], None]
         else:
-            # distinct-row ids of each complement, one subset at a time
-            complement = np.zeros((len(counted), T), dtype=np.int64)
-            for row, subset in zip(complement, counted.tolist()):
-                rest = e.idx[:, [p for p in range(N) if p not in subset]]
-                row[:] = _row_keys(rest, d, _INT64_LIMIT)[0]
+            # distinct-row ids of the complements, one run per subset
+            complement = _run_keys(columns, _complements(counted, N), d, _INT64_LIMIT)[0].reshape(len(counted), T)
         complement.sort(axis=1)
         ok[ok] = (complement[:, 1:] != complement[:, :-1]).all(axis=1)
         return ok
@@ -898,8 +971,7 @@ class _Purified:
         if K == 1:
             self.e = parts[0]
             return
-        member = np.repeat(np.arange(K), [len(e.idx) for e in parts])
-        ancilla = member[:, None] // self.base ** np.arange(self.m - 1, -1, -1) % self.base
+        ancilla = self.member[:, None] // self.base ** np.arange(self.m - 1, -1, -1) % self.base
         idx = np.hstack([ancilla, np.concatenate([e.idx for e in parts])])
         re = np.concatenate([e.re for e in parts])
         im = np.concatenate([e.im for e in parts])
@@ -909,9 +981,9 @@ class _Purified:
         """The k-subsets S of the N parties whose reduction of Psi onto the
         ancilla and S is not shown to be I / d^(k + m) by the two stages
         below, lazily in lexicographic order, in lists for one kernel call
-        each: oa._in_blocks over _call_width, so that a call's index runs
-        and, as far as their lower bound tells, its pair arrays stay within
-        oa._COUNT_BLOCK entries unless one subset's exceed it.
+        each: oa._in_blocks over _call_width, so that a call's row arrays
+        stay within oa._COUNT_BLOCK entries unless one subset's exceed it;
+        _blocks cuts its pair arrays at the same budget.
 
         Such a reduction has every block (s, t) equal to delta_st I / d^k, so a
         subset left out here is decided for a state (m = 0), a masker and a
@@ -943,7 +1015,7 @@ class _Purified:
         passes = _counting_check(e, d, k + m)
         if passes is None:
             check_cap("matrix_dim", dim, what=f"reductions of dimension {dim}")
-            yield from _in_blocks(combinations(range(N), k), _call_width(e, d, k + m))
+            yield from _in_blocks(combinations(range(N), k), _call_width(e))
             return
         width = len(e.idx)
         found = _read_coset(d, e.idx, k + m) if math.comb(N, k) * width >= _CODE_MIN_PAIRS else None
@@ -965,35 +1037,41 @@ class _Purified:
                         capped = True
                     yield subset
 
-        yield from _in_blocks(left(), _call_width(e, d, k + m))
+        yield from _in_blocks(left(), _call_width(e))
 
     def reductions(self, subsets: list) -> _Reductions:
         """Psi reduced onto its ancilla and each of a block of equal-sized
         party subsets S in one kernel call, as the segments (j, s, t):
         |psi_s><psi_t| traced down to subset j, over the denominator
         sqrt(r_s r_t) when exact.  For a family of one, the state's own
-        reductions, as the kernel gives them.
+        reductions, as the kernel gives them, their rows and columns
+        gathered only if read.
 
-        Otherwise one stable argsort on the (subset, ancilla row, ancilla
-        column) key, the ancilla rows read as their radix keys s, splits the
-        entries into segments and keeps each in lexicographic order.  The
-        ancilla columns are then stripped, and each entry's diagonal flag is
-        read off the system columns alone.
+        Otherwise one stable sort (_stable_order) on the (subset, ancilla
+        row, ancilla column) key, the ancilla row of an entry being the
+        member s of its row's term, splits the entries into segments and
+        keeps each in lexicographic order.  The ancilla columns are then
+        dropped from the kept ones, and each entry's diagonal flag is read
+        off the keys of the system columns alone.
         """
         m, K = self.m, self.K
         red = _reduce(self.e, [tuple(range(m)) + tuple(p + m for p in S) for S in subsets], self.base, self.r[0])
         if K == 1:
             return red
-        bra, ket = (_row_keys(x[:, :m], self.base, _INT64_LIMIT)[0] for x in (red.rows, red.cols))
+        bra, ket = (self.member[x % len(self.e.idx)] for x in red.at)
         key = (np.repeat(np.arange(len(subsets)), np.diff(red.starts)) * K + bra) * K + ket
-        order = np.argsort(key, kind="stable")
+        order = _stable_order(key, len(subsets) * K * K)
         starts = np.searchsorted(key[order], np.arange(len(subsets) * K * K + 1))
-        # np.take, comparing whole rows and a bool matmul (whether any system
-        # column differs) are each several times faster here than fancy
-        # indexing, comparing column slices and any(axis=1)
-        rows, cols = (np.take(x, order, axis=0) for x in (red.rows, red.cols))
-        diagonal = ~((rows != cols)[:, m:] @ np.ones(rows.shape[1] - m, dtype=bool))
-        return _Reductions(self.d, rows[:, m:], cols[:, m:], diagonal, red.re[order], red.im[order], starts, tuple(self.r), self.exact)
+        at = tuple(x[order] for x in red.at)
+        system = red.kept[:, m:]
+        keys = _run_keys(red.columns, system, self.base, _INT64_LIMIT)[0]
+        diagonal = keys[at[0]] == keys[at[1]]
+        return _Reductions(self.d, red.columns, system, at, diagonal, red.re[order], red.im[order], starts, tuple(self.r), self.exact)
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        """The member s of each term of Psi."""
+        return np.repeat(np.arange(self.K), [state.num_terms for state in self.family])
 
     def inner_products(self) -> list:
         """(s, t, <psi_s|psi_t>) for the pairs s < t of the family that are
@@ -1031,11 +1109,10 @@ class _Purified:
         physical parts (_amplitude_parts), its slot among the distinct
         indices in order of first appearance, and those indices."""
         idx = self.e.idx[:, self.m :]
-        member = np.repeat(np.arange(self.K), [state.num_terms for state in self.family])
         x, y = (np.concatenate(parts) for parts in zip(*map(_amplitude_parts, self.family)))
         _, first, inv = np.unique(_row_keys(idx, self.d, _INT64_LIMIT)[0], return_index=True, return_inverse=True)
         order = np.argsort(first)
-        return member, x, y, np.argsort(order)[inv], idx[first[order]]
+        return self.member, x, y, np.argsort(order)[inv], idx[first[order]]
 
     def superposed(self, coeffs: np.ndarray, k: int):
         """(S, reduction onto S) for every k-subset S in lexicographic order,
@@ -1050,7 +1127,7 @@ class _Purified:
         np.add.at(im, slot, cx * y + cy * x)
         keep = (re != 0) | (im != 0)
         e = _Encoded(support[keep], re[keep], im[keep], None)
-        for subsets in _in_blocks(combinations(range(self.N), k), _call_width(e, self.d, k)):
+        for subsets in _in_blocks(combinations(range(self.N), k), _call_width(e)):
             red = _reduce(e, subsets, self.d)
             for j, subset in enumerate(subsets):
                 yield subset, red.operator(j)

@@ -300,8 +300,8 @@ def test_kernel_reduces_each_block_of_subsets_in_one_call(monkeypatch):
     calls.clear()
     assert verify_masker(m, 2).verdict == "pass"
     assert [args[1] for args in calls] == [[(0,) + tuple(p + 1 for p in S) for S in pairs]]
-    # blocks of three subsets of the images' 16 stacked terms on 6 columns
-    monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 3 * 16 * 6)
+    # blocks of three subsets of the images' 16 stacked terms
+    monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 3 * 16)
     calls.clear()
     assert verify_masker(m, 2).verdict == "pass"
     assert [len(args[1]) for args in calls] == [3, 3, 3, 1]

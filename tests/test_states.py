@@ -493,27 +493,60 @@ def block_families(draw):
     return family, draw(st.integers(1, N))
 
 
+def _recorded(name: str, calls: list):
+    """A patch of states.<name> that appends (args, result) of each call."""
+    fn = getattr(states_module, name)
+    return mock.patch.object(states_module, name, lambda *args: calls.append((args, out := fn(*args))) or out)
+
+
+def _assert_pair_blocks(keys, counts, blocks, terms: int) -> None:
+    """The pair blocks of one kernel call split its rows in (subset, kept)
+    key order between groups of equal keys, and each block exceeds the
+    budget by at most its last group, whose pairs number at most the terms
+    of the state."""
+    rows = np.concatenate(blocks)
+    assert sorted(rows.tolist()) == list(range(len(keys)))
+    assert (np.diff(keys[rows]) >= 0).all()
+    for block, after in zip(blocks, blocks[1:]):
+        assert keys[block[-1]] != keys[after[0]]
+    for block in blocks:
+        ends = np.append(np.flatnonzero(np.diff(keys[block])) + 1, len(block))
+        pairs = np.diff(np.cumsum(counts[block])[ends - 1], prepend=0)
+        assert pairs.sum() - pairs[-1] <= oa_module._COUNT_BLOCK and pairs.max() <= terms
+
+
 @settings(max_examples=150)
 @given(case=block_families(), size=st.sampled_from((1, 7, None)), pair_block=st.sampled_from((5, oa_module._COUNT_BLOCK)))
 def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
     """Every subset's blocks from a kernel call over many subsets are the
     dict oracle's, and bit for bit what the subset alone gives, for blocks
     of one, of seven and of the walk's default size, with pair blocks of 5
-    that cut through subsets or of the default budget."""
+    that cut through subsets or of the default budget.  Calls of the walk's
+    size keep their row arrays within the budget, and every pair block
+    exceeds its budget by at most one group."""
     family, k = case
     psi = states_module._Purified(family)
     e, m = psi.e, psi.m
     d, N, K = family[0].d, family[0].N, len(family)
+    T = len(e.idx)
     floats = e.bound is None
     assert floats == (not all(s.exact for s in family))
     subsets = list(combinations(range(N), k))
     if size is None:
-        calls = list(oa_module._in_blocks(iter(subsets), states_module._call_width(e, d, k + m)))
+        calls = list(oa_module._in_blocks(iter(subsets), states_module._call_width(e)))
     else:
         calls = [subsets[i : i + size] for i in range(0, len(subsets), size)]
-    with mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block):
+    reduced, cut = [], []
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block), _recorded("_reduce", reduced), _recorded("_blocks", cut):
         reductions = [psi.reductions(call) for call in calls]
+        for (keys, _, counts), blocks in cut:
+            _assert_pair_blocks(keys, counts, blocks, T)
+        cut.clear()
         alone = [psi.reductions([S]) for S in subsets]
+    assert [len(args[1]) for args, _ in reduced[: len(calls)]] == [len(call) for call in calls]
+    if size is None:
+        # each row array of a call holds one entry per term and subset
+        assert all(len(args[1]) * T <= max(T, oa_module._COUNT_BLOCK) for args, _ in reduced[: len(calls)])
     got = [functools.partial(red.operator, j) for call, red in zip(calls, reductions) for j in range(len(call))]
     for S, blocks, single in zip(subsets, got, alone):
         for s, t in np.ndindex(K, K):
@@ -536,20 +569,32 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
 
 def test_pair_blocks_cut_through_subsets():
     """With a pair budget of 4, the kernel's pair blocks hold rows of two
-    subsets at once, and every reduction is still the oracle's."""
+    subsets at once, each exceeding the budget by at most one group, and
+    every reduction is still the oracle's.  So do they with a budget of 48
+    on calls sized by _call_width, whose row arrays then stay within it:
+    the 16 terms of |+>^4 match 64 pairs per 2-subset, 16 per group."""
     state = example_state()
     subsets = list(combinations(range(4), 2))
     cuts = []
-    blocks = states_module._blocks
-    with (
-        mock.patch.object(oa_module, "_COUNT_BLOCK", 4),
-        mock.patch.object(states_module, "_blocks", lambda *a: cuts.append(out := blocks(*a)) or out),
-    ):
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", 4), _recorded("_blocks", cuts):
         red = states_module._reduce(states_module._encode(state, False), subsets, 3, state.r)
-    assert any(len(set((rows // state.num_terms).tolist())) > 1 for rows in cuts[0])
+        (keys, _, counts), blocks = cuts[0]
+        _assert_pair_blocks(keys, counts, blocks, state.num_terms)
+    assert any(len(set((rows // state.num_terms).tolist())) > 1 for rows in blocks)
     for j, S in enumerate(subsets):
         assert_same_operator(red.operator(j), oracle_cross_reduction(state, state, S))
     assert red.maximally_mixed().tolist() == [True] * 6
+
+    plus = PureState(N=4, d=2, amplitudes={x: (1, 0) for x in product(range(2), repeat=4)}, r=16)
+    reduced, cuts = [], []
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", 48), _recorded("_reduce", reduced), _recorded("_blocks", cuts):
+        report = verify_k_uniform(plus, 2)
+        for (keys, _, counts), blocks in cuts:
+            _assert_pair_blocks(keys, counts, blocks, 16)
+    assert [args[1] for args, _ in reduced] == [subsets[:3], subsets[3:]]
+    assert all(len(args[1]) * 16 <= 48 for args, _ in reduced)
+    assert any(len(set((rows // 16).tolist())) > 1 for (_, blocks) in cuts for rows in blocks)
+    assert report == oracle_verify_k_uniform(plus, 2) and report.verdict == "fail"
 
 
 UNIT_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -630,6 +675,39 @@ PLUS_70 = PureState(N=70, d=2, amplitudes={(a, b) + (0,) * 68: (1, 0) for a in (
 # the 256 rows (x, y, 0, ..., 0) over d = 16: each party-0 and party-1
 # value 16 times, but complements shared by 16 rows
 PLUS_16 = PureState(N=16, d=16, amplitudes={(x, y) + (0,) * 14: (1, 0) for x in range(16) for y in range(16)}, r=256)
+
+
+RADIX_BOUNDS = (1, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**32 + 1)
+
+
+@st.composite
+def bounded_keys(draw):
+    """(keys, bound): int64 keys below a bound on either side of the radix
+    limits, drawn from a few values that share one 16-bit digit and differ
+    in the other, so that ties and digit order both show."""
+    bound = draw(st.sampled_from(RADIX_BOUNDS))
+    digits = st.sampled_from((0, 1, 2, 0xFFFE, 0xFFFF))
+    values = st.builds(lambda hi, lo: (hi << 16 | lo) % bound, digits, digits) | st.integers(0, bound - 1)
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=400))
+    return np.array(keys, dtype=np.int64), bound
+
+
+@settings(max_examples=300)
+@given(case=bounded_keys())
+@example(case=(np.zeros(0, dtype=np.int64), 1))
+@example(case=(np.zeros(0, dtype=np.int64), 2**32 + 1))
+@example(case=(np.array([2**16], dtype=np.int64), 2**16 + 1))
+@example(case=(np.full(300, 2**16 - 1, dtype=np.int64), 2**16))
+@example(case=(np.full(300, 2**32 - 1, dtype=np.int64), 2**32))
+@example(case=(np.array([0x10000, 0x0FFFF, 0x1FFFF, 0x10000, 0x00001] * 40, dtype=np.int64), 2**32))
+def test_stable_order_is_the_stable_argsort(case):
+    """_stable_order is np.argsort(kind="stable") for keys below each bound
+    around 2^16 and 2^32, empty, of length one and all equal included."""
+    keys, bound = case
+    got = states_module._stable_order(keys, bound)
+    assert got.dtype == np.intp
+    assert got.tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 def test_complement_keys_beyond_int64():
