@@ -404,9 +404,9 @@ def _physical(R: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _segment_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The largest of values[starts[j] : starts[j + 1]] for each j, 0.0 for
-    an empty segment; NaN propagates."""
-    out = np.zeros(len(starts) - 1)
+    """The largest of values[starts[j] : starts[j + 1]] for each j, 0 for
+    an empty segment, in the dtype of values; NaN propagates."""
+    out = np.zeros(len(starts) - 1, dtype=values.dtype)
     filled = np.flatnonzero(starts[1:] > starts[:-1])
     if len(filled):
         out[filled] = np.maximum.reduceat(values, starts[filled])
@@ -419,6 +419,13 @@ def _segment_count(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return cum[starts[1:]] - cum[starts[:-1]]
 
 
+# an exact operator's entries whose squared distances, on the scale r dim,
+# lie within this share of its largest one are taken to floats: at most 2^62,
+# they are then within 2^-45 of the largest distance, while the float formula
+# of _deviations is off by a few units in the last place, under 2^-50
+_NEAR_SHIFT = 44
+
+
 def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarray:
     """The largest entrywise distance from I / dim of each operator of a
     block, operator j holding the entries starts[j] : starts[j + 1].
@@ -426,25 +433,40 @@ def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarra
     Exact operators over one denominator r are compared in integers, so
     exact matches report exactly 0: a diagonal entry deviates by
     |a dim - r + b dim i| / (r dim), its parts formed in integers and taken
-    to floats once, and an off-diagonal entry by |a + b i| / r.  Every
-    value is elementwise, so an operator reports the same bits in any block.
+    to floats once, and an off-diagonal entry by |a + b i| / r.  While the
+    squares of those distances on the scale r dim, |a dim + b dim i| and
+    |a dim - r + b dim i|, fit int64, each operator's largest is found in
+    integers, and only its entries at that largest or near it
+    (_NEAR_SHIFT), ties included, are taken to floats; no other entry can
+    round to a larger float.  Every value is elementwise, so an operator
+    reports the same bits in any block.
     """
     if not (exact and r_ket == r_bra):
         v = _physical(r_ket * r_bra, re, im)
         mags = np.hypot(np.where(diagonal, v.real - 1.0 / dim, v.real), v.imag)
+        dev = _segment_max(mags, starts)
     elif not len(re):
-        mags = np.zeros(0)
+        dev = np.zeros(len(starts) - 1)
     else:
         r, on = r_ket, diagonal
         bound = max(abs(int(v)) for part in (re, im) for v in (part.min(), part.max()))
-        x, y = (part.astype(object if bound * dim + r >= _INT64_LIMIT else np.int64) for part in (re, im))
+        reach = bound * dim + r
+        picked = starts
+        if 2 * reach * reach < _INT64_LIMIT:
+            x, y = re.astype(np.int64) * dim, im.astype(np.int64) * dim
+            x[on] -= r
+            square = x * x + y * y
+            top = _segment_max(square, starts)
+            pick = np.flatnonzero(square >= np.repeat(top - (top >> _NEAR_SHIFT), np.diff(starts)))
+            picked, re, im, on = np.searchsorted(pick, starts), re[pick], im[pick], on[pick]
+        x, y = (part.astype(object if reach >= _INT64_LIMIT else np.int64) for part in (re, im))
         x[on] = x[on] * dim - r
         y[on] *= dim
         R, x, y = _floats(r * r, x, y)
         # np.hypot gives abs() of a Python complex bit for bit
         mags = np.hypot(x, y) * (1.0 / math.sqrt(R))
         mags[on] /= dim
-    dev = _segment_max(mags, starts)
+        dev = _segment_max(mags, picked)
     # an operator missing some diagonal entry entirely is 1 / dim off there
     return np.where(_segment_count(diagonal, starts) < dim, np.maximum(dev, 1.0 / dim), dev)
 
@@ -573,7 +595,10 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 # gets integer keys of its kept and of its complement columns, summed radix
 # digit by digit over the transposed index array and offset by run, so rows
 # are matched on their complement keys within their own subset only, and the
-# pair products are summed per (subset, kept1, kept2) key.  Keys are bounded,
+# pair products are summed per (subset, kept1, kept2) key.  A reduction is
+# Hermitian, so an exact call sums only the pairs above the diagonal, finds
+# the diagonal from the rows alone and mirrors the rest (_mirrored); a float
+# call sums every ordered pair, keeping its sums' bits.  Keys are bounded,
 # so every sort is _stable_order's, by radix while the bound is below 2^32.
 # An entry's kept row and column are gathered only for callers that read
 # them.  Exact states stay in int64 only where every product and sum
@@ -675,8 +700,12 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     if bound <= 1 << 16:
         return np.argsort(keys.astype(np.uint16), kind="stable")
     if bound <= 1 << 32:
-        order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-        return order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
+        # astype keeps the low 16 bits
+        order = np.argsort(keys.astype(np.uint16), kind="stable")
+        high = keys[order]
+        high >>= 16
+        high = high.astype(np.uint16)
+        return order[np.argsort(high, kind="stable")]
     return np.argsort(keys, kind="stable")
 
 
@@ -688,26 +717,29 @@ def _heads(ordered: np.ndarray) -> np.ndarray:
     return head
 
 
-def _partners(keys: np.ndarray, bound: int) -> tuple:
-    """(order, lo, counts) for keys below bound: the rows whose key is row
-    i's are order[lo[i] : lo[i] + counts[i]], one group of equal keys in
-    sorted order."""
-    order = _stable_order(keys, bound)
+def _partners(keys: np.ndarray, bound: int, within: np.ndarray, upper: bool) -> tuple:
+    """(order, lo, counts) for keys below bound: the rows sorted by key,
+    rows of equal keys in the order `within` lists them.  Row i's partners
+    are order[lo[i] : lo[i] + counts[i]]: its whole group of equal keys, or
+    with `upper` only the rows after it in that group."""
+    order = within[_stable_order(keys[within], bound)]
     head = _heads(keys[order])
-    group, first = np.cumsum(head) - 1, np.flatnonzero(head)
+    first, group = np.flatnonzero(head), np.cumsum(head) - 1
+    end = np.append(first[1:], len(order))[group]
+    start = np.arange(1, len(order) + 1) if upper else first[group]
     lo, counts = np.empty_like(order), np.empty_like(order)
-    lo[order] = first[group]
-    counts[order] = (np.append(first[1:], len(order)) - first)[group]
+    lo[order] = start
+    counts[order] = end - start
     return order, lo, counts
 
 
-def _blocks(keys: np.ndarray, bound: int, counts: np.ndarray) -> list:
-    """Rows grouped by (subset, kept) key, each below bound, and cut between
-    groups into blocks of about oa._COUNT_BLOCK matched pairs, the budget
-    that _call_width keeps a call's row arrays within.  No entry spans two
-    blocks, and a block exceeds the budget by at most one group, whose pairs
-    number at most the terms of the state."""
-    order = _stable_order(keys, bound)
+def _blocks(keys: np.ndarray, order: np.ndarray, counts: np.ndarray) -> list:
+    """The rows in (subset, kept) key order, as `order` lists them, cut
+    between groups of equal keys into blocks of about oa._COUNT_BLOCK
+    matched pairs, counts[i] of them for row i (for an exact call, the
+    pairs above the diagonal), the budget that _call_width keeps a call's
+    row arrays within.  No entry spans two blocks, and a block exceeds the budget by at
+    most one group, whose pairs number at most the terms of the state."""
     ends = np.append(np.flatnonzero(np.diff(keys[order])) + 1, len(order))
     cum = np.cumsum(counts[order])
     cum_at_ends = cum[ends - 1]
@@ -730,7 +762,14 @@ class _Reductions:
     states, over the denominator sqrt(r_s r_t) when exact, its entries in
     lexicographic (row, column) order.  A state is the family of one, whose
     segments are its reductions onto the subsets.  Each entry's kept row
-    and column are gathered at the first read of rows or cols."""
+    and column are gathered at the first read of rows or cols.
+
+    Of an exact call, the kernel summed the entries above the diagonal of
+    the reduction of Psi, pair by pair; the diagonal entries are sums of
+    squared moduli over rows, and the entries below the diagonal are the
+    conjugates of those above, so segment (j, t, s) mirrors (j, s, t).
+    Every entry of a float call is a sum over its ordered pairs, in the
+    order one subset alone would give."""
 
     d: int
     columns: np.ndarray  # (N, T) transpose of the reduced index array
@@ -812,66 +851,114 @@ class _Reductions:
 def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     """Traces of |psi><psi| over the complement of each of a block of
     equal-sized party subsets, in one pass over arrays, exact ones over the
-    denominator r.  Each subset's entries are summed in the order that one
-    subset alone would give, so float sums keep their bits."""
+    denominator r, their entries in lexicographic (row, column) order.
+
+    Two rows of a run that agree off the subset make the entry at their
+    kept keys.  A float encoding sums every such ordered pair, each row
+    with itself included, in the order that one subset alone would give,
+    so float sums keep their bits.  An exact one sums only the pairs above
+    the diagonal: each row with the later rows of its complement group,
+    ordered by kept key, which differ from it on the subset.  Its diagonal
+    entries are sums of a^2 + b^2 over the rows of one kept key, and each
+    entry below the diagonal is the conjugate of its mirror (_mirrored)."""
     T, N = e.idx.shape
     B = len(subsets)
     kept = np.array(subsets, dtype=np.int64).reshape(B, -1)
-    others = _complements(kept, N)
     columns = np.ascontiguousarray(e.idx.T)
     # each row's kept key within its run, below size, and offset by run
     own, size = _run_keys(columns, kept, d, _KEPT_KEY_LIMIT)
     keys, n_kept = _by_run(own, size, B, _KEPT_KEY_LIMIT)
-    # rows sharing the complement of row i in its run
-    order, lo, counts = _partners(*_by_run(*_run_keys(columns, others, d, _INT64_LIMIT), B, _INT64_LIMIT))
+    by_kept = _stable_order(keys, n_kept)
+    floats = e.bound is None
+    # rows sharing the complement of row i in its run, in kept key order
+    others = _complements(kept, N)
+    order, lo, counts = _partners(*_by_run(*_run_keys(columns, others, d, _INT64_LIMIT), B, _INT64_LIMIT), by_kept, not floats)
 
     a, b = e.re, e.im
-    floats = e.bound is None
     # an entry sums at most one product per row, each below 2 * bound^2
     if not floats and 2 * e.bound**2 * T >= _INT64_LIMIT:
         a, b = a.astype(object), b.astype(object)
     # row i of the runs is term i mod T
     a, b = np.concatenate([a] * B), np.concatenate([b] * B)
 
-    if counts.sum() <= oa._COUNT_BLOCK:
-        blocks = [np.arange(len(order))]
-    else:
-        blocks = _blocks(keys, n_kept, counts)
-
     def entries(rows: np.ndarray) -> tuple:
-        """The entries that a block of rows makes, its temporaries freed on
-        return: each entry's row, column, diagonal flag and sums."""
+        """The entries that a block of rows makes, its temporaries freed as
+        soon as they are read: each entry's row, column and sums."""
         n = counts[rows]
-        i1 = np.repeat(rows, n)
-        i2 = order[np.repeat(lo[rows] - (np.cumsum(n) - n), n) + np.arange(len(i1))]
+        i2 = np.repeat(lo[rows] - (np.cumsum(n) - n), n)
+        i2 += np.arange(len(i2))
+        i2 = order[i2]
         # pairs grouped by entry key, below n_kept * size as both rows of a
         # pair share a run, and in their order above within an entry; any
         # pair of an entry names its rows
-        pair_keys = keys[i1] * size + own[i2]
+        pair_keys = np.repeat(keys[rows] * size, n)
+        pair_keys += own[i2]
         perm = _stable_order(pair_keys, n_kept * size)
-        i1, i2 = i1[perm], i2[perm]
         head = _heads(pair_keys[perm])
-        a1, b1, a2, b2 = a[i1], b[i1], a[i2], b[i2]
-        # (a1 + b1 i)(a2 - b2 i)
-        re, im = a1 * a2 + b1 * b2, b1 * a2 - a1 * b2
+        del pair_keys
+        i1 = np.repeat(rows, n)[perm]
+        i2 = i2[perm]
+        del perm, n
         heads = np.flatnonzero(head)
+        # (a1 + b1 i)(a2 - b2 i), each part gathered once and the products
+        # formed in place
+        a2, b2 = a[i2], b[i2]
+        i2 = i2[heads]
+        a1, b1 = a[i1], b[i1]
+        i1 = i1[heads]
+        re = a1 * a2
+        np.multiply(b1, a2, out=a2)
+        np.multiply(b1, b2, out=b1)
+        re += b1
+        del b1
+        np.multiply(a1, b2, out=a1)
+        del b2
+        im = np.subtract(a2, a1, out=a2)
+        del a1
         if floats:
             # bincount adds in pair order, as a running sum over the rows would
             entry = np.cumsum(head) - 1
-            re_sum, im_sum = np.bincount(entry, re, len(heads)), np.bincount(entry, im, len(heads))
-        else:
-            re_sum, im_sum = np.add.reduceat(re, heads), np.add.reduceat(im, heads)
-            nonzero = (re_sum != 0) | (im_sum != 0)
-            heads, re_sum, im_sum = heads[nonzero], re_sum[nonzero], im_sum[nonzero]
-        rows_out, cols_out = i1[heads], i2[heads]
-        return rows_out, cols_out, own[rows_out] == own[cols_out], re_sum, im_sum
+            return i1, i2, np.bincount(entry, re, len(heads)), np.bincount(entry, im, len(heads))
+        re, im = np.add.reduceat(re, heads), np.add.reduceat(im, heads)
+        nonzero = (re != 0) | (im != 0)
+        return i1[nonzero], i2[nonzero], re[nonzero], im[nonzero]
 
+    blocks = [by_kept] if counts.sum() <= oa._COUNT_BLOCK else _blocks(keys, by_kept, counts)
     parts = [entries(rows) for rows in blocks]
-    # entries come in (subset, kept1, kept2) key order, so run by run, and
+    square = None if floats else a * a + b * b
+    del order, lo, counts, a, b
+    # entries come in (subset, kept1, kept2) key order, so run by run
+    rows_out, cols_out, re, im = parts[0] if len(parts) == 1 else (np.concatenate(column) for column in zip(*parts))
+    del parts
+    if floats:
+        diagonal = own[rows_out] == own[cols_out]
+    else:
+        rows_out, cols_out, diagonal, re, im = _mirrored(keys, n_kept, by_kept, square, rows_out, cols_out, re, im)
     # rows_out >= j T holds from the first entry of subset j on
-    rows_out, cols_out, diagonal, re, im = (np.concatenate(column) for column in zip(*parts))
     starts = np.searchsorted(rows_out, np.arange(0, (B + 1) * T, T))
     return _Reductions(d, columns, kept, (rows_out, cols_out), diagonal, re, im, starts, (r,), not floats)
+
+
+def _mirrored(keys, bound, by_kept, square, rows, cols, re, im) -> tuple:
+    """The rows, columns, diagonal flags and sums of exact Hermitian
+    reductions, from the entries above their diagonals: (rows, cols) of
+    the runs in (subset, kept1, kept2) key order, with sums re and im, and
+    each row's (subset, kept) key below bound, in the order by_kept.
+
+    Row x holds, in column order, the conjugates (re, -im) of the entries
+    (y, x) above the diagonal, which come in the order of y; its diagonal
+    entry, the sum of `square` over the rows of key x; and its own entries
+    above the diagonal.  So one stable sort of those three lists by the key
+    of their rows (_stable_order) puts every entry in place."""
+    ordered = keys[by_kept]
+    first = np.flatnonzero(_heads(ordered))
+    on = by_kept[first]
+    perm = _stable_order(np.concatenate([keys[cols], ordered[first], keys[rows]]), bound)
+    sums = np.add.reduceat(square[by_kept], first)
+    parts = (cols, on, rows), (rows, on, cols), (re, sums, re), (-im, np.zeros_like(sums), im)
+    rows, cols, re, im = (np.concatenate(part)[perm] for part in parts)
+    # only a diagonal entry names one row twice
+    return rows, cols, rows == cols, re, im
 
 
 def _call_width(e: _Encoded) -> int:

@@ -12,7 +12,10 @@ calls them.  oracle_verify_masker is the masking criterion with one
 oracle_cross_reduction call per (subset, pair), in
 floats for every pair unless every image is exact, and deviations read off
 dense matrices.  oracle_counting_passes is the counting criterion of
-verify_k_uniform decided for one subset at a time.
+verify_k_uniform decided for one subset at a time.  oracle_deviations is
+the deviation of each operator of a kernel block from I / dim with every
+entry taken to floats, segment by segment; it shares only the float
+conversions _floats and _physical with states._deviations.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from kuniform.states import (
     PureState,
     SparseOperator,
     UniformityReport,
+    _floats,
+    _physical,
 )
 
 
@@ -110,6 +115,36 @@ def oracle_maximally_mixed_deviation(op) -> float:
     if diagonal_hits < dim:
         dev = max(dev, target)  # some diagonal entry is missing entirely
     return dev
+
+
+def oracle_deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarray:
+    """The largest entrywise distance from I / dim of each operator of a
+    block, operator j holding the entries starts[j] : starts[j + 1], every
+    entry's distance taken to a float.  Exact operators over one
+    denominator r: a diagonal entry's parts a dim - r and b dim formed in
+    integers and taken to floats once, then |.| / (r dim); an off-diagonal
+    entry |a + b i| / r.  Other operators: the physical values, less
+    1 / dim on the diagonal.  An operator missing some diagonal entry is
+    at least 1 / dim off."""
+    if not (exact and r_ket == r_bra):
+        v = _physical(r_ket * r_bra, re, im)
+        mags = np.hypot(np.where(diagonal, v.real - 1.0 / dim, v.real), v.imag)
+    elif not len(re):
+        mags = np.zeros(0)
+    else:
+        r, on = r_ket, diagonal
+        bound = max(abs(int(v)) for part in (re, im) for v in part.tolist())
+        x, y = (part.astype(object if bound * dim + r >= 1 << 63 else np.int64) for part in (re, im))
+        x[on] = x[on] * dim - r
+        y[on] *= dim
+        R, x, y = _floats(r * r, x, y)
+        mags = np.hypot(x, y) * (1.0 / math.sqrt(R))
+        mags[on] /= dim
+    dev = []
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        top = np.max(mags[lo:hi], initial=0.0)
+        dev.append(np.maximum(top, 1.0 / dim) if int(np.count_nonzero(diagonal[lo:hi])) < dim else top)
+    return np.array(dev, dtype=float)
 
 
 def oracle_is_maximally_mixed(op, tol: float = 0.0) -> bool:

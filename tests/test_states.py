@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
@@ -17,6 +18,7 @@ from reduction_oracle import (
     oracle_counting_passes,
     oracle_cross_reduction,
     oracle_deviation,
+    oracle_deviations,
     oracle_is_maximally_mixed,
     oracle_is_zero,
     oracle_maximally_mixed_deviation,
@@ -515,6 +517,19 @@ def _assert_pair_blocks(keys, counts, blocks, terms: int) -> None:
         assert pairs.sum() - pairs[-1] <= oa_module._COUNT_BLOCK and pairs.max() <= terms
 
 
+def _matched_pairs(e, subsets: list) -> int:
+    """The pairs a _reduce call on e matches, counted group by group of rows
+    that agree off a subset: the pairs of distinct rows, each once, for an
+    exact encoding; every ordered pair, each row with itself included, for
+    a float one."""
+    total = 0
+    for S in subsets:
+        others = [p for p in range(e.idx.shape[1]) if p not in S]
+        _, sizes = np.unique(e.idx[:, others], axis=0, return_counts=True)
+        total += int((sizes * sizes).sum() if e.bound is None else (sizes * (sizes - 1) // 2).sum())
+    return total
+
+
 @settings(max_examples=150)
 @given(case=block_families(), size=st.sampled_from((1, 7, None)), pair_block=st.sampled_from((5, oa_module._COUNT_BLOCK)))
 def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
@@ -522,8 +537,10 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
     dict oracle's, and bit for bit what the subset alone gives, for blocks
     of one, of seven and of the walk's default size, with pair blocks of 5
     that cut through subsets or of the default budget.  Calls of the walk's
-    size keep their row arrays within the budget, and every pair block
-    exceeds its budget by at most one group."""
+    size keep their row arrays within the budget, every pair block exceeds
+    its budget by at most one group, and an exact call matches each pair of
+    distinct rows that agree off a subset once, a float one every ordered
+    pair."""
     family, k = case
     psi = states_module._Purified(family)
     e, m = psi.e, psi.m
@@ -536,13 +553,20 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
         calls = list(oa_module._in_blocks(iter(subsets), states_module._call_width(e)))
     else:
         calls = [subsets[i : i + size] for i in range(0, len(subsets), size)]
-    reduced, cut = [], []
-    with mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block), _recorded("_reduce", reduced), _recorded("_blocks", cut):
+    reduced, cut, pair_counts = [], [], []
+    with (
+        mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block),
+        _recorded("_reduce", reduced),
+        _recorded("_blocks", cut),
+        _recorded("_partners", pair_counts),
+    ):
         reductions = [psi.reductions(call) for call in calls]
         for (keys, _, counts), blocks in cut:
             _assert_pair_blocks(keys, counts, blocks, T)
         cut.clear()
         alone = [psi.reductions([S]) for S in subsets]
+    # an exact call matches the pairs above the diagonal, a float one all
+    assert all(counts.sum() == _matched_pairs(args[0], args[1]) for (args, _), (_, (_, _, counts)) in zip(reduced, pair_counts))
     assert [len(args[1]) for args, _ in reduced[: len(calls)]] == [len(call) for call in calls]
     if size is None:
         # each row array of a call holds one entry per term and subset
@@ -570,22 +594,26 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
 def test_pair_blocks_cut_through_subsets():
     """With a pair budget of 4, the kernel's pair blocks hold rows of two
     subsets at once, each exceeding the budget by at most one group, and
-    every reduction is still the oracle's.  So do they with a budget of 48
-    on calls sized by _call_width, whose row arrays then stay within it:
-    the 16 terms of |+>^4 match 64 pairs per 2-subset, 16 per group."""
+    every reduction is still the oracle's: the example state's rows agree
+    off a 3-subset in groups of three, 9 pairs above the diagonal per
+    subset.  So do they with a budget of 48 on calls sized by _call_width,
+    whose row arrays then stay within it: the 16 terms of |+>^4 match 24
+    pairs above the diagonal per 2-subset, 12, 8, 4 and 0 per group."""
     state = example_state()
-    subsets = list(combinations(range(4), 2))
+    subsets = list(combinations(range(4), 3))
     cuts = []
     with mock.patch.object(oa_module, "_COUNT_BLOCK", 4), _recorded("_blocks", cuts):
         red = states_module._reduce(states_module._encode(state, False), subsets, 3, state.r)
         (keys, _, counts), blocks = cuts[0]
         _assert_pair_blocks(keys, counts, blocks, state.num_terms)
+    assert counts.sum() == 9 * len(subsets)
     assert any(len(set((rows // state.num_terms).tolist())) > 1 for rows in blocks)
     for j, S in enumerate(subsets):
         assert_same_operator(red.operator(j), oracle_cross_reduction(state, state, S))
-    assert red.maximally_mixed().tolist() == [True] * 6
+    assert red.maximally_mixed().tolist() == [oracle_is_maximally_mixed(oracle_cross_reduction(state, state, S)) for S in subsets]
 
     plus = PureState(N=4, d=2, amplitudes={x: (1, 0) for x in product(range(2), repeat=4)}, r=16)
+    subsets = list(combinations(range(4), 2))
     reduced, cuts = [], []
     with mock.patch.object(oa_module, "_COUNT_BLOCK", 48), _recorded("_reduce", reduced), _recorded("_blocks", cuts):
         report = verify_k_uniform(plus, 2)
@@ -666,6 +694,139 @@ def test_float_report_matches_oracle():
         report, want = verify_k_uniform(s, k), oracle_verify_k_uniform(s, k)
         assert (report.verdict, [f[0] for f in report.failures]) == ("fail", [f[0] for f in want.failures])
         assert report.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact reductions from the pairs above the diagonal; deviations found in
+# integers; the kernel's memory
+
+
+@st.composite
+def exact_families(draw):
+    """(family, k): one to three exact states on N <= 5 parties with d in
+    {2, 3}, whose rows agree off a subset in groups of one, two or more,
+    with int64 numerators or numerators past 2^63; k the size of the
+    subsets reduced."""
+    N = draw(st.integers(1, 5))
+    d = draw(st.sampled_from((2, 3)))
+    members = sparse_exact_states(N, d)
+    if draw(st.booleans()):
+        big = draw(st.sampled_from((2**63, 3**41 + 2)))
+        members = members.map(lambda s: transformed(s, range(N), [range(d)] * N, [(big, 0)] * s.num_terms))
+    return draw(st.lists(members, min_size=1, max_size=3)), draw(st.integers(0, N))
+
+
+# rows agreeing off a subset in groups of one (the 2-uniform example at
+# k = 2), of two (onto party 0), and of three or four (the example at
+# k = 3, |+>^3 at k = 2), numerators past 2^63, and a family of two
+_PAIR_OF_TWO = PureState(N=2, d=2, amplitudes={(0, 0): (1, 0), (1, 0): (0, 1)}, r=2)
+_PLUS_3 = PureState(N=3, d=2, amplitudes={x: (1, 0) for x in product(range(2), repeat=3)}, r=8)
+_WIDE_EXAMPLE = transformed(example_state(), range(4), [range(3)] * 4, [(2**63 + 1, 0), (0, 2**63)] * 5)
+
+
+@settings(max_examples=150)
+@example(case=([example_state()], 2), pair_block=5)
+@example(case=([_PAIR_OF_TWO], 1), pair_block=5)
+@example(case=([example_state()], 3), pair_block=5)
+@example(case=([_PLUS_3], 2), pair_block=oa_module._COUNT_BLOCK)
+@example(case=([_WIDE_EXAMPLE], 3), pair_block=5)
+@example(case=([example_state(), with_phases(example_state(), [1, 2, 3] * 3)], 2), pair_block=5)
+@given(case=exact_families(), pair_block=st.sampled_from((5, oa_module._COUNT_BLOCK)))
+def test_exact_reductions_are_hermitian_and_the_oracles(case, pair_block):
+    """Every exact reduction, of a state or of a family's purified state, is
+    the dict oracle's, and Hermitian entry for entry: entry (x, y) of
+    segment (j, s, t) is the conjugate of entry (y, x) of (j, t, s).  The
+    kernel sums one of each such pair of entries and mirrors the other, for
+    pair blocks of 5 or of the default budget."""
+    family, k = case
+    psi = states_module._Purified(family)
+    K, subsets = len(family), list(combinations(range(family[0].N), k))
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block):
+        red = psi.reductions(subsets)
+    for (j, S), (s, t) in product(enumerate(subsets), np.ndindex(K, K)):
+        op = red.operator(j, s, t)
+        assert_same_operator(op, oracle_cross_reduction(family[s], family[t], S))
+        mirror = red.operator(j, t, s).entries
+        assert op.entries == {(col, row): (a, -b) for (row, col), (a, b) in mirror.items()}
+
+
+@st.composite
+def deviation_blocks(draw):
+    """Arguments (dim, starts, diagonal, re, im, r) of _deviations for a
+    block of exact operators over one r: segments of entries, empty ones
+    included, each entry diagonal or not, so that some diagonal entries are
+    missing.  Small numerators and r make diagonal and off-diagonal maxima
+    tie; or r puts bound dim + r at the guards of the integer maximum
+    (2^31, where squares reach 2^63) and of the numerators' parts (2^63);
+    or the numerators pass 2^63, in object arrays."""
+    dim = draw(st.sampled_from((1, 2, 3, 4, 9)))
+    scale = draw(st.sampled_from(("small", "square_guard", "part_guard", "object")))
+    bound = 2**64 if scale == "object" else 6
+    part = st.integers(-bound, bound)
+    segments = draw(st.lists(st.lists(st.tuples(st.booleans(), part, part), max_size=6), min_size=1, max_size=5))
+    entries = [entry for segment in segments for entry in segment]
+    top = max((max(abs(a), abs(b)) for _, a, b in entries), default=0)
+    if scale == "small":
+        r = draw(st.integers(1, 40))
+    elif scale == "object":
+        r = draw(st.integers(1, 2**70))
+    else:
+        r = max(1, (1 << (31 if scale == "square_guard" else 63)) - top * dim + draw(st.integers(-2, 1)))
+    starts = np.cumsum([0] + [len(segment) for segment in segments])
+    dtype = object if top >= 1 << 63 else np.int64
+    diagonal = np.array([on for on, _, _ in entries], dtype=bool)
+    re, im = (np.array([entry[i] for entry in entries], dtype=dtype) for i in (1, 2))
+    return dim, starts, diagonal, re, im, r
+
+
+@settings(max_examples=300)
+# |3 + 4i| * 2 off the diagonal ties |10 * 2 - 10| on it: both 0.5
+@example(block=(2, np.array([0, 2]), np.array([False, True]), np.array([3, 10]), np.array([4, 0]), 10), other=0)
+@example(block=(4, np.array([0, 0, 1, 1]), np.array([True]), np.array([1]), np.array([0]), 4), other=0)
+@given(block=deviation_blocks(), other=st.sampled_from((0, 1)))
+def test_deviations_match_the_all_entries_oracle(block, other):
+    """Each exact operator's deviation, its maximum found in integers and
+    only the entries at or near it taken to floats, has the bits of every
+    entry's float distance maximised segment by segment; over two
+    denominators, r and r + 1, every entry goes to floats as before."""
+    dim, starts, diagonal, re, im, r = block
+    args = dim, starts, diagonal, re, im, r, r + other, True
+    assert states_module._deviations(*args).tobytes() == oracle_deviations(*args).tobytes()
+
+
+def test_walk_sized_reduce_peaks_within_its_arrays():
+    """One walk-sized _reduce call on the 729-term phased 4-uniform state at
+    k = 5, 22 subsets whose rows agree off a subset in groups of three,
+    peaks within the arrays its design holds at once, 8 bytes an entry:
+
+    - row arrays, one entry per term and subset: the kept keys within and
+      across runs, the rows in key order, the partners' order, starts and
+      counts, the two tiled amplitude parts, and a block's pair counts;
+      the (N, T) index columns are smaller than one;
+    - pair arrays, oa._COUNT_BLOCK pairs and one group of at most T more:
+      before the pair sort the partner index and the pair keys, the sort's
+      order, its high digits and its second order; after it the four
+      gathered amplitude parts and one product, the rest formed in place.
+
+    The entries (2 U + D of them, for U pairs above the diagonal and D
+    groups) and the mirrored sort over them stay within what the pair
+    arrays held, as U <= 16038 <= oa._COUNT_BLOCK here."""
+    state = phased_four_uniform()
+    psi = states_module._Purified([state])
+    subsets = next(psi.undecided(5))
+    T = state.num_terms
+    assert len(subsets) == oa_module._COUNT_BLOCK // T == 22
+    row_arrays, pair_arrays = 10, 6
+    bound = 8 * (row_arrays * len(subsets) * T + pair_arrays * (oa_module._COUNT_BLOCK + T))
+    states_module._reduce(psi.e, subsets, state.d, state.r)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        red = states_module._reduce(psi.e, subsets, state.d, state.r)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(red.re) == 16038 and peak <= bound
 
 
 # |+>|+>|0...0>
