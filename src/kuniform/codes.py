@@ -229,7 +229,7 @@ def _enumerate(F: FiniteField, G: np.ndarray) -> np.ndarray:
     rows = np.zeros((1, N), dtype=np.int64)
     for i in range(t - 1, -1, -1):
         # prepend one message digit: new block = old block + c * G[i]
-        mults = np.stack([F.mul_arr(np.full(N, c, dtype=np.int64), G[i]) for c in range(q)])
+        mults = F.mul_arr(np.arange(q)[:, None], G[i])
         rows = F.add_arr(rows[None, :, :], mults[:, None, :]).reshape(-1, N)
     return rows
 
@@ -397,13 +397,13 @@ def _read_coset(q: int, rows, w: int) -> tuple | None:
     if q**t != T or t > N:
         return None
     F = field_new(*pm)
-    shift = F.neg_arr(rows[0])
     # a stride that p does not divide: in message order, rows a multiple of
     # p apart can share their last message digit and so miss a direction
     stride = -(-T // _FIRST_ROWS)
     sample = rows[:: stride + (stride % F.p == 0)]
     if sample.min() < 0 or sample.max() >= q:
         return None
+    shift = F.neg_arr(rows[0])  # rows[0] is in the sample, so in range
     basis, pivots = _rref(F, F.add_arr(sample, shift), t)
     basis = basis[: len(pivots)]
     radix = q ** np.arange(t - 1, -1, -1, dtype=np.int64)

@@ -8,10 +8,19 @@ monic irreducible polynomial of degree m over Z_p, coefficients compared from
 the constant term upward.  Two fields built from equal (p, m) therefore have
 identical multiplication tables, on every run.
 
-Multiplication and inversion go through precomputed log/antilog tables over a
-fixed multiplicative generator, so both are O(1) per scalar and vectorize
-over numpy arrays for the enumeration-heavy callers in kuniform.codes; array
-products over a prime field are a * b mod p, with no table.
+Arithmetic on numpy arrays costs a few numpy calls per call, whatever the
+array size, because each operation is one table gather (two for addition
+in an odd-characteristic extension field) or plain integer arithmetic:
+
+- products go through log/antilog tables over a fixed multiplicative
+  generator, with a zero sentinel as the log of 0, so no mask is needed;
+  over a prime field they are a * b mod p, with no table;
+- negation is a lookup in a length-q table;
+- addition is (a + b) mod p in a prime field, XOR in characteristic 2,
+  and otherwise the digit-wise sum mod p of two rows of the (q, m) digit
+  table, read back as an element.
+
+The scalar methods read the same tables.  FiniteField describes the layout.
 """
 
 from __future__ import annotations
@@ -130,7 +139,33 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p^m) with canonical modulus and O(1) mul/inv via log tables.
+    """GF(p^m) with canonical modulus; every array operation is a table gather.
+
+    Tables, built once at construction (read-only):
+
+    - ``_exp``: the antilog table g^0 .. g^(q-2), written twice so that
+      ``_exp[la + lb]`` needs no modulo, then a zero tail of length 2q-1.
+    - ``_log``: discrete logs of 1 .. q-1; ``_log[0]`` is the zero sentinel
+      2(q-1), the first index of the zero tail.  Any sum of two logs that
+      involves a sentinel lands in the tail, so a product is
+      ``_exp[_log[a] + _log[b]]`` with no test for zero.
+    - ``_neg``: the additive inverse of every element.
+    - ``_digits``: the (q, m) base-p digits of every element, constant
+      term first, in the narrowest unsigned type that holds 2(p-1);
+      odd-characteristic extension fields add digit-wise mod p and read
+      the sum back through ``_powers`` (p^0 .. p^(m-1)).
+
+    ``_exp``, ``_log``, ``_neg`` and ``_powers`` are int64.
+
+    Prime fields multiply and add as integers mod p, characteristic 2 adds
+    by XOR.
+
+    The array methods take numpy integer arrays (or anything np.asarray
+    turns into int64) whose entries lie in [0, q), and broadcast them.
+    Entries are not range-checked: a negative entry wraps around a table
+    and silently gives a wrong element, so callers check their inputs (as
+    LinearCode and codes._read_coset do).  Each result is a fresh, writable
+    int64 array that the caller may modify.
 
     Instances are immutable after construction, so any number of callers
     may share one.  Use field_new() rather than the constructor: it validates,
@@ -146,34 +181,29 @@ class FiniteField:
         self.m = m
         self.order = p**m
         self.modulus: tuple[int, ...] = _canonical_modulus(p, m)
-        self._powers = tuple(p**i for i in range(m))
+        self._powers = p ** np.arange(m, dtype=np.int64)
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
-    def _encode(self, coeffs: list[int]) -> int:
-        return sum(c * w for c, w in zip(coeffs, self._powers))
-
-    def _decode(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            out.append(a % p)
-            a //= p
-        return out
+    def _encode(self, coeffs) -> int:
+        return sum(int(c) * int(w) for c, w in zip(coeffs, self._powers))
 
     def _raw_mul(self, a: int, b: int) -> int:
         """Polynomial multiply mod the modulus; used only to build tables."""
-        prod = _poly_mul(self.p, self._decode(a), self._decode(b))
-        red = _poly_mod(self.p, prod, list(self.modulus))
-        red += [0] * (self.m - len(red))
-        return self._encode(red)
+        prod = _poly_mul(self.p, self._digits[a].tolist(), self._digits[b].tolist())
+        return self._encode(_poly_mod(self.p, prod, list(self.modulus)))
 
     def _build_tables(self) -> None:
-        q = self.order
+        q, p = self.order, self.p
+        # digits in the narrowest type that holds the sum of two: the adds
+        # and the % p of add_arr then move a fraction of the bytes
+        digits = np.arange(q, dtype=np.int64)[:, None] // self._powers % p
+        self._digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
+        self._neg = (p - digits) % p @ self._powers
         g = self._find_generator()
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        exp = np.zeros(4 * q - 3, dtype=np.int64)
+        log = np.full(q, 2 * (q - 1), dtype=np.int64)
         acc = 1
         for i in range(q - 1):
             exp[i] = acc
@@ -181,12 +211,11 @@ class FiniteField:
             acc = self._raw_mul(acc, g)
         if acc != 1:
             raise KuniformError("generator order mismatch while building tables")
-        exp[q - 1 :] = exp[: q - 1]  # doubled so exp[la+lb] needs no modulo
+        exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
         self.generator = g
-        self._exp = exp
-        self._log = log
-        self._exp.setflags(write=False)
-        self._log.setflags(write=False)
+        self._exp, self._log = exp, log
+        for table in (self._powers, self._digits, self._neg, exp, log):
+            table.setflags(write=False)
 
     def _find_generator(self) -> int:
         q = self.order
@@ -214,27 +243,15 @@ class FiniteField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out, p = 0, self.p
-        for w in self._powers:
-            out += ((a // w + b // w) % p) * w
-        return out
+        return int((self._digits[a] + self._digits[b]) % self.p @ self._powers)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        out, p = 0, self.p
-        for w in self._powers:
-            out += ((-(a // w)) % p) * w
-        return out
+        return int(self._neg[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
@@ -262,40 +279,27 @@ class FiniteField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for w in self._powers:
-            out += ((a // w + b // w) % self.p) * w
-        return out
+        D = self._digits  # take, not D[a]: a row gather is several times faster
+        return (D.take(a, axis=0) + D.take(b, axis=0)) % self.p @ self._powers
 
     def neg_arr(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return a.copy()
-        if self.m == 1:
-            return (-a) % self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        for w in self._powers:
-            out += ((-(a // w)) % self.p) * w
-        return out
+        return self._neg[np.asarray(a, dtype=np.int64)]
 
     def mul_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.m == 1:
             return a * b % self.p
-        nz = (a != 0) & (b != 0)
-        idx = self._log[a] + self._log[b]
-        out = np.where(nz, self._exp[np.where(nz, idx, 0)], 0)
-        return out.astype(np.int64)
+        return self._exp[self._log[a] + self._log[b]]
 
     # -- misc ----------------------------------------------------------------
 
     def element_to_coeffs(self, a: int) -> tuple[int, ...]:
         """Base-p digits of a, constant term first."""
-        return tuple(self._decode(a))
+        return tuple(self._digits[a].tolist())
 
     def coeffs_to_element(self, coeffs) -> int:
-        return self._encode(list(coeffs))
+        return self._encode(coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteField) and (self.p, self.m) == (other.p, other.m)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gf_oracle import oracle_add, oracle_mul
 from rref_oracle import oracle_rref
 
 from kuniform import CapExceeded, FieldMismatch, KuniformError, ParseError, RankDeficient, codes
@@ -425,6 +426,24 @@ def test_codeword_matrix_matches_brute():
     C = mds_code(F4, 2)
     rows = {tuple(int(x) for x in r) for r in codeword_matrix(C)}
     assert rows == brute_codewords(C)
+
+
+@pytest.mark.parametrize(
+    "C",
+    [mds_code(field_for_order(q), t) for q in (8, 9, 16) for t in (1, 2, 3)] + [load_bundled_code("golay12_3")],
+    ids=lambda C: f"{C.N}_{C.t}_{C.q}",
+)
+def test_codeword_matrix_is_in_message_order(C):
+    """Row j is the combination of G's rows by the base-q digits of j, the
+    first row's most significant, with the oracle's field tables: the order
+    oa.oa_from_code relies on."""
+    F = C.field
+    add, mul = oracle_add(F.p, F.m), oracle_mul(F.p, F.m, F.modulus)
+    want = np.zeros((C.q**C.t, C.N), dtype=np.int64)
+    for j, msg in enumerate(product(range(C.q), repeat=C.t)):
+        for c, g in zip(msg, C.G):
+            want[j] = add[want[j], mul[c, g]]
+    assert np.array_equal(codeword_matrix(C), want)
 
 
 def test_code_file_roundtrip(tmp_path):

@@ -1,8 +1,9 @@
 """Field arithmetic tests.
 
 The oracles here are independent of the implementation's log tables: axioms
-are checked exhaustively, inverses by brute-force search, and the canonical
-modulus against a from-scratch irreducibility filter.
+are checked exhaustively, inverses by brute-force search, the canonical
+modulus against a from-scratch irreducibility filter, and whole operation
+tables against polynomial and digit-wise arithmetic (gf_oracle).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from gf_oracle import oracle_add, oracle_mul, oracle_neg
 
 from kuniform import CapExceeded, gf
 from kuniform.cli import run
@@ -28,6 +31,7 @@ from kuniform.gf import (
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 PRIME_POWERS_64 = PRIME_POWERS_16 + [17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+ORACLE_ORDERS = PRIME_POWERS_64 + [81, 125, 243, 256]
 
 
 def test_is_prime_basics():
@@ -170,6 +174,39 @@ def test_determinism_same_tables():
     assert a.generator == b.generator
     assert np.array_equal(a._exp, b._exp)
     assert field_new(3, 2) is field_new(3, 2)  # cached singleton
+
+
+@pytest.fixture(scope="module", params=ORACLE_ORDERS)
+def oracle_field(request):
+    """(F, sums, negatives, products) with the oracle's tables, reduced mod
+    the modulus found by the from-scratch irreducibility filter."""
+    F = field_for_order(request.param)
+    p, m = F.p, F.m
+    modulus = _modulus_oracle(p, m)
+    assert F.modulus == modulus
+    return F, oracle_add(p, m), oracle_neg(p, m), oracle_mul(p, m, modulus)
+
+
+def test_array_ops_match_the_oracle(oracle_field):
+    """The full q x q grid in one broadcast row-by-column call, zeros
+    included; every result a fresh, writable int64 array."""
+    F, add, neg, mul = oracle_field
+    col = np.arange(F.order)[:, None]
+    row = col.T
+    results = [(F.add_arr(col, row), add), (F.mul_arr(col, row), mul), (F.neg_arr(row[0]), neg)]
+    for got, want in results:
+        assert got.dtype == np.int64 and got.flags.writeable and got.flags.owndata
+        assert np.array_equal(got, want)
+
+
+def test_scalar_ops_match_the_oracle(oracle_field):
+    F, add, neg, mul = oracle_field
+    els = range(F.order)
+    assert [F.neg(a) for a in els] == neg.tolist()
+    for a in els:
+        assert [F.add(a, b) for b in els] == add[a].tolist()
+        assert [F.sub(a, b) for b in els] == add[a, neg].tolist()
+        assert [F.mul(a, b) for b in els] == mul[a].tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
