@@ -190,9 +190,22 @@ class FiniteField:
         return sum(int(c) * int(w) for c, w in zip(coeffs, self._powers))
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Polynomial multiply mod the modulus; used only to build tables."""
+        """Polynomial multiply mod the modulus; used only to find the
+        generator."""
         prod = _poly_mul(self.p, self._digits[a].tolist(), self._digits[b].tolist())
         return self._encode(_poly_mod(self.p, prod, list(self.modulus)))
+
+    def _times(self, c: list) -> list:
+        """Multiplication by the element with digits c, as m rows of digits
+        over GF(p): row i holds the digits of c x^i, so a row of digits of a,
+        times them mod p, is the digits of c a."""
+        p, low = self.p, self.modulus[:-1]
+        rows = [c]
+        for _ in range(self.m - 1):
+            # v x, less its top digit times the monic modulus
+            v = rows[-1]
+            rows.append([(a - v[-1] * f) % p for a, f in zip([0] + v[:-1], low)])
+        return rows
 
     def _build_tables(self) -> None:
         q, p = self.order, self.p
@@ -202,14 +215,24 @@ class FiniteField:
         self._digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
         self._neg = (p - digits) % p @ self._powers
         g = self._find_generator()
+        # the digits of g^0 .. g^(q-2) by doubling: with g^0 .. g^(n-1)
+        # known, g^n .. g^(2n-1) are their products with c = g^n, one linear
+        # map of their digit rows, and c times itself is g^2n
+        powers = np.zeros((q - 1, self.m), dtype=np.int64)
+        powers[0, 0] = 1
+        n, c = 1, self._digits[g].tolist()
+        while n < q - 1:
+            times = self._times(c)
+            powers[n : 2 * n] = powers[: min(n, q - 1 - n)] @ np.array(times) % p
+            c = [sum(x * row[j] for x, row in zip(c, times)) % p for j in range(self.m)]
+            n *= 2
         exp = np.zeros(4 * q - 3, dtype=np.int64)
+        exp[: q - 1] = powers @ self._powers
         log = np.full(q, 2 * (q - 1), dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, g)
-        if acc != 1:
+        log[exp[: q - 1]] = np.arange(q - 1)
+        # the powers of a generator are the q - 1 nonzero elements, so each
+        # gets a log; a repeated or zero power leaves one without
+        if (log[1:] == 2 * (q - 1)).any():
             raise KuniformError("generator order mismatch while building tables")
         exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
         self.generator = g
@@ -232,8 +255,9 @@ class FiniteField:
         while e:
             if e & 1:
                 out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
             e >>= 1
+            if e:
+                base = self._raw_mul(base, base)
         return out
 
     # -- scalar arithmetic ---------------------------------------------------

@@ -596,13 +596,17 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 # digit by digit over the transposed index array and offset by run, so rows
 # are matched on their complement keys within their own subset only, and the
 # pair products are summed per (subset, kept1, kept2) key.  A reduction is
-# Hermitian, so an exact call sums only the pairs above the diagonal, finds
-# the diagonal from the rows alone and mirrors the rest (_mirrored); a float
-# call sums every ordered pair, keeping its sums' bits.  Keys are bounded,
-# so every sort is _stable_order's, by radix while the bound is below 2^32.
-# An entry's kept row and column are gathered only for callers that read
-# them.  Exact states stay in int64 only where every product and sum
-# provably fits, and in Python ints otherwise, so no result ever wraps.
+# Hermitian, so an exact call sums only the pairs above the diagonal and
+# finds the diagonal from the rows alone: its result is those two halves
+# (_Half), from which whether each reduction is I / d^k and how far it is
+# from it are read in integers.  The entries below the diagonal are the
+# conjugates of those above; they are mirrored in (_mirrored) once, the
+# first time a caller reads the operators themselves.  A float call sums
+# every ordered pair, keeping its sums' bits.  Keys are bounded, so every
+# sort is _stable_order's, by radix while the bound is below 2^32.  An
+# entry's kept row and column are gathered only for callers that read them.
+# Exact states stay in int64 only where every product and sum provably
+# fits, and in Python ints otherwise, so no result ever wraps.
 #
 # A family of states psi_s is reduced as one purified state (_Purified)
 # Psi = sum_s |s>_a |psi_s>: block (s, t) of its reduction onto the ancilla
@@ -754,33 +758,131 @@ def _blocks(keys: np.ndarray, order: np.ndarray, counts: np.ndarray) -> list:
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
+class _Entries(NamedTuple):
+    """Segments of reduction entries, each in lexicographic (row, column)
+    order."""
+
+    at: tuple  # each entry's row and column, as rows j T + i of the runs
+    diagonal: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    starts: np.ndarray  # (segments + 1,) int64
+
+
+class _Half(NamedTuple):
+    """The exact reductions of a state onto a block of B subsets as one
+    _reduce call sums them, before any mirror: for subset j, the nonzero
+    entries above the diagonal and the diagonal ones, all over the
+    denominator r, at the positions that starts gives.  Its readers decide
+    each reduction from those halves in integers, as _maximally_mixed_mask
+    and _deviations decide the mirrored operator, bit for bit."""
+
+    keys: np.ndarray  # each row's (subset, kept) key of the runs, below bound
+    bound: int
+    upper: tuple  # (rows, cols) of the runs, in (subset, kept1, kept2) key order
+    re: np.ndarray
+    im: np.ndarray
+    on: np.ndarray  # one row of each (subset, kept) key, in key order
+    sums: np.ndarray  # the diagonal entry of that key: its rows' a^2 + b^2
+    runs: np.ndarray  # (B + 1,) the first row j T of each run, and B T
+
+    def starts(self) -> tuple:
+        """Where each subset's entries start above the diagonal and on it:
+        rows >= j T holds from the first entry of subset j on, in either."""
+        return np.searchsorted(self.upper[0], self.runs), np.searchsorted(self.on, self.runs)
+
+    def maximally_mixed(self, dim: int, r: int) -> np.ndarray:
+        """Which reductions are exactly I / dim: none stores an entry above
+        the diagonal, and each has dim diagonal entries of value r / dim."""
+        upper_starts, on_starts = self.starts()
+        ok = (np.diff(upper_starts) == 0) & (np.diff(on_starts) == dim)
+        if ok.any():
+            ok &= (r % dim == 0) & (_segment_count(self.sums != r // dim, on_starts) == 0)
+        return ok
+
+    def deviations(self, dim: int, r: int) -> np.ndarray:
+        """Each reduction's largest entrywise distance from I / dim, with
+        the bits of _deviations on the mirrored operator, whose entries below
+        the diagonal are as far off as their mirrors above it.
+
+        A diagonal entry x / r is |x dim - r| / (r dim) off, a float that
+        rounds monotonically in the integer |x dim - r|, so each reduction's
+        largest is taken to floats alone.  An entry a + b i above the
+        diagonal is |a + b i| / r off, a float formula that may not round
+        monotonically; while a^2 + b^2 fits int64 only the entries at or near
+        (_NEAR_SHIFT) each reduction's largest are taken to floats."""
+        starts, on_starts = self.starts()
+        # x dim - r lies in [-r, r (dim - 1)], as 0 <= x <= r
+        x = (self.sums.astype(object) if r * dim >= _INT64_LIMIT else self.sums) * dim - r
+        R, top = _floats(r * r, _segment_max(np.abs(x), on_starts))
+        scale = 1.0 / math.sqrt(R)
+        dev = top * scale / dim
+        a, b = self.re, self.im
+        if len(a):
+            bound = max(abs(int(v)) for part in (a, b) for v in (part.min(), part.max()))
+            if 2 * bound * bound < _INT64_LIMIT:
+                a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+                square = a * a + b * b
+                top = _segment_max(square, starts)
+                pick = np.flatnonzero(square >= np.repeat(top - (top >> _NEAR_SHIFT), np.diff(starts)))
+                starts, a, b = np.searchsorted(pick, starts), a[pick], b[pick]
+            _, a, b = _floats(r * r, a, b)
+            # np.hypot gives abs() of a Python complex bit for bit
+            np.maximum(dev, _segment_max(np.hypot(a, b) * scale, starts), out=dev)
+        # a reduction missing some diagonal entry entirely is 1 / dim off there
+        return np.where(np.diff(on_starts) < dim, np.maximum(dev, 1.0 / dim), dev)
+
+
+class _Mirrored:
+    """One of the _Entries fields of a _Reductions that holds a _Half: its
+    first read mirrors the halves (_mirrored) and sets all five fields on
+    the instance, which later reads find without calling it."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, red, owner=None):
+        if red is None:
+            return self
+        red.__dict__.update(zip(_Entries._fields, _mirrored(red.summed)))
+        return red.__dict__[self.name]
+
+
+@dataclass(eq=False)
 class _Reductions:
     """The reductions of one kernel call onto a block of k-subsets, as
     segments: segment (j, s, t), at starts[(j K + s) K + t], is
     |psi_s><psi_t| traced down to subset j for a family of K = len(r)
     states, over the denominator sqrt(r_s r_t) when exact, its entries in
     lexicographic (row, column) order.  A state is the family of one, whose
-    segments are its reductions onto the subsets.  Each entry's kept row
-    and column are gathered at the first read of rows or cols.
+    segments are its reductions onto the subsets.
 
-    Of an exact call, the kernel summed the entries above the diagonal of
-    the reduction of Psi, pair by pair; the diagonal entries are sums of
-    squared moduli over rows, and the entries below the diagonal are the
-    conjugates of those above, so segment (j, t, s) mirrors (j, s, t).
-    Every entry of a float call is a sum over its ordered pairs, in the
-    order one subset alone would give."""
+    An exact state's call holds the two halves that the kernel summed
+    (_Half): its verdicts, maximally_mixed and deviations, are read off
+    them, and its entries (at, diagonal, re, im and starts, as _Entries
+    names them) are mirrored from them once, at the first read of any of
+    them, as by rows, cols or operator.  A family's call is given every
+    segment, segment (j, t, s) mirroring (j, s, t), and a float call every
+    entry, a sum over its ordered pairs in the order one subset alone would
+    give.  Each entry's kept row and column are gathered at the first read
+    of rows or cols."""
 
     d: int
     columns: np.ndarray  # (N, T) transpose of the reduced index array
     kept: np.ndarray  # (B, k) int64, the columns kept for each subset
-    at: tuple  # each entry's row and column, as rows j T + i of the runs
-    diagonal: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
-    starts: np.ndarray  # (segments + 1,) int64
     r: tuple  # each member's r, 1 for floats
     exact: bool
+    summed: _Entries | _Half
+
+    at = _Mirrored()
+    diagonal = _Mirrored()
+    re = _Mirrored()
+    im = _Mirrored()
+    starts = _Mirrored()
+
+    def __post_init__(self):
+        if isinstance(self.summed, _Entries):
+            self.__dict__.update(zip(_Entries._fields, self.summed))
 
     @property
     def k(self) -> int:
@@ -813,18 +915,30 @@ class _Reductions:
     def left(self, own) -> np.ndarray:
         """Which segments the call's arrays leave undecided: every segment
         of a float call; of an exact one, each (s, s) where own() does not
-        hold and each (s, t) with s != t that stores an entry."""
-        s, t = _members(len(self.starts) - 1, len(self.r))
-        return ~np.where(s == t, own(), np.diff(self.starts) == 0) if self.exact else np.ones(len(s), dtype=bool)
+        hold and each (s, t) with s != t that stores an entry.  A state's
+        exact call reads own() alone, so nothing is mirrored for it."""
+        K = len(self.r)
+        if not self.exact:
+            return np.ones(len(self.kept) * K * K, dtype=bool)
+        left = ~own()
+        if K > 1:
+            s, t = _members(len(left), K)
+            cross = s != t
+            left[cross] = np.diff(self.starts)[cross] > 0
+        return left
 
     def maximally_mixed(self) -> np.ndarray:
         """Which exact segments (j, s, s) are exactly I / d^k over r_s; every
         (j, s, t) with s != t reads False."""
+        if isinstance(self.summed, _Half):
+            return self.summed.maximally_mixed(self.d**self.k, self.r[0])
         return _maximally_mixed_mask(*self._block(), self.r)
 
     def deviations(self) -> np.ndarray:
         """Each reduction's largest entrywise distance from I / d^k, for a
         state (a family of one)."""
+        if isinstance(self.summed, _Half):
+            return self.summed.deviations(self.d**self.k, self.r[0])
         return _deviations(*self._block(), self.r[0], self.r[0], self.exact)
 
     def same_as_first(self) -> np.ndarray:
@@ -851,16 +965,19 @@ class _Reductions:
 def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     """Traces of |psi><psi| over the complement of each of a block of
     equal-sized party subsets, in one pass over arrays, exact ones over the
-    denominator r, their entries in lexicographic (row, column) order.
+    denominator r.
 
     Two rows of a run that agree off the subset make the entry at their
-    kept keys.  A float encoding sums every such ordered pair, each row
-    with itself included, in the order that one subset alone would give,
-    so float sums keep their bits.  An exact one sums only the pairs above
-    the diagonal: each row with the later rows of its complement group,
-    ordered by kept key, which differ from it on the subset.  Its diagonal
-    entries are sums of a^2 + b^2 over the rows of one kept key, and each
-    entry below the diagonal is the conjugate of its mirror (_mirrored)."""
+    kept keys.  An exact encoding sums only the pairs above the diagonal:
+    each row with the later rows of its complement group, ordered by kept
+    key, which differ from it on the subset.  Its diagonal entries are sums
+    of a^2 + b^2 over the rows of one kept key.  Those two halves are the
+    result (_Half); each entry below the diagonal is the conjugate of its
+    mirror, put in place (_mirrored) only if the operators are read.  A
+    float encoding sums every such ordered pair, each row with itself
+    included, in the order that one subset alone would give, so float sums
+    keep their bits, and its entries come in lexicographic (row, column)
+    order."""
     T, N = e.idx.shape
     B = len(subsets)
     kept = np.array(subsets, dtype=np.int64).reshape(B, -1)
@@ -925,40 +1042,37 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
 
     blocks = [by_kept] if counts.sum() <= oa._COUNT_BLOCK else _blocks(keys, by_kept, counts)
     parts = [entries(rows) for rows in blocks]
-    square = None if floats else a * a + b * b
-    del order, lo, counts, a, b
-    # entries come in (subset, kept1, kept2) key order, so run by run
+    del order, lo, counts
+    # entries come in (subset, kept1, kept2) key order, so run by run, and
+    # rows >= j T holds from the first entry of subset j on
     rows_out, cols_out, re, im = parts[0] if len(parts) == 1 else (np.concatenate(column) for column in zip(*parts))
     del parts
+    runs = np.arange(0, (B + 1) * T, T)
     if floats:
-        diagonal = own[rows_out] == own[cols_out]
-    else:
-        rows_out, cols_out, diagonal, re, im = _mirrored(keys, n_kept, by_kept, square, rows_out, cols_out, re, im)
-    # rows_out >= j T holds from the first entry of subset j on
-    starts = np.searchsorted(rows_out, np.arange(0, (B + 1) * T, T))
-    return _Reductions(d, columns, kept, (rows_out, cols_out), diagonal, re, im, starts, (r,), not floats)
+        made = _Entries((rows_out, cols_out), own[rows_out] == own[cols_out], re, im, np.searchsorted(rows_out, runs))
+        return _Reductions(d, columns, kept, (r,), False, made)
+    first = np.flatnonzero(_heads(keys[by_kept]))
+    sums = np.add.reduceat((a * a + b * b)[by_kept], first)
+    half = _Half(keys, n_kept, (rows_out, cols_out), re, im, by_kept[first], sums, runs)
+    return _Reductions(d, columns, kept, (r,), True, half)
 
 
-def _mirrored(keys, bound, by_kept, square, rows, cols, re, im) -> tuple:
-    """The rows, columns, diagonal flags and sums of exact Hermitian
-    reductions, from the entries above their diagonals: (rows, cols) of
-    the runs in (subset, kept1, kept2) key order, with sums re and im, and
-    each row's (subset, kept) key below bound, in the order by_kept.
+def _mirrored(h: _Half) -> _Entries:
+    """The exact Hermitian reductions whose halves h holds, each entry in
+    lexicographic (row, column) order, with its diagonal flag.
 
     Row x holds, in column order, the conjugates (re, -im) of the entries
     (y, x) above the diagonal, which come in the order of y; its diagonal
-    entry, the sum of `square` over the rows of key x; and its own entries
-    above the diagonal.  So one stable sort of those three lists by the key
-    of their rows (_stable_order) puts every entry in place."""
-    ordered = keys[by_kept]
-    first = np.flatnonzero(_heads(ordered))
-    on = by_kept[first]
-    perm = _stable_order(np.concatenate([keys[cols], ordered[first], keys[rows]]), bound)
-    sums = np.add.reduceat(square[by_kept], first)
-    parts = (cols, on, rows), (rows, on, cols), (re, sums, re), (-im, np.zeros_like(sums), im)
-    rows, cols, re, im = (np.concatenate(part)[perm] for part in parts)
+    entry; and its own entries above the diagonal.  So one stable sort of
+    those three lists by the key of their rows (_stable_order) puts every
+    entry in place."""
+    rows, cols = h.upper
+    every = np.concatenate([cols, h.on, rows])
+    perm = _stable_order(h.keys[every], h.bound)
+    parts = (rows, h.on, cols), (h.re, h.sums, h.re), (-h.im, np.zeros_like(h.sums), h.im)
+    rows, (cols, re, im) = every[perm], (np.concatenate(part)[perm] for part in parts)
     # only a diagonal entry names one row twice
-    return rows, cols, rows == cols, re, im
+    return _Entries((rows, cols), rows == cols, re, im, np.searchsorted(rows, h.runs))
 
 
 def _call_width(e: _Encoded) -> int:
@@ -994,21 +1108,30 @@ def _counting_check(e: _Encoded, d: int, k: int):
     # of S is the complement's radix key, exact whenever it is below 2^63
     radix = d ** (N - k) < _INT64_LIMIT
     weights = np.array([pow(d, N - 1 - p, 1 << 64) for p in range(N)], dtype=np.uint64).view(np.int64)
+    # every complement key is below d^N; while that is at most 2^32 the keys
+    # are kept mod 2^32, in int32, which numpy sorts several times faster
+    # than int64: weights, columns and every product and sum wrap mod 2^32,
+    # and distinct keys stay distinct
+    if d**N <= 1 << 32:
+        weights = weights.astype(np.int32)
 
     @cache
     def arrays():
-        """Columns and full keys, made at the first block a caller asks for."""
-        return np.ascontiguousarray(e.idx.T), e.idx @ weights
+        """Columns, as int64 and in the keys' type, and full keys, made at
+        the first block a caller asks for."""
+        columns = np.ascontiguousarray(e.idx.T)
+        keyed = columns.astype(weights.dtype, copy=False)
+        return columns, keyed, weights @ keyed
 
     def passes(block: np.ndarray) -> np.ndarray:
-        columns, full = arrays()
+        columns, keyed, full = arrays()
         ok = _balanced(columns, d, block)
         # complements are keyed only for the subsets whose counts passed
         counted = block[ok]
         if radix:
             complement = np.tile(full, (len(counted), 1))
             for j in range(k):
-                complement -= columns[counted[:, j]] * weights[counted[:, j], None]
+                complement -= keyed[counted[:, j]] * weights[counted[:, j], None]
         else:
             # distinct-row ids of the complements, one run per subset
             complement = _run_keys(columns, _complements(counted, N), d, _INT64_LIMIT)[0].reshape(len(counted), T)
@@ -1153,7 +1276,7 @@ class _Purified:
         system = red.kept[:, m:]
         keys = _run_keys(red.columns, system, self.base, _INT64_LIMIT)[0]
         diagonal = keys[at[0]] == keys[at[1]]
-        return _Reductions(self.d, red.columns, system, at, diagonal, red.re[order], red.im[order], starts, tuple(self.r), self.exact)
+        return _Reductions(self.d, red.columns, system, tuple(self.r), self.exact, _Entries(at, diagonal, red.re[order], red.im[order], starts))
 
     @cached_property
     def member(self) -> np.ndarray:
@@ -1292,9 +1415,13 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
     the short words of C name the subsets left, none when w(C) > k too;
     other rows are counted.  Every subset left, and every subset of a float
     state, goes through the reduction kernel, one call per list that
-    undecided yields, which alone reports failures: whether each subset's reduction is exactly I / d^k,
-    and its deviation, are read off the call's arrays at once.  A pass from
-    any stage gives the same report.
+    undecided yields, which alone reports failures.  Of an exact state, a
+    call's result is the two halves the kernel summed, the entries above
+    each diagonal and the diagonal itself (_Half): whether each subset's
+    reduction is exactly I / d^k, and its deviation, are read off those
+    halves in integers, and no operator is ever mirrored whole.  A float
+    call's deviations are read off its entries.  A pass from any stage gives
+    the same report.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")

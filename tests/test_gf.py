@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gf_oracle import oracle_add, oracle_mul, oracle_neg
+from gf_oracle import oracle_add, oracle_least_generator, oracle_mul, oracle_neg, oracle_power_tables
 
 from kuniform import CapExceeded, gf
 from kuniform.cli import run
@@ -32,6 +32,7 @@ from kuniform.gf import (
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 PRIME_POWERS_64 = PRIME_POWERS_16 + [17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
 ORACLE_ORDERS = PRIME_POWERS_64 + [81, 125, 243, 256]
+PRIME_POWERS_1024 = [q for q in range(2, 1025) if is_prime_power(q)]
 
 
 def test_is_prime_basics():
@@ -174,6 +175,34 @@ def test_determinism_same_tables():
     assert a.generator == b.generator
     assert np.array_equal(a._exp, b._exp)
     assert field_new(3, 2) is field_new(3, 2)  # cached singleton
+
+
+def _assert_power_tables(F: FiniteField) -> None:
+    """F's exp and log tables are the walk's over F.generator, laid out as
+    FiniteField describes: exp written twice, then its zero tail, and the
+    sentinel 2(q - 1) as the log of 0."""
+    q = F.order
+    exp, log = oracle_power_tables(F.p, F.m, F.modulus, F.generator)
+    assert np.array_equal(F._exp[: q - 1], exp) and np.array_equal(F._exp[q - 1 : 2 * (q - 1)], exp)
+    assert len(F._exp) == 4 * q - 3 and not F._exp[2 * (q - 1) :].any()
+    assert F._log[0] == 2 * (q - 1) and np.array_equal(F._log[1:], log[1:])
+
+
+def test_power_tables_match_the_walk():
+    """Tables built by doubling the powers of the generator are the ones a
+    walk of one polynomial product per power gives, for every prime power
+    up to 1024, whose generator is the least element of order q - 1."""
+    for q in PRIME_POWERS_1024:
+        F = FiniteField(*is_prime_power(q))
+        assert F.generator == oracle_least_generator(F.p, F.m, F.modulus)
+        _assert_power_tables(F)
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 9), (5, 6)])
+def test_large_power_tables_match_the_walk(p, m):
+    """The same for the largest fields the default field_order cap allows
+    and two odd-characteristic ones of 15625 and 19683 elements."""
+    _assert_power_tables(FiniteField(p, m))
 
 
 @pytest.fixture(scope="module", params=ORACLE_ORDERS)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
+import json
 import math
 import tracemalloc
 from itertools import combinations, product
@@ -31,6 +33,7 @@ from kuniform import oa as oa_module
 from kuniform import states as states_module
 from kuniform.caps import check_cap
 from kuniform.catalog import construct_k_uniform
+from kuniform.cli import run
 from kuniform.codes import LinearCode, code_of_rows, dual_distance, min_distance
 from kuniform.errors import CapExceeded, NormError, NotIrredundant, ParseError
 from kuniform.gf import field_for_order
@@ -794,6 +797,66 @@ def test_deviations_match_the_all_entries_oracle(block, other):
     assert states_module._deviations(*args).tobytes() == oracle_deviations(*args).tobytes()
 
 
+@st.composite
+def half_blocks(draw):
+    """(dim, r, halves): what the readers of a _Half read, for B subsets:
+    each subset's entries (a, b) above the diagonal and at most dim
+    diagonal sums in [0, r], some of them r / dim.  Small values make
+    diagonal and off-diagonal maxima tie; or |a| and |b| sit at the guard of
+    the integer maximum (2^31, where a^2 + b^2 reaches 2^63); or r dim or
+    r (dim - 1), the reach of a diagonal entry's integer, sits at or past
+    2^63 with r below it; or the values pass 2^63, in object arrays."""
+    dim = draw(st.sampled_from((1, 2, 3, 4, 9)))
+    scale = draw(st.sampled_from(("small", "square_guard", "diagonal_guard", "object")))
+    if scale == "small":
+        r, part = draw(st.integers(1, 40)), st.integers(-6, 6)
+    elif scale == "square_guard":
+        r, part = 1 << 40, st.sampled_from((0, 1, -5, (1 << 31) - 1, 1 << 31, -(1 << 31) - 1))
+    elif scale == "diagonal_guard":
+        edge = (1 << 63) // draw(st.sampled_from((dim, max(dim - 1, 1))))
+        r = draw(st.integers(edge - 1, edge + 1) | st.integers(edge, max(edge, (1 << 63) - 1)))
+        part = st.integers(-6, 6)
+    else:
+        r, part = draw(st.integers(1 << 64, 1 << 70)), st.integers(-(1 << 64), 1 << 64)
+    sums = st.sampled_from((r // dim, 0, r)) | st.integers(0, r)
+    subsets = draw(
+        st.lists(
+            st.tuples(st.lists(st.tuples(part, part).filter(any), max_size=5), st.lists(sums, max_size=dim)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return dim, r, subsets
+
+
+@settings(max_examples=300)
+@given(block=half_blocks())
+def test_half_readers_match_the_all_entries_oracle(block):
+    """A _Half's verdicts are those of the mirrored operators it stands
+    for, subset j holding its diagonal sums, its entries above the diagonal
+    and their conjugates below it: maximally_mixed as
+    _maximally_mixed_mask reads them, deviations bit for bit as the
+    all-entries oracle computes them."""
+    dim, r, subsets = block
+    values = [v for upper, sums in subsets for v in [*sums, *(x for pair in upper for x in pair)]]
+    dtype = object if max(map(abs, values), default=0) >= 1 << 63 else np.int64
+    a, b = (np.array([pair[i] for upper, _ in subsets for pair in upper], dtype=dtype) for i in (0, 1))
+    sums = np.array([s for _, diagonal in subsets for s in diagonal], dtype=dtype)
+    # one row per run: each entry's row is its subset
+    rows, on = (np.repeat(np.arange(len(subsets)), [len(part[i]) for part in subsets]) for i in (0, 1))
+    half = states_module._Half(None, 0, (rows, None), a, b, on, sums, np.arange(len(subsets) + 1))
+    entries = [
+        [(True, s, 0) for s in diagonal] + [(False, x, y) for x, y in upper] + [(False, x, -y) for x, y in upper]
+        for upper, diagonal in subsets
+    ]
+    flat = [entry for segment in entries for entry in segment]
+    diagonal = np.array([on for on, _, _ in flat], dtype=bool)
+    re, im = (np.array([entry[i] for entry in flat], dtype=dtype) for i in (1, 2))
+    full = dim, np.cumsum([0] + [len(segment) for segment in entries]), diagonal, re, im
+    assert half.maximally_mixed(dim, r).tolist() == states_module._maximally_mixed_mask(*full, (r,)).tolist()
+    assert half.deviations(dim, r).tobytes() == oracle_deviations(*full, r, r, True).tobytes()
+
+
 def test_walk_sized_reduce_peaks_within_its_arrays():
     """One walk-sized _reduce call on the 729-term phased 4-uniform state at
     k = 5, 22 subsets whose rows agree off a subset in groups of three,
@@ -827,6 +890,144 @@ def test_walk_sized_reduce_peaks_within_its_arrays():
     finally:
         tracemalloc.stop()
     assert len(red.re) == 16038 and peak <= bound
+
+
+
+def test_half_form_readers_hold_within_their_arrays():
+    """The twin of the test above: one walk-sized call on the same subsets
+    read through maximally_mixed and deviations mirrors nothing, and the
+    readers' temporaries, above what the call's halves hold, stay within
+    the arrays their design makes, 8 bytes an entry, for U entries above
+    the diagonals and D on them:
+
+    - six of U entries: the squared moduli, the picked positions, their two
+      parts as floats, their moduli and those scaled;
+    - three of D entries: the diagonal sums times dim, less r, and their
+      absolute values (or the running count of maximally_mixed);
+    - and per subset a few more, within 4 KiB at 22 subsets.
+
+    Mirroring the 16038 entries instead would hold their keys, the sort's
+    order and four columns twice over, well past this."""
+    state = phased_four_uniform()
+    psi = states_module._Purified([state])
+    subsets = next(psi.undecided(5))
+    states_module._reduce(psi.e, subsets, state.d, state.r).deviations()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        red = states_module._reduce(psi.e, subsets, state.d, state.r)
+        call_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        mixed, dev = red.maximally_mixed(), red.deviations()
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    half = red.summed
+    U, D = len(half.re), len(half.sums)
+    assert (U, D) == (5346, 5346) and "re" not in vars(red)
+    assert not mixed.any() and (dev > 0).all()
+    T = state.num_terms
+    assert call_peak <= 8 * (10 * len(subsets) * T + 6 * (oa_module._COUNT_BLOCK + T))
+    assert read_peak <= 8 * (6 * U + 3 * D) + 4096
+
+
+def _no_mirror(*args):
+    raise AssertionError("the operators were mirrored")
+
+
+@settings(max_examples=150)
+@example(case=([example_state()], 2), pair_block=5, limit=states_module._KEPT_KEY_LIMIT)
+@example(case=([_PLUS_3], 2), pair_block=oa_module._COUNT_BLOCK, limit=1)
+@example(case=([_WIDE_EXAMPLE], 3), pair_block=5, limit=1)
+@example(case=([_WIDE_EXAMPLE], 2), pair_block=5, limit=states_module._KEPT_KEY_LIMIT)
+@given(
+    case=exact_families(),
+    pair_block=st.sampled_from((5, oa_module._COUNT_BLOCK)),
+    limit=st.sampled_from((states_module._KEPT_KEY_LIMIT, 1)),
+)
+def test_half_form_reads_the_mirrored_operators(case, pair_block, limit):
+    """An exact state's call decides, from its two halves and without
+    mirroring them, what _maximally_mixed_mask and the all-entries oracle
+    read off its mirrored operators, bit for bit; after those reads its
+    operators are the dict oracle's, in lexicographic order.  Numerators
+    are int64 or past 2^63; kept keys are radix keys or, with a limit of 1
+    in place of _KEPT_KEY_LIMIT, ids of distinct rows from np.unique; pair
+    blocks of 5 are cut by _blocks."""
+    family, k = case
+    state = family[0]
+    subsets = list(combinations(range(state.N), k))
+    e = states_module._encode(state, False)
+    with (
+        mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block),
+        mock.patch.object(states_module, "_KEPT_KEY_LIMIT", limit),
+        mock.patch.object(states_module, "_mirrored", _no_mirror),
+    ):
+        red = states_module._reduce(e, subsets, state.d, state.r)
+        mixed, dev = red.maximally_mixed(), red.deviations()
+    block = state.d**k, red.starts, red.diagonal, red.re, red.im
+    assert mixed.tolist() == states_module._maximally_mixed_mask(*block, (state.r,)).tolist()
+    assert dev.tobytes() == oracle_deviations(*block, state.r, state.r, True).tobytes()
+    for j, S in enumerate(subsets):
+        op = red.operator(j)
+        keys = [row + col for row, col in zip(op.rows.tolist(), op.cols.tolist())]
+        assert keys == sorted(keys)
+        assert_same_operator(op, oracle_cross_reduction(state, state, S))
+
+
+def bench_shaped_cases() -> list:
+    """(name, state, k) for the states that the benchmark verifies, built as
+    it builds them: catalog states under a seeded party permutation and
+    symbol relabelling, and the phased 11-qutrit state at k = 4 (a pass)
+    and k = 5 (66 subsets left to the kernel, all failing)."""
+    rng = np.random.default_rng(90210)
+    cases = []
+    for k, d, N in ((4, 3, 11), (4, 3, 12), (2, 8, 10), (3, 2, 6)):
+        s = construct_k_uniform(k, d, N, verify=False)
+        parties, symbols = rng.permutation(N).tolist(), [rng.permutation(d).tolist() for _ in range(N)]
+        cases.append((f"u{k}_d{d}_n{N}", transformed(s, parties, symbols, [(1, 0)] * s.num_terms), k))
+    phased = phased_four_uniform()
+    return cases + [("ph4_d3_n11", phased, 4), ("ph4_d3_n11", phased, 5)]
+
+
+# sha256 of each `verify state` report's details as json.dumps gives them,
+# as the mirrored operators' readers (_maximally_mixed_mask, _deviations)
+# decided them
+BENCH_SHAPED_DIGESTS = {
+    "u4_d3_n11@4": "e3ed8af222731c2338d317df0ca57ec3815bbc26f2879c532788822566e1c5c6",
+    "u4_d3_n12@4": "c34f789f5bfadfbdc96ac928bd6b86cad538e0a19163e28c3caa22fccd5970cb",
+    "u2_d8_n10@2": "8bd9573aa19ad15ac5e49e4e5a88f34663d5891b06a05c29d5fa4d7a3531f4f6",
+    "u3_d2_n6@3": "bb2f2cc957b7d6036b2d239de7473943247627fe0c2c3c9a711fe3eddcc9e824",
+    "ph4_d3_n11@4": "e3ed8af222731c2338d317df0ca57ec3815bbc26f2879c532788822566e1c5c6",
+    "ph4_d3_n11@5": "01cf1d6ee02067ac2a44af3805366b779f2816738879e022449e94c2c1e4ed09",
+}
+
+
+def test_verify_state_reports_never_mirror(tmp_path, capsys, monkeypatch):
+    """`verify state` on the benchmark's state shapes never mirrors an
+    operator, and prints the bytes that it prints when every verdict is
+    read off the mirrored operators instead; the details of each report
+    have the digests that those readers gave."""
+    runs = []
+    for name, state, k in bench_shaped_cases():
+        path = tmp_path / f"{name}.state"
+        save_state(state, path)
+        argv = ["verify", "state", str(path), "--k", str(k)]
+        with monkeypatch.context() as m:
+            m.setattr(states_module, "_mirrored", _no_mirror)
+            code, report = run(argv)
+            half = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            red = states_module._Reductions
+            m.setattr(red, "maximally_mixed", lambda self: states_module._maximally_mixed_mask(*self._block(), self.r))
+            m.setattr(red, "deviations", lambda self: states_module._deviations(*self._block(), self.r[0], self.r[0], True))
+            run(argv)
+            mirrored = capsys.readouterr().out
+        assert half == mirrored
+        details = json.dumps(report["details"]).encode()
+        runs.append((f"{name}@{k}", report["details"]["verdict"], hashlib.sha256(details).hexdigest()))
+    assert [verdict for _, verdict, _ in runs] == ["pass"] * 5 + ["fail"]
+    assert {key: digest for key, _, digest in runs} == BENCH_SHAPED_DIGESTS
 
 
 # |+>|+>|0...0>
@@ -985,6 +1186,24 @@ def test_batched_counting_matches_oracle(case, size):
         report = verify_k_uniform(state, k)
     assert reduced == [subset for subset, ok in zip(subsets, want) if not ok]
     assert report == oracle_verify_k_uniform(state, k)
+
+
+# two rows whose complements of party 33 differ only in party 1, whose
+# radix weight is 2^32: their complement keys differ by 2^32 alone
+_KEY_GAP_2_32 = PureState(N=34, d=2, amplitudes={(0,) * 34: (1, 0), (0, 1) + (0,) * 31 + (1,): (1, 0)}, r=2)
+
+
+@pytest.mark.parametrize("state", [ghz(32, 2), ghz(33, 2), _KEY_GAP_2_32], ids=["2^32 keys", "2^33 keys", "gap 2^32"])
+def test_counting_keys_on_either_side_of_int32(state):
+    """Complement keys are below d^N, kept mod 2^32 in int32 while d^N is
+    at most 2^32 (GHZ on 32 qubits) and in int64 past it (on 33); in int64
+    the two rows of the third state, whose keys differ by 2^32 alone, stay
+    apart, so counting passes party 33, as the oracle does."""
+    subsets = list(combinations(range(state.N), 1))
+    passes = states_module._counting_check(states_module._encode(state, False), state.d, 1)
+    want = [oracle_counting_passes(state, S) for S in subsets]
+    assert passes(np.array(subsets)).tolist() == want
+    assert want[-1] and verify_k_uniform(state, 1) == oracle_verify_k_uniform(state, 1)
 
 
 def test_counting_on_complement_ids(monkeypatch):
