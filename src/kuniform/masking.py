@@ -33,13 +33,17 @@ of subset j as segment (j, s, t) of the call's arrays.  An exact call
 passes segments from those arrays at once, in integers: a masker's
 (s, t) when it is empty and its (s, s) when it is the same operator as
 (0, 0), a code's (s, t) when it is empty and its (s, s) when it is
-I / d^k.  Only the segments left, every one of a float call, become
-SparseOperators, for a deviation, a cross-term magnitude or a Pauli
-witness; a masker also keeps (0, 0) of each subset as its common
-operator.  The matrix_dim cap is checked where those reductions are made:
-by undecided, and before the first sample of verify_masker, whose
-superpositions are reduced onto every subset a list of subsets per kernel
-call (its superposed).
+I / d^k.  The segments left, every one of a float call, are read off the
+same arrays: a masker's deviations of (s, s) from (0, 0), all of a call's
+in one pass (states._differences), and its cross-term magnitudes, the
+largest entry of each (s, t).  Only a code's failing block becomes a
+SparseOperator, for its Pauli witness; a masker keeps (0, 0) of each
+subset as its common operator.  The matrix_dim cap is checked where those
+reductions are made: by undecided, and before the first sample of
+verify_masker, whose superpositions are reduced onto every subset a list
+of subsets per kernel call (its superposed) and compared with the common
+operators of that call's subsets in one pass, without an operator per
+subset.
 
 Orthonormality is the same Psi with no party kept: its reduction onto the
 ancilla alone has entry (s, t) = <psi_t|psi_s>, and an exact reduction
@@ -70,9 +74,10 @@ from .states import (
     SparseOperator,
     _Purified,
     _complex,
-    _floats,
+    _differences,
     _from_arrays,
     _maximally_mixed,
+    _stacked,
     inner_product,  # noqa: F401 -- public through this module too
     load_state,
     save_state,
@@ -202,11 +207,15 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     as their common operator.  Each kernel call over the subsets left
     gives every block (s, t) of each subset as a segment: segment (0, 0)
     is the subset's common operator, and an exact call passes an (s, s)
-    that is the same operator and an (s, t) that is empty without
-    building either.  With samples > 0 a seeded
+    that is the same operator and an (s, t) that is empty from its arrays.
+    The segments left are read off those arrays too, never built as
+    operators: each (s, s) left is compared with its (0, 0) in one
+    _differences pass per call, and each (s, t) left reports its largest
+    entry.  With samples > 0 a seeded
     sanity pass additionally prepares that many random input superpositions
     and compares each of their k-party reductions against the common one in
-    float arithmetic; the exact criterion never depends on it.  Float
+    float arithmetic, one _differences pass per kernel call of a sample;
+    the exact criterion never depends on it.  Float
     deviations, cross terms and inner products pass within FLOAT_TOL.
     """
     if not 0 <= k <= m.N:
@@ -227,15 +236,18 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     for subsets in psi.undecided(k):
         red = psi.reductions(subsets)
         common.update((subset, red.operator(j)) for j, subset in enumerate(subsets))
-        for j, cross, s, t in np.argwhere(red.left(red.same_as_first).reshape(-1, 1, K, K) & kinds).tolist():
-            rho = red.operator(j, s, t)
-            if cross:
-                # abs() of each stored value, as np.hypot gives it, then the
-                # denominator, 1 for a float block
-                R, x, y = _floats(rho.r_ket * rho.r_bra, rho.re, rho.im)
-                delta = float(np.max(np.hypot(x, y), initial=0.0)) / math.sqrt(R)
-            else:
-                delta = rho.deviation(common[subsets[j]])
+        left = red.left(red.same_as_first).reshape(-1, 1, K, K) & kinds
+        # each segment left, (j, s, s) against (j, 0, 0) and (j, s, t) by its
+        # largest entry, read off the call's arrays
+        deltas = np.zeros(len(left) * K * K)
+        same, apart = (np.flatnonzero(left[:, c]) for c in (0, 1))
+        if len(same):
+            deltas[same] = _differences(m.d, red.segments(same), red.segments(same // K**2 * K**2))
+        if len(apart):
+            deltas[apart] = red.largest(apart)
+        deltas = deltas.tolist()
+        for j, cross, s, t in np.argwhere(left).tolist():
+            delta = deltas[(j * K + s) * K + t]
             max_dev = max(max_dev, delta)
             if psi.exact or delta > FLOAT_TOL:
                 what = "cross term does not vanish, max entry" if cross else "reduction differs from image 0 by"
@@ -253,11 +265,12 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
         for _ in range(samples):
             coeffs = rng.normal(size=m.d) + 1j * rng.normal(size=m.d)
             coeffs /= np.linalg.norm(coeffs)
-            for subset, rho in psi.superposed(coeffs, k):
-                delta = rho.deviation(common[subset])
-                max_dev = max(max_dev, delta)
-                if delta > FLOAT_TOL:
-                    failures.append((subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}"))
+            for subsets, red in psi.superposed(coeffs, k):
+                deltas = _differences(m.d, red.segments(), _stacked([common[subset] for subset in subsets]))
+                for subset, delta in zip(subsets, deltas.tolist()):
+                    max_dev = max(max_dev, delta)
+                    if delta > FLOAT_TOL:
+                        failures.append((subset, -1, -1, f"sampled superposition leaks, deviation {delta:.3e}"))
             samples_checked += 1
 
     verdict = "pass" if not failures else "fail"

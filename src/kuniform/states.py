@@ -385,14 +385,9 @@ class SparseOperator:
 
     def deviation(self, other: SparseOperator) -> float:
         """Largest entrywise |self - other| of the physical operators, taken
-        over the entries either one stores; every other entry is 0 in both.
-        np.abs gives the bits of the same difference of dense matrices."""
-        T = len(self.re)
-        pairs = np.concatenate([np.hstack([op.rows, op.cols]) for op in (self, other)])
-        _, slot = np.unique(_row_keys(pairs, self.d, _INT64_LIMIT)[0], return_inverse=True)
-        a, b = np.zeros((2, slot.max(initial=-1) + 1), dtype=complex)
-        a[slot[:T]], b[slot[T:]] = self._physical(), other._physical()
-        return float(np.max(np.abs(a - b), initial=0.0))
+        over the entries either one stores (_differences, on a block of
+        one)."""
+        return float(_differences(self.d, _stacked([self]), _stacked([other]))[0])
 
 
 def _physical(R: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -400,7 +395,15 @@ def _physical(R: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     complex(a, b) * (1 / sqrt(R)) product."""
     R, x, y = _floats(R, re, im)
     scale = 1.0 / math.sqrt(R)
-    return _complex(x * scale - y * 0.0, x * 0.0 + y * scale)
+    out = np.empty(x.shape, dtype=complex)
+    real, imag = out.real, out.imag
+    # x * scale - y * 0.0 and y * scale + x * 0.0, formed in place: x and y
+    # are _floats' own copies
+    np.multiply(x, scale, out=real)
+    np.multiply(y, scale, out=imag)
+    real -= np.multiply(y, 0.0, out=y)
+    imag += np.multiply(x, 0.0, out=x)
+    return out
 
 
 def _segment_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -417,6 +420,98 @@ def _segment_count(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The number of set entries of mask[starts[j] : starts[j + 1]] for each j."""
     cum = np.concatenate([[0], np.cumsum(mask)])
     return cum[starts[1:]] - cum[starts[:-1]]
+
+
+class _Segments(NamedTuple):
+    """Operators on one system as segments of shared arrays: segment j holds
+    the entries starts[j] : starts[j + 1] in lexicographic (row, column)
+    order, as a SparseOperator holds them, their values re + im i over
+    sqrt(R[j]), R[j] being r_ket r_bra, 1 for a float operator."""
+
+    rows: np.ndarray  # (entries, n_parties) int64
+    cols: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    starts: np.ndarray  # (segments + 1,) int64
+    R: list
+
+
+def _stacked(ops: list) -> _Segments:
+    """SparseOperators on one system as the segments of one block."""
+    starts = np.concatenate([[0], np.cumsum([len(op.re) for op in ops])])
+    parts = (np.concatenate([getattr(op, name) for op in ops]) for name in ("rows", "cols", "re", "im"))
+    return _Segments(*parts, starts, [op.r_ket * op.r_bra for op in ops])
+
+
+def _by_denominator(R: list, starts: np.ndarray):
+    """(value, segments, entries) for each distinct value of R: masks of
+    the segments over it and of their entries, both None when every
+    segment is."""
+    distinct = set(R)
+    if len(distinct) <= 1:
+        yield next(iter(distinct), 1), None, None
+        return
+    sizes = np.diff(starts)
+    for value in distinct:
+        segments = np.array([x == value for x in R])
+        yield value, segments, np.repeat(segments, sizes)
+
+
+def _segment_physical(seg: _Segments) -> np.ndarray:
+    """Each entry's physical value, with the bits _physical gives it over
+    its segment's denominator."""
+    out = None
+    for R, _, on in _by_denominator(seg.R, seg.starts):
+        if on is None:
+            return _physical(R, seg.re, seg.im)
+        if out is None:
+            out = np.empty(len(seg.re), dtype=complex)
+        out[on] = _physical(R, seg.re[on], seg.im[on])
+    return out
+
+
+def _entry_keys(d: int, first: _Segments, second: _Segments) -> tuple:
+    """Keys of both blocks' entries by segment, row and column: equal
+    exactly when two entries of one segment index share row and column, and
+    ascending within each block, its entries being in order.  Radix keys
+    while every key fits int64, the ids of the distinct (segment, row,
+    column) rows of one np.unique otherwise."""
+    k, n, sides = first.rows.shape[1], len(first.starts) - 1, (first, second)
+    segs = [np.repeat(np.arange(n), np.diff(side.starts)) for side in sides]
+    if n * d ** (2 * k) <= _INT64_LIMIT:
+        size, place = d**k, d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        return tuple((seg * size + side.rows @ place) * size + side.cols @ place for seg, side in zip(segs, sides))
+    every = np.vstack([np.hstack([seg[:, None], side.rows, side.cols]) for seg, side in zip(segs, sides)])
+    ids = np.unique(every, axis=0, return_inverse=True)[1].reshape(-1)
+    return ids[: len(segs[0])], ids[len(segs[0]) :]
+
+
+def _differences(d: int, first: _Segments, second: _Segments) -> np.ndarray:
+    """The largest entrywise |a - b| of each segment j, a its operator in
+    first and b in second, over the entries either one stores: every other
+    entry is 0 in both.  The values are _physical's, and np.abs gives the
+    bits of the same difference of dense matrices; two empty segments give
+    0.0, and NaN propagates.
+
+    Each entry of first finds its match in second, whose keys ascend, by
+    one np.searchsorted (_entry_keys).  The matched values of first are
+    put at their slots of second, which alone are differenced, and the
+    entries that first alone stores are a - 0, that is a itself."""
+    ka, kb = _entry_keys(d, first, second)
+    TB = len(kb)
+    slot = np.searchsorted(kb, ka)
+    alone = np.take(kb, slot, mode="clip") != ka if TB else np.ones(len(ka), dtype=bool)
+    del ka, kb
+    a = _segment_physical(first)
+    dev = _segment_max(np.abs(a[alone]), np.searchsorted(np.flatnonzero(alone), first.starts))
+    # the entries of first alone land on a spare slot past second's
+    slot[alone] = TB
+    diff = np.zeros(TB + 1, dtype=complex)
+    diff[slot] = a
+    del a, slot, alone
+    diff = diff[:TB]
+    diff -= _segment_physical(second)
+    return np.maximum(dev, _segment_max(np.abs(diff), second.starts), out=dev)
 
 
 # an exact operator's entries whose squared distances, on the scale r dim,
@@ -909,6 +1004,40 @@ class _Reductions:
         parts = self.rows, self.cols, self.diagonal, self.re, self.im
         return _sparse(self.d, *(x[at] for x in parts), self.r[s], self.r[t], self.exact)
 
+    def _gathered(self, ids: np.ndarray) -> tuple:
+        """The entries of segments ids, in order, and where each starts
+        among them; with each segment's denominator r_s r_t."""
+        K = len(self.r)
+        lo, size = self.starts[ids], self.starts[ids + 1] - self.starts[ids]
+        starts = np.concatenate([[0], np.cumsum(size)])
+        at = np.repeat(lo - starts[:-1], size) + np.arange(starts[-1])
+        R = [self.r[s] * self.r[t] for s, t in zip(*(x.tolist() for x in np.divmod(ids % K**2, K)))]
+        return at, starts, R
+
+    def segments(self, ids: np.ndarray | None = None) -> _Segments:
+        """Segments ids of the call, for _differences; by default every
+        segment of a state's call, its reductions onto the subsets."""
+        if ids is None:
+            (r,) = self.r
+            return _Segments(self.rows, self.cols, self.re, self.im, self.starts, [r * r] * (len(self.starts) - 1))
+        at, starts, R = self._gathered(ids)
+        return _Segments(self.rows[at], self.cols[at], self.re[at], self.im[at], starts, R)
+
+    def largest(self, ids: np.ndarray) -> np.ndarray:
+        """The largest |value| of each of segments ids, 0.0 for an empty
+        one: abs() of each stored numerator or float, as np.hypot gives it,
+        over the segment's sqrt(r_s r_t)."""
+        at, starts, R = self._gathered(ids)
+        out = np.empty(len(ids))
+        for value, segments, on in _by_denominator(R, starts):
+            if on is None:
+                segments, entries, within = slice(None), at, starts
+            else:
+                entries, within = at[on], np.concatenate([[0], np.cumsum(np.diff(starts)[segments])])
+            scale, x, y = _floats(value, self.re[entries], self.im[entries])
+            out[segments] = _segment_max(np.hypot(x, y), within) / math.sqrt(scale)
+        return out
+
     def _block(self) -> tuple:
         return self.d**self.k, self.starts, self.diagonal, self.re, self.im
 
@@ -1325,11 +1454,13 @@ class _Purified:
         return self.member, x, y, np.argsort(order)[inv], idx[first[order]]
 
     def superposed(self, coeffs: np.ndarray, k: int):
-        """(S, reduction onto S) for every k-subset S in lexicographic order,
+        """(subsets, reductions) for the k-subsets in lexicographic order,
         of sum_s coeffs[s] |psi_s> in floats, its terms added member by
-        member in order; one kernel call per list of subsets sized by
-        _call_width.  It is reduced as encoded: a superposition of members
-        that are orthonormal within FLOAT_TOL need not meet NORM_TOL."""
+        member in order: one kernel call per list of subsets sized by
+        _call_width, whose segment j is the reduction onto subset j, read
+        off its arrays and never built as an operator.  It is reduced as
+        encoded: a superposition of members that are orthonormal within
+        FLOAT_TOL need not meet NORM_TOL."""
         member, x, y, slot, support = self._terms
         cx, cy = coeffs.real[member], coeffs.imag[member]
         re, im = np.zeros(len(support)), np.zeros(len(support))
@@ -1338,9 +1469,7 @@ class _Purified:
         keep = (re != 0) | (im != 0)
         e = _Encoded(support[keep], re[keep], im[keep], None)
         for subsets in _in_blocks(combinations(range(self.N), k), _call_width(e)):
-            red = _reduce(e, subsets, self.d)
-            for j, subset in enumerate(subsets):
-                yield subset, red.operator(j)
+            yield subsets, _reduce(e, subsets, self.d)
 
 
 def reduction(state: PureState, parties) -> SparseOperator:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -323,6 +324,103 @@ def test_passing_segments_build_no_operators(monkeypatch):
     reduced.clear(), built.clear()
     assert verify_pure_qecc(m.images, 3).verdict == "pass"
     assert len(reduced) == 11 and built == []
+
+
+def _no_deviation(self, other):
+    raise AssertionError("deviation read through an operator")
+
+
+def test_failures_and_samples_build_no_operators(monkeypatch):
+    """Deviations and cross magnitudes are read off each call's arrays: a
+    failing masker builds the common operator of each subset it reduces
+    and nothing more, and a passing one with samples builds none per
+    sample; neither calls SparseOperator.deviation.  The ame_6_2 split
+    leaves all 10 subsets at k = 3 to the kernel, and fails on each."""
+    m = qubit_masker()
+    reduced = _record(monkeypatch, states_module._Purified, "reductions", each=1)
+    built = _record(monkeypatch, states_module, "_sparse")
+    monkeypatch.setattr(states_module.SparseOperator, "deviation", _no_deviation)
+    report = verify_masker(m, 3)
+    assert report.verdict == "fail" and len(reduced) == 10
+    assert {f[0] for f in report.failures} == set(report.common)
+    assert len(built) == len(report.common) == 10
+    reduced.clear(), built.clear()
+    report = verify_masker(m, 2, samples=3)
+    assert report.verdict == "pass" and report.samples_checked == 3
+    assert len(built) == len(reduced) == 10
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "mixed"])
+def test_deviations_keep_to_their_calls(mode):
+    """Segments of different kernel calls and of different (s, t) kinds are
+    never mixed: with calls and pair blocks of one subset and one pair
+    (oa._COUNT_BLOCK = 1), of seven pairs, or at their usual size, a
+    four-image masker gives the per-pair oracle's report, max_deviation bit
+    for bit, at k = 2, where it passes and samples run, and at k = 3, where
+    it fails; so does the masker with one term of image 1 times i, which
+    fails at both.  The images are those of the 3-uniform state on six
+    parties of dimension 4, each with a sixth party in (|0> + |1>) / sqrt 2,
+    so that the common operators differ from subset to subset."""
+    source = build_masker(construct_k_uniform(3, 4, 6, verify=False), split_party=0, k=2).images
+    images = [
+        PureState(N=6, d=4, amplitudes={idx + (x,): amp for idx, amp in s.amplitudes.items() for x in (0, 1)}, r=2 * s.r)
+        for s in source
+    ]
+    idx, (a, b) = next(iter(images[1].amplitudes.items()))
+    phased = PureState(N=6, d=4, amplitudes={**images[1].amplitudes, idx: (-b, a)}, r=images[1].r)
+    for family, passes in [(images, True), ([images[0], phased, *images[2:]], False)]:
+        if mode == "float":
+            family = [_float_copy(s) for s in family]
+        elif mode == "mixed":
+            family = [_float_copy(family[0])] + family[1:]
+        m = Masker(d=4, N=6, images=family)
+        for k, samples in [(2, 0), (2, 2), (3, 0), (3, 2)]:
+            want = oracle_verify_masker(m, k, samples=samples, seed=5)
+            assert want.verdict == ("pass" if passes and k == 2 else "fail")
+            for block in (1, 7, oa_module._COUNT_BLOCK):
+                with pytest.MonkeyPatch.context() as env:
+                    env.setattr(oa_module, "_COUNT_BLOCK", block)
+                    report = verify_masker(m, k, samples=samples, seed=5)
+                assert report == want and report.max_deviation.hex() == want.max_deviation.hex()
+
+
+def test_walk_sized_differences_peak_within_their_arrays():
+    """One walk-sized reader call on the failing (s, s) blocks of the
+    four-image masker split off the 3-uniform state on six parties of
+    dimension 4, at k = 3, all ten subsets in one kernel call,
+    peaks within the arrays its design holds, for E entries in its two
+    blocks and U in their union:
+
+    - matching: both blocks' keys, and the slot of each entry of the first
+      with the key found there, 8 bytes each, 2 E as the blocks are of one
+      size here, and a one-byte mask;
+    - values: one block's two float parts and complex values, 32 bytes an
+      entry of at most U, beside the first's slots and mask or the complex
+      differences on the second's slots, 16 bytes an entry of at most U;
+    - a few arrays per segment, within 4 KiB at 30 segments.
+
+    The stages do not overlap, so 8 bytes times 2 E + 6 U (union keys,
+    slots, unique keys, two complex value arrays and magnitudes), plus
+    4 KiB, bounds both."""
+    m = build_masker(construct_k_uniform(3, 4, 6, verify=False), split_party=0, k=2)
+    psi = states_module._Purified(m.images)
+    K, (subsets,) = psi.K, list(psi.undecided(3))
+    red = psi.reductions(subsets)
+    left = red.left(red.same_as_first).reshape(-1, K, K) & np.diag(np.arange(K) > 0)
+    same = np.flatnonzero(left)
+    first, second = red.segments(same), red.segments(same // K**2 * K**2)
+    states_module._differences(m.d, first, second)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dev = states_module._differences(m.d, first, second)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    E = len(first.re) + len(second.re)
+    U = len(np.union1d(*states_module._entry_keys(m.d, first, second)))
+    assert (len(subsets), len(same), len(first.re), len(second.re)) == (10, 30, 6240, 6240)
+    assert (dev > 0).all() and peak <= 8 * (2 * E + 6 * U) + 4096
 
 
 def _scaled(state: PureState) -> PureState:

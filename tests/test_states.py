@@ -1595,6 +1595,43 @@ def test_sparse_operator_matches_dict_oracle(case):
     assert op == ref.sparse() and (op == other.sparse()) == (ref == other)
 
 
+@st.composite
+def operator_pairs(draw):
+    """Blocks of (a, b) DictOperator pairs on one system, one segment each:
+    exact pairs over unequal denominators, float pairs and mixed ones.  b
+    stores some of a's keys, with a's value or its own, and keys of its
+    own, so that entries are stored by both sides or by one; either side
+    may store nothing."""
+    n, d = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2, 3)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        a, b = draw(dict_operators(n, d)), draw(dict_operators(n, d))
+        value = st.tuples(*[st.integers(-6, 6)] * 2) if b.exact else st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+        shared = {}
+        for key in draw(st.lists(st.sampled_from(sorted(a.entries)), unique=True)) if a.entries else []:
+            keep = a.exact == b.exact and draw(st.booleans())
+            shared[key] = a.entries[key] if keep else draw(value)
+        b = dataclasses.replace(b, entries=dict(sorted({**b.entries, **shared}.items())))
+        empty = draw(st.sampled_from(("", "a", "b")))
+        a = dataclasses.replace(a, entries={}) if empty == "a" else a
+        b = dataclasses.replace(b, entries={}) if empty == "b" else b
+        pairs.append((a, b))
+    return pairs
+
+
+@settings(max_examples=300)
+@given(pairs=operator_pairs(), limit=st.sampled_from((states_module._INT64_LIMIT, 1)))
+def test_differences_match_the_dense_oracle(pairs, limit):
+    """The segmented reader gives each pair's largest entrywise |a - b|
+    with the bits of the dense matrices' difference, over radix keys or,
+    with no key range, over the ids of one np.unique."""
+    d = pairs[0][0].d
+    first, second = (states_module._stacked([op.sparse() for op in side]) for side in zip(*pairs))
+    with mock.patch.object(states_module, "_INT64_LIMIT", limit):
+        got = states_module._differences(d, first, second)
+    assert [x.hex() for x in got.tolist()] == [oracle_deviation(a, b).hex() for a, b in pairs]
+
+
 def _record_calls(monkeypatch, name: str, each: int | None = None) -> list:
     """The argument tuples of every call of states.<name>, or, with `each`
     set, the elements of argument `each` of every call, one entry per
