@@ -17,22 +17,16 @@ enforces that every listed representative of a grouped row agrees.
 from __future__ import annotations
 
 import functools
-import importlib.resources
-import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .codes import direct_sum, mds_code
+from . import facts
 from .errors import CatalogError, ConstructionUnavailable, KuniformError
+from .facts import fact_table_version
 from .gf import field_for_order, is_prime, is_prime_power
-from .oa import oa_from_code, trim_to_iroa
-from .states import (
-    PureState,
-    ghz,
-    load_bundled_state,
-    state_from_iroa,
-    tensor_parties,
-    verify_k_uniform,
-)
+
+if TYPE_CHECKING:
+    from .states import PureState
 
 SCHMIDT_CITATION = (
     "bipartite Schmidt bound: no pure state is k-uniform for k > floor(N/2)"
@@ -73,29 +67,6 @@ class ExistenceVerdict:
 # -- fact table -------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _fact_table() -> tuple[str, tuple[dict, ...]]:
-    path = importlib.resources.files("kuniform.data") / "facts.json"
-    try:
-        data = json.loads(path.read_text())
-        version = data["version"]
-        facts = tuple(data["facts"])
-        for entry in facts:
-            if entry["status"] not in ("Exists", "NotExists"):
-                raise ValueError(f"bad status {entry['status']!r}")
-            if not isinstance(entry["k"], int):
-                raise ValueError("fact k must be an integer")
-            if not isinstance(entry["citation"], str):
-                raise ValueError("fact citation must be a string")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CatalogError(f"fact table is corrupt: {exc}") from exc
-    return version, facts
-
-
-def fact_table_version() -> str:
-    return _fact_table()[0]
-
-
 def _matches(matcher: dict, value: int) -> bool:
     if "min" in matcher and value < matcher["min"]:
         return False
@@ -115,7 +86,7 @@ def _matches(matcher: dict, value: int) -> bool:
 def facts_for(k: int, d: int, N: int) -> list[tuple[str, str]]:
     """All (status, citation) pairs whose matchers cover (k, d, N)."""
     found = []
-    for entry in _fact_table()[1]:
+    for entry in facts.fact_table()[1]:
         if entry["k"] == k and _matches(entry["d"], d) and _matches(entry["N"], N):
             found.append((entry["status"], entry["citation"]))
     return found
@@ -196,6 +167,10 @@ def _nearest_rule(k: int, d: int, N: int) -> str:
 
 def execute_recipe(recipe: dict) -> PureState:
     """Build the state a recipe describes.  Raises on malformed input."""
+    from .codes import direct_sum, load_bundled_code, mds_code
+    from .oa import oa_from_code, trim_to_iroa
+    from .states import ghz, load_bundled_state, state_from_iroa, tensor_parties
+
     rule = recipe.get("rule")
     if rule == "ghz":
         return ghz(recipe["N"], recipe["d"])
@@ -212,8 +187,6 @@ def execute_recipe(recipe: dict) -> PureState:
             code = part if code is None else direct_sum(code, part)
         return state_from_iroa(oa_from_code(code), k)
     if rule == "bundled_code_trim":
-        from .codes import load_bundled_code
-
         k = recipe["k"]
         A = oa_from_code(load_bundled_code(recipe["name"]))
         return state_from_iroa(trim_to_iroa(A, k, recipe["N"]), k)
@@ -249,6 +222,8 @@ def construct_k_uniform(
         )
     state = execute_recipe(recipe)
     if verify:
+        from .states import verify_k_uniform
+
         report = verify_k_uniform(state, k)
         if not report:
             raise KuniformError(

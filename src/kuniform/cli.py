@@ -10,27 +10,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
-from . import __version__, catalog, masking, oa, states
-from .codes import (
-    direct_sum,
-    dual_distance,
-    is_self_dual,
-    load_code,
-    min_distance,
-    mds_code,
-    save_code,
-)
+from . import __version__
 from .errors import KuniformError
-from .gf import field_for_order
 
 
 def _digest(path: str | Path) -> str:
+    import hashlib
+
     path = Path(path)
     if path.is_dir():
         h = hashlib.sha256()
@@ -90,10 +81,13 @@ def _int_spec(text: str) -> list[int]:
 
 
 # -- handlers ----------------------------------------------------------------
-# each returns (ok, inputs, details, text)
+# each returns (ok, inputs, details, text), and imports only the layers it
+# calls, so that a command starts without compiling the others
 
 
 def _cmd_construct_kuniform(args):
+    from . import catalog, states
+
     verdict = catalog.exists_k_uniform(args.k, args.d, args.N)
     state = catalog.construct_k_uniform(args.k, args.d, args.N)
     details = {
@@ -112,6 +106,8 @@ def _cmd_construct_kuniform(args):
 
 
 def _cmd_construct_ghz(args):
+    from . import states
+
     state = states.ghz(args.N, args.d)
     details = {"N": args.N, "d": args.d, "r": state.r, "terms": state.num_terms}
     if args.output:
@@ -121,6 +117,9 @@ def _cmd_construct_ghz(args):
 
 
 def _cmd_construct_mds(args):
+    from .codes import mds_code, min_distance, save_code
+    from .gf import field_for_order
+
     C = mds_code(field_for_order(args.q), args.t)
     details = {
         "q": args.q,
@@ -135,6 +134,9 @@ def _cmd_construct_mds(args):
 
 
 def _cmd_construct_oa(args):
+    from . import oa
+    from .codes import load_code
+
     C = load_code(args.code)
     A = oa.oa_from_code(C)
     if args.trim is not None:
@@ -147,8 +149,11 @@ def _cmd_construct_oa(args):
 
 
 def _cmd_verify_state(args):
+    from . import states
+
     state = states.load_state(args.file)
-    report = states.verify_k_uniform(state, args.k, tol=args.tol)
+    tol = states.FLOAT_TOL if args.tol is None else args.tol
+    report = states.verify_k_uniform(state, args.k, tol=tol)
     details = {
         "N": state.N,
         "d": state.d,
@@ -165,6 +170,8 @@ def _cmd_verify_state(args):
 
 
 def _cmd_verify_oa(args):
+    from . import oa
+
     A = oa.load_oa(args.file)
     strength_ok = oa.verify_strength(A, args.k)
     dist = oa.oa_min_distance(A)
@@ -185,6 +192,8 @@ def _cmd_verify_oa(args):
 
 
 def _cmd_verify_code(args):
+    from .codes import dual_distance, is_self_dual, load_code, min_distance
+
     C = load_code(args.file)
     w = min_distance(C)
     w_dual = dual_distance(C)
@@ -200,6 +209,8 @@ def _cmd_verify_code(args):
 
 
 def _cmd_compose_tensor(args):
+    from . import states
+
     first = states.load_state(args.first)
     second = states.load_state(args.second)
     state = states.tensor_parties(first, second)
@@ -215,6 +226,8 @@ def _cmd_compose_tensor(args):
 
 
 def _cmd_compose_direct_sum(args):
+    from .codes import direct_sum, load_code, save_code
+
     C = direct_sum(load_code(args.first), load_code(args.second))
     details = {"q": C.q, "n": C.N, "t": C.t}
     if args.output:
@@ -228,6 +241,8 @@ def _cmd_compose_direct_sum(args):
 
 
 def _cmd_mask_build(args):
+    from . import masking, states
+
     state = states.load_state(args.state)
     masker = masking.build_masker(state, args.split, args.k)
     masking.save_masker(masker, args.output)
@@ -243,6 +258,8 @@ def _cmd_mask_build(args):
 
 
 def _cmd_mask_verify(args):
+    from . import masking
+
     masker = masking.load_masker(args.dir)
     report = masking.verify_masker(masker, args.k, samples=args.samples, seed=args.seed)
     details = {
@@ -262,6 +279,8 @@ def _cmd_mask_verify(args):
 
 
 def _cmd_qecc_verify(args):
+    from . import masking, states
+
     basis = [states.load_state(path) for path in args.files]
     report = masking.verify_pure_qecc(basis, args.delta)
     details = {
@@ -281,6 +300,8 @@ def _cmd_qecc_verify(args):
 
 
 def _cmd_table(args):
+    from . import catalog
+
     grid = catalog.emit_table(args.k, args.d, args.N)
     text = grid.to_text() if args.format == "text" else None
     return True, {}, grid.to_json(), text
@@ -330,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_s = vsub.add_parser("state")
     v_s.add_argument("file")
     v_s.add_argument("--k", type=_nonnegative, required=True)
-    v_s.add_argument("--tol", type=_tolerance, default=states.FLOAT_TOL, help="deviation allowed to float states")
+    v_s.add_argument("--tol", type=_tolerance, help="deviation allowed to float states")
     v_s.set_defaults(handler=_cmd_verify_state)
     v_o = vsub.add_parser("oa")
     v_o.add_argument("file")
@@ -400,7 +421,10 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), None
     try:
+        from .facts import fact_table_version
+
         ok, inputs, details, text = args.handler(args)
+        fact_table = fact_table_version()
     except (KuniformError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
@@ -410,7 +434,7 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
         "inputs": inputs,
         "verdict": "pass" if ok else "fail",
         "versions": {
-            "fact_table": catalog.fact_table_version(),
+            "fact_table": fact_table,
             "tool": __version__,
         },
     }

@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 import kuniform
-from kuniform import cli
+from kuniform import cli, facts
+from kuniform import states as states_module
 from kuniform.cli import _int_spec, main, run
+from kuniform.codes import mds_code
+from kuniform.errors import CatalogError
+from kuniform.gf import field_for_order
 from kuniform.masking import Masker, build_masker, save_masker
+from kuniform.oa import oa_from_code, save_oa
 from kuniform.states import PureState, from_vector, ghz, load_bundled_state, save_state
 
 
@@ -386,16 +391,18 @@ def test_main_returns_exit_code():
     assert main(["bogus"]) == 2
 
 
-def _run_cli_process(argv):
+def _run_cli_process(argv, command=None):
     """Run the CLI as a child process against the package under test.
 
-    Uses this interpreter's installed ``kuniform`` console script when there is
-    one, else ``python -m kuniform``. The source root of the imported package
-    goes first on the child's PYTHONPATH, since a relative entry such as
-    ``src`` would not resolve from another working directory.
+    Uses `command` when given, else this interpreter's installed ``kuniform``
+    console script when there is one, else ``python -m kuniform``. The source
+    root of the imported package goes first on the child's PYTHONPATH, since a
+    relative entry such as ``src`` would not resolve from another working
+    directory.
     """
-    script = shutil.which("kuniform", path=sysconfig.get_path("scripts"))
-    command = [script] if script else [sys.executable, "-m", "kuniform"]
+    if command is None:
+        script = shutil.which("kuniform", path=sysconfig.get_path("scripts"))
+        command = [script] if script else [sys.executable, "-m", "kuniform"]
     source_root = str(Path(kuniform.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONIOENCODING="utf-8")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -422,3 +429,90 @@ def test_console_script_declaration():
         target = tomllib.load(fh)["project"]["scripts"]["kuniform"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+# A fresh interpreter that runs the CLI on its arguments, then writes the
+# names of the modules it loaded to stderr as its last line.
+_MODULES_DRIVER = (
+    "import sys\n"
+    "from kuniform.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, capsys):
+    state = str(tmp_path / "ghz.state")
+    save_state(ghz(3, 2), state)
+    array = str(tmp_path / "mds.oa")
+    save_oa(oa_from_code(mds_code(field_for_order(4), 2)), array)
+    masker = str(tmp_path / "m6")
+    save_masker(build_masker(load_bundled_state("ame_6_2"), split_party=0, k=2), masker)
+    def layers(*names):
+        return {f"kuniform.{name}" for name in names}
+
+    every = layers("catalog", "codes", "masking", "oa", "states")
+    cases = [
+        (["construct", "mds", "--q", "4", "--t", "2"], layers("catalog", "states", "oa", "masking") | {"hashlib"}),
+        (["table", "--k", "4", "--d", "2", "--N", "8..11"], layers("states", "oa", "masking", "codes")),
+        (["verify", "state", state, "--k", "1"], layers("masking", "catalog")),
+        (["verify", "oa", array, "--k", "2"], layers("states", "masking", "catalog")),
+        (["mask", "verify", masker, "--k", "2"], layers("catalog")),
+    ]
+    for argv, absent in cases:
+        code, _ = run(argv)
+        expected = capsys.readouterr().out
+        proc = _run_cli_process(argv, command=[sys.executable, "-c", _MODULES_DRIVER])
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == expected
+        loaded = set(proc.stderr.splitlines()[-1].split())
+        assert not absent & loaded, argv
+        # the layers the command runs are loaded, so the driver's list is real
+        assert every - absent <= loaded, argv
+
+
+@pytest.mark.parametrize("argv_of", [
+    lambda paths: ["construct", "mds", "--q", "4", "--t", "2"],
+    lambda paths: ["verify", "state", paths["state"], "--k", "3"],
+    lambda paths: ["mask", "verify", paths["masker"], "--k", "2"],
+    lambda paths: ["table", "--k", "4", "--d", "2", "--N", "8..11"],
+], ids=["construct-mds", "verify-state", "mask-verify", "table"])
+def test_a_corrupt_fact_table_fails_every_command_cleanly(tmp_path, capsys, monkeypatch, argv_of):
+    paths = {"state": str(tmp_path / "ame.state"), "masker": str(tmp_path / "m6")}
+    save_state(load_bundled_state("ame_6_2"), paths["state"])
+    save_masker(build_masker(load_bundled_state("ame_6_2"), split_party=0, k=2), paths["masker"])
+
+    def corrupt():
+        raise CatalogError("fact table is corrupt: no version")
+
+    monkeypatch.setattr(facts, "fact_table", corrupt)
+    assert run(argv_of(paths)) == (1, None)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: fact table is corrupt: no version\n"
+
+
+def test_tol_defaults_to_the_states_float_tolerance(tmp_path, capsys, monkeypatch):
+    # cos t |00> + sin t |11>, t = pi/4 + 5e-11: each one-party reduction
+    # deviates from I/2 by about 5e-11, between 1e-11 and FLOAT_TOL
+    t = np.pi / 4 + 5e-11
+    path = str(tmp_path / "tilted.state")
+    save_state(from_vector([np.cos(t), 0, 0, np.sin(t)], 2, 2), path)
+    argv = ["verify", "state", path, "--k", "1"]
+
+    def report_of(extra):
+        code, report = run(argv + extra)
+        out = capsys.readouterr().out
+        assert json.loads(out) == report
+        del report["command"]
+        return code, json.dumps(report, sort_keys=True, indent=2)
+
+    default = report_of([])
+    assert 1e-11 < json.loads(default[1])["details"]["max_deviation"] < states_module.FLOAT_TOL
+    assert default[0] == 0
+    assert report_of(["--tol", repr(states_module.FLOAT_TOL)]) == default
+    # the handler reads the tolerance at call time: cli keeps no copy of it
+    monkeypatch.setattr(states_module, "FLOAT_TOL", 1e-11)
+    code, report = report_of([])
+    assert code == 1 and json.loads(report)["details"]["verdict"] == "fail"
