@@ -6,11 +6,14 @@ distributions: the side of smaller dimension, C or its dual, is enumerated,
 and the other side follows from the MacWilliams transform.  Both are cached
 on the code at the first call of either: they are computed together and
 stored as two attributes, and nothing reads them between the two stores.
-Distances are never stored in code files.  code_of_rows recognises rows
-that are exactly a coset of a linear code; _read_coset, behind it, reads
-that code's weight distribution and short words off the same one read of
-the rows, with no enumeration, and its dual's distance off the MacWilliams
-transform.  _rref is the one row reduction.
+Distances are never stored in code files.  _read_coset recognises rows
+that are exactly a coset of an additive code, read over the base-p digits
+of GF(p^m) with integer arithmetic mod p alone, and reads that code's
+weight distribution and short words off the same one read of the rows,
+with no enumeration, and its dual's distance off the MacWilliams
+transform; code_of_rows, on top of it, answers when that code is
+GF(q)-linear.  _rref row-reduces over any field, through _rref_mod over a
+prime one, which _read_coset's _span also uses for odd p.
 """
 
 from __future__ import annotations
@@ -121,7 +124,10 @@ class ParityCheck:
 def _rref(F: FiniteField, M: np.ndarray, most: int | float = math.inf) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (reduced copy, pivot columns).
     Each pivot column is cleared from every other row in one array step.
-    It stops once it has more than `most` pivots, leaving the form partial."""
+    It stops once it has more than `most` pivots, leaving the form partial.
+    A prime field reduces as integers mod p (_rref_mod)."""
+    if F.m == 1:
+        return _rref_mod(F.p, M, most)
     R = np.array(M, dtype=np.int64)
     rows, cols = R.shape
     pivots: list[int] = []
@@ -138,6 +144,34 @@ def _rref(F: FiniteField, M: np.ndarray, most: int | float = math.inf) -> tuple[
         factors = F.neg_arr(R[:, c])
         factors[r] = 0
         R = F.add_arr(R, F.mul_arr(factors[:, None], R[r]))
+        pivots.append(c)
+    return R, pivots
+
+
+def _rref_mod(p: int, M: np.ndarray, most: int | float = math.inf) -> tuple[np.ndarray, list[int]]:
+    """_rref over GF(p), entries in [0, p), with int64 arithmetic mod p;
+    each pivot row is the one below with the largest entry in its column."""
+    R = np.array(M, dtype=np.int64)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows or r > most:
+            break
+        i = r + int(R[r:, c].argmax())
+        lead = int(R[i, c])
+        if not lead:
+            continue
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        row = R[r]
+        if lead != 1:
+            row *= pow(lead, -1, p)
+            row %= p
+        factors = R[:, c].copy()
+        factors[r] = 0
+        R -= np.multiply.outer(factors, row)
+        R %= p
         pivots.append(c)
     return R, pivots
 
@@ -349,93 +383,203 @@ def dual_distance(C: LinearCode) -> int | float:
 # recognising cosets of codes
 
 
-# rows in the strided sample that first grows _read_coset's basis and in its
-# first block; later blocks double up to _CHUNK_ROWS, so rows that are no
-# coset are usually refused early
+# rows in the strided sample that first grows _read_coset's basis
 _FIRST_ROWS = 64
+# the fractional part of the golden ratio, which spreads that sample
+_GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 def code_of_rows(q: int, rows) -> LinearCode | None:
-    """The linear code C whose coset rows[0] + C the rows are exactly, or
-    None when they are not one, as _read_coset decides.  C is returned with
-    its generator in reduced row echelon form; the rows are its codewords
+    """The GF(q)-linear code C whose coset rows[0] + C the rows are
+    exactly, or None when they are not one.  C is returned with its
+    generator in reduced row echelon form; the rows are its codewords
     translated by rows[0], in any order.
+
+    _read_coset reads the rows as a coset of an additive code A over the
+    base-p digits of GF(q) = GF(p^m), of dimension r over GF(p).  Its
+    basis rows, read back as symbols, span over GF(q) a code that holds A;
+    A is that code, and so GF(q)-linear, exactly when the span has
+    dimension r / m.  Rows that are a coset of an additive code only, as
+    when a GF(4)-linear coset is relabelled off the GF(4)-affine maps, give
+    None.
     """
     found = _read_coset(q, rows, 0)
-    return None if found is None else LinearCode(*found[:2])
+    if found is None:
+        return None
+    basis = found[0]
+    F = field_new(*is_prime_power(q))
+    symbols = basis.reshape(len(basis), basis.shape[1] // F.m, F.m) @ F._powers
+    R, pivots = _rref(F, symbols)
+    return LinearCode(F, R[: len(pivots)]) if len(pivots) * F.m == len(basis) else None
+
+
+def _span(p: int, words: np.ndarray, most: int) -> tuple[np.ndarray, list[int]]:
+    """(basis, pivots): the basis in reduced row echelon form over GF(p) of
+    the span of the rows of words, entries in [0, p), and its pivot
+    columns; it stops once the span has more than `most` dimensions,
+    leaving a partial basis of most + 1 rows.
+
+    Over GF(2) each row is one Python int, column 0 its highest bit, and
+    the rows join the basis one by one: a row is cleared by XOR at every
+    pivot it holds, and what is left, when not zero, is a new basis row,
+    which then clears its own pivot from the others.  Other primes use
+    _rref_mod, one column at a time.
+    """
+    if p != 2:
+        R, pivots = _rref_mod(p, words, most)
+        return R[: len(pivots)], pivots
+    S, W = words.shape
+    width = -(-W // 8)
+    packed = np.packbits(words.astype(np.uint8), axis=1).tobytes()
+    top = 8 * width - 1
+    basis: dict[int, int] = {}  # pivot bit -> row
+    for i in range(S):
+        x = int.from_bytes(packed[i * width : (i + 1) * width], "big")
+        for bit, row in basis.items():
+            if x >> bit & 1:
+                x ^= row
+        if not x:
+            continue
+        bit = x.bit_length() - 1
+        for other, row in basis.items():
+            if row >> bit & 1:
+                basis[other] = row ^ x
+        basis[bit] = x
+        if len(basis) > most:
+            break
+    bits = sorted(basis, reverse=True)
+    rows = b"".join(basis[bit].to_bytes(width, "big") for bit in bits)
+    R = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(len(bits), width), axis=1)[:, :W]
+    return R.astype(np.int64), [top - bit for bit in bits]
 
 
 def _read_coset(q: int, rows, w: int) -> tuple | None:
-    """(F, G, supports) when the rows are exactly a coset rows[0] + C of a
-    linear code C over F = GF(q), None otherwise.  G is C's generator in
-    reduced row echelon form; supports are the distinct supports, rows of a
-    (P, N) bool array, of C's nonzero words of weight at most w, or None
-    when dual(C) has such words too.
+    """(G, supports) when the rows are exactly a coset rows[0] + C of an
+    additive code C, None otherwise.  Each symbol of GF(q) = GF(p^m) is
+    read as its m base-p digits (gf's digit table; for prime q the digits
+    are the symbols), so C is an F_p-linear code of length N m, as every
+    GF(q)-linear code is.  G is C's generator over GF(p) in reduced row
+    echelon form, an (r, N m) array with p^r = T; supports are the distinct
+    supports, rows of a (P, N) bool array, of C's nonzero words of symbol
+    weight at most w, a word's support being the parties where any of its
+    digits is nonzero, or None when C's dual has such words too.
 
-    Exact: q must be a prime power within the field_order cap, and the T
-    rows must number q^t.  Each row is read once, in blocks of _FIRST_ROWS
-    rows, each next one twice as long up to _CHUNK_ROWS, never as one full
-    copy.  The differences from rows[0], first of a strided sample and then
-    of each block, grow the basis through _rref until its rank is t, so no
-    sample can miss a direction, and a rank above t refuses the rows.  Each
-    later block must then equal the combination of the basis that its
-    pivot entries name.  Distinct words of C differ in those entries, so
-    one count of their radix keys decides that all q^t rows are distinct,
-    hence the whole coset.  The same differences are C's words: their
-    weights give C's weight distribution, whose MacWilliams transform gives
-    dual(C)'s distance, and their supports the short words, with no
-    enumeration.
+    Exact: q must be a prime power within the field_order cap, the T rows
+    must number p^r with r at most N m, and N m (p - 1)^2 must be below
+    2^53, so that the parity products below are exact in floats.  The
+    digit differences from rows[0] of a strided sample give a basis
+    (_span), and a sample whose rank passes r refuses the rows at once.
+    Then every row is read once, in blocks of _CHUNK_ROWS rows, never as
+    one full digit copy: while the basis has rank below r a block grows it
+    and is held; once it has rank r, every row of every block must meet
+    its parity checks mod p, so every row lies in the coset.  Distinct
+    words of C differ in the pivot digits, so one count of their radix
+    keys decides that all p^r rows are distinct, hence the whole coset.
+
+    The same differences are C's words, read with no enumeration and no
+    GF(q) arithmetic: a word's support is where its row's symbols differ
+    from rows[0]'s, so the symbol weights give C's weight distribution,
+    whose MacWilliams transform over an alphabet of q symbols gives the
+    dual's distance (Delsarte), and the short words' supports come from
+    the same comparison.
     """
     rows = np.asarray(rows, dtype=np.int64)
     T, N = rows.shape
     pm = is_prime_power(q) if q <= get_cap("field_order") else None
     if pm is None or not T or not N:
         return None
-    t = 0
-    while q**t < T:
-        t += 1
-    if q**t != T or t > N:
+    (p, m), r = pm, 0
+    while p**r < T:
+        r += 1
+    if p**r != T or r > N * m or N * m * (p - 1) ** 2 >= 1 << 53:
         return None
-    F = field_new(*pm)
-    # a stride that p does not divide: in message order, rows a multiple of
-    # p apart can share their last message digit and so miss a direction
-    stride = -(-T // _FIRST_ROWS)
-    sample = rows[:: stride + (stride % F.p == 0)]
-    if sample.min() < 0 or sample.max() >= q:
-        return None
-    shift = F.neg_arr(rows[0])  # rows[0] is in the sample, so in range
-    basis, pivots = _rref(F, F.add_arr(sample, shift), t)
-    basis = basis[: len(pivots)]
-    radix = q ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    keys, counts, found, held = [], np.zeros(N + 1, dtype=np.int64), [], []
-    start, size = 0, min(_FIRST_ROWS, _CHUNK_ROWS)
-    while start < T and len(pivots) <= t:
-        block = rows[start : start + size]
-        start, size = start + size, min(2 * size, _CHUNK_ROWS)
+    table = field_new(p, m)._digits if m > 1 else None
+
+    def digits(block: np.ndarray) -> np.ndarray | None:
+        """The block's (B, N m) digits; None when a symbol is out of range."""
         if block.min() < 0 or block.max() >= q:
             return None
-        words = F.add_arr(block, shift)
-        if len(pivots) < t:
-            # rows that grow the basis lie in its span, and are keyed once
-            # its pivots are known
-            basis, pivots = _rref(F, np.vstack([basis, words]), t)
-            basis = basis[: len(pivots)]
-            held.append(words)
-            if len(pivots) != t:
-                continue
-            words = np.concatenate(held)
-        elif not np.array_equal(_matmul(F, words[:, pivots], basis), words):
-            return None
-        keys.append(words[:, pivots] @ radix)
-        weight = np.count_nonzero(words, axis=1)
-        counts += np.bincount(weight, minlength=N + 1)
-        found.append(words[(weight > 0) & (weight <= w)] != 0)
-    # a rank below t leaves some rows repeated
-    if len(pivots) != t or (np.bincount(np.concatenate(keys), minlength=T) != 1).any():
+        return block if m == 1 else table.take(block, axis=0).reshape(len(block), N * m)
+
+    # rows j s mod T for a stride s near T / golden ratio that p does not
+    # divide, so the _FIRST_ROWS rows are distinct: an even stride through
+    # rows in message or sorted order repeats message digits, and spans less
+    stride = round(T * _GOLDEN)
+    stride += stride % p == 0
+    sample = digits(rows[np.arange(min(_FIRST_ROWS, T)) * stride % T])
+    if sample is None:
         return None
-    if _first_nonzero(_macwilliams(counts.tolist(), q, f"coset of [{N},{t}]_{q}")) <= w:
-        return F, basis, None
-    return F, basis, np.unique(np.concatenate(found), axis=0)
+    # the sample starts with rows[0]: a word is a row's digits less its own
+    first = sample[0].astype(np.int64)
+    basis, pivots = _span(p, (sample - first) % p, r)
+    radix = p ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    keys, counts, found = [], np.zeros(N + 1, dtype=np.int64), []
+
+    def read(block: np.ndarray, block_digits: np.ndarray) -> bool:
+        """Whether every row of the block meets the parity checks, whose
+        syndromes are integers, exact in floats, divisible by p; then its
+        rows' keys, weights and short supports are kept.  Its arrays are
+        freed on return, before the next block is read."""
+        syndromes = block_digits @ checks
+        syndromes -= rest
+        syndromes /= p
+        if not (syndromes == np.rint(syndromes)).all():
+            return False
+        keys.append(block_digits[:, pivots] @ radix)
+        support = block != rows[0]
+        weight = support @ np.ones(N, dtype=np.intp)
+        np.add(counts, np.bincount(weight, minlength=N + 1), out=counts)
+        found.append(support[(weight > 0) & (weight <= w)])
+        return True
+
+    checks, held = None, []
+    for start in range(0, T, _CHUNK_ROWS):
+        if len(pivots) > r:
+            return None
+        block = rows[start : start + _CHUNK_ROWS]
+        block_digits = digits(block)
+        if block_digits is None:
+            return None
+        held.append((block, block_digits))
+        if len(pivots) < r:
+            basis, pivots = _span(p, np.vstack([basis, (block_digits - first) % p]), r)
+            if len(pivots) != r:
+                continue
+        if checks is None:
+            checks = _parity_checks(p, basis, pivots)
+            rest = first @ checks
+        if not all(read(*pair) for pair in held):
+            return None
+        held = []
+    # a rank below r leaves some rows repeated
+    if len(pivots) != r or (np.bincount(np.concatenate(keys), minlength=T) != 1).any():
+        return None
+    if _first_nonzero(_macwilliams(counts.tolist(), q, f"additive coset of {T} words of length {N} over GF({q})")) <= w:
+        return basis, None
+    short = np.concatenate(found)
+    if not len(short):
+        return basis, short
+    # distinct supports as byte strings, eight parties to a byte, which
+    # np.unique sorts as one field each
+    packed = np.packbits(short, axis=1)
+    width = packed.shape[1]
+    distinct = np.unique(packed.view(np.dtype((np.void, width)))[:, 0]).view(np.uint8).reshape(-1, width)
+    return basis, np.unpackbits(distinct, axis=1, count=N).astype(bool)
+
+
+def _parity_checks(p: int, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """The (W, W - r) float parity-check columns of the span of a reduced
+    row echelon basis over GF(p): a digit row x lies in the span exactly
+    when x times them is 0 mod p.  Free column j checks that x_j equals
+    the combination of the basis named by x's pivot entries."""
+    r, W = basis.shape
+    free = np.ones(W, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    checks = np.zeros((W, W - r))
+    checks[free, np.arange(W - r)] = 1
+    checks[pivots] = (p - basis[:, free]) % p
+    return checks
 
 
 # ---------------------------------------------------------------------------

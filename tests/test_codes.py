@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coset_oracle import oracle_coset, oracle_digits, oracle_linear_code
 from gf_oracle import oracle_add, oracle_mul
 from rref_oracle import oracle_rref
 
@@ -563,48 +565,73 @@ def test_code_of_rows_leaves_fields_above_the_cap_alone(monkeypatch):
     assert codes.code_of_rows(4, codeword_matrix(mds_code(F4, 2))) is not None
 
 
-def oracle_coset(q: int, rows: np.ndarray, w: int, field_cap: int):
-    """(G, supports) by brute force: the rows are a coset when they are T =
-    q^t distinct rows whose differences from rows[0], row-reduced all at
-    once by the oracle, span t dimensions; G is that reduction, and the
-    supports those of the enumerated nonzero words of weight at most w, as
-    a set, or None when dual_distance is at most w.  None for no coset."""
-    T, N = rows.shape
-    if q > field_cap or is_prime_power(q) is None or rows.min() < 0 or rows.max() >= q:
-        return None
-    if len({tuple(row) for row in rows.tolist()}) != T:
-        return None
-    t = next(t for t in range(T + 1) if q**t >= T)
-    F = field_for_order(q)
-    differences = np.array([[F.add(x, F.neg(y)) for x, y in zip(row, rows[0].tolist())] for row in rows.tolist()])
-    R, pivots = oracle_rref(F, differences.reshape(T, N))
-    if q**t != T or len(pivots) != t:
-        return None
-    C = LinearCode(F, R[:t])
-    words = brute_codewords(C)
-    assert words == {tuple(row) for row in differences.tolist()}
-    if dual_distance(C) <= w:
-        return R[:t], None
-    return R[:t], {tuple(x != 0 for x in word) for word in words if 0 < sum(x != 0 for x in word) <= w}
+def test_read_coset_peaks_within_its_block_and_row_arrays():
+    """One read of the 13^5 codewords of the [14,5]_13 extended
+    Reed-Solomon code, in six blocks of at most B = _CHUNK_ROWS rows,
+    peaks within the arrays its design holds, 8 bytes an entry:
+
+    - per row of a block, W = 14 digits (for prime q, the symbols) as
+      floats for the parity product and the W - r = 9 syndromes it makes;
+      the later stages hold less: the syndromes' rounding and its bool,
+      the r pivot digits and a key, or the N support bytes, their N
+      integers for the weights' product and a weight;
+    - per row of the call, T of them: the keys of the rows read, and at the
+      end their concatenation and their counts.
+
+    A block's arrays are freed before the next block is read."""
+    C = mds_code(field_new(13), 5)
+    rows = codeword_matrix(C)
+    (T, W), r, B = rows.shape, C.t, codes._CHUNK_ROWS
+    codes._read_coset(13, rows, 5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G, supports = codes._read_coset(13, rows, 5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (T, len(G), supports.shape) == (13**5, r, (0, W)) and -(-T // B) == 6
+    assert peak <= 8 * (B * (2 * W - r) + 3 * T) + 4096
 
 
-FAULTS = ("none", "symbol", "repeat", "relabel", "drop", "capped")
+FAULTS = ("none", "symbol", "repeat", "drop", "capped")
+
+
+@st.composite
+def digit_affine_maps(draw, q: int) -> np.ndarray:
+    """A permutation of the q symbols that is affine over their base-p
+    digits, x -> A x + b with A invertible over GF(p), as a lookup array."""
+    p, m = is_prime_power(q)
+    cells = st.lists(st.integers(0, p - 1), min_size=m * m, max_size=m * m)
+    A = draw(cells.map(lambda a: np.array(a, dtype=np.int64).reshape(m, m)).filter(lambda A: len(oracle_rref(field_new(p), A)[1]) == m))
+    b = np.array(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)), dtype=np.int64)
+    digits = oracle_digits(q, np.arange(q)[:, None])
+    return (digits @ A.T + b) % p @ p ** np.arange(m)
 
 
 @st.composite
 def coset_rows(draw):
     """(q, rows, w, fault): the codewords of a drawn [N, t]_q code, t = 0
     included, in message order (whose leading rows span less) or shuffled,
-    translated or not, then left whole or given one fault: a symbol changed
-    in the last row, a repeated row, one party's symbols relabelled by a
-    drawn permutation (affine or not), the last row dropped (T no power of
-    q), or a field_order cap below q."""
+    translated or not, and each party's symbols left alone or relabelled by
+    a drawn permutation: any one for q <= 4, where every permutation is
+    affine over the digits, and for larger q one affine over the digits or
+    any one.  Then left whole or given one fault: a symbol changed in the
+    last row, a repeated row, the last row dropped (T no power of p), or a
+    field_order cap below q."""
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
     C = draw(full_rank_codes(q))
     F, T, N = C.field, q**C.t, C.N
     rows = codeword_matrix(C)
     if draw(st.booleans()):
         rows = F.add_arr(rows, np.array(draw(st.lists(st.integers(0, q - 1), min_size=N, max_size=N)), dtype=np.int64))
+    relabel = draw(st.sampled_from(("none", "affine", "any")))
+    for j in range(N if relabel != "none" else 0):
+        if relabel == "affine" and q > 4:
+            perm = draw(digit_affine_maps(q))
+        else:
+            perm = np.array(draw(st.permutations(range(q))), dtype=np.int64)
+        rows[:, j] = perm[rows[:, j]]
     if draw(st.booleans()):
         rows = rows[np.array(draw(st.permutations(range(T))), dtype=np.int64)]
     fault = draw(st.sampled_from(FAULTS))
@@ -614,9 +641,6 @@ def coset_rows(draw):
     elif fault == "repeat" and T > 1:
         i, j = draw(st.lists(st.integers(0, T - 1), min_size=2, max_size=2, unique=True))
         rows[j] = rows[i]
-    elif fault == "relabel":
-        j = draw(st.integers(0, N - 1))
-        rows[:, j] = np.array(draw(st.permutations(range(q))), dtype=np.int64)[rows[:, j]]
     elif fault == "drop" and T > 1:
         rows = rows[:-1]
     return q, rows, draw(st.integers(0, N)), fault
@@ -625,21 +649,24 @@ def coset_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=coset_rows(), chunk=st.sampled_from((7, codes._CHUNK_ROWS)))
 def test_read_coset_matches_brute_force(case, chunk):
-    """_read_coset and code_of_rows against the oracle: the same generator
-    in reduced row echelon form, the same distinct short supports, None for
-    rows that are no coset, whatever the block size."""
+    """_read_coset and code_of_rows against the oracles: the same digit
+    generator in reduced row echelon form, the same distinct short
+    supports, and the same GF(q)-linear code, None for rows that are no
+    coset, whatever the block size."""
     q, rows, w, fault = case
     cap = q - 1 if fault == "capped" else 1 << 16
     want = oracle_coset(q, rows, w, cap)
     with mock.patch.dict(os.environ, {"KUF_CAPS": f"field_order={cap}"}), mock.patch.object(codes, "_CHUNK_ROWS", chunk):
         got = codes._read_coset(q, rows, w)
         C = codes.code_of_rows(q, rows)
+    want_C = oracle_linear_code(q, rows, cap)
+    assert (C is None) == (want_C is None) and (C is None or C == want_C)
     if want is None:
-        assert got is None and C is None
+        assert got is None and want_C is None
         return
     G, supports = want
-    F, G_got, supports_got = got
-    assert F.order == q and np.array_equal(G_got, G) and C == LinearCode(F, G)
+    G_got, supports_got = got
+    assert G_got.dtype == np.int64 and np.array_equal(G_got, G)
     if supports is None:
         assert supports_got is None
     else:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from coset_oracle import oracle_coset
 from reduction_oracle import (
     DictOperator,
     oracle_counting_passes,
@@ -783,6 +784,14 @@ def deviation_blocks(draw):
 
 
 @settings(max_examples=300)
+# the off-diagonal entry's squared distance on the scale r dim, (a dim)^2
+# + (b dim)^2, is 9 above the diagonal one's, (x dim - r)^2 + (y dim)^2,
+# yet their float formulas round the second one unit higher: only the
+# _NEAR_SHIFT margin takes both to floats
+@example(
+    block=(3, np.array([0, 2]), np.array([True, False]), np.array([401793335, 401793137]), np.array([200896568, 200896570]), 591),
+    other=0,
+)
 # |3 + 4i| * 2 off the diagonal ties |10 * 2 - 10| on it: both 0.5
 @example(block=(2, np.array([0, 2]), np.array([False, True]), np.array([3, 10]), np.array([4, 0]), 10), other=0)
 @example(block=(4, np.array([0, 0, 1, 1]), np.array([True]), np.array([1]), np.array([0]), 4), other=0)
@@ -891,6 +900,34 @@ def test_walk_sized_reduce_peaks_within_its_arrays():
         tracemalloc.stop()
     assert len(red.re) == 16038 and peak <= bound
 
+
+
+def test_walk_sized_counting_block_peaks_within_its_arrays():
+    """One walk-sized block of _counting_check, the first 22 5-subsets of
+    the 729-term phased 11-qutrit state (B T = 16038 keys, within
+    oa._COUNT_BLOCK), peaks within the arrays its design holds, 8 bytes an
+    entry:
+
+    - three arrays of B T at once: in _balanced the radix keys, the column
+      added to them and the counts of B d^k <= B T values; then the
+      complement keys and the product that takes one column of S out of
+      them, and its factor gathered from the columns;
+    - the call's row arrays, made at its first block: the (N, T) columns,
+      in int64 and in the keys' type, and the T full keys."""
+    state = phased_four_uniform()
+    e = states_module._Purified([state]).e
+    T, N = e.idx.shape
+    block = np.array(next(oa_module._in_blocks(combinations(range(N), 5), T)))
+    states_module._counting_check(e, state.d, 5)(block)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ok = states_module._counting_check(e, state.d, 5)(block)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(block), T) == (22, 729) and ok.any() and not ok.all()
+    assert peak <= 8 * (3 * len(block) * T + 2 * N * T + T) + 4096
 
 
 def test_half_form_readers_hold_within_their_arrays():
@@ -1302,6 +1339,23 @@ def test_largest_mds_trim_is_decided_by_its_code(monkeypatch):
     assert reduced == [] and asked == []
 
 
+def test_relabelled_gf4_cosets_are_read_over_their_digits(monkeypatch):
+    """Every relabelling of GF(4)'s symbols is affine over their two binary
+    digits, so a GF(4)-linear coset relabelled off the GF(4)-affine maps
+    is no GF(4)-linear coset but is still an additive one: the 4096-term
+    (4,4,11) state relabelled as the benchmark's inputs are is decided by
+    its code, with no counting and no kernel."""
+    reduced = _record_calls(monkeypatch, "_reduce", each=1)
+    asked = _record_counting(monkeypatch)
+    state = construct_k_uniform(4, 4, 11, verify=False)
+    rng = np.random.default_rng(4)
+    moved = transformed(state, rng.permutation(11).tolist(), [[0, 1, 3, 2]] + [rng.permutation(4).tolist() for _ in range(10)], [(1, 0)] * 4096)
+    assert code_of_rows(4, moved._idx) is None
+    report = verify_k_uniform(moved, 4)
+    assert (report.verdict, report.subsets_checked, report.failures, report.max_deviation) == ("pass", 330, [], 0.0)
+    assert reduced == [] and asked == []
+
+
 def test_code_stage_never_refuses_where_counting_passes(monkeypatch):
     """A field above the field_order cap, or a C-perp with words of weight
     at most k, leaves the state to counting.  C's words and both distances
@@ -1416,8 +1470,14 @@ def stack_cases(draw):
     """(family, k): a code_state_cases state, whole or split by its first
     j = 1 or 2 parties into a masker's or a pure code's family, and k one
     with d^(k + j) dividing its T terms.  Three in four states are intact
-    cosets, which the code stage decides when w(C-perp) > k + j."""
+    cosets, which the code stage decides when w(C-perp) > k + j; half of
+    those over GF(3) and GF(4) are then relabelled per party by any
+    permutation, which is affine over the digits, so they stay cosets of
+    an additive code."""
     state, _, _ = draw(code_state_cases(intact=draw(st.integers(0, 3)) > 0))
+    if state.d in (3, 4) and draw(st.booleans()):
+        perms = [draw(st.permutations(range(state.d))) for _ in range(state.N)]
+        state = transformed(state, range(state.N), perms, [(1, 0)] * state.num_terms)
     j = draw(st.sampled_from([j for j in (0, 1, 2) if state.N - j >= 2]))
     family = _split_rows(state, j) if j else [state]
     d, T = state.d, state.num_terms
@@ -1430,16 +1490,27 @@ def stack_cases(draw):
 # the state at k = 2 and, as the columns are parties 0 and 1, the split
 # family at k = 1 to counting
 EQUAL_COLUMNS = _coset_case(3, [[1, 1, 0, 1, 1], [0, 0, 1, 1, 2]], 2)[0]
+# a [4,3,2]_4 code, w-perp = 4, relabelled off the GF(4)-affine maps: its
+# weight-2 words leave the subsets that hold them at k = 2
+RELABELLED_GF4 = transformed(
+    _coset_case(4, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 1]], 2)[0],
+    range(4),
+    [[0, 1, 3, 2], [1, 0, 2, 3], [2, 3, 1, 0], [0, 2, 1, 3]],
+    [(1, 0)] * 64,
+)
 
 
 @settings(max_examples=150, derandomize=True)
 @given(case=stack_cases(), block=st.sampled_from((1, 7, oa_module._COUNT_BLOCK)))
 @example(case=([EQUAL_COLUMNS], 2), block=1)
 @example(case=(_split_rows(EQUAL_COLUMNS, 1), 1), block=1)
+@example(case=([RELABELLED_GF4], 2), block=7)
+@example(case=(_split_rows(RELABELLED_GF4, 1), 1), block=7)
 def test_code_stage_leaves_what_counting_leaves(case, block):
     """The subsets the code stage leaves are those counting leaves, in the
     same order, for states, maskers and codes alike; where C-perp has
-    words of weight at most k + m, counting decides."""
+    words of weight at most k + m, counting decides.  Whether the rows are
+    a coset, and its short supports, come from the brute-force oracle."""
     family, k = case
     psi = states_module._Purified(family)
     e, m = psi.e, psi.m
@@ -1450,7 +1521,7 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
     def recording(*args):
         found = read_coset(*args)
         if found is not None:
-            supports.append(found[2])
+            supports.append(found[1])
         return found
 
     with pytest.MonkeyPatch.context() as env:
@@ -1460,13 +1531,13 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
         got = list(psi.undecided(k))
         env.setattr(states_module, "_CODE_MIN_PAIRS", math.inf)
         assert got == list(psi.undecided(k))
-    C = code_of_rows(d, e.idx)
-    if states_module._counting_check(e, d, k + m) is None or C is None:
+    want = oracle_coset(d, e.idx, k + m, 1 << 16)
+    if states_module._counting_check(e, d, k + m) is None or want is None:
         assert supports == []
-    elif dual_distance(C) <= k + m:
+    elif want[1] is None:
         assert supports == [None]
     else:
-        assert len(supports) == 1 and supports[0] is not None
+        assert len(supports) == 1 and {tuple(x) for x in supports[0].tolist()} == want[1]
 
 
 @st.composite
@@ -1632,6 +1703,24 @@ def test_differences_match_the_dense_oracle(pairs, limit):
     assert [x.hex() for x in got.tolist()] == [oracle_deviation(a, b).hex() for a, b in pairs]
 
 
+@settings(max_examples=200)
+@given(pairs=operator_pairs(), data=st.data(), limit=st.sampled_from((states_module._INT64_LIMIT, 1)))
+def test_differences_read_shared_segments_by_index(pairs, data, limit):
+    """Segment j of the first block against segment of[j] of the second,
+    each of the second's stored once however many are compared with it,
+    as verify_masker compares each (s, s) with its subset's (0, 0): the
+    bits of the dense difference of every pairing."""
+    d = pairs[0][0].d
+    firsts, seconds = zip(*pairs)
+    of = data.draw(st.lists(st.integers(0, len(seconds) - 1), min_size=1, max_size=6))
+    chosen = [firsts[i % len(firsts)] for i in range(len(of))]
+    first = states_module._stacked([op.sparse() for op in chosen])
+    second = states_module._stacked([op.sparse() for op in seconds])
+    with mock.patch.object(states_module, "_INT64_LIMIT", limit):
+        got = states_module._differences(d, first, second, np.array(of))
+    assert [x.hex() for x in got.tolist()] == [oracle_deviation(a, seconds[j]).hex() for a, j in zip(chosen, of)]
+
+
 def _record_calls(monkeypatch, name: str, each: int | None = None) -> list:
     """The argument tuples of every call of states.<name>, or, with `each`
     set, the elements of argument `each` of every call, one entry per
@@ -1679,7 +1768,8 @@ def _scaled_example(big: int) -> PureState:
 TRIPLES = list(combinations(range(6), 3))
 SIX_70 = PureState(N=70, d=2, amplitudes={tuple(int(row in TRIPLES[j % 20]) for j in range(70)): (1, 0) for row in range(6)}, r=6)
 # ghz(16, 16) with the symbols 0 and 1 of party 0 swapped, which is not
-# affine over GF(16): no longer the coset of a code
+# affine over GF(16) nor over its binary digits: no longer the coset of a
+# code
 GHZ_16_SWAPPED = transformed(ghz(16, 16), range(16), [[1, 0, *range(2, 16)]] + [range(16)] * 15, [(1, 0)] * 16)
 
 
@@ -1710,7 +1800,7 @@ def test_counting_steps_aside(monkeypatch, state, k, counted):
     monkeypatch.setenv("KUF_CAPS", f"matrix_dim={10**4}")
     report = verify_k_uniform(state, k)
     assert len(reduced) == (0 if counted else report.subsets_checked)
-    if counted and code_of_rows(state.d, state._idx) is None:
+    if counted and oracle_coset(state.d, state._idx, 0, 1 << 16) is None:
         assert asked == list(combinations(range(state.N), k))
     # counts stay within one block, and no array of length d^k > T is made
     assert max(lengths, default=0) <= max(state.num_terms, oa_module._COUNT_BLOCK)
