@@ -242,13 +242,7 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
         deltas = np.zeros(len(left) * K * K)
         same, apart = (np.flatnonzero(left[:, c]) for c in (0, 1))
         if len(same):
-            heads, of = same // K**2 * K**2, None
-            if K > 2:
-                # each (j, 0, 0) is gathered once for the (j, s, s) left
-                # against it: same ascends, so a new subset starts a run
-                new = np.diff(heads, prepend=-1) > 0
-                heads, of = heads[new], np.cumsum(new) - 1
-            deltas[same] = _differences(m.d, red.segments(same), red.segments(heads), of)
+            deltas[same] = _differences(m.d, red.segments(same), red.segments(same // K**2 * K**2))
         if len(apart):
             deltas[apart] = red.largest(apart)
         deltas = deltas.tolist()

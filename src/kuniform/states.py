@@ -470,52 +470,34 @@ def _segment_physical(seg: _Segments) -> np.ndarray:
     return out
 
 
-def _spans(starts: np.ndarray, ids: np.ndarray) -> tuple:
-    """(at, within): the entries of segments ids of a block whose segment
-    j holds starts[j] : starts[j + 1], in order, and where each segment
-    starts among them."""
-    lo, size = starts[ids], starts[ids + 1] - starts[ids]
-    within = np.concatenate([[0], np.cumsum(size)])
-    return np.repeat(lo - within[:-1], size) + np.arange(within[-1]), within
-
-
-def _entry_keys(d: int, first: _Segments, second: _Segments, at=slice(None), within=None) -> tuple:
+def _entry_keys(d: int, first: _Segments, second: _Segments) -> tuple:
     """Keys of both blocks' entries by segment, row and column: equal
     exactly when two entries of one segment index share row and column, and
     ascending within each block, its entries being in order.  Radix keys
     while every key fits int64, the ids of the distinct (segment, row,
-    column) rows of one np.unique otherwise.  The second block's entries
-    are second's entries at, with segments starting at within (by default
-    second's own)."""
-    k, n = first.rows.shape[1], len(first.starts) - 1
-    within = second.starts if within is None else within
-    segs = [np.repeat(np.arange(n), np.diff(starts)) for starts in (first.starts, within)]
+    column) rows of one np.unique otherwise."""
+    k, n, sides = first.rows.shape[1], len(first.starts) - 1, (first, second)
+    segs = [np.repeat(np.arange(n), np.diff(side.starts)) for side in sides]
     if n * d ** (2 * k) <= _INT64_LIMIT:
         size, place = d**k, d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        ka = (segs[0] * size + first.rows @ place) * size + first.cols @ place
-        return ka, segs[1] * size * size + (second.rows @ place * size + second.cols @ place)[at]
-    sides = (first.rows, first.cols), (second.rows[at], second.cols[at])
-    every = np.vstack([np.hstack([seg[:, None], rows, cols]) for seg, (rows, cols) in zip(segs, sides)])
+        return tuple((seg * size + side.rows @ place) * size + side.cols @ place for seg, side in zip(segs, sides))
+    every = np.vstack([np.hstack([seg[:, None], side.rows, side.cols]) for seg, side in zip(segs, sides)])
     ids = np.unique(every, axis=0, return_inverse=True)[1].reshape(-1)
     return ids[: len(segs[0])], ids[len(segs[0]) :]
 
 
-def _differences(d: int, first: _Segments, second: _Segments, of: np.ndarray | None = None) -> np.ndarray:
+def _differences(d: int, first: _Segments, second: _Segments) -> np.ndarray:
     """The largest entrywise |a - b| of each segment j, a its operator in
-    first and b segment of[j] of second (segment j when of is None), over
-    the entries either one stores: every other entry is 0 in both.  The
-    values are _physical's, and np.abs gives the bits of the same
-    difference of dense matrices; two empty segments give 0.0, and NaN
-    propagates.  A segment of second that several of first's are compared
-    with is stored once, and its entries' keys and values are made once
-    and taken for each by index (_spans).
+    first and b in second, over the entries either one stores: every other
+    entry is 0 in both.  The values are _physical's, and np.abs gives the
+    bits of the same difference of dense matrices; two empty segments give
+    0.0, and NaN propagates.
 
     Each entry of first finds its match in second, whose keys ascend, by
     one np.searchsorted (_entry_keys).  The matched values of first are
     put at their slots of second, which alone are differenced, and the
     entries that first alone stores are a - 0, that is a itself."""
-    at, within = (slice(None), second.starts) if of is None else _spans(second.starts, of)
-    ka, kb = _entry_keys(d, first, second, at, within)
+    ka, kb = _entry_keys(d, first, second)
     TB = len(kb)
     slot = np.searchsorted(kb, ka)
     alone = np.take(kb, slot, mode="clip") != ka if TB else np.ones(len(ka), dtype=bool)
@@ -528,8 +510,8 @@ def _differences(d: int, first: _Segments, second: _Segments, of: np.ndarray | N
     diff[slot] = a
     del a, slot, alone
     diff = diff[:TB]
-    diff -= _segment_physical(second)[at]
-    return np.maximum(dev, _segment_max(np.abs(diff), within), out=dev)
+    diff -= _segment_physical(second)
+    return np.maximum(dev, _segment_max(np.abs(diff), second.starts), out=dev)
 
 
 # an exact operator's entries whose squared distances, on the scale r dim,
@@ -1026,7 +1008,9 @@ class _Reductions:
         """The entries of segments ids, in order, and where each starts
         among them; with each segment's denominator r_s r_t."""
         K = len(self.r)
-        at, starts = _spans(self.starts, ids)
+        lo, size = self.starts[ids], self.starts[ids + 1] - self.starts[ids]
+        starts = np.concatenate([[0], np.cumsum(size)])
+        at = np.repeat(lo - starts[:-1], size) + np.arange(starts[-1])
         R = [self.r[s] * self.r[t] for s, t in zip(*(x.tolist() for x in np.divmod(ids % K**2, K)))]
         return at, starts, R
 

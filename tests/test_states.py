@@ -1703,24 +1703,6 @@ def test_differences_match_the_dense_oracle(pairs, limit):
     assert [x.hex() for x in got.tolist()] == [oracle_deviation(a, b).hex() for a, b in pairs]
 
 
-@settings(max_examples=200)
-@given(pairs=operator_pairs(), data=st.data(), limit=st.sampled_from((states_module._INT64_LIMIT, 1)))
-def test_differences_read_shared_segments_by_index(pairs, data, limit):
-    """Segment j of the first block against segment of[j] of the second,
-    each of the second's stored once however many are compared with it,
-    as verify_masker compares each (s, s) with its subset's (0, 0): the
-    bits of the dense difference of every pairing."""
-    d = pairs[0][0].d
-    firsts, seconds = zip(*pairs)
-    of = data.draw(st.lists(st.integers(0, len(seconds) - 1), min_size=1, max_size=6))
-    chosen = [firsts[i % len(firsts)] for i in range(len(of))]
-    first = states_module._stacked([op.sparse() for op in chosen])
-    second = states_module._stacked([op.sparse() for op in seconds])
-    with mock.patch.object(states_module, "_INT64_LIMIT", limit):
-        got = states_module._differences(d, first, second, np.array(of))
-    assert [x.hex() for x in got.tolist()] == [oracle_deviation(a, seconds[j]).hex() for a, j in zip(chosen, of)]
-
-
 def _record_calls(monkeypatch, name: str, each: int | None = None) -> list:
     """The argument tuples of every call of states.<name>, or, with `each`
     set, the elements of argument `each` of every call, one entry per
