@@ -422,8 +422,9 @@ def _span(p: int, words: np.ndarray, most: int) -> tuple[np.ndarray, list[int]]:
     Over GF(2) each row is one Python int, column 0 its highest bit, and
     the rows join the basis one by one: a row is cleared by XOR at every
     pivot it holds, and what is left, when not zero, is a new basis row,
-    which then clears its own pivot from the others.  Other primes use
-    _rref_mod, one column at a time.
+    which then clears its own pivot from the others; a sample that refuses
+    costs a few XORs per row, where _rref_mod's column steps cost several
+    numpy calls each.  Other primes use _rref_mod, one column at a time.
     """
     if p != 2:
         R, pivots = _rref_mod(p, words, most)
