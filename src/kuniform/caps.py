@@ -13,9 +13,8 @@ Each cap is checked where its memory is allocated:
 - field_order: gf.field_new and gf.field_for_order, before p or q is
   factored and the log tables of GF(p^m) are built; codes._read_coset,
   which reads rows over GF(q) as a coset of an additive code over the
-  base-p digits, hence codes.code_of_rows (the GF(q)-linear codes among
-  those) and the code stage of states._Purified.undecided, recognises no
-  code over a larger q;
+  base-p digits, hence the code stage of states._Purified.undecided,
+  recognises no code over a larger q;
 - codewords: codes.min_distance and codes.dual_distance, on the
   q^min(t, N-t) codewords of the side whose weights are enumerated;
   the code stage of states._Purified.undecided enumerates none, since

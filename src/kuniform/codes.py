@@ -11,9 +11,10 @@ that are exactly a coset of an additive code, read over the base-p digits
 of GF(p^m) with integer arithmetic mod p alone, and reads that code's
 weight distribution and short words off the same one read of the rows,
 with no enumeration, and its dual's distance off the MacWilliams
-transform; code_of_rows, on top of it, answers when that code is
-GF(q)-linear.  _rref row-reduces over any field, through _rref_mod over a
-prime one, which _read_coset's _span also uses for odd p.
+transform.  _rref row-reduces over any field, through _rref_mod over a
+prime one, which _read_coset's _span also uses for odd p.  Both
+parity_check and _read_coset take the checks of a reduced row echelon
+basis from _check_columns.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ __all__ = [
     "direct_sum",
     "is_self_dual",
     "codeword_matrix",
-    "code_of_rows",
     "load_code",
+    "parse_code",
     "save_code",
     "load_bundled_code",
     "BUNDLED_CODES",
@@ -121,19 +122,18 @@ class ParityCheck:
 # row reduction over a finite field
 
 
-def _rref(F: FiniteField, M: np.ndarray, most: int | float = math.inf) -> tuple[np.ndarray, list[int]]:
+def _rref(F: FiniteField, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (reduced copy, pivot columns).
     Each pivot column is cleared from every other row in one array step.
-    It stops once it has more than `most` pivots, leaving the form partial.
     A prime field reduces as integers mod p (_rref_mod)."""
     if F.m == 1:
-        return _rref_mod(F.p, M, most)
+        return _rref_mod(F.p, M)
     R = np.array(M, dtype=np.int64)
     rows, cols = R.shape
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
-        if r == rows or r > most:
+        if r == rows:
             break
         below = np.flatnonzero(R[r:, c])
         if not len(below):
@@ -150,7 +150,8 @@ def _rref(F: FiniteField, M: np.ndarray, most: int | float = math.inf) -> tuple[
 
 def _rref_mod(p: int, M: np.ndarray, most: int | float = math.inf) -> tuple[np.ndarray, list[int]]:
     """_rref over GF(p), entries in [0, p), with int64 arithmetic mod p;
-    each pivot row is the one below with the largest entry in its column."""
+    each pivot row is the one below with the largest entry in its column.
+    It stops once it has more than `most` pivots, leaving the form partial."""
     R = np.array(M, dtype=np.int64)
     rows, cols = R.shape
     pivots: list[int] = []
@@ -215,19 +216,27 @@ def mds_code(F: FiniteField, t: int) -> LinearCode:
     return LinearCode(F, G)
 
 
+def _check_columns(basis: np.ndarray, pivots: list[int], neg) -> np.ndarray:
+    """The (W, W - r) parity-check columns of the span of a reduced row
+    echelon (r, W) basis, with neg negating an array of its entries: a row
+    x lies in the span exactly when x times them is 0.  Free column j
+    checks that x_j equals the combination of the basis named by x's pivot
+    entries, so the columns are the identity on the free columns and the
+    negated free entries of the basis at the pivots; I_W when r = 0."""
+    r, W = basis.shape
+    free = np.ones(W, dtype=bool)
+    free[pivots] = False
+    checks = np.zeros((W, W - r), dtype=np.int64)
+    checks[free, np.arange(W - r)] = 1
+    checks[pivots] = neg(basis[:, free])
+    return checks
+
+
 def parity_check(C: LinearCode) -> ParityCheck:
     """Parity-check matrix of C, verified to annihilate G."""
-    F, G, t, N = C.field, C.G, C.t, C.N
-    if t == 0:
-        H = np.eye(N, dtype=np.int64)
-        return ParityCheck(F, H)
-    R, pivots = C._echelon
-    free = [c for c in range(N) if c not in pivots]
-    H = np.zeros((N - t, N), dtype=np.int64)
-    for i, fc in enumerate(free):
-        H[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            H[i, pc] = F.neg(int(R[r, fc]))
+    F, G = C.field, C.G
+    # rows in C order, as a generator's rows are read one at a time
+    H = _check_columns(*C._echelon, F.neg_arr).T.copy()
     if H.size and np.any(_matmul(F, H, G.T)):
         raise KuniformError("parity check failed to annihilate the generator")
     return ParityCheck(F, H)
@@ -389,30 +398,6 @@ _FIRST_ROWS = 64
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-def code_of_rows(q: int, rows) -> LinearCode | None:
-    """The GF(q)-linear code C whose coset rows[0] + C the rows are
-    exactly, or None when they are not one.  C is returned with its
-    generator in reduced row echelon form; the rows are its codewords
-    translated by rows[0], in any order.
-
-    _read_coset reads the rows as a coset of an additive code A over the
-    base-p digits of GF(q) = GF(p^m), of dimension r over GF(p).  Its
-    basis rows, read back as symbols, span over GF(q) a code that holds A;
-    A is that code, and so GF(q)-linear, exactly when the span has
-    dimension r / m.  Rows that are a coset of an additive code only, as
-    when a GF(4)-linear coset is relabelled off the GF(4)-affine maps, give
-    None.
-    """
-    found = _read_coset(q, rows, 0)
-    if found is None:
-        return None
-    basis = found[0]
-    F = field_new(*is_prime_power(q))
-    symbols = basis.reshape(len(basis), basis.shape[1] // F.m, F.m) @ F._powers
-    R, pivots = _rref(F, symbols)
-    return LinearCode(F, R[: len(pivots)]) if len(pivots) * F.m == len(basis) else None
-
-
 def _span(p: int, words: np.ndarray, most: int) -> tuple[np.ndarray, list[int]]:
     """(basis, pivots): the basis in reduced row echelon form over GF(p) of
     the span of the rows of words, entries in [0, p), and its pivot
@@ -454,16 +439,17 @@ def _span(p: int, words: np.ndarray, most: int) -> tuple[np.ndarray, list[int]]:
     return R.astype(np.int64), [top - bit for bit in bits]
 
 
-def _read_coset(q: int, rows, w: int) -> tuple | None:
-    """(G, supports) when the rows are exactly a coset rows[0] + C of an
-    additive code C, None otherwise.  Each symbol of GF(q) = GF(p^m) is
-    read as its m base-p digits (gf's digit table; for prime q the digits
-    are the symbols), so C is an F_p-linear code of length N m, as every
-    GF(q)-linear code is.  G is C's generator over GF(p) in reduced row
-    echelon form, an (r, N m) array with p^r = T; supports are the distinct
-    supports, rows of a (P, N) bool array, of C's nonzero words of symbol
-    weight at most w, a word's support being the parties where any of its
-    digits is nonzero, or None when C's dual has such words too.
+def _read_coset(q: int, rows, w: int) -> np.ndarray | None:
+    """The distinct supports of the short words of C, when the rows are
+    exactly a coset rows[0] + C of an additive code C whose dual has no
+    nonzero word of symbol weight at most w; None otherwise, when a walk
+    must count.  Each symbol of GF(q) = GF(p^m) is read as its m base-p
+    digits (gf's digit table; for prime q the digits are the symbols), so
+    C is an F_p-linear code of length N m, as every GF(q)-linear code is,
+    of dimension r with p^r = T.  The supports are rows of a (P, N) bool
+    array, empty when C has no short word: those of C's nonzero words of
+    symbol weight at most w, a word's support being the parties where any
+    of its digits is nonzero.
 
     Exact: q must be a prime power within the field_order cap, the T rows
     must number p^r with r at most N m, and N m (p - 1)^2 must be below
@@ -473,9 +459,10 @@ def _read_coset(q: int, rows, w: int) -> tuple | None:
     Then every row is read once, in blocks of _CHUNK_ROWS rows, never as
     one full digit copy: while the basis has rank below r a block grows it
     and is held; once it has rank r, every row of every block must meet
-    its parity checks mod p, so every row lies in the coset.  Distinct
-    words of C differ in the pivot digits, so one count of their radix
-    keys decides that all p^r rows are distinct, hence the whole coset.
+    its parity checks (_check_columns) mod p, so every row lies in the
+    coset.  Distinct words of C differ in the pivot digits, so one count
+    of their radix keys decides that all p^r rows are distinct, hence the
+    whole coset.
 
     The same differences are C's words, read with no enumeration and no
     GF(q) arithmetic: a word's support is where its row's symbols differ
@@ -547,7 +534,7 @@ def _read_coset(q: int, rows, w: int) -> tuple | None:
             if len(pivots) != r:
                 continue
         if checks is None:
-            checks = _parity_checks(p, basis, pivots)
+            checks = _check_columns(basis, pivots, lambda x: (p - x) % p).astype(float)
             rest = first @ checks
         if not all(read(*pair) for pair in held):
             return None
@@ -556,31 +543,16 @@ def _read_coset(q: int, rows, w: int) -> tuple | None:
     if len(pivots) != r or (np.bincount(np.concatenate(keys), minlength=T) != 1).any():
         return None
     if _first_nonzero(_macwilliams(counts.tolist(), q, f"additive coset of {T} words of length {N} over GF({q})")) <= w:
-        return basis, None
+        return None
     short = np.concatenate(found)
     if not len(short):
-        return basis, short
+        return short
     # distinct supports as byte strings, eight parties to a byte, which
     # np.unique sorts as one field each
     packed = np.packbits(short, axis=1)
     width = packed.shape[1]
     distinct = np.unique(packed.view(np.dtype((np.void, width)))[:, 0]).view(np.uint8).reshape(-1, width)
-    return basis, np.unpackbits(distinct, axis=1, count=N).astype(bool)
-
-
-def _parity_checks(p: int, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
-    """The (W, W - r) float parity-check columns of the span of a reduced
-    row echelon basis over GF(p): a digit row x lies in the span exactly
-    when x times them is 0 mod p.  Free column j checks that x_j equals
-    the combination of the basis named by x's pivot entries."""
-    r, W = basis.shape
-    free = np.ones(W, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    checks = np.zeros((W, W - r))
-    checks[free, np.arange(W - r)] = 1
-    checks[pivots] = (p - basis[:, free]) % p
-    return checks
+    return np.unpackbits(distinct, axis=1, count=N).astype(bool)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ __all__ = [
     "delete_columns",
     "trim_to_iroa",
     "load_oa",
+    "parse_oa",
     "save_oa",
 ]
 

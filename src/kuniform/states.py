@@ -48,6 +48,7 @@ __all__ = [
     "verify_k_uniform",
     "from_vector",
     "load_state",
+    "parse_state",
     "save_state",
     "load_bundled_state",
     "BUNDLED_STATES",
@@ -517,8 +518,17 @@ def _differences(d: int, first: _Segments, second: _Segments) -> np.ndarray:
 # an exact operator's entries whose squared distances, on the scale r dim,
 # lie within this share of its largest one are taken to floats: at most 2^62,
 # they are then within 2^-45 of the largest distance, while the float formula
-# of _deviations is off by a few units in the last place, under 2^-50
+# of either deviation reader is off by a few units in the last place, under 2^-50
 _NEAR_SHIFT = 44
+
+
+def _near_top(square: np.ndarray, starts: np.ndarray, *parts: np.ndarray) -> tuple:
+    """(starts, *parts) cut down to the entries whose int64 squared
+    distance lies at or within _NEAR_SHIFT of their segment's largest, ties
+    included: no other entry's float distance can round above theirs."""
+    top = _segment_max(square, starts)
+    pick = np.flatnonzero(square >= np.repeat(top - (top >> _NEAR_SHIFT), np.diff(starts)))
+    return np.searchsorted(pick, starts), *(part[pick] for part in parts)
 
 
 def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarray:
@@ -532,7 +542,7 @@ def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarra
     squares of those distances on the scale r dim, |a dim + b dim i| and
     |a dim - r + b dim i|, fit int64, each operator's largest is found in
     integers, and only its entries at that largest or near it
-    (_NEAR_SHIFT), ties included, are taken to floats; no other entry can
+    (_near_top), ties included, are taken to floats; no other entry can
     round to a larger float.  Every value is elementwise, so an operator
     reports the same bits in any block.
     """
@@ -550,10 +560,7 @@ def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarra
         if 2 * reach * reach < _INT64_LIMIT:
             x, y = re.astype(np.int64) * dim, im.astype(np.int64) * dim
             x[on] -= r
-            square = x * x + y * y
-            top = _segment_max(square, starts)
-            pick = np.flatnonzero(square >= np.repeat(top - (top >> _NEAR_SHIFT), np.diff(starts)))
-            picked, re, im, on = np.searchsorted(pick, starts), re[pick], im[pick], on[pick]
+            picked, re, im, on = _near_top(x * x + y * y, starts, re, im, on)
         x, y = (part.astype(object if reach >= _INT64_LIMIT else np.int64) for part in (re, im))
         x[on] = x[on] * dim - r
         y[on] *= dim
@@ -905,7 +912,7 @@ class _Half(NamedTuple):
         largest is taken to floats alone.  An entry a + b i above the
         diagonal is |a + b i| / r off, a float formula that may not round
         monotonically; while a^2 + b^2 fits int64 only the entries at or near
-        (_NEAR_SHIFT) each reduction's largest are taken to floats."""
+        (_near_top) each reduction's largest are taken to floats."""
         starts, on_starts = self.starts()
         # x dim - r lies in [-r, r (dim - 1)], as 0 <= x <= r
         x = (self.sums.astype(object) if r * dim >= _INT64_LIMIT else self.sums) * dim - r
@@ -917,10 +924,7 @@ class _Half(NamedTuple):
             bound = max(abs(int(v)) for part in (a, b) for v in (part.min(), part.max()))
             if 2 * bound * bound < _INT64_LIMIT:
                 a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-                square = a * a + b * b
-                top = _segment_max(square, starts)
-                pick = np.flatnonzero(square >= np.repeat(top - (top >> _NEAR_SHIFT), np.diff(starts)))
-                starts, a, b = np.searchsorted(pick, starts), a[pick], b[pick]
+                starts, a, b = _near_top(a * a + b * b, starts, a, b)
             _, a, b = _floats(r * r, a, b)
             # np.hypot gives abs() of a Python complex bit for bit
             np.maximum(dev, _segment_max(np.hypot(a, b) * scale, starts), out=dev)
@@ -1358,8 +1362,7 @@ class _Purified:
             yield from _in_blocks(combinations(range(N), k), _call_width(e))
             return
         width = len(e.idx)
-        found = _read_coset(d, e.idx, k + m) if math.comb(N, k) * width >= _CODE_MIN_PAIRS else None
-        supports = None if found is None else found[1]
+        supports = _read_coset(d, e.idx, k + m) if math.comb(N, k) * width >= _CODE_MIN_PAIRS else None
         if supports is not None:
             if not len(supports):
                 return

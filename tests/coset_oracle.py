@@ -5,8 +5,7 @@ additive code: each symbol is split into its m base-p digits (the
 coefficients of its polynomial, constant term first), a row-reduced sample
 gives a basis, parity checks in floats test every row, radix keys test
 that the rows are distinct, and the dual's distance comes from the
-MacWilliams transform of symbol weights.  codes.code_of_rows then asks
-whether that additive code is GF(q)-linear.  The tests hold both to this
+MacWilliams transform of symbol weights.  The tests hold it to this
 oracle, which uses none of those steps:
 
 - oracle_coset splits symbols by divmod, reduces every difference from the
@@ -15,7 +14,8 @@ oracle, which uses none of those steps:
   often on each set of w parties exactly when the dual has no nonzero word
   of weight at most w (Delsarte);
 - oracle_linear_code reduces the symbol differences, formed by scalar
-  field calls, over GF(q).
+  field calls, over GF(q), for the tests that must tell a GF(q)-linear
+  coset from a coset of an additive code only.
 """
 
 from __future__ import annotations
@@ -65,14 +65,13 @@ def _strength(rows: np.ndarray, q: int, w: int) -> bool:
     return True
 
 
-def oracle_coset(q: int, rows: np.ndarray, w: int, field_cap: int):
-    """(G, supports) when the rows are a coset rows[0] + C of an additive
-    code C over the base-p digits, None otherwise.  The rows are a coset
-    when they are T = p^r distinct rows whose digit differences from
-    rows[0], reduced all at once, span r dimensions; G is the reduction's
-    first r rows, and supports the parties where some digit is nonzero, of
-    the span's words with 1 to w such parties, as a set of bool tuples, or
-    None when the rows are no array of strength w."""
+def oracle_coset(q: int, rows: np.ndarray, w: int, field_cap: int) -> set | None:
+    """The supports, as a set of bool tuples, of the words of C with 1 to
+    w parties where some digit is nonzero, when the rows are a coset
+    rows[0] + C of an additive code C over the base-p digits and an array
+    of strength w; None otherwise.  The rows are a coset when they are
+    T = p^r distinct rows whose digit differences from rows[0], reduced all
+    at once, span r dimensions."""
     if not _valid(q, rows, field_cap):
         return None
     T, N = rows.shape
@@ -87,9 +86,9 @@ def oracle_coset(q: int, rows: np.ndarray, w: int, field_cap: int):
     span = {tuple(np.array(c) @ R[:r] % p) for c in product(range(p), repeat=r)}
     assert span == {tuple(word) for word in differences.tolist()}
     if not _strength(rows, q, w):
-        return R[:r], None
+        return None
     supports = {tuple(bool(x) for x in np.reshape(word, (N, m)).any(axis=1)) for word in span}
-    return R[:r], {s for s in supports if 0 < sum(s) <= w}
+    return {s for s in supports if 0 < sum(s) <= w}
 
 
 def oracle_linear_code(q: int, rows: np.ndarray, field_cap: int) -> LinearCode | None:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coset_oracle import oracle_coset, oracle_digits, oracle_linear_code
+from coset_oracle import oracle_coset, oracle_digits
 from gf_oracle import oracle_add, oracle_mul
 from rref_oracle import oracle_rref
 
@@ -286,9 +286,10 @@ def test_rref_matches_row_by_row_oracle(case, most):
     R, pivots = codes._rref(F, M)
     want, want_pivots = oracle_rref(F, M)
     assert np.array_equal(R, want) and pivots == want_pivots
-    # stopped past `most` pivots, it has found the first most + 1 of them
-    assert codes._rref(F, M, most)[1] == want_pivots[: most + 1]
-    # a generator in that form, as code_of_rows returns, is its own
+    # stopped past `most` pivots, _rref_mod has found the first most + 1
+    if F.m == 1:
+        assert codes._rref_mod(F.p, M, most)[1] == want_pivots[: most + 1]
+    # a generator in that form is its own
     if len(pivots) == len(M):
         echelon, echelon_pivots = LinearCode(F, R)._echelon
         assert np.array_equal(echelon, R) and echelon_pivots == pivots
@@ -508,61 +509,86 @@ RECOGNISED = [
 ]
 
 
+def _short_supports(C: LinearCode, w: int) -> set | None:
+    """What _read_coset gives for a coset of C, from C's enumerated words:
+    the supports of its nonzero words of weight at most w, None when its
+    dual has such a word."""
+    if dual_distance(C) <= w:
+        return None
+    words = brute_codewords(C)
+    return {tuple(x != 0 for x in word) for word in words if 0 < sum(x != 0 for x in word) <= w}
+
+
+def _read(q: int, rows: np.ndarray, w: int) -> set | None:
+    got = codes._read_coset(q, rows, w)
+    if got is None:
+        return None
+    assert got.dtype == bool and got.ndim == 2 and got.shape[1] == rows.shape[1]
+    supports = {tuple(x) for x in got.tolist()}
+    assert len(supports) == len(got)  # distinct
+    return supports
+
+
 @pytest.mark.parametrize("chunk", [1 << 16, 7])
 @pytest.mark.parametrize("C", RECOGNISED, ids=repr)
 def test_code_of_rows_recognises_translated_shuffled_cosets(monkeypatch, C, chunk):
-    """Message order, where the first q^(t-1) rows span one dimension less,
-    a translated coset and a shuffled one all give C back; blocks of 7 rows
-    grow the basis across blocks."""
+    """The code of the rows, as _read_coset reads it off message order
+    (where the first q^(t-1) rows span one dimension less), a translated
+    coset and a shuffled one, is C: at every w the short words' supports
+    are C's, and None comes exactly when w reaches C's dual distance;
+    blocks of 7 rows grow the basis across blocks."""
     monkeypatch.setattr(codes, "_CHUNK_ROWS", chunk)
     rng = np.random.default_rng(C.q * C.N)
     T = C.q**C.t
+    want = [_short_supports(C, w) for w in range(C.N + 1)]
     for shift, order in [
         (np.zeros(C.N), np.arange(T)),
         (rng.integers(C.q, size=C.N), np.arange(T)),
         (rng.integers(C.q, size=C.N), rng.permutation(T)),
     ]:
         rows = _coset(C, shift, order)
-        got = codes.code_of_rows(C.q, rows)
-        assert got is not None and (got.N, got.t, got.q) == (C.N, C.t, C.q)
-        assert brute_codewords(got) == brute_codewords(C)
-        assert min_distance(got) == min_distance(C) and dual_distance(got) == dual_distance(C)
-        # the generator is in reduced row echelon form
-        assert np.array_equal(got.G, codes._rref(C.field, got.G)[0])
+        assert [_read(C.q, rows, w) for w in range(C.N + 1)] == want
 
 
 @pytest.mark.parametrize("chunk", [1 << 16, 7])
 def test_code_of_rows_refuses_what_is_not_a_coset(monkeypatch, chunk):
+    """_read_coset gives None for rows that are no coset of an additive
+    code over the digits of GF(q), and for a coset whose C-perp has short
+    words."""
     monkeypatch.setattr(codes, "_CHUNK_ROWS", chunk)
     C = mds_code(F5, 3)
     rows = _coset(C, [1, 2, 3, 4, 0, 1], np.random.default_rng(3).permutation(125))
-    assert codes.code_of_rows(5, rows) is not None
+    assert _read(5, rows, 3) == set()  # w = w-perp - 1 = 3 < w(C) = 4
     changed = rows.copy()
     changed[-1, 2] = (changed[-1, 2] + 1) % 5  # one symbol, in the last block
-    assert codes.code_of_rows(5, changed) is None
+    assert codes._read_coset(5, changed, 0) is None
     repeated = rows.copy()
     repeated[-1] = repeated[0]  # still inside the coset, but not all of it
-    assert codes.code_of_rows(5, repeated) is None
+    assert codes._read_coset(5, repeated, 0) is None
     # swapping the symbols 0 and 1 of one party is not affine over GF(5)
     swapped = rows.copy()
     swapped[:, 0] = np.array([1, 0, 2, 3, 4])[swapped[:, 0]]
-    assert codes.code_of_rows(5, swapped) is None
-    assert codes.code_of_rows(5, rows[:124]) is None  # T is not 5^t
-    assert codes.code_of_rows(6, rows) is None  # no field of order 6
-    assert codes.code_of_rows(25, rows) is None  # 125 is not 25^t
+    assert codes._read_coset(5, swapped, 0) is None
+    assert codes._read_coset(5, rows[:124], 0) is None  # T is not 5^t
+    assert codes._read_coset(6, rows, 0) is None  # no field of order 6
+    # over GF(25) the rows are still a coset of a 3-dimensional additive
+    # code, but take 5 of the 25 symbols of each party: C-perp has words
+    # of weight 1
+    assert _read(25, rows, 0) == set() and codes._read_coset(25, rows, 1) is None
     out_of_range = rows.copy()
     out_of_range[0, 0] = 5
-    assert codes.code_of_rows(5, out_of_range) is None
-    # one row is the zero code's coset
-    zero = codes.code_of_rows(5, rows[:1])
-    assert zero is not None and zero.t == 0 and zero.N == 6
+    assert codes._read_coset(5, out_of_range, 0) is None
+    # one row is the zero code's coset, whose dual is the whole space
+    assert _read(5, rows[:1], 0) == set() and codes._read_coset(5, rows[:1], 1) is None
 
 
 def test_code_of_rows_leaves_fields_above_the_cap_alone(monkeypatch):
+    """_read_coset reads no code of the rows over a field above the
+    field_order cap, and raises nothing."""
     monkeypatch.setenv("KUF_CAPS", "field_order=4")
     rows = codeword_matrix(mds_code(F5, 2))
-    assert codes.code_of_rows(5, rows) is None  # and no CapExceeded
-    assert codes.code_of_rows(4, codeword_matrix(mds_code(F4, 2))) is not None
+    assert codes._read_coset(5, rows, 0) is None  # and no CapExceeded
+    assert codes._read_coset(4, codeword_matrix(mds_code(F4, 2)), 0) is not None
 
 
 def test_read_coset_peaks_within_its_block_and_row_arrays():
@@ -586,11 +612,11 @@ def test_read_coset_peaks_within_its_block_and_row_arrays():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        G, supports = codes._read_coset(13, rows, 5)
+        supports = codes._read_coset(13, rows, 5)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert (T, len(G), supports.shape) == (13**5, r, (0, W)) and -(-T // B) == 6
+    assert (T, supports.shape) == (13**5, (0, W)) and -(-T // B) == 6
     assert peak <= 8 * (B * (2 * W - r) + 3 * T) + 4096
 
 
@@ -649,26 +675,11 @@ def coset_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=coset_rows(), chunk=st.sampled_from((7, codes._CHUNK_ROWS)))
 def test_read_coset_matches_brute_force(case, chunk):
-    """_read_coset and code_of_rows against the oracles: the same digit
-    generator in reduced row echelon form, the same distinct short
-    supports, and the same GF(q)-linear code, None for rows that are no
-    coset, whatever the block size."""
+    """_read_coset against the oracle: the same distinct short supports,
+    and None for rows that are no coset or whose C-perp has short words,
+    whatever the block size."""
     q, rows, w, fault = case
     cap = q - 1 if fault == "capped" else 1 << 16
     want = oracle_coset(q, rows, w, cap)
     with mock.patch.dict(os.environ, {"KUF_CAPS": f"field_order={cap}"}), mock.patch.object(codes, "_CHUNK_ROWS", chunk):
-        got = codes._read_coset(q, rows, w)
-        C = codes.code_of_rows(q, rows)
-    want_C = oracle_linear_code(q, rows, cap)
-    assert (C is None) == (want_C is None) and (C is None or C == want_C)
-    if want is None:
-        assert got is None and want_C is None
-        return
-    G, supports = want
-    G_got, supports_got = got
-    assert G_got.dtype == np.int64 and np.array_equal(G_got, G)
-    if supports is None:
-        assert supports_got is None
-    else:
-        assert supports_got.dtype == bool and supports_got.shape == (len(supports), rows.shape[1])
-        assert {tuple(x) for x in supports_got.tolist()} == supports
+        assert _read(q, rows, w) == want

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from coset_oracle import oracle_coset
+from coset_oracle import oracle_coset, oracle_linear_code
 from reduction_oracle import (
     DictOperator,
     oracle_counting_passes,
@@ -35,7 +35,7 @@ from kuniform import states as states_module
 from kuniform.caps import check_cap
 from kuniform.catalog import construct_k_uniform
 from kuniform.cli import run
-from kuniform.codes import LinearCode, code_of_rows, dual_distance, min_distance
+from kuniform.codes import LinearCode, dual_distance, min_distance
 from kuniform.errors import CapExceeded, NormError, NotIrredundant, ParseError
 from kuniform.gf import field_for_order
 from kuniform.oa import OrthogonalArray, oa_from_code
@@ -1311,7 +1311,7 @@ def test_code_built_states_pass_without_counting_or_kernel(monkeypatch):
     assert len(recognised) == 1 and reduced == [] and asked == []
     # swapping the symbols 0 and 1 of party 0 is not affine over GF(5)
     moved = transformed(state, range(6), [[1, 0, 2, 3, 4]] + [range(5)] * 5, [(1, 0)] * 125)
-    assert code_of_rows(5, moved._idx) is None
+    assert oracle_linear_code(5, moved._idx, 1 << 16) is None
     assert verify_k_uniform(moved, 3) == report
     assert reduced == [] and asked == list(combinations(range(6), 3))
     # the seeded relabelling of the phased 11-qutrit state is affine, as
@@ -1350,7 +1350,7 @@ def test_relabelled_gf4_cosets_are_read_over_their_digits(monkeypatch):
     state = construct_k_uniform(4, 4, 11, verify=False)
     rng = np.random.default_rng(4)
     moved = transformed(state, rng.permutation(11).tolist(), [[0, 1, 3, 2]] + [rng.permutation(4).tolist() for _ in range(10)], [(1, 0)] * 4096)
-    assert code_of_rows(4, moved._idx) is None
+    assert oracle_linear_code(4, moved._idx, 1 << 16) is None
     report = verify_k_uniform(moved, 4)
     assert (report.verdict, report.subsets_checked, report.failures, report.max_deviation) == ("pass", 330, [], 0.0)
     assert reduced == [] and asked == []
@@ -1449,7 +1449,7 @@ def test_code_stage_reports_match_oracle(case):
     with mock.patch.object(states_module, "_CODE_MIN_PAIRS", 0):
         assert verify_k_uniform(state, k) == oracle_verify_k_uniform(state, k)
     if coset:
-        assert code_of_rows(state.d, state._idx) is not None
+        assert oracle_linear_code(state.d, state._idx, 1 << 16) is not None
 
 
 def _split_rows(state: PureState, j: int) -> list:
@@ -1519,10 +1519,8 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
     read_coset = states_module._read_coset
 
     def recording(*args):
-        found = read_coset(*args)
-        if found is not None:
-            supports.append(found[1])
-        return found
+        supports.append(read_coset(*args))
+        return supports[-1]
 
     with pytest.MonkeyPatch.context() as env:
         env.setattr(oa_module, "_COUNT_BLOCK", block)
@@ -1532,12 +1530,12 @@ def test_code_stage_leaves_what_counting_leaves(case, block):
         env.setattr(states_module, "_CODE_MIN_PAIRS", math.inf)
         assert got == list(psi.undecided(k))
     want = oracle_coset(d, e.idx, k + m, 1 << 16)
-    if states_module._counting_check(e, d, k + m) is None or want is None:
+    if states_module._counting_check(e, d, k + m) is None:
         assert supports == []
-    elif want[1] is None:
+    elif want is None:
         assert supports == [None]
     else:
-        assert len(supports) == 1 and {tuple(x) for x in supports[0].tolist()} == want[1]
+        assert len(supports) == 1 and {tuple(x) for x in supports[0].tolist()} == want
 
 
 @st.composite
