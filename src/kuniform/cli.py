@@ -244,6 +244,9 @@ def _cmd_mask_build(args):
     from . import masking, states
 
     state = states.load_state(args.state)
+    # the bundle names its input by file name alone, so that it does not
+    # depend on the directory the input was read from
+    state.provenance = Path(args.state).name
     masker = masking.build_masker(state, args.split, args.k)
     masking.save_masker(masker, args.output)
     details = {

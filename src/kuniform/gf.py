@@ -91,15 +91,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul(p: int, a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(p: int, a: list[int], mod: list[int]) -> list[int]:
     a = list(a)
     inv_lead = pow(mod[-1], -1, p)
@@ -190,10 +181,9 @@ class FiniteField:
         return sum(int(c) * int(w) for c, w in zip(coeffs, self._powers))
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Polynomial multiply mod the modulus; used only to find the
-        generator."""
-        prod = _poly_mul(self.p, self._digits[a].tolist(), self._digits[b].tolist())
-        return self._encode(_poly_mod(self.p, prod, list(self.modulus)))
+        """a b, the digits of a times the multiplication map of b (_times);
+        used only to find the generator."""
+        return self._encode(self._digits[a].astype(np.int64) @ np.array(self._times(self._digits[b].tolist())) % self.p)
 
     def _times(self, c: list) -> list:
         """Multiplication by the element with digits c, as m rows of digits

@@ -370,7 +370,7 @@ class SparseOperator:
     def _alone(self) -> tuple:
         """The arguments that make this operator a block of one for
         _deviations and _maximally_mixed_mask, its denominators left out."""
-        return self.dim, np.array([0, len(self.re)]), self.diagonal, self.re, self.im
+        return self.dim, *_split(np.array([0, len(self.re)]), self.diagonal, self.re, self.im)
 
     def maximally_mixed_deviation(self) -> float:
         """Largest entrywise distance from I / d^n_parties, exactly 0 for an
@@ -515,10 +515,10 @@ def _differences(d: int, first: _Segments, second: _Segments) -> np.ndarray:
     return np.maximum(dev, _segment_max(np.abs(diff), second.starts), out=dev)
 
 
-# an exact operator's entries whose squared distances, on the scale r dim,
-# lie within this share of its largest one are taken to floats: at most 2^62,
-# they are then within 2^-45 of the largest distance, while the float formula
-# of either deviation reader is off by a few units in the last place, under 2^-50
+# an exact operator's entries whose integer squared moduli lie within this
+# share of its largest one are taken to floats: at most 2^62, they are then
+# within 2^-45 of the largest modulus, while the float formula of _largest is
+# off by a few units in the last place, under 2^-50
 _NEAR_SHIFT = 44
 
 
@@ -531,46 +531,62 @@ def _near_top(square: np.ndarray, starts: np.ndarray, *parts: np.ndarray) -> tup
     return np.searchsorted(pick, starts), *(part[pick] for part in parts)
 
 
-def _deviations(dim, starts, diagonal, re, im, r_ket, r_bra, exact) -> np.ndarray:
+def _largest(starts: np.ndarray, a: np.ndarray, b: np.ndarray, R: int) -> np.ndarray:
+    """The largest |a + b i| / sqrt(R) of each segment, 0.0 for an empty
+    one, with the bits of abs() of a Python complex times 1 / sqrt(R).
+    While the squares of integer parts fit int64, each segment's largest
+    is found in integers, and only its entries at that largest or near it
+    (_near_top), ties included, are taken to floats; no other entry can
+    round to a larger float."""
+    if a.dtype.kind != "f" and len(a):
+        bound = max(abs(int(v)) for part in (a, b) for v in (part.min(), part.max()))
+        if 2 * bound * bound < _INT64_LIMIT:
+            a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+            starts, a, b = _near_top(a * a + b * b, starts, a, b)
+    R, a, b = _floats(R, a, b)
+    # np.hypot gives abs() of a Python complex bit for bit
+    return _segment_max(np.hypot(a, b) * (1.0 / math.sqrt(R)), starts)
+
+
+def _split(starts: np.ndarray, diagonal: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple:
+    """A block of operators, operator j holding the entries starts[j] :
+    starts[j + 1], in the layout its readers take: (starts, re, im) of the
+    entries off the diagonal, then of those on it."""
+    return tuple((np.searchsorted(at, starts), re[at], im[at]) for at in map(np.flatnonzero, (~diagonal, diagonal)))
+
+
+def _deviations(dim: int, off: tuple, on: tuple, r_ket: int, r_bra: int, exact: bool) -> np.ndarray:
     """The largest entrywise distance from I / dim of each operator of a
-    block, operator j holding the entries starts[j] : starts[j + 1].
+    block: off and on are (starts, re, im) of its entries off the diagonal
+    and on it, operator j holding entries starts[j] : starts[j + 1] of
+    each, and im is None on a diagonal whose values are all real.
 
     Exact operators over one denominator r are compared in integers, so
-    exact matches report exactly 0: a diagonal entry deviates by
-    |a dim - r + b dim i| / (r dim), its parts formed in integers and taken
-    to floats once, and an off-diagonal entry by |a + b i| / r.  While the
-    squares of those distances on the scale r dim, |a dim + b dim i| and
-    |a dim - r + b dim i|, fit int64, each operator's largest is found in
-    integers, and only its entries at that largest or near it
-    (_near_top), ties included, are taken to floats; no other entry can
-    round to a larger float.  Every value is elementwise, so an operator
-    reports the same bits in any block.
+    exact matches report exactly 0: an off-diagonal entry deviates by
+    |a + b i| / r and a diagonal one by |a dim - r + b dim i| / (r dim),
+    its parts formed in integers (_largest).  On a real diagonal that is
+    |a dim - r| / (r dim), a float that rounds monotonically in the
+    integer, so each operator's largest is taken to floats alone.  Other
+    operators are read as their physical values.  Every value is
+    elementwise, so an operator reports the same bits in any block.
     """
-    if not (exact and r_ket == r_bra):
-        v = _physical(r_ket * r_bra, re, im)
-        mags = np.hypot(np.where(diagonal, v.real - 1.0 / dim, v.real), v.imag)
-        dev = _segment_max(mags, starts)
-    elif not len(re):
-        dev = np.zeros(len(starts) - 1)
+    (starts, re, im), (on_starts, x, y) = off, on
+    if exact and r_ket == r_bra:
+        r = r_ket
+        dev = _largest(starts, re, im, r * r)
+        bound = max(abs(int(v)) for part in (x, y) if part is not None for v in (part.min(), part.max())) if len(x) else 0
+        x = x.astype(object if bound * dim + r >= _INT64_LIMIT else np.int64, copy=False) * dim - r
+        if y is None:
+            R, top = _floats(r * r, _segment_max(np.abs(x), on_starts))
+            np.maximum(dev, top * (1.0 / math.sqrt(R)) / dim, out=dev)
+        else:
+            np.maximum(dev, _largest(on_starts, x, y.astype(x.dtype) * dim, r * r) / dim, out=dev)
     else:
-        r, on = r_ket, diagonal
-        bound = max(abs(int(v)) for part in (re, im) for v in (part.min(), part.max()))
-        reach = bound * dim + r
-        picked = starts
-        if 2 * reach * reach < _INT64_LIMIT:
-            x, y = re.astype(np.int64) * dim, im.astype(np.int64) * dim
-            x[on] -= r
-            picked, re, im, on = _near_top(x * x + y * y, starts, re, im, on)
-        x, y = (part.astype(object if reach >= _INT64_LIMIT else np.int64) for part in (re, im))
-        x[on] = x[on] * dim - r
-        y[on] *= dim
-        R, x, y = _floats(r * r, x, y)
-        # np.hypot gives abs() of a Python complex bit for bit
-        mags = np.hypot(x, y) * (1.0 / math.sqrt(R))
-        mags[on] /= dim
-        dev = _segment_max(mags, picked)
+        R = r_ket * r_bra
+        v, w = _physical(R, re, im), _physical(R, x, np.zeros_like(x) if y is None else y)
+        dev = np.maximum(_largest(starts, v.real, v.imag, 1), _largest(on_starts, w.real - 1.0 / dim, w.imag, 1))
     # an operator missing some diagonal entry entirely is 1 / dim off there
-    return np.where(_segment_count(diagonal, starts) < dim, np.maximum(dev, 1.0 / dim), dev)
+    return np.where(np.diff(on_starts) < dim, np.maximum(dev, 1.0 / dim), dev)
 
 
 def _members(segments: int, K: int) -> tuple:
@@ -578,21 +594,24 @@ def _members(segments: int, K: int) -> tuple:
     return np.divmod(np.arange(segments) % K**2, K)
 
 
-def _maximally_mixed_mask(dim, starts, diagonal, re, im, r) -> np.ndarray:
-    """Which exact operators of a block, as for _deviations, are exactly
-    I / dim, operator j being segment (s, t) = (j // K % K, j % K) of a
-    family of K = len(r) states over the denominator sqrt(r_s r_t): an
-    (s, s) with dim stored entries, each diagonal with value r_s / dim.
-    Every (s, t) with s != t reads False."""
-    size = starts[1:] - starts[:-1]
-    sized = size == dim
-    if not sized.any():
-        return sized
+def _maximally_mixed_mask(dim: int, off: tuple, on: tuple, r) -> np.ndarray:
+    """Which exact operators of a block, given as for _deviations, are
+    exactly I / dim, operator j being segment (s, t) = (j // K % K, j % K)
+    of a family of K = len(r) states over the denominator sqrt(r_s r_t):
+    an (s, s) with no entry off the diagonal and dim on it, each of value
+    r_s / dim.  Every (s, t) with s != t reads False."""
+    (starts, _, _), (on_starts, x, y) = off, on
+    size = np.diff(on_starts)
+    ok = (np.diff(starts) == 0) & (size == dim)
+    if not ok.any():
+        return ok
     s, t = _members(len(size), len(r))
-    sized &= (s == t) & np.array([x % dim == 0 for x in r])[s]
-    want = np.array([x // dim for x in r], dtype=object if max(r) // dim >= _INT64_LIMIT else np.int64)
-    off = ~diagonal | (re != np.repeat(want[s], size)) | (im != 0)
-    return sized & (_segment_count(off, starts) == 0)
+    ok &= (s == t) & np.array([v % dim == 0 for v in r])[s]
+    want = np.array([v // dim for v in r], dtype=object if max(r) // dim >= _INT64_LIMIT else np.int64)
+    wrong = x != np.repeat(want[s], size)
+    if y is not None:
+        wrong |= y != 0
+    return ok & (_segment_count(wrong, on_starts) == 0)
 
 
 def _sparse(d, rows, cols, diagonal, re, im, r_ket=1, r_bra=1, exact=True) -> SparseOperator:
@@ -698,15 +717,16 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 # digit by digit over the transposed index array and offset by run, so rows
 # are matched on their complement keys within their own subset only, and the
 # pair products are summed per (subset, kept1, kept2) key.  A reduction is
-# Hermitian, so an exact call sums only the pairs above the diagonal and
-# finds the diagonal from the rows alone: its result is those two halves
-# (_Half), from which whether each reduction is I / d^k and how far it is
-# from it are read in integers.  The entries below the diagonal are the
-# conjugates of those above; they are mirrored in (_mirrored) once, the
-# first time a caller reads the operators themselves.  A float call sums
-# every ordered pair, keeping its sums' bits.  Keys are bounded, so every
-# sort is _stable_order's, by radix while the bound is below 2^32.  An
-# entry's kept row and column are gathered only for callers that read them.
+# Hermitian, so a call sums only the pairs above the diagonal and finds the
+# diagonal from the rows alone: its result is those two halves (_Half), from
+# which whether each reduction is I / d^k and how far it is from it are read,
+# in integers when exact.  The entries below the diagonal are the conjugates
+# of those above; they are mirrored in (_mirrored) once, the first time a
+# caller reads the operators themselves.  Float sums are added in pair
+# order, as one subset alone would give them, so they keep their bits.  Keys
+# are bounded, so every sort is _stable_order's, by radix while the bound is
+# below 2^32.  An entry's kept row and column are gathered only for callers
+# that read them.
 # Exact states stay in int64 only where every product and sum provably
 # fits, and in Python ints otherwise, so no result ever wraps.
 #
@@ -823,16 +843,15 @@ def _heads(ordered: np.ndarray) -> np.ndarray:
     return head
 
 
-def _partners(keys: np.ndarray, bound: int, within: np.ndarray, upper: bool) -> tuple:
+def _partners(keys: np.ndarray, bound: int, within: np.ndarray) -> tuple:
     """(order, lo, counts) for keys below bound: the rows sorted by key,
     rows of equal keys in the order `within` lists them.  Row i's partners
-    are order[lo[i] : lo[i] + counts[i]]: its whole group of equal keys, or
-    with `upper` only the rows after it in that group."""
+    are order[lo[i] : lo[i] + counts[i]], the rows after it in its group of
+    equal keys."""
     order = within[_stable_order(keys[within], bound)]
     head = _heads(keys[order])
-    first, group = np.flatnonzero(head), np.cumsum(head) - 1
-    end = np.append(first[1:], len(order))[group]
-    start = np.arange(1, len(order) + 1) if upper else first[group]
+    end = np.append(np.flatnonzero(head)[1:], len(order))[np.cumsum(head) - 1]
+    start = np.arange(1, len(order) + 1)
     lo, counts = np.empty_like(order), np.empty_like(order)
     lo[order] = start
     counts[order] = end - start
@@ -842,10 +861,11 @@ def _partners(keys: np.ndarray, bound: int, within: np.ndarray, upper: bool) -> 
 def _blocks(keys: np.ndarray, order: np.ndarray, counts: np.ndarray) -> list:
     """The rows in (subset, kept) key order, as `order` lists them, cut
     between groups of equal keys into blocks of about oa._COUNT_BLOCK
-    matched pairs, counts[i] of them for row i (for an exact call, the
-    pairs above the diagonal), the budget that _call_width keeps a call's
-    row arrays within.  No entry spans two blocks, and a block exceeds the budget by at
-    most one group, whose pairs number at most the terms of the state."""
+    matched pairs, counts[i] of them for row i (the pairs above the
+    diagonal), the budget that _call_width keeps a call's row arrays
+    within.  No entry spans two blocks, and a block exceeds the budget by
+    at most one group, whose pairs number at most the terms of the
+    state."""
     ends = np.append(np.flatnonzero(np.diff(keys[order])) + 1, len(order))
     cum = np.cumsum(counts[order])
     cum_at_ends = cum[ends - 1]
@@ -870,14 +890,18 @@ class _Entries(NamedTuple):
     im: np.ndarray
     starts: np.ndarray  # (segments + 1,) int64
 
+    def split(self) -> tuple:
+        """The segments as _maximally_mixed_mask and _deviations read them."""
+        return _split(self.starts, self.diagonal, self.re, self.im)
+
 
 class _Half(NamedTuple):
-    """The exact reductions of a state onto a block of B subsets as one
-    _reduce call sums them, before any mirror: for subset j, the nonzero
-    entries above the diagonal and the diagonal ones, all over the
-    denominator r, at the positions that starts gives.  Its readers decide
-    each reduction from those halves in integers, as _maximally_mixed_mask
-    and _deviations decide the mirrored operator, bit for bit."""
+    """The reductions of a state onto a block of B subsets as one _reduce
+    call sums them, before any mirror: for subset j, the entries above the
+    diagonal, nonzero ones only when exact, and the diagonal ones, exact
+    ones over the denominator r.  Its readers decide each reduction from
+    those halves, as they decide the mirrored operator, whose entries below
+    the diagonal are as far off as their mirrors above it."""
 
     keys: np.ndarray  # each row's (subset, kept) key of the runs, below bound
     bound: int
@@ -888,48 +912,12 @@ class _Half(NamedTuple):
     sums: np.ndarray  # the diagonal entry of that key: its rows' a^2 + b^2
     runs: np.ndarray  # (B + 1,) the first row j T of each run, and B T
 
-    def starts(self) -> tuple:
-        """Where each subset's entries start above the diagonal and on it:
-        rows >= j T holds from the first entry of subset j on, in either."""
-        return np.searchsorted(self.upper[0], self.runs), np.searchsorted(self.on, self.runs)
-
-    def maximally_mixed(self, dim: int, r: int) -> np.ndarray:
-        """Which reductions are exactly I / dim: none stores an entry above
-        the diagonal, and each has dim diagonal entries of value r / dim."""
-        upper_starts, on_starts = self.starts()
-        ok = (np.diff(upper_starts) == 0) & (np.diff(on_starts) == dim)
-        if ok.any():
-            ok &= (r % dim == 0) & (_segment_count(self.sums != r // dim, on_starts) == 0)
-        return ok
-
-    def deviations(self, dim: int, r: int) -> np.ndarray:
-        """Each reduction's largest entrywise distance from I / dim, with
-        the bits of _deviations on the mirrored operator, whose entries below
-        the diagonal are as far off as their mirrors above it.
-
-        A diagonal entry x / r is |x dim - r| / (r dim) off, a float that
-        rounds monotonically in the integer |x dim - r|, so each reduction's
-        largest is taken to floats alone.  An entry a + b i above the
-        diagonal is |a + b i| / r off, a float formula that may not round
-        monotonically; while a^2 + b^2 fits int64 only the entries at or near
-        (_near_top) each reduction's largest are taken to floats."""
-        starts, on_starts = self.starts()
-        # x dim - r lies in [-r, r (dim - 1)], as 0 <= x <= r
-        x = (self.sums.astype(object) if r * dim >= _INT64_LIMIT else self.sums) * dim - r
-        R, top = _floats(r * r, _segment_max(np.abs(x), on_starts))
-        scale = 1.0 / math.sqrt(R)
-        dev = top * scale / dim
-        a, b = self.re, self.im
-        if len(a):
-            bound = max(abs(int(v)) for part in (a, b) for v in (part.min(), part.max()))
-            if 2 * bound * bound < _INT64_LIMIT:
-                a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-                starts, a, b = _near_top(a * a + b * b, starts, a, b)
-            _, a, b = _floats(r * r, a, b)
-            # np.hypot gives abs() of a Python complex bit for bit
-            np.maximum(dev, _segment_max(np.hypot(a, b) * scale, starts), out=dev)
-        # a reduction missing some diagonal entry entirely is 1 / dim off there
-        return np.where(np.diff(on_starts) < dim, np.maximum(dev, 1.0 / dim), dev)
+    def split(self) -> tuple:
+        """The halves as _maximally_mixed_mask and _deviations read a block,
+        its diagonal real: rows >= j T holds from the first entry of subset
+        j on, above the diagonal and on it."""
+        upper, on = (np.searchsorted(rows, self.runs) for rows in (self.upper[0], self.on))
+        return (upper, self.re, self.im), (on, self.sums, None)
 
 
 class _Mirrored:
@@ -956,15 +944,13 @@ class _Reductions:
     lexicographic (row, column) order.  A state is the family of one, whose
     segments are its reductions onto the subsets.
 
-    An exact state's call holds the two halves that the kernel summed
-    (_Half): its verdicts, maximally_mixed and deviations, are read off
-    them, and its entries (at, diagonal, re, im and starts, as _Entries
-    names them) are mirrored from them once, at the first read of any of
-    them, as by rows, cols or operator.  A family's call is given every
-    segment, segment (j, t, s) mirroring (j, s, t), and a float call every
-    entry, a sum over its ordered pairs in the order one subset alone would
-    give.  Each entry's kept row and column are gathered at the first read
-    of rows or cols."""
+    A state's call holds the two halves that the kernel summed (_Half):
+    its verdicts, maximally_mixed and deviations, are read off them, and
+    its entries (at, diagonal, re, im and starts, as _Entries names them)
+    are mirrored from them once, at the first read of any of them, as by
+    rows, cols or operator.  A family's call is given every segment,
+    segment (j, t, s) mirroring (j, s, t).  Each entry's kept row and
+    column are gathered at the first read of rows or cols."""
 
     d: int
     columns: np.ndarray  # (N, T) transpose of the reduced index array
@@ -1042,9 +1028,6 @@ class _Reductions:
             out[segments] = _segment_max(np.hypot(x, y), within) / math.sqrt(scale)
         return out
 
-    def _block(self) -> tuple:
-        return self.d**self.k, self.starts, self.diagonal, self.re, self.im
-
     def left(self, own) -> np.ndarray:
         """Which segments the call's arrays leave undecided: every segment
         of a float call; of an exact one, each (s, s) where own() does not
@@ -1063,16 +1046,12 @@ class _Reductions:
     def maximally_mixed(self) -> np.ndarray:
         """Which exact segments (j, s, s) are exactly I / d^k over r_s; every
         (j, s, t) with s != t reads False."""
-        if isinstance(self.summed, _Half):
-            return self.summed.maximally_mixed(self.d**self.k, self.r[0])
-        return _maximally_mixed_mask(*self._block(), self.r)
+        return _maximally_mixed_mask(self.d**self.k, *self.summed.split(), self.r)
 
     def deviations(self) -> np.ndarray:
         """Each reduction's largest entrywise distance from I / d^k, for a
         state (a family of one)."""
-        if isinstance(self.summed, _Half):
-            return self.summed.deviations(self.d**self.k, self.r[0])
-        return _deviations(*self._block(), self.r[0], self.r[0], self.exact)
+        return _deviations(self.d**self.k, *self.summed.split(), self.r[0], self.r[0], self.exact)
 
     def same_as_first(self) -> np.ndarray:
         """Which exact segments (j, s, s) with s >= 1 are the same operator
@@ -1101,16 +1080,15 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     denominator r.
 
     Two rows of a run that agree off the subset make the entry at their
-    kept keys.  An exact encoding sums only the pairs above the diagonal:
-    each row with the later rows of its complement group, ordered by kept
-    key, which differ from it on the subset.  Its diagonal entries are sums
-    of a^2 + b^2 over the rows of one kept key.  Those two halves are the
+    kept keys.  Only the pairs above the diagonal are summed: each row with
+    the later rows of its complement group, ordered by kept key, which
+    differ from it on the subset.  The diagonal entries are sums of
+    a^2 + b^2 over the rows of one kept key.  Those two halves are the
     result (_Half); each entry below the diagonal is the conjugate of its
-    mirror, put in place (_mirrored) only if the operators are read.  A
-    float encoding sums every such ordered pair, each row with itself
-    included, in the order that one subset alone would give, so float sums
-    keep their bits, and its entries come in lexicographic (row, column)
-    order."""
+    mirror, put in place (_mirrored) only if the operators are read.  An
+    exact encoding keeps its nonzero entries only.  A float one keeps every
+    entry, each summed in row order (_sums), the order that one subset
+    alone would give, so float sums keep their bits."""
     T, N = e.idx.shape
     B = len(subsets)
     kept = np.array(subsets, dtype=np.int64).reshape(B, -1)
@@ -1122,7 +1100,7 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     floats = e.bound is None
     # rows sharing the complement of row i in its run, in kept key order
     others = _complements(kept, N)
-    order, lo, counts = _partners(*_by_run(*_run_keys(columns, others, d, _INT64_LIMIT), B, _INT64_LIMIT), by_kept, not floats)
+    order, lo, counts = _partners(*_by_run(*_run_keys(columns, others, d, _INT64_LIMIT), B, _INT64_LIMIT), by_kept)
 
     a, b = e.re, e.im
     # an entry sums at most one product per row, each below 2 * bound^2
@@ -1165,11 +1143,9 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
         del b2
         im = np.subtract(a2, a1, out=a2)
         del a1
+        re, im = _sums(head, heads, re, im)
         if floats:
-            # bincount adds in pair order, as a running sum over the rows would
-            entry = np.cumsum(head) - 1
-            return i1, i2, np.bincount(entry, re, len(heads)), np.bincount(entry, im, len(heads))
-        re, im = np.add.reduceat(re, heads), np.add.reduceat(im, heads)
+            return i1, i2, re, im
         nonzero = (re != 0) | (im != 0)
         return i1[nonzero], i2[nonzero], re[nonzero], im[nonzero]
 
@@ -1180,18 +1156,26 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     # rows >= j T holds from the first entry of subset j on
     rows_out, cols_out, re, im = parts[0] if len(parts) == 1 else (np.concatenate(column) for column in zip(*parts))
     del parts
-    runs = np.arange(0, (B + 1) * T, T)
-    if floats:
-        made = _Entries((rows_out, cols_out), own[rows_out] == own[cols_out], re, im, np.searchsorted(rows_out, runs))
-        return _Reductions(d, columns, kept, (r,), False, made)
-    first = np.flatnonzero(_heads(keys[by_kept]))
-    sums = np.add.reduceat((a * a + b * b)[by_kept], first)
-    half = _Half(keys, n_kept, (rows_out, cols_out), re, im, by_kept[first], sums, runs)
-    return _Reductions(d, columns, kept, (r,), True, half)
+    head = _heads(keys[by_kept])
+    first = np.flatnonzero(head)
+    (sums,) = _sums(head, first, (a * a + b * b)[by_kept])
+    half = _Half(keys, n_kept, (rows_out, cols_out), re, im, by_kept[first], sums, np.arange(0, (B + 1) * T, T))
+    return _Reductions(d, columns, kept, (r,), not floats, half)
+
+
+def _sums(head: np.ndarray, heads: np.ndarray, *parts: np.ndarray) -> list:
+    """The sum of each run of every part, the runs starting where head is
+    set, at the positions heads.  Floats are added in order, as np.bincount
+    adds them, a running sum: np.add.reduceat may add floats pairwise,
+    which changes their bits."""
+    if parts[0].dtype.kind == "f":
+        run = np.cumsum(head) - 1
+        return [np.bincount(run, part, len(heads)) for part in parts]
+    return [np.add.reduceat(part, heads) for part in parts]
 
 
 def _mirrored(h: _Half) -> _Entries:
-    """The exact Hermitian reductions whose halves h holds, each entry in
+    """The Hermitian reductions whose halves h holds, each entry in
     lexicographic (row, column) order, with its diagonal flag.
 
     Row x holds, in column order, the conjugates (re, -im) of the entries
@@ -1548,13 +1532,12 @@ def verify_k_uniform(state: PureState, k: int, tol: float = FLOAT_TOL) -> Unifor
     the short words of C name the subsets left, none when w(C) > k too;
     other rows are counted.  Every subset left, and every subset of a float
     state, goes through the reduction kernel, one call per list that
-    undecided yields, which alone reports failures.  Of an exact state, a
-    call's result is the two halves the kernel summed, the entries above
-    each diagonal and the diagonal itself (_Half): whether each subset's
-    reduction is exactly I / d^k, and its deviation, are read off those
-    halves in integers, and no operator is ever mirrored whole.  A float
-    call's deviations are read off its entries.  A pass from any stage gives
-    the same report.
+    undecided yields, which alone reports failures.  A call's result is the
+    two halves the kernel summed, the entries above each diagonal and the
+    diagonal itself (_Half): whether each subset's reduction is exactly
+    I / d^k, and its deviation, are read off those halves, in integers when
+    the state is exact, and no operator is ever mirrored whole.  A pass
+    from any stage gives the same report.
     """
     if not 0 <= k <= state.N:
         raise ValueError(f"k = {k} outside [0, {state.N}]")

@@ -13,9 +13,12 @@ oracle_cross_reduction call per (subset, pair), in
 floats for every pair unless every image is exact, and deviations read off
 dense matrices.  oracle_counting_passes is the counting criterion of
 verify_k_uniform decided for one subset at a time.  oracle_deviations is
-the deviation of each operator of a kernel block from I / dim with every
-entry taken to floats, segment by segment; it shares only the float
-conversions _floats and _physical with states._deviations.
+the deviation of each operator of a block from I / dim with every entry
+taken to floats, segment by segment, its entries given in one list with a
+diagonal flag each, as the mirrored operators hold them; states._deviations
+takes them split into the entries off the diagonal and on it (states._split)
+and finds most maxima in integers.  The two share only the float
+conversions _floats and _physical.
 """
 
 from __future__ import annotations

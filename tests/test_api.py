@@ -75,3 +75,41 @@ def test_cited_names_resolve():
     cited = re.findall(rf"\b{DOTTED}", caps.__doc__)
     assert "states._Purified.undecided" in cited
     assert _unresolved(cited) == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """The names of a module's private functions, classes and methods: each
+    def or class whose name has one leading underscore, and each method of
+    a private class but its dunders."""
+    found = []
+
+    def visit(node, private_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if not dunder and (child.name.startswith("_") or private_class and not isinstance(child, ast.ClassDef)):
+                    found.append(child.name)
+                visit(child, isinstance(child, ast.ClassDef) and child.name.startswith("_"))
+            else:
+                visit(child, private_class)
+
+    visit(tree, False)
+    return found
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    """Every private function, class or method defined in the package is
+    named somewhere in it besides its own definition: as a name, an
+    attribute, or a string that is exactly the name (as getattr takes it).
+    A helper that a change left without a caller fails here.  Names are
+    compared as words, so two methods of one name count as one."""
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(kuniform.__file__).parent.rglob("*.py"))]
+    named = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            named.add(node.value)
+    assert sorted({name for tree in trees for name in _private_definitions(tree)} - named) == []

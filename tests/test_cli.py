@@ -325,6 +325,26 @@ def test_mask_build_verify_and_collusion(tmp_path):
     assert report["details"]["failures"]
 
 
+def test_mask_bundles_do_not_depend_on_where_their_input_was(tmp_path, capsys, monkeypatch):
+    """Two builds from copies of one state in two directories make the same
+    bundle, which `mask verify` reports alike; the manifest names the input
+    by its file name."""
+    psi = tmp_path / "psi.state"
+    run(["construct", "kuniform", "--k", "2", "--d", "3", "--N", "4", "-o", str(psi)])
+    outs = []
+    for where in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        where.mkdir(parents=True)
+        shutil.copy(psi, where / "psi.state")
+        run(["mask", "build", "--state", str(where / "psi.state"), "--split", "0", "--k", "1", "-o", str(where / "m")])
+        monkeypatch.chdir(where)
+        capsys.readouterr()
+        assert run(["mask", "verify", "m", "--k", "1"])[0] == 0
+        outs.append((cli._digest(where / "m"), capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    manifest = json.loads((tmp_path / "a" / "m" / "manifest.json").read_text())
+    assert manifest["provenance"] == "split party 0 of (psi.state)"
+
+
 def test_mask_verify_seeded_sampling_is_reproducible(tmp_path, capsys):
     ame = str(tmp_path / "ame.state")
     save_state(load_bundled_state("ame_6_2"), ame)

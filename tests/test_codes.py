@@ -531,7 +531,7 @@ def _read(q: int, rows: np.ndarray, w: int) -> set | None:
 
 @pytest.mark.parametrize("chunk", [1 << 16, 7])
 @pytest.mark.parametrize("C", RECOGNISED, ids=repr)
-def test_code_of_rows_recognises_translated_shuffled_cosets(monkeypatch, C, chunk):
+def test_read_coset_recognises_translated_shuffled_cosets(monkeypatch, C, chunk):
     """The code of the rows, as _read_coset reads it off message order
     (where the first q^(t-1) rows span one dimension less), a translated
     coset and a shuffled one, is C: at every w the short words' supports
@@ -551,7 +551,7 @@ def test_code_of_rows_recognises_translated_shuffled_cosets(monkeypatch, C, chun
 
 
 @pytest.mark.parametrize("chunk", [1 << 16, 7])
-def test_code_of_rows_refuses_what_is_not_a_coset(monkeypatch, chunk):
+def test_read_coset_refuses_what_is_not_a_coset(monkeypatch, chunk):
     """_read_coset gives None for rows that are no coset of an additive
     code over the digits of GF(q), and for a coset whose C-perp has short
     words."""
@@ -582,7 +582,7 @@ def test_code_of_rows_refuses_what_is_not_a_coset(monkeypatch, chunk):
     assert _read(5, rows[:1], 0) == set() and codes._read_coset(5, rows[:1], 1) is None
 
 
-def test_code_of_rows_leaves_fields_above_the_cap_alone(monkeypatch):
+def test_read_coset_leaves_fields_above_the_cap_alone(monkeypatch):
     """_read_coset reads no code of the rows over a field above the
     field_order cap, and raises nothing."""
     monkeypatch.setenv("KUF_CAPS", "field_order=4")

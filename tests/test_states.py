@@ -481,14 +481,14 @@ def test_kernel_blocks_keep_entries_whole():
 
 
 @st.composite
-def block_families(draw):
+def block_families(draw, kinds=("int64", "wide", "float", "mixed")):
     """(family, k): one to three states on N <= 5 parties with d in {2, 3},
-    all exact with int64 numerators, all exact with numerators past 2^63,
-    all float, or exact ones joined by a float one; k the size of the
-    subsets reduced."""
+    of one of these kinds: all exact with int64 numerators, all exact with
+    numerators past 2^63, all float, or exact ones joined by a float one;
+    k the size of the subsets reduced."""
     N = draw(st.integers(1, 5))
     d = draw(st.sampled_from((2, 3)))
-    kind = draw(st.sampled_from(("int64", "wide", "float", "mixed")))
+    kind = draw(st.sampled_from(kinds))
     members = sparse_float_states(N, d) if kind == "float" else sparse_exact_states(N, d)
     if kind == "wide":
         big = draw(st.sampled_from((2**63, 3**41 + 2)))
@@ -524,13 +524,12 @@ def _assert_pair_blocks(keys, counts, blocks, terms: int) -> None:
 def _matched_pairs(e, subsets: list) -> int:
     """The pairs a _reduce call on e matches, counted group by group of rows
     that agree off a subset: the pairs of distinct rows, each once, for an
-    exact encoding; every ordered pair, each row with itself included, for
-    a float one."""
+    exact encoding and a float one alike."""
     total = 0
     for S in subsets:
         others = [p for p in range(e.idx.shape[1]) if p not in S]
         _, sizes = np.unique(e.idx[:, others], axis=0, return_counts=True)
-        total += int((sizes * sizes).sum() if e.bound is None else (sizes * (sizes - 1) // 2).sum())
+        total += int((sizes * (sizes - 1) // 2).sum())
     return total
 
 
@@ -542,9 +541,8 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
     of one, of seven and of the walk's default size, with pair blocks of 5
     that cut through subsets or of the default budget.  Calls of the walk's
     size keep their row arrays within the budget, every pair block exceeds
-    its budget by at most one group, and an exact call matches each pair of
-    distinct rows that agree off a subset once, a float one every ordered
-    pair."""
+    its budget by at most one group, and every call, exact or float,
+    matches each pair of distinct rows that agree off a subset once."""
     family, k = case
     psi = states_module._Purified(family)
     e, m = psi.e, psi.m
@@ -569,7 +567,7 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
             _assert_pair_blocks(keys, counts, blocks, T)
         cut.clear()
         alone = [psi.reductions([S]) for S in subsets]
-    # an exact call matches the pairs above the diagonal, a float one all
+    # every call matches the pairs above the diagonal alone
     assert all(counts.sum() == _matched_pairs(args[0], args[1]) for (args, _), (_, (_, _, counts)) in zip(reduced, pair_counts))
     assert [len(args[1]) for args, _ in reduced[: len(calls)]] == [len(call) for call in calls]
     if size is None:
@@ -691,11 +689,15 @@ def test_reports_match_oracle_bit_for_bit():
 
 
 def test_float_report_matches_oracle():
+    """A float state's report is the oracle's within 1e-12, read off the
+    halves of its kernel calls without mirroring them."""
     rng = np.random.default_rng(17)
     v = rng.normal(size=3**4) + 1j * rng.normal(size=3**4)
     s = from_vector(v / np.linalg.norm(v), 4, 3)
     for k in (1, 2):
-        report, want = verify_k_uniform(s, k), oracle_verify_k_uniform(s, k)
+        with mock.patch.object(states_module, "_mirrored", _no_mirror):
+            report = verify_k_uniform(s, k)
+        want = oracle_verify_k_uniform(s, k)
         assert (report.verdict, [f[0] for f in report.failures]) == ("fail", [f[0] for f in want.failures])
         assert report.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
 
@@ -754,6 +756,31 @@ def test_exact_reductions_are_hermitian_and_the_oracles(case, pair_block):
         assert op.entries == {(col, row): (a, -b) for (row, col), (a, b) in mirror.items()}
 
 
+@settings(max_examples=100)
+@given(case=block_families(kinds=("float", "mixed")), pair_block=st.sampled_from((5, oa_module._COUNT_BLOCK)))
+def test_float_reductions_are_hermitian_bit_for_bit(case, pair_block):
+    """The float twin of the test above: every reduction of a family
+    reduced in floats is the dict oracle's within 1e-12, and entry (x, y)
+    of segment (j, s, t) is the conjugate of entry (y, x) of (j, t, s) bit
+    for bit, as the kernel sums one of them and mirrors the other.  An
+    entry that is its own mirror, (x, x) of (j, s, s), is real."""
+    family, k = case
+    psi = states_module._Purified(family)
+    K, subsets = len(family), list(combinations(range(family[0].N), k))
+    with mock.patch.object(oa_module, "_COUNT_BLOCK", pair_block):
+        red = psi.reductions(subsets)
+    for (j, S), (s, t) in product(enumerate(subsets), np.ndindex(K, K)):
+        op = red.operator(j, s, t)
+        assert_same_operator(op, oracle_cross_reduction(family[s], family[t], S, True))
+        mirror = {(col, row): v.conjugate() for (row, col), v in red.operator(j, t, s).entries.items()}
+        assert op.entries.keys() == mirror.keys()
+        for (row, col), v in op.entries.items():
+            if s == t and row == col:
+                assert _bits(v.imag) == _bits(0.0)
+            else:
+                assert _bits(v) == _bits(mirror[row, col])
+
+
 @st.composite
 def deviation_blocks(draw):
     """Arguments (dim, starts, diagonal, re, im, r) of _deviations for a
@@ -802,8 +829,8 @@ def test_deviations_match_the_all_entries_oracle(block, other):
     entry's float distance maximised segment by segment; over two
     denominators, r and r + 1, every entry goes to floats as before."""
     dim, starts, diagonal, re, im, r = block
-    args = dim, starts, diagonal, re, im, r, r + other, True
-    assert states_module._deviations(*args).tobytes() == oracle_deviations(*args).tobytes()
+    got = states_module._deviations(dim, *states_module._split(starts, diagonal, re, im), r, r + other, True)
+    assert got.tobytes() == oracle_deviations(dim, starts, diagonal, re, im, r, r + other, True).tobytes()
 
 
 @st.composite
@@ -841,11 +868,11 @@ def half_blocks(draw):
 @settings(max_examples=300)
 @given(block=half_blocks())
 def test_half_readers_match_the_all_entries_oracle(block):
-    """A _Half's verdicts are those of the mirrored operators it stands
-    for, subset j holding its diagonal sums, its entries above the diagonal
-    and their conjugates below it: maximally_mixed as
-    _maximally_mixed_mask reads them, deviations bit for bit as the
-    all-entries oracle computes them."""
+    """A _Half's verdicts, read in its own layout (_Half.split), are those
+    of the mirrored operators it stands for, subset j holding its diagonal
+    sums, its entries above the diagonal and their conjugates below it:
+    _maximally_mixed_mask as the definition of I / dim reads them,
+    _deviations bit for bit as the all-entries oracle computes them."""
     dim, r, subsets = block
     values = [v for upper, sums in subsets for v in [*sums, *(x for pair in upper for x in pair)]]
     dtype = object if max(map(abs, values), default=0) >= 1 << 63 else np.int64
@@ -862,8 +889,9 @@ def test_half_readers_match_the_all_entries_oracle(block):
     diagonal = np.array([on for on, _, _ in flat], dtype=bool)
     re, im = (np.array([entry[i] for entry in flat], dtype=dtype) for i in (1, 2))
     full = dim, np.cumsum([0] + [len(segment) for segment in entries]), diagonal, re, im
-    assert half.maximally_mixed(dim, r).tolist() == states_module._maximally_mixed_mask(*full, (r,)).tolist()
-    assert half.deviations(dim, r).tobytes() == oracle_deviations(*full, r, r, True).tobytes()
+    mixed = [not upper and len(sums) == dim and r % dim == 0 and all(x == r // dim for x in sums) for upper, sums in subsets]
+    assert states_module._maximally_mixed_mask(dim, *half.split(), (r,)).tolist() == mixed
+    assert states_module._deviations(dim, *half.split(), r, r, True).tobytes() == oracle_deviations(*full, r, r, True).tobytes()
 
 
 def test_walk_sized_reduce_peaks_within_its_arrays():
@@ -1002,9 +1030,9 @@ def test_half_form_reads_the_mirrored_operators(case, pair_block, limit):
     ):
         red = states_module._reduce(e, subsets, state.d, state.r)
         mixed, dev = red.maximally_mixed(), red.deviations()
-    block = state.d**k, red.starts, red.diagonal, red.re, red.im
-    assert mixed.tolist() == states_module._maximally_mixed_mask(*block, (state.r,)).tolist()
-    assert dev.tobytes() == oracle_deviations(*block, state.r, state.r, True).tobytes()
+    block = red.starts, red.diagonal, red.re, red.im
+    assert mixed.tolist() == states_module._maximally_mixed_mask(state.d**k, *states_module._split(*block), (state.r,)).tolist()
+    assert dev.tobytes() == oracle_deviations(state.d**k, *block, state.r, state.r, True).tobytes()
     for j, S in enumerate(subsets):
         op = red.operator(j)
         keys = [row + col for row, col in zip(op.rows.tolist(), op.cols.tolist())]
@@ -1056,8 +1084,12 @@ def test_verify_state_reports_never_mirror(tmp_path, capsys, monkeypatch):
             half = capsys.readouterr().out
         with monkeypatch.context() as m:
             red = states_module._Reductions
-            m.setattr(red, "maximally_mixed", lambda self: states_module._maximally_mixed_mask(*self._block(), self.r))
-            m.setattr(red, "deviations", lambda self: states_module._deviations(*self._block(), self.r[0], self.r[0], True))
+
+            def mirrored_block(self) -> tuple:
+                return self.d**self.k, *states_module._split(self.starts, self.diagonal, self.re, self.im)
+
+            m.setattr(red, "maximally_mixed", lambda self: states_module._maximally_mixed_mask(*mirrored_block(self), self.r))
+            m.setattr(red, "deviations", lambda self: states_module._deviations(*mirrored_block(self), self.r[0], self.r[0], True))
             run(argv)
             mirrored = capsys.readouterr().out
         assert half == mirrored
