@@ -29,21 +29,25 @@ every block (s, t) is delta_st I / d^k and the subset passes both checks,
 a masker's common operator there being I / d^k over image 0's r.  The
 subsets left come in lists, and each list costs one kernel call that
 reduces Psi onto every subset in it (its reductions), with block (s, t)
-of subset j as segment (j, s, t) of the call's arrays.  An exact call
-passes segments from those arrays at once, in integers: a masker's
+of subset j as segment (j, s, t) of the call's two halves: the entries
+above Psi's diagonal, which hold each (s, t) with s < t whole and the
+upper half of each (s, s), and the diagonal of each (s, s).  An exact
+call passes segments from those halves at once, in integers: a masker's
 (s, t) when it is empty and its (s, s) when it is the same operator as
 (0, 0), a code's (s, t) when it is empty and its (s, s) when it is
 I / d^k.  The segments left, every one of a float call, are read off the
-same arrays: a masker's deviations of (s, s) from (0, 0), all of a call's
-in one pass (states._differences), and its cross-term magnitudes, the
-largest entry of each (s, t).  Only a code's failing block becomes a
-SparseOperator, for its Pauli witness; a masker keeps (0, 0) of each
-subset as its common operator.  The matrix_dim cap is checked where those
-reductions are made: by undecided, and before the first sample of
-verify_masker, whose superpositions are reduced onto every subset a list
-of subsets per kernel call (its superposed) and compared with the common
-operators of that call's subsets in one pass, without an operator per
-subset.
+same halves: a masker's cross-term magnitudes, the largest entry of each
+(s, t) with s < t, as stored, and its deviations of (s, s) from (0, 0),
+all of a call's in one pass (states._differences) over those segments
+mirrored whole.  Only the segments read whole are mirrored: a masker's
+common operators, (0, 0) of each subset, in one mirror per call, the
+(s, s) left and their (0, 0), and a code's failing block, which becomes
+a SparseOperator for its Pauli witness.  The matrix_dim cap is checked
+where those reductions are made: by undecided, and before the first
+sample of verify_masker, whose superpositions are reduced onto every
+subset a list of subsets per kernel call (its superposed) and compared
+with the common operators of that call's subsets in one pass, without an
+operator per subset.
 
 Orthonormality is the same Psi with no party kept: its reduction onto the
 ancilla alone has entry (s, t) = <psi_t|psi_s>, and an exact reduction
@@ -206,12 +210,12 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     images' purified state are passed without a reduction, with I / d^k
     as their common operator.  Each kernel call over the subsets left
     gives every block (s, t) of each subset as a segment: segment (0, 0)
-    is the subset's common operator, and an exact call passes an (s, s)
-    that is the same operator and an (s, t) that is empty from its arrays.
-    The segments left are read off those arrays too, never built as
-    operators: each (s, s) left is compared with its (0, 0) in one
-    _differences pass per call, and each (s, t) left reports its largest
-    entry.  With samples > 0 a seeded
+    is the subset's common operator, all of a call's mirrored at once, and
+    an exact call passes an (s, s) that is the same operator and an (s, t)
+    that is empty from its halves.  The segments left are read off the
+    call too, never built as operators: each (s, s) left is compared with
+    its (0, 0) in one _differences pass per call, and each (s, t) left
+    reports its largest entry.  With samples > 0 a seeded
     sanity pass additionally prepares that many random input superpositions
     and compares each of their k-party reductions against the common one in
     float arithmetic, one _differences pass per kernel call of a sample;
@@ -235,7 +239,7 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
     kinds = np.stack([np.diag(np.arange(K) > 0), np.less.outer(range(K), range(K))])
     for subsets in psi.undecided(k):
         red = psi.reductions(subsets)
-        common.update((subset, red.operator(j)) for j, subset in enumerate(subsets))
+        common.update(zip(subsets, red.operators(np.arange(len(subsets)) * K * K)))
         left = red.left(red.same_as_first).reshape(-1, 1, K, K) & kinds
         # each segment left, (j, s, s) against (j, 0, 0) and (j, s, t) by its
         # largest entry, read off the call's arrays
@@ -266,7 +270,8 @@ def verify_masker(m: Masker, k: int, *, samples: int = 0, seed: int = 0) -> Mask
             coeffs = rng.normal(size=m.d) + 1j * rng.normal(size=m.d)
             coeffs /= np.linalg.norm(coeffs)
             for subsets, red in psi.superposed(coeffs, k):
-                deltas = _differences(m.d, red.segments(), _stacked([common[subset] for subset in subsets]))
+                first = red.segments(np.arange(len(subsets)))
+                deltas = _differences(m.d, first, _stacked([common[subset] for subset in subsets]))
                 for subset, delta in zip(subsets, deltas.tolist()):
                     max_dev = max(max_dev, delta)
                     if delta > FLOAT_TOL:

@@ -115,8 +115,12 @@ class PureState:
         else:
             if r != 1:
                 raise ValueError("float states use r = 1")
-            # term by term, so a NormError quotes the norm to the same bits
-            norm = sum(abs(v) ** 2 for v in values.tolist())
+            # term by term, so a NormError quotes the norm to the same bits;
+            # a modulus or square past float range makes it inf
+            try:
+                norm = sum(abs(v) ** 2 for v in values.tolist())
+            except OverflowError:
+                norm = math.inf
             if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
                 raise NormError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         idx.setflags(write=False)
@@ -589,9 +593,10 @@ def _deviations(dim: int, off: tuple, on: tuple, r_ket: int, r_bra: int, exact: 
     return np.where(np.diff(on_starts) < dim, np.maximum(dev, 1.0 / dim), dev)
 
 
-def _members(segments: int, K: int) -> tuple:
-    """The s and t of each segment of a block for a family of K states."""
-    return np.divmod(np.arange(segments) % K**2, K)
+def _members(ids: np.ndarray, K: int) -> tuple:
+    """The s and t of segments ids (j, s, t) of a block for a family of K
+    states."""
+    return np.divmod(ids % K**2, K)
 
 
 def _maximally_mixed_mask(dim: int, off: tuple, on: tuple, r) -> np.ndarray:
@@ -605,7 +610,7 @@ def _maximally_mixed_mask(dim: int, off: tuple, on: tuple, r) -> np.ndarray:
     ok = (np.diff(starts) == 0) & (size == dim)
     if not ok.any():
         return ok
-    s, t = _members(len(size), len(r))
+    s, t = _members(np.arange(len(size)), len(r))
     ok &= (s == t) & np.array([v % dim == 0 for v in r])[s]
     want = np.array([v // dim for v in r], dtype=object if max(r) // dim >= _INT64_LIMIT else np.int64)
     wrong = x != np.repeat(want[s], size)
@@ -718,21 +723,25 @@ def _validate_parties(N: int, parties) -> tuple[int, ...]:
 # are matched on their complement keys within their own subset only, and the
 # pair products are summed per (subset, kept1, kept2) key.  A reduction is
 # Hermitian, so a call sums only the pairs above the diagonal and finds the
-# diagonal from the rows alone: its result is those two halves (_Half), from
-# which whether each reduction is I / d^k and how far it is from it are read,
-# in integers when exact.  The entries below the diagonal are the conjugates
-# of those above; they are mirrored in (_mirrored) once, the first time a
-# caller reads the operators themselves.  Float sums are added in pair
-# order, as one subset alone would give them, so they keep their bits.  Keys
-# are bounded, so every sort is _stable_order's, by radix while the bound is
-# below 2^32.  An entry's kept row and column are gathered only for callers
-# that read them.
+# diagonal from the rows alone: its result is those two halves (_Half), and
+# every verdict is read off them, in integers when exact.  The entries below
+# the diagonal are the conjugates of those above; they are mirrored in
+# (_mirrored) only for the segments that a caller reads as operators.  Float
+# sums are added in pair order, as one subset alone would give them, so they
+# keep their bits.  Keys are bounded, so every sort is _stable_order's, by
+# radix while the bound is below 2^32.  An entry's kept row and column are
+# gathered only for the segments mirrored.
 # Exact states stay in int64 only where every product and sum provably
 # fits, and in Python ints otherwise, so no result ever wraps.
 #
 # A family of states psi_s is reduced as one purified state (_Purified)
 # Psi = sum_s |s>_a |psi_s>: block (s, t) of its reduction onto the ancilla
-# and S is |psi_s><psi_t| traced down to S, one segment of a _Reductions.
+# and S is |psi_s><psi_t| traced down to S, segment (j, s, t) of a
+# _Reductions.  The ancilla digits lead the kept key, so every entry above
+# Psi's diagonal has s <= t.  Grouped by segment, those entries hold each
+# (s, t) with s < t whole and the half above the diagonal of each (s, s),
+# and the diagonal sums hold the diagonal of each (s, s); (t, s) is the
+# conjugate transpose of (s, t).
 
 _INT64_LIMIT = 1 << 63
 # kept keys stay below this, so a (row, col) key pair fits one int64
@@ -880,94 +889,91 @@ def _blocks(keys: np.ndarray, order: np.ndarray, counts: np.ndarray) -> list:
     return blocks
 
 
-class _Entries(NamedTuple):
-    """Segments of reduction entries, each in lexicographic (row, column)
-    order."""
-
-    at: tuple  # each entry's row and column, as rows j T + i of the runs
-    diagonal: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
-    starts: np.ndarray  # (segments + 1,) int64
-
-    def split(self) -> tuple:
-        """The segments as _maximally_mixed_mask and _deviations read them."""
-        return _split(self.starts, self.diagonal, self.re, self.im)
-
-
 class _Half(NamedTuple):
-    """The reductions of a state onto a block of B subsets as one _reduce
-    call sums them, before any mirror: for subset j, the entries above the
-    diagonal, nonzero ones only when exact, and the diagonal ones, exact
-    ones over the denominator r.  Its readers decide each reduction from
-    those halves, as they decide the mirrored operator, whose entries below
-    the diagonal are as far off as their mirrors above it."""
+    """The reductions of one _reduce call as the kernel sums them, before
+    any mirror, cut into segments: the entries above the diagonal, nonzero
+    ones only when exact, and the diagonal ones, exact ones over the
+    denominator r.  Segment i holds entries starts[0][i] : starts[0][i + 1]
+    above the diagonal, each segment's in (kept1, kept2) key order, and
+    starts[1][i] : starts[1][i + 1] on it, in key order.  Its readers decide
+    each segment from those halves, as they decide the mirrored operator,
+    whose entries below the diagonal are as far off as their mirrors above
+    it."""
 
     keys: np.ndarray  # each row's (subset, kept) key of the runs, below bound
     bound: int
-    upper: tuple  # (rows, cols) of the runs, in (subset, kept1, kept2) key order
+    upper: tuple  # (rows, cols) of the runs
     re: np.ndarray
     im: np.ndarray
-    on: np.ndarray  # one row of each (subset, kept) key, in key order
+    on: np.ndarray  # one row of each (subset, kept) key
     sums: np.ndarray  # the diagonal entry of that key: its rows' a^2 + b^2
-    runs: np.ndarray  # (B + 1,) the first row j T of each run, and B T
+    starts: tuple  # (segments + 1,) int64 each, above the diagonal and on it
 
     def split(self) -> tuple:
         """The halves as _maximally_mixed_mask and _deviations read a block,
-        its diagonal real: rows >= j T holds from the first entry of subset
-        j on, above the diagonal and on it."""
-        upper, on = (np.searchsorted(rows, self.runs) for rows in (self.upper[0], self.on))
-        return (upper, self.re, self.im), (on, self.sums, None)
+        its diagonal real."""
+        return (self.starts[0], self.re, self.im), (self.starts[1], self.sums, None)
 
 
-class _Mirrored:
-    """One of the _Entries fields of a _Reductions that holds a _Half: its
-    first read mirrors the halves (_mirrored) and sets all five fields on
-    the instance, which later reads find without calling it."""
+def _ranges(starts: np.ndarray, ids: np.ndarray) -> tuple:
+    """The positions of the entries of segments ids, segment i holding
+    starts[i] : starts[i + 1], in order; and where each segment starts among
+    them."""
+    lo, size = starts[ids], starts[ids + 1] - starts[ids]
+    within = np.concatenate([[0], np.cumsum(size)])
+    return np.repeat(lo - within[:-1], size) + np.arange(within[-1]), within
 
-    def __set_name__(self, owner, name: str):
-        self.name = name
 
-    def __get__(self, red, owner=None):
-        if red is None:
-            return self
-        red.__dict__.update(zip(_Entries._fields, _mirrored(red.summed)))
-        return red.__dict__[self.name]
+def _mirrored(h: _Half, ids: np.ndarray, K: int) -> tuple:
+    """Segments ids (j, s, t) of the Hermitian reductions of a family of K
+    states whose halves h holds, as ((rows, cols), re, im, starts): each
+    entry's row and column as rows of the runs, in lexicographic (row,
+    column) order within its segment, and where each segment starts.
+
+    A segment (j, s, t) with s < t lies above the diagonal whole, and
+    (j, t, s) holds the conjugates (re, -im) of its entries, transposed.
+    Row x of (j, s, s) holds, in column order, the conjugates of the entries
+    (y, x) above the diagonal, which come in the order of y; its diagonal
+    entry; and its own entries above the diagonal.  So those three lists,
+    taken in that order, are put in place by one stable sort by the key of
+    their rows (_stable_order) and one by their segment."""
+    s, t = _members(ids, K)
+    upper, on = h.starts
+    pieces = []
+    for take, starts, src in ((s >= t, upper, ids + (t - s) * (K - 1)), (s == t, on, ids), (s <= t, upper, ids)):
+        at, within = _ranges(starts, src[take])
+        pieces.append((at, np.repeat(np.flatnonzero(take), np.diff(within))))
+    (flip, p1), (diag, p2), (own, p3) = pieces
+    (rows, cols), sums = h.upper, h.sums[diag]
+    row = np.concatenate([cols[flip], h.on[diag], rows[own]])
+    col = np.concatenate([rows[flip], h.on[diag], cols[own]])
+    re = np.concatenate([h.re[flip], sums, h.re[own]])
+    im = np.concatenate([-h.im[flip], np.zeros_like(sums), h.im[own]])
+    pos = np.concatenate([p1, p2, p3])
+    order = _stable_order(h.keys[row], h.bound)
+    order = order[_stable_order(pos[order], len(ids))]
+    return (row[order], col[order]), re[order], im[order], np.searchsorted(pos[order], np.arange(len(ids) + 1))
 
 
 @dataclass(eq=False)
 class _Reductions:
-    """The reductions of one kernel call onto a block of k-subsets, as
-    segments: segment (j, s, t), at starts[(j K + s) K + t], is
-    |psi_s><psi_t| traced down to subset j for a family of K = len(r)
-    states, over the denominator sqrt(r_s r_t) when exact, its entries in
-    lexicographic (row, column) order.  A state is the family of one, whose
-    segments are its reductions onto the subsets.
+    """The reductions of one kernel call onto a block of k-subsets, as the
+    segments of its halves (_Half): segment (j, s, t), at index
+    (j K + s) K + t, is |psi_s><psi_t| traced down to subset j for a family
+    of K = len(r) states, over the denominator sqrt(r_s r_t) when exact.  A
+    state is the family of one, whose segments are its reductions onto the
+    subsets.
 
-    A state's call holds the two halves that the kernel summed (_Half):
-    its verdicts, maximally_mixed and deviations, are read off them, and
-    its entries (at, diagonal, re, im and starts, as _Entries names them)
-    are mirrored from them once, at the first read of any of them, as by
-    rows, cols or operator.  A family's call is given every segment,
-    segment (j, t, s) mirroring (j, s, t).  Each entry's kept row and
-    column are gathered at the first read of rows or cols."""
+    Every verdict is read off the halves.  Only operator, operators and
+    segments read whole segments, mirrored (_mirrored) from the halves for
+    the segments asked for alone, with each entry's kept row and column."""
 
     d: int
     columns: np.ndarray  # (N, T) transpose of the reduced index array
     kept: np.ndarray  # (B, k) int64, the columns kept for each subset
     r: tuple  # each member's r, 1 for floats
     exact: bool
-    summed: _Entries | _Half
-
-    at = _Mirrored()
-    diagonal = _Mirrored()
-    re = _Mirrored()
-    im = _Mirrored()
-    starts = _Mirrored()
-
-    def __post_init__(self):
-        if isinstance(self.summed, _Entries):
-            self.__dict__.update(zip(_Entries._fields, self.summed))
+    half: _Half
 
     @property
     def k(self) -> int:
@@ -977,101 +983,102 @@ class _Reductions:
     def _kept_rows(self) -> np.ndarray:
         return _runs(self.columns, self.kept)
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """(entries, k) int64."""
-        # np.take is several times faster here than fancy indexing
-        return np.take(self._kept_rows, self.at[0], axis=0)
+    def _denominators(self, ids: np.ndarray) -> list:
+        """r_s r_t of each of segments ids."""
+        s, t = _members(ids, len(self.r))
+        return [self.r[a] * self.r[b] for a, b in zip(s.tolist(), t.tolist())]
 
-    @cached_property
-    def cols(self) -> np.ndarray:
-        return np.take(self._kept_rows, self.at[1], axis=0)
+    def segments(self, ids: np.ndarray) -> _Segments:
+        """Segments ids of the call, mirrored from its halves, for
+        _differences."""
+        (rows, cols), re, im, starts = _mirrored(self.half, ids, len(self.r))
+        # np.take is several times faster here than fancy indexing
+        rows, cols = (np.take(self._kept_rows, x, axis=0) for x in (rows, cols))
+        return _Segments(rows, cols, re, im, starts, self._denominators(ids))
+
+    def operators(self, ids: np.ndarray) -> list:
+        """Segments ids as SparseOperators, views of one mirror of them."""
+        seg = self.segments(ids)
+        parts = seg.rows, seg.cols, (seg.rows == seg.cols).all(axis=1), seg.re, seg.im
+        bounds, (s, t) = seg.starts.tolist(), _members(ids, len(self.r))
+        return [
+            _sparse(self.d, *(x[lo:hi] for x in parts), self.r[a], self.r[b], self.exact)
+            for a, b, lo, hi in zip(s.tolist(), t.tolist(), bounds, bounds[1:])
+        ]
 
     def operator(self, j: int, s: int = 0, t: int = 0) -> SparseOperator:
-        """Segment (j, s, t), as views of the call's arrays."""
-        i = (j * len(self.r) + s) * len(self.r) + t
-        at = slice(self.starts[i], self.starts[i + 1])
-        parts = self.rows, self.cols, self.diagonal, self.re, self.im
-        return _sparse(self.d, *(x[at] for x in parts), self.r[s], self.r[t], self.exact)
-
-    def _gathered(self, ids: np.ndarray) -> tuple:
-        """The entries of segments ids, in order, and where each starts
-        among them; with each segment's denominator r_s r_t."""
+        """Segment (j, s, t)."""
         K = len(self.r)
-        lo, size = self.starts[ids], self.starts[ids + 1] - self.starts[ids]
-        starts = np.concatenate([[0], np.cumsum(size)])
-        at = np.repeat(lo - starts[:-1], size) + np.arange(starts[-1])
-        R = [self.r[s] * self.r[t] for s, t in zip(*(x.tolist() for x in np.divmod(ids % K**2, K)))]
-        return at, starts, R
-
-    def segments(self, ids: np.ndarray | None = None) -> _Segments:
-        """Segments ids of the call, for _differences; by default every
-        segment of a state's call, its reductions onto the subsets."""
-        if ids is None:
-            (r,) = self.r
-            return _Segments(self.rows, self.cols, self.re, self.im, self.starts, [r * r] * (len(self.starts) - 1))
-        at, starts, R = self._gathered(ids)
-        return _Segments(self.rows[at], self.cols[at], self.re[at], self.im[at], starts, R)
+        return self.operators(np.array([(j * K + s) * K + t]))[0]
 
     def largest(self, ids: np.ndarray) -> np.ndarray:
-        """The largest |value| of each of segments ids, 0.0 for an empty
-        one: abs() of each stored numerator or float, as np.hypot gives it,
-        over the segment's sqrt(r_s r_t)."""
-        at, starts, R = self._gathered(ids)
+        """The largest |value| of each of segments ids (j, s, t) with s < t,
+        which lie above the diagonal whole, 0.0 for an empty one: abs() of
+        each stored numerator or float, as np.hypot gives it, over the
+        segment's sqrt(r_s r_t)."""
+        at, starts = _ranges(self.half.starts[0], ids)
         out = np.empty(len(ids))
-        for value, segments, on in _by_denominator(R, starts):
+        for value, segments, on in _by_denominator(self._denominators(ids), starts):
             if on is None:
                 segments, entries, within = slice(None), at, starts
             else:
                 entries, within = at[on], np.concatenate([[0], np.cumsum(np.diff(starts)[segments])])
-            scale, x, y = _floats(value, self.re[entries], self.im[entries])
+            scale, x, y = _floats(value, self.half.re[entries], self.half.im[entries])
             out[segments] = _segment_max(np.hypot(x, y), within) / math.sqrt(scale)
         return out
 
     def left(self, own) -> np.ndarray:
-        """Which segments the call's arrays leave undecided: every segment
-        of a float call; of an exact one, each (s, s) where own() does not
-        hold and each (s, t) with s != t that stores an entry.  A state's
-        exact call reads own() alone, so nothing is mirrored for it."""
+        """Which segments the halves leave undecided: every segment of a
+        float call; of an exact one, each (s, s) where own() does not hold
+        and each (s, t) with s != t whose entries, or their mirrors in
+        (t, s), are not all zero."""
         K = len(self.r)
         if not self.exact:
             return np.ones(len(self.kept) * K * K, dtype=bool)
-        left = ~own()
-        if K > 1:
-            s, t = _members(len(left), K)
-            cross = s != t
-            left[cross] = np.diff(self.starts)[cross] > 0
-        return left
+        left = ~own().reshape(-1, K, K)
+        filled = np.diff(self.half.starts[0]).reshape(-1, K, K) > 0
+        cross = ~np.eye(K, dtype=bool)
+        left[:, cross] = (filled | filled.transpose(0, 2, 1))[:, cross]
+        return left.reshape(-1)
 
     def maximally_mixed(self) -> np.ndarray:
         """Which exact segments (j, s, s) are exactly I / d^k over r_s; every
         (j, s, t) with s != t reads False."""
-        return _maximally_mixed_mask(self.d**self.k, *self.summed.split(), self.r)
+        return _maximally_mixed_mask(self.d**self.k, *self.half.split(), self.r)
 
     def deviations(self) -> np.ndarray:
         """Each reduction's largest entrywise distance from I / d^k, for a
         state (a family of one)."""
-        return _deviations(self.d**self.k, *self.summed.split(), self.r[0], self.r[0], self.exact)
+        return _deviations(self.d**self.k, *self.half.split(), self.r[0], self.r[0], self.exact)
 
     def same_as_first(self) -> np.ndarray:
         """Which exact segments (j, s, s) with s >= 1 are the same operator
-        as (j, 0, 0): the same entries, with x r_0 == y r_s for their values
-        x over r_s and y over r_0; every other segment reads False.  Entries
-        of a trace-1 positive operator are at most 1, so |x| <= r_s and
-        |y| <= r_0, and the products stay below r_s r_0."""
-        s, t = _members(len(self.starts) - 1, len(self.r))
-        size, first = np.diff(self.starts), np.arange(len(s)) // len(self.r) ** 2 * len(self.r) ** 2
-        ok = (s == t) & (s > 0) & (size == size[first])
-        # the entries of those segments, each paired with its (j, 0, 0) one
-        ia = np.flatnonzero(np.repeat(ok, size))
-        seg = np.repeat(np.arange(len(s)), size)[ia]
-        ib = ia - self.starts[seg] + self.starts[first[seg]]
+        as (j, 0, 0): the same entries above the diagonal and on it, with
+        x r_0 == y r_s for their values x over r_s and y over r_0; every
+        other segment reads False.  Entries of a trace-1 positive operator
+        are at most 1, so |x| <= r_s and |y| <= r_0, and the products stay
+        below r_s r_0."""
+        h, K = self.half, len(self.r)
+        s, t = _members(np.arange(len(h.starts[0]) - 1), K)
+        first = np.arange(len(s)) // K**2 * K**2
+        halves = (h.starts[0], h.upper, (h.re, h.im)), (h.starts[1], (h.on,), (h.sums,))
+        sizes = [np.diff(starts) for starts, _, _ in halves]
+        ok = (s == t) & (s > 0) & (sizes[0] == sizes[0][first]) & (sizes[1] == sizes[1][first])
         r = np.array(self.r, dtype=object if max(self.r) ** 2 >= _INT64_LIMIT else np.int64)
-        # a bool matmul tells whether any column differs, faster than any(axis=1)
-        differ = ((self.rows[ia] != self.rows[ib]) | (self.cols[ia] != self.cols[ib])) @ np.ones(self.k, dtype=bool)
-        for part in (self.re, self.im):
-            differ |= part[ia] * r[:1] != part[ib] * r[s[seg]]
-        return ok & (np.bincount(seg[differ], minlength=len(s)) == 0)
+        for (starts, at, values), size in zip(halves, sizes):
+            # the entries of those segments, each paired with its (j, 0, 0) one
+            ia = np.flatnonzero(np.repeat(ok, size))
+            seg = np.repeat(np.arange(len(s)), size)[ia]
+            ib = ia - starts[seg] + starts[first[seg]]
+            differ = np.zeros(len(ia), dtype=bool)
+            for x in at:
+                xa, xb = (np.take(self._kept_rows, x[i], axis=0) for i in (ia, ib))
+                # a bool matmul tells whether any column differs, faster than any(axis=1)
+                differ |= (xa != xb) @ np.ones(self.k, dtype=bool)
+            for part in values:
+                differ |= part[ia] * r[:1] != part[ib] * r[s[seg]]
+            ok &= np.bincount(seg[differ], minlength=len(s)) == 0
+        return ok
 
 
 def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
@@ -1084,8 +1091,9 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     the later rows of its complement group, ordered by kept key, which
     differ from it on the subset.  The diagonal entries are sums of
     a^2 + b^2 over the rows of one kept key.  Those two halves are the
-    result (_Half); each entry below the diagonal is the conjugate of its
-    mirror, put in place (_mirrored) only if the operators are read.  An
+    result (_Half), segment j holding subset j's entries; each entry below
+    the diagonal is the conjugate of its mirror, put in place (_mirrored)
+    only for the segments read as operators.  An
     exact encoding keeps its nonzero entries only.  A float one keeps every
     entry, each summed in row order (_sums), the order that one subset
     alone would give, so float sums keep their bits."""
@@ -1152,15 +1160,17 @@ def _reduce(e: _Encoded, subsets: list, d: int, r: int = 1) -> _Reductions:
     blocks = [by_kept] if counts.sum() <= oa._COUNT_BLOCK else _blocks(keys, by_kept, counts)
     parts = [entries(rows) for rows in blocks]
     del order, lo, counts
-    # entries come in (subset, kept1, kept2) key order, so run by run, and
-    # rows >= j T holds from the first entry of subset j on
     rows_out, cols_out, re, im = parts[0] if len(parts) == 1 else (np.concatenate(column) for column in zip(*parts))
     del parts
     head = _heads(keys[by_kept])
     first = np.flatnonzero(head)
     (sums,) = _sums(head, first, (a * a + b * b)[by_kept])
-    half = _Half(keys, n_kept, (rows_out, cols_out), re, im, by_kept[first], sums, np.arange(0, (B + 1) * T, T))
-    return _Reductions(d, columns, kept, (r,), not floats, half)
+    on = by_kept[first]
+    # entries and diagonal rows come in (subset, kept) key order, so run by
+    # run, and rows >= j T holds from the first of subset j on: one segment
+    # per subset
+    starts = tuple(np.searchsorted(x, np.arange(0, (B + 1) * T, T)) for x in (rows_out, on))
+    return _Reductions(d, columns, kept, (r,), not floats, _Half(keys, n_kept, (rows_out, cols_out), re, im, on, sums, starts))
 
 
 def _sums(head: np.ndarray, heads: np.ndarray, *parts: np.ndarray) -> list:
@@ -1172,24 +1182,6 @@ def _sums(head: np.ndarray, heads: np.ndarray, *parts: np.ndarray) -> list:
         run = np.cumsum(head) - 1
         return [np.bincount(run, part, len(heads)) for part in parts]
     return [np.add.reduceat(part, heads) for part in parts]
-
-
-def _mirrored(h: _Half) -> _Entries:
-    """The Hermitian reductions whose halves h holds, each entry in
-    lexicographic (row, column) order, with its diagonal flag.
-
-    Row x holds, in column order, the conjugates (re, -im) of the entries
-    (y, x) above the diagonal, which come in the order of y; its diagonal
-    entry; and its own entries above the diagonal.  So one stable sort of
-    those three lists by the key of their rows (_stable_order) puts every
-    entry in place."""
-    rows, cols = h.upper
-    every = np.concatenate([cols, h.on, rows])
-    perm = _stable_order(h.keys[every], h.bound)
-    parts = (rows, h.on, cols), (h.re, h.sums, h.re), (-h.im, np.zeros_like(h.sums), h.im)
-    rows, (cols, re, im) = every[perm], (np.concatenate(part)[perm] for part in parts)
-    # only a diagonal entry names one row twice
-    return _Entries((rows, cols), rows == cols, re, im, np.searchsorted(rows, h.runs))
 
 
 def _call_width(e: _Encoded) -> int:
@@ -1371,29 +1363,28 @@ class _Purified:
         party subsets S in one kernel call, as the segments (j, s, t):
         |psi_s><psi_t| traced down to subset j, over the denominator
         sqrt(r_s r_t) when exact.  For a family of one, the state's own
-        reductions, as the kernel gives them, their rows and columns
-        gathered only if read.
+        reductions, as the kernel gives them.
 
-        Otherwise one stable sort (_stable_order) on the (subset, ancilla
-        row, ancilla column) key, the ancilla row of an entry being the
-        member s of its row's term, splits the entries into segments and
-        keeps each in lexicographic order.  The ancilla columns are then
-        dropped from the kept ones, and each entry's diagonal flag is read
-        off the keys of the system columns alone.
+        Otherwise the call's halves are grouped by segment.  Every entry
+        above Psi's diagonal has s <= t, and one stable sort
+        (_stable_order) on its (subset, s, t) key keeps each segment's in
+        key order: every (s, t) with s < t whole and the half above the
+        diagonal of each (s, s).  The diagonal sums already come in
+        (subset, s, row) order.  The ancilla columns are then dropped from
+        the kept ones.
         """
         m, K = self.m, self.K
         red = _reduce(self.e, [tuple(range(m)) + tuple(p + m for p in S) for S in subsets], self.base, self.r[0])
         if K == 1:
             return red
-        bra, ket = (self.member[x % len(self.e.idx)] for x in red.at)
-        key = (np.repeat(np.arange(len(subsets)), np.diff(red.starts)) * K + bra) * K + ket
-        order = _stable_order(key, len(subsets) * K * K)
-        starts = np.searchsorted(key[order], np.arange(len(subsets) * K * K + 1))
-        at = tuple(x[order] for x in red.at)
-        system = red.kept[:, m:]
-        keys = _run_keys(red.columns, system, self.base, _INT64_LIMIT)[0]
-        diagonal = keys[at[0]] == keys[at[1]]
-        return _Reductions(self.d, red.columns, system, tuple(self.r), self.exact, _Entries(at, diagonal, red.re[order], red.im[order], starts))
+        h, T, n = red.half, len(self.e.idx), len(subsets) * K * K
+        rows, cols = h.upper
+        key = (rows // T * K + self.member[rows % T]) * K + self.member[cols % T]
+        order = _stable_order(key, n)
+        diagonal = h.on // T * K * K + self.member[h.on % T] * (K + 1)
+        starts = tuple(np.searchsorted(x, np.arange(n + 1)) for x in (key[order], diagonal))
+        half = h._replace(upper=(rows[order], cols[order]), re=h.re[order], im=h.im[order], starts=starts)
+        return _Reductions(self.d, red.columns, red.kept[:, m:], tuple(self.r), self.exact, half)
 
     @cached_property
     def member(self) -> np.ndarray:
@@ -1407,18 +1398,19 @@ class _Purified:
 
         Segment (s, t) of the reduction of Psi onto its ancilla alone holds
         one entry at most, <psi_t|psi_s>, summed over the terms of psi_s in
-        their order.  An exact reduction stores nonzero entries only, so its
-        filled segments above the diagonal are the candidate pairs; a float
-        one stores every pair that shares an index.  Two exact members of a
+        their order.  The pairs s < t are exactly the entries above its
+        diagonal.  An exact reduction stores nonzero entries only, so those
+        are the candidate pairs; a float one stores every pair that shares
+        an index.  Two exact members of a
         family that mixes modes are read exactly, from the family of its
         exact members.  One state makes no reduction.
         """
         if self.K < 2:
             return []
-        red = self.reductions([()])
-        bra, ket = np.divmod(np.flatnonzero(np.diff(red.starts)), self.K)
+        h = self.reductions([()]).half
+        bra, ket = (self.member[x] for x in h.upper)
         found = []
-        for s, t, re, im in zip(*(x[bra < ket].tolist() for x in (bra, ket, red.re, red.im))):
+        for s, t, re, im in zip(*(x.tolist() for x in (bra, ket, h.re, h.im))):
             if self.exact:
                 found.append((s, t, InnerProduct((re, -im), self.r[t], self.r[s], True)))
             elif not (self.family[s].exact and self.family[t].exact):
@@ -1568,7 +1560,8 @@ def from_vector(vec, N: int, d: int) -> PureState:
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if vec.size != d**N:
         raise ValueError(f"vector length {vec.size} is not d^N = {d ** N}")
-    norm = float(np.sum(np.abs(vec) ** 2))
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(np.abs(vec) ** 2))
     if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
         raise NormError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
     pos = np.flatnonzero(vec)

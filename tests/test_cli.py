@@ -165,6 +165,12 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert code == 1 and report is None
     assert "error:" in capsys.readouterr().err
 
+    # an amplitude whose square is past float range
+    path = tmp_path / "big.state"
+    path.write_text("state 1 2 1 float\n0 1e308 0\n")
+    assert run(["verify", "state", "--k", "1", str(path)]) == (1, None)
+    assert capsys.readouterr().err == "error: squared norm inf deviates from 1 beyond 1e-12\n"
+
     code, report = run(["construct", "kuniform", "--k", "2", "--d", "5", "--N", "9"])
     assert code == 1
     assert "direct-sum" in capsys.readouterr().err

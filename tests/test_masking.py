@@ -326,6 +326,37 @@ def test_passing_segments_build_no_operators(monkeypatch):
     assert len(reduced) == 11 and built == []
 
 
+def _no_mirror(*args):
+    raise AssertionError("segments were mirrored")
+
+
+def test_passing_families_mirror_only_their_common_operators(monkeypatch):
+    """Each kernel call of a passing exact masker mirrors its (j, 0, 0)
+    segments, the common operators, in one _mirrored call and nothing
+    more; a passing exact pure code mirrors nothing.  The ame_6_2 split
+    leaves all 10 subsets at k = 2 to the kernel, in blocks of three."""
+    m, K = qubit_masker(), 2
+    monkeypatch.setattr(oa_module, "_COUNT_BLOCK", 3 * 16)
+    calls = _record(monkeypatch, states_module._Purified, "reductions")
+    mirrored, original = [], states_module._mirrored
+
+    def recorded(h, ids, K):
+        mirrored.append((ids.tolist(), out := original(h, ids, K)))
+        return out
+
+    monkeypatch.setattr(states_module, "_mirrored", recorded)
+    report = verify_masker(m, 2)
+    assert report.verdict == "pass" and [len(args[1]) for args in calls] == [3, 3, 3, 1]
+    assert [ids for ids, _ in mirrored] == [list(range(0, len(args[1]) * K * K, K * K)) for args in calls]
+    for (_, (_, re, _, starts)), args in zip(mirrored, calls):
+        assert starts[-1] == len(re) == sum(len(report.common[S].re) for S in args[1])
+    monkeypatch.setattr(states_module, "_mirrored", _no_mirror)
+    calls.clear()
+    assert verify_pure_qecc(m.images, 3).verdict == "pass"
+    # the inner products' call onto the ancilla alone, then the subsets'
+    assert [len(args[1]) for args in calls] == [1, 3, 3, 3, 1]
+
+
 def _no_deviation(self, other):
     raise AssertionError("deviation read through an operator")
 

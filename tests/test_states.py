@@ -114,6 +114,10 @@ def test_norm_validation_exact():
 def test_norm_validation_float():
     with pytest.raises(NormError):
         PureState(N=1, d=2, amplitudes={(0,): 0.5 + 0j}, exact=False)
+    # a square past float range, and a modulus past it
+    for big in (1e308 + 0j, complex(1e308, 1e308)):
+        with pytest.raises(NormError, match="squared norm inf"):
+            PureState(N=1, d=2, amplitudes={(0,): big}, exact=False)
     ok = PureState(
         N=1, d=2, amplitudes={(0,): 1 / math.sqrt(2), (1,): 1j / math.sqrt(2)}, exact=False
     )
@@ -417,13 +421,14 @@ def test_segments_match_cross_reduction_oracle(case):
     masks read maximally mixed segments, (s, s) segments with s >= 1 that
     are the same operator as (0, 0), and the segments an exact call leaves
     (an (s, s) not I / d^k, an (s, t) that is not zero) as the oracle's
-    operators do."""
+    operators do.  One mirror of many segments, asked for in any order and
+    some twice, gives each as it gives it alone."""
     family, k = case
     psi = states_module._Purified(family)
     K, floats = len(family), not psi.exact
     subsets = list(combinations(range(family[0].N), k))
     red = psi.reductions(subsets)
-    assert len(red.starts) == len(subsets) * K * K + 1
+    assert [len(starts) for starts in red.half.starts] == [len(subsets) * K * K + 1] * 2
     want = {}
     for (j, S), (s, t) in product(enumerate(subsets), np.ndindex(K, K)):
         got = red.operator(j, s, t)
@@ -431,6 +436,9 @@ def test_segments_match_cross_reduction_oracle(case):
         keys = [row + col for row, col in zip(got.rows.tolist(), got.cols.tolist())]
         assert keys == sorted(keys)
         assert_same_operator(got, want[j, s, t])
+    ids = np.concatenate([np.arange(len(want))[::-1], np.arange(0, len(want), 2)])
+    for got, (j, s, t) in zip(red.operators(ids), (list(want)[i] for i in ids.tolist())):
+        assert got == red.operator(j, s, t) and np.array_equal(got.diagonal, red.operator(j, s, t).diagonal)
     left = red.left(red.maximally_mixed).reshape(-1).tolist()
     if floats:
         assert left == [True] * len(want)
@@ -584,7 +592,7 @@ def test_block_calls_match_oracle_and_blocks_of_one(case, size, pair_block):
                 assert x.dtype == y.dtype and _bits(x.tolist()) == _bits(y.tolist())
     # one state: the call's own decisions, per subset, are its operators'
     for call, red in zip(calls, reductions if K == 1 else []):
-        assert len(red.starts) == len(call) + 1
+        assert [len(starts) for starts in red.half.starts] == [len(call) + 1] * 2
         for j, S in enumerate(call):
             op = red.operator(j)
             assert_same_operator(op, oracle_cross_reduction(family[0], family[0], S, floats))
@@ -880,7 +888,8 @@ def test_half_readers_match_the_all_entries_oracle(block):
     sums = np.array([s for _, diagonal in subsets for s in diagonal], dtype=dtype)
     # one row per run: each entry's row is its subset
     rows, on = (np.repeat(np.arange(len(subsets)), [len(part[i]) for part in subsets]) for i in (0, 1))
-    half = states_module._Half(None, 0, (rows, None), a, b, on, sums, np.arange(len(subsets) + 1))
+    starts = tuple(np.searchsorted(x, np.arange(len(subsets) + 1)) for x in (rows, on))
+    half = states_module._Half(None, 0, (rows, None), a, b, on, sums, starts)
     entries = [
         [(True, s, 0) for s in diagonal] + [(False, x, y) for x, y in upper] + [(False, x, -y) for x, y in upper]
         for upper, diagonal in subsets
@@ -908,9 +917,9 @@ def test_walk_sized_reduce_peaks_within_its_arrays():
       order, its high digits and its second order; after it the four
       gathered amplitude parts and one product, the rest formed in place.
 
-    The entries (2 U + D of them, for U pairs above the diagonal and D
-    groups) and the mirrored sort over them stay within what the pair
-    arrays held, as U <= 16038 <= oa._COUNT_BLOCK here."""
+    The call mirrors nothing: its halves, U entries above the diagonal and
+    D on it, stay within what the pair arrays held, as U + D <= 16038 <=
+    oa._COUNT_BLOCK here."""
     state = phased_four_uniform()
     psi = states_module._Purified([state])
     subsets = next(psi.undecided(5))
@@ -926,7 +935,7 @@ def test_walk_sized_reduce_peaks_within_its_arrays():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert len(red.re) == 16038 and peak <= bound
+    assert (len(red.half.re), len(red.half.sums)) == (5346, 5346) and peak <= bound
 
 
 
@@ -984,13 +993,13 @@ def test_half_form_readers_hold_within_their_arrays():
         call_peak = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        mixed, dev = red.maximally_mixed(), red.deviations()
+        with mock.patch.object(states_module, "_mirrored", _no_mirror):
+            mixed, dev = red.maximally_mixed(), red.deviations()
         read_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    half = red.summed
-    U, D = len(half.re), len(half.sums)
-    assert (U, D) == (5346, 5346) and "re" not in vars(red)
+    U, D = len(red.half.re), len(red.half.sums)
+    assert (U, D) == (5346, 5346)
     assert not mixed.any() and (dev > 0).all()
     T = state.num_terms
     assert call_peak <= 8 * (10 * len(subsets) * T + 6 * (oa_module._COUNT_BLOCK + T))
@@ -999,6 +1008,13 @@ def test_half_form_readers_hold_within_their_arrays():
 
 def _no_mirror(*args):
     raise AssertionError("the operators were mirrored")
+
+
+def _mirrored_block(red) -> tuple:
+    """(starts, diagonal, re, im) of every segment of a state's call,
+    mirrored whole, as the all-entries readers take them."""
+    seg = red.segments(np.arange(len(red.kept)))
+    return seg.starts, (seg.rows == seg.cols).all(axis=1), seg.re, seg.im
 
 
 @settings(max_examples=150)
@@ -1030,7 +1046,7 @@ def test_half_form_reads_the_mirrored_operators(case, pair_block, limit):
     ):
         red = states_module._reduce(e, subsets, state.d, state.r)
         mixed, dev = red.maximally_mixed(), red.deviations()
-    block = red.starts, red.diagonal, red.re, red.im
+    block = _mirrored_block(red)
     assert mixed.tolist() == states_module._maximally_mixed_mask(state.d**k, *states_module._split(*block), (state.r,)).tolist()
     assert dev.tobytes() == oracle_deviations(state.d**k, *block, state.r, state.r, True).tobytes()
     for j, S in enumerate(subsets):
@@ -1086,7 +1102,7 @@ def test_verify_state_reports_never_mirror(tmp_path, capsys, monkeypatch):
             red = states_module._Reductions
 
             def mirrored_block(self) -> tuple:
-                return self.d**self.k, *states_module._split(self.starts, self.diagonal, self.re, self.im)
+                return self.d**self.k, *states_module._split(*_mirrored_block(self))
 
             m.setattr(red, "maximally_mixed", lambda self: states_module._maximally_mixed_mask(*mirrored_block(self), self.r))
             m.setattr(red, "deviations", lambda self: states_module._deviations(*mirrored_block(self), self.r[0], self.r[0], True))
@@ -1983,7 +1999,7 @@ def test_parse_state_errors():
         parse_state("# nothing\n")
 
 
-@pytest.mark.parametrize("bad", ["nan 0", "0 nan", "inf 0", "nan nan"])
+@pytest.mark.parametrize("bad", ["nan 0", "0 nan", "inf 0", "nan nan", "1e308 0"])
 def test_parse_state_refuses_non_finite_norm(bad):
     with pytest.raises(NormError):
         parse_state(f"state 2 2 1 float\n0 0 1.0 0.0\n1 1 {bad}\n")
@@ -1995,6 +2011,10 @@ def test_from_vector_norm_check():
     for bad in (math.nan, math.inf):
         with pytest.raises(NormError):
             from_vector(np.array([1.0, 0.0, 0.0, bad]), 2, 2)
+    # squares past float range, with no overflow warning
+    for big in ([1e200, 0], [1e308 + 1e308j, 0]):
+        with pytest.raises(NormError, match="squared norm inf"):
+            from_vector(big, 1, 2)
     with pytest.raises(ValueError):
         from_vector(np.zeros(3), 1, 2)
 
